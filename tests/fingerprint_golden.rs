@@ -1,0 +1,188 @@
+//! Cross-commit fingerprint golden: every serving system's result
+//! fingerprint on a fixed set of small runs, pinned in
+//! `tests/golden/fingerprints.txt`. The other differential tests compare two
+//! runs of the same build; this one compares against what earlier builds
+//! produced, so a refactor that claims to preserve behaviour can prove it.
+//! Regenerate after an intentional behaviour change with:
+//!
+//! ```text
+//! REGEN_GOLDEN=1 cargo test -p aegaeon-bench --test fingerprint_golden
+//! ```
+
+use aegaeon::chaos::FaultPlan;
+use aegaeon::events::InstKind;
+use aegaeon::shard::run_sharded;
+use aegaeon::{AegaeonConfig, ServingSystem};
+use aegaeon_baselines::engine_loop::WorldConfig;
+use aegaeon_baselines::{Dedicated, MuxServe, ServerlessLlm, SllmConfig};
+use aegaeon_bench::{market_models, uniform_trace};
+use aegaeon_gpu::{ClusterSpec, GpuSpec, NodeSpec};
+use aegaeon_telemetry::TelemetrySpec;
+use aegaeon_workload::LengthDist;
+
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/fingerprints.txt"
+);
+
+const SEEDS: [u64; 3] = [7, 42, 20250713];
+
+fn one_node(gpus: u32) -> ClusterSpec {
+    ClusterSpec::homogeneous(
+        1,
+        NodeSpec {
+            gpus,
+            gpu: GpuSpec::h800(),
+            dram_bytes: 1 << 40,
+            nic_bw: 25e9,
+        },
+    )
+}
+
+fn chaos(seed: u64) -> FaultPlan {
+    FaultPlan {
+        seed,
+        crashes: vec![(20.0, InstKind::Decode, 0)],
+        crash_rate_prefill: 0.01,
+        crash_rate_decode: 0.015,
+        link_rate: 0.03,
+        link_factor: 0.4,
+        link_secs: 4.0,
+        stage_oom_rate: 0.02,
+        stage_oom_secs: 4.0,
+        stall_rate: 0.02,
+        stall_secs: 0.8,
+    }
+}
+
+/// Every pinned run as `(name, fingerprint)`, in golden-file order.
+fn fingerprints() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    let models = market_models(5);
+
+    // Aegaeon: seeds x {healthy, chaos}, plus observers on (auditor and
+    // telemetry must reproduce the plain fingerprint) and a TP=2 cluster
+    // (the multi-GPU completion join).
+    for seed in SEEDS {
+        let trace = uniform_trace(5, 0.12, 60.0, seed, LengthDist::sharegpt());
+        for (label, plan) in [("healthy", FaultPlan::none()), ("chaos", chaos(seed))] {
+            let mut cfg = AegaeonConfig::small_testbed(2, 3);
+            cfg.seed = seed;
+            cfg.faults = plan;
+            cfg.drain_window = aegaeon_sim::SimDur::from_secs(400);
+            let r = ServingSystem::run(&cfg, &models, &trace);
+            out.push((format!("aegaeon seed={seed} {label}"), r.fingerprint()));
+        }
+    }
+    let trace = uniform_trace(5, 0.12, 60.0, 7, LengthDist::sharegpt());
+    let mut observed = AegaeonConfig::small_testbed(2, 3);
+    observed.seed = 7;
+    observed.audit = true;
+    observed.telemetry = TelemetrySpec::enabled();
+    let r = ServingSystem::run(&observed, &models, &trace);
+    out.push(("aegaeon seed=7 healthy audit+telemetry".into(), r.fingerprint()));
+    let mut tp2 = AegaeonConfig::small_testbed(2, 2);
+    tp2.tp = 2;
+    tp2.prefill_instances = 1;
+    tp2.seed = 7;
+    let r = ServingSystem::run(&tp2, &models, &trace);
+    out.push(("aegaeon seed=7 tp=2".into(), r.fingerprint()));
+
+    // Two shards over the paper testbed's two nodes.
+    let sharded_models = market_models(8);
+    let sharded_trace = uniform_trace(8, 0.1, 60.0, 3, LengthDist::sharegpt());
+    let mut cfg = AegaeonConfig::paper_testbed();
+    cfg.seed = 3;
+    let r = run_sharded(&cfg, &sharded_models, &sharded_trace, 2, 2);
+    out.push(("sharded shards=2 seed=3".into(), r.fingerprint()));
+
+    // Baselines.
+    for seed in SEEDS {
+        let trace = uniform_trace(5, 0.12, 60.0, seed, LengthDist::sharegpt());
+        let mut plain = SllmConfig::new(one_node(2));
+        plain.world.seed = seed;
+        let r = ServerlessLlm::run(&plain, &models, &trace);
+        out.push((format!("serverlessllm seed={seed}"), r.fingerprint()));
+        let mut plus = SllmConfig::plus(one_node(2));
+        plus.world.seed = seed;
+        let r = ServerlessLlm::run(&plus, &models, &trace);
+        out.push((format!("serverlessllm+ seed={seed}"), r.fingerprint()));
+    }
+    let mut observed = SllmConfig::new(one_node(2));
+    observed.world.seed = 7;
+    observed.world.audit = true;
+    observed.world.telemetry = TelemetrySpec::enabled();
+    let r = ServerlessLlm::run(&observed, &models, &trace);
+    out.push(("serverlessllm seed=7 audit+telemetry".into(), r.fingerprint()));
+    let mut tp2 = SllmConfig::new(one_node(4));
+    tp2.world.tp = 2;
+    tp2.world.seed = 7;
+    let r = ServerlessLlm::run(&tp2, &models, &trace);
+    out.push(("serverlessllm seed=7 tp=2".into(), r.fingerprint()));
+
+    // MuxServe on 2 GPUs for 8 models: half the models stay unplaced and
+    // their requests are rejected at arrival.
+    let mux_models = market_models(8);
+    for seed in SEEDS {
+        let trace = uniform_trace(8, 0.1, 60.0, seed, LengthDist::sharegpt());
+        let mut cfg = WorldConfig::sllm_default(one_node(2));
+        cfg.seed = seed;
+        let r = MuxServe::run(&cfg, &mux_models, &[0.1; 8], &trace);
+        assert!(r.rejected > 0, "seed {seed}: the trace must exercise rejection");
+        out.push((format!("muxserve seed={seed}"), r.fingerprint()));
+    }
+    let trace = uniform_trace(8, 0.1, 60.0, 7, LengthDist::sharegpt());
+    let mut observed = WorldConfig::sllm_default(one_node(2));
+    observed.seed = 7;
+    observed.audit = true;
+    observed.telemetry = TelemetrySpec::enabled();
+    let r = MuxServe::run(&observed, &mux_models, &[0.1; 8], &trace);
+    out.push(("muxserve seed=7 audit+telemetry".into(), r.fingerprint()));
+
+    // Dedicated: one instance per model, then TP=2 replicas.
+    let ded_models = market_models(4);
+    let ded_trace = uniform_trace(4, 0.1, 60.0, 7, LengthDist::sharegpt());
+    let mut cfg = WorldConfig::sllm_default(one_node(4));
+    cfg.seed = 7;
+    let r = Dedicated::run(&cfg, &ded_models, &ded_trace);
+    out.push(("dedicated seed=7".into(), r.fingerprint()));
+    let mut cfg = WorldConfig::sllm_default(one_node(8));
+    cfg.tp = 2;
+    cfg.seed = 7;
+    let r = Dedicated::run(&cfg, &ded_models, &ded_trace);
+    out.push(("dedicated seed=7 tp=2".into(), r.fingerprint()));
+
+    out
+}
+
+fn render(rows: &[(String, u64)]) -> String {
+    let mut s = String::new();
+    for (name, fp) in rows {
+        s.push_str(&format!("{name}: {fp:016x}\n"));
+    }
+    s
+}
+
+#[test]
+fn fingerprints_match_golden() {
+    let text = render(&fingerprints());
+    if std::env::var("REGEN_GOLDEN").is_ok() {
+        std::fs::write(GOLDEN, &text).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(GOLDEN)
+        .expect("golden file missing — run with REGEN_GOLDEN=1 to create it");
+    if text != golden {
+        let diff: Vec<String> = golden
+            .lines()
+            .zip(text.lines())
+            .filter(|(g, t)| g != t)
+            .map(|(g, t)| format!("  golden {g}\n  now    {t}"))
+            .collect();
+        panic!(
+            "fingerprints drifted from tests/golden/fingerprints.txt:\n{}\n\
+             regenerate with REGEN_GOLDEN=1 only if the behaviour change is intended",
+            diff.join("\n")
+        );
+    }
+}

@@ -104,17 +104,7 @@ impl Scheduler for Dedicated {
 
     fn on_idle(&mut self, w: &mut World, inst: usize, q: &mut Qq) {
         let model = self.assignment[inst];
-        let queue = &mut self.queues[model.0 as usize];
-        let i = 0;
-        while i < queue.len() {
-            let req = queue[i];
-            if w.can_admit(inst, req) {
-                queue.remove(i);
-                w.admit(inst, req, q);
-            } else {
-                break;
-            }
-        }
+        w.admit_fifo(inst, &mut self.queues[model.0 as usize], q);
     }
 
     fn on_progress(&mut self, w: &mut World, inst: usize, q: &mut Qq) {

@@ -5,21 +5,21 @@
 //! decoding step for the whole batch — with continuous batching within the
 //! resident model. System-specific behaviour (admission, what to do when an
 //! instance drains, compute contention) plugs in through the [`Scheduler`]
-//! trait.
+//! trait. The event driver, fabric port, scale-stage builder and request
+//! telemetry are Aegaeon's own ([`aegaeon::runtime`]), so both sides of
+//! every comparison are timed and observed by the same code.
 
 use std::collections::VecDeque;
 
-use aegaeon::audit::{AuditReport, AuditView, Auditor, InvariantAuditor, ReqAudit};
+use aegaeon::audit::{AuditReport, AuditView, ReqAudit};
 use aegaeon::deploy::{build_deploys, ModelDeploy};
 use aegaeon::reqstate::ReqState;
-use aegaeon_engine::{scale_up_plan, AutoscaleOpts, InitCosts, ScaleCost};
-use aegaeon_gpu::{
-    ClusterTopology, Completion, Fabric, FabricEvent, GpuId, LinkId, StreamId, StreamOp,
-};
-use aegaeon_metrics::RequestOutcome;
+use aegaeon::runtime::{checked, outcomes, req_audit, CoreIds, Driver, FabricPort, Host, SpanBook};
+use aegaeon_engine::{scale_up_plan, AutoscaleOpts, InitCosts, ScaleCost, ScaleStage, StageKind};
+use aegaeon_gpu::{ClusterTopology, FabricEvent, GpuId, StreamId};
 use aegaeon_model::{ModelId, ModelSpec};
-use aegaeon_sim::{EventQueue, FxHashMap, Lift, SimDur, SimRng, SimTime, Timeline};
-use aegaeon_telemetry::{CounterId, GaugeId, HistId, SpanId, SpanKind, Telemetry};
+use aegaeon_sim::{EventQueue, SimDur, SimRng, SimTime, Timeline};
+use aegaeon_telemetry::{CounterId, GaugeId, SpanId, SpanKind, Telemetry};
 use aegaeon_workload::{RequestId, Trace};
 
 use crate::result::BaselineResult;
@@ -35,11 +35,16 @@ pub enum BEv {
     Sample,
 }
 
-/// Fabric completion tags.
+impl From<FabricEvent> for BEv {
+    fn from(fe: FabricEvent) -> BEv {
+        BEv::Fabric(fe)
+    }
+}
+
+/// Fabric completion tags. A multi-GPU op completes once, when its last
+/// shard does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BTag {
-    /// One shard of a TP op.
-    Part(u64),
     /// A prefill finished on an instance.
     Prefill {
         /// Instance index.
@@ -52,7 +57,7 @@ pub enum BTag {
         /// Instance index.
         inst: u32,
     },
-    /// The last auto-scaling stage finished.
+    /// Every auto-scaling stage finished.
     Scale {
         /// Instance index.
         inst: u32,
@@ -70,7 +75,6 @@ pub struct InstState {
     pub current: Option<ModelId>,
     /// Target of an in-flight scale (None when not scaling).
     pub scale_target: Option<ModelId>,
-    scale_remaining: u32,
     /// Admitted requests awaiting prefill.
     pub prefill_q: VecDeque<RequestId>,
     /// Decoding batch.
@@ -95,7 +99,6 @@ impl InstState {
             lanes,
             current: None,
             scale_target: None,
-            scale_remaining: 0,
             prefill_q: VecDeque::new(),
             batch: Vec::new(),
             busy: false,
@@ -191,61 +194,12 @@ impl WorldConfig {
     }
 }
 
-/// Pre-registered metric handles for the baseline loop (no string hashing
-/// on the hot path).
-#[derive(Debug, Clone, Copy)]
-struct BTelIds {
-    c_switches: CounterId,
-    c_completed: CounterId,
-    c_rejected: CounterId,
-    c_events_dispatched: CounterId,
-    c_audit_checks: CounterId,
-    c_audit_violations: CounterId,
-    g_prefill_queue_depth: GaugeId,
-    g_decode_work: GaugeId,
-    g_active_models: GaugeId,
-    g_kv_reserved: GaugeId,
-    h_batch_size: HistId,
-}
-
-impl BTelIds {
-    fn register(reg: &mut aegaeon_telemetry::MetricsRegistry) -> BTelIds {
-        BTelIds {
-            c_switches: reg.counter("switches"),
-            c_completed: reg.counter("completed_requests"),
-            c_rejected: reg.counter("rejected_requests"),
-            c_events_dispatched: reg.counter("events_dispatched"),
-            c_audit_checks: reg.counter("audit_checks"),
-            c_audit_violations: reg.counter("audit_violations"),
-            g_prefill_queue_depth: reg.gauge("prefill_queue_depth"),
-            g_decode_work: reg.gauge("decode_batch_requests"),
-            g_active_models: reg.gauge("active_models"),
-            g_kv_reserved: reg.gauge("kv_reserved_tokens"),
-            h_batch_size: reg.histogram("batch_size", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
-        }
-    }
-}
-
-/// Per-request span handles (root + the currently open phase).
-#[derive(Debug, Clone, Copy)]
-struct BReqTel {
-    root: SpanId,
-    phase: SpanId,
-}
-
-impl BReqTel {
-    const EMPTY: BReqTel = BReqTel {
-        root: SpanId::NONE,
-        phase: SpanId::NONE,
-    };
-}
-
 /// The shared baseline world: instances over the fabric plus request state.
 pub struct World {
     /// Configuration.
     pub cfg: WorldConfig,
     /// The fabric.
-    pub fabric: Fabric<BTag>,
+    pub port: FabricPort<BTag>,
     /// Topology.
     pub topo: ClusterTopology,
     /// Model deployments.
@@ -258,21 +212,19 @@ pub struct World {
     pub trace: Trace,
     /// RNG.
     pub rng: SimRng,
-    ready: VecDeque<Completion<BTag>>,
-    multis: FxHashMap<u64, (u32, BTag)>,
-    next_multi: u64,
     usable_vram: u64,
     /// Completed requests.
     pub completed: usize,
     /// Requests rejected outright (unplaced models).
     pub rejected: usize,
     util_samples: Vec<(SimTime, Vec<f64>)>,
-    sample_live: bool,
     arrivals_left: usize,
     /// Request-lifecycle spans and sampled metrics (observer only).
     pub tel: Telemetry,
-    tm: BTelIds,
-    req_tel: Vec<BReqTel>,
+    ids: CoreIds,
+    c_rejected: CounterId,
+    g_kv_reserved: GaugeId,
+    spans: SpanBook,
     /// Open switch span per instance (lazily sized: MuxServe rebuilds
     /// `insts` after construction).
     switch_spans: Vec<SpanId>,
@@ -283,145 +235,44 @@ impl World {
     /// default stream as its lane.
     pub fn new(cfg: WorldConfig, models: &[ModelSpec], trace: Trace) -> World {
         let mut rng = SimRng::seed_from_u64(cfg.seed);
-        let mut fabric: Fabric<BTag> = Fabric::new();
-        let topo = ClusterTopology::build(&cfg.cluster, &mut fabric);
-        let gpu_spec = cfg.cluster.nodes[0].gpu.clone();
-        let deploys = build_deploys(models, &gpu_spec, cfg.tp, &mut rng);
+        let (port, topo) = FabricPort::build(&cfg.cluster);
+        let gpu_spec = &cfg.cluster.nodes[0].gpu;
+        let deploys = build_deploys(models, gpu_spec, cfg.tp, &mut rng);
         let usable_vram = (gpu_spec.vram_bytes as f64 * cfg.vram_usable) as u64;
         let gpu_ids: Vec<GpuId> = topo.gpu_ids().collect();
-        let mut insts = Vec::new();
-        for group in gpu_ids.chunks(cfg.tp as usize) {
-            let lanes = group
-                .iter()
-                .map(|&g| topo.gpu(g).default_stream)
-                .collect();
-            insts.push(InstState {
-                gpus: group.to_vec(),
-                lanes,
-                current: None,
-                scale_target: None,
-                scale_remaining: 0,
-                prefill_q: VecDeque::new(),
-                batch: Vec::new(),
-                busy: false,
-                contention: 1.0,
-                kv_reserved_tokens: 0,
-                kv_cap_tokens: 0,
-                switches: 0,
-            });
-        }
-        let reqs = trace
-            .requests
-            .iter()
-            .map(|r| ReqState::new(r.arrival(), r.input_tokens, r.output_tokens))
+        let insts = gpu_ids
+            .chunks(cfg.tp as usize)
+            .map(|group| {
+                let lanes = group.iter().map(|&g| topo.gpu(g).default_stream);
+                InstState::new(group.to_vec(), lanes.collect())
+            })
             .collect();
-        let arrivals_left = trace.len();
-        let mut tel = Telemetry::new(&cfg.telemetry);
-        let tm = BTelIds::register(&mut tel.metrics);
-        let req_tel = if tel.is_enabled() {
-            vec![BReqTel::EMPTY; trace.len()]
-        } else {
-            Vec::new()
-        };
+        let reqs = trace.requests.iter().map(ReqState::from_request).collect();
+        let (mut tel, ids) = CoreIds::telemetry(&cfg.telemetry, deploys.len());
+        let c_rejected = tel.metrics.counter("rejected_requests");
+        let g_kv_reserved = tel.metrics.gauge("kv_reserved_tokens");
+        let spans = SpanBook::new(&tel, trace.len());
         World {
             cfg,
-            fabric,
+            port,
             topo,
             deploys,
             insts,
             reqs,
+            arrivals_left: trace.len(),
             trace,
             rng,
-            ready: VecDeque::new(),
-            multis: FxHashMap::default(),
-            next_multi: 0,
             usable_vram,
             completed: 0,
             rejected: 0,
             util_samples: Vec::new(),
-            sample_live: false,
-            arrivals_left,
             tel,
-            tm,
-            req_tel,
+            ids,
+            c_rejected,
+            g_kv_reserved,
+            spans,
             switch_spans: Vec::new(),
         }
-    }
-
-    // ----- Telemetry hooks (observer only; no-ops when disabled) --------
-
-    fn tel_poll(&mut self, at: SimTime) {
-        let m = &mut self.tel.metrics;
-        if !m.is_enabled() {
-            return;
-        }
-        let queue: usize = self.insts.iter().map(|i| i.prefill_q.len()).sum();
-        let work: usize = self.insts.iter().map(|i| i.batch.len()).sum();
-        let reserved: u64 = self.insts.iter().map(|i| i.kv_reserved_tokens).sum();
-        let mut models: Vec<u32> = self
-            .insts
-            .iter()
-            .filter_map(|i| i.current.map(|m| m.0))
-            .collect();
-        models.sort_unstable();
-        models.dedup();
-        m.set(self.tm.g_prefill_queue_depth, queue as f64);
-        m.set(self.tm.g_decode_work, work as f64);
-        m.set(self.tm.g_kv_reserved, reserved as f64);
-        m.set(self.tm.g_active_models, models.len() as f64);
-        m.sample(at);
-    }
-
-    fn tel_req_arrive(&mut self, req: RequestId, now: SimTime) {
-        if !self.tel.is_enabled() {
-            return;
-        }
-        let i = req.0 as usize;
-        let model = self.trace.requests[i].model;
-        let root = self.tel.spans.start(
-            || format!("req{i}"),
-            SpanKind::Request,
-            now,
-            SpanId::NONE,
-            SpanId::NONE,
-            || format!("req{i}:{model}"),
-        );
-        self.req_tel[i].root = root;
-        self.req_tel[i].phase = self.tel.spans.start(
-            || format!("req{i}"),
-            SpanKind::QueueWait,
-            now,
-            root,
-            SpanId::NONE,
-            || "queue-wait",
-        );
-    }
-
-    fn tel_begin_phase(&mut self, req: RequestId, kind: SpanKind, label: &'static str, now: SimTime) {
-        if !self.tel.is_enabled() {
-            return;
-        }
-        let i = req.0 as usize;
-        let rt = self.req_tel[i];
-        self.tel.spans.end(rt.phase, now);
-        self.req_tel[i].phase = self.tel.spans.start(
-            || format!("req{i}"),
-            kind,
-            now,
-            rt.root,
-            SpanId::NONE,
-            || label,
-        );
-    }
-
-    fn tel_req_done(&mut self, req: RequestId, now: SimTime) {
-        if !self.tel.is_enabled() {
-            return;
-        }
-        let i = req.0 as usize;
-        let rt = std::mem::replace(&mut self.req_tel[i], BReqTel::EMPTY);
-        self.tel.spans.end(rt.phase, now);
-        self.tel.spans.end(rt.root, now);
     }
 
     /// Usable VRAM per GPU.
@@ -459,6 +310,25 @@ impl World {
         self.kick(inst, q);
     }
 
+    /// Admits requests from the head of `queue` to `inst`, in order, until
+    /// the first that does not fit.
+    pub fn admit_fifo(&mut self, inst: usize, queue: &mut Vec<RequestId>, q: &mut Qq) {
+        while let Some(&req) = queue.first() {
+            if !self.can_admit(inst, req) {
+                break;
+            }
+            queue.remove(0);
+            self.admit(inst, req, q);
+        }
+    }
+
+    /// Turns `req` away for good: it counts as rejected and its spans end
+    /// now.
+    pub fn reject(&mut self, req: RequestId, now: SimTime) {
+        self.rejected += 1;
+        self.spans.close(&mut self.tel, req, now);
+    }
+
     /// Starts scaling `inst` to `model`. KV capacity is set for the target.
     pub fn start_scale(&mut self, inst: usize, model: ModelId, q: &mut Qq) {
         debug_assert!(self.insts[inst].scale_target.is_none(), "already scaling");
@@ -472,22 +342,17 @@ impl World {
             self.cfg.remote_bw,
         );
         if !self.cfg.extra_switch_cost.is_zero() {
-            plan.stages.push(aegaeon_engine::ScaleStage {
-                kind: aegaeon_engine::StageKind::MiscInit,
+            plan.stages.push(ScaleStage {
+                kind: StageKind::MiscInit,
                 cost: ScaleCost::Fixed(self.cfg.extra_switch_cost),
             });
         }
-        let lanes = self.insts[inst].lanes.clone();
-        let gpus = self.insts[inst].gpus.clone();
-        {
-            let i = &mut self.insts[inst];
-            i.scale_target = Some(model);
-            i.scale_remaining = (plan.stages.len() * lanes.len()) as u32;
-            i.switches += 1;
-            i.busy = true;
-            i.kv_cap_tokens = 0; // set on completion
-        }
-        self.tel.metrics.inc(self.tm.c_switches, 1);
+        let i = &mut self.insts[inst];
+        i.scale_target = Some(model);
+        i.switches += 1;
+        i.busy = true;
+        i.kv_cap_tokens = 0; // set on completion
+        self.tel.metrics.inc(self.ids.c_switches, 1);
         if self.tel.is_enabled() {
             if self.switch_spans.len() <= inst {
                 self.switch_spans.resize(inst + 1, SpanId::NONE);
@@ -504,90 +369,65 @@ impl World {
                 || format!("S:{model}"),
             );
         }
-        for (lane, g) in lanes.iter().zip(&gpus) {
-            let h = self.topo.gpu(*g).clone();
-            for st in &plan.stages {
-                let tag = BTag::Scale { inst: inst as u32 };
-                let op = match st.cost {
-                    ScaleCost::Fixed(dur) => StreamOp::Compute { dur, tag },
-                    ScaleCost::HostLoad { bytes, efficiency } => StreamOp::Copy {
-                        link: h.h2d,
-                        bytes: (bytes as f64 / efficiency) as u64,
-                        tag,
-                    },
-                    ScaleCost::DeviceCopy { bytes } => StreamOp::Compute {
-                        dur: SimDur::from_secs_f64(bytes as f64 / h.spec.device_copy_bw()),
-                        tag,
-                    },
-                };
-                self.submit(*lane, op, q);
-            }
+        let i = &self.insts[inst];
+        let tag = self.port.join(
+            plan.stages.len() * i.lanes.len(),
+            BTag::Scale { inst: inst as u32 },
+        );
+        for (&lane, &g) in i.lanes.iter().zip(&i.gpus) {
+            self.port
+                .submit_stages(lane, self.topo.gpu(g), &plan.stages, &tag, q);
         }
-    }
-
-    fn submit(&mut self, lane: StreamId, op: StreamOp<BTag>, q: &mut Qq) {
-        let cs = self.fabric.submit(lane, op, &mut Lift::new(q, BEv::Fabric));
-        self.ready.extend(cs);
-    }
-
-    fn multi(&mut self, parts: u32, inner: BTag) -> BTag {
-        if parts <= 1 {
-            return inner;
-        }
-        let id = self.next_multi;
-        self.next_multi += 1;
-        self.multis.insert(id, (parts, inner));
-        BTag::Part(id)
     }
 
     /// Runs the instance loop: prefill first, else a decode step.
     pub fn kick(&mut self, inst: usize, q: &mut Qq) {
-        if self.insts[inst].busy || self.insts[inst].scale_target.is_some() {
+        let i = &mut self.insts[inst];
+        if i.busy || i.scale_target.is_some() {
             return;
         }
-        let model = match self.insts[inst].current {
-            Some(m) => m,
-            None => return, // scheduler must scale first
+        let Some(model) = i.current else {
+            return; // scheduler must scale first
         };
-        if let Some(&req) = self.insts[inst].prefill_q.front() {
-            self.insts[inst].prefill_q.pop_front();
-            let input = self.reqs[req.0 as usize].input_tokens;
-            let base = self.deploys[model.0 as usize]
-                .perf
-                .prefill_secs(&[input], &mut self.rng);
-            let dur = base * self.insts[inst].contention;
-            self.reqs[req.0 as usize].prefill_start = Some(q.now());
-            self.tel_begin_phase(req, SpanKind::Prefill, "prefill", q.now());
-            self.insts[inst].busy = true;
-            let lanes = self.insts[inst].lanes.clone();
-            let tag = self.multi(
-                lanes.len() as u32,
-                BTag::Prefill {
-                    inst: inst as u32,
-                    req,
-                },
-            );
-            for lane in lanes {
-                self.submit(lane, StreamOp::Compute { dur, tag: tag.clone() }, q);
-            }
-        } else if !self.insts[inst].batch.is_empty() {
-            let batch = self.insts[inst].batch.clone();
-            let ctx: u64 = batch
+        let perf = &self.deploys[model.0 as usize].perf;
+        let (base, tag) = if let Some(req) = i.prefill_q.pop_front() {
+            let rs = &mut self.reqs[req.0 as usize];
+            rs.prefill_start = Some(q.now());
+            let base = perf.prefill_secs(&[rs.input_tokens], &mut self.rng);
+            self.spans
+                .begin_phase(&mut self.tel, req, SpanKind::Prefill, "prefill", q.now());
+            let inst = inst as u32;
+            (base, BTag::Prefill { inst, req })
+        } else if !i.batch.is_empty() {
+            let ctx: u64 = i
+                .batch
                 .iter()
                 .map(|r| self.reqs[r.0 as usize].ctx_tokens() as u64)
                 .sum();
-            let base = self.deploys[model.0 as usize]
-                .perf
-                .decode_secs(batch.len(), ctx, &mut self.rng);
-            let dur = base * self.insts[inst].contention;
-            self.tel.metrics.observe(self.tm.h_batch_size, batch.len() as f64);
-            self.insts[inst].busy = true;
-            let lanes = self.insts[inst].lanes.clone();
-            let tag = self.multi(lanes.len() as u32, BTag::Step { inst: inst as u32 });
-            for lane in lanes {
-                self.submit(lane, StreamOp::Compute { dur, tag: tag.clone() }, q);
-            }
-        }
+            let base = perf.decode_secs(i.batch.len(), ctx, &mut self.rng);
+            self.tel
+                .metrics
+                .observe(self.ids.h_batch_size, i.batch.len() as f64);
+            (base, BTag::Step { inst: inst as u32 })
+        } else {
+            return;
+        };
+        i.busy = true;
+        let lanes = i.lanes.iter().copied();
+        self.port.compute_all(lanes, base * i.contention, tag, q);
+    }
+
+    /// Retires a completed request: releases its KV reservation on `inst`
+    /// and feeds the shared retirement hook.
+    fn retire(&mut self, inst: usize, req: RequestId, now: SimTime) {
+        let ctx = self.final_ctx(req);
+        let i = &mut self.insts[inst];
+        i.kv_reserved_tokens = i.kv_reserved_tokens.saturating_sub(ctx);
+        self.completed += 1;
+        let model = self.trace.requests[req.0 as usize].model;
+        let rs = &self.reqs[req.0 as usize];
+        self.spans
+            .retire(&mut self.tel, &self.ids, req, model, rs, now);
     }
 
     /// Drives the simulation with `sched` until the trace drains.
@@ -597,256 +437,167 @@ impl World {
     /// With `cfg.audit` set, panics on any invariant violation, printing
     /// the full report (the violation reproduces from the config's seed).
     pub fn run<S: Scheduler>(self, sched: &mut S) -> BaselineResult {
-        if self.cfg.audit {
-            let seed = self.cfg.seed;
-            let (result, report) = self.run_audited(sched);
-            assert!(
-                report.ok(),
-                "baseline invariant violation (reproduce with seed={seed}):\n{report}"
-            );
-            result
-        } else {
-            self.run_inner(sched, None).0
-        }
+        let (seed, audit) = (self.cfg.seed, self.cfg.audit);
+        checked(self.drive(sched, audit), format_args!("seed={seed}"))
     }
 
     /// Runs with the standard invariant auditor installed, returning the
     /// audit report alongside the results.
     pub fn run_audited<S: Scheduler>(self, sched: &mut S) -> (BaselineResult, AuditReport) {
-        let auditor: Box<dyn Auditor> = Box::new(InvariantAuditor::new());
-        let (result, report) = self.run_inner(sched, Some(auditor));
+        let (result, report) = self.drive(sched, true);
         (result, report.expect("auditor was installed"))
     }
 
-    fn run_inner<S: Scheduler>(
-        mut self,
+    fn drive<S: Scheduler>(
+        self,
         sched: &mut S,
-        mut auditor: Option<Box<dyn Auditor>>,
+        audit: bool,
     ) -> (BaselineResult, Option<AuditReport>) {
-        let mut q: Qq = EventQueue::new();
-        for (i, r) in self.trace.requests.iter().enumerate() {
-            q.schedule_at(r.arrival(), BEv::Arrive(i as u32));
-        }
         let hard_stop = self.trace.horizon + self.cfg.drain_window;
-        q.schedule_after(self.cfg.sample_period, BEv::Sample);
-        self.sample_live = true;
-        let cap: u64 = 400_000_000;
-        while let Some((t, ev)) = q.pop() {
-            if t > hard_stop || q.events_dispatched() > cap {
-                break;
+        let sample_period = self.cfg.sample_period;
+        let mut d = Driver::new(Serve { w: self, sched }, hard_stop, audit);
+        for (i, r) in d.host.w.trace.requests.iter().enumerate() {
+            d.q.schedule_at(r.arrival(), BEv::Arrive(i as u32));
+        }
+        d.q.schedule_after(sample_period, BEv::Sample);
+        d.run()
+    }
+}
+
+/// A world and its scheduler, as the runtime's driver sees them.
+struct Serve<'s, S> {
+    w: World,
+    sched: &'s mut S,
+}
+
+impl<S: Scheduler> Host for Serve<'_, S> {
+    type Ev = BEv;
+    type Tag = BTag;
+    type Output = BaselineResult;
+
+    fn on_event(&mut self, ev: BEv, q: &mut Qq) {
+        let w = &mut self.w;
+        match ev {
+            BEv::Fabric(fe) => w.port.advance(fe, q),
+            BEv::Arrive(idx) => {
+                w.arrivals_left -= 1;
+                let r = &w.trace.requests[idx as usize];
+                let (req, now) = (r.id, q.now());
+                w.spans.arrive(&mut w.tel, req, r.model, now);
+                w.spans
+                    .begin_phase(&mut w.tel, req, SpanKind::QueueWait, "queue-wait", now);
+                self.sched.on_arrival(w, idx as usize, q);
             }
-            match ev {
-                BEv::Fabric(fe) => {
-                    let cs = self.fabric.advance(fe, &mut Lift::new(&mut q, BEv::Fabric));
-                    self.ready.extend(cs);
+            BEv::Sample => {
+                w.util_samples.push((q.now(), w.port.gpu_busy(&w.topo)));
+                if w.arrivals_left > 0 || w.completed < w.trace.len() {
+                    q.schedule_after(w.cfg.sample_period, BEv::Sample);
                 }
-                BEv::Arrive(idx) => {
-                    self.arrivals_left -= 1;
-                    let rid = self.trace.requests[idx as usize].id;
-                    self.tel_req_arrive(rid, q.now());
-                    sched.on_arrival(&mut self, idx as usize, &mut q);
-                }
-                BEv::Sample => {
-                    let busy: Vec<f64> = self
-                        .topo
-                        .gpu_ids()
-                        .map(|g| {
-                            self.fabric
-                                .stream_compute_busy(self.topo.gpu(g).default_stream)
-                                .as_secs_f64()
-                        })
-                        .collect();
-                    self.util_samples.push((q.now(), busy));
-                    if self.arrivals_left > 0 || self.completed < self.trace.len() {
-                        q.schedule_after(self.cfg.sample_period, BEv::Sample);
-                    }
-                }
-            }
-            // Drain completions, collecting instances that fully emptied.
-            while let Some(c) = self.ready.pop_front() {
-                let Completion::Op { tag, .. } = c else { continue };
-                match tag {
-                    BTag::Part(id) => {
-                        let done = {
-                            let e = self.multis.get_mut(&id).expect("live multi");
-                            e.0 -= 1;
-                            e.0 == 0
-                        };
-                        if done {
-                            let (_, inner) = self.multis.remove(&id).expect("live");
-                            self.ready.push_front(Completion::Op {
-                                stream: aegaeon_gpu::StreamId(0),
-                                tag: inner,
-                            });
-                        }
-                    }
-                    BTag::Scale { inst } => {
-                        let inst = inst as usize;
-                        let done = {
-                            let i = &mut self.insts[inst];
-                            i.scale_remaining -= 1;
-                            i.scale_remaining == 0
-                        };
-                        if done {
-                            if let Some(s) = self.switch_spans.get_mut(inst) {
-                                let span = std::mem::replace(s, SpanId::NONE);
-                                self.tel.spans.end(span, q.now());
-                            }
-                            let model = self.insts[inst]
-                                .scale_target
-                                .take()
-                                .expect("scaling target");
-                            let shard = self.deploys[model.0 as usize].shard_bytes;
-                            let cap = self.kv_tokens_for(model, shard);
-                            let i = &mut self.insts[inst];
-                            i.current = Some(model);
-                            i.kv_cap_tokens = cap;
-                            i.busy = false;
-                            self.kick(inst, &mut q);
-                            sched.on_progress(&mut self, inst, &mut q);
-                        }
-                    }
-                    BTag::Prefill { inst, req } => {
-                        let inst = inst as usize;
-                        self.reqs[req.0 as usize].push_token(q.now());
-                        self.reqs[req.0 as usize].prefill_end = Some(q.now());
-                        let mut emptied = false;
-                        {
-                            let i = &mut self.insts[inst];
-                            i.busy = false;
-                            if self.reqs[req.0 as usize].is_done() {
-                                // Single-token output: request complete.
-                                i.kv_reserved_tokens = i
-                                    .kv_reserved_tokens
-                                    .saturating_sub(self.trace.requests[req.0 as usize].input_tokens as u64 + self.trace.requests[req.0 as usize].output_tokens as u64);
-                                emptied = i.is_empty();
-                            } else {
-                                i.batch.push(req);
-                            }
-                        }
-                        if self.reqs[req.0 as usize].is_done() {
-                            self.completed += 1;
-                            self.tel.metrics.inc(self.tm.c_completed, 1);
-                            self.tel_req_done(req, q.now());
-                        } else {
-                            self.tel_begin_phase(
-                                req,
-                                SpanKind::DecodeRound,
-                                "decode",
-                                q.now(),
-                            );
-                        }
-                        self.kick(inst, &mut q);
-                        sched.on_progress(&mut self, inst, &mut q);
-                        if emptied {
-                            sched.on_idle(&mut self, inst, &mut q);
-                        }
-                    }
-                    BTag::Step { inst } => {
-                        let inst = inst as usize;
-                        let now = q.now();
-                        let batch = self.insts[inst].batch.clone();
-                        let mut finished: Vec<RequestId> = Vec::new();
-                        for req in batch {
-                            let rs = &mut self.reqs[req.0 as usize];
-                            rs.push_token(now);
-                            if rs.is_done() {
-                                finished.push(req);
-                            }
-                        }
-                        {
-                            let i = &mut self.insts[inst];
-                            i.busy = false;
-                            for req in &finished {
-                                i.batch.retain(|r| r != req);
-                            }
-                        }
-                        for req in &finished {
-                            let ctx = self.final_ctx(*req);
-                            self.insts[inst].kv_reserved_tokens = self.insts[inst]
-                                .kv_reserved_tokens
-                                .saturating_sub(ctx);
-                            self.completed += 1;
-                            self.tel.metrics.inc(self.tm.c_completed, 1);
-                            self.tel_req_done(*req, now);
-                        }
-                        let emptied = self.insts[inst].is_empty();
-                        self.kick(inst, &mut q);
-                        sched.on_progress(&mut self, inst, &mut q);
-                        if emptied {
-                            sched.on_idle(&mut self, inst, &mut q);
-                        }
-                    }
-                }
-            }
-            if let Some(a) = auditor.as_deref_mut() {
-                a.after_event(q.now(), &self);
-            }
-            // Telemetry sampling happens here in the dispatch loop, never as
-            // a queue event: the sample boundaries are derived from the
-            // popped timestamp, so the run is bit-identical either way.
-            while let Some(at) = self.tel.sample_due(t) {
-                self.tel_poll(at);
             }
         }
-        let report = auditor.map(|mut a| {
-            a.at_finish(q.now(), &self);
-            a.take_report()
-        });
-        if let Some(rep) = &report {
-            self.tel
-                .metrics
-                .set_counter(self.tm.c_audit_checks, rep.events_checked);
-            self.tel
-                .metrics
-                .set_counter(self.tm.c_audit_violations, rep.violations.len() as u64);
-        }
-        (self.finish(&q), report)
     }
 
-    fn finish(mut self, q: &Qq) -> BaselineResult {
-        let outcomes = self
-            .trace
-            .requests
-            .iter()
-            .map(|r| {
-                let rs = &self.reqs[r.id.0 as usize];
-                RequestOutcome {
-                    id: r.id,
-                    model: r.model,
-                    arrival: rs.arrival,
-                    token_times: rs.token_times.clone(),
-                    target_tokens: r.output_tokens,
+    fn on_tag(&mut self, tag: BTag, q: &mut Qq) {
+        let w = &mut self.w;
+        let now = q.now();
+        let (inst, emptied) = match tag {
+            BTag::Scale { inst } => {
+                let inst = inst as usize;
+                if let Some(s) = w.switch_spans.get_mut(inst) {
+                    let span = std::mem::replace(s, SpanId::NONE);
+                    w.tel.spans.end(span, now);
                 }
-            })
-            .collect();
-        let gpu_busy = self
-            .topo
-            .gpu_ids()
-            .map(|g| {
-                self.fabric
-                    .stream_compute_busy(self.topo.gpu(g).default_stream)
-                    .as_secs_f64()
-            })
-            .collect();
-        self.tel
-            .metrics
-            .set_counter(self.tm.c_events_dispatched, q.events_dispatched());
-        self.tel
-            .metrics
-            .set_counter(self.tm.c_rejected, self.rejected as u64);
-        self.tel.finish(q.now());
+                let model = w.insts[inst].scale_target.take().expect("scaling target");
+                let cap = w.kv_tokens_for(model, w.deploys[model.0 as usize].shard_bytes);
+                let i = &mut w.insts[inst];
+                i.current = Some(model);
+                i.kv_cap_tokens = cap;
+                i.busy = false;
+                (inst, false)
+            }
+            BTag::Prefill { inst, req } => {
+                let inst = inst as usize;
+                let rs = &mut w.reqs[req.0 as usize];
+                rs.push_token(now);
+                rs.prefill_end = Some(now);
+                w.insts[inst].busy = false;
+                if rs.is_done() {
+                    // Single-token output: request complete.
+                    w.retire(inst, req, now);
+                } else {
+                    w.insts[inst].batch.push(req);
+                    w.spans
+                        .begin_phase(&mut w.tel, req, SpanKind::DecodeRound, "decode", now);
+                }
+                (inst, w.insts[inst].is_empty())
+            }
+            BTag::Step { inst } => {
+                let inst = inst as usize;
+                let mut batch = std::mem::take(&mut w.insts[inst].batch);
+                for r in &batch {
+                    w.reqs[r.0 as usize].push_token(now);
+                }
+                batch.retain(|&req| {
+                    let done = w.reqs[req.0 as usize].is_done();
+                    if done {
+                        w.retire(inst, req, now);
+                    }
+                    !done
+                });
+                let i = &mut w.insts[inst];
+                i.batch = batch;
+                i.busy = false;
+                (inst, i.is_empty())
+            }
+        };
+        w.kick(inst, q);
+        self.sched.on_progress(w, inst, q);
+        if emptied {
+            self.sched.on_idle(w, inst, q);
+        }
+    }
+
+    fn port(&mut self) -> &mut FabricPort<BTag> {
+        &mut self.w.port
+    }
+
+    fn poll(&mut self, at: SimTime) {
+        let w = &mut self.w;
+        let reserved: u64 = w.insts.iter().map(|i| i.kv_reserved_tokens).sum();
+        w.tel.metrics.set(w.g_kv_reserved, reserved as f64);
+        w.ids.sample(
+            &mut w.tel,
+            at,
+            w.completed,
+            w.insts.iter().map(|i| i.prefill_q.len()).sum(),
+            w.insts.iter().map(|i| i.batch.len()).sum(),
+            w.insts.iter().filter_map(|i| i.current),
+        );
+    }
+
+    fn telemetry(&mut self) -> &mut Telemetry {
+        &mut self.w.tel
+    }
+
+    fn view(&self) -> &dyn AuditView {
+        &self.w
+    }
+
+    fn finish(self, q: &Qq, audit: Option<&AuditReport>) -> BaselineResult {
+        let mut w = self.w;
+        w.tel.metrics.set_counter(w.c_rejected, w.rejected as u64);
+        w.ids.finish(&mut w.tel, w.completed, q, audit);
         BaselineResult {
-            outcomes,
-            horizon: self.trace.horizon,
+            outcomes: outcomes(&w.trace, &w.reqs),
+            horizon: w.trace.horizon,
             end_time: q.now(),
-            completed: self.completed,
-            total_requests: self.trace.len(),
-            rejected: self.rejected,
-            switches: self.insts.iter().map(|i| i.switches).sum(),
-            gpu_busy,
-            util_samples: self.util_samples,
-            telemetry: self.tel,
+            completed: w.completed,
+            total_requests: w.trace.len(),
+            rejected: w.rejected,
+            switches: w.insts.iter().map(|i| i.switches).sum(),
+            gpu_busy: w.port.gpu_busy(&w.topo),
+            util_samples: w.util_samples,
+            telemetry: w.tel,
         }
     }
 }
@@ -869,21 +620,10 @@ impl AuditView for World {
     }
 
     fn request(&self, i: usize) -> ReqAudit<'_> {
-        let r = &self.reqs[i];
-        ReqAudit {
-            produced: r.produced,
-            target: r.target_tokens,
-            done: r.is_done(),
-            token_times: &r.token_times,
-        }
+        req_audit(&self.reqs[i])
     }
 
     fn link_audit(&self) -> Option<String> {
-        for l in 0..self.fabric.link_count() {
-            if let Some(e) = self.fabric.link(LinkId(l as u32)).audit() {
-                return Some(e);
-            }
-        }
-        None
+        self.port.link_audit()
     }
 }

@@ -11,7 +11,7 @@
 
 
 use aegaeon_model::{ModelId, ModelSpec};
-use aegaeon_sim::FxHashMap;
+use aegaeon_sim::{FxHashMap, Timeline};
 use aegaeon_workload::{RequestId, Trace};
 
 use crate::engine_loop::{InstState, Qq, Scheduler, World, WorldConfig};
@@ -143,7 +143,7 @@ impl MuxServe {
                 let lane = if k == 0 {
                     world.topo.gpu(gid).default_stream
                 } else {
-                    world.fabric.add_stream(format!("gpu{g}.mux{k}"))
+                    world.port.fabric.add_stream(format!("gpu{g}.mux{k}"))
                 };
                 let slot = insts.len();
                 insts.push(InstState::new(vec![gid], vec![lane]));
@@ -190,8 +190,8 @@ impl Scheduler for MuxServe {
         let req = w.trace.requests[idx].id;
         let model = w.trace.requests[idx].model;
         let Some(&slot) = self.slot_of_model.get(&model) else {
-            w.rejected += 1;
-            return; // unplaced model: unservable
+            w.reject(req, q.now()); // unplaced model: unservable
+            return;
         };
         // Lazy static load at first use.
         if w.insts[slot].current.is_none() && w.insts[slot].scale_target.is_none() {
@@ -208,17 +208,7 @@ impl Scheduler for MuxServe {
     }
 
     fn on_idle(&mut self, w: &mut World, slot: usize, q: &mut Qq) {
-        let queue = &mut self.queues[slot];
-        let i = 0;
-        while i < queue.len() {
-            let req = queue[i];
-            if w.can_admit(slot, req) {
-                queue.remove(i);
-                w.admit(slot, req, q);
-            } else {
-                break;
-            }
-        }
+        w.admit_fifo(slot, &mut self.queues[slot], q);
         self.refresh_contention(w, self.gpu_of_slot[slot]);
     }
 
@@ -233,6 +223,7 @@ mod tests {
     use aegaeon_gpu::{ClusterSpec, GpuSpec, NodeSpec};
     use aegaeon_model::Zoo;
     use aegaeon_sim::{SimRng, SimTime};
+    use aegaeon_telemetry::{SpanKind, TelemetrySpec};
     use aegaeon_workload::{LengthDist, SloSpec, TraceBuilder};
 
     fn cluster(gpus: u32) -> ClusterSpec {
@@ -298,11 +289,20 @@ mod tests {
         let trace = TraceBuilder::new(SimTime::from_secs_f64(60.0), LengthDist::sharegpt())
             .uniform_models(&mut rng, 8, 0.1)
             .build(&mut rng);
-        let cfg = WorldConfig::sllm_default(cluster(1));
+        let mut cfg = WorldConfig::sllm_default(cluster(1));
+        cfg.telemetry = TelemetrySpec::enabled();
         let (r, report) = MuxServe::run_audited(&cfg, &models, &rates, &trace);
         assert!(report.ok(), "{report}");
         assert!(r.rejected > 0);
         assert_eq!(r.completed + r.rejected, r.total_requests);
+        // A rejected request's spans end at the rejection instant, not at
+        // the end of the run.
+        let spans = r.telemetry.spans.spans();
+        let rejected_roots = spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Request && s.end == s.start)
+            .count();
+        assert_eq!(rejected_roots, r.rejected);
     }
 
     #[test]

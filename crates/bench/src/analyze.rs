@@ -701,12 +701,12 @@ impl Analysis {
     }
 }
 
-/// Analyzes a run result's telemetry directly (in-process wiring for the
-/// bench/figure binaries): renders the observatory + ledger through the
-/// same document format the gateway serves, so every consumer exercises
-/// one parser.
-pub fn analyze_run(r: &aegaeon::RunResult) -> Result<Analysis, String> {
-    let doc = aegaeon_telemetry::slo_json(&r.telemetry.slo, &r.telemetry.attrib);
+/// Analyzes a run's telemetry directly (in-process wiring for the
+/// bench/figure binaries; Aegaeon and baseline results alike): renders the
+/// observatory + ledger through the same document format the gateway
+/// serves, so every consumer exercises one parser.
+pub fn analyze_run(tel: &aegaeon_telemetry::Telemetry) -> Result<Analysis, String> {
+    let doc = aegaeon_telemetry::slo_json(&tel.slo, &tel.attrib);
     Analysis::from_slo_text(&doc)
 }
 

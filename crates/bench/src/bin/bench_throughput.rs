@@ -5,8 +5,9 @@
 //!
 //! Speedup numbers are only as honest as the host: `host_parallelism` is
 //! recorded alongside them, and on a single-core machine the expected
-//! speedup is ~1x (the CI bench job runs this on multi-core runners and
-//! asserts the gates there).
+//! speedup is ~1x. Speedups are recorded, never asserted here (a noisy
+//! host can dip below 1.0); the CI `bench-parallel` job runs this on
+//! multi-core runners and gates them there.
 //!
 //! Writes `BENCH_sim_throughput.json` at the repository root so the numbers
 //! ride along with the code they describe.
@@ -108,12 +109,6 @@ fn main() {
     println!("  1 thread            : {shard_serial_secs:.2}s ({} events)", shard_serial.events);
     println!("  {run_threads:>2} threads          : {shard_parallel_secs:.2}s  ({run_speedup:.2}x)");
     println!("  fingerprint         : {:016x} (identical)", shard_serial.fingerprint());
-    if host_parallelism >= run_threads && run_threads >= 2 {
-        assert!(
-            run_speedup > 1.0,
-            "sharded run slower in parallel on a {host_parallelism}-way host"
-        );
-    }
 
     // --- Parallel sweep speedup ---------------------------------------------
     let points: Vec<u64> = (0..8).collect();
@@ -144,13 +139,6 @@ fn main() {
     println!("  {threads:>2} threads          : {parallel_secs:.2}s  ({sweep_speedup:.2}x)");
 
     // --- Report -------------------------------------------------------------
-    if host_parallelism >= 2 {
-        assert!(
-            sweep_speedup > 1.0,
-            "parallel sweep regressed ({sweep_speedup:.2}x) on a {host_parallelism}-way host"
-        );
-    }
-
     let json = serde_json::json!({
         "host_parallelism": host_parallelism as u64,
         "queue_microbench": serde_json::json!({

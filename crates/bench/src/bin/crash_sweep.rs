@@ -176,7 +176,7 @@ fn dump_slo_report(base: u64) {
     if std::fs::write(&slo_path, &doc).is_ok() {
         println!("[slo] {}", slo_path.display());
     }
-    match analyze::analyze_run(&r) {
+    match analyze::analyze_run(&r.telemetry) {
         Ok(a) => {
             let md_path = dir.join("crash_sweep.slo.md");
             if std::fs::write(&md_path, a.to_markdown()).is_ok() {

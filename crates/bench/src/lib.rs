@@ -65,7 +65,7 @@ pub fn maybe_dump_trace(r: &RunResult) {
     }
     // The same telemetry-enabled run feeds the SLO observatory; drop the
     // analyzer's markdown report next to the trace.
-    match analyze::analyze_run(r) {
+    match analyze::analyze_run(&r.telemetry) {
         Ok(a) => {
             let md_path = format!("{path}.slo.md");
             match std::fs::write(&md_path, a.to_markdown()) {

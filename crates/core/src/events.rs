@@ -41,12 +41,10 @@ impl InstRef {
     }
 }
 
-/// Completion tags attached to fabric ops.
+/// Completion tags attached to fabric ops. A multi-GPU op completes once,
+/// when its last shard does (see [`crate::runtime::FabricPort::join`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tag {
-    /// One shard of a multi-GPU (TP) operation; the map in the system
-    /// counts parts down and then handles the inner tag.
-    Part(u64),
     /// A prefill job finished.
     PrefillDone {
         /// Prefill instance.
@@ -54,8 +52,8 @@ pub enum Tag {
         /// The request.
         req: RequestId,
     },
-    /// One auto-scaling stage finished.
-    ScaleStage {
+    /// Every stage of a scale-up finished.
+    ScaleDone {
         /// The instance.
         at: InstRef,
         /// Scaling-sequence generation (guards staleness).
@@ -143,6 +141,12 @@ pub enum Ev {
         /// Retry attempt, starting at 1.
         attempt: u32,
     },
+}
+
+impl From<FabricEvent> for Ev {
+    fn from(fe: FabricEvent) -> Ev {
+        Ev::Fabric(fe)
+    }
 }
 
 /// One produced token, observed by the live session's token tap.

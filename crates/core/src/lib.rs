@@ -12,6 +12,9 @@
 //!   auto-scaling with the §5 optimization levels (T0–T3), model
 //!   prefetching, and §5.3's fine-grained KV-cache synchronization with
 //!   move lists and a reclamation daemon;
+//! * [`runtime`] — the event driver, fabric port and request telemetry
+//!   that Aegaeon and the baselines share, so compared systems differ only
+//!   in policy;
 //! * [`unified`] — the prefill-first / decoding-first unified schedulers
 //!   the paper argues against (Figure 6);
 //! * [`planner`] — capacity planning used by the deployment study
@@ -50,6 +53,7 @@ pub mod proxy;
 pub mod quota;
 pub mod reqstate;
 pub mod result;
+pub mod runtime;
 pub mod session;
 pub mod sessionbook;
 pub mod shard;

@@ -2,7 +2,7 @@
 
 use aegaeon_gpu::EventId;
 use aegaeon_sim::SimTime;
-use aegaeon_workload::SessionId;
+use aegaeon_workload::{Request, SessionId};
 
 use crate::sessionbook::SessPlace;
 
@@ -144,6 +144,17 @@ impl ReqState {
             prefix_hit: false,
             prefix_lost: false,
         }
+    }
+
+    /// Fresh state for a trace request, session identity included.
+    pub fn from_request(r: &Request) -> ReqState {
+        let mut rs = ReqState::new(r.arrival(), r.input_tokens, r.output_tokens);
+        rs.session = r.session;
+        rs.turn_index = r.turn_index;
+        // A turn always carries at least one fresh token; clamp a
+        // malformed prefix rather than underflowing delta math.
+        rs.prefix_tokens = r.prefix_tokens.min(r.input_tokens.saturating_sub(1));
+        rs
     }
 
     /// Tokens covered by an outstanding prefix claim (0 when none).

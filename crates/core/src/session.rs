@@ -5,9 +5,9 @@
 //! needs the same machinery but *incrementally* — advance simulated time up
 //! to a wall-clock deadline, accept requests injected from other threads in
 //! between, and stream produced tokens back out. [`ServingSession`] is that
-//! refactor: one stepping driver shared verbatim by the closed (batch) path
-//! and the open (live) path, so there is exactly one dispatch loop in the
-//! codebase and the batch path cannot drift from the live one.
+//! refactor: it steps the runtime's [`Driver`] (the one dispatch loop the
+//! baselines run on too) for both the closed (batch) path and the open
+//! (live) path, so the batch path cannot drift from the live one.
 //!
 //! # Modes
 //!
@@ -47,15 +47,14 @@
 use std::sync::mpsc;
 
 use aegaeon_model::{ModelId, ModelSpec};
-use aegaeon_sim::{
-    injection_channel, EventQueue, FxHashMap, InjectionPort, Injector, SimTime, Timeline,
-};
-use aegaeon_workload::{Request, SessionId, Trace};
+use aegaeon_sim::{injection_channel, FxHashMap, InjectionPort, Injector, SimTime, Timeline};
+use aegaeon_workload::{Request, RequestId, SessionId, Trace};
 
 use crate::audit::{AuditReport, Auditor};
 use crate::config::AegaeonConfig;
-use crate::events::{Ev, TokenEv};
+use crate::events::TokenEv;
 use crate::result::RunResult;
+use crate::runtime::Driver;
 use crate::system::ServingSystem;
 
 /// Destination for one request's tapped tokens. The session is the single
@@ -157,11 +156,11 @@ struct ReactorIds {
     drops: aegaeon_telemetry::CounterId,
 }
 
-/// An incremental serving run: the [`ServingSystem`], its event queue, and
-/// (in open mode) the external-injection port. See module docs.
+/// An incremental serving run: the [`ServingSystem`] under the runtime's
+/// [`Driver`] (event queue, auditor, telemetry poller) and, in open mode,
+/// the external-injection port. See module docs.
 pub struct ServingSession {
-    sys: ServingSystem,
-    q: EventQueue<Ev>,
+    driver: Driver<ServingSystem>,
     port: InjectionPort<LiveRequest>,
     injector: Injector<LiveRequest>,
     /// Admitted injected requests in arrival order (the replayable trace).
@@ -180,39 +179,18 @@ pub struct ServingSession {
     /// value rather than the grown `trace.horizon`.
     live_horizon: SimTime,
     open: bool,
-    halted: bool,
     /// Gateway admission rejections (429s), surfaced on the audit report.
     rejections: u64,
     /// Gateway slow-reader drops (bounded output queue overflows).
     slow_drops: u64,
-    /// Event-dispatch runaway cap (matches the historical run loop).
-    cap: u64,
 }
 
 impl ServingSession {
     /// A closed-system session: the whole trace is scheduled up front and
     /// stepping to [`SimTime::MAX`] reproduces [`ServingSystem::run`].
     pub fn closed(cfg: &AegaeonConfig, models: &[ModelSpec], trace: &Trace) -> ServingSession {
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        let mut sys = ServingSystem::new(cfg.clone(), models, trace.clone());
-        sys.start(&mut q);
-        let (injector, port) = injection_channel();
-        ServingSession {
-            sys,
-            q,
-            port,
-            injector,
-            injected: Vec::new(),
-            sinks: FxHashMap::default(),
-            reactor_ids: Vec::new(),
-            g_snapshot_age: aegaeon_telemetry::GaugeId::NONE,
-            live_horizon: trace.horizon,
-            open: false,
-            halted: false,
-            rejections: 0,
-            slow_drops: 0,
-            cap: 400_000_000,
-        }
+        let sys = ServingSystem::new(cfg.clone(), models, trace.clone());
+        Self::start(sys, trace.horizon, false)
     }
 
     /// An open-system session: starts with an empty trace (faults are still
@@ -228,14 +206,18 @@ impl ServingSession {
             requests: Vec::new(),
             horizon: live_horizon,
         };
-        let mut q: EventQueue<Ev> = EventQueue::new();
         let mut sys = ServingSystem::new(cfg.clone(), models, trace);
         sys.tap_enabled = true;
-        sys.start(&mut q);
+        Self::start(sys, live_horizon, true)
+    }
+
+    fn start(sys: ServingSystem, live_horizon: SimTime, open: bool) -> ServingSession {
+        let hard_stop = sys.hard_stop;
+        let mut driver = Driver::new(sys, hard_stop, false);
+        driver.host.start(&mut driver.q);
         let (injector, port) = injection_channel();
         ServingSession {
-            sys,
-            q,
+            driver,
             port,
             injector,
             injected: Vec::new(),
@@ -243,11 +225,9 @@ impl ServingSession {
             reactor_ids: Vec::new(),
             g_snapshot_age: aegaeon_telemetry::GaugeId::NONE,
             live_horizon,
-            open: true,
-            halted: false,
+            open,
             rejections: 0,
             slow_drops: 0,
-            cap: 400_000_000,
         }
     }
 
@@ -278,7 +258,7 @@ impl ServingSession {
 
     /// Installs an invariant auditor (observer only).
     pub fn install_auditor(&mut self, auditor: Box<dyn Auditor + Send>) {
-        self.sys.auditor = Some(auditor);
+        self.driver.install_auditor(auditor);
     }
 
     // ---- shard-coordinator hooks ---------------------------------------
@@ -288,40 +268,30 @@ impl ServingSession {
     /// Switches total-tier-loss handling from a fatal assert to a handoff
     /// pushed on the shard outbox. Must be set before the first step.
     pub(crate) fn enable_shard_mode(&mut self) {
-        self.sys.shard_mode = true;
+        self.driver.host.shard_mode = true;
     }
 
     /// Drains the handoffs emitted since the last synchronization barrier,
     /// in emission order.
     pub(crate) fn take_handoffs(&mut self) -> Vec<crate::shard::Handoff> {
-        std::mem::take(&mut self.sys.outbox)
+        std::mem::take(&mut self.driver.host.outbox)
     }
 
     /// Admits a request handed off by a peer shard at simulated instant
     /// `at` (strictly in this shard's future — the conservative window
     /// guarantees it) and returns the local trace index it was assigned.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn migrate_in(
-        &mut self,
-        at: SimTime,
-        model: ModelId,
-        input_tokens: u32,
-        output_tokens: u32,
-        session: SessionId,
-        turn_index: u32,
-        prefix_tokens: u32,
-    ) -> u32 {
-        let id = self.sys.admit_live(
-            at,
-            model,
-            input_tokens,
-            output_tokens,
-            session,
-            turn_index,
-            prefix_tokens,
-            &mut self.q,
-        );
-        id.0 as u32
+    pub(crate) fn migrate_in(&mut self, at: SimTime, h: &crate::shard::Handoff) -> u32 {
+        let r = Request {
+            id: RequestId(0),
+            model: h.model,
+            arrival_ns: at.as_nanos(),
+            input_tokens: h.input_tokens,
+            output_tokens: h.output_tokens,
+            session: h.session,
+            turn_index: h.turn_index,
+            prefix_tokens: h.prefix_tokens,
+        };
+        self.driver.host.admit_live(r, &mut self.driver.q).0 as u32
     }
 
     /// A cloneable, thread-safe handle for injecting requests.
@@ -331,28 +301,28 @@ impl ServingSession {
 
     /// Current simulated time (the stamp of the last dispatched event).
     pub fn now(&self) -> SimTime {
-        self.q.now()
+        self.driver.q.now()
     }
 
     /// True once the runaway cap or the hard stop halted the session.
     pub fn halted(&self) -> bool {
-        self.halted
+        self.driver.halted()
     }
 
     /// Number of completed requests so far.
     pub fn completed(&self) -> usize {
-        self.sys.completed
+        self.driver.host.completed
     }
 
     /// Total admitted requests so far.
     pub fn admitted(&self) -> usize {
-        self.sys.trace.len()
+        self.driver.host.trace.len()
     }
 
     /// True when every admitted request has completed and no injection is
     /// pending admission (the open-mode quiescence condition).
     pub fn quiescent(&self) -> bool {
-        self.sys.completed == self.sys.trace.len() && self.port.pending() == 0
+        self.driver.host.completed == self.driver.host.trace.len() && self.port.pending() == 0
     }
 
     /// Pumps the injection channel and admits every releasable request,
@@ -364,7 +334,7 @@ impl ServingSession {
         if self.open && self.quiescent() {
             return None;
         }
-        self.q.peek_time()
+        self.driver.q.peek_time()
     }
 
     /// Advances the session, dispatching every event with a stamp `<=
@@ -390,7 +360,7 @@ impl ServingSession {
             if self.open && self.quiescent() {
                 break;
             }
-            let Some(at) = self.q.peek_time() else {
+            let Some(at) = self.driver.q.peek_time() else {
                 break;
             };
             if at > limit {
@@ -399,25 +369,10 @@ impl ServingSession {
             if dispatched >= max_events {
                 return (dispatched, true);
             }
-            let (t, ev) = self.q.pop().expect("peeked event");
-            if t > self.sys.hard_stop || self.q.events_dispatched() > self.cap {
-                self.halted = true;
+            if !self.driver.step() {
                 break;
             }
-            self.sys.handle(ev, &mut self.q);
             dispatched += 1;
-            // Take/put-back keeps the borrow checker happy: the auditor
-            // reads the system through the `AuditView` facade.
-            if let Some(mut a) = self.sys.auditor.take() {
-                a.after_event(self.q.now(), &self.sys);
-                self.sys.auditor = Some(a);
-            }
-            // Registry poller: runs in the dispatch loop (never as a queue
-            // event, which would change event counts and tie-breaking) and
-            // stamps samples at exact interval boundaries.
-            while let Some(due) = self.sys.tel.sample_due(t) {
-                self.sys.tel_poll(due);
-            }
             self.flush_tokens();
         }
         (dispatched, false)
@@ -428,20 +383,10 @@ impl ServingSession {
     /// release because admitting schedules the `Arrive` event, which
     /// changes the head of the queue.
     fn admit_pending(&mut self) {
-        self.port.pump(&self.q);
-        while let Some((stamp, lr)) = self.port.admit(&self.q) {
-            let id = self.sys.admit_live(
-                stamp,
-                lr.model,
-                lr.input_tokens,
-                lr.output_tokens,
-                lr.session,
-                lr.turn_index,
-                lr.prefix_tokens,
-                &mut self.q,
-            );
-            self.injected.push(Request {
-                id,
+        self.port.pump(&self.driver.q);
+        while let Some((stamp, lr)) = self.port.admit(&self.driver.q) {
+            let r = Request {
+                id: RequestId(0),
                 model: lr.model,
                 arrival_ns: stamp.as_nanos(),
                 input_tokens: lr.input_tokens,
@@ -449,7 +394,9 @@ impl ServingSession {
                 session: lr.session,
                 turn_index: lr.turn_index,
                 prefix_tokens: lr.prefix_tokens,
-            });
+            };
+            let id = self.driver.host.admit_live(r, &mut self.driver.q);
+            self.injected.push(Request { id, ..r });
             if let Some(sink) = lr.sink {
                 self.sinks.insert(id.0, sink);
             }
@@ -459,10 +406,10 @@ impl ServingSession {
     /// Forwards tapped tokens to their sinks; a request's sink is dropped
     /// after its final token so consumers observe end of stream.
     fn flush_tokens(&mut self) {
-        if self.sys.tap.is_empty() {
+        if self.driver.host.tap.is_empty() {
             return;
         }
-        for tok in self.sys.tap.drain(..) {
+        for tok in self.driver.host.tap.drain(..) {
             let req = tok.req.0;
             let done = tok.done;
             let gone = match self.sinks.get_mut(&req) {
@@ -503,27 +450,27 @@ impl ServingSession {
     /// Sets the wall-clock lag gauge (how far simulated time trails the
     /// clock driver's target), in seconds.
     pub fn set_wall_lag(&mut self, secs: f64) {
-        let id = self.sys.tm.g_wall_lag;
-        self.sys.tel.metrics.set(id, secs);
+        let id = self.driver.host.tm.g_wall_lag;
+        self.driver.host.tel.metrics.set(id, secs);
     }
 
     /// Counts one served request on an endpoint.
     pub fn note_endpoint(&mut self, ep: Endpoint) {
         let id = match ep {
-            Endpoint::Completions => self.sys.tm.c_http_completions,
-            Endpoint::Metrics => self.sys.tm.c_http_metrics,
-            Endpoint::Healthz => self.sys.tm.c_http_healthz,
-            Endpoint::Slo => self.sys.tm.c_http_slo,
+            Endpoint::Completions => self.driver.host.tm.c_http_completions,
+            Endpoint::Metrics => self.driver.host.tm.c_http_metrics,
+            Endpoint::Healthz => self.driver.host.tm.c_http_healthz,
+            Endpoint::Slo => self.driver.host.tm.c_http_slo,
         };
-        self.sys.tel.metrics.inc(id, 1);
+        self.driver.host.tel.metrics.inc(id, 1);
     }
 
     /// Counts one admission rejection (429) in both the registry and the
     /// rejection book surfaced on the audit report.
     pub fn note_rejection(&mut self) {
         self.rejections += 1;
-        let id = self.sys.tm.c_gw_rejected;
-        self.sys.tel.metrics.inc(id, 1);
+        let id = self.driver.host.tm.c_gw_rejected;
+        self.driver.host.tel.metrics.inc(id, 1);
     }
 
     /// Total rejections recorded via [`ServingSession::note_rejection`].
@@ -540,7 +487,7 @@ impl ServingSession {
     /// count cannot perturb the differential. Call once, before stepping.
     pub fn configure_reactors(&mut self, n: usize) {
         assert!(self.reactor_ids.is_empty(), "reactors already configured");
-        let reg = &mut self.sys.tel.metrics;
+        let reg = &mut self.driver.host.tel.metrics;
         self.reactor_ids = (0..n)
             .map(|i| ReactorIds {
                 fds: reg.gauge(&format!("reactor_registered_fds{{reactor=\"{i}\"}}")),
@@ -558,14 +505,14 @@ impl ServingSession {
     /// that forced a refresh reports the staleness it actually saw.
     pub fn note_snapshot_age(&mut self, age_ms: f64) {
         let id = self.g_snapshot_age;
-        self.sys.tel.metrics.set(id, age_ms);
+        self.driver.host.tel.metrics.set(id, age_ms);
     }
 
     /// Renders the SLO observatory and switch-cost attribution ledger as a
     /// JSON document (the `GET /v1/slo` body). Observer-only: reads
     /// telemetry state that result fingerprints exclude.
     pub fn slo_snapshot_json(&self) -> String {
-        aegaeon_telemetry::slo_json(&self.sys.tel.slo, &self.sys.tel.attrib)
+        aegaeon_telemetry::slo_json(&self.driver.host.tel.slo, &self.driver.host.tel.attrib)
     }
 
     /// Counts one slow-reader drop on a reactor: a streaming connection
@@ -576,7 +523,7 @@ impl ServingSession {
     pub fn note_slow_drop(&mut self, reactor: usize) {
         self.slow_drops += 1;
         if let Some(ids) = self.reactor_ids.get(reactor) {
-            self.sys.tel.metrics.inc(ids.drops, 1);
+            self.driver.host.tel.metrics.inc(ids.drops, 1);
         }
     }
 
@@ -598,18 +545,16 @@ impl ServingSession {
     ) {
         if let Some(ids) = self.reactor_ids.get(reactor) {
             let (fds, ready, peak) = (ids.fds, ids.ready, ids.peak);
-            self.sys.tel.metrics.set(fds, registered_fds as f64);
-            self.sys.tel.metrics.set(ready, ready_depth as f64);
-            self.sys.tel.metrics.set(peak, peak_streams as f64);
+            self.driver.host.tel.metrics.set(fds, registered_fds as f64);
+            self.driver.host.tel.metrics.set(ready, ready_depth as f64);
+            self.driver.host.tel.metrics.set(peak, peak_streams as f64);
         }
     }
 
     /// Reads a counter total by name (e.g. `"proxy_retries"`); 0.0 when the
     /// counter does not exist.
     pub fn counter(&self, name: &str) -> f64 {
-        self.sys
-            .tel
-            .metrics
+        self.metrics()
             .counter_totals()
             .find(|(n, _)| *n == name)
             .map(|(_, v)| v)
@@ -618,7 +563,7 @@ impl ServingSession {
 
     /// Direct access to the metrics registry (Prometheus export).
     pub fn metrics(&self) -> &aegaeon_telemetry::MetricsRegistry {
-        &self.sys.tel.metrics
+        &self.driver.host.tel.metrics
     }
 
     /// Finishes the session: drops all token sinks (streaming clients see
@@ -626,24 +571,11 @@ impl ServingSession {
     /// audit report when an auditor was installed.
     pub fn finish(mut self) -> (RunResult, Option<AuditReport>) {
         self.sinks.clear();
-        let report = self.sys.auditor.take().map(|mut a| {
-            a.at_finish(self.q.now(), &self.sys);
-            let mut rep = a.take_report();
+        let (result, mut report) = self.driver.finish();
+        if let Some(rep) = report.as_mut() {
             rep.rejections = self.rejections;
-            rep
-        });
-        if let Some(rep) = &report {
-            // Run-level auditor stats flow through the registry, same code
-            // path as every other counter.
-            let checks = self.sys.tm.c_audit_checks;
-            let violations = self.sys.tm.c_audit_violations;
-            self.sys.tel.metrics.set_counter(checks, rep.events_checked);
-            self.sys
-                .tel
-                .metrics
-                .set_counter(violations, rep.violations.len() as u64);
         }
-        (self.sys.finish(&self.q), report)
+        (result, report)
     }
 }
 

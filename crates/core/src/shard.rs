@@ -279,18 +279,10 @@ pub fn run_sharded(
     shards: usize,
     threads: usize,
 ) -> RunResult {
-    if cfg.audit {
-        let (result, report) = run_sharded_audited(cfg, models, trace, shards, threads);
-        assert!(
-            report.ok(),
-            "invariant violation (reproduce with seed={} plan=\"{}\" shards={shards}):\n{report}",
-            cfg.seed,
-            cfg.faults,
-        );
-        result
-    } else {
-        run_inner(cfg, models, trace, shards, threads, false).0
-    }
+    crate::runtime::checked(
+        run_inner(cfg, models, trace, shards, threads, cfg.audit),
+        format_args!("seed={} plan=\"{}\" shards={shards}", cfg.seed, cfg.faults),
+    )
 }
 
 /// [`run_sharded`] with the invariant auditor installed on every shard;
@@ -335,15 +327,7 @@ impl Coordinator<'_> {
                 };
                 let dst = (src + 1) % shards;
                 let at = h.emitted + self.clock.lookahead();
-                let local = self.sessions[dst].migrate_in(
-                    at,
-                    h.model,
-                    h.input_tokens,
-                    h.output_tokens,
-                    h.session,
-                    h.turn_index,
-                    h.prefix_tokens,
-                );
+                let local = self.sessions[dst].migrate_in(at, &h);
                 debug_assert_eq!(
                     local as usize,
                     self.base_len[dst] + self.migrant_globals[dst].len(),

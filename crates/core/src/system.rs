@@ -13,20 +13,15 @@ use std::collections::VecDeque;
 
 use aegaeon_engine::init::PIPELINED_LOAD_EFFICIENCY;
 use aegaeon_engine::{scale_up_plan, KvCache, KvCacheConfig, ScaleCost};
-use aegaeon_gpu::{ClusterTopology, Completion, EventId, Fabric, GpuId, LinkId, StreamOp};
+use aegaeon_gpu::{ClusterTopology, EventId, GpuId, LinkId, StreamOp};
 use aegaeon_mem::{BlockRef, BumpBuffer, FragSampler, ModelCache, MoveList, ShapeKey};
-use aegaeon_metrics::{RequestOutcome, Stage};
+use aegaeon_metrics::Stage;
 use aegaeon_model::ModelId;
-use aegaeon_sim::{
-    EventQueue, FxHashMap, Lift, SimDur, SimRng, SimTime, Timeline, TraceKind, TraceLog,
-};
-use aegaeon_telemetry::{
-    labeled, CostKind, CounterId, GaugeId, HistId, SketchId, SloObservatory, SpanId, SpanKind,
-    Telemetry,
-};
-use aegaeon_workload::{Request, RequestId, SessionId, SloSpec, Trace};
+use aegaeon_sim::{EventQueue, Lift, SimDur, SimRng, SimTime, Timeline, TraceKind, TraceLog};
+use aegaeon_telemetry::{CostKind, CounterId, GaugeId, HistId, SpanId, SpanKind, Telemetry};
+use aegaeon_workload::{Request, RequestId, SessionId, Trace};
 
-use crate::audit::{AuditReport, AuditView, Auditor, InvariantAuditor, ReqAudit};
+use crate::audit::{AuditReport, AuditView, ReqAudit};
 use crate::chaos::{FaultEvent, FaultKind};
 use crate::config::AegaeonConfig;
 use crate::decode::{dispatch_decode, BatchId, WorkList};
@@ -37,6 +32,7 @@ use crate::proxy::MetaStore;
 use crate::quota::{decode_quotas, QuotaInputs};
 use crate::reqstate::{KvPlace, Phase, PrefixClaim, ReqState};
 use crate::result::RunResult;
+use crate::runtime::{checked, outcomes, req_audit, CoreIds, FabricPort, Host, SpanBook};
 use crate::sessionbook::{SessEntry, SessPlace, SessionBook};
 
 /// Auto-scaling controller state shared by both instance kinds.
@@ -61,7 +57,6 @@ struct Scaler {
 struct Scaling {
     target: ModelId,
     started: SimTime,
-    remaining_ops: u32,
     prefetch_hit: bool,
     seq: u64,
 }
@@ -82,58 +77,37 @@ impl Scaler {
     }
 }
 
-/// Per-request telemetry side state; only populated when telemetry is on.
+/// One open KV-transfer span (only tracked when telemetry is on). Each
+/// request has two, indexed by direction (`[swap-in, offload]`), on separate
+/// subtracks because they can overlap under §5.3 rule ❷.
 #[derive(Debug, Clone, Copy)]
-struct ReqTel {
-    /// The request's whole-lifetime span.
-    root: SpanId,
-    /// The currently open phase span (queue wait / prefill / decode round).
-    phase: SpanId,
-    /// Open KV offload span (on the request's `kv-out` subtrack).
-    kv_out: SpanId,
-    /// Open KV swap-in span (on the request's `kv-in` subtrack).
-    kv_in: SpanId,
-    /// Scheduler decision that placed the request's next phase; consumed
-    /// as the `cause` link when that phase span opens.
-    cause: SpanId,
-    /// Ledger instance of the open offload (`u32::MAX` = none) and when it
-    /// started, for switch-cost attribution at transfer close.
-    kv_out_inst: u32,
-    kv_out_start: SimTime,
-    /// Same for the open swap-in.
-    kv_in_inst: u32,
-    kv_in_start: SimTime,
+struct KvSpan {
+    span: SpanId,
+    /// Ledger instance that issued the transfer (`u32::MAX` = none) and
+    /// when it started, for switch-cost attribution at transfer close.
+    inst: u32,
+    start: SimTime,
 }
 
-impl ReqTel {
-    const EMPTY: ReqTel = ReqTel {
-        root: SpanId::NONE,
-        phase: SpanId::NONE,
-        kv_out: SpanId::NONE,
-        kv_in: SpanId::NONE,
-        cause: SpanId::NONE,
-        kv_out_inst: u32::MAX,
-        kv_out_start: SimTime::ZERO,
-        kv_in_inst: u32::MAX,
-        kv_in_start: SimTime::ZERO,
+impl KvSpan {
+    const NONE: KvSpan = KvSpan {
+        span: SpanId::NONE,
+        inst: u32::MAX,
+        start: SimTime::ZERO,
     };
 }
 
-/// Pre-registered metric ids (all [`CounterId::NONE`]-style nulls when
-/// telemetry is off, making every hot-path op a single branch).
+/// Aegaeon's own metric ids, registered after the runtime's
+/// [`CoreIds`] (all nulls when telemetry is off, making every hot-path op
+/// a single branch).
 #[derive(Debug)]
 pub(crate) struct TelIds {
-    c_switches: CounterId,
     c_prefetch_hits: CounterId,
     c_swaps: CounterId,
     c_preemptions: CounterId,
     c_retries: CounterId,
     c_chaos_crashes: CounterId,
     c_chaos_windows: CounterId,
-    c_completed: CounterId,
-    c_events_dispatched: CounterId,
-    pub(crate) c_audit_checks: CounterId,
-    pub(crate) c_audit_violations: CounterId,
     c_meta_reads: CounterId,
     c_meta_writes: CounterId,
     /// Live-gateway instruments (observer only; written by the session).
@@ -143,21 +117,11 @@ pub(crate) struct TelIds {
     pub(crate) c_http_slo: CounterId,
     pub(crate) c_gw_rejected: CounterId,
     pub(crate) g_wall_lag: GaugeId,
-    g_prefill_queue_depth: GaugeId,
-    g_decode_work: GaugeId,
     g_decode_batches: GaugeId,
     g_vram_kv_used: GaugeId,
     g_cpu_kv_used: GaugeId,
     g_link_bytes_in_flight: GaugeId,
-    g_active_models: GaugeId,
     h_scale_latency: HistId,
-    h_batch_size: HistId,
-    /// Per-model TTFT/TBT quantile sketches (summary instruments), fed at
-    /// request retirement.
-    s_ttft: Vec<SketchId>,
-    s_tbt: Vec<SketchId>,
-    /// Per-model cumulative SLO-attainment gauges, refreshed every poll.
-    g_slo_attain: Vec<GaugeId>,
     // Agentic-session instruments (prefix reuse + affinity scheduling).
     c_sess_prefix_hits: CounterId,
     c_sess_reused_tokens: CounterId,
@@ -168,42 +132,18 @@ pub(crate) struct TelIds {
     c_sess_expired: CounterId,
     c_sess_affinity_routed: CounterId,
     c_sess_affinity_fallback: CounterId,
-    /// End-to-end latency of individual session turns (arrival → last
-    /// token), think gaps excluded by construction: each turn is its own
-    /// request, so inter-turn idle time never enters a request's span.
-    s_session_turn: SketchId,
 }
-
-/// Relative accuracy of the per-model latency sketches (1%).
-const SKETCH_ALPHA: f64 = aegaeon_telemetry::observatory::SLO_SKETCH_ALPHA;
 
 impl TelIds {
     /// Registers every instrument; on a disabled registry all ids are null.
-    fn register(reg: &mut aegaeon_telemetry::MetricsRegistry, n_models: usize) -> TelIds {
-        let mut s_ttft = Vec::with_capacity(n_models);
-        let mut s_tbt = Vec::with_capacity(n_models);
-        let mut g_slo_attain = Vec::with_capacity(n_models);
-        for m in 0..n_models {
-            let model = ModelId(m as u32).to_string();
-            s_ttft.push(reg.sketch(&labeled("ttft_seconds", "model", &model), SKETCH_ALPHA));
-            s_tbt.push(reg.sketch(&labeled("tbt_seconds", "model", &model), SKETCH_ALPHA));
-            g_slo_attain.push(reg.gauge(&labeled("slo_attainment", "model", &model)));
-        }
+    fn register(reg: &mut aegaeon_telemetry::MetricsRegistry) -> TelIds {
         TelIds {
-            s_ttft,
-            s_tbt,
-            g_slo_attain,
-            c_switches: reg.counter("switches"),
             c_prefetch_hits: reg.counter("prefetch_hits"),
             c_swaps: reg.counter("kv_swaps"),
             c_preemptions: reg.counter("preemptions"),
             c_retries: reg.counter("proxy_retries"),
             c_chaos_crashes: reg.counter("chaos_crashes"),
             c_chaos_windows: reg.counter("chaos_windows"),
-            c_completed: reg.counter("completed_requests"),
-            c_events_dispatched: reg.counter("events_dispatched"),
-            c_audit_checks: reg.counter("audit_checks"),
-            c_audit_violations: reg.counter("audit_violations"),
             c_meta_reads: reg.counter("metastore_reads"),
             c_meta_writes: reg.counter("metastore_writes"),
             c_http_completions: reg.counter("http_completions_requests"),
@@ -212,16 +152,12 @@ impl TelIds {
             c_http_slo: reg.counter("http_slo_requests"),
             c_gw_rejected: reg.counter("gateway_rejected_requests"),
             g_wall_lag: reg.gauge("wall_clock_lag_secs"),
-            g_prefill_queue_depth: reg.gauge("prefill_queue_depth"),
-            g_decode_work: reg.gauge("decode_work_requests"),
             g_decode_batches: reg.gauge("decode_batches"),
             g_vram_kv_used: reg.gauge("vram_kv_used_bytes"),
             g_cpu_kv_used: reg.gauge("cpu_kv_used_bytes"),
             g_link_bytes_in_flight: reg.gauge("link_bytes_in_flight"),
-            g_active_models: reg.gauge("active_models"),
             h_scale_latency: reg
                 .histogram("scale_latency_secs", &[0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]),
-            h_batch_size: reg.histogram("batch_size", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
             c_sess_prefix_hits: reg.counter("session_prefix_hits"),
             c_sess_reused_tokens: reg.counter("session_prefill_tokens_reused"),
             c_sess_recomputed_tokens: reg.counter("session_prefill_tokens_recomputed"),
@@ -231,7 +167,6 @@ impl TelIds {
             c_sess_expired: reg.counter("session_kv_expired"),
             c_sess_affinity_routed: reg.counter("session_affinity_routed"),
             c_sess_affinity_fallback: reg.counter("session_affinity_fallback"),
-            s_session_turn: reg.sketch("session_turn_latency_seconds", SKETCH_ALPHA),
         }
     }
 }
@@ -294,7 +229,7 @@ struct NodeState {
 /// The serving system (see module docs).
 pub struct ServingSystem {
     pub(crate) cfg: AegaeonConfig,
-    fabric: Fabric<Tag>,
+    port: FabricPort<Tag>,
     topo: ClusterTopology,
     deploys: Vec<ModelDeploy>,
     prefills: Vec<PrefillInst>,
@@ -303,9 +238,6 @@ pub struct ServingSystem {
     pub(crate) reqs: Vec<ReqState>,
     pub(crate) trace: Trace,
     rng: SimRng,
-    ready: VecDeque<Completion<Tag>>,
-    multis: FxHashMap<u64, (u32, Tag)>,
-    next_multi: u64,
     prefetch_enabled: bool,
     weight_slots: u32,
     instant_switches: u64,
@@ -316,8 +248,6 @@ pub struct ServingSystem {
     link_degrade_depth: Vec<u32>,
     /// Nesting depth of active staging-OOM windows per node.
     stage_oom_depth: Vec<u32>,
-    /// Invariant auditor (observer only; `None` = zero-cost disabled path).
-    pub(crate) auditor: Option<Box<dyn Auditor + Send>>,
     // Metrics.
     breakdown: aegaeon_metrics::BreakdownAcc,
     scale_latencies: Vec<f64>,
@@ -326,13 +256,13 @@ pub struct ServingSystem {
     schedule: TraceLog,
     /// Request-lifecycle spans + sampled metrics (observer only).
     pub(crate) tel: Telemetry,
-    /// Pre-registered metric ids.
+    /// Pre-registered metric ids: the runtime's and Aegaeon's own.
+    ids: CoreIds,
     pub(crate) tm: TelIds,
-    /// Per-request span handles; empty when telemetry is off.
-    req_tel: Vec<ReqTel>,
-    /// Scratch for inter-token gaps at retirement (observer only; reused
-    /// across requests so the hot path stays allocation-free after warmup).
-    tbt_scratch: Vec<f64>,
+    /// Per-request span handles and the retirement hook.
+    spans: SpanBook,
+    /// Per-request KV-transfer spans; empty when telemetry is off.
+    kv_tel: Vec<[KvSpan; 2]>,
     pub(crate) completed: usize,
     arrivals_left: usize,
     swaps: u64,
@@ -376,18 +306,10 @@ impl ServingSystem {
         models: &[aegaeon_model::ModelSpec],
         trace: &Trace,
     ) -> RunResult {
-        if cfg.audit {
-            let (result, report) = Self::run_audited(cfg, models, trace);
-            assert!(
-                report.ok(),
-                "invariant violation (reproduce with seed={} plan=\"{}\"):\n{report}",
-                cfg.seed,
-                cfg.faults,
-            );
-            result
-        } else {
-            Self::run_inner(cfg, models, trace, None).0
-        }
+        checked(
+            Self::run_inner(cfg, models, trace, cfg.audit),
+            format_args!("seed={} plan=\"{}\"", cfg.seed, cfg.faults),
+        )
     }
 
     /// Runs with the standard invariant auditor installed and returns the
@@ -398,8 +320,7 @@ impl ServingSystem {
         models: &[aegaeon_model::ModelSpec],
         trace: &Trace,
     ) -> (RunResult, AuditReport) {
-        let auditor: Box<dyn Auditor + Send> = Box::new(InvariantAuditor::new());
-        let (result, report) = Self::run_inner(cfg, models, trace, Some(auditor));
+        let (result, report) = Self::run_inner(cfg, models, trace, true);
         (result, report.expect("auditor was installed"))
     }
 
@@ -407,11 +328,11 @@ impl ServingSystem {
         cfg: &AegaeonConfig,
         models: &[aegaeon_model::ModelSpec],
         trace: &Trace,
-        auditor: Option<Box<dyn Auditor + Send>>,
+        audit: bool,
     ) -> (RunResult, Option<AuditReport>) {
         let mut session = crate::session::ServingSession::closed(cfg, models, trace);
-        if let Some(a) = auditor {
-            session.install_auditor(a);
+        if audit {
+            session.install_auditor(Box::new(crate::audit::InvariantAuditor::new()));
         }
         session.step_until(SimTime::MAX);
         session.finish()
@@ -423,8 +344,7 @@ impl ServingSystem {
         trace: Trace,
     ) -> ServingSystem {
         let mut rng = SimRng::seed_from_u64(cfg.seed);
-        let mut fabric: Fabric<Tag> = Fabric::new();
-        let topo = ClusterTopology::build(&cfg.cluster, &mut fabric);
+        let (port, topo) = FabricPort::build(&cfg.cluster);
         let gpu_spec = cfg.cluster.nodes[0].gpu.clone();
         let deploys = build_deploys(models, &gpu_spec, cfg.tp, &mut rng);
 
@@ -536,19 +456,7 @@ impl ServingSystem {
             });
         }
 
-        let reqs = trace
-            .requests
-            .iter()
-            .map(|r| {
-                let mut rs = ReqState::new(r.arrival(), r.input_tokens, r.output_tokens);
-                rs.session = r.session;
-                rs.turn_index = r.turn_index;
-                // A turn always carries at least one fresh token; clamp a
-                // malformed prefix rather than underflowing delta math.
-                rs.prefix_tokens = r.prefix_tokens.min(r.input_tokens.saturating_sub(1));
-                rs
-            })
-            .collect();
+        let reqs = trace.requests.iter().map(ReqState::from_request).collect();
         let arrivals_left = trace.len();
         let hard_stop = trace.horizon + cfg.drain_window;
         let schedule = if cfg.trace_schedule {
@@ -556,13 +464,10 @@ impl ServingSystem {
         } else {
             TraceLog::disabled()
         };
-        let mut tel = Telemetry::new(&cfg.telemetry);
-        let tm = TelIds::register(&mut tel.metrics, deploys.len());
+        let (mut tel, ids) = CoreIds::telemetry(&cfg.telemetry, deploys.len());
+        let tm = TelIds::register(&mut tel.metrics);
         if tel.is_enabled() {
-            // The SLO observatory and the attribution ledger are sized by
-            // the host (model count, instance roster) after construction.
-            tel.slo =
-                SloObservatory::new(deploys.len(), cfg.telemetry.slo_window.as_nanos().max(1));
+            // The attribution ledger is sized by the instance roster.
             for i in 0..prefills.len() {
                 tel.attrib.instance(&format!("p{i}"));
             }
@@ -570,25 +475,22 @@ impl ServingSystem {
                 tel.attrib.instance(&format!("d{i}"));
             }
         }
-        let req_tel = if tel.is_enabled() {
-            vec![ReqTel::EMPTY; trace.len()]
-        } else {
-            Vec::new()
-        };
+        let spans = SpanBook::new(&tel, trace.len());
+        let kv_tel = vec![[KvSpan::NONE; 2]; if tel.is_enabled() { trace.len() } else { 0 }];
         let meta = MetaStore::new(cfg.proxy_latency, cfg.failover_latency / 2);
+        let links = port.fabric.link_count();
         let faults = cfg.faults.materialize(
             cfg.seed,
             hard_stop.as_secs_f64(),
             cfg.prefill_instances as u32,
             (n_inst - cfg.prefill_instances) as u32,
-            fabric.link_count() as u32,
+            links as u32,
             topo.node_count() as u32,
         );
-        let link_degrade_depth = vec![0; fabric.link_count()];
         let stage_oom_depth = vec![0; topo.node_count()];
         ServingSystem {
             cfg,
-            fabric,
+            port,
             topo,
             deploys,
             prefills,
@@ -597,26 +499,23 @@ impl ServingSystem {
             reqs,
             trace,
             rng,
-            ready: VecDeque::new(),
-            multis: FxHashMap::default(),
-            next_multi: 0,
             prefetch_enabled,
             weight_slots,
             instant_switches: 0,
             meta,
             faults,
-            link_degrade_depth,
+            link_degrade_depth: vec![0; links],
             stage_oom_depth,
-            auditor: None,
             breakdown: aegaeon_metrics::BreakdownAcc::new(),
             scale_latencies: Vec::new(),
             frag: FragSampler::new(),
             util_samples: Vec::new(),
             schedule,
             tel,
+            ids,
             tm,
-            req_tel,
-            tbt_scratch: Vec::new(),
+            spans,
+            kv_tel,
             completed: 0,
             arrivals_left,
             swaps: 0,
@@ -652,51 +551,30 @@ impl ServingSystem {
         self.ensure_ticks(q);
     }
 
-    /// Admits one externally injected request at simulated instant `stamp`
+    /// Admits one externally injected request at its arrival stamp
     /// (strictly increasing and strictly in the future — the injection port
-    /// guarantees both) and returns the id it was assigned. Open-mode
-    /// sessions grow the trace in place, so a later offline replay of the
-    /// recorded trace walks an identical data structure.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn admit_live(
-        &mut self,
-        stamp: SimTime,
-        model: ModelId,
-        input_tokens: u32,
-        output_tokens: u32,
-        session: SessionId,
-        turn_index: u32,
-        prefix_tokens: u32,
-        q: &mut Q,
-    ) -> RequestId {
-        let idx = self.trace.requests.len();
-        let id = RequestId(idx as u64);
-        self.trace.requests.push(Request {
-            id,
-            model,
-            arrival_ns: stamp.as_nanos(),
-            input_tokens,
-            output_tokens,
-            session,
-            turn_index,
-            prefix_tokens,
-        });
+    /// guarantees both) and returns the id it was assigned (`r.id` is
+    /// ignored). Open-mode sessions grow the trace in place, so a later
+    /// offline replay of the recorded trace walks an identical data
+    /// structure.
+    pub(crate) fn admit_live(&mut self, r: Request, q: &mut Q) -> RequestId {
+        let id = RequestId(self.trace.requests.len() as u64);
+        let r = Request { id, ..r };
         // The horizon only grows; the fault schedule and hard stop were
         // materialized from the construction-time horizon, so live and
         // replay sessions see identical fault plans.
+        let stamp = r.arrival();
         if stamp > self.trace.horizon {
             self.trace.horizon = stamp;
         }
-        let mut rs = ReqState::new(stamp, input_tokens, output_tokens);
-        rs.session = session;
-        rs.turn_index = turn_index;
-        rs.prefix_tokens = prefix_tokens.min(input_tokens.saturating_sub(1));
-        self.reqs.push(rs);
+        self.reqs.push(ReqState::from_request(&r));
+        self.trace.requests.push(r);
+        self.spans.push(&self.tel);
         if self.tel.is_enabled() {
-            self.req_tel.push(ReqTel::EMPTY);
+            self.kv_tel.push([KvSpan::NONE; 2]);
         }
         self.arrivals_left += 1;
-        q.schedule_at(stamp, Ev::Arrive(idx as u32));
+        q.schedule_at(stamp, Ev::Arrive(id.0 as u32));
         id
     }
 
@@ -718,112 +596,12 @@ impl ServingSystem {
         }
     }
 
-    pub(crate) fn handle(&mut self, ev: Ev, q: &mut Q) {
-        match ev {
-            Ev::Fabric(fe) => {
-                let cs = self.fabric.advance(fe, &mut Lift::new(q, Ev::Fabric));
-                self.ready.extend(cs);
-            }
-            Ev::Arrive(idx) => {
-                self.arrivals_left -= 1;
-                let rid = self.trace.requests[idx as usize].id;
-                self.tel_req_arrive(rid, q.now());
-                if self.meta.stalled(q.now()) {
-                    // Proxy metadata path is stalled: retry with backoff
-                    // instead of dispatching against stale state.
-                    let wait = self.meta.retry_backoff(1);
-                    q.schedule_after(
-                        wait,
-                        Ev::Retry {
-                            req: idx,
-                            attempt: 1,
-                        },
-                    );
-                } else {
-                    q.schedule_after(self.cfg.proxy_latency, Ev::DispatchPrefill { idx });
-                }
-                self.ensure_ticks(q);
-            }
-            Ev::Retry { req, attempt } => {
-                self.tel.metrics.inc(self.tm.c_retries, 1);
-                if self.tel.is_enabled() {
-                    let i = self.trace.requests[req as usize].id.0 as usize;
-                    let cause = self.req_tel[i].root;
-                    self.tel.spans.instant(
-                        || format!("req{i}"),
-                        SpanKind::Retry,
-                        q.now(),
-                        cause,
-                        || format!("retry#{attempt}"),
-                    );
-                }
-                if self.meta.stalled(q.now()) {
-                    let wait = self.meta.retry_backoff(attempt + 1);
-                    q.schedule_after(
-                        wait,
-                        Ev::Retry {
-                            req,
-                            attempt: attempt + 1,
-                        },
-                    );
-                } else {
-                    q.schedule_after(self.cfg.proxy_latency, Ev::DispatchPrefill { idx: req });
-                }
-            }
-            Ev::DispatchPrefill { idx } => self.dispatch_prefill_req(idx as usize, q),
-            Ev::Daemon { gen } => {
-                // Stale generations (a tick queued before an idle stop) are
-                // dropped entirely: no side effects, no reschedule.
-                if gen == self.tick_gen {
-                    self.daemon(q);
-                    if self.live() {
-                        q.schedule_after(self.cfg.daemon_period, Ev::Daemon { gen });
-                    } else {
-                        self.ticks_live = false;
-                    }
-                }
-            }
-            Ev::Sample { gen } => {
-                if gen == self.tick_gen {
-                    self.sample(q);
-                    if self.live() {
-                        q.schedule_after(self.cfg.sample_period, Ev::Sample { gen });
-                    } else {
-                        self.ticks_live = false;
-                    }
-                }
-            }
-            Ev::Fail(i) => self.on_fail(i as usize, q),
-            Ev::Failover(i) => self.on_failover(i as usize, q),
-            Ev::FaultStart(i) => self.on_fault_start(i as usize, q),
-            Ev::FaultEnd(i) => self.on_fault_end(i as usize, q),
-        }
-        self.drain(q);
-    }
-
+    /// Handles every completion released so far (the driver drains after
+    /// each event; the daemon also drains before rescheduling itself).
     fn drain(&mut self, q: &mut Q) {
-        while let Some(c) = self.ready.pop_front() {
-            if let Completion::Op { tag, .. } = c {
-                self.on_tag(tag, q);
-            }
+        while let Some(tag) = self.port.pop() {
+            self.on_tag(tag, q);
         }
-    }
-
-    fn submit(&mut self, stream: aegaeon_gpu::StreamId, op: StreamOp<Tag>, q: &mut Q) {
-        let cs = self
-            .fabric
-            .submit(stream, op, &mut Lift::new(q, Ev::Fabric));
-        self.ready.extend(cs);
-    }
-
-    fn multi(&mut self, parts: u32, inner: Tag) -> Tag {
-        if parts <= 1 {
-            return inner;
-        }
-        let id = self.next_multi;
-        self.next_multi += 1;
-        self.multis.insert(id, (parts, inner));
-        Tag::Part(id)
     }
 
     fn inst_gpus(&self, at: InstRef) -> &[GpuId] {
@@ -872,161 +650,14 @@ impl ServingSystem {
     // state the simulation reads, so results are bit-identical either way
     // (proven by the differential test in tests/telemetry.rs).
 
-    /// Computes every gauge and snapshots the registry at boundary `at`.
-    pub(crate) fn tel_poll(&mut self, at: SimTime) {
-        let pq: usize = self.prefills.iter().map(|p| p.queue.pending()).sum();
-        let dw: usize = self.decodes.iter().map(|d| d.work.len()).sum();
-        let batches: usize = self.decodes.iter().map(|d| d.work.iter().count()).sum();
-        let vram: u64 = self
-            .prefills
-            .iter()
-            .map(|p| p.gpu_kv.used_bytes())
-            .chain(self.decodes.iter().map(|d| d.gpu_kv.used_bytes()))
-            .sum();
-        let cpu: u64 = self.nodes.iter().map(|n| n.cpu_kv.used_bytes()).sum();
-        let inflight: f64 = (0..self.fabric.link_count())
-            .map(|l| self.fabric.link(LinkId(l as u32)).bytes_in_flight())
-            .sum();
-        let mut models: Vec<ModelId> = self
-            .prefills
-            .iter()
-            .map(|p| &p.scaler)
-            .chain(self.decodes.iter().map(|d| &d.scaler))
-            .filter_map(|s| s.current)
-            .collect();
-        models.sort_unstable_by_key(|m| m.0);
-        models.dedup();
-        for mi in 0..self.tm.g_slo_attain.len() {
-            let v = self.tel.slo.attainment(mi);
-            self.tel.metrics.set(self.tm.g_slo_attain[mi], v);
-        }
-        let m = &mut self.tel.metrics;
-        m.set_counter(self.tm.c_completed, self.completed as u64);
-        m.set(self.tm.g_prefill_queue_depth, pq as f64);
-        m.set(self.tm.g_decode_work, dw as f64);
-        m.set(self.tm.g_decode_batches, batches as f64);
-        m.set(self.tm.g_vram_kv_used, vram as f64);
-        m.set(self.tm.g_cpu_kv_used, cpu as f64);
-        m.set(self.tm.g_link_bytes_in_flight, inflight);
-        m.set(self.tm.g_active_models, models.len() as f64);
-        m.sample(at);
-    }
-
-    /// Opens the request's whole-lifetime root span at arrival.
-    fn tel_req_arrive(&mut self, req: RequestId, now: SimTime) {
-        if !self.tel.is_enabled() {
-            return;
-        }
-        let i = req.0 as usize;
-        let model = self.trace.requests[i].model;
-        let id = self.tel.spans.start(
-            || format!("req{i}"),
-            SpanKind::Request,
-            now,
-            SpanId::NONE,
-            SpanId::NONE,
-            || format!("req{i}:{model}"),
-        );
-        self.req_tel[i].root = id;
-    }
-
-    /// Opens a new phase span under the request's root, force-closing any
-    /// previous phase first (robust across failover and preemption, where
-    /// phases end at re-dispatch rather than at a clean boundary). Consumes
-    /// the pending scheduler-decision instant as the cause link.
-    fn tel_begin_phase(
-        &mut self,
-        req: RequestId,
-        kind: SpanKind,
-        label: &'static str,
-        now: SimTime,
-    ) {
-        if !self.tel.is_enabled() {
-            return;
-        }
-        let i = req.0 as usize;
-        let rt = self.req_tel[i];
-        if !rt.phase.is_none() {
-            self.tel.spans.end(rt.phase, now);
-        }
-        let id = self
-            .tel
-            .spans
-            .start(|| format!("req{i}"), kind, now, rt.root, rt.cause, || label);
-        self.req_tel[i].phase = id;
-        self.req_tel[i].cause = SpanId::NONE;
-    }
-
-    /// Ends the request's open phase span, if any.
-    fn tel_end_phase(&mut self, req: RequestId, now: SimTime) {
-        if !self.tel.is_enabled() {
-            return;
-        }
-        let i = req.0 as usize;
-        let id = std::mem::replace(&mut self.req_tel[i].phase, SpanId::NONE);
-        self.tel.spans.end(id, now);
-    }
-
-    /// Ends the request's phase and root spans (completion) and feeds the
-    /// SLO observatory: retirement is the only moment all token timings are
-    /// final, so the per-model sketches, deadline counts and windowed
-    /// series are all fed from this one site.
-    fn tel_req_done(&mut self, req: RequestId, now: SimTime) {
-        if !self.tel.is_enabled() {
-            return;
-        }
-        self.tel_end_phase(req, now);
-        let i = req.0 as usize;
-        let id = std::mem::replace(&mut self.req_tel[i].root, SpanId::NONE);
-        self.tel.spans.end(id, now);
-
-        let model = self.trace.requests[i].model;
-        let slo = SloSpec::paper_default();
-        let rs = &self.reqs[i];
-        let arrival = rs.arrival;
-        let mut met = 0u64;
-        let mut prev: Option<SimTime> = None;
-        self.tbt_scratch.clear();
-        for (k, &t) in rs.token_times.iter().enumerate() {
-            if t <= slo.token_deadline(arrival, k as u32) {
-                met += 1;
-            }
-            if let Some(p) = prev {
-                self.tbt_scratch.push(t.saturating_since(p).as_secs_f64());
-            }
-            prev = Some(t);
-        }
-        let ttft = rs
-            .token_times
-            .first()
-            .map_or(f64::NAN, |&t| t.saturating_since(arrival).as_secs_f64());
-        let tokens = rs.token_times.len() as u64;
-        let mi = model.0 as usize;
-        self.tel.metrics.observe_sketch(self.tm.s_ttft[mi], ttft);
-        for k in 0..self.tbt_scratch.len() {
-            let v = self.tbt_scratch[k];
-            self.tel.metrics.observe_sketch(self.tm.s_tbt[mi], v);
-        }
-        self.tel
-            .slo
-            .observe_request(now.as_nanos(), model.0, ttft, &self.tbt_scratch, tokens, met);
-        // Session turns also feed the agentic lens. Think gaps can never
-        // pollute these TBT quantiles: each turn is its own request, so the
-        // inter-token gaps above are all intra-turn by construction.
-        let rs = &self.reqs[i];
-        if rs.session.is_some() {
-            let turn_latency = now.saturating_since(rs.arrival).as_secs_f64();
-            self.tel
-                .metrics
-                .observe_sketch(self.tm.s_session_turn, turn_latency);
-            self.tel.slo.observe_turn(
-                now.as_nanos(),
-                model.0,
-                rs.turn_index,
-                turn_latency,
-                rs.prefix_hit,
-            );
-        }
+    /// Retires a completed request: counts it and feeds the shared
+    /// retirement hook (spans, latency sketches, SLO observatory).
+    fn retire(&mut self, req: RequestId, now: SimTime) {
+        self.completed += 1;
+        let model = self.trace.requests[req.0 as usize].model;
+        let rs = &self.reqs[req.0 as usize];
+        self.spans
+            .retire(&mut self.tel, &self.ids, req, model, rs, now);
     }
 
     /// Records a scheduler-decision instant and remembers it as the cause
@@ -1044,7 +675,7 @@ impl ServingSystem {
             self.tel
                 .spans
                 .instant(|| "scheduler", SpanKind::Decision, now, SpanId::NONE, label);
-        self.req_tel[req.0 as usize].cause = id;
+        self.spans.set_cause(req, id);
     }
 
     /// Opens a KV-transfer span on the request's `kv-out` / `kv-in`
@@ -1059,28 +690,22 @@ impl ServingSystem {
         // its partial time in the attribution ledger).
         self.tel_kv_end(req, now, out);
         let i = req.0 as usize;
-        let root = self.req_tel[i].root;
         let dir = if out { "kv-out" } else { "kv-in" };
         // Cause, not parent: a transfer stranded on a slow link can outlive
         // the root span when the request re-prefills and completes first.
-        let id = self.tel.spans.start(
+        let span = self.tel.spans.start(
             || format!("req{i}/{dir}"),
             SpanKind::KvTransfer,
             now,
             SpanId::NONE,
-            root,
+            self.spans.root(req),
             || dir,
         );
-        let rt = &mut self.req_tel[i];
-        if out {
-            rt.kv_out = id;
-            rt.kv_out_inst = inst;
-            rt.kv_out_start = now;
-        } else {
-            rt.kv_in = id;
-            rt.kv_in_inst = inst;
-            rt.kv_in_start = now;
-        }
+        self.kv_tel[i][out as usize] = KvSpan {
+            span,
+            inst,
+            start: now,
+        };
     }
 
     /// Closes the request's open KV-transfer span and books its wall time
@@ -1089,34 +714,17 @@ impl ServingSystem {
         if !self.tel.is_enabled() {
             return;
         }
-        let i = req.0 as usize;
-        let (id, inst, start) = {
-            let rt = &mut self.req_tel[i];
-            if out {
-                (
-                    std::mem::replace(&mut rt.kv_out, SpanId::NONE),
-                    std::mem::replace(&mut rt.kv_out_inst, u32::MAX),
-                    rt.kv_out_start,
-                )
-            } else {
-                (
-                    std::mem::replace(&mut rt.kv_in, SpanId::NONE),
-                    std::mem::replace(&mut rt.kv_in_inst, u32::MAX),
-                    rt.kv_in_start,
-                )
-            }
-        };
-        self.tel.spans.end(id, now);
-        if inst != u32::MAX {
-            let model = self.trace.requests[i].model;
+        let k = std::mem::replace(&mut self.kv_tel[req.0 as usize][out as usize], KvSpan::NONE);
+        self.tel.spans.end(k.span, now);
+        if k.inst != u32::MAX {
+            let model = self.trace.requests[req.0 as usize].model;
             let kind = if out {
                 CostKind::KvSwapOut
             } else {
                 CostKind::KvSwapIn
             };
-            self.tel
-                .attrib
-                .add(inst, model.0, kind, now.saturating_since(start).as_secs_f64());
+            let secs = now.saturating_since(k.start).as_secs_f64();
+            self.tel.attrib.add(k.inst, model.0, kind, secs);
         }
     }
 
@@ -1291,7 +899,8 @@ impl ServingSystem {
                 let l = link as usize;
                 self.link_degrade_depth[l] += 1;
                 if self.link_degrade_depth[l] == 1 {
-                    self.fabric
+                    self.port
+                        .fabric
                         .degrade_link(LinkId(link), factor, &mut Lift::new(q, Ev::Fabric));
                 }
                 q.schedule_at(until, Ev::FaultEnd(i as u32));
@@ -1312,7 +921,8 @@ impl ServingSystem {
                 let l = link as usize;
                 self.link_degrade_depth[l] -= 1;
                 if self.link_degrade_depth[l] == 0 {
-                    self.fabric
+                    self.port
+                        .fabric
                         .restore_link(LinkId(link), &mut Lift::new(q, Ev::Fabric));
                 }
             }
@@ -1323,50 +933,18 @@ impl ServingSystem {
         }
     }
 
-    /// Submits the same compute to every GPU of the instance; the inner tag
-    /// fires when all shards finish.
-    fn compute_all(&mut self, at: InstRef, dur: SimDur, inner: Tag, q: &mut Q) {
-        let gpus = self.inst_gpus(at).to_vec();
-        let tag = self.multi(gpus.len() as u32, inner);
-        for g in gpus {
-            let s = self.topo.gpu(g).default_stream;
-            self.submit(
-                s,
-                StreamOp::Compute {
-                    dur,
-                    tag: tag.clone(),
-                },
-                q,
-            );
-        }
+    /// Submits the same compute to every GPU of the instance; `tag` fires
+    /// when all shards finish.
+    fn compute_all(&mut self, at: InstRef, dur: SimDur, tag: Tag, q: &mut Q) {
+        let gpus = match at.kind {
+            InstKind::Prefill => &self.prefills[at.idx as usize].gpus,
+            InstKind::Decode => &self.decodes[at.idx as usize].gpus,
+        };
+        let lanes = gpus.iter().map(|&g| self.topo.gpu(g).default_stream);
+        self.port.compute_all(lanes, dur, tag, q);
     }
 
     // ----- Tag dispatch -------------------------------------------------
-
-    fn on_tag(&mut self, tag: Tag, q: &mut Q) {
-        match tag {
-            Tag::Part(id) => {
-                let done = {
-                    let e = self.multis.get_mut(&id).expect("live multi");
-                    e.0 -= 1;
-                    e.0 == 0
-                };
-                if done {
-                    let (_, inner) = self.multis.remove(&id).expect("live multi");
-                    self.on_tag(inner, q);
-                }
-            }
-            Tag::PrefillDone { inst, req } => self.on_prefill_done(inst as usize, req, q),
-            Tag::ScaleStage { at, seq } => self.on_scale_stage(at, seq, q),
-            Tag::PrefetchDone { at, model, seq } => self.on_prefetch_done(at, model, seq, q),
-            Tag::DecodeStep { inst, turn } => self.on_decode_step(inst as usize, turn, q),
-            Tag::KvIn { inst, req, turn } => self.on_kv_in(inst as usize, req, turn, q),
-            // The offload copy's completion only matters to telemetry (the
-            // daemon reclaims its blocks via the recorded fabric event).
-            Tag::KvOut { req } => self.tel_kv_end(req, q.now(), true),
-            Tag::Noop => {}
-        }
-    }
 
     // ----- Prefill path -------------------------------------------------
 
@@ -1397,7 +975,7 @@ impl ServingSystem {
                 }
                 let (shape, blocks) = self.nodes[node].cpu_kv.take(h);
                 match e.guard {
-                    Some(ev) if !self.fabric.query_event(ev) => {
+                    Some(ev) if !self.port.fabric.query_event(ev) => {
                         self.nodes[node].cpu_parked.park(ev, vec![(shape, blocks)]);
                     }
                     _ => self.nodes[node].cpu_kv.free_blocks(shape, &blocks),
@@ -1454,7 +1032,7 @@ impl ServingSystem {
                 self.sessions.remove(sess);
                 self.tel.metrics.inc(self.tm.c_sess_evicted, 1);
             }
-            SessPlace::Cpu(_) if e.guard.is_some_and(|ev| !self.fabric.query_event(ev)) => {
+            SessPlace::Cpu(_) if e.guard.is_some_and(|ev| !self.port.fabric.query_event(ev)) => {
                 // Spill copy still in flight: a miss, but keep the entry.
             }
             place => {
@@ -1514,7 +1092,7 @@ impl ServingSystem {
                 let (shape, blocks) = self.nodes[node].cpu_kv.take(req);
                 match self.reqs[i].offload_event {
                     // The offload copy may still be writing these blocks.
-                    Some(ev) if !self.fabric.query_event(ev) => {
+                    Some(ev) if !self.port.fabric.query_event(ev) => {
                         self.nodes[node].cpu_parked.park(ev, vec![(shape, blocks)]);
                     }
                     _ => self.nodes[node].cpu_kv.free_blocks(shape, &blocks),
@@ -1605,21 +1183,18 @@ impl ServingSystem {
                 } else {
                     g.default_stream
                 };
-                self.submit(
+                self.port.submit(
                     stream,
                     StreamOp::Copy {
                         link: g.d2h,
                         bytes: kv_bytes,
                         // Noop, not KvOut: the handle is not a request and
                         // must not feed request-indexed telemetry.
-                        tag: Tag::Noop,
+                        tag: Tag::Noop.into(),
                     },
                     q,
                 );
-                let (ev, cs) = self
-                    .fabric
-                    .record_event(stream, &mut Lift::new(q, Ev::Fabric));
-                self.ready.extend(cs);
+                let ev = self.port.record_event(stream, q);
                 // §5.3 rule ❸ for the GPU-side source blocks.
                 let (shape, blocks) = self.decodes[di].gpu_kv.take(req);
                 self.decodes[di].parked.park(ev, vec![(shape, blocks)]);
@@ -1717,7 +1292,7 @@ impl ServingSystem {
         };
         let now = q.now();
         self.tel_decision(req, now, || format!("prefill:{model}->p{pi}"));
-        self.tel_begin_phase(req, SpanKind::QueueWait, "prefill-wait", now);
+        self.spans.begin_phase(&mut self.tel, req, SpanKind::QueueWait, "prefill-wait", now);
         self.prefill_try_start(pi, q);
     }
 
@@ -1793,7 +1368,7 @@ impl ServingSystem {
             let rs = &mut self.reqs[req.0 as usize];
             rs.prefill_start = Some(now);
         }
-        self.tel_begin_phase(req, SpanKind::Prefill, "prefill", now);
+        self.spans.begin_phase(&mut self.tel, req, SpanKind::Prefill, "prefill", now);
         self.breakdown.add_secs(
             Stage::PrefillWait,
             now.saturating_since(self.reqs[req.0 as usize].arrival)
@@ -1824,7 +1399,7 @@ impl ServingSystem {
             // The claimed prefix died while this delta-only prefill ran:
             // the KV just computed is unusable without it. Discard and
             // recompute the full context (chaos recovery path).
-            self.tel_end_phase(req, now);
+            self.spans.end_phase(&mut self.tel, req, now);
             self.prefills[pi].gpu_kv.free(req);
             {
                 let rs = &mut self.reqs[req.0 as usize];
@@ -1878,7 +1453,7 @@ impl ServingSystem {
                     format!("P:{model}")
                 });
         }
-        self.tel_end_phase(req, now);
+        self.spans.end_phase(&mut self.tel, req, now);
         self.prefills[pi].active = None;
         if self.reqs[req.0 as usize].is_done() {
             // Single-token request: the prefill's first token is also its
@@ -1892,8 +1467,7 @@ impl ServingSystem {
             let rs = &mut self.reqs[req.0 as usize];
             rs.kv = KvPlace::None;
             rs.kv_ready = false;
-            self.completed += 1;
-            self.tel_req_done(req, now);
+            self.retire(req, now);
         } else if self.issue_offload(InstRef::prefill(pi), req, q) {
             // Offload the fresh KV to the unified CPU cache, then hand the
             // request to a decoding instance (the swap-in will synchronize
@@ -2008,14 +1582,14 @@ impl ServingSystem {
         }
         let now = q.now();
         self.tel_decision(req, now, || format!("decode:{model}->d{di}"));
-        self.tel_begin_phase(req, SpanKind::QueueWait, "decode-wait", now);
+        self.spans.begin_phase(&mut self.tel, req, SpanKind::QueueWait, "decode-wait", now);
         // If this batch is currently mid-turn, pull the request straight in.
         let active_now = self.decodes[di]
             .turn
             .as_ref()
             .is_some_and(|t| t.batch == batch_id);
         if active_now {
-            self.tel_begin_phase(req, SpanKind::DecodeRound, "decode-round", now);
+            self.spans.begin_phase(&mut self.tel, req, SpanKind::DecodeRound, "decode-round", now);
             self.issue_swap_in(di, req, q);
             self.maybe_start_stepping(di, q);
         }
@@ -2127,7 +1701,7 @@ impl ServingSystem {
         let now = q.now();
         self.tel
             .metrics
-            .observe(self.tm.h_batch_size, reqs.len() as f64);
+            .observe(self.ids.h_batch_size, reqs.len() as f64);
         if self.tel.is_enabled() {
             let span = self.tel.spans.start(
                 || format!("decode{di}"),
@@ -2142,8 +1716,10 @@ impl ServingSystem {
             }
             for r in &reqs {
                 // The turn is the cause of each member's decode-round phase.
-                self.req_tel[r.0 as usize].cause = span;
-                self.tel_begin_phase(*r, SpanKind::DecodeRound, "decode-round", now);
+                self.spans.set_cause(*r, span);
+                let kind = SpanKind::DecodeRound;
+                self.spans
+                    .begin_phase(&mut self.tel, *r, kind, "decode-round", now);
             }
         }
         let at = InstRef::decode(di);
@@ -2356,8 +1932,7 @@ impl ServingSystem {
             if done {
                 self.retire_decode_kv(di, req, q);
                 self.decodes[di].work.remove_request(req);
-                self.completed += 1;
-                self.tel_req_done(req, now);
+                self.retire(req, now);
             } else if self.decodes[di].gpu_kv.extend(req, ctx).is_err() {
                 overflow = true;
             }
@@ -2403,7 +1978,7 @@ impl ServingSystem {
             }
             if self.tel.is_enabled() {
                 for r in &reqs {
-                    self.tel_end_phase(*r, now);
+                    self.spans.end_phase(&mut self.tel, *r, now);
                 }
             }
             self.tel.spans.end(turn.span, now);
@@ -2503,19 +2078,16 @@ impl ServingSystem {
         } else {
             g.default_stream
         };
-        self.submit(
+        self.port.submit(
             stream,
             StreamOp::Copy {
                 link: g.d2h,
                 bytes: kv_bytes,
-                tag: Tag::KvOut { req },
+                tag: Tag::KvOut { req }.into(),
             },
             q,
         );
-        let (ev, cs) = self
-            .fabric
-            .record_event(stream, &mut Lift::new(q, Ev::Fabric));
-        self.ready.extend(cs);
+        let ev = self.port.record_event(stream, q);
         match at.kind {
             InstKind::Prefill => self.prefills[at.idx as usize]
                 .parked
@@ -2584,24 +2156,21 @@ impl ServingSystem {
         let turn_gen = self.decodes[di].turn.as_ref().map(|t| t.gen).unwrap_or(0);
         if let Some(ev) = self.reqs[req.0 as usize].offload_event {
             // §5.3 rule ❷: wait for the offload writing these blocks.
-            let cs = self
-                .fabric
-                .wait_event(stream, ev, &mut Lift::new(q, Ev::Fabric));
-            self.ready.extend(cs);
+            self.port.wait_event(stream, ev, q);
         }
         if src_node as u32 != self.decodes[di].node {
             let nic = self.topo.node(aegaeon_gpu::NodeId(src_node as u32)).nic_tx;
-            self.submit(
+            self.port.submit(
                 stream,
                 StreamOp::Copy {
                     link: nic,
                     bytes: kv_bytes,
-                    tag: Tag::Noop,
+                    tag: Tag::Noop.into(),
                 },
                 q,
             );
         }
-        self.submit(
+        self.port.submit(
             stream,
             StreamOp::Copy {
                 link: g.h2d,
@@ -2610,14 +2179,12 @@ impl ServingSystem {
                     inst: di as u32,
                     req,
                     turn: turn_gen,
-                },
+                }
+                .into(),
             },
             q,
         );
-        let (ev_in, cs) = self
-            .fabric
-            .record_event(stream, &mut Lift::new(q, Ev::Fabric));
-        self.ready.extend(cs);
+        let ev_in = self.port.record_event(stream, q);
         // §5.3 rule ❸: the CPU blocks stay unsafe until the copy completes;
         // the daemon reclaims them via the move list.
         self.nodes[src_node]
@@ -2691,7 +2258,7 @@ impl ServingSystem {
         let warm = self.scaler(at).warm;
         let mut opts = self.cfg.opts;
         opts.component_reuse = opts.component_reuse && warm;
-        let plan = scale_up_plan(
+        let mut plan = scale_up_plan(
             &opts,
             &self.cfg.init_costs,
             shard,
@@ -2699,6 +2266,16 @@ impl ServingSystem {
             cached,
             self.cfg.remote_bw,
         );
+        if self.stage_oom_depth[node] > 0 {
+            // Chaos injection: while the node's pinned stage buffer is
+            // exhausted, loads fall back to pageable DMA at a fraction of
+            // the pipelined rate.
+            for st in &mut plan.stages {
+                if let ScaleCost::HostLoad { efficiency, .. } = &mut st.cost {
+                    *efficiency *= aegaeon_mem::UNPINNED_FALLBACK_EFFICIENCY;
+                }
+            }
+        }
         let gpus = self.inst_gpus(at).to_vec();
         let seq = {
             let s = self.scaler_mut(at);
@@ -2706,14 +2283,13 @@ impl ServingSystem {
             s.scaling = Some(Scaling {
                 target,
                 started: now,
-                remaining_ops: (plan.stages.len() * gpus.len()) as u32,
                 prefetch_hit: prefetch_hit || wait_events.is_some(),
                 seq: s.scale_seq,
             });
             s.scale_seq
         };
         self.scale_count += 1;
-        self.tel.metrics.inc(self.tm.c_switches, 1);
+        self.tel.metrics.inc(self.ids.c_switches, 1);
         if self.tel.is_enabled() {
             // A crash can strand the previous switch span open: close it
             // before a new switch starts on the same instance track.
@@ -2732,62 +2308,20 @@ impl ServingSystem {
             );
             self.scaler_mut(at).switch_span = span;
         }
+        let tag = self.port.join(plan.stages.len() * gpus.len(), Tag::ScaleDone { at, seq });
         for (gi, g) in gpus.iter().enumerate() {
-            let h = self.topo.gpu(*g).clone();
-            if let Some(evs) = &wait_events {
-                if let Some(ev) = evs.get(gi) {
-                    let cs = self.fabric.wait_event(
-                        h.default_stream,
-                        *ev,
-                        &mut Lift::new(q, Ev::Fabric),
-                    );
-                    self.ready.extend(cs);
-                }
+            let h = self.topo.gpu(*g);
+            if let Some(&ev) = wait_events.as_ref().and_then(|evs| evs.get(gi)) {
+                self.port.wait_event(h.default_stream, ev, q);
             }
-            for st in &plan.stages {
-                let tag = Tag::ScaleStage { at, seq };
-                let op = match st.cost {
-                    ScaleCost::Fixed(d) => StreamOp::Compute { dur: d, tag },
-                    ScaleCost::HostLoad { bytes, efficiency } => {
-                        // Chaos injection: while the node's pinned stage
-                        // buffer is exhausted, the load falls back to
-                        // pageable DMA at a fraction of the pipelined rate.
-                        let eff = if self.stage_oom_depth[self.inst_node(at) as usize] > 0 {
-                            efficiency * aegaeon_mem::UNPINNED_FALLBACK_EFFICIENCY
-                        } else {
-                            efficiency
-                        };
-                        StreamOp::Copy {
-                            link: h.h2d,
-                            bytes: (bytes as f64 / eff) as u64,
-                            tag,
-                        }
-                    }
-                    ScaleCost::DeviceCopy { bytes } => StreamOp::Compute {
-                        dur: SimDur::from_secs_f64(bytes as f64 / h.spec.device_copy_bw()),
-                        tag,
-                    },
-                };
-                self.submit(h.default_stream, op, q);
-            }
+            self.port
+                .submit_stages(h.default_stream, h, &plan.stages, &tag, q);
         }
     }
 
-    fn on_scale_stage(&mut self, at: InstRef, seq: u64, q: &mut Q) {
-        if self.inst_dead(at) {
-            return;
-        }
-        let done = {
-            let s = self.scaler_mut(at);
-            match &mut s.scaling {
-                Some(sc) if sc.seq == seq => {
-                    sc.remaining_ops -= 1;
-                    sc.remaining_ops == 0
-                }
-                _ => return,
-            }
-        };
-        if !done {
+    fn on_scale_done(&mut self, at: InstRef, seq: u64, q: &mut Q) {
+        let current = matches!(&self.scaler(at).scaling, Some(sc) if sc.seq == seq);
+        if self.inst_dead(at) || !current {
             return;
         }
         let now = q.now();
@@ -2907,25 +2441,17 @@ impl ServingSystem {
             s.prefetch_seq
         };
         let gpus = self.inst_gpus(at).to_vec();
-        let inner = Tag::PrefetchDone { at, model, seq };
-        let tag = self.multi(gpus.len() as u32, inner);
+        let tag = self
+            .port
+            .join(gpus.len(), Tag::PrefetchDone { at, model, seq });
         let mut events = Vec::with_capacity(gpus.len());
         for g in gpus {
-            let h = self.topo.gpu(g).clone();
-            self.submit(
-                h.prefetch,
-                StreamOp::Copy {
-                    link: h.h2d,
-                    bytes: (shard as f64 / PIPELINED_LOAD_EFFICIENCY) as u64,
-                    tag: tag.clone(),
-                },
-                q,
-            );
-            let (ev, cs) = self
-                .fabric
-                .record_event(h.prefetch, &mut Lift::new(q, Ev::Fabric));
-            self.ready.extend(cs);
-            events.push(ev);
+            let h = self.topo.gpu(g);
+            let bytes = (shard as f64 / PIPELINED_LOAD_EFFICIENCY) as u64;
+            let tag = tag.clone();
+            let op = StreamOp::Copy { link: h.h2d, bytes, tag };
+            self.port.submit(h.prefetch, op, q);
+            events.push(self.port.record_event(h.prefetch, q));
         }
         self.scaler_mut(at).prefetch_inflight = Some((model, events));
     }
@@ -2965,7 +2491,7 @@ impl ServingSystem {
     fn daemon(&mut self, q: &mut Q) {
         // Reclaim GPU-side parked blocks (offload sources).
         for pi in 0..self.prefills.len() {
-            let fabric = &self.fabric;
+            let fabric = &self.port.fabric;
             let freed = self.prefills[pi]
                 .parked
                 .reclaim(|ev| fabric.query_event(*ev));
@@ -2978,7 +2504,7 @@ impl ServingSystem {
             }
         }
         for di in 0..self.decodes.len() {
-            let fabric = &self.fabric;
+            let fabric = &self.port.fabric;
             let freed = self.decodes[di]
                 .parked
                 .reclaim(|ev| fabric.query_event(*ev));
@@ -3012,7 +2538,7 @@ impl ServingSystem {
         }
         // Reclaim CPU-side parked blocks and retry stalled offloads.
         for ni in 0..self.nodes.len() {
-            let fabric = &self.fabric;
+            let fabric = &self.port.fabric;
             let freed = self.nodes[ni]
                 .cpu_parked
                 .reclaim(|ev| fabric.query_event(*ev));
@@ -3087,34 +2613,152 @@ impl ServingSystem {
         }
         self.frag
             .sample(self.cfg.sample_period.as_secs_f64(), &combined);
-        let busy: Vec<f64> = self
-            .topo
-            .gpu_ids()
-            .map(|g| {
-                self.fabric
-                    .stream_compute_busy(self.topo.gpu(g).default_stream)
-                    .as_secs_f64()
-            })
-            .collect();
-        self.util_samples.push((now, busy));
+        self.util_samples.push((now, self.port.gpu_busy(&self.topo)));
+    }
+}
+
+impl Host for ServingSystem {
+    type Ev = Ev;
+    type Tag = Tag;
+    type Output = RunResult;
+
+    fn on_event(&mut self, ev: Ev, q: &mut Q) {
+        match ev {
+            Ev::Fabric(fe) => self.port.advance(fe, q),
+            Ev::Arrive(idx) => {
+                self.arrivals_left -= 1;
+                let r = &self.trace.requests[idx as usize];
+                self.spans.arrive(&mut self.tel, r.id, r.model, q.now());
+                if self.meta.stalled(q.now()) {
+                    // Proxy metadata path is stalled: retry with backoff
+                    // instead of dispatching against stale state.
+                    let wait = self.meta.retry_backoff(1);
+                    q.schedule_after(
+                        wait,
+                        Ev::Retry {
+                            req: idx,
+                            attempt: 1,
+                        },
+                    );
+                } else {
+                    q.schedule_after(self.cfg.proxy_latency, Ev::DispatchPrefill { idx });
+                }
+                self.ensure_ticks(q);
+            }
+            Ev::Retry { req, attempt } => {
+                self.tel.metrics.inc(self.tm.c_retries, 1);
+                if self.tel.is_enabled() {
+                    let rid = self.trace.requests[req as usize].id;
+                    let (i, cause) = (rid.0, self.spans.root(rid));
+                    self.tel.spans.instant(
+                        || format!("req{i}"),
+                        SpanKind::Retry,
+                        q.now(),
+                        cause,
+                        || format!("retry#{attempt}"),
+                    );
+                }
+                if self.meta.stalled(q.now()) {
+                    let wait = self.meta.retry_backoff(attempt + 1);
+                    q.schedule_after(
+                        wait,
+                        Ev::Retry {
+                            req,
+                            attempt: attempt + 1,
+                        },
+                    );
+                } else {
+                    q.schedule_after(self.cfg.proxy_latency, Ev::DispatchPrefill { idx: req });
+                }
+            }
+            Ev::DispatchPrefill { idx } => self.dispatch_prefill_req(idx as usize, q),
+            Ev::Daemon { gen } => {
+                // Stale generations (a tick queued before an idle stop) are
+                // dropped entirely: no side effects, no reschedule.
+                if gen == self.tick_gen {
+                    self.daemon(q);
+                    if self.live() {
+                        q.schedule_after(self.cfg.daemon_period, Ev::Daemon { gen });
+                    } else {
+                        self.ticks_live = false;
+                    }
+                }
+            }
+            Ev::Sample { gen } => {
+                if gen == self.tick_gen {
+                    self.sample(q);
+                    if self.live() {
+                        q.schedule_after(self.cfg.sample_period, Ev::Sample { gen });
+                    } else {
+                        self.ticks_live = false;
+                    }
+                }
+            }
+            Ev::Fail(i) => self.on_fail(i as usize, q),
+            Ev::Failover(i) => self.on_failover(i as usize, q),
+            Ev::FaultStart(i) => self.on_fault_start(i as usize, q),
+            Ev::FaultEnd(i) => self.on_fault_end(i as usize, q),
+        }
     }
 
-    pub(crate) fn finish(mut self, q: &Q) -> RunResult {
-        let outcomes: Vec<RequestOutcome> = self
-            .trace
-            .requests
+    fn on_tag(&mut self, tag: Tag, q: &mut Q) {
+        match tag {
+            Tag::PrefillDone { inst, req } => self.on_prefill_done(inst as usize, req, q),
+            Tag::ScaleDone { at, seq } => self.on_scale_done(at, seq, q),
+            Tag::PrefetchDone { at, model, seq } => self.on_prefetch_done(at, model, seq, q),
+            Tag::DecodeStep { inst, turn } => self.on_decode_step(inst as usize, turn, q),
+            Tag::KvIn { inst, req, turn } => self.on_kv_in(inst as usize, req, turn, q),
+            // The offload copy's completion only matters to telemetry (the
+            // daemon reclaims its blocks via the recorded fabric event).
+            Tag::KvOut { req } => self.tel_kv_end(req, q.now(), true),
+            Tag::Noop => {}
+        }
+    }
+
+    fn port(&mut self) -> &mut FabricPort<Tag> {
+        &mut self.port
+    }
+
+    /// Computes every gauge and snapshots the registry at boundary `at`.
+    fn poll(&mut self, at: SimTime) {
+        let batches: usize = self.decodes.iter().map(|d| d.work.iter().count()).sum();
+        let vram: u64 = self
+            .prefills
             .iter()
-            .map(|r| {
-                let rs = &self.reqs[r.id.0 as usize];
-                RequestOutcome {
-                    id: r.id,
-                    model: r.model,
-                    arrival: rs.arrival,
-                    token_times: rs.token_times.clone(),
-                    target_tokens: r.output_tokens,
-                }
-            })
-            .collect();
+            .map(|p| p.gpu_kv.used_bytes())
+            .chain(self.decodes.iter().map(|d| d.gpu_kv.used_bytes()))
+            .sum();
+        let cpu: u64 = self.nodes.iter().map(|n| n.cpu_kv.used_bytes()).sum();
+        let fabric = &self.port.fabric;
+        let inflight: f64 = (0..fabric.link_count())
+            .map(|l| fabric.link(LinkId(l as u32)).bytes_in_flight())
+            .sum();
+        let m = &mut self.tel.metrics;
+        m.set(self.tm.g_decode_batches, batches as f64);
+        m.set(self.tm.g_vram_kv_used, vram as f64);
+        m.set(self.tm.g_cpu_kv_used, cpu as f64);
+        m.set(self.tm.g_link_bytes_in_flight, inflight);
+        let resident = self.prefills.iter().map(|p| p.scaler.current);
+        let resident = resident.chain(self.decodes.iter().map(|d| d.scaler.current));
+        self.ids.sample(
+            &mut self.tel,
+            at,
+            self.completed,
+            self.prefills.iter().map(|p| p.queue.pending()).sum(),
+            self.decodes.iter().map(|d| d.work.len()).sum(),
+            resident.flatten(),
+        );
+    }
+
+    fn telemetry(&mut self) -> &mut Telemetry {
+        &mut self.tel
+    }
+
+    fn view(&self) -> &dyn AuditView {
+        self
+    }
+
+    fn finish(mut self, q: &Q, audit: Option<&AuditReport>) -> RunResult {
         // Residual decode waiting per finished request.
         let mut kv_sync = Vec::new();
         for rs in &self.reqs {
@@ -3125,38 +2769,20 @@ impl ServingSystem {
                 self.breakdown.add_secs(Stage::DecodeWait, wait);
             }
         }
-        let gpu_busy: Vec<f64> = self
-            .topo
-            .gpu_ids()
-            .map(|g| {
-                self.fabric
-                    .stream_compute_busy(self.topo.gpu(g).default_stream)
-                    .as_secs_f64()
-            })
-            .collect();
-        self.tel
-            .metrics
-            .set_counter(self.tm.c_events_dispatched, q.events_dispatched());
         let (meta_reads, meta_writes) = self.meta.stats();
-        self.tel
-            .metrics
-            .set_counter(self.tm.c_meta_reads, meta_reads);
-        self.tel
-            .metrics
-            .set_counter(self.tm.c_meta_writes, meta_writes);
-        self.tel
-            .metrics
-            .set_counter(self.tm.c_completed, self.completed as u64);
-        self.tel.finish(q.now());
+        let m = &mut self.tel.metrics;
+        m.set_counter(self.tm.c_meta_reads, meta_reads);
+        m.set_counter(self.tm.c_meta_writes, meta_writes);
+        self.ids.finish(&mut self.tel, self.completed, q, audit);
         RunResult {
-            outcomes,
+            outcomes: outcomes(&self.trace, &self.reqs),
             horizon: self.trace.horizon,
             end_time: q.now(),
             breakdown: self.breakdown,
             scale_latencies: self.scale_latencies,
             kv_sync_per_request: kv_sync,
             frag_rows: self.frag.report(),
-            gpu_busy,
+            gpu_busy: self.port.gpu_busy(&self.topo),
             util_samples: self.util_samples,
             completed: self.completed,
             total_requests: self.trace.len(),
@@ -3191,13 +2817,7 @@ impl AuditView for ServingSystem {
     }
 
     fn request(&self, i: usize) -> ReqAudit<'_> {
-        let r = &self.reqs[i];
-        ReqAudit {
-            produced: r.produced,
-            target: r.target_tokens,
-            done: r.is_done(),
-            token_times: &r.token_times,
-        }
+        req_audit(&self.reqs[i])
     }
 
     fn memory_audit(&self) -> Option<String> {
@@ -3284,12 +2904,7 @@ impl AuditView for ServingSystem {
     }
 
     fn link_audit(&self) -> Option<String> {
-        for l in 0..self.fabric.link_count() {
-            if let Some(e) = self.fabric.link(LinkId(l as u32)).audit() {
-                return Some(e);
-            }
-        }
-        None
+        self.port.link_audit()
     }
 }
 

@@ -22,7 +22,7 @@ fn fixed_run_markdown() -> String {
     cfg.seed = 20250713;
     cfg.telemetry = TelemetrySpec::enabled();
     let r = ServingSystem::run(&cfg, &models, &trace);
-    analyze::analyze_run(&r).expect("analyzable run").to_markdown()
+    analyze::analyze_run(&r.telemetry).expect("analyzable run").to_markdown()
 }
 
 #[test]
@@ -57,7 +57,7 @@ fn analyzer_round_trips_through_the_exported_document() {
     cfg.seed = 20250713;
     cfg.telemetry = TelemetrySpec::enabled();
     let r = ServingSystem::run(&cfg, &models, &trace);
-    let direct = analyze::analyze_run(&r).expect("analyzable run");
+    let direct = analyze::analyze_run(&r.telemetry).expect("analyzable run");
     let doc = aegaeon_telemetry::slo_json(&r.telemetry.slo, &r.telemetry.attrib);
     let via_text = Analysis::from_slo_text(&doc).expect("parsable export");
     assert_eq!(direct.to_markdown(), via_text.to_markdown());

@@ -8,10 +8,11 @@ use aegaeon::chaos::FaultPlan;
 use aegaeon::{AegaeonConfig, ServingSystem};
 use aegaeon_baselines::engine_loop::WorldConfig;
 use aegaeon_baselines::{MuxServe, ServerlessLlm, SllmConfig};
-use aegaeon_bench::{market_models, uniform_trace};
+use aegaeon_bench::{analyze, market_models, uniform_trace};
+use aegaeon_metrics::slo::attainment_per_model;
 use aegaeon_sim::{SimDur, TraceLog};
 use aegaeon_telemetry::{chrome_trace, looks_like_trace_event_json, SpanKind, TelemetrySpec};
-use aegaeon_workload::LengthDist;
+use aegaeon_workload::{LengthDist, SloSpec};
 
 const SEEDS: [u64; 3] = [7, 42, 20250713];
 const N_MODELS: usize = 5;
@@ -243,6 +244,29 @@ fn baseline_span_logs_are_well_formed() {
         .spans()
         .iter()
         .any(|s| s.kind == SpanKind::Switch));
+}
+
+#[test]
+fn baseline_runs_feed_the_slo_observatory() {
+    // Light load, so every request retires and the observatory (fed at
+    // retirement) must agree exactly with the offline per-model figure.
+    let models = market_models(N_MODELS);
+    let trace = uniform_trace(N_MODELS, 0.02, 60.0, 7, LengthDist::sharegpt());
+    let mut cfg = SllmConfig::new(aegaeon_cfg(7, false).cluster);
+    cfg.world.seed = 7;
+    cfg.world.telemetry = TelemetrySpec::enabled();
+    let r = ServerlessLlm::run(&cfg, &models, &trace);
+    assert_eq!(r.completed, r.total_requests, "light load must drain");
+    let offline = attainment_per_model(&r.outcomes, SloSpec::paper_default(), r.horizon, N_MODELS);
+    let cum = r.telemetry.slo.cumulative();
+    assert_eq!(cum.len(), N_MODELS);
+    for (m, (online, offline)) in cum.iter().zip(&offline).enumerate() {
+        assert_eq!(online.tokens, offline.tokens_total, "model {m}: tokens");
+        assert_eq!(online.tokens_met, offline.tokens_met, "model {m}: tokens met");
+    }
+    assert!(cum.iter().any(|c| c.requests > 0), "observatory never fed");
+    let a = analyze::analyze_run(&r.telemetry).expect("analyzable baseline run");
+    assert!(a.consistency_errors().is_empty(), "{:?}", a.consistency_errors());
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Simulator throughput report: raw event-dispatch speed of the new indexed
 //! 4-ary event heap versus the retained `BinaryHeap` reference, events/sec
-//! of a real serving run (serial), the sharded parallel engine's speedup
-//! on one big run, and the parallel sweep harness speedup.
+//! of a real serving run (serial), the invariant auditor's tax on a chaos
+//! run, the sharded parallel engine's speedup on one big run, and the
+//! parallel sweep harness speedup.
 //!
 //! Speedup numbers are only as honest as the host: `host_parallelism` is
 //! recorded alongside them, and on a single-core machine the expected
@@ -15,10 +16,13 @@
 use std::time::Instant;
 
 use aegaeon::shard::run_sharded;
-use aegaeon::{AegaeonConfig, ServingSystem};
+use aegaeon::{
+    AegaeonConfig, AuditReport, AuditView, Auditor, FaultPlan, InvariantAuditor, RunResult,
+    ServingSession, ServingSystem,
+};
 use aegaeon_bench::{banner, market_models, sweep, uniform_trace, HORIZON_SECS, SEED};
 use aegaeon_gpu::{ClusterSpec, NodeSpec};
-use aegaeon_sim::{BinaryHeapQueue, EventQueue, SimDur, ThroughputReport, Timeline};
+use aegaeon_sim::{BinaryHeapQueue, EventQueue, SimDur, SimTime, ThroughputReport, Timeline};
 use aegaeon_workload::LengthDist;
 
 /// Standing event population for the synthetic dispatch benchmark.
@@ -45,6 +49,54 @@ macro_rules! drive_queue {
         std::hint::black_box(acc);
         DISPATCHES as f64 / wall
     }};
+}
+
+/// Timed repeats of each observer setting (the median is reported).
+const OBSERVER_REPEATS: usize = 5;
+
+/// The invariant suite plus a deep check of every memory book after every
+/// event, epochs ignored: what the auditor would cost without them.
+struct EveryBook(InvariantAuditor);
+
+impl Auditor for EveryBook {
+    fn after_event(&mut self, now: SimTime, view: &dyn AuditView) {
+        self.0.after_event(now, view);
+        for i in 0..view.book_count() {
+            std::hint::black_box(view.book_audit(i));
+        }
+    }
+    fn at_finish(&mut self, now: SimTime, view: &dyn AuditView) {
+        self.0.at_finish(now, view);
+    }
+    fn take_report(&mut self) -> AuditReport {
+        self.0.take_report()
+    }
+}
+
+/// Median wall seconds of [`OBSERVER_REPEATS`] runs of `cfg` over `trace`
+/// with `auditor` installed, plus the last run's result and report.
+fn observed_run(
+    cfg: &AegaeonConfig,
+    models: &[aegaeon_model::ModelSpec],
+    trace: &aegaeon_workload::Trace,
+    auditor: impl Fn() -> Option<Box<dyn Auditor + Send>>,
+) -> (f64, RunResult, Option<AuditReport>) {
+    let mut walls = Vec::with_capacity(OBSERVER_REPEATS);
+    let mut last = None;
+    for _ in 0..OBSERVER_REPEATS {
+        let mut s = ServingSession::closed(cfg, models, trace);
+        if let Some(a) = auditor() {
+            s.install_auditor(a);
+        }
+        let start = Instant::now();
+        s.step_until(SimTime::MAX);
+        let out = s.finish();
+        walls.push(start.elapsed().as_secs_f64());
+        last = Some(out);
+    }
+    walls.sort_by(f64::total_cmp);
+    let (r, report) = last.expect("at least one repeat");
+    (walls[walls.len() / 2], r, report)
 }
 
 fn main() {
@@ -77,6 +129,55 @@ fn main() {
         serving.wall_secs,
         serving.events_per_sec() / 1e6,
         serving.wall_per_sim_sec() * 1e3,
+    );
+
+    // --- Observer tax: the invariant auditor ---------------------------------
+    // A chaos run under the auditor's full-scan threshold: every request is
+    // swept after every event, and a memory book (one KV cache and its move
+    // list) is deep-checked only when the event moved its epoch.
+    let omodels = market_models(16);
+    let otrace = uniform_trace(16, 0.3, 30.0, SEED, LengthDist::sharegpt());
+    let mut ocfg = AegaeonConfig::paper_testbed();
+    ocfg.faults = "cp=0.0005;cd=0.001;stall=0.01:2;link=0.01:0.5:3"
+        .parse::<FaultPlan>()
+        .expect("valid chaos plan");
+    let (bare_secs, bare, _) = observed_run(&ocfg, &omodels, &otrace, || None);
+    let (audit_secs, audited, report) = observed_run(&ocfg, &omodels, &otrace, || {
+        Some(Box::new(InvariantAuditor::new()))
+    });
+    let (every_secs, every, _) = observed_run(&ocfg, &omodels, &otrace, || {
+        Some(Box::new(EveryBook(InvariantAuditor::new())))
+    });
+    let report = report.expect("auditor installed");
+    assert!(report.ok(), "{report}");
+    assert_eq!(
+        bare.fingerprint(),
+        audited.fingerprint(),
+        "the auditor is an observer"
+    );
+    assert_eq!(
+        bare.fingerprint(),
+        every.fingerprint(),
+        "the auditor is an observer"
+    );
+    let books = ocfg.instance_count() + ocfg.cluster.nodes.len();
+    let audits_per_event = report.books_checked as f64 / report.events_checked as f64;
+    let tax = |secs: f64| (secs / bare_secs - 1.0) * 100.0;
+    println!(
+        "\nauditor tax ({} requests, chaos, full scan, median of {OBSERVER_REPEATS}):",
+        otrace.len()
+    );
+    println!(
+        "  off                 : {bare_secs:.3}s ({} events)",
+        bare.events
+    );
+    println!(
+        "  on (changed books)  : {audit_secs:.3}s (+{:.0}%), {audits_per_event:.2} of {books} books audited per event",
+        tax(audit_secs)
+    );
+    println!(
+        "  on (every book)     : {every_secs:.3}s (+{:.0}%)",
+        tax(every_secs)
     );
 
     // --- Sharded parallel run -----------------------------------------------
@@ -154,6 +255,20 @@ fn main() {
             "wall_secs": serving.wall_secs,
             "events_per_sec": serving.events_per_sec(),
             "wall_per_sim_sec": serving.wall_per_sim_sec(),
+        }),
+        "auditor_tax": serde_json::json!({
+            "requests": otrace.len() as u64,
+            "events": bare.events,
+            "repeats": OBSERVER_REPEATS as u64,
+            "books": books as u64,
+            "off_secs": bare_secs,
+            "changed_books_secs": audit_secs,
+            "every_book_secs": every_secs,
+            "changed_books_tax_pct": tax(audit_secs),
+            "every_book_tax_pct": tax(every_secs),
+            "book_audits": report.books_checked,
+            "book_audits_per_event": audits_per_event,
+            "fingerprint": format!("{:016x}", bare.fingerprint()),
         }),
         "parallel_run": serde_json::json!({
             "shards": shards as u64,

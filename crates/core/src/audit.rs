@@ -48,9 +48,21 @@ pub trait AuditView {
     fn request_count(&self) -> usize;
     /// Audit view of request `i`.
     fn request(&self, i: usize) -> ReqAudit<'_>;
-    /// Deep-checks memory accounting (VRAM slabs, KV block ownership);
+    /// Number of memory books: one per KV cache, together with the move
+    /// list parking its blocks (0 for a view without KV accounting).
+    fn book_count(&self) -> usize {
+        0
+    }
+    /// Mutation epoch of book `i`. It must strictly increase whenever
+    /// anything [`Self::book_audit`] reads for book `i` changes, so an
+    /// unchanged epoch guarantees an unchanged verdict and the auditor
+    /// skips the book.
+    fn book_epoch(&self, _i: usize) -> u64 {
+        0
+    }
+    /// Deep-checks book `i` (slab and block ledgers, session cross-entries);
     /// `Some(description)` on violation.
-    fn memory_audit(&self) -> Option<String> {
+    fn book_audit(&self, _i: usize) -> Option<String> {
         None
     }
     /// Deep-checks bandwidth conservation on every fabric link;
@@ -80,6 +92,9 @@ impl fmt::Display for Violation {
 pub struct AuditReport {
     /// Events after which the full invariant suite ran.
     pub events_checked: u64,
+    /// Memory books deep-checked, summed over events: only books whose
+    /// epoch moved since their last clean check, plus every book at finish.
+    pub books_checked: u64,
     /// All violations, in detection order.
     pub violations: Vec<Violation>,
     /// Requests turned away at the gateway's admission gate (429s). These
@@ -99,7 +114,11 @@ impl AuditReport {
 impl fmt::Display for AuditReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.ok() {
-            write!(f, "audit ok ({} events checked)", self.events_checked)
+            write!(
+                f,
+                "audit ok ({} events checked, {} book audits)",
+                self.events_checked, self.books_checked
+            )
         } else {
             writeln!(
                 f,
@@ -136,8 +155,14 @@ pub trait Auditor {
 ///    never exceeds the oracle target; one timestamp per token.
 /// 4. **Token monotonicity** — per-token timestamps are nondecreasing and
 ///    never in the future.
-/// 5. **Memory accounting** — delegated to [`AuditView::memory_audit`]
-///    (slab/KV block books sum to capacity, no double ownership).
+/// 5. **Memory accounting** — delegated to [`AuditView::book_audit`]
+///    per KV book (every block of an assigned slab is exactly once free or
+///    held, per-slab used counts equal holdings, retained session prefixes
+///    are backed and owned). A book is re-checked only when its
+///    [`AuditView::book_epoch`] moved since it last passed: an event
+///    touches one or two caches, so re-auditing all of them after every
+///    event would cost O(books × blocks) for nothing. A failed book stays
+///    due until it passes.
 /// 6. **Bandwidth conservation** — delegated to [`AuditView::link_audit`]
 ///    (per-link started = delivered + in-flight; delivered never exceeds
 ///    nominal capacity × busy time).
@@ -151,9 +176,10 @@ pub trait Auditor {
 /// still revisited every `n / window` events, and the per-request
 /// high-water marks make regression checks *delayed, never lost*), and
 /// the memory/bandwidth book audits run on a fixed event cadence instead
-/// of every event. The exact `completed == done-requests` cross-count
-/// needs a full sweep, so in windowed mode it runs only at finish. All of
-/// this is deterministic (purely event-count driven) and observer-only.
+/// of every event (still skipping books whose epoch has not moved). The
+/// exact `completed == done-requests` cross-count needs a full sweep, so
+/// in windowed mode it runs only at finish. All of this is deterministic
+/// (purely event-count driven) and observer-only.
 #[derive(Debug, Default)]
 pub struct InvariantAuditor {
     last_now: SimTime,
@@ -167,6 +193,9 @@ pub struct InvariantAuditor {
     cursor: usize,
     /// Events since the last memory/link book audit in windowed mode.
     since_books: u32,
+    /// Per memory book, the epoch at which it last audited clean (`None`
+    /// until its first clean audit, and again after a failed one).
+    clean_at: Vec<Option<u64>>,
 }
 
 impl InvariantAuditor {
@@ -248,7 +277,7 @@ impl InvariantAuditor {
                     ),
                 );
             }
-            self.audit_books(now, view);
+            self.audit_books(now, view, force_full);
         } else {
             // Windowed mode: revisit WINDOW requests per event round-robin.
             // High-water marks make regressions delayed, never lost; the
@@ -263,14 +292,29 @@ impl InvariantAuditor {
             self.since_books += 1;
             if self.since_books >= Self::BOOKS_EVERY {
                 self.since_books = 0;
-                self.audit_books(now, view);
+                self.audit_books(now, view, false);
             }
         }
     }
 
-    fn audit_books(&mut self, now: SimTime, view: &dyn AuditView) {
-        if let Some(what) = view.memory_audit() {
-            self.flag(now, format!("memory: {what}"));
+    /// Deep-checks the memory books whose epoch moved since they last
+    /// passed (every book when `all`), then every link.
+    fn audit_books(&mut self, now: SimTime, view: &dyn AuditView, all: bool) {
+        let n = view.book_count();
+        self.clean_at.resize(n, None);
+        for i in 0..n {
+            let epoch = view.book_epoch(i);
+            if !all && self.clean_at[i] == Some(epoch) {
+                continue;
+            }
+            self.report.books_checked += 1;
+            self.clean_at[i] = match view.book_audit(i) {
+                None => Some(epoch),
+                Some(what) => {
+                    self.flag(now, format!("memory: {what}"));
+                    None
+                }
+            };
         }
         if let Some(what) = view.link_audit() {
             self.flag(now, format!("bandwidth: {what}"));
@@ -399,6 +443,8 @@ mod tests {
         completed: u64,
         rejected: u64,
         reqs: Vec<(u32, u32, bool, Vec<SimTime>)>,
+        /// One memory book: its epoch and verdict.
+        mem_epoch: u64,
         mem: Option<String>,
         link: Option<String>,
     }
@@ -422,7 +468,13 @@ mod tests {
                 token_times: times,
             }
         }
-        fn memory_audit(&self) -> Option<String> {
+        fn book_count(&self) -> usize {
+            1
+        }
+        fn book_epoch(&self, _i: usize) -> u64 {
+            self.mem_epoch
+        }
+        fn book_audit(&self, _i: usize) -> Option<String> {
             self.mem.clone()
         }
         fn link_audit(&self) -> Option<String> {
@@ -443,6 +495,7 @@ mod tests {
                 ),
                 (1, 3, false, vec![SimTime::from_secs_f64(1.5)]),
             ],
+            mem_epoch: 0,
             mem: None,
             link: None,
         }
@@ -545,6 +598,38 @@ mod tests {
         assert_eq!(report.violations.len(), 2);
         assert!(report.violations[0].what.starts_with("memory:"));
         assert!(report.violations[1].what.starts_with("bandwidth:"));
+    }
+
+    #[test]
+    fn books_are_rechecked_only_when_their_epoch_moves() {
+        let mut a = InvariantAuditor::new();
+        let mut v = clean_view();
+        for i in 0..5 {
+            a.after_event(SimTime::from_secs_f64(2.0 + i as f64), &v);
+        }
+        assert_eq!(a.report.books_checked, 1, "unchanged book audited once");
+        // A corruption that did not move the epoch would go unseen until
+        // finish; one that moved it is caught on the next event.
+        v.mem = Some("block held twice".into());
+        a.after_event(SimTime::from_secs_f64(8.0), &v);
+        assert!(a.report.ok());
+        v.mem_epoch += 1;
+        a.after_event(SimTime::from_secs_f64(9.0), &v);
+        assert_eq!(a.report.violations.len(), 1);
+        // A failed book stays due on every event until it passes.
+        a.after_event(SimTime::from_secs_f64(10.0), &v);
+        assert_eq!(a.report.violations.len(), 2);
+        v.mem = None;
+        a.after_event(SimTime::from_secs_f64(11.0), &v);
+        a.after_event(SimTime::from_secs_f64(12.0), &v);
+        assert_eq!(a.report.books_checked, 4);
+        // The final sweep audits every book, moved or not.
+        v.completed = 2;
+        v.reqs[1].2 = true;
+        a.at_finish(SimTime::from_secs_f64(13.0), &v);
+        let report = a.take_report();
+        assert_eq!(report.books_checked, 5);
+        assert_eq!(report.violations.len(), 2, "{report}");
     }
 
     #[test]

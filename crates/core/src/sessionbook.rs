@@ -22,7 +22,7 @@ use aegaeon_sim::SimTime;
 use aegaeon_workload::{RequestId, SessionId};
 
 /// Where a session's retained KV prefix lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SessPlace {
     /// Resident in decoding instance `di`'s unified GPU cache.
     DecodeGpu(u32),
@@ -54,6 +54,8 @@ pub struct SessionBook {
     /// turn (entry removed; handle still live in some cache until the
     /// claimant absorbs or abandons it).
     claims: BTreeMap<u64, RequestId>,
+    /// Mutation epoch (see [`Self::epoch`]).
+    epoch: u64,
 }
 
 impl SessionBook {
@@ -90,26 +92,37 @@ impl SessionBook {
             "retaining {s} while a claim is outstanding"
         );
         self.entries.insert(s.0, e);
+        self.epoch += 1;
     }
 
     /// Removes and returns a session's entry.
     pub fn remove(&mut self, s: SessionId) -> Option<SessEntry> {
-        self.entries.remove(&s.0)
+        let e = self.entries.remove(&s.0);
+        self.epoch += e.is_some() as u64;
+        e
     }
 
     /// Marks a session's prefix as claimed by `req` (after [`Self::remove`]).
     pub fn claim(&mut self, s: SessionId, req: RequestId) {
         self.claims.insert(s.0, req);
+        self.epoch += 1;
     }
 
     /// Clears an outstanding claim (absorbed or abandoned).
     pub fn clear_claim(&mut self, s: SessionId) {
-        self.claims.remove(&s.0);
+        self.epoch += self.claims.remove(&s.0).is_some() as u64;
     }
 
     /// True while some in-flight turn holds this session's prefix.
     pub fn is_claimed(&self, s: SessionId) -> bool {
         self.claims.contains_key(&s.0)
+    }
+
+    /// Mutation epoch: bumped by every call that changes an entry or a
+    /// claim, so the auditor's session cross-checks can be skipped while it
+    /// (and the caches they read) stand still.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Number of retained entries.
@@ -141,6 +154,7 @@ impl SessionBook {
             .filter(|(_, e)| e.place == place)
             .map(|(&k, _)| k)
             .collect();
+        self.epoch += !gone.is_empty() as u64;
         gone.into_iter()
             .map(|k| (SessionId(k), self.entries.remove(&k).expect("just listed")))
             .collect()
@@ -191,6 +205,24 @@ mod tests {
         assert!(b.get(s).is_none());
         b.clear_claim(s);
         assert!(!b.is_claimed(s));
+    }
+
+    #[test]
+    fn epoch_counts_changes_not_calls() {
+        let mut b = SessionBook::new();
+        let s = SessionId(5);
+        let e0 = b.epoch();
+        assert!(b.remove(s).is_none());
+        b.clear_claim(s);
+        assert!(b.drain_place(SessPlace::Cpu(0)).is_empty());
+        assert_eq!(b.epoch(), e0, "no-op calls leave the epoch alone");
+        b.insert(s, entry(SessPlace::Cpu(0), 0.0));
+        b.remove(s);
+        b.claim(s, RequestId(1));
+        b.clear_claim(s);
+        b.insert(s, entry(SessPlace::Cpu(0), 0.0));
+        b.drain_place(SessPlace::Cpu(0));
+        assert_eq!(b.epoch(), e0 + 6);
     }
 
     #[test]

@@ -2800,6 +2800,65 @@ impl Host for ServingSystem {
     }
 }
 
+/// One memory book: a unified KV cache with the move list parking its
+/// blocks, and the session place it backs (decode GPUs and node CPUs).
+struct Book<'a> {
+    /// "prefill", "decode" or "node", and the index within that kind.
+    kind: &'static str,
+    idx: usize,
+    kv: &'a KvCache,
+    parked: &'a ParkedBlocks,
+    dead: bool,
+    place: Option<SessPlace>,
+}
+
+impl std::fmt::Display for Book<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {} kv", self.kind, self.idx)
+    }
+}
+
+impl ServingSystem {
+    /// Book `i`: prefill GPU caches, then decode GPU caches, then node CPU
+    /// caches.
+    fn book(&self, i: usize) -> Book<'_> {
+        let (np, nd) = (self.prefills.len(), self.decodes.len());
+        if i < np {
+            let p = &self.prefills[i];
+            Book {
+                kind: "prefill",
+                idx: i,
+                kv: &p.gpu_kv,
+                parked: &p.parked,
+                dead: p.dead,
+                place: None,
+            }
+        } else if i < np + nd {
+            let di = i - np;
+            let d = &self.decodes[di];
+            Book {
+                kind: "decode",
+                idx: di,
+                kv: &d.gpu_kv,
+                parked: &d.parked,
+                dead: d.dead,
+                place: Some(SessPlace::DecodeGpu(di as u32)),
+            }
+        } else {
+            let ni = i - np - nd;
+            let n = &self.nodes[ni];
+            Book {
+                kind: "node",
+                idx: ni,
+                kv: &n.cpu_kv,
+                parked: &n.cpu_parked,
+                dead: false,
+                place: Some(SessPlace::Cpu(ni as u32)),
+            }
+        }
+    }
+}
+
 /// Read-only audit facade: exposes request progress, the KV/slab books of
 /// every instance and node (including blocks parked in §5.3 move lists),
 /// and per-link bandwidth conservation.
@@ -2820,87 +2879,51 @@ impl AuditView for ServingSystem {
         req_audit(&self.reqs[i])
     }
 
-    fn memory_audit(&self) -> Option<String> {
-        fn parked_by_shape(ml: &ParkedBlocks) -> std::collections::HashMap<ShapeKey, u64> {
-            let mut m = std::collections::HashMap::new();
-            for (_, batches) in ml.iter() {
-                for (shape, blocks) in batches {
-                    *m.entry(*shape).or_insert(0) += blocks.len() as u64;
-                }
-            }
-            m
+    fn book_count(&self) -> usize {
+        self.prefills.len() + self.decodes.len() + self.nodes.len()
+    }
+
+    fn book_epoch(&self, i: usize) -> u64 {
+        // Each term only grows (`dead` is never cleared), so the sum
+        // strictly grows whenever anything `book_audit` reads changes.
+        let b = self.book(i);
+        b.kv.epoch() + b.parked.epoch() + self.sessions.epoch() + b.dead as u64
+    }
+
+    fn book_audit(&self, i: usize) -> Option<String> {
+        let b = self.book(i);
+        let parked = b.parked.iter().flat_map(|(_, batches)| {
+            batches
+                .iter()
+                .map(|(shape, blocks)| (*shape, blocks.as_slice()))
+        });
+        if let Some(e) = b.kv.audit(parked) {
+            return Some(format!("{b}: {e}"));
         }
-        for (i, p) in self.prefills.iter().enumerate() {
-            if let Some(e) = p.gpu_kv.audit(&parked_by_shape(&p.parked)) {
-                return Some(format!("prefill {i} gpu kv: {e}"));
-            }
+        // Session-prefix double entry: every book entry placed here must be
+        // backed with the recorded token count, and every reserved handle
+        // held here must be owned by a book entry or an outstanding claim.
+        // A dead instance's stale holdings are expected.
+        if b.dead {
+            return None;
         }
-        for (i, d) in self.decodes.iter().enumerate() {
-            if let Some(e) = d.gpu_kv.audit(&parked_by_shape(&d.parked)) {
-                return Some(format!("decode {i} gpu kv: {e}"));
-            }
-        }
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Some(e) = n.cpu_kv.audit(&parked_by_shape(&n.cpu_parked)) {
-                return Some(format!("node {i} cpu kv: {e}"));
-            }
-        }
-        // Session-prefix double entry: every book entry must be backed by
-        // its cache with the recorded token count, and every reserved
-        // handle held anywhere must be owned by the book, an outstanding
-        // claim, or a dead instance (whose stale holdings are expected).
-        for (sess, e) in self.sessions.iter() {
-            let h = SessionBook::handle(sess);
-            let backed = match e.place {
-                SessPlace::DecodeGpu(di) => {
-                    let d = &self.decodes[di as usize];
-                    d.dead || d.gpu_kv.tokens_of(h) == e.tokens
-                }
-                SessPlace::Cpu(node) => self.nodes[node as usize].cpu_kv.tokens_of(h) == e.tokens,
-            };
-            if !backed {
-                return Some(format!(
-                    "session book entry {sess} ({} tokens at {:?}) not backed by its cache",
-                    e.tokens, e.place
-                ));
-            }
-        }
-        let owned: std::collections::HashSet<u64> = self
-            .sessions
-            .iter()
-            .map(|(s, _)| s.0)
-            .chain(self.sessions.claims().map(|(s, _)| s.0))
-            .collect();
-        let mut orphan: Option<String> = None;
-        let mut check_handles = |label: String, cache: &KvCache, dead: bool| {
-            if dead || orphan.is_some() {
-                return;
-            }
-            let mut ids: Vec<RequestId> = cache
-                .request_ids()
-                .filter(|id| SessionBook::is_handle(*id))
-                .collect();
-            ids.sort_unstable();
-            for id in ids {
-                if !owned.contains(&SessionBook::session_of(id).0) {
-                    orphan = Some(format!(
-                        "{label} holds session handle {} owned by no book entry or claim",
-                        SessionBook::session_of(id)
+        if let Some(place) = b.place {
+            for (sess, e) in self.sessions.iter().filter(|(_, e)| e.place == place) {
+                if b.kv.tokens_of(SessionBook::handle(sess)) != e.tokens {
+                    return Some(format!(
+                        "session book entry {sess} ({} tokens at {:?}) not backed by its cache",
+                        e.tokens, e.place
                     ));
-                    return;
                 }
             }
-        };
-        for (i, p) in self.prefills.iter().enumerate() {
-            check_handles(format!("prefill {i} gpu kv"), &p.gpu_kv, p.dead);
         }
-        for (i, d) in self.decodes.iter().enumerate() {
-            check_handles(format!("decode {i} gpu kv"), &d.gpu_kv, d.dead);
-        }
-        for (i, n) in self.nodes.iter().enumerate() {
-            check_handles(format!("node {i} cpu kv"), &n.cpu_kv, false);
-        }
-        orphan
+        let orphan =
+            b.kv.request_ids()
+                .filter(|&id| SessionBook::is_handle(id))
+                .map(SessionBook::session_of)
+                .filter(|&s| self.sessions.get(s).is_none() && !self.sessions.is_claimed(s))
+                .min();
+        orphan.map(|s| format!("{b} holds session handle {s} owned by no book entry or claim"))
     }
 
     fn link_audit(&self) -> Option<String> {
@@ -3032,5 +3055,84 @@ mod tests {
         assert!(!r.scale_latencies.is_empty());
         let mean: f64 = r.scale_latencies.iter().sum::<f64>() / r.scale_latencies.len() as f64;
         assert!(mean < 1.5, "mean scale latency {mean}s");
+    }
+
+    /// A digest of everything `book_audit(i)` reads: holdings per key,
+    /// pool usage, parked batches, the dead flag and the session book.
+    fn book_state(sys: &ServingSystem, i: usize) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let b = sys.book(i);
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut ids: Vec<RequestId> = b.kv.request_ids().collect();
+        ids.sort_unstable();
+        for id in ids {
+            (id.0, b.kv.tokens_of(id), b.kv.bytes_of(id)).hash(&mut h);
+        }
+        for u in b.kv.usage() {
+            (u.allocated_bytes, u.used_bytes).hash(&mut h);
+        }
+        for (_, batches) in b.parked.iter() {
+            batches.hash(&mut h);
+        }
+        b.dead.hash(&mut h);
+        for (sess, e) in sys.sessions.iter() {
+            (sess.0, e.tokens, e.place).hash(&mut h);
+        }
+        for (sess, req) in sys.sessions.claims() {
+            (sess.0, req.0).hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// Epoch soundness, the property that lets the auditor skip books: over
+    /// a chaotic agentic run (crashes, retained, spilled and claimed session
+    /// prefixes), a book whose epoch did not move across an event has
+    /// exactly the state it had before the event.
+    #[test]
+    fn book_epochs_move_whenever_audited_state_changes() {
+        let mut cfg = AegaeonConfig::small_testbed(2, 3);
+        cfg.session_affinity = true;
+        cfg.faults = crate::chaos::FaultPlan {
+            seed: 3,
+            crashes: vec![(120.0, InstKind::Decode, 1)],
+            link_rate: 0.05,
+            link_factor: 0.3,
+            link_secs: 4.0,
+            stage_oom_rate: 0.03,
+            stage_oom_secs: 5.0,
+            ..crate::chaos::FaultPlan::none()
+        };
+        let mut rng = SimRng::seed_from_u64(9);
+        let trace = aegaeon_workload::SessionBuilder::new(SimTime::from_secs_f64(300.0), 4, 0.01)
+            .depth(2, 5)
+            .think_gap(15.0, 0.5)
+            .generate(&mut rng)
+            .lower();
+        let sys = ServingSystem::new(cfg, &models(4), trace);
+        let hard_stop = sys.hard_stop;
+        let mut d = crate::runtime::Driver::new(sys, hard_stop, true);
+        d.host.start(&mut d.q);
+        let n = d.host.book_count();
+        let snap = |sys: &ServingSystem, i| (sys.book_epoch(i), book_state(sys, i));
+        let mut last: Vec<_> = (0..n).map(|i| snap(&d.host, i)).collect();
+        let (mut moved, mut still) = (0u64, 0u64);
+        while d.step() {
+            for (i, prev) in last.iter_mut().enumerate() {
+                let now = snap(&d.host, i);
+                if now.0 == prev.0 {
+                    assert_eq!(now.1, prev.1, "book {i} changed under epoch {}", now.0);
+                    still += 1;
+                } else {
+                    moved += 1;
+                }
+                *prev = now;
+            }
+        }
+        let (r, report) = d.finish();
+        let report = report.expect("auditor installed");
+        assert!(report.ok(), "{report}");
+        assert!(r.prefix_hits > 0, "the run must claim retained prefixes");
+        assert!(moved > 0 && still > moved, "moved {moved}, still {still}");
+        assert!(report.books_checked < report.events_checked * n as u64);
     }
 }

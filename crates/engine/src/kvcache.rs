@@ -52,6 +52,8 @@ pub struct KvCache {
     /// Registered models → (shape, bytes per token per shard).
     models: HashMap<ModelId, (ShapeKey, u64)>,
     requests: HashMap<RequestId, ReqKv>,
+    /// Mutation epoch (see [`Self::epoch`]).
+    epoch: u64,
 }
 
 impl KvCache {
@@ -66,7 +68,17 @@ impl KvCache {
             by_block_bytes: HashMap::new(),
             models: HashMap::new(),
             requests: HashMap::new(),
+            epoch: 0,
         }
+    }
+
+    /// Mutation epoch: bumped by every call that changes the pool or the
+    /// per-request holdings (registration, allocation, growth, frees,
+    /// re-keying, merging, taking blocks out), never by queries or by a
+    /// failed allocation, which leaves the cache unchanged. An unchanged
+    /// epoch therefore means an unchanged [`Self::audit`] verdict.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Registers a model; its KV shape becomes allocatable. Models with
@@ -79,6 +91,7 @@ impl KvCache {
             pool.register_shape(spec.kv_shape().to_string(), block_bytes)
         });
         self.models.insert(id, (key, per_token));
+        self.epoch += 1;
     }
 
     fn blocks_for(&self, tokens: u32) -> usize {
@@ -110,6 +123,7 @@ impl KvCache {
                 tokens,
             },
         );
+        self.epoch += 1;
         Ok(())
     }
 
@@ -134,6 +148,7 @@ impl KvCache {
         } else {
             self.requests.get_mut(&req).expect("still present").tokens = new_tokens;
         }
+        self.epoch += 1;
         Ok(grow)
     }
 
@@ -145,6 +160,7 @@ impl KvCache {
     pub fn free(&mut self, req: RequestId) {
         let r = self.requests.remove(&req).expect("request holds KV");
         self.pool.free(r.shape, &r.blocks);
+        self.epoch += 1;
     }
 
     /// Re-labels a request's KV under a new key without touching the pool
@@ -161,6 +177,7 @@ impl KvCache {
         );
         let r = self.requests.remove(&old).expect("rekey source holds KV");
         self.requests.insert(new, r);
+        self.epoch += 1;
     }
 
     /// Merges `src`'s blocks into `dst` (both must hold KV of the same
@@ -177,6 +194,7 @@ impl KvCache {
         assert_eq!(d.shape, s.shape, "absorb across KV shapes");
         d.blocks.extend(s.blocks);
         d.tokens += s.tokens;
+        self.epoch += 1;
     }
 
     /// Removes a request's KV *without* freeing the blocks — the caller
@@ -184,12 +202,14 @@ impl KvCache {
     /// [`Self::free_blocks`].
     pub fn take(&mut self, req: RequestId) -> (ShapeKey, Vec<BlockRef>) {
         let r = self.requests.remove(&req).expect("request holds KV");
+        self.epoch += 1;
         (r.shape, r.blocks)
     }
 
     /// Frees blocks previously returned by [`Self::take`].
     pub fn free_blocks(&mut self, shape: ShapeKey, blocks: &[BlockRef]) {
         self.pool.free(shape, blocks);
+        self.epoch += 1;
     }
 
     /// KV bytes a request currently occupies.
@@ -256,45 +276,20 @@ impl KvCache {
     /// Checks the cache's bookkeeping against the underlying slab pool;
     /// returns the first inconsistency, or `None` when the books balance.
     ///
-    /// Beyond the pool's own [`SlabPool::audit`], verifies that per-request
-    /// block holdings are duplicate-free and — together with any blocks the
-    /// caller has [`Self::take`]n out into move lists (`parked` per shape) —
-    /// sum to the pool's used-block counts.
-    pub fn audit(&self, parked: &HashMap<ShapeKey, u64>) -> Option<String> {
-        if let Some(err) = self.pool.audit() {
-            return Some(err);
-        }
-        let mut held: HashMap<ShapeKey, u64> = HashMap::new();
-        let mut seen: std::collections::HashSet<BlockRef> = std::collections::HashSet::new();
-        for (req, r) in &self.requests {
-            for b in &r.blocks {
-                if !seen.insert(*b) {
-                    return Some(format!("block {b:?} held by two requests (one: {req:?})"));
-                }
-            }
-            *held.entry(r.shape).or_insert(0) += r.blocks.len() as u64;
-        }
-        for (&shape, &n) in parked {
-            *held.entry(shape).or_insert(0) += n;
-        }
-        for (&shape, &n) in &held {
-            let used = self.pool.used_blocks(shape);
-            if n != used {
-                return Some(format!(
-                    "shape {shape:?}: requests+parked hold {n} blocks but pool says {used} used"
-                ));
-            }
-        }
-        // Shapes with pool usage but no holder at all.
-        for &shape in self.by_block_bytes.values() {
-            if !held.contains_key(&shape) && self.pool.used_blocks(shape) != 0 {
-                return Some(format!(
-                    "shape {shape:?}: pool reports {} used blocks but nothing holds them",
-                    self.pool.used_blocks(shape)
-                ));
-            }
-        }
-        None
+    /// The holders' side of the pool's double-entry [`SlabPool::audit`] is
+    /// every request's block list plus the blocks the caller has
+    /// [`Self::take`]n out into move lists (`parked`, one entry per parked
+    /// batch): together they must hold exactly the blocks the pool counts as
+    /// used, each once.
+    pub fn audit<'a>(
+        &'a self,
+        parked: impl IntoIterator<Item = (ShapeKey, &'a [BlockRef])>,
+    ) -> Option<String> {
+        let held = self
+            .requests
+            .values()
+            .map(|r| (r.shape, r.blocks.as_slice()));
+        self.pool.audit(held.chain(parked))
     }
 }
 
@@ -365,6 +360,54 @@ mod tests {
     }
 
     #[test]
+    fn parked_blocks_balance_the_books_until_freed() {
+        let (mut c, ids) = cache_with(&[("Qwen-7B", 1)]);
+        c.alloc(RequestId(1), ids[0], 40).unwrap();
+        c.alloc(RequestId(2), ids[0], 40).unwrap();
+        let (shape, blocks) = c.take(RequestId(1));
+        assert!(c.audit([(shape, &blocks[..])]).is_none());
+        let leak = c.audit([]).expect("parked blocks missing from the ledger");
+        assert!(leak.contains("holders hold"), "{leak}");
+        c.free_blocks(shape, &blocks);
+        assert!(c.audit([]).is_none());
+    }
+
+    #[test]
+    fn every_mutation_and_only_mutations_move_the_epoch() {
+        let (mut c, ids) = cache_with(&[("Qwen-72B", 1)]);
+        let mut last = c.epoch();
+        let mut step = |c: &KvCache, moved: bool| {
+            assert_eq!(c.epoch() != last, moved, "epoch {} after {last}", c.epoch());
+            last = c.epoch();
+        };
+        c.alloc(RequestId(1), ids[0], 16).unwrap();
+        step(&c, true);
+        assert!(c.alloc(RequestId(2), ids[0], 1 << 20).is_err());
+        step(&c, false);
+        c.extend(RequestId(1), 17).unwrap();
+        step(&c, true);
+        c.extend(RequestId(1), 18).unwrap(); // tokens only, no new block
+        step(&c, true);
+        let _ = (c.holds(RequestId(1)), c.tokens_of(RequestId(1)), c.usage());
+        let _ = (c.token_capacity(ids[0]), c.audit([]), c.used_bytes());
+        step(&c, false);
+        c.alloc(RequestId(2), ids[0], 16).unwrap();
+        step(&c, true);
+        c.absorb(RequestId(1), RequestId(2));
+        step(&c, true);
+        c.rekey(RequestId(1), RequestId(3));
+        step(&c, true);
+        let (shape, blocks) = c.take(RequestId(3));
+        step(&c, true);
+        c.free_blocks(shape, &blocks);
+        step(&c, true);
+        c.alloc(RequestId(4), ids[0], 16).unwrap();
+        step(&c, true);
+        c.free(RequestId(4));
+        step(&c, true);
+    }
+
+    #[test]
     fn max_batch_derives_from_capacity() {
         let (c, ids) = cache_with(&[("Qwen-7B", 1)]);
         // 8 GiB at 512 KB/token = 16384 tokens; ctx 512 → 32 requests.
@@ -402,7 +445,7 @@ mod tests {
         assert_eq!(c.bytes_of(handle), bytes);
         assert_eq!(c.tokens_of(handle), 160);
         assert_eq!(c.token_capacity(ids[0]), cap);
-        assert!(c.audit(&HashMap::new()).is_none());
+        assert!(c.audit([]).is_none());
         c.free(handle);
     }
 
@@ -416,10 +459,10 @@ mod tests {
         assert!(!c.holds(RequestId(2)));
         assert_eq!(c.tokens_of(RequestId(1)), 43);
         assert_eq!(c.bytes_of(RequestId(1)), total);
-        assert!(c.audit(&HashMap::new()).is_none());
+        assert!(c.audit([]).is_none());
         // Growth still works from the merged entry.
         c.extend(RequestId(1), 100).unwrap();
-        assert!(c.audit(&HashMap::new()).is_none());
+        assert!(c.audit([]).is_none());
         c.free(RequestId(1));
         assert_eq!(c.used_bytes(), 0);
     }

@@ -18,6 +18,7 @@ pub struct MoveList<B, H> {
     parked: usize,
     peak_parked: usize,
     reclaimed: u64,
+    epoch: u64,
 }
 
 impl<B, H> Default for MoveList<B, H> {
@@ -34,6 +35,7 @@ impl<B, H> MoveList<B, H> {
             parked: 0,
             peak_parked: 0,
             reclaimed: 0,
+            epoch: 0,
         }
     }
 
@@ -42,6 +44,7 @@ impl<B, H> MoveList<B, H> {
         self.parked += blocks.len();
         self.peak_parked = self.peak_parked.max(self.parked);
         self.entries.push((event, blocks));
+        self.epoch += 1;
     }
 
     /// Polls all guarded transfers with `query` (true = complete) and
@@ -49,18 +52,20 @@ impl<B, H> MoveList<B, H> {
     ///
     /// This is what the daemon thread runs (Figure 10, step ⑧).
     pub fn reclaim(&mut self, mut query: impl FnMut(&H) -> bool) -> Vec<B> {
+        let before = self.entries.len();
         let mut out = Vec::new();
-        let mut kept = Vec::with_capacity(self.entries.len());
-        for (h, blocks) in self.entries.drain(..) {
-            if query(&h) {
-                self.parked -= blocks.len();
-                self.reclaimed += blocks.len() as u64;
-                out.extend(blocks);
-            } else {
-                kept.push((h, blocks));
+        self.entries.retain_mut(|(h, blocks)| {
+            if !query(h) {
+                return true;
             }
+            out.append(blocks);
+            false
+        });
+        self.parked -= out.len();
+        self.reclaimed += out.len() as u64;
+        if self.entries.len() != before {
+            self.epoch += 1;
         }
-        self.entries = kept;
         out
     }
 
@@ -83,6 +88,13 @@ impl<B, H> MoveList<B, H> {
     /// Total blocks ever reclaimed.
     pub fn reclaimed(&self) -> u64 {
         self.reclaimed
+    }
+
+    /// Mutation epoch: bumped by every [`Self::park`] and by every
+    /// [`Self::reclaim`] that releases an entry, so an auditor can skip a
+    /// list (and the cache it parks blocks for) whose epoch is unchanged.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// True if nothing is parked.
@@ -108,6 +120,22 @@ mod tests {
         assert_eq!(rest, vec![4]);
         assert!(ml.is_empty());
         assert_eq!(ml.reclaimed(), 4);
+    }
+
+    #[test]
+    fn epoch_moves_only_when_entries_change() {
+        let mut ml: MoveList<u32, u32> = MoveList::new();
+        assert_eq!(ml.epoch(), 0);
+        ml.park(7, vec![1]);
+        assert_eq!(ml.epoch(), 1);
+        assert!(ml.reclaim(|_| false).is_empty());
+        assert_eq!(
+            ml.epoch(),
+            1,
+            "a poll that releases nothing is not a mutation"
+        );
+        ml.reclaim(|_| true);
+        assert_eq!(ml.epoch(), 2);
     }
 
     #[test]

@@ -317,15 +317,24 @@ impl SlabPool {
         self.shapes[shape.0 as usize].block_bytes
     }
 
-    /// Checks the pool's internal bookkeeping; returns a description of the
-    /// first inconsistency, or `None` when every invariant holds.
+    /// Checks the pool's books against its holders' and returns the first
+    /// inconsistency, or `None` when both balance.
+    ///
+    /// `held` lists every block [`Self::alloc`] handed out and nobody has
+    /// freed yet, grouped by shape (one entry per request's block list or
+    /// parked batch). The check is double-entry and dense: one bit per
+    /// block of every slab, set once by the pool's free lists or by a
+    /// holder, and per-slab holder counts beside the pool's own.
     ///
     /// Invariants: free and assigned slab sets are disjoint and together
-    /// cover the pool; per-slab used counts agree with per-shape used-block
-    /// totals; used + free blocks never exceed the capacity of the slabs
-    /// assigned to the shape; free-block handles point into slabs owned by
-    /// their shape.
-    pub fn audit(&self) -> Option<String> {
+    /// cover the pool; every block of an assigned slab is exactly once
+    /// either free or held, by its slab's shape; each slab's used count
+    /// equals the blocks held in it; per-shape used totals equal the sum
+    /// over the shape's slabs, and used + free equals the shape's capacity.
+    pub fn audit<'a>(
+        &self,
+        held: impl IntoIterator<Item = (ShapeKey, &'a [BlockRef])>,
+    ) -> Option<String> {
         let mut seen = vec![false; self.slabs.len()];
         for &idx in &self.free_slabs {
             let i = idx as usize;
@@ -370,23 +379,66 @@ impl SlabPool {
                     cap
                 ));
             }
-            for b in &s.free_blocks {
-                if self.slabs[b.slab as usize].shape != Some(shape) {
-                    return Some(format!(
-                        "shape {}: free block {b:?} lives in a foreign slab",
-                        s.label
-                    ));
-                }
-                if b.index >= s.blocks_per_slab {
-                    return Some(format!(
-                        "shape {}: free block {b:?} out of slab range",
-                        s.label
-                    ));
-                }
-            }
         }
         if let Some(idx) = seen.iter().position(|&s| !s) {
             return Some(format!("slab {idx} is neither free nor assigned"));
+        }
+
+        // Block ledger, slab-major with the widest shape's stride.
+        let stride = self
+            .shapes
+            .iter()
+            .map(|s| s.blocks_per_slab)
+            .max()
+            .unwrap_or(0) as usize;
+        let mut bits = vec![0u64; (self.slabs.len() * stride).div_ceil(64)];
+        let mut held_in_slab = vec![0u32; self.slabs.len()];
+        let mut mark = |shape: ShapeKey, b: BlockRef, role: &str| -> Option<String> {
+            if self.slabs.get(b.slab as usize).map(|x| x.shape) != Some(Some(shape)) {
+                return Some(format!(
+                    "{role} block {b:?} lives outside the slabs of {shape:?}"
+                ));
+            }
+            let s = &self.shapes[shape.0 as usize];
+            if b.index >= s.blocks_per_slab {
+                return Some(format!(
+                    "shape {}: {role} block {b:?} out of slab range",
+                    s.label
+                ));
+            }
+            let bit = b.slab as usize * stride + b.index as usize;
+            let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+            if bits[word] & mask != 0 {
+                return Some(format!(
+                    "shape {}: block {b:?} listed twice (again as {role})",
+                    s.label
+                ));
+            }
+            bits[word] |= mask;
+            None
+        };
+        for (key, s) in self.shapes.iter().enumerate() {
+            for &b in &s.free_blocks {
+                if let Some(err) = mark(ShapeKey(key as u32), b, "free") {
+                    return Some(err);
+                }
+            }
+        }
+        for (shape, blocks) in held {
+            for &b in blocks {
+                if let Some(err) = mark(shape, b, "held") {
+                    return Some(err);
+                }
+                held_in_slab[b.slab as usize] += 1;
+            }
+        }
+        for (idx, (slab, &held)) in self.slabs.iter().zip(&held_in_slab).enumerate() {
+            if slab.used != held {
+                return Some(format!(
+                    "slab {idx}: pool counts {} used blocks but holders hold {held}",
+                    slab.used
+                ));
+            }
         }
         None
     }
@@ -491,18 +543,44 @@ mod tests {
     #[test]
     fn audit_accepts_every_reachable_state() {
         let mut p = pool(64, 8);
-        assert!(p.audit().is_none());
+        assert_eq!(p.audit([]), None);
         let a = p.register_shape("a", 1 << 20);
         let b = p.register_shape("b", 3 << 20);
         let xa = p.alloc(a, 10).unwrap();
         let xb = p.alloc(b, 5).unwrap();
-        assert!(p.audit().is_none(), "{:?}", p.audit());
+        assert_eq!(p.audit([(a, &xa[..]), (b, &xb[..])]), None);
         p.free(a, &xa[..7]);
-        assert!(p.audit().is_none(), "{:?}", p.audit());
+        assert_eq!(p.audit([(a, &xa[7..]), (b, &xb[..])]), None);
         p.free(b, &xb);
         p.free(a, &xa[7..]);
-        assert!(p.audit().is_none(), "{:?}", p.audit());
+        assert_eq!(p.audit([]), None);
         assert_eq!(p.slabs_in_use(), 0);
+    }
+
+    #[test]
+    fn audit_balances_holders_against_the_pool_block_by_block() {
+        let mut p = pool(64, 8);
+        let a = p.register_shape("a", 1 << 20);
+        let b = p.register_shape("b", 3 << 20);
+        let xa = p.alloc(a, 10).unwrap();
+        let xb = p.alloc(b, 2).unwrap();
+        let err = |p: &SlabPool, held: &[(ShapeKey, &[BlockRef])]| {
+            p.audit(held.iter().copied()).expect("violation detected")
+        };
+        // A leaked block: the pool counts it used, nobody holds it.
+        assert!(err(&p, &[(a, &xa[1..]), (b, &xb[..])]).contains("holders hold"));
+        // One block held twice.
+        let twice = [xa.clone(), vec![xa[0]]].concat();
+        assert!(err(&p, &[(a, &twice[..]), (b, &xb[..])]).contains("listed twice"));
+        // A held block filed under the wrong shape.
+        assert!(err(&p, &[(a, &xa[..]), (a, &xb[..])]).contains("lives outside the slabs"));
+        // Use after free: a held block also sits on the free list.
+        p.free(a, &xa[..1]);
+        assert!(err(&p, &[(a, &xa[..]), (b, &xb[..])]).contains("again as held"));
+        assert_eq!(p.audit([(a, &xa[1..]), (b, &xb[..])]), None);
+        // A block that is neither free nor counted used.
+        p.shapes[a.0 as usize].free_blocks.pop();
+        assert!(err(&p, &[(a, &xa[1..]), (b, &xb[..])]).contains("assigned capacity"));
     }
 
     #[test]

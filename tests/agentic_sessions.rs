@@ -4,8 +4,8 @@
 //! Every run here is audited (`cfg.audit = true` panics on any invariant
 //! violation), so the differential claims below — affinity strictly reduces
 //! recomputed prefill tokens, crashes force recomputation without leaking
-//! blocks — are checked against the double-entry memory books at every
-//! event, not just at the end.
+//! blocks — are checked against the double-entry memory books after every
+//! event that changes them, not just at the end.
 
 use aegaeon::chaos::FaultPlan;
 use aegaeon::events::InstKind;

@@ -66,8 +66,14 @@ proptest! {
                     live[si].push((b, si));
                 }
             }
-            // The pool's own double-entry audit must pass at every step.
-            prop_assert!(pool.audit().is_none(), "{:?}", pool.audit());
+            // The pool's double-entry audit against the live holdings must
+            // pass at every step.
+            let held: Vec<Vec<_>> = live
+                .iter()
+                .map(|v| v.iter().map(|(b, _)| *b).collect())
+                .collect();
+            let audit = pool.audit(shapes.iter().zip(&held).map(|(&s, h)| (s, h.as_slice())));
+            prop_assert!(audit.is_none(), "{:?}", audit);
         }
         // Everything still live is tracked; free it all and the pool empties.
         for (si, v) in live.iter().enumerate() {

@@ -14,7 +14,10 @@ use std::collections::VecDeque;
 use aegaeon::audit::{AuditReport, AuditView, ReqAudit};
 use aegaeon::deploy::{build_deploys, ModelDeploy};
 use aegaeon::reqstate::ReqState;
-use aegaeon::runtime::{checked, outcomes, req_audit, CoreIds, Driver, FabricPort, Host, SpanBook};
+use aegaeon::runtime::{
+    checked, outcomes, push_token, req_audit, CoreIds, Driver, FabricPort, Host, ProgressLog,
+    SpanBook,
+};
 use aegaeon_engine::{scale_up_plan, AutoscaleOpts, InitCosts, ScaleCost, ScaleStage, StageKind};
 use aegaeon_gpu::{ClusterTopology, FabricEvent, GpuId, StreamId};
 use aegaeon_model::{ModelId, ModelSpec};
@@ -208,6 +211,8 @@ pub struct World {
     pub insts: Vec<InstState>,
     /// Request runtime state.
     pub reqs: Vec<ReqState>,
+    /// Requests that produced a token during the current event.
+    progress: ProgressLog,
     /// The trace.
     pub trace: Trace,
     /// RNG.
@@ -259,6 +264,7 @@ impl World {
             deploys,
             insts,
             reqs,
+            progress: ProgressLog::default(),
             arrivals_left: trace.len(),
             trace,
             rng,
@@ -453,6 +459,12 @@ impl World {
         sched: &mut S,
         audit: bool,
     ) -> (BaselineResult, Option<AuditReport>) {
+        self.driver(sched, audit).run()
+    }
+
+    /// The runtime driver over this world and `sched`, with every arrival
+    /// and the first utilization sample scheduled.
+    fn driver<S: Scheduler>(self, sched: &mut S, audit: bool) -> Driver<Serve<'_, S>> {
         let hard_stop = self.trace.horizon + self.cfg.drain_window;
         let sample_period = self.cfg.sample_period;
         let mut d = Driver::new(Serve { w: self, sched }, hard_stop, audit);
@@ -460,7 +472,7 @@ impl World {
             d.q.schedule_at(r.arrival(), BEv::Arrive(i as u32));
         }
         d.q.schedule_after(sample_period, BEv::Sample);
-        d.run()
+        d
     }
 }
 
@@ -518,7 +530,7 @@ impl<S: Scheduler> Host for Serve<'_, S> {
             BTag::Prefill { inst, req } => {
                 let inst = inst as usize;
                 let rs = &mut w.reqs[req.0 as usize];
-                rs.push_token(now);
+                push_token(&mut w.progress, req, rs, now);
                 rs.prefill_end = Some(now);
                 w.insts[inst].busy = false;
                 if rs.is_done() {
@@ -534,8 +546,8 @@ impl<S: Scheduler> Host for Serve<'_, S> {
             BTag::Step { inst } => {
                 let inst = inst as usize;
                 let mut batch = std::mem::take(&mut w.insts[inst].batch);
-                for r in &batch {
-                    w.reqs[r.0 as usize].push_token(now);
+                for &r in &batch {
+                    push_token(&mut w.progress, r, &mut w.reqs[r.0 as usize], now);
                 }
                 batch.retain(|&req| {
                     let done = w.reqs[req.0 as usize].is_done();
@@ -583,6 +595,10 @@ impl<S: Scheduler> Host for Serve<'_, S> {
         &self.w
     }
 
+    fn progress(&mut self) -> &mut ProgressLog {
+        &mut self.w.progress
+    }
+
     fn finish(self, q: &Qq, audit: Option<&AuditReport>) -> BaselineResult {
         let mut w = self.w;
         w.tel.metrics.set_counter(w.c_rejected, w.rejected as u64);
@@ -623,7 +639,63 @@ impl AuditView for World {
         req_audit(&self.reqs[i])
     }
 
+    fn progressed(&self) -> &[usize] {
+        self.progress.requests()
+    }
+
     fn link_audit(&self) -> Option<String> {
         self.port.link_audit()
+    }
+}
+
+/// Progress-log soundness for the baselines: [`Host::progress`] is what
+/// lets the auditor check only logged requests.
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// Runs `world` under `sched` event by event, audited, and asserts that
+    /// every request whose audited state (produced count, timestamp count,
+    /// last stamp, done flag) changed across an event is in that event's
+    /// progress log. Returns the result.
+    pub(crate) fn assert_progress_logged<S: Scheduler>(
+        world: World,
+        sched: &mut S,
+    ) -> BaselineResult {
+        let state = |w: &World| -> Vec<_> {
+            (0..w.request_count())
+                .map(|i| {
+                    let r = w.request(i);
+                    let last = r.token_times.last().copied();
+                    (r.produced, r.token_times.len(), last, r.done)
+                })
+                .collect()
+        };
+        let mut d = world.driver(sched, true);
+        let mut last = state(&d.host.w);
+        let mut changed = 0u64;
+        while d.step() {
+            let now = state(&d.host.w);
+            for (i, (was, is)) in last.iter().zip(&now).enumerate() {
+                if was != is {
+                    assert!(
+                        d.host.w.progressed().contains(&i),
+                        "request {i} changed {was:?} -> {is:?} without a log entry"
+                    );
+                    changed += 1;
+                }
+            }
+            last = now;
+        }
+        let (r, report) = d.finish();
+        let report = report.expect("auditor installed");
+        assert!(report.ok(), "{report}");
+        let tokens: u64 = r.outcomes.iter().map(|o| o.token_times.len() as u64).sum();
+        assert!(
+            changed > 0 && changed <= tokens,
+            "changed {changed}, tokens {tokens}"
+        );
+        assert_eq!(report.requests_checked, tokens + r.total_requests as u64);
+        r
     }
 }

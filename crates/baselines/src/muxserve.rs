@@ -320,4 +320,20 @@ mod tests {
         let rep = r.attainment(SloSpec::paper_default());
         assert!(rep.ratio() < 0.9, "attainment {}", rep.ratio());
     }
+
+    #[test]
+    fn progress_log_holds_every_request_an_event_changed() {
+        // Two models share the one GPU (interference) and the rest are
+        // rejected: both paths must keep the log sound.
+        let models = Zoo::replicate(&Zoo::standard().market_band(), 4);
+        let rates = vec![1.0; 4];
+        let mut rng = SimRng::seed_from_u64(7);
+        let trace = TraceBuilder::new(SimTime::from_secs_f64(90.0), LengthDist::sharegpt())
+            .uniform_models(&mut rng, 4, 0.2)
+            .build(&mut rng);
+        let cfg = WorldConfig::sllm_default(cluster(1));
+        let (world, mut sched) = MuxServe::prepare(&cfg, &models, &rates, &trace);
+        let r = crate::engine_loop::tests::assert_progress_logged(world, &mut sched);
+        assert!(r.rejected > 0 && r.completed > 0);
+    }
 }

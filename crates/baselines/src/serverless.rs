@@ -243,4 +243,13 @@ mod tests {
         let fb: Vec<_> = b.outcomes.iter().map(|o| o.token_times.first().copied()).collect();
         assert!(fa != fb || a.switches != b.switches);
     }
+
+    #[test]
+    fn progress_log_holds_every_request_an_event_changed() {
+        let cfg = SllmConfig::new(cluster(2));
+        let t = trace(6, 0.2, 120.0, 5);
+        let (world, mut sched) = ServerlessLlm::prepare(&cfg, &models(6), &t);
+        let r = crate::engine_loop::tests::assert_progress_logged(world, &mut sched);
+        assert!(r.switches > 2, "the run must switch models");
+    }
 }

@@ -132,9 +132,10 @@ fn main() {
     );
 
     // --- Observer tax: the invariant auditor ---------------------------------
-    // A chaos run under the auditor's full-scan threshold: every request is
-    // swept after every event, and a memory book (one KV cache and its move
-    // list) is deep-checked only when the event moved its epoch.
+    // A chaos run under the auditor's full-scan threshold: after every event
+    // the requests that produced a token are checked, and a memory book (one
+    // KV cache and its move list) is deep-checked only when the event moved
+    // its epoch.
     let omodels = market_models(16);
     let otrace = uniform_trace(16, 0.3, 30.0, SEED, LengthDist::sharegpt());
     let mut ocfg = AegaeonConfig::paper_testbed();
@@ -162,6 +163,12 @@ fn main() {
     );
     let books = ocfg.instance_count() + ocfg.cluster.nodes.len();
     let audits_per_event = report.books_checked as f64 / report.events_checked as f64;
+    let tokens: u64 = bare
+        .outcomes
+        .iter()
+        .map(|o| o.token_times.len() as u64)
+        .sum();
+    let request_audits_per_event = report.requests_checked as f64 / report.events_checked as f64;
     let tax = |secs: f64| (secs / bare_secs - 1.0) * 100.0;
     println!(
         "\nauditor tax ({} requests, chaos, full scan, median of {OBSERVER_REPEATS}):",
@@ -178,6 +185,10 @@ fn main() {
     println!(
         "  on (every book)     : {every_secs:.3}s (+{:.0}%)",
         tax(every_secs)
+    );
+    println!(
+        "  request checks      : {} for {tokens} tokens ({request_audits_per_event:.2} per event)",
+        report.requests_checked
     );
 
     // --- Sharded parallel run -----------------------------------------------
@@ -268,6 +279,9 @@ fn main() {
             "every_book_tax_pct": tax(every_secs),
             "book_audits": report.books_checked,
             "book_audits_per_event": audits_per_event,
+            "request_audits": report.requests_checked,
+            "tokens": tokens,
+            "request_audits_per_event": request_audits_per_event,
             "fingerprint": format!("{:016x}", bare.fingerprint()),
         }),
         "parallel_run": serde_json::json!({

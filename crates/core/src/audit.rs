@@ -48,6 +48,11 @@ pub trait AuditView {
     fn request_count(&self) -> usize;
     /// Audit view of request `i`.
     fn request(&self, i: usize) -> ReqAudit<'_>;
+    /// Requests that produced a token during the last dispatched event,
+    /// once per token (the host's [`crate::runtime::ProgressLog`]). Every
+    /// token goes through [`crate::runtime::push_token`], so a request
+    /// missing here kept its audited state across the event.
+    fn progressed(&self) -> &[usize];
     /// Number of memory books: one per KV cache, together with the move
     /// list parking its blocks (0 for a view without KV accounting).
     fn book_count(&self) -> usize {
@@ -90,8 +95,15 @@ impl fmt::Display for Violation {
 /// Outcome of an audited run.
 #[derive(Debug, Clone, Default)]
 pub struct AuditReport {
-    /// Events after which the full invariant suite ran.
+    /// Events audited, the final sweep included. Causality, conservation
+    /// and the requests an event logged are checked after every one; the
+    /// memory/link books after every one only up to
+    /// [`InvariantAuditor::FULL_SCAN_MAX`] requests, and every
+    /// [`InvariantAuditor::BOOKS_EVERY`] events above it.
     pub events_checked: u64,
+    /// Per-request checks, summed over events: one per logged token, plus
+    /// every request in the final sweep.
+    pub requests_checked: u64,
     /// Memory books deep-checked, summed over events: only books whose
     /// epoch moved since their last clean check, plus every book at finish.
     pub books_checked: u64,
@@ -116,13 +128,13 @@ impl fmt::Display for AuditReport {
         if self.ok() {
             write!(
                 f,
-                "audit ok ({} events checked, {} book audits)",
-                self.events_checked, self.books_checked
+                "audit ok ({} events audited, {} request checks, {} book audits)",
+                self.events_checked, self.requests_checked, self.books_checked
             )
         } else {
             writeln!(
                 f,
-                "audit FAILED: {} violation(s) over {} events:",
+                "audit FAILED: {} violation(s) over {} audited events:",
                 self.violations.len(),
                 self.events_checked
             )?;
@@ -169,42 +181,56 @@ pub trait Auditor {
 ///
 /// # Scaling
 ///
-/// A full per-request sweep on every event is O(requests·events) —
-/// quadratic once the gateway holds tens of thousands of streams in
-/// flight. Above [`InvariantAuditor::FULL_SCAN_MAX`] requests the auditor
-/// switches to a bounded round-robin window per event (every request is
-/// still revisited every `n / window` events, and the per-request
-/// high-water marks make regression checks *delayed, never lost*), and
-/// the memory/bandwidth book audits run on a fixed event cadence instead
-/// of every event (still skipping books whose epoch has not moved). The
-/// exact `completed == done-requests` cross-count needs a full sweep, so
-/// in windowed mode it runs only at finish. All of this is deterministic
-/// (purely event-count driven) and observer-only.
+/// Request work is proportional to what an event changed. The token-level
+/// invariants (2–4) can only move when a request produces a token, and
+/// every token goes through [`crate::runtime::push_token`], which logs the
+/// request in the host's progress log ([`AuditView::progressed`]). After
+/// each event the auditor checks exactly the logged requests against their
+/// high-water marks (a request logged twice is simply checked twice) and
+/// keeps the number of done requests incrementally, so the exact
+/// `completed == done-requests` cross-count runs after every event at any
+/// request count. The final sweep at finish re-checks every request, so a
+/// change that bypassed the log is still caught, only later.
+///
+/// The memory/link book audits run after every event up to
+/// [`InvariantAuditor::FULL_SCAN_MAX`] requests and every
+/// [`InvariantAuditor::BOOKS_EVERY`] events above it (still skipping books
+/// whose epoch has not moved), plus once at finish. All of this is
+/// deterministic (purely event-count driven) and observer-only.
 #[derive(Debug, Default)]
 pub struct InvariantAuditor {
     last_now: SimTime,
     last_completed: u64,
-    /// Per-request high-water marks: (produced, token_times.len()).
-    progress: Vec<(u32, usize)>,
+    /// Per-request high-water marks, as of each request's last check.
+    seen: Vec<Seen>,
+    /// Requests whose last check found them done.
+    done: u64,
     report: AuditReport,
     /// Cap on recorded violations so a broken run cannot OOM the auditor.
     max_violations: usize,
-    /// Round-robin position for windowed scans.
-    cursor: usize,
-    /// Events since the last memory/link book audit in windowed mode.
+    /// Events since the last memory/link book audit above
+    /// [`InvariantAuditor::FULL_SCAN_MAX`] requests.
     since_books: u32,
     /// Per memory book, the epoch at which it last audited clean (`None`
     /// until its first clean audit, and again after a failed one).
     clean_at: Vec<Option<u64>>,
 }
 
+/// What the auditor last saw of one request.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seen {
+    produced: u32,
+    tokens: usize,
+    done: bool,
+}
+
 impl InvariantAuditor {
-    /// Largest request count still fully swept on every event.
+    /// Largest request count whose memory/link books are audited after
+    /// every event.
     pub const FULL_SCAN_MAX: usize = 2048;
-    /// Requests validated per event in windowed mode.
-    const WINDOW: usize = 128;
-    /// Event cadence of the memory/link book audits in windowed mode.
-    const BOOKS_EVERY: u32 = 256;
+    /// Event cadence of the memory/link book audits above
+    /// [`Self::FULL_SCAN_MAX`] requests.
+    pub const BOOKS_EVERY: u32 = 256;
 
     /// A fresh auditor.
     pub fn new() -> Self {
@@ -220,11 +246,8 @@ impl InvariantAuditor {
         }
     }
 
-    fn check(&mut self, now: SimTime, view: &dyn AuditView) {
-        self.check_inner(now, view, false);
-    }
-
-    fn check_inner(&mut self, now: SimTime, view: &dyn AuditView, force_full: bool) {
+    /// One audit pass: after an event, or the exhaustive sweep at `finish`.
+    fn check(&mut self, now: SimTime, view: &dyn AuditView, finish: bool) {
         self.report.events_checked += 1;
         if now < self.last_now {
             self.flag(
@@ -239,7 +262,6 @@ impl InvariantAuditor {
         self.last_now = self.last_now.max(now);
 
         let n = view.request_count();
-        self.progress.resize(n, (0, 0));
         let completed = view.completed_counter();
         if completed < self.last_completed {
             self.flag(
@@ -262,33 +284,39 @@ impl InvariantAuditor {
             );
         }
 
-        if force_full || n <= Self::FULL_SCAN_MAX {
-            let mut done_count = 0u64;
+        // Requests not seen before (admitted since the last pass, or all of
+        // them for an auditor installed mid-run) enter the done count as
+        // they are; their tokens are checked when logged, or at finish.
+        for i in self.seen.len()..n {
+            let done = view.request(i).done;
+            self.done += done as u64;
+            self.seen.push(Seen {
+                done,
+                ..Seen::default()
+            });
+        }
+        if finish {
             for i in 0..n {
-                if self.scan_request(now, view, i) {
-                    done_count += 1;
-                }
+                self.check_request(now, view, i);
             }
-            if completed != done_count {
-                self.flag(
-                    now,
-                    format!(
-                        "conservation: completed counter {completed} disagrees with {done_count} done requests"
-                    ),
-                );
-            }
-            self.audit_books(now, view, force_full);
         } else {
-            // Windowed mode: revisit WINDOW requests per event round-robin.
-            // High-water marks make regressions delayed, never lost; the
-            // exact completed == done-requests cross-count needs a full
-            // sweep and runs at finish instead.
-            let span = Self::WINDOW.min(n);
-            for k in 0..span {
-                let i = (self.cursor + k) % n;
-                self.scan_request(now, view, i);
+            for &i in view.progressed() {
+                self.check_request(now, view, i);
             }
-            self.cursor = (self.cursor + span) % n;
+        }
+        if completed != self.done {
+            self.flag(
+                now,
+                format!(
+                    "conservation: completed counter {completed} disagrees with {} done requests",
+                    self.done
+                ),
+            );
+        }
+
+        if finish || n <= Self::FULL_SCAN_MAX {
+            self.audit_books(now, view, finish);
+        } else {
             self.since_books += 1;
             if self.since_books >= Self::BOOKS_EVERY {
                 self.since_books = 0;
@@ -321,17 +349,18 @@ impl InvariantAuditor {
         }
     }
 
-    /// Validate one request against its high-water marks; returns whether
-    /// the request is done.
-    fn scan_request(&mut self, now: SimTime, view: &dyn AuditView, i: usize) -> bool {
+    /// Validates request `i` against its high-water marks and moves the
+    /// done count to its current state.
+    fn check_request(&mut self, now: SimTime, view: &dyn AuditView, i: usize) {
+        self.report.requests_checked += 1;
         let r = view.request(i);
-        let (seen_produced, seen_tokens) = self.progress[i];
-        if r.produced < seen_produced {
+        let seen = self.seen[i];
+        if r.produced < seen.produced {
             self.flag(
                 now,
                 format!(
-                    "progress: request {i} produced regressed {seen_produced} -> {}",
-                    r.produced
+                    "progress: request {i} produced regressed {} -> {}",
+                    seen.produced, r.produced
                 ),
             );
         }
@@ -356,7 +385,7 @@ impl InvariantAuditor {
         }
         // Only the newly appended timestamps need checking; the prefix
         // was validated on earlier events.
-        let start = seen_tokens.saturating_sub(1).min(r.token_times.len());
+        let start = seen.tokens.saturating_sub(1).min(r.token_times.len());
         for w in r.token_times[start..].windows(2) {
             if w[1] < w[0] {
                 self.flag(
@@ -370,7 +399,7 @@ impl InvariantAuditor {
             }
         }
         if let Some(&last) = r.token_times.last() {
-            if r.token_times.len() > seen_tokens && last > now {
+            if r.token_times.len() > seen.tokens && last > now {
                 self.flag(
                     now,
                     format!(
@@ -381,22 +410,23 @@ impl InvariantAuditor {
                 );
             }
         }
-        self.progress[i] = (
-            seen_produced.max(r.produced),
-            seen_tokens.max(r.token_times.len()),
-        );
-        r.done
+        self.done = self.done + r.done as u64 - seen.done as u64;
+        self.seen[i] = Seen {
+            produced: seen.produced.max(r.produced),
+            tokens: seen.tokens.max(r.token_times.len()),
+            done: r.done,
+        };
     }
 }
 
 impl Auditor for InvariantAuditor {
     fn after_event(&mut self, now: SimTime, view: &dyn AuditView) {
-        self.check(now, view);
+        self.check(now, view, false);
     }
 
     fn at_finish(&mut self, now: SimTime, view: &dyn AuditView) {
-        // The final sweep is always exhaustive, even in windowed mode.
-        self.check_inner(now, view, true);
+        // The final sweep re-checks every request and every book.
+        self.check(now, view, true);
         // End-of-run conservation: every request completed, rejected, or
         // handed off to another shard.
         let n = view.request_count() as u64;
@@ -443,6 +473,8 @@ mod tests {
         completed: u64,
         rejected: u64,
         reqs: Vec<(u32, u32, bool, Vec<SimTime>)>,
+        /// The last event's progress log.
+        log: Vec<usize>,
         /// One memory book: its epoch and verdict.
         mem_epoch: u64,
         mem: Option<String>,
@@ -467,6 +499,9 @@ mod tests {
                 done: *done,
                 token_times: times,
             }
+        }
+        fn progressed(&self) -> &[usize] {
+            &self.log
         }
         fn book_count(&self) -> usize {
             1
@@ -495,6 +530,7 @@ mod tests {
                 ),
                 (1, 3, false, vec![SimTime::from_secs_f64(1.5)]),
             ],
+            log: vec![0, 1],
             mem_epoch: 0,
             mem: None,
             link: None,
@@ -584,6 +620,91 @@ mod tests {
                 .iter()
                 .any(|v| v.what.contains("token order")),
             "{report}"
+        );
+    }
+
+    /// `n` requests of two tokens each, none started, nothing logged.
+    fn idle_view(n: usize) -> FakeView {
+        FakeView {
+            completed: 0,
+            rejected: 0,
+            reqs: vec![(0, 2, false, Vec::new()); n],
+            log: Vec::new(),
+            mem_epoch: 0,
+            mem: None,
+            link: None,
+        }
+    }
+
+    /// Logs one token of request `i` at `secs` (finishing it at two).
+    fn produce(v: &mut FakeView, i: usize, secs: f64) {
+        let r = &mut v.reqs[i];
+        r.0 += 1;
+        r.2 = r.0 >= r.1;
+        r.3.push(SimTime::from_secs_f64(secs));
+        v.log.push(i);
+    }
+
+    #[test]
+    fn done_count_is_exact_after_every_event_above_full_scan_max() {
+        let mut a = InvariantAuditor::new();
+        let mut v = idle_view(InvariantAuditor::FULL_SCAN_MAX + 1);
+        produce(&mut v, 7, 1.0);
+        a.after_event(SimTime::from_secs_f64(1.0), &v);
+        v.log.clear();
+        produce(&mut v, 7, 2.0); // request 7 finishes ...
+        a.after_event(SimTime::from_secs_f64(2.0), &v);
+        // ... but the completion counter never moved: flagged on the event,
+        // not at finish.
+        let report = a.take_report();
+        assert_eq!(report.violations.len(), 1, "{report}");
+        assert!(report.violations[0].what.contains("disagrees"), "{report}");
+        assert_eq!(report.requests_checked, 2, "one check per logged token");
+    }
+
+    #[test]
+    fn logged_produced_regression_is_flagged_on_the_event() {
+        let mut a = InvariantAuditor::new();
+        let mut v = idle_view(InvariantAuditor::FULL_SCAN_MAX + 1);
+        produce(&mut v, 3, 1.0);
+        a.after_event(SimTime::from_secs_f64(1.0), &v);
+        v.reqs[3] = (0, 2, false, Vec::new());
+        v.log = vec![3, 3]; // a duplicate entry is harmless
+        a.after_event(SimTime::from_secs_f64(2.0), &v);
+        let report = a.take_report();
+        assert!(!report.ok());
+        assert!(
+            report
+                .violations
+                .iter()
+                .all(|v| v.what.contains("regressed")),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn unlogged_change_is_caught_by_the_finish_sweep() {
+        let mut a = InvariantAuditor::new();
+        let mut v = clean_view();
+        a.after_event(SimTime::from_secs_f64(2.0), &v);
+        v.reqs[0].0 = 1; // produced went backwards without a log entry
+        v.reqs[0].3.pop();
+        v.log.clear();
+        a.after_event(SimTime::from_secs_f64(2.5), &v);
+        assert!(a.report.ok(), "only logged requests are checked per event");
+        a.at_finish(SimTime::from_secs_f64(3.0), &v);
+        let report = a.take_report();
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.what.contains("regressed")),
+            "{report}"
+        );
+        assert_eq!(
+            report.requests_checked,
+            2 + 2,
+            "logged tokens + final sweep"
         );
     }
 

@@ -172,8 +172,9 @@ impl ReqState {
         self.produced >= self.target_tokens
     }
 
-    /// Records a produced token at `t`.
-    pub fn push_token(&mut self, t: SimTime) {
+    /// Records a produced token at `t`. Serving loops go through
+    /// [`crate::runtime::push_token`], which also logs it for the auditor.
+    pub(crate) fn push_token(&mut self, t: SimTime) {
         self.produced += 1;
         self.token_times.push(t);
         if self.is_done() {

@@ -54,6 +54,8 @@ pub trait Host {
     fn telemetry(&mut self) -> &mut Telemetry;
     /// The read-only state the auditor checks.
     fn view(&self) -> &dyn AuditView;
+    /// The log of requests that produced a token during the current event.
+    fn progress(&mut self) -> &mut ProgressLog;
     /// Builds the result from the drained run.
     fn finish(self, q: &EventQueue<Self::Ev>, audit: Option<&AuditReport>) -> Self::Output;
 }
@@ -110,6 +112,8 @@ impl<H: Host> Driver<H> {
             self.halted = true;
             return false;
         }
+        // After `step` returns, the log holds exactly this event's progress.
+        self.host.progress().clear();
         self.host.on_event(ev, &mut self.q);
         while let Some(tag) = self.host.port().pop() {
             self.host.on_tag(tag, &mut self.q);
@@ -359,6 +363,33 @@ pub fn req_audit(r: &ReqState) -> ReqAudit<'_> {
         done: r.is_done(),
         token_times: &r.token_times,
     }
+}
+
+/// Indices of the requests that produced a token during the current event,
+/// once per token. [`Driver::step`] clears it before each dispatch, so it
+/// never holds more than one event's progress; the auditor checks exactly
+/// these requests after the event ([`AuditView::progressed`]).
+#[derive(Debug, Default)]
+pub struct ProgressLog(Vec<usize>);
+
+impl ProgressLog {
+    /// The logged request indices, in production order.
+    pub fn requests(&self) -> &[usize] {
+        &self.0
+    }
+
+    /// Empties the log.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// Produces one token of request `req` (state `rs`) at `t` and logs it.
+/// Every serving loop produces tokens only through here, so no token can
+/// escape the auditor's per-event request check.
+pub fn push_token(log: &mut ProgressLog, req: RequestId, rs: &mut ReqState, t: SimTime) {
+    rs.push_token(t);
+    log.0.push(req.0 as usize);
 }
 
 // ----- Request telemetry --------------------------------------------------------

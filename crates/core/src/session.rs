@@ -154,6 +154,7 @@ struct ReactorIds {
     ready: aegaeon_telemetry::GaugeId,
     peak: aegaeon_telemetry::GaugeId,
     drops: aegaeon_telemetry::CounterId,
+    accept_errors: aegaeon_telemetry::CounterId,
 }
 
 /// An incremental serving run: the [`ServingSystem`] under the runtime's
@@ -480,11 +481,12 @@ impl ServingSession {
 
     /// Registers labeled per-reactor instruments for an N-reactor gateway:
     /// `reactor_registered_fds{reactor="i"}`, `reactor_ready_depth{...}`,
-    /// `reactor_peak_streams{...}` gauges and a `gateway_slow_drops{...}`
-    /// counter per reactor. Prometheus text renders the label verbatim from
-    /// the registered name. Observer-only (the registry is excluded from
-    /// fingerprints) and never called on replay, so configuring any reactor
-    /// count cannot perturb the differential. Call once, before stepping.
+    /// `reactor_peak_streams{...}` gauges and `gateway_slow_drops{...}` and
+    /// `gateway_accept_errors{...}` counters per reactor. Prometheus text
+    /// renders the label verbatim from the registered name. Observer-only
+    /// (the registry is excluded from fingerprints) and never called on
+    /// replay, so configuring any reactor count cannot perturb the
+    /// differential. Call once, before stepping.
     pub fn configure_reactors(&mut self, n: usize) {
         assert!(self.reactor_ids.is_empty(), "reactors already configured");
         let reg = &mut self.driver.host.tel.metrics;
@@ -494,6 +496,7 @@ impl ServingSession {
                 ready: reg.gauge(&format!("reactor_ready_depth{{reactor=\"{i}\"}}")),
                 peak: reg.gauge(&format!("reactor_peak_streams{{reactor=\"{i}\"}}")),
                 drops: reg.counter(&format!("gateway_slow_drops{{reactor=\"{i}\"}}")),
+                accept_errors: reg.counter(&format!("gateway_accept_errors{{reactor=\"{i}\"}}")),
             })
             .collect();
         self.g_snapshot_age = reg.gauge("metrics_snapshot_age_ms");
@@ -531,6 +534,13 @@ impl ServingSession {
     /// [`ServingSession::note_slow_drop`] across all reactors.
     pub fn slow_drops(&self) -> u64 {
         self.slow_drops
+    }
+
+    /// Counts one failed `accept(2)` (EMFILE, ENFILE, ...) on a reactor.
+    pub fn note_accept_error(&mut self, reactor: usize) {
+        if let Some(ids) = self.reactor_ids.get(reactor) {
+            self.driver.host.tel.metrics.inc(ids.accept_errors, 1);
+        }
     }
 
     /// Sets one reactor's health gauges: currently registered descriptors,

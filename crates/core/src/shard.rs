@@ -543,6 +543,7 @@ fn merge(
         for (s, rep) in reports.into_iter().enumerate() {
             let rep = rep.expect("all shards audited alike");
             merged_report.events_checked += rep.events_checked;
+            merged_report.requests_checked += rep.requests_checked;
             merged_report.books_checked += rep.books_checked;
             merged_report.rejections += rep.rejections;
             merged_report

@@ -32,7 +32,9 @@ use crate::proxy::MetaStore;
 use crate::quota::{decode_quotas, QuotaInputs};
 use crate::reqstate::{KvPlace, Phase, PrefixClaim, ReqState};
 use crate::result::RunResult;
-use crate::runtime::{checked, outcomes, req_audit, CoreIds, FabricPort, Host, SpanBook};
+use crate::runtime::{
+    checked, outcomes, push_token, req_audit, CoreIds, FabricPort, Host, ProgressLog, SpanBook,
+};
 use crate::sessionbook::{SessEntry, SessPlace, SessionBook};
 
 /// Auto-scaling controller state shared by both instance kinds.
@@ -236,6 +238,8 @@ pub struct ServingSystem {
     decodes: Vec<DecodeInst>,
     nodes: Vec<NodeState>,
     pub(crate) reqs: Vec<ReqState>,
+    /// Requests that produced a token during the current event.
+    progress: ProgressLog,
     pub(crate) trace: Trace,
     rng: SimRng,
     prefetch_enabled: bool,
@@ -497,6 +501,7 @@ impl ServingSystem {
             decodes,
             nodes,
             reqs,
+            progress: ProgressLog::default(),
             trace,
             rng,
             prefetch_enabled,
@@ -1418,7 +1423,8 @@ impl ServingSystem {
         {
             let rs = &mut self.reqs[req.0 as usize];
             if rs.produced == 0 {
-                rs.push_token(now); // first token; re-prefills only rebuild KV
+                // First token; re-prefills only rebuild KV.
+                push_token(&mut self.progress, req, rs, now);
                 if self.tap_enabled {
                     self.tap.push(crate::events::TokenEv {
                         req,
@@ -1916,7 +1922,7 @@ impl ServingSystem {
         let mut overflow = false;
         for req in step_reqs {
             let rs = &mut self.reqs[req.0 as usize];
-            rs.push_token(now);
+            push_token(&mut self.progress, req, rs, now);
             rs.decode_exec_secs += dur;
             let done = rs.is_done();
             let ctx = rs.ctx_tokens();
@@ -2758,6 +2764,10 @@ impl Host for ServingSystem {
         self
     }
 
+    fn progress(&mut self) -> &mut ProgressLog {
+        &mut self.progress
+    }
+
     fn finish(mut self, q: &Q, audit: Option<&AuditReport>) -> RunResult {
         // Residual decode waiting per finished request.
         let mut kv_sync = Vec::new();
@@ -2877,6 +2887,10 @@ impl AuditView for ServingSystem {
 
     fn request(&self, i: usize) -> ReqAudit<'_> {
         req_audit(&self.reqs[i])
+    }
+
+    fn progressed(&self) -> &[usize] {
+        self.progress.requests()
     }
 
     fn book_count(&self) -> usize {
@@ -3084,12 +3098,10 @@ mod tests {
         h.finish()
     }
 
-    /// Epoch soundness, the property that lets the auditor skip books: over
-    /// a chaotic agentic run (crashes, retained, spilled and claimed session
-    /// prefixes), a book whose epoch did not move across an event has
-    /// exactly the state it had before the event.
-    #[test]
-    fn book_epochs_move_whenever_audited_state_changes() {
+    /// A started, audited driver over a chaotic agentic run: a decode
+    /// crash, link degradation and staging OOM windows, with retained,
+    /// spilled and claimed session prefixes.
+    fn chaotic_agentic_driver() -> crate::runtime::Driver<ServingSystem> {
         let mut cfg = AegaeonConfig::small_testbed(2, 3);
         cfg.session_affinity = true;
         cfg.faults = crate::chaos::FaultPlan {
@@ -3112,6 +3124,15 @@ mod tests {
         let hard_stop = sys.hard_stop;
         let mut d = crate::runtime::Driver::new(sys, hard_stop, true);
         d.host.start(&mut d.q);
+        d
+    }
+
+    /// Epoch soundness, the property that lets the auditor skip books: over
+    /// a chaotic agentic run, a book whose epoch did not move across an
+    /// event has exactly the state it had before the event.
+    #[test]
+    fn book_epochs_move_whenever_audited_state_changes() {
+        let mut d = chaotic_agentic_driver();
         let n = d.host.book_count();
         let snap = |sys: &ServingSystem, i| (sys.book_epoch(i), book_state(sys, i));
         let mut last: Vec<_> = (0..n).map(|i| snap(&d.host, i)).collect();
@@ -3134,5 +3155,57 @@ mod tests {
         assert!(r.prefix_hits > 0, "the run must claim retained prefixes");
         assert!(moved > 0 && still > moved, "moved {moved}, still {still}");
         assert!(report.books_checked < report.events_checked * n as u64);
+    }
+
+    /// Everything the auditor checks of one request: produced count,
+    /// timestamp count, last stamp and done flag.
+    fn audited_state(r: ReqAudit<'_>) -> (u32, usize, Option<SimTime>, bool) {
+        (
+            r.produced,
+            r.token_times.len(),
+            r.token_times.last().copied(),
+            r.done,
+        )
+    }
+
+    /// Progress-log soundness, the property that lets the auditor check only
+    /// logged requests: over a chaotic agentic run, every request whose
+    /// audited state changed across an event is in that event's log.
+    #[test]
+    fn progress_log_holds_every_request_an_event_changed() {
+        let mut d = chaotic_agentic_driver();
+        let state = |sys: &ServingSystem| -> Vec<_> {
+            (0..sys.request_count())
+                .map(|i| audited_state(sys.request(i)))
+                .collect()
+        };
+        let mut last = state(&d.host);
+        let mut changed = 0u64;
+        while d.step() {
+            let now = state(&d.host);
+            for (i, (was, is)) in last.iter().zip(&now).enumerate() {
+                if was != is {
+                    assert!(
+                        d.host.progressed().contains(&i),
+                        "request {i} changed {was:?} -> {is:?} without a log entry"
+                    );
+                    changed += 1;
+                }
+            }
+            last = now;
+        }
+        let (r, report) = d.finish();
+        let report = report.expect("auditor installed");
+        assert!(report.ok(), "{report}");
+        let tokens: u64 = r.outcomes.iter().map(|o| o.token_times.len() as u64).sum();
+        assert!(
+            changed > 0 && changed <= tokens,
+            "changed {changed}, tokens {tokens}"
+        );
+        assert_eq!(
+            report.requests_checked,
+            tokens + r.total_requests as u64,
+            "one check per token plus the final sweep"
+        );
     }
 }

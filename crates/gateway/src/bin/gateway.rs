@@ -199,10 +199,11 @@ fn main() {
     let report = gateway.shutdown();
     let r = &report.result;
     eprintln!(
-        "gateway: drained. requests={} completed={} slow_drops={} sim_end={:.3}s",
+        "gateway: drained. requests={} completed={} slow_drops={} accept_errors={} sim_end={:.3}s",
         report.trace.requests.len(),
         r.completed,
         report.slow_drops,
+        report.accept_errors.iter().sum::<u64>(),
         r.end_time.as_secs_f64(),
     );
     if let Some(out) = &args.report_out {
@@ -213,12 +214,15 @@ fn main() {
             .as_ref()
             .map(|a| (a.events_checked, a.violations.len(), a.rejections))
             .unwrap_or_default();
-        let peaks = report
-            .per_reactor_peak
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
+        let join = |v: Vec<String>| v.join(", ");
+        let peaks = join(
+            report
+                .per_reactor_peak
+                .iter()
+                .map(|p| p.to_string())
+                .collect(),
+        );
+        let accept_errors = join(report.accept_errors.iter().map(|e| e.to_string()).collect());
         // Accept-sharding balance: max/min per-reactor peak (1.0 = even).
         let max_peak = report.per_reactor_peak.iter().copied().max().unwrap_or(0);
         let min_peak = report.per_reactor_peak.iter().copied().min().unwrap_or(0);
@@ -232,6 +236,7 @@ fn main() {
              \"slow_drops\": {},\n  \"peak_connections\": {},\n  \"sim_end_secs\": {:.6},\n  \
              \"audit_events_checked\": {},\n  \"audit_violations\": {},\n  \
              \"reactors\": {},\n  \"per_reactor_peak\": [{}],\n  \
+             \"per_reactor_accept_errors\": [{}],\n  \
              \"reactor_balance_max_over_min\": {:.3},\n  \
              \"fingerprint\": \"{:#018x}\"\n}}\n",
             report.trace.requests.len(),
@@ -244,6 +249,7 @@ fn main() {
             violations,
             args.reactors,
             peaks,
+            accept_errors,
             balance,
             r.fingerprint(),
         );

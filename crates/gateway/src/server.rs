@@ -33,6 +33,12 @@
 //!   gauges) flow reactor → sim over an unbounded control channel; they
 //!   touch only the metrics registry, which fingerprints exclude.
 //!
+//! A failed `accept(2)` (EMFILE, ENFILE, ...) is counted per reactor
+//! (`gateway_accept_errors{reactor="i"}` in `/metrics`,
+//! [`GatewayReport::accept_errors`] at shutdown). Connections queued behind
+//! it raise no new readiness edge, so the reactor retries the accept on
+//! its next loop tick instead of waiting for the next connection.
+//!
 //! `/metrics` and `/v1/slo` are served from snapshots the sim thread
 //! re-renders every [`METRICS_REFRESH`]; reactors never read the session
 //! directly. A scrape that finds the snapshot older than the refresh
@@ -181,6 +187,8 @@ pub struct GatewayReport {
     /// Peak simultaneously-open connections per reactor, indexed by
     /// reactor id — the accept-sharding balance evidence.
     pub per_reactor_peak: Vec<usize>,
+    /// Failed `accept(2)` calls per reactor, indexed by reactor id.
+    pub accept_errors: Vec<u64>,
 }
 
 /// State shared between the threads and the [`Gateway`] handle.
@@ -205,6 +213,8 @@ enum Ctl {
     Rejection,
     /// One slow-reader drop on a reactor.
     SlowDrop(usize),
+    /// One failed `accept(2)` on a reactor.
+    AcceptError(usize),
     /// Periodic reactor health gauges.
     Gauges {
         reactor: usize,
@@ -227,7 +237,8 @@ pub struct Gateway {
     shared: Arc<Shared>,
     wakers: Vec<Waker>,
     ctl: Sender<Ctl>,
-    reactors: Vec<JoinHandle<()>>,
+    /// Reactor threads; each returns its failed-accept count.
+    reactors: Vec<JoinHandle<u64>>,
     sim: Option<JoinHandle<SimOutcome>>,
 }
 
@@ -341,6 +352,8 @@ impl Gateway {
                 streaming: Vec::new(),
                 pending_write: Vec::new(),
                 local_active: 0,
+                accept_errors: 0,
+                accept_retry: false,
             };
             reactor_handles.push(
                 thread::Builder::new()
@@ -383,9 +396,11 @@ impl Gateway {
             w.wake();
         }
         let _ = self.ctl.send(Ctl::Ping);
-        for r in self.reactors.drain(..) {
-            let _ = r.join();
-        }
+        let accept_errors = self
+            .reactors
+            .drain(..)
+            .map(|r| r.join().unwrap_or(0))
+            .collect();
         let (result, audit, trace, slow_drops) = self
             .sim
             .take()
@@ -404,6 +419,7 @@ impl Gateway {
             trace,
             slow_drops,
             per_reactor_peak,
+            accept_errors,
         }
     }
 }
@@ -537,6 +553,7 @@ impl SimThread {
             Ctl::Note(ep) => self.session.note_endpoint(ep),
             Ctl::Rejection => self.session.note_rejection(),
             Ctl::SlowDrop(reactor) => self.session.note_slow_drop(reactor),
+            Ctl::AcceptError(reactor) => self.session.note_accept_error(reactor),
             Ctl::Gauges {
                 reactor,
                 fds,
@@ -643,16 +660,45 @@ struct Reactor {
     pending_write: Vec<usize>,
     /// Connections this reactor currently owns (its share of `shared.active`).
     local_active: usize,
+    /// Failed `accept(2)` calls so far.
+    accept_errors: u64,
+    /// The last accept pass ended on an error with connections possibly
+    /// still queued: retry on the next loop tick.
+    accept_retry: bool,
+}
+
+/// One pass over a listener's accept queue: `admit` gets each connection
+/// `accept` yields until the queue reports `WouldBlock`. Returns the error
+/// that ended the pass early instead (EMFILE, ENFILE, ...). Connections
+/// behind it stay queued, and an edge-triggered poller will not report
+/// them again, so the caller must retry the pass later.
+fn accept_pass<C, S>(
+    cx: &mut C,
+    mut accept: impl FnMut(&mut C) -> io::Result<S>,
+    mut admit: impl FnMut(&mut C, S),
+) -> Option<io::Error> {
+    loop {
+        match accept(cx) {
+            Ok(conn) => admit(cx, conn),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return None,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Some(e),
+        }
+    }
 }
 
 impl Reactor {
-    fn run(mut self) {
+    /// Serves until drain; returns the failed-accept count.
+    fn run(mut self) -> u64 {
         let mut events: Vec<PollEvent> = Vec::new();
         let mut last_sweep = Instant::now();
         let mut last_gauges = Instant::now();
         loop {
             if self.shared.draining.load(Ordering::SeqCst) {
                 break;
+            }
+            if self.accept_retry {
+                self.accept_ready();
             }
             self.pump_tokens();
             self.pump_writes();
@@ -681,6 +727,7 @@ impl Reactor {
             }
         }
         self.drain_flush();
+        self.accept_errors
     }
 
     /// Drain: stop accepting, flush every in-flight stream (the sim thread
@@ -726,53 +773,58 @@ impl Reactor {
     }
 
     fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if self.shared.draining.load(Ordering::SeqCst)
-                        || self.shared.active.load(Ordering::SeqCst) >= self.max_connections
-                    {
-                        drop(stream); // shed: over the fd budget
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    if let Some(snd) = self.sock_sndbuf {
-                        let _ = poll::shrink_socket_buffers(stream.as_raw_fd(), Some(snd), None);
-                    }
-                    let idx = match self.free.pop() {
-                        Some(i) => i,
-                        None => {
-                            self.slab.push(None);
-                            self.gen.push(0);
-                            self.slab.len() - 1
-                        }
-                    };
-                    let token = ((self.gen[idx] as u64) << 32) | idx as u64;
-                    if self.poller.register(stream.as_raw_fd(), token).is_err() {
-                        self.free.push(idx);
-                        continue;
-                    }
-                    self.slab[idx] = Some(Conn {
-                        stream,
-                        out: WriteQueue::new(self.max_conn_buffer),
-                        writable: true,
-                        queued: false,
-                        parser: HttpParser::new(),
-                        state: ConnState::Reading,
-                        last_activity: Instant::now(),
-                    });
-                    let now_active = self.shared.active.fetch_add(1, Ordering::SeqCst) + 1;
-                    self.shared.peak.fetch_max(now_active, Ordering::SeqCst);
-                    self.local_active += 1;
-                    self.shared.reactor_peaks[self.id].fetch_max(self.local_active, Ordering::SeqCst);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
+        let failed = accept_pass(
+            self,
+            |r| r.listener.accept().map(|(stream, _)| stream),
+            Self::admit_conn,
+        );
+        self.accept_retry = failed.is_some();
+        if failed.is_some() {
+            self.accept_errors += 1;
+            let _ = self.ctl.send(Ctl::AcceptError(self.id));
         }
+    }
+
+    /// Registers an accepted connection, or sheds it when draining or over
+    /// the connection cap.
+    fn admit_conn(&mut self, stream: TcpStream) {
+        if self.shared.draining.load(Ordering::SeqCst)
+            || self.shared.active.load(Ordering::SeqCst) >= self.max_connections
+        {
+            return; // shed: over the fd budget (dropping closes it)
+        }
+        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+            return;
+        }
+        if let Some(snd) = self.sock_sndbuf {
+            let _ = poll::shrink_socket_buffers(stream.as_raw_fd(), Some(snd), None);
+        }
+        let idx = match self.free.pop() {
+            Some(i) => i,
+            None => {
+                self.slab.push(None);
+                self.gen.push(0);
+                self.slab.len() - 1
+            }
+        };
+        let token = ((self.gen[idx] as u64) << 32) | idx as u64;
+        if self.poller.register(stream.as_raw_fd(), token).is_err() {
+            self.free.push(idx);
+            return;
+        }
+        self.slab[idx] = Some(Conn {
+            stream,
+            out: WriteQueue::new(self.max_conn_buffer),
+            writable: true,
+            queued: false,
+            parser: HttpParser::new(),
+            state: ConnState::Reading,
+            last_activity: Instant::now(),
+        });
+        let now_active = self.shared.active.fetch_add(1, Ordering::SeqCst) + 1;
+        self.shared.peak.fetch_max(now_active, Ordering::SeqCst);
+        self.local_active += 1;
+        self.shared.reactor_peaks[self.id].fetch_max(self.local_active, Ordering::SeqCst);
     }
 
     /// Resolve a generation-tagged token to a live slab index.
@@ -1215,5 +1267,48 @@ impl Reactor {
         self.local_active = self.local_active.saturating_sub(1);
         // Dropping `conn.stream` closes the fd; the session keeps feeding
         // any still-live sink into a closed ring, which is harmless.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// A scripted accept queue: each pass pops results until one ends it.
+    fn run_pass(
+        queue: &mut VecDeque<io::Result<u32>>,
+        admitted: &mut Vec<u32>,
+    ) -> Option<io::Error> {
+        let mut cx = (queue, admitted);
+        accept_pass(
+            &mut cx,
+            |(q, _)| {
+                q.pop_front()
+                    .unwrap_or_else(|| Err(io::ErrorKind::WouldBlock.into()))
+            },
+            |(_, a), conn| a.push(conn),
+        )
+    }
+
+    #[test]
+    fn accept_pass_stops_at_a_failed_accept_and_resumes_on_retry() {
+        const EMFILE: i32 = 24;
+        let mut queue: VecDeque<io::Result<u32>> = VecDeque::from([
+            Ok(1),
+            Err(io::ErrorKind::Interrupted.into()),
+            Ok(2),
+            Err(io::Error::from_raw_os_error(EMFILE)),
+            Ok(3),
+            Ok(4),
+        ]);
+        let mut admitted = Vec::new();
+        let failed = run_pass(&mut queue, &mut admitted).expect("pass ends on EMFILE");
+        assert_eq!(failed.raw_os_error(), Some(EMFILE));
+        assert_eq!(admitted, [1, 2], "an interrupted accept is retried at once");
+        assert_eq!(queue.len(), 2, "connections behind the error stay queued");
+        // The retry on the next tick drains the rest.
+        assert!(run_pass(&mut queue, &mut admitted).is_none());
+        assert_eq!(admitted, [1, 2, 3, 4]);
     }
 }

@@ -555,6 +555,10 @@ fn four_reactor_drain_under_load_is_fingerprint_identical() {
                 "missing {gauge} for reactor {r} in:\n{text}"
             );
         }
+        assert!(
+            text.contains(&format!("gateway_accept_errors{{reactor=\"{r}\"}} 0")),
+            "missing a zero accept-error count for reactor {r} in:\n{text}"
+        );
     }
 
     // Drain with streams in flight on every reactor.
@@ -567,6 +571,7 @@ fn four_reactor_drain_under_load_is_fingerprint_identical() {
     }
     assert_eq!(report.result.completed, N);
     assert_eq!(report.slow_drops, 0);
+    assert_eq!(report.accept_errors, [0; REACTORS]);
     let audit = report.audit.expect("auditor installed");
     assert!(audit.ok(), "violations: {:?}", audit.violations);
 

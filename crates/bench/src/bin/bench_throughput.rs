@@ -1,8 +1,8 @@
 //! Simulator throughput report: raw event-dispatch speed of the new indexed
 //! 4-ary event heap versus the retained `BinaryHeap` reference, events/sec
 //! of a real serving run (serial), the invariant auditor's tax on a chaos
-//! run, the sharded parallel engine's speedup on one big run, and the
-//! parallel sweep harness speedup.
+//! run, the telemetry tax split by instrument, the sharded parallel
+//! engine's speedup on one big run, and the parallel sweep harness speedup.
 //!
 //! Speedup numbers are only as honest as the host: `host_parallelism` is
 //! recorded alongside them, and on a single-core machine the expected
@@ -13,6 +13,7 @@
 //! Writes `BENCH_sim_throughput.json` at the repository root so the numbers
 //! ride along with the code they describe.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use aegaeon::shard::run_sharded;
@@ -22,8 +23,13 @@ use aegaeon::{
 };
 use aegaeon_bench::{banner, market_models, sweep, uniform_trace, HORIZON_SECS, SEED};
 use aegaeon_gpu::{ClusterSpec, NodeSpec};
-use aegaeon_sim::{BinaryHeapQueue, EventQueue, SimDur, SimTime, ThroughputReport, Timeline};
-use aegaeon_workload::LengthDist;
+use aegaeon_metrics::RequestOutcome;
+use aegaeon_model::{ModelId, ModelSpec};
+use aegaeon_sim::{
+    BinaryHeapQueue, EventQueue, SimDur, SimRng, SimTime, ThroughputReport, Timeline,
+};
+use aegaeon_telemetry::{labeled, MetricsRegistry, SloObservatory, SpanLog, TelemetrySpec};
+use aegaeon_workload::{LengthDist, SloSpec, Trace, TraceBuilder};
 
 /// Standing event population for the synthetic dispatch benchmark.
 const STANDING: u64 = 4096;
@@ -52,7 +58,7 @@ macro_rules! drive_queue {
 }
 
 /// Timed repeats of each observer setting (the median is reported).
-const OBSERVER_REPEATS: usize = 5;
+const OBSERVER_REPEATS: usize = 7;
 
 /// The invariant suite plus a deep check of every memory book after every
 /// event, epochs ignored: what the auditor would cost without them.
@@ -73,30 +79,183 @@ impl Auditor for EveryBook {
     }
 }
 
-/// Median wall seconds of [`OBSERVER_REPEATS`] runs of `cfg` over `trace`
-/// with `auditor` installed, plus the last run's result and report.
-fn observed_run(
-    cfg: &AegaeonConfig,
-    models: &[aegaeon_model::ModelSpec],
-    trace: &aegaeon_workload::Trace,
-    auditor: impl Fn() -> Option<Box<dyn Auditor + Send>>,
-) -> (f64, RunResult, Option<AuditReport>) {
+/// An observer setting: a config and the auditor to install, if any.
+type Setting<'a> = (&'a AegaeonConfig, fn() -> Option<Box<dyn Auditor + Send>>);
+
+fn no_auditor() -> Option<Box<dyn Auditor + Send>> {
+    None
+}
+
+fn invariant_auditor() -> Option<Box<dyn Auditor + Send>> {
+    Some(Box::new(InvariantAuditor::new()))
+}
+
+fn every_book_auditor() -> Option<Box<dyn Auditor + Send>> {
+    Some(Box::new(EveryBook(InvariantAuditor::new())))
+}
+
+/// Runs every setting over `trace` [`OBSERVER_REPEATS`] times, interleaved
+/// so a host that changes speed mid-measurement slows every setting alike.
+/// Returns each setting's median wall seconds with its last result and
+/// audit report.
+fn observed_runs(
+    models: &[ModelSpec],
+    trace: &Trace,
+    settings: &[Setting<'_>],
+) -> Vec<(f64, RunResult, Option<AuditReport>)> {
+    let mut walls = vec![Vec::with_capacity(OBSERVER_REPEATS); settings.len()];
+    let mut last = Vec::new();
+    for _ in 0..OBSERVER_REPEATS {
+        last.clear();
+        for (k, (cfg, auditor)) in settings.iter().enumerate() {
+            let mut s = ServingSession::closed(cfg, models, trace);
+            if let Some(a) = auditor() {
+                s.install_auditor(a);
+            }
+            let start = Instant::now();
+            s.step_until(SimTime::MAX);
+            let out = s.finish();
+            walls[k].push(start.elapsed().as_secs_f64());
+            last.push(out);
+        }
+    }
+    walls
+        .into_iter()
+        .zip(last)
+        .map(|(mut w, (r, report))| {
+            w.sort_by(f64::total_cmp);
+            (w[w.len() / 2], r, report)
+        })
+        .collect()
+}
+
+/// Median wall seconds of [`OBSERVER_REPEATS`] calls of `f`, plus the last
+/// call's output.
+fn median_secs<T>(mut f: impl FnMut() -> T) -> (f64, T) {
     let mut walls = Vec::with_capacity(OBSERVER_REPEATS);
     let mut last = None;
     for _ in 0..OBSERVER_REPEATS {
-        let mut s = ServingSession::closed(cfg, models, trace);
-        if let Some(a) = auditor() {
-            s.install_auditor(a);
-        }
         let start = Instant::now();
-        s.step_until(SimTime::MAX);
-        let out = s.finish();
+        let out = black_box(f());
         walls.push(start.elapsed().as_secs_f64());
         last = Some(out);
     }
     walls.sort_by(f64::total_cmp);
-    let (r, report) = last.expect("at least one repeat");
-    (walls[walls.len() / 2], r, report)
+    (walls[walls.len() / 2], last.expect("at least one repeat"))
+}
+
+/// Poisson arrivals conditioned on their count: exactly `rate × secs`
+/// requests per model at uniform random instants (the benchmark's
+/// `observed` trace shape).
+fn counted_trace(n_models: usize, rate: f64, secs: f64, seed: u64) -> Trace {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let per_model = (rate * secs).round() as usize;
+    let mut b = TraceBuilder::new(SimTime::from_secs_f64(secs), LengthDist::sharegpt());
+    for m in 0..n_models {
+        let mut at: Vec<SimTime> = (0..per_model)
+            .map(|_| SimTime::from_secs_f64(rng.f64() * secs))
+            .collect();
+        at.sort_unstable();
+        b = b.explicit_model(ModelId(m as u32), at);
+    }
+    b.build(&mut rng)
+}
+
+/// Re-records every span of `log` into a fresh log, in recording order.
+fn replay_spans(log: &SpanLog) -> SpanLog {
+    let mut fresh = SpanLog::enabled();
+    for s in log.spans() {
+        let id = fresh.start(
+            || &*s.track,
+            s.kind,
+            s.start,
+            s.parent,
+            s.cause,
+            || s.label.as_str(),
+        );
+        fresh.end(id, s.end);
+    }
+    fresh
+}
+
+/// Re-feeds every retired request's TTFT and TBT gaps into fresh per-model
+/// registry sketches and a fresh SLO observatory, in retirement order, the
+/// way the runtime's retirement hook does.
+fn replay_sketches(
+    retired: &[&RequestOutcome],
+    n_models: usize,
+    window_ns: u64,
+) -> (MetricsRegistry, SloObservatory) {
+    let alpha = aegaeon_telemetry::observatory::SLO_SKETCH_ALPHA;
+    let mut reg = MetricsRegistry::enabled();
+    let ids: Vec<_> = (0..n_models)
+        .map(|m| {
+            let model = ModelId(m as u32).to_string();
+            (
+                reg.sketch(&labeled("ttft_seconds", "model", &model), alpha),
+                reg.sketch(&labeled("tbt_seconds", "model", &model), alpha),
+            )
+        })
+        .collect();
+    let mut slo = SloObservatory::new(n_models, window_ns);
+    let spec = SloSpec::paper_default();
+    let mut tbt = Vec::new();
+    for o in retired {
+        let met = (0u32..)
+            .zip(&o.token_times)
+            .filter(|&(k, &t)| t <= spec.token_deadline(o.arrival, k))
+            .count() as u64;
+        tbt.clear();
+        tbt.extend(
+            o.token_times
+                .windows(2)
+                .map(|w| w[1].saturating_since(w[0]).as_secs_f64()),
+        );
+        let ttft = o.ttft().unwrap_or(f64::NAN);
+        let (s_ttft, s_tbt) = ids[o.model.0 as usize];
+        reg.observe_sketch(s_ttft, ttft);
+        reg.observe_sketch_all(s_tbt, &tbt);
+        let at = o.token_times.last().map_or(0, |t| t.as_nanos());
+        let tokens = o.token_times.len() as u64;
+        slo.observe_request(at, o.model.0, ttft, &tbt, tokens, met);
+    }
+    (reg, slo)
+}
+
+/// Re-takes every registry sample of `metrics` on a fresh registry with the
+/// same counters and gauges.
+fn replay_samples(metrics: &MetricsRegistry) -> MetricsRegistry {
+    let mut fresh = MetricsRegistry::enabled();
+    for (name, _) in metrics.counter_series() {
+        fresh.counter(name);
+    }
+    for (name, _) in metrics.gauge_series() {
+        fresh.gauge(name);
+    }
+    if let Some((_, samples)) = metrics
+        .counter_series()
+        .chain(metrics.gauge_series())
+        .next()
+    {
+        for s in samples {
+            fresh.sample(s.at);
+        }
+    }
+    fresh
+}
+
+/// Registry sample calls a run made (every series holds one per call).
+fn sample_calls(metrics: &MetricsRegistry) -> usize {
+    metrics
+        .counter_series()
+        .chain(metrics.gauge_series())
+        .next()
+        .map_or(0, |(_, s)| s.len())
+}
+
+/// Observations held by every registry sketch.
+fn sketch_count(metrics: &MetricsRegistry) -> u64 {
+    metrics.sketches().map(|(_, s)| s.count()).sum()
 }
 
 fn main() {
@@ -142,13 +301,19 @@ fn main() {
     ocfg.faults = "cp=0.0005;cd=0.001;stall=0.01:2;link=0.01:0.5:3"
         .parse::<FaultPlan>()
         .expect("valid chaos plan");
-    let (bare_secs, bare, _) = observed_run(&ocfg, &omodels, &otrace, || None);
-    let (audit_secs, audited, report) = observed_run(&ocfg, &omodels, &otrace, || {
-        Some(Box::new(InvariantAuditor::new()))
-    });
-    let (every_secs, every, _) = observed_run(&ocfg, &omodels, &otrace, || {
-        Some(Box::new(EveryBook(InvariantAuditor::new())))
-    });
+    let mut runs = observed_runs(
+        &omodels,
+        &otrace,
+        &[
+            (&ocfg, no_auditor),
+            (&ocfg, invariant_auditor),
+            (&ocfg, every_book_auditor),
+        ],
+    )
+    .into_iter();
+    let (bare_secs, bare, _) = runs.next().expect("off");
+    let (audit_secs, audited, report) = runs.next().expect("changed books");
+    let (every_secs, every, _) = runs.next().expect("every book");
     let report = report.expect("auditor installed");
     assert!(report.ok(), "{report}");
     assert_eq!(
@@ -189,6 +354,122 @@ fn main() {
     println!(
         "  request checks      : {} for {tokens} tokens ({request_audits_per_event:.2} per event)",
         report.requests_checked
+    );
+
+    // --- Observer tax: telemetry, split by instrument ------------------------
+    // The benchmark's large `observed` trace (40 models at 0.3 rps for 180 s,
+    // 2,160 requests, chaos) with telemetry off, telemetry on, and the
+    // auditor on. Each instrument is then costed by replaying the inputs the
+    // run recorded into a fresh instance; `other` is what the replays do not
+    // cover (the attribution ledger, span-handle bookkeeping and the gauges
+    // computed before each sample).
+    let tmodels = market_models(40);
+    let ttrace = counted_trace(tmodels.len(), 0.3, 180.0, SEED);
+    let mut ton = ocfg.clone();
+    ton.telemetry = TelemetrySpec::enabled();
+    let mut runs = observed_runs(
+        &tmodels,
+        &ttrace,
+        &[
+            (&ocfg, no_auditor),
+            (&ton, no_auditor),
+            (&ocfg, invariant_auditor),
+        ],
+    )
+    .into_iter();
+    let (toff_secs, toff_r, _) = runs.next().expect("off");
+    let (ton_secs, ton_r, _) = runs.next().expect("telemetry");
+    let (taudit_secs, taudit_r, treport) = runs.next().expect("auditor");
+    let treport = treport.expect("auditor installed");
+    assert!(treport.ok(), "{treport}");
+    for (what, r) in [("telemetry", &ton_r), ("the auditor", &taudit_r)] {
+        assert_eq!(
+            toff_r.fingerprint(),
+            r.fingerprint(),
+            "{what} is an observer"
+        );
+    }
+    let tel = &ton_r.telemetry;
+
+    let (span_secs, spans_again) = median_secs(|| replay_spans(&tel.spans));
+    let spans = tel.spans.spans().len();
+    let tracks = tel.spans.tracks().len();
+    assert_eq!(spans_again.spans().len(), spans, "span replay is exact");
+    assert_eq!(
+        spans_again.tracks(),
+        tel.spans.tracks(),
+        "track replay is exact"
+    );
+
+    let mut retired: Vec<&RequestOutcome> =
+        ton_r.outcomes.iter().filter(|o| o.finished()).collect();
+    retired.sort_by_key(|o| (o.token_times.last().copied(), o.id));
+    let window_ns = TelemetrySpec::enabled().slo_window.as_nanos();
+    let (sketch_secs, (reg_again, slo_again)) =
+        median_secs(|| replay_sketches(&retired, tmodels.len(), window_ns));
+    assert_eq!(retired.len(), ton_r.completed, "every completion retires");
+    assert_eq!(
+        slo_again.cumulative(),
+        tel.slo.cumulative(),
+        "observatory replay is exact"
+    );
+    let registry_obs = sketch_count(&tel.metrics);
+    assert_eq!(
+        sketch_count(&reg_again),
+        registry_obs,
+        "sketch replay is exact"
+    );
+    // The observatory's windows take one TTFT and every TBT gap per retired
+    // request: exactly its token count.
+    let observatory_obs: u64 = tel.slo.cumulative().iter().map(|c| c.tokens).sum();
+    let sketch_obs = registry_obs + observatory_obs;
+
+    let (sample_secs, samples_again) = median_secs(|| replay_samples(&tel.metrics));
+    let samples = sample_calls(&tel.metrics);
+    assert_eq!(
+        sample_calls(&samples_again),
+        samples,
+        "sample replay is exact"
+    );
+
+    let tel_tax_secs = ton_secs - toff_secs;
+    let other_secs = tel_tax_secs - span_secs - sketch_secs - sample_secs;
+    let ttax = |secs: f64| secs / toff_secs * 100.0;
+    let ns_per = |secs: f64, ops: u64| secs * 1e9 / ops.max(1) as f64;
+    println!(
+        "\ntelemetry tax ({} requests, chaos, median of {OBSERVER_REPEATS}):",
+        ttrace.len()
+    );
+    println!(
+        "  off                 : {toff_secs:.3}s ({} events)",
+        toff_r.events
+    );
+    println!(
+        "  telemetry on        : {ton_secs:.3}s (+{:.0}%)",
+        ttax(tel_tax_secs)
+    );
+    println!(
+        "  auditor on          : {taudit_secs:.3}s (+{:.0}%)",
+        ttax(taudit_secs - toff_secs)
+    );
+    println!(
+        "  span log            : {span_secs:.4}s (+{:.1}%), {spans} spans on {tracks} tracks, {:.0} ns/span",
+        ttax(span_secs),
+        ns_per(span_secs, spans as u64)
+    );
+    println!(
+        "  sketches + SLO      : {sketch_secs:.4}s (+{:.1}%), {sketch_obs} observations, {:.0} ns/observation",
+        ttax(sketch_secs),
+        ns_per(sketch_secs, sketch_obs)
+    );
+    println!(
+        "  registry sampling   : {sample_secs:.4}s (+{:.1}%), {samples} samples, {:.0} ns/sample",
+        ttax(sample_secs),
+        ns_per(sample_secs, samples as u64)
+    );
+    println!(
+        "  other               : {other_secs:.4}s (+{:.1}%)",
+        ttax(other_secs)
     );
 
     // --- Sharded parallel run -----------------------------------------------
@@ -283,6 +564,43 @@ fn main() {
             "tokens": tokens,
             "request_audits_per_event": request_audits_per_event,
             "fingerprint": format!("{:016x}", bare.fingerprint()),
+        }),
+        "telemetry_tax": serde_json::json!({
+            "requests": ttrace.len() as u64,
+            "events": toff_r.events,
+            "repeats": OBSERVER_REPEATS as u64,
+            "off_secs": toff_secs,
+            "telemetry_secs": ton_secs,
+            "auditor_secs": taudit_secs,
+            "telemetry_tax_pct": ttax(tel_tax_secs),
+            "auditor_tax_pct": ttax(taudit_secs - toff_secs),
+            "instruments": serde_json::json!({
+                "span_log": serde_json::json!({
+                    "ops": spans as u64,
+                    "tracks": tracks as u64,
+                    "secs": span_secs,
+                    "ns_per_op": ns_per(span_secs, spans as u64),
+                    "tax_pct": ttax(span_secs),
+                }),
+                "sketches_and_slo": serde_json::json!({
+                    "ops": sketch_obs,
+                    "retired_requests": retired.len() as u64,
+                    "secs": sketch_secs,
+                    "ns_per_op": ns_per(sketch_secs, sketch_obs),
+                    "tax_pct": ttax(sketch_secs),
+                }),
+                "registry_sampling": serde_json::json!({
+                    "ops": samples as u64,
+                    "secs": sample_secs,
+                    "ns_per_op": ns_per(sample_secs, samples as u64),
+                    "tax_pct": ttax(sample_secs),
+                }),
+                "other": serde_json::json!({
+                    "secs": other_secs,
+                    "tax_pct": ttax(other_secs),
+                }),
+            }),
+            "fingerprint": format!("{:016x}", toff_r.fingerprint()),
         }),
         "parallel_run": serde_json::json!({
             "shards": shards as u64,

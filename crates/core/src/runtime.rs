@@ -660,9 +660,7 @@ impl SpanBook {
             .map_or(f64::NAN, |&t| t.saturating_since(rs.arrival).as_secs_f64());
         let mi = model.0 as usize;
         tel.metrics.observe_sketch(ids.s_ttft[mi], ttft);
-        for &v in &self.tbt {
-            tel.metrics.observe_sketch(ids.s_tbt[mi], v);
-        }
+        tel.metrics.observe_sketch_all(ids.s_tbt[mi], &self.tbt);
         let tokens = rs.token_times.len() as u64;
         tel.slo
             .observe_request(now.as_nanos(), model.0, ttft, &self.tbt, tokens, met);

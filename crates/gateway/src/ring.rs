@@ -74,7 +74,17 @@ struct Inner<T> {
 }
 
 // The ring hands each T from exactly one thread to exactly one other.
+// SAFETY: moving `Inner` to another thread moves its queued `T`s with it,
+// which `T: Send` allows; the atomics and the boxed buffer are plain data.
 unsafe impl<T: Send> Send for Inner<T> {}
+// SAFETY: `mask` never changes after construction, and `head`, `tail` and
+// the two flags are atomics. `buf` is the only field shared unsynchronized:
+// `ring` mints exactly one `Producer` and one `Consumer` (neither is
+// `Clone`), and only they reach it. The producer writes only slots outside
+// `[head, tail)`, the consumer reads only slots inside it, and each side
+// publishes its index with a Release store that the other side's Acquire
+// load pairs with. No slot is ever touched by both threads at once, so
+// sharing needs only `T: Send` for the hand-off itself.
 unsafe impl<T: Send> Sync for Inner<T> {}
 
 impl<T> Drop for Inner<T> {
@@ -84,6 +94,10 @@ impl<T> Drop for Inner<T> {
         let tail = *self.tail.get_mut();
         let mut pos = head;
         while pos != tail {
+            // SAFETY: `&mut self` means both handles are gone, so no other
+            // thread can reach the buffer. Every position in `[head, tail)`
+            // was written by `push` and not yet moved out by `pop`, so this
+            // slot holds an initialized `T`, dropped here exactly once.
             unsafe { (*self.buf[pos & self.mask].get()).assume_init_drop() };
             pos = pos.wrapping_add(1);
         }
@@ -150,6 +164,11 @@ impl<T> Producer<T> {
         if tail.wrapping_sub(head) > inner.mask {
             return Err(PushError::Full(item));
         }
+        // SAFETY: only this (single) producer writes. `tail - head <= mask`
+        // puts slot `tail & mask` outside `[head, tail)`, so the consumer
+        // does not read it until the Release store of `tail` below. The
+        // Acquire load of `head` orders the consumer's last read of the slot
+        // (which moved its value out) before this write, so nothing leaks.
         unsafe { (*inner.buf[tail & inner.mask].get()).write(item) };
         inner.tail.store(tail.wrapping_add(1), Ordering::Release);
         Ok(())
@@ -189,6 +208,11 @@ impl<T> Consumer<T> {
         if head == tail {
             return None;
         }
+        // SAFETY: `head != tail`, and the Acquire load of `tail` pairs with
+        // the producer's Release store made after it wrote this slot, so
+        // the slot holds an initialized `T`. Only this (single) consumer
+        // reads, and the `head` store below hands the slot back to the
+        // producer, so the value is moved out exactly once.
         let item = unsafe { (*inner.buf[head & inner.mask].get()).assume_init_read() };
         inner.head.store(head.wrapping_add(1), Ordering::Release);
         Some(item)

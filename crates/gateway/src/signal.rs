@@ -36,6 +36,11 @@ mod imp {
 
     /// Installs the handler for SIGTERM (15) and SIGINT (2).
     pub fn install() {
+        // SAFETY: `signal` is libc's, called with valid signal numbers and
+        // a handler of the C ABI type it expects (`extern "C" fn(i32)`,
+        // passed as `sighandler_t`). The handler only stores to an atomic,
+        // which is async-signal-safe. The previous handlers it returns are
+        // the defaults, which nothing needs to restore.
         unsafe {
             signal(15, on_signal as *const () as usize);
             signal(2, on_signal as *const () as usize);

@@ -150,12 +150,8 @@ pub fn chrome_trace(schedule: &TraceLog, spans: &SpanLog, metrics: &MetricsRegis
     }
 
     // Request-lifecycle spans.
-    let tracks = spans.tracks();
     for (id, s) in spans.spans().iter().enumerate() {
-        let tid = tracks
-            .iter()
-            .position(|t| std::sync::Arc::ptr_eq(t, &s.track))
-            .unwrap_or(0) as u32;
+        let tid = spans.track_index(&s.track).unwrap_or(0) as u32;
         push_span_event(&mut out, PID_REQUESTS, tid, id, s);
     }
 

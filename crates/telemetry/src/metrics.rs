@@ -214,6 +214,16 @@ impl MetricsRegistry {
         self.sketches[id.0 as usize].1.insert(value);
     }
 
+    /// Records a batch of sketch observations in order
+    /// ([`QuantileSketch::insert_all`]). One branch when disabled.
+    #[inline]
+    pub fn observe_sketch_all(&mut self, id: SketchId, values: &[f64]) {
+        if !self.enabled || id == SketchId::NONE {
+            return;
+        }
+        self.sketches[id.0 as usize].1.insert_all(values);
+    }
+
     /// All sketches as `(name, sketch)` in registration order.
     pub fn sketches(&self) -> impl Iterator<Item = (&str, &QuantileSketch)> {
         self.sketches.iter().map(|(n, s)| (n.as_str(), s))

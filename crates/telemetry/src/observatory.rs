@@ -26,8 +26,8 @@
 //! (prefill/decode execution) versus overhead (model switches, KV swap
 //! traffic)? Cells are keyed `(instance, model, kind)` with instances
 //! registered once at setup, so the hot-path [`AttributionLedger::add`]
-//! is a BTreeMap bump on integer keys — deterministic to iterate and
-//! mergeable like everything else in this crate.
+//! is an index bump into a dense per-instance row — and walking the rows
+//! in index order is key order, so exports stay deterministic.
 
 use crate::sketch::QuantileSketch;
 
@@ -270,9 +270,7 @@ impl SloObservatory {
         self.advance(retired_ns);
         let w = &mut self.cur[model as usize];
         w.ttft.insert(ttft_secs);
-        for &t in tbts_secs {
-            w.tbt.insert(t);
-        }
+        w.tbt.insert_all(tbts_secs);
         w.requests += 1;
         w.tokens += tokens;
         w.tokens_met += tokens_met;
@@ -385,8 +383,14 @@ impl CostKind {
 pub struct AttributionLedger {
     enabled: bool,
     instances: Vec<String>,
-    cells: std::collections::BTreeMap<(u32, u32, CostKind), f64>,
+    /// `cells[inst][model * KINDS + kind]`; `None` for a cell never added
+    /// to. Row-major over `(model, kind)`, so walking a row in index order
+    /// is key order.
+    cells: Vec<Vec<Option<f64>>>,
 }
+
+/// Cells per `(instance, model)` pair: one per [`CostKind`].
+const KINDS: usize = CostKind::ALL.len();
 
 impl AttributionLedger {
     /// An enabled, empty ledger.
@@ -408,6 +412,7 @@ impl AttributionLedger {
             return u32::MAX;
         }
         self.instances.push(name.to_string());
+        self.cells.push(Vec::new());
         (self.instances.len() - 1) as u32
     }
 
@@ -423,31 +428,46 @@ impl AttributionLedger {
         if !self.enabled || inst == u32::MAX {
             return;
         }
-        *self.cells.entry((inst, model, kind)).or_insert(0.0) += secs;
+        let row = &mut self.cells[inst as usize];
+        let i = model as usize * KINDS + kind as usize;
+        if i >= row.len() {
+            row.resize(i + 1, None);
+        }
+        *row[i].get_or_insert(0.0) += secs;
     }
 
     /// Every cell as `(instance name, model, kind, secs)` in key order.
     pub fn rows(&self) -> impl Iterator<Item = (&str, u32, CostKind, f64)> {
-        self.cells
+        self.instances
             .iter()
-            .map(|(&(i, m, k), &s)| (self.instances[i as usize].as_str(), m, k, s))
+            .zip(&self.cells)
+            .flat_map(|(name, row)| {
+                row.iter().enumerate().filter_map(move |(i, c)| {
+                    c.map(|secs| {
+                        (
+                            name.as_str(),
+                            (i / KINDS) as u32,
+                            CostKind::ALL[i % KINDS],
+                            secs,
+                        )
+                    })
+                })
+            })
     }
 
     /// Total seconds in useful (prefill/decode) cells.
     pub fn useful_secs(&self) -> f64 {
-        self.cells
-            .iter()
-            .filter(|((_, _, k), _)| k.is_useful())
-            .map(|(_, &s)| s)
+        self.rows()
+            .filter(|(_, _, k, _)| k.is_useful())
+            .map(|(_, _, _, s)| s)
             .sum()
     }
 
     /// Total seconds in overhead (switch/swap) cells.
     pub fn overhead_secs(&self) -> f64 {
-        self.cells
-            .iter()
-            .filter(|((_, _, k), _)| !k.is_useful())
-            .map(|(_, &s)| s)
+        self.rows()
+            .filter(|(_, _, k, _)| !k.is_useful())
+            .map(|(_, _, _, s)| s)
             .sum()
     }
 }
@@ -550,6 +570,52 @@ mod tests {
         let rows: Vec<_> = l.rows().collect();
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0], ("p0", 0, CostKind::ModelSwitch, 1.0));
+    }
+
+    #[test]
+    fn ledger_rows_match_a_sorted_map() {
+        // Dense rows must walk cells in `(instance, model, kind)` order and
+        // sum them exactly as a sorted map would, zero-second cells included.
+        for (i, k) in CostKind::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i, "ALL must follow declaration order");
+        }
+        let mut l = AttributionLedger::enabled();
+        let insts = [l.instance("p0"), l.instance("p1"), l.instance("d0")];
+        let mut reference = std::collections::BTreeMap::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for n in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let inst = insts[(x % 3) as usize];
+            let model = ((x >> 8) % 23) as u32;
+            let kind = CostKind::ALL[((x >> 16) % 5) as usize];
+            let secs = if n % 97 == 0 {
+                0.0
+            } else {
+                ((x >> 24) % 1000) as f64 * 1e-3
+            };
+            l.add(inst, model, kind, secs);
+            *reference.entry((inst, model, kind)).or_insert(0.0) += secs;
+        }
+        let rows: Vec<_> = l
+            .rows()
+            .map(|(n, m, k, s)| (n, m, k, s.to_bits()))
+            .collect();
+        let names = l.instance_names();
+        let expected: Vec<_> = reference
+            .iter()
+            .map(|(&(i, m, k), &s): (&(u32, u32, CostKind), &f64)| {
+                (names[i as usize].as_str(), m, k, s.to_bits())
+            })
+            .collect();
+        assert_eq!(rows, expected);
+        let useful: f64 = reference
+            .iter()
+            .filter(|((_, _, k), _)| k.is_useful())
+            .map(|(_, &s)| s)
+            .sum();
+        assert_eq!(l.useful_secs().to_bits(), useful.to_bits());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use aegaeon_sim::SimTime;
+use aegaeon_sim::{FxHashMap, SimTime};
 
 /// Classifies a span for export (`cat` in Chrome Trace Event Format).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,8 +108,11 @@ impl Span {
 pub struct SpanLog {
     enabled: bool,
     spans: Vec<Span>,
-    /// Distinct tracks in first-appearance order; doubles as intern table.
+    /// Distinct tracks in first-appearance order.
     tracks: Vec<Arc<str>>,
+    /// Intern table: each track's position in `tracks`. Tracks are per
+    /// request, so a linear scan would make recording quadratic.
+    index: FxHashMap<Arc<str>, u32>,
 }
 
 impl SpanLog {
@@ -132,10 +135,11 @@ impl SpanLog {
     }
 
     fn intern(&mut self, track: &str) -> Arc<str> {
-        if let Some(t) = self.tracks.iter().find(|t| &***t == track) {
-            return Arc::clone(t);
+        if let Some(&i) = self.index.get(track) {
+            return Arc::clone(&self.tracks[i as usize]);
         }
         let t: Arc<str> = Arc::from(track);
+        self.index.insert(Arc::clone(&t), self.tracks.len() as u32);
         self.tracks.push(Arc::clone(&t));
         t
     }
@@ -223,6 +227,11 @@ impl SpanLog {
     /// Distinct track names in first-appearance order.
     pub fn tracks(&self) -> &[Arc<str>] {
         &self.tracks
+    }
+
+    /// Position of `track` in [`SpanLog::tracks`], if it was recorded.
+    pub fn track_index(&self, track: &str) -> Option<usize> {
+        self.index.get(track).map(|&i| i as usize)
     }
 
     /// Checks structural well-formedness, returning a description of the
@@ -361,5 +370,42 @@ mod tests {
             "same track must share one allocation"
         );
         assert_eq!(log.tracks().len(), 1);
+    }
+
+    #[test]
+    fn interning_keeps_first_appearance_order_at_scale() {
+        let mut log = SpanLog::enabled();
+        // 7919 is coprime to 10,000: a permutation of 0..10,000, so
+        // first-appearance order differs from sorted order.
+        let name = |i: u32| format!("req{}", i * 7919 % 10_000);
+        let mut ids = Vec::new();
+        for i in 0..10_000u32 {
+            ids.push(log.instant(|| name(i), SpanKind::Other, t(0.0), SpanId::NONE, || "x"));
+            // Revisit an earlier track every third span.
+            if i % 3 == 0 {
+                ids.push(log.instant(
+                    || name(i / 2),
+                    SpanKind::Other,
+                    t(0.0),
+                    SpanId::NONE,
+                    || "y",
+                ));
+            }
+        }
+        let tracks: Vec<&str> = log.tracks().iter().map(|t| &**t).collect();
+        let expected: Vec<String> = (0..10_000).map(name).collect();
+        assert_eq!(tracks, expected, "first-appearance order");
+        for (i, track) in log.tracks().iter().enumerate() {
+            assert_eq!(log.track_index(track), Some(i));
+        }
+        assert_eq!(log.track_index("nope"), None);
+        for id in ids {
+            let s = &log.spans()[id.0 as usize];
+            let i = log.track_index(&s.track).expect("recorded track");
+            assert!(
+                Arc::ptr_eq(&s.track, &log.tracks()[i]),
+                "repeated track must share its Arc"
+            );
+        }
     }
 }

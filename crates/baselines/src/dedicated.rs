@@ -1,11 +1,11 @@
 //! Dedicated instances: one reserved TP group per model (the strawman and
 //! the production "before" of Figure 18).
 
+use aegaeon::RunResult;
 use aegaeon_model::{ModelId, ModelSpec};
 use aegaeon_workload::Trace;
 
 use crate::engine_loop::{Qq, Scheduler, World, WorldConfig};
-use crate::result::BaselineResult;
 
 /// The dedicated-instance scheduler: instance `i` serves model `i % M`.
 #[derive(Debug)]
@@ -21,7 +21,7 @@ impl Dedicated {
     /// # Panics
     ///
     /// Panics if there are fewer instances than models.
-    pub fn run(cfg: &WorldConfig, models: &[ModelSpec], trace: &Trace) -> BaselineResult {
+    pub fn run(cfg: &WorldConfig, models: &[ModelSpec], trace: &Trace) -> RunResult {
         let world = World::new(cfg.clone(), models, trace.clone());
         assert!(
             world.insts.len() >= models.len(),
@@ -47,7 +47,7 @@ impl Dedicated {
         models: &[ModelSpec],
         trace: &Trace,
         assignment: Vec<ModelId>,
-    ) -> BaselineResult {
+    ) -> RunResult {
         let world = World::new(cfg.clone(), models, trace.clone());
         assert_eq!(
             world.insts.len(),
@@ -63,7 +63,7 @@ impl Dedicated {
         Self::run_world(world, models.len(), assignment)
     }
 
-    fn run_world(world: World, n_models: usize, assignment: Vec<ModelId>) -> BaselineResult {
+    fn run_world(world: World, n_models: usize, assignment: Vec<ModelId>) -> RunResult {
         let mut sched = Dedicated {
             queues: vec![Vec::new(); n_models],
             assignment,
@@ -151,7 +151,7 @@ mod tests {
             "utilization {}",
             r.mean_gpu_utilization()
         );
-        assert_eq!(r.switches, 4, "exactly one load per model");
+        assert_eq!(r.scale_count, 4, "exactly one load per model");
     }
 
     #[test]

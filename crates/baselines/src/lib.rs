@@ -21,10 +21,8 @@
 pub mod dedicated;
 pub mod engine_loop;
 pub mod muxserve;
-pub mod result;
 pub mod serverless;
 
 pub use dedicated::Dedicated;
 pub use muxserve::{MuxServe, Placement};
-pub use result::BaselineResult;
 pub use serverless::{ServerlessLlm, SllmConfig};

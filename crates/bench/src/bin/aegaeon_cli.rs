@@ -208,7 +208,7 @@ fn main() {
         aegaeon_telemetry::TelemetrySpec::disabled()
     };
 
-    match args.system.as_str() {
+    let r = match args.system.as_str() {
         "aegaeon" => {
             let mut cfg = AegaeonConfig::paper_testbed();
             cfg.cluster = cluster;
@@ -227,39 +227,7 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            let r = ServingSystem::run(&cfg, &models, &trace);
-            let rep = r.attainment(slo);
-            println!(
-                "attainment {:.1}% | completed {}/{} | scale-ups {} (prefetch {:.0}%) | swaps {} | util {:.1}%",
-                rep.percent(),
-                r.completed,
-                r.total_requests,
-                r.scale_count,
-                r.prefetch_hit_ratio() * 100.0,
-                r.swaps,
-                r.mean_gpu_utilization() * 100.0
-            );
-            let s = aegaeon_metrics::summarize(&r.outcomes, r.horizon);
-            println!(
-                "tokens {} ({:.0}/s) | TTFT p50/p90/p99 {:.2}/{:.2}/{:.2}s | gap p50/p99 {:.0}/{:.0}ms",
-                s.tokens,
-                s.token_rate,
-                s.ttft.0,
-                s.ttft.1,
-                s.ttft.2,
-                s.tbt.0 * 1e3,
-                s.tbt.2 * 1e3
-            );
-            let rows = aegaeon_metrics::per_model_rows(&r.outcomes, slo, r.horizon, args.models);
-            if let Some(worst) = rows.first() {
-                println!(
-                    "worst model m{} at {:.1}% over {} requests",
-                    worst.model,
-                    worst.attainment.percent(),
-                    worst.requests
-                );
-            }
-            export(&args, &r.schedule, &r.telemetry);
+            ServingSystem::run(&cfg, &models, &trace)
         }
         "sllm" | "sllm+" => {
             let mut cfg = if args.system == "sllm+" {
@@ -269,38 +237,52 @@ fn main() {
             };
             cfg.world.seed = args.seed;
             cfg.world.telemetry = tel_spec;
-            let r = ServerlessLlm::run(&cfg, &models, &trace);
-            let rep = r.attainment(slo);
-            println!(
-                "attainment {:.1}% | completed {}/{} | switches {} | util {:.1}%",
-                rep.percent(),
-                r.completed,
-                r.total_requests,
-                r.switches,
-                r.mean_gpu_utilization() * 100.0
-            );
-            export(&args, &aegaeon_sim::TraceLog::disabled(), &r.telemetry);
+            ServerlessLlm::run(&cfg, &models, &trace)
         }
         "muxserve" => {
             let mut cfg = WorldConfig::sllm_default(cluster);
             cfg.seed = args.seed;
             cfg.telemetry = tel_spec;
             let rates = vec![args.rps; args.models];
-            let r = MuxServe::run(&cfg, &models, &rates, &trace);
-            let rep = r.attainment(slo);
-            println!(
-                "attainment {:.1}% | completed {}/{} | unplaced-model requests {} | util {:.1}%",
-                rep.percent(),
-                r.completed,
-                r.total_requests,
-                r.rejected,
-                r.mean_gpu_utilization() * 100.0
-            );
-            export(&args, &aegaeon_sim::TraceLog::disabled(), &r.telemetry);
+            MuxServe::run(&cfg, &models, &rates, &trace)
         }
         other => {
             eprintln!("unknown system {other}");
             std::process::exit(2);
         }
+    };
+
+    let rep = r.attainment(slo);
+    println!(
+        "attainment {:.1}% | completed {}/{} | rejected {} | switches {} (prefetch {:.0}%) | swaps {} | util {:.1}%",
+        rep.percent(),
+        r.completed,
+        r.total_requests,
+        r.rejected,
+        r.scale_count,
+        r.prefetch_hit_ratio() * 100.0,
+        r.swaps,
+        r.mean_gpu_utilization() * 100.0
+    );
+    let s = aegaeon_metrics::summarize(&r.outcomes, r.horizon);
+    println!(
+        "tokens {} ({:.0}/s) | TTFT p50/p90/p99 {:.2}/{:.2}/{:.2}s | gap p50/p99 {:.0}/{:.0}ms",
+        s.tokens,
+        s.token_rate,
+        s.ttft.0,
+        s.ttft.1,
+        s.ttft.2,
+        s.tbt.0 * 1e3,
+        s.tbt.2 * 1e3
+    );
+    let rows = aegaeon_metrics::per_model_rows(&r.outcomes, slo, r.horizon, args.models);
+    if let Some(worst) = rows.first() {
+        println!(
+            "worst model m{} at {:.1}% over {} requests",
+            worst.model,
+            worst.attainment.percent(),
+            worst.requests
+        );
     }
+    export(&args, &r.schedule, &r.telemetry);
 }

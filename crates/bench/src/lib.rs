@@ -10,7 +10,7 @@ pub mod sweep;
 
 use aegaeon::{AegaeonConfig, RunResult, ServingSystem};
 use aegaeon_baselines::engine_loop::WorldConfig;
-use aegaeon_baselines::{BaselineResult, MuxServe, ServerlessLlm, SllmConfig};
+use aegaeon_baselines::{MuxServe, ServerlessLlm, SllmConfig};
 use aegaeon_metrics::AttainmentReport;
 use aegaeon_model::{ModelSpec, Zoo};
 use aegaeon_sim::{SimRng, SimTime};
@@ -176,12 +176,6 @@ pub fn run_aegaeon(models: &[ModelSpec], trace: &Trace) -> RunResult {
     let r = ServingSystem::run(&cfg, models, trace);
     maybe_dump_trace(&r);
     r
-}
-
-/// A full ServerlessLLM run on the paper testbed.
-pub fn run_sllm(models: &[ModelSpec], trace: &Trace) -> BaselineResult {
-    let cfg = SllmConfig::new(aegaeon_gpu::ClusterSpec::paper_testbed());
-    ServerlessLlm::run(&cfg, models, trace)
 }
 
 /// Prints the standard experiment banner.

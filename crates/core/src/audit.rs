@@ -15,44 +15,14 @@
 use aegaeon_sim::SimTime;
 use std::fmt;
 
-/// Read-only audit facade over one request's progress.
-#[derive(Debug, Clone, Copy)]
-pub struct ReqAudit<'a> {
-    /// Output tokens produced so far.
-    pub produced: u32,
-    /// Oracle output length.
-    pub target: u32,
-    /// True once the request has fully completed.
-    pub done: bool,
-    /// Generation instants, one per produced token.
-    pub token_times: &'a [SimTime],
-}
+use crate::runtime::Requests;
 
 /// Read-only view a serving system exposes to the auditor.
 pub trait AuditView {
-    /// Requests completed so far (the system's own counter, which the
-    /// auditor cross-checks against per-request state).
-    fn completed_counter(&self) -> u64;
-    /// Requests rejected by admission control (baselines only).
-    fn rejected_counter(&self) -> u64 {
-        0
-    }
-    /// Requests handed off to another shard after a total tier loss
-    /// (sharded runs only). A migrated request is locally resolved without
-    /// completing, so conservation counts it alongside completions and
-    /// rejections.
-    fn migrated_counter(&self) -> u64 {
-        0
-    }
-    /// Total requests in the trace.
-    fn request_count(&self) -> usize;
-    /// Audit view of request `i`.
-    fn request(&self, i: usize) -> ReqAudit<'_>;
-    /// Requests that produced a token during the last dispatched event,
-    /// once per token (the host's [`crate::runtime::ProgressLog`]). Every
-    /// token goes through [`crate::runtime::push_token`], so a request
-    /// missing here kept its audited state across the event.
-    fn progressed(&self) -> &[usize];
+    /// The request table: per-request progress, the last event's progress
+    /// log and the completed/rejected/migrated counters, which the auditor
+    /// cross-checks against per-request state.
+    fn requests(&self) -> &Requests;
     /// Number of memory books: one per KV cache, together with the move
     /// list parking its blocks (0 for a view without KV accounting).
     fn book_count(&self) -> usize {
@@ -183,8 +153,8 @@ pub trait Auditor {
 ///
 /// Request work is proportional to what an event changed. The token-level
 /// invariants (2–4) can only move when a request produces a token, and
-/// every token goes through [`crate::runtime::push_token`], which logs the
-/// request in the host's progress log ([`AuditView::progressed`]). After
+/// every token goes through [`Requests::push_token`], which logs the
+/// request in the table's progress log ([`Requests::progressed`]). After
 /// each event the auditor checks exactly the logged requests against their
 /// high-water marks (a request logged twice is simply checked twice) and
 /// keeps the number of done requests incrementally, so the exact
@@ -261,8 +231,9 @@ impl InvariantAuditor {
         }
         self.last_now = self.last_now.max(now);
 
-        let n = view.request_count();
-        let completed = view.completed_counter();
+        let reqs = view.requests();
+        let n = reqs.len();
+        let completed = reqs.completed as u64;
         if completed < self.last_completed {
             self.flag(
                 now,
@@ -273,9 +244,8 @@ impl InvariantAuditor {
             );
         }
         self.last_completed = self.last_completed.max(completed);
-        let rejected = view.rejected_counter();
-        let migrated = view.migrated_counter();
-        if completed + rejected + migrated > n as u64 {
+        let (rejected, migrated) = (reqs.rejected, reqs.migrated);
+        if completed as usize + rejected + migrated > n {
             self.flag(
                 now,
                 format!(
@@ -288,7 +258,7 @@ impl InvariantAuditor {
         // them for an auditor installed mid-run) enter the done count as
         // they are; their tokens are checked when logged, or at finish.
         for i in self.seen.len()..n {
-            let done = view.request(i).done;
+            let done = reqs[i].is_done();
             self.done += done as u64;
             self.seen.push(Seen {
                 done,
@@ -297,11 +267,11 @@ impl InvariantAuditor {
         }
         if finish {
             for i in 0..n {
-                self.check_request(now, view, i);
+                self.check_request(now, reqs, i);
             }
         } else {
-            for &i in view.progressed() {
-                self.check_request(now, view, i);
+            for &i in reqs.progressed() {
+                self.check_request(now, reqs, i);
             }
         }
         if completed != self.done {
@@ -351,9 +321,9 @@ impl InvariantAuditor {
 
     /// Validates request `i` against its high-water marks and moves the
     /// done count to its current state.
-    fn check_request(&mut self, now: SimTime, view: &dyn AuditView, i: usize) {
+    fn check_request(&mut self, now: SimTime, reqs: &Requests, i: usize) {
         self.report.requests_checked += 1;
-        let r = view.request(i);
+        let r = &reqs[i];
         let seen = self.seen[i];
         if r.produced < seen.produced {
             self.flag(
@@ -364,12 +334,12 @@ impl InvariantAuditor {
                 ),
             );
         }
-        if r.produced > r.target {
+        if r.produced > r.target_tokens {
             self.flag(
                 now,
                 format!(
                     "progress: request {i} produced {} beyond target {}",
-                    r.produced, r.target
+                    r.produced, r.target_tokens
                 ),
             );
         }
@@ -410,11 +380,12 @@ impl InvariantAuditor {
                 );
             }
         }
-        self.done = self.done + r.done as u64 - seen.done as u64;
+        let done = r.is_done();
+        self.done = self.done + done as u64 - seen.done as u64;
         self.seen[i] = Seen {
             produced: seen.produced.max(r.produced),
             tokens: seen.tokens.max(r.token_times.len()),
-            done: r.done,
+            done,
         };
     }
 }
@@ -429,11 +400,10 @@ impl Auditor for InvariantAuditor {
         self.check(now, view, true);
         // End-of-run conservation: every request completed, rejected, or
         // handed off to another shard.
-        let n = view.request_count() as u64;
-        let completed = view.completed_counter();
-        let rejected = view.rejected_counter();
-        let migrated = view.migrated_counter();
-        if completed + rejected + migrated != n {
+        let reqs = view.requests();
+        if reqs.unresolved() > 0 {
+            let (n, completed) = (reqs.len(), reqs.completed);
+            let (rejected, migrated) = (reqs.rejected, reqs.migrated);
             self.flag(
                 now,
                 format!(
@@ -468,13 +438,12 @@ pub fn check_token_order(req_idx: usize, token_times: &[SimTime]) -> Option<Stri
 mod tests {
     use super::*;
 
+    use crate::reqstate::ReqState;
+    use aegaeon_workload::RequestId;
+
     /// Hand-rolled view for exercising the auditor without a full system.
     struct FakeView {
-        completed: u64,
-        rejected: u64,
-        reqs: Vec<(u32, u32, bool, Vec<SimTime>)>,
-        /// The last event's progress log.
-        log: Vec<usize>,
+        reqs: Requests,
         /// One memory book: its epoch and verdict.
         mem_epoch: u64,
         mem: Option<String>,
@@ -482,26 +451,8 @@ mod tests {
     }
 
     impl AuditView for FakeView {
-        fn completed_counter(&self) -> u64 {
-            self.completed
-        }
-        fn rejected_counter(&self) -> u64 {
-            self.rejected
-        }
-        fn request_count(&self) -> usize {
-            self.reqs.len()
-        }
-        fn request(&self, i: usize) -> ReqAudit<'_> {
-            let (produced, target, done, times) = &self.reqs[i];
-            ReqAudit {
-                produced: *produced,
-                target: *target,
-                done: *done,
-                token_times: times,
-            }
-        }
-        fn progressed(&self) -> &[usize] {
-            &self.log
+        fn requests(&self) -> &Requests {
+            &self.reqs
         }
         fn book_count(&self) -> usize {
             1
@@ -517,45 +468,55 @@ mod tests {
         }
     }
 
-    fn clean_view() -> FakeView {
+    fn t(secs: f64) -> SimTime {
+        SimTime::from_secs_f64(secs)
+    }
+
+    /// A view over requests with the given output `targets`, none started,
+    /// nothing logged.
+    fn view(targets: &[u32]) -> FakeView {
+        let mut reqs = Requests::default();
+        for &target in targets {
+            reqs.push(ReqState::new(SimTime::ZERO, 1, target));
+        }
         FakeView {
-            completed: 1,
-            rejected: 0,
-            reqs: vec![
-                (
-                    2,
-                    2,
-                    true,
-                    vec![SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(2.0)],
-                ),
-                (1, 3, false, vec![SimTime::from_secs_f64(1.5)]),
-            ],
-            log: vec![0, 1],
+            reqs,
             mem_epoch: 0,
             mem: None,
             link: None,
         }
     }
 
+    /// Logs one token of request `i` at `secs`.
+    fn produce(v: &mut FakeView, i: usize, secs: f64) {
+        v.reqs.push_token(RequestId(i as u64), t(secs));
+    }
+
+    /// Request 0 done at two tokens (1.0 s, 2.0 s), request 1 at one token
+    /// of three (1.5 s); the last event logged request 0's second token and
+    /// request 1's first.
+    fn clean_view() -> FakeView {
+        let mut v = view(&[2, 3]);
+        produce(&mut v, 0, 1.0);
+        v.reqs.clear_progress();
+        produce(&mut v, 0, 2.0);
+        produce(&mut v, 1, 1.5);
+        v.reqs.completed = 1;
+        v
+    }
+
     #[test]
     fn clean_run_passes() {
         let mut a = InvariantAuditor::new();
         let v = clean_view();
-        a.after_event(SimTime::from_secs_f64(2.0), &v);
-        a.after_event(SimTime::from_secs_f64(3.0), &v);
+        a.after_event(t(2.0), &v);
+        a.after_event(t(3.0), &v);
         let mut done = clean_view();
-        done.completed = 2;
-        done.reqs[1] = (
-            3,
-            3,
-            true,
-            vec![
-                SimTime::from_secs_f64(1.5),
-                SimTime::from_secs_f64(3.5),
-                SimTime::from_secs_f64(4.0),
-            ],
-        );
-        a.at_finish(SimTime::from_secs_f64(4.0), &done);
+        done.reqs.clear_progress();
+        produce(&mut done, 1, 3.5);
+        produce(&mut done, 1, 4.0);
+        done.reqs.completed = 2;
+        a.at_finish(t(4.0), &done);
         let report = a.take_report();
         assert!(report.ok(), "{report}");
         assert_eq!(report.events_checked, 3);
@@ -565,8 +526,8 @@ mod tests {
     fn detects_time_regression() {
         let mut a = InvariantAuditor::new();
         let v = clean_view();
-        a.after_event(SimTime::from_secs_f64(5.0), &v);
-        a.after_event(SimTime::from_secs_f64(4.0), &v);
+        a.after_event(t(5.0), &v);
+        a.after_event(t(4.0), &v);
         let report = a.take_report();
         assert!(!report.ok());
         assert!(report.violations[0].what.contains("causality"), "{report}");
@@ -576,14 +537,13 @@ mod tests {
     fn detects_lost_and_double_completed_requests() {
         let mut a = InvariantAuditor::new();
         let mut v = clean_view();
-        v.completed = 2; // claims two done, state says one
-        a.after_event(SimTime::from_secs_f64(3.0), &v);
+        v.reqs.completed = 2; // claims two done, state says one
+        a.after_event(t(3.0), &v);
         assert!(!a.take_report().ok());
 
         let mut a = InvariantAuditor::new();
-        let mut fin = clean_view();
-        fin.reqs[1].2 = false; // never completes
-        a.at_finish(SimTime::from_secs_f64(9.0), &fin);
+        let fin = clean_view(); // request 1 never completes
+        a.at_finish(t(9.0), &fin);
         let report = a.take_report();
         assert!(
             report
@@ -598,11 +558,11 @@ mod tests {
     fn detects_produced_regression_and_token_disorder() {
         let mut a = InvariantAuditor::new();
         let v = clean_view();
-        a.after_event(SimTime::from_secs_f64(2.0), &v);
+        a.after_event(t(2.0), &v);
         let mut worse = clean_view();
-        worse.reqs[0].0 = 1; // produced went backwards
-        worse.reqs[0].3.pop();
-        a.after_event(SimTime::from_secs_f64(2.5), &worse);
+        worse.reqs[0].produced = 1; // produced went backwards
+        worse.reqs[0].token_times.pop();
+        a.after_event(t(2.5), &worse);
         let report = a.take_report();
         assert!(report
             .violations
@@ -611,8 +571,8 @@ mod tests {
 
         let mut a = InvariantAuditor::new();
         let mut bad = clean_view();
-        bad.reqs[0].3 = vec![SimTime::from_secs_f64(2.0), SimTime::from_secs_f64(1.0)];
-        a.after_event(SimTime::from_secs_f64(3.0), &bad);
+        bad.reqs[0].token_times = vec![t(2.0), t(1.0)];
+        a.after_event(t(3.0), &bad);
         let report = a.take_report();
         assert!(
             report
@@ -625,24 +585,7 @@ mod tests {
 
     /// `n` requests of two tokens each, none started, nothing logged.
     fn idle_view(n: usize) -> FakeView {
-        FakeView {
-            completed: 0,
-            rejected: 0,
-            reqs: vec![(0, 2, false, Vec::new()); n],
-            log: Vec::new(),
-            mem_epoch: 0,
-            mem: None,
-            link: None,
-        }
-    }
-
-    /// Logs one token of request `i` at `secs` (finishing it at two).
-    fn produce(v: &mut FakeView, i: usize, secs: f64) {
-        let r = &mut v.reqs[i];
-        r.0 += 1;
-        r.2 = r.0 >= r.1;
-        r.3.push(SimTime::from_secs_f64(secs));
-        v.log.push(i);
+        view(&vec![2; n])
     }
 
     #[test]
@@ -650,10 +593,10 @@ mod tests {
         let mut a = InvariantAuditor::new();
         let mut v = idle_view(InvariantAuditor::FULL_SCAN_MAX + 1);
         produce(&mut v, 7, 1.0);
-        a.after_event(SimTime::from_secs_f64(1.0), &v);
-        v.log.clear();
+        a.after_event(t(1.0), &v);
+        v.reqs.clear_progress();
         produce(&mut v, 7, 2.0); // request 7 finishes ...
-        a.after_event(SimTime::from_secs_f64(2.0), &v);
+        a.after_event(t(2.0), &v);
         // ... but the completion counter never moved: flagged on the event,
         // not at finish.
         let report = a.take_report();
@@ -667,10 +610,15 @@ mod tests {
         let mut a = InvariantAuditor::new();
         let mut v = idle_view(InvariantAuditor::FULL_SCAN_MAX + 1);
         produce(&mut v, 3, 1.0);
-        a.after_event(SimTime::from_secs_f64(1.0), &v);
-        v.reqs[3] = (0, 2, false, Vec::new());
-        v.log = vec![3, 3]; // a duplicate entry is harmless
-        a.after_event(SimTime::from_secs_f64(2.0), &v);
+        a.after_event(t(1.0), &v);
+        // Two logged tokens, then a rollback below the first: the
+        // duplicate log entry is harmless.
+        v.reqs.clear_progress();
+        produce(&mut v, 3, 2.0);
+        produce(&mut v, 3, 2.0);
+        v.reqs[3].produced = 0;
+        v.reqs[3].token_times.clear();
+        a.after_event(t(2.0), &v);
         let report = a.take_report();
         assert!(!report.ok());
         assert!(
@@ -686,13 +634,13 @@ mod tests {
     fn unlogged_change_is_caught_by_the_finish_sweep() {
         let mut a = InvariantAuditor::new();
         let mut v = clean_view();
-        a.after_event(SimTime::from_secs_f64(2.0), &v);
-        v.reqs[0].0 = 1; // produced went backwards without a log entry
-        v.reqs[0].3.pop();
-        v.log.clear();
-        a.after_event(SimTime::from_secs_f64(2.5), &v);
+        a.after_event(t(2.0), &v);
+        v.reqs[0].produced = 1; // produced went backwards without a log entry
+        v.reqs[0].token_times.pop();
+        v.reqs.clear_progress();
+        a.after_event(t(2.5), &v);
         assert!(a.report.ok(), "only logged requests are checked per event");
-        a.at_finish(SimTime::from_secs_f64(3.0), &v);
+        a.at_finish(t(3.0), &v);
         let report = a.take_report();
         assert!(
             report
@@ -714,7 +662,7 @@ mod tests {
         let mut v = clean_view();
         v.mem = Some("slab 3 double-assigned".into());
         v.link = Some("link pcie0 over capacity".into());
-        a.after_event(SimTime::from_secs_f64(3.0), &v);
+        a.after_event(t(3.0), &v);
         let report = a.take_report();
         assert_eq!(report.violations.len(), 2);
         assert!(report.violations[0].what.starts_with("memory:"));
@@ -726,28 +674,29 @@ mod tests {
         let mut a = InvariantAuditor::new();
         let mut v = clean_view();
         for i in 0..5 {
-            a.after_event(SimTime::from_secs_f64(2.0 + i as f64), &v);
+            a.after_event(t(2.0 + i as f64), &v);
         }
         assert_eq!(a.report.books_checked, 1, "unchanged book audited once");
         // A corruption that did not move the epoch would go unseen until
         // finish; one that moved it is caught on the next event.
         v.mem = Some("block held twice".into());
-        a.after_event(SimTime::from_secs_f64(8.0), &v);
+        a.after_event(t(8.0), &v);
         assert!(a.report.ok());
         v.mem_epoch += 1;
-        a.after_event(SimTime::from_secs_f64(9.0), &v);
+        a.after_event(t(9.0), &v);
         assert_eq!(a.report.violations.len(), 1);
         // A failed book stays due on every event until it passes.
-        a.after_event(SimTime::from_secs_f64(10.0), &v);
+        a.after_event(t(10.0), &v);
         assert_eq!(a.report.violations.len(), 2);
         v.mem = None;
-        a.after_event(SimTime::from_secs_f64(11.0), &v);
-        a.after_event(SimTime::from_secs_f64(12.0), &v);
+        a.after_event(t(11.0), &v);
+        a.after_event(t(12.0), &v);
         assert_eq!(a.report.books_checked, 4);
         // The final sweep audits every book, moved or not.
-        v.completed = 2;
-        v.reqs[1].2 = true;
-        a.at_finish(SimTime::from_secs_f64(13.0), &v);
+        produce(&mut v, 1, 12.0);
+        produce(&mut v, 1, 12.5);
+        v.reqs.completed = 2;
+        a.at_finish(t(13.0), &v);
         let report = a.take_report();
         assert_eq!(report.books_checked, 5);
         assert_eq!(report.violations.len(), 2, "{report}");
@@ -759,7 +708,7 @@ mod tests {
         let mut v = clean_view();
         v.mem = Some("boom".into());
         for i in 0..1000 {
-            a.after_event(SimTime::from_secs_f64(i as f64), &v);
+            a.after_event(t(i as f64), &v);
         }
         let report = a.take_report();
         assert_eq!(report.violations.len(), 64);

@@ -60,7 +60,7 @@ pub mod shard;
 pub mod system;
 pub mod unified;
 
-pub use audit::{AuditReport, AuditView, Auditor, InvariantAuditor, ReqAudit, Violation};
+pub use audit::{AuditReport, AuditView, Auditor, InvariantAuditor, Violation};
 pub use chaos::{FaultEvent, FaultKind, FaultPlan};
 pub use config::AegaeonConfig;
 pub use events::TokenEv;

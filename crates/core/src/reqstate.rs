@@ -173,7 +173,8 @@ impl ReqState {
     }
 
     /// Records a produced token at `t`. Serving loops go through
-    /// [`crate::runtime::push_token`], which also logs it for the auditor.
+    /// [`crate::runtime::Requests::push_token`], which also logs it for the
+    /// auditor.
     pub(crate) fn push_token(&mut self, t: SimTime) {
         self.produced += 1;
         self.token_times.push(t);

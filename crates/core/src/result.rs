@@ -1,11 +1,13 @@
-//! Run results and derived reports.
+//! Run results and derived reports, shared by Aegaeon and the baselines.
 
 use aegaeon_mem::frag::FragRow;
 use aegaeon_metrics::{attainment, AttainmentReport, BreakdownAcc, RequestOutcome};
 use aegaeon_sim::{SimTime, TraceLog};
 use aegaeon_workload::SloSpec;
 
-/// Everything a serving run produces.
+/// Everything a serving run produces. Baseline runs leave the
+/// Aegaeon-only fields (latency breakdown, scaling and KV-sync latencies,
+/// fragmentation, prefetch, swap and prefix counters, schedule) empty.
 #[derive(Debug)]
 pub struct RunResult {
     /// Per-request outcomes (token timestamps).
@@ -28,11 +30,17 @@ pub struct RunResult {
     pub util_samples: Vec<(SimTime, Vec<f64>)>,
     /// Requests that finished.
     pub completed: usize,
+    /// Requests turned away for good at admission (MuxServe's unplaced
+    /// models; always 0 for Aegaeon). [`RunResult::fingerprint`] hashes it
+    /// only when non-zero, so results without rejections keep the
+    /// fingerprints they had before the field existed.
+    pub rejected: usize,
     /// Requests in the trace.
     pub total_requests: usize,
     /// Models deployed.
     pub model_count: usize,
-    /// Preemptive scale-ups performed.
+    /// Model switches performed: Aegaeon's preemptive scale-ups, a
+    /// baseline's instance reloads.
     pub scale_count: u64,
     /// Scale-ups whose weights were already prefetched.
     pub prefetch_hits: u64,
@@ -113,6 +121,9 @@ impl RunResult {
             }
         }
         self.completed.hash(&mut h);
+        if self.rejected != 0 {
+            self.rejected.hash(&mut h);
+        }
         self.total_requests.hash(&mut h);
         self.model_count.hash(&mut h);
         self.scale_count.hash(&mut h);

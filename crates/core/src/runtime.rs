@@ -7,12 +7,16 @@
 //! telemetry; the same [`FabricPort`] submits their stream ops, joins
 //! multi-op completions and turns scale-up plans into fabric ops; and the
 //! same [`SpanBook`] opens and closes request spans and retires finished
-//! requests into the per-model latency sketches and the SLO observatory.
-//! Systems therefore differ only in policy, never in how time, transfers
-//! or telemetry are accounted.
+//! requests into the per-model latency sketches and the SLO observatory;
+//! the same [`Requests`] table holds request state, the per-event progress
+//! log and the completed/rejected/migrated counts; and every run reports
+//! the same [`RunResult`](crate::RunResult). Systems therefore differ only
+//! in policy, never in how time, transfers, requests or telemetry are
+//! accounted.
 
 use std::collections::VecDeque;
 use std::fmt::Display;
+use std::ops::{Index, IndexMut};
 
 use aegaeon_engine::{ScaleCost, ScaleStage};
 use aegaeon_gpu::{
@@ -28,7 +32,7 @@ use aegaeon_telemetry::{
 };
 use aegaeon_workload::{RequestId, SloSpec, Trace};
 
-use crate::audit::{AuditReport, AuditView, Auditor, InvariantAuditor, ReqAudit};
+use crate::audit::{AuditReport, AuditView, Auditor, InvariantAuditor};
 use crate::reqstate::ReqState;
 
 // ----- Event driver ---------------------------------------------------------
@@ -54,8 +58,9 @@ pub trait Host {
     fn telemetry(&mut self) -> &mut Telemetry;
     /// The read-only state the auditor checks.
     fn view(&self) -> &dyn AuditView;
-    /// The log of requests that produced a token during the current event.
-    fn progress(&mut self) -> &mut ProgressLog;
+    /// The request table, whose progress log the driver clears before
+    /// each event.
+    fn requests_mut(&mut self) -> &mut Requests;
     /// Builds the result from the drained run.
     fn finish(self, q: &EventQueue<Self::Ev>, audit: Option<&AuditReport>) -> Self::Output;
 }
@@ -113,7 +118,7 @@ impl<H: Host> Driver<H> {
             return false;
         }
         // After `step` returns, the log holds exactly this event's progress.
-        self.host.progress().clear();
+        self.host.requests_mut().clear_progress();
         self.host.on_event(ev, &mut self.q);
         while let Some(tag) = self.host.port().pop() {
             self.host.on_tag(tag, &mut self.q);
@@ -337,59 +342,119 @@ impl<T: Clone> FabricPort<T> {
 
 // ----- Requests ---------------------------------------------------------------
 
-/// Per-request outcomes in trace order.
-pub fn outcomes(trace: &Trace, reqs: &[ReqState]) -> Vec<RequestOutcome> {
-    trace
-        .requests
-        .iter()
-        .map(|r| {
-            let rs = &reqs[r.id.0 as usize];
-            RequestOutcome {
-                id: r.id,
-                model: r.model,
-                arrival: rs.arrival,
-                token_times: rs.token_times.clone(),
-                target_tokens: r.output_tokens,
-            }
-        })
-        .collect()
-}
-
-/// The auditor's view of one request.
-pub fn req_audit(r: &ReqState) -> ReqAudit<'_> {
-    ReqAudit {
-        produced: r.produced,
-        target: r.target_tokens,
-        done: r.is_done(),
-        token_times: &r.token_times,
-    }
-}
-
-/// Indices of the requests that produced a token during the current event,
-/// once per token. [`Driver::step`] clears it before each dispatch, so it
-/// never holds more than one event's progress; the auditor checks exactly
-/// these requests after the event ([`AuditView::progressed`]).
+/// Every request a serving loop has admitted, indexed by request id, with
+/// the accounting every loop shares: the requests that produced a token
+/// during the current event, and how many requests are resolved. The
+/// sample loops stop ticking and the auditor's conservation checks close
+/// on the same [`Requests::unresolved`] count.
 #[derive(Debug, Default)]
-pub struct ProgressLog(Vec<usize>);
+pub struct Requests {
+    states: Vec<ReqState>,
+    /// Indices of the requests that produced a token during the current
+    /// event, once per token. [`Driver::step`] clears it before each
+    /// dispatch, so it never holds more than one event's progress.
+    progressed: Vec<usize>,
+    /// Requests that produced every token.
+    pub completed: usize,
+    /// Requests turned away for good at admission (MuxServe's unplaced
+    /// models).
+    pub rejected: usize,
+    /// Requests handed off to another shard after a total tier loss
+    /// (sharded runs only). A migrated request is locally resolved
+    /// without completing.
+    pub migrated: usize,
+}
 
-impl ProgressLog {
-    /// The logged request indices, in production order.
-    pub fn requests(&self) -> &[usize] {
-        &self.0
+impl Requests {
+    /// Fresh state for every request of `trace`.
+    pub fn new(trace: &Trace) -> Requests {
+        Requests {
+            states: trace.requests.iter().map(ReqState::from_request).collect(),
+            ..Requests::default()
+        }
     }
 
-    /// Empties the log.
-    pub fn clear(&mut self) {
-        self.0.clear();
+    /// Admits one more request (a live or migrated arrival).
+    pub fn push(&mut self, rs: ReqState) {
+        self.states.push(rs);
+    }
+
+    /// Requests admitted so far.
+    pub fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// True before any request is admitted.
+    pub fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+
+    /// Every request's state, in id order.
+    pub fn iter(&self) -> std::slice::Iter<'_, ReqState> {
+        self.states.iter()
+    }
+
+    /// Requests neither completed, rejected nor migrated. A request that
+    /// has not arrived yet is unresolved, so a loop with none left has no
+    /// future work.
+    pub fn unresolved(&self) -> usize {
+        self.states
+            .len()
+            .saturating_sub(self.completed + self.rejected + self.migrated)
+    }
+
+    /// Produces one token of request `req` at `t` and logs it. Every
+    /// serving loop produces tokens only through here, so no token can
+    /// escape the auditor's per-event request check.
+    pub fn push_token(&mut self, req: RequestId, t: SimTime) {
+        let i = req.0 as usize;
+        self.states[i].push_token(t);
+        self.progressed.push(i);
+    }
+
+    /// The requests that produced a token during the last dispatched
+    /// event, in production order, once per token. A request missing here
+    /// kept its audited state across the event.
+    pub fn progressed(&self) -> &[usize] {
+        &self.progressed
+    }
+
+    /// Empties the progress log.
+    pub(crate) fn clear_progress(&mut self) {
+        self.progressed.clear();
+    }
+
+    /// Per-request outcomes in `trace` order.
+    pub fn outcomes(&self, trace: &Trace) -> Vec<RequestOutcome> {
+        trace
+            .requests
+            .iter()
+            .map(|r| {
+                let rs = &self.states[r.id.0 as usize];
+                RequestOutcome {
+                    id: r.id,
+                    model: r.model,
+                    arrival: rs.arrival,
+                    token_times: rs.token_times.clone(),
+                    target_tokens: r.output_tokens,
+                }
+            })
+            .collect()
     }
 }
 
-/// Produces one token of request `req` (state `rs`) at `t` and logs it.
-/// Every serving loop produces tokens only through here, so no token can
-/// escape the auditor's per-event request check.
-pub fn push_token(log: &mut ProgressLog, req: RequestId, rs: &mut ReqState, t: SimTime) {
-    rs.push_token(t);
-    log.0.push(req.0 as usize);
+impl Index<usize> for Requests {
+    type Output = ReqState;
+
+    fn index(&self, i: usize) -> &ReqState {
+        &self.states[i]
+    }
+}
+
+impl IndexMut<usize> for Requests {
+    fn index_mut(&mut self, i: usize) -> &mut ReqState {
+        &mut self.states[i]
+    }
 }
 
 // ----- Request telemetry --------------------------------------------------------

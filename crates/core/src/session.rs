@@ -312,7 +312,7 @@ impl ServingSession {
 
     /// Number of completed requests so far.
     pub fn completed(&self) -> usize {
-        self.driver.host.completed
+        self.driver.host.reqs.completed
     }
 
     /// Total admitted requests so far.
@@ -323,7 +323,7 @@ impl ServingSession {
     /// True when every admitted request has completed and no injection is
     /// pending admission (the open-mode quiescence condition).
     pub fn quiescent(&self) -> bool {
-        self.driver.host.completed == self.driver.host.trace.len() && self.port.pending() == 0
+        self.driver.host.reqs.completed == self.driver.host.trace.len() && self.port.pending() == 0
     }
 
     /// Pumps the injection channel and admits every releasable request,

@@ -523,6 +523,7 @@ fn merge(
             .flat_map(|r| r.util_samples.iter().cloned())
             .collect(),
         completed: results.iter().map(|r| r.completed).sum(),
+        rejected: results.iter().map(|r| r.rejected).sum(),
         total_requests: n,
         model_count: models.len(),
         scale_count: results.iter().map(|r| r.scale_count).sum(),

@@ -56,7 +56,7 @@ fn main() {
     println!(
         "  ServerlessLLM  {:>6.1}% attainment, {:>5} switches, util {:.1}%",
         sllm_rep.percent(),
-        sllm.switches,
+        sllm.scale_count,
         sllm.mean_gpu_utilization() * 100.0
     );
     println!(

@@ -388,6 +388,27 @@ fn registry_surfaces_queue_auditor_and_chaos_counts() {
     assert_eq!(totals["switches"], r.scale_count as f64);
     assert_eq!(totals["kv_swaps"], r.swaps as f64);
     assert_eq!(totals["prefetch_hits"], r.prefetch_hits as f64);
+
+    // The baselines report the same RunResult fields, fed by the same
+    // registry counters. MuxServe on two GPUs leaves one of the five
+    // models unplaced, so its requests are rejected.
+    let mut scfg = SllmConfig::new(cfg.cluster.clone());
+    scfg.world.seed = 42;
+    scfg.world.telemetry = TelemetrySpec::enabled();
+    let sllm = ServerlessLlm::run(&scfg, &models, &trace);
+    let mut mcfg = WorldConfig::sllm_default(AegaeonConfig::small_testbed(1, 1).cluster);
+    mcfg.seed = 42;
+    mcfg.telemetry = TelemetrySpec::enabled();
+    let mux = MuxServe::run(&mcfg, &models, &[RATE; N_MODELS], &trace);
+    assert!(mux.rejected > 0, "an unplaced model must reject requests");
+    for (name, r) in [("serverlessllm", &sllm), ("muxserve", &mux)] {
+        let totals: std::collections::HashMap<&str, f64> =
+            r.telemetry.metrics.counter_totals().collect();
+        assert_eq!(totals["events_dispatched"], r.events as f64, "{name}");
+        assert_eq!(totals["switches"], r.scale_count as f64, "{name}");
+        assert_eq!(totals["completed_requests"], r.completed as f64, "{name}");
+        assert_eq!(totals["rejected_requests"], r.rejected as f64, "{name}");
+    }
 }
 
 #[test]

@@ -138,6 +138,8 @@ pub fn widen_listen_backlog(fd: RawFd, backlog: u32) -> io::Result<()> {
     extern "C" {
         fn listen(fd: i32, backlog: i32) -> i32;
     }
+    // SAFETY: `listen(2)` takes only integers; the kernel rejects an fd that is not a socket with
+    // -1, which is checked below.
     let ret = unsafe { listen(fd, backlog.min(i32::MAX as u32) as i32) };
     if ret < 0 {
         Err(io::Error::last_os_error())
@@ -258,10 +260,15 @@ mod sys {
 
     impl Backend {
         pub fn new() -> io::Result<Backend> {
+            // SAFETY: `epoll_create1` takes only a flags integer and returns a new fd or -1, which
+            // `cvt` turns into an error.
             let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+            // SAFETY: `eventfd` takes only integers and returns a new fd or -1.
             let efd = match cvt(unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) }) {
                 Ok(fd) => fd,
                 Err(e) => {
+                    // SAFETY: `epfd` was just created above and nothing else owns it; this error
+                    // path closes it exactly once.
                     unsafe { close(epfd) };
                     return Err(e);
                 }
@@ -271,6 +278,8 @@ mod sys {
                 events: EPOLLIN | EPOLLET,
                 data: WAKE_TOKEN,
             };
+            // SAFETY: both fds are live (created above) and `ev` is an initialized `EpollEvent`
+            // that outlives the call; the kernel copies it and keeps no pointer.
             cvt(unsafe { epoll_ctl(b.epfd, EPOLL_CTL_ADD, b.efd, &mut ev) })?;
             Ok(b)
         }
@@ -280,12 +289,17 @@ mod sys {
                 events: EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET,
                 data: token,
             };
+            // SAFETY: `epfd` stays open for `self`'s lifetime and `ev` is an initialized
+            // `EpollEvent` the kernel only reads during the call; a bad `fd` is an error return,
+            // not UB.
             cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) })?;
             Ok(())
         }
 
         pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             let mut ev = EpollEvent { events: 0, data: 0 };
+            // SAFETY: as in `register`; `EPOLL_CTL_DEL` ignores the event, but old kernels require
+            // a non-null pointer, so a live one is passed.
             cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) })?;
             Ok(())
         }
@@ -297,6 +311,8 @@ mod sys {
         fn drain_waker(&self) {
             let mut buf = [0u8; 8];
             loop {
+                // SAFETY: `buf` is a live 8-byte buffer and the count is 8, so the kernel writes
+                // only inside it; `efd` is owned by `self`.
                 let n = unsafe { read(self.efd, buf.as_mut_ptr(), 8) };
                 if n <= 0 {
                     break;
@@ -308,6 +324,8 @@ mod sys {
             const CAP: usize = 1024;
             let mut buf = [EpollEvent { events: 0, data: 0 }; CAP];
             loop {
+                // SAFETY: `buf` holds `CAP` entries and `maxevents` is `CAP`, so the kernel writes
+                // at most `CAP` events into it; `epfd` is owned by `self`.
                 let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), CAP as i32, timeout_ms) };
                 if n < 0 {
                     let e = io::Error::last_os_error();
@@ -337,6 +355,8 @@ mod sys {
 
     impl Drop for Backend {
         fn drop(&mut self) {
+            // SAFETY: both fds were created in `Backend::new`, are owned only by this backend, and
+            // are closed exactly once, here.
             unsafe {
                 close(self.efd);
                 close(self.epfd);
@@ -346,6 +366,9 @@ mod sys {
 
     pub fn waker_signal(fd: RawFd) {
         let one: u64 = 1;
+        // SAFETY: the pointer is to a live 8-byte `u64` and the count is 8, the write size eventfd
+        // requires. The gateway keeps the poller (and so `fd`) alive until after the last wake; a
+        // failed write only means a wake is already pending.
         unsafe { write(fd, &one as *const u64 as *const u8, 8) };
     }
 
@@ -357,6 +380,8 @@ mod sys {
         for (opt, val) in [(SO_SNDBUF, sndbuf), (SO_RCVBUF, rcvbuf)] {
             if let Some(v) = val {
                 let v = v as i32;
+                // SAFETY: `optval` points to a live `i32` and `optlen` is its size; the kernel
+                // only reads it during the call.
                 cvt(unsafe {
                     setsockopt(
                         fd,
@@ -397,6 +422,8 @@ mod sys {
     fn bound_port(fd: RawFd) -> io::Result<u16> {
         let mut buf = [0u8; 28];
         let mut len = buf.len() as u32;
+        // SAFETY: `buf` is 28 bytes, enough for `sockaddr_in6`, and `len` says so; the kernel
+        // writes at most `len` bytes and updates `len`.
         cvt(unsafe { getsockname(fd, buf.as_mut_ptr(), &mut len) })?;
         // Port sits at the same offset (2) in sockaddr_in and sockaddr_in6.
         Ok(u16::from_be_bytes([buf[2], buf[3]]))
@@ -404,6 +431,8 @@ mod sys {
 
     fn set_opt_one(fd: RawFd, level: i32, opt: i32) -> io::Result<()> {
         let one: i32 = 1;
+        // SAFETY: `optval` points to a live `i32` and `optlen` is its size; the kernel only reads
+        // it during the call.
         cvt(unsafe {
             setsockopt(
                 fd,
@@ -424,16 +453,22 @@ mod sys {
         let mut listeners = Vec::with_capacity(n);
         let mut bound = addr;
         for _ in 0..n {
+            // SAFETY: `socket(2)` takes only integers and returns a new fd or -1.
             let fd = cvt(unsafe {
                 socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0)
             })?;
             // From-raw before anything fallible so the fd is owned (closed
             // on error drop) from here on.
+            // SAFETY: `fd` was just returned by `socket(2)` and nothing else owns it; the listener
+            // takes sole ownership and closes it on drop.
             let listener = unsafe { TcpListener::from_raw_fd(fd) };
             set_opt_one(fd, SOL_SOCKET, SO_REUSEADDR)?;
             set_opt_one(fd, SOL_SOCKET, SO_REUSEPORT)?;
             let (sa, sa_len) = encode_sockaddr(bound);
+            // SAFETY: `sa` holds an encoded sockaddr of `sa_len` bytes; the kernel only reads it
+            // during the call.
             cvt(unsafe { bind(fd, sa.as_ptr(), sa_len) })?;
+            // SAFETY: `listen(2)` takes only integers; `fd` is the live socket `listener` owns.
             cvt(unsafe { listen(fd, 128) })?;
             if bound.port() == 0 {
                 // First member resolved the ephemeral port; the rest join
@@ -452,6 +487,8 @@ mod sys {
         // sacked = max backlog (sk_max_ack_backlog).
         let mut info = [0u8; 128];
         let mut len = info.len() as u32;
+        // SAFETY: `info` is a 128-byte buffer and `len` says so; the kernel writes at most `len`
+        // bytes and updates `len`.
         cvt(unsafe { getsockopt(fd, IPPROTO_TCP, TCP_INFO, info.as_mut_ptr(), &mut len) })?;
         if len < 32 {
             return Err(io::Error::new(
@@ -506,12 +543,17 @@ mod sys {
     impl Backend {
         pub fn new() -> io::Result<Backend> {
             let mut fds = [0i32; 2];
+            // SAFETY: `fds` is a live `[i32; 2]`, exactly what `pipe(2)` writes.
             if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
                 return Err(io::Error::last_os_error());
             }
             for fd in fds {
+                // SAFETY: `fcntl(F_SETFL)` takes only integers; `fd` was just created by
+                // `pipe(2)`.
                 if unsafe { fcntl(fd, F_SETFL, O_NONBLOCK) } < 0 {
                     let e = io::Error::last_os_error();
+                    // SAFETY: both pipe fds were just created and nothing else owns them; this
+                    // error path closes each exactly once.
                     unsafe {
                         close(fds[0]);
                         close(fds[1]);
@@ -548,6 +590,8 @@ mod sys {
         fn drain_waker(&self) {
             let mut buf = [0u8; 64];
             loop {
+                // SAFETY: `buf` is a live 64-byte buffer and the count is its length; `pipe_r` is
+                // owned by `self`.
                 let n = unsafe { read(self.pipe_r, buf.as_mut_ptr(), buf.len()) };
                 if n <= 0 {
                     break;
@@ -570,6 +614,8 @@ mod sys {
                 })
                 .collect();
             loop {
+                // SAFETY: `fds` is a live `Vec` of `fds.len()` `repr(C)` entries; the kernel
+                // writes only their `revents` fields.
                 let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u32, timeout_ms) };
                 if n < 0 {
                     let e = io::Error::last_os_error();
@@ -600,6 +646,8 @@ mod sys {
 
     impl Drop for Backend {
         fn drop(&mut self) {
+            // SAFETY: both pipe fds were created in `Backend::new`, are owned only by this
+            // backend, and are closed exactly once, here.
             unsafe {
                 close(self.pipe_r);
                 close(self.pipe_w);
@@ -609,6 +657,9 @@ mod sys {
 
     pub fn waker_signal(fd: RawFd) {
         let one = [1u8];
+        // SAFETY: `one` is a live one-byte buffer and the count is 1. The gateway keeps the poller
+        // (and so `fd`) alive until after the last wake; a full pipe only means a wake is already
+        // pending.
         unsafe { write(fd, one.as_ptr(), 1) };
     }
 

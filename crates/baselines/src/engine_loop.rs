@@ -399,7 +399,7 @@ impl World {
             let base = perf.decode_secs(i.batch.len(), ctx, &mut self.rng);
             self.tel
                 .metrics
-                .observe(self.ids.h_batch_size, i.batch.len() as f64);
+                .observe_sketch(self.ids.s_batch_size, i.batch.len() as f64);
             (base, BTag::Step { inst: inst as u32 })
         } else {
             return;

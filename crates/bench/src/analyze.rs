@@ -1,8 +1,7 @@
 //! Post-run SLO analysis: the library behind `aegaeon-analyze`.
 //!
 //! Consumes the SLO observatory document (the gateway's `GET /v1/slo` body
-//! / [`aegaeon_telemetry::slo_json`] output, or the equivalent
-//! [`aegaeon_telemetry::slo_jsonl`] lines) plus, optionally, a gateway
+//! / [`aegaeon_telemetry::slo_json`] output) plus, optionally, a gateway
 //! bench report (`BENCH_gateway_throughput.json`) and renders one post-run
 //! report as markdown and JSON: per-model attainment (cumulative and over
 //! time), TTFT/TBT percentile tables, the switch-cost attribution
@@ -160,16 +159,6 @@ fn get_str<'a>(v: &'a Value, k: &str) -> &'a str {
     }
 }
 
-/// `model` is `"m3"` in the object document but a bare number in JSONL.
-fn model_name(v: &Value, k: &str) -> String {
-    match field(v, k) {
-        Some(Value::String(s)) => s.clone(),
-        Some(Value::U64(n)) => format!("m{n}"),
-        Some(Value::I64(n)) => format!("m{n}"),
-        _ => String::new(),
-    }
-}
-
 fn quantiles(v: &Value, prefix: &str) -> [f64; 3] {
     [
         get_f64(v, &format!("{prefix}_p50")),
@@ -181,7 +170,7 @@ fn quantiles(v: &Value, prefix: &str) -> [f64; 3] {
 fn window_row(v: &Value) -> WindowRow {
     WindowRow {
         window_end_ns: get_u64(v, "window_end_ns"),
-        model: model_name(v, "model"),
+        model: get_str(v, "model").to_string(),
         requests: get_u64(v, "requests"),
         tokens: get_u64(v, "tokens"),
         tokens_met: get_u64(v, "tokens_met"),
@@ -194,7 +183,7 @@ fn window_row(v: &Value) -> WindowRow {
 
 fn model_row(v: &Value) -> ModelRow {
     ModelRow {
-        model: model_name(v, "model"),
+        model: get_str(v, "model").to_string(),
         requests: get_u64(v, "requests"),
         tokens: get_u64(v, "tokens"),
         tokens_met: get_u64(v, "tokens_met"),
@@ -204,7 +193,7 @@ fn model_row(v: &Value) -> ModelRow {
 
 fn session_row(v: &Value) -> SessionRow {
     SessionRow {
-        model: model_name(v, "model"),
+        model: get_str(v, "model").to_string(),
         turns: get_u64(v, "turns"),
         prefix_hits: get_u64(v, "prefix_hits"),
         max_depth: get_u64(v, "max_depth"),
@@ -216,7 +205,7 @@ fn session_row(v: &Value) -> SessionRow {
 fn attrib_row(v: &Value) -> AttribRow {
     AttribRow {
         instance: get_str(v, "instance").to_string(),
-        model: model_name(v, "model"),
+        model: get_str(v, "model").to_string(),
         kind: get_str(v, "kind").to_string(),
         secs: get_f64(v, "secs"),
     }
@@ -229,50 +218,21 @@ fn push_attain_err(errs: &mut Vec<String>, what: &str, a: f64) {
 }
 
 impl Analysis {
-    /// Parses the SLO document. Accepts both shapes the telemetry crate
-    /// emits: the single-object `/v1/slo` form and the line-delimited
-    /// `slo_point`/`slo_cum`/`attrib` form (lines of other types are
-    /// ignored, so a full combined JSONL dump works too).
+    /// Parses the SLO document: the single `/v1/slo` object that
+    /// [`aegaeon_telemetry::slo_json`] renders. Anything else — including a
+    /// telemetry JSONL dump, which carries no SLO rows — is an error, so
+    /// the analyzer never reports on an empty document.
     pub fn from_slo_text(text: &str) -> Result<Analysis, String> {
         let trimmed = text.trim();
         if trimmed.is_empty() {
             return Err("empty SLO document".to_string());
         }
-        if let Ok(doc) = serde_json::from_str::<Value>(trimmed) {
-            if field(&doc, "models").is_some() || field(&doc, "windows").is_some() {
-                return Ok(Self::from_slo_value(&doc));
-            }
+        let doc = serde_json::from_str::<Value>(trimmed)
+            .map_err(|e| format!("not one JSON object (the /v1/slo document): {e}"))?;
+        if field(&doc, "models").is_none() && field(&doc, "windows").is_none() {
+            return Err("not an SLO document: no `models` or `windows` array".to_string());
         }
-        // JSONL: fold the typed lines into the same shape.
-        let mut a = Analysis::default();
-        let mut parsed_any = false;
-        for (i, line) in trimmed.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let v: Value =
-                serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            parsed_any = true;
-            match get_str(&v, "type") {
-                "slo_point" => a.windows.push(window_row(&v)),
-                "slo_cum" => a.models.push(model_row(&v)),
-                "attrib" => a.attribution.push(attrib_row(&v)),
-                "session_turns" => a.sessions.push(session_row(&v)),
-                _ => {}
-            }
-        }
-        if !parsed_any {
-            return Err("no JSON lines in SLO document".to_string());
-        }
-        for r in &a.attribution {
-            if r.kind == "prefill_exec" || r.kind == "decode_exec" {
-                a.useful_secs += r.secs;
-            } else {
-                a.overhead_secs += r.secs;
-            }
-        }
-        Ok(a)
+        Ok(Self::from_slo_value(&doc))
     }
 
     /// Builds the analysis from the parsed `/v1/slo` object.
@@ -738,21 +698,23 @@ mod tests {
     }
 
     #[test]
-    fn parses_jsonl_document() {
-        let lines = "\
-{\"type\":\"slo_cum\",\"model\":0,\"requests\":2,\"tokens\":10,\"tokens_met\":9,\"attainment\":0.9}\n\
-{\"type\":\"slo_point\",\"window_end_ns\":10,\"model\":0,\"requests\":2,\"tokens\":10,\"tokens_met\":9,\
-\"ttft_p50\":0.1,\"ttft_p90\":0.2,\"ttft_p99\":0.3,\"tbt_p50\":0.01,\"tbt_p90\":0.02,\"tbt_p99\":0.03,\
-\"attainment\":0.9,\"goodput_tps\":1.0}\n\
-{\"type\":\"attrib\",\"instance\":\"p0\",\"model\":0,\"kind\":\"prefill_exec\",\"secs\":2.0}\n\
-{\"type\":\"total\",\"metric\":\"x\",\"value\":1}\n";
-        let a = Analysis::from_slo_text(lines).unwrap();
-        assert_eq!(a.models.len(), 1);
-        assert_eq!(a.models[0].model, "m0");
-        assert_eq!(a.windows.len(), 1);
-        assert_eq!(a.attribution.len(), 1);
-        assert_eq!(a.useful_secs, 2.0);
-        assert_eq!(a.overhead_secs, 0.0);
+    fn rejects_anything_but_the_slo_object() {
+        // A telemetry JSONL dump carries spans, samples, sketches and
+        // totals but no SLO rows: the analyzer must refuse it rather than
+        // report on nothing. A one-line dump parses as a JSON object, so
+        // it exercises the shape check as well as the parser.
+        let mut reg = aegaeon_telemetry::MetricsRegistry::enabled();
+        let c = reg.counter("completed_requests");
+        reg.inc(c, 3);
+        let one_line = aegaeon_telemetry::jsonl(&aegaeon_telemetry::SpanLog::disabled(), &reg);
+        assert_eq!(one_line.lines().count(), 1, "{one_line}");
+        let s = reg.sketch("batch_size", 0.01);
+        reg.observe_sketch(s, 4.0);
+        let dump = aegaeon_telemetry::jsonl(&aegaeon_telemetry::SpanLog::disabled(), &reg);
+        assert!(dump.contains("\"type\":\"sketch\""), "{dump}");
+        for text in [one_line.as_str(), dump.as_str(), "{}", ""] {
+            assert!(Analysis::from_slo_text(text).is_err(), "accepted {text:?}");
+        }
     }
 
     #[test]
@@ -801,12 +763,14 @@ mod tests {
             other => panic!("bad root: {other:?}"),
         }
 
-        // JSONL form carries `session_turns` lines; the gate catches
-        // impossible hit counts and non-monotone latency quantiles.
-        let lines = "\
-{\"type\":\"session_turns\",\"model\":1,\"turns\":3,\"prefix_hits\":7,\"max_depth\":3,\
-\"prefix_hit_rate\":2.3,\"turn_latency_p50\":0.9,\"turn_latency_p90\":0.2,\"turn_latency_p99\":0.3}\n";
-        let a = Analysis::from_slo_text(lines).unwrap();
+        // The gate catches impossible hit counts and non-monotone latency
+        // quantiles.
+        let bad = r#"{"models":[],"windows":[],
+            "sessions":[{"model":"m1","turns":3,"prefix_hits":7,"max_depth":3,
+            "prefix_hit_rate":2.3,"turn_latency_p50":0.9,"turn_latency_p90":0.2,
+            "turn_latency_p99":0.3}],
+            "attribution":[],"useful_secs":0,"overhead_secs":0}"#;
+        let a = Analysis::from_slo_text(bad).unwrap();
         assert_eq!(a.sessions.len(), 1);
         assert_eq!(a.sessions[0].model, "m1");
         let errs = a.consistency_errors();

@@ -1,10 +1,10 @@
 //! `aegaeon-analyze`: post-run SLO report generator.
 //!
-//! Reads an SLO observatory document (the gateway's `GET /v1/slo` body or
-//! telemetry JSONL with `slo_point`/`slo_cum`/`attrib` lines) and,
-//! optionally, a gateway bench report, then emits the combined markdown
-//! and JSON report and gates on internal consistency (p50 ≤ p90 ≤ p99,
-//! attainment ∈ [0, 1], met ≤ produced).
+//! Reads an SLO observatory document (the gateway's `GET /v1/slo` body, or
+//! `slo_json` output written by the bench binaries) and, optionally, a
+//! gateway bench report, then emits the combined markdown and JSON report
+//! and gates on internal consistency (p50 ≤ p90 ≤ p99, attainment ∈ [0, 1],
+//! met ≤ produced).
 //!
 //! ```text
 //! aegaeon-analyze --slo slo.json [--bench BENCH_gateway_throughput.json]
@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Without `--out-md` the markdown goes to stdout. `--check` exits 2 when
-//! any consistency check fails (CI gates on this).
+//! any consistency check fails (CI gates on this). A `--slo` file that is
+//! not an SLO document — a telemetry JSONL dump, say — exits 65.
 
 use std::process::ExitCode;
 
@@ -28,7 +29,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: aegaeon-analyze --slo <slo.json|telemetry.jsonl> \
+        "usage: aegaeon-analyze --slo <slo.json> \
          [--bench <bench.json>] [--out-md <path>] [--out-json <path>] [--check]"
     );
     std::process::exit(64);

@@ -253,9 +253,16 @@ fn sample_calls(metrics: &MetricsRegistry) -> usize {
         .map_or(0, |(_, s)| s.len())
 }
 
-/// Observations held by every registry sketch.
+/// Observations held by the per-model TTFT and TBT sketches — the ones
+/// [`replay_sketches`] re-feeds. The run's other sketches (batch size,
+/// scale latency) are fed from the dispatch path, so their cost stays in
+/// the `other` remainder.
 fn sketch_count(metrics: &MetricsRegistry) -> u64 {
-    metrics.sketches().map(|(_, s)| s.count()).sum()
+    metrics
+        .sketches()
+        .filter(|(name, _)| name.starts_with("ttft_seconds{") || name.starts_with("tbt_seconds{"))
+        .map(|(_, s)| s.count())
+        .sum()
 }
 
 fn main() {
@@ -361,8 +368,9 @@ fn main() {
     // 2,160 requests, chaos) with telemetry off, telemetry on, and the
     // auditor on. Each instrument is then costed by replaying the inputs the
     // run recorded into a fresh instance; `other` is what the replays do not
-    // cover (the attribution ledger, span-handle bookkeeping and the gauges
-    // computed before each sample).
+    // cover (the attribution ledger, the batch-size and scale-latency
+    // sketches, span-handle bookkeeping and the gauges computed before each
+    // sample).
     let tmodels = market_models(40);
     let ttrace = counted_trace(tmodels.len(), 0.3, 180.0, SEED);
     let mut ton = ocfg.clone();

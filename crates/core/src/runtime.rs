@@ -27,7 +27,7 @@ use aegaeon_metrics::RequestOutcome;
 use aegaeon_model::ModelId;
 use aegaeon_sim::{EventQueue, FxHashMap, Lift, SimDur, SimTime, Timeline};
 use aegaeon_telemetry::{
-    labeled, CounterId, GaugeId, HistId, SketchId, SloObservatory, SpanId, SpanKind, Telemetry,
+    labeled, CounterId, GaugeId, SketchId, SloObservatory, SpanId, SpanKind, Telemetry,
     TelemetrySpec,
 };
 use aegaeon_workload::{RequestId, SloSpec, Trace};
@@ -476,7 +476,7 @@ pub struct CoreIds {
     g_decode_work: GaugeId,
     g_active_models: GaugeId,
     /// Requests per decode batch (per Aegaeon turn, per baseline step).
-    pub h_batch_size: HistId,
+    pub s_batch_size: SketchId,
     /// Per-model TTFT/TBT quantile sketches, fed at retirement.
     s_ttft: Vec<SketchId>,
     s_tbt: Vec<SketchId>,
@@ -513,7 +513,7 @@ impl CoreIds {
             g_prefill_queue_depth: reg.gauge("prefill_queue_depth"),
             g_decode_work: reg.gauge("decode_work_requests"),
             g_active_models: reg.gauge("active_models"),
-            h_batch_size: reg.histogram("batch_size", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
+            s_batch_size: reg.sketch("batch_size", SKETCH_ALPHA),
             s_ttft,
             s_tbt,
             g_slo_attain,

@@ -18,7 +18,7 @@ use aegaeon_mem::{BlockRef, BumpBuffer, FragSampler, ModelCache, MoveList, Shape
 use aegaeon_metrics::Stage;
 use aegaeon_model::ModelId;
 use aegaeon_sim::{EventQueue, Lift, SimDur, SimRng, SimTime, Timeline, TraceKind, TraceLog};
-use aegaeon_telemetry::{CostKind, CounterId, GaugeId, HistId, SpanId, SpanKind, Telemetry};
+use aegaeon_telemetry::{CostKind, CounterId, GaugeId, SketchId, SpanId, SpanKind, Telemetry};
 use aegaeon_workload::{Request, RequestId, SessionId, Trace};
 
 use crate::audit::{AuditReport, AuditView};
@@ -121,7 +121,7 @@ pub(crate) struct TelIds {
     g_vram_kv_used: GaugeId,
     g_cpu_kv_used: GaugeId,
     g_link_bytes_in_flight: GaugeId,
-    h_scale_latency: HistId,
+    s_scale_latency: SketchId,
     // Agentic-session instruments (prefix reuse + affinity scheduling).
     c_sess_prefix_hits: CounterId,
     c_sess_reused_tokens: CounterId,
@@ -156,8 +156,10 @@ impl TelIds {
             g_vram_kv_used: reg.gauge("vram_kv_used_bytes"),
             g_cpu_kv_used: reg.gauge("cpu_kv_used_bytes"),
             g_link_bytes_in_flight: reg.gauge("link_bytes_in_flight"),
-            h_scale_latency: reg
-                .histogram("scale_latency_secs", &[0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]),
+            s_scale_latency: reg.sketch(
+                "scale_latency_secs",
+                aegaeon_telemetry::observatory::SLO_SKETCH_ALPHA,
+            ),
             c_sess_prefix_hits: reg.counter("session_prefix_hits"),
             c_sess_reused_tokens: reg.counter("session_prefill_tokens_reused"),
             c_sess_recomputed_tokens: reg.counter("session_prefill_tokens_recomputed"),
@@ -1691,7 +1693,7 @@ impl ServingSystem {
         let now = q.now();
         self.tel
             .metrics
-            .observe(self.ids.h_batch_size, reqs.len() as f64);
+            .observe_sketch(self.ids.s_batch_size, reqs.len() as f64);
         if self.tel.is_enabled() {
             let span = self.tel.spans.start(
                 || format!("decode{di}"),
@@ -2345,19 +2347,15 @@ impl ServingSystem {
                 sc.resident.remove(0); // evict least recently used
             }
         }
-        self.scale_latencies
-            .push(now.saturating_since(started).as_secs_f64());
-        self.tel.metrics.observe(
-            self.tm.h_scale_latency,
-            now.saturating_since(started).as_secs_f64(),
-        );
+        let secs = now.saturating_since(started).as_secs_f64();
+        self.scale_latencies.push(secs);
+        self.tel
+            .metrics
+            .observe_sketch(self.tm.s_scale_latency, secs);
         let inst = self.ledger_inst(at);
-        self.tel.attrib.add(
-            inst,
-            target.0,
-            CostKind::ModelSwitch,
-            now.saturating_since(started).as_secs_f64(),
-        );
+        self.tel
+            .attrib
+            .add(inst, target.0, CostKind::ModelSwitch, secs);
         let switch_span = std::mem::replace(&mut self.scaler_mut(at).switch_span, SpanId::NONE);
         self.tel.spans.end(switch_span, now);
         if self.schedule.is_enabled() {

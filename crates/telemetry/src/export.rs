@@ -180,7 +180,7 @@ pub fn chrome_trace(schedule: &TraceLog, spans: &SpanLog, metrics: &MetricsRegis
 }
 
 /// Renders the same telemetry as line-delimited JSON: one object per span,
-/// per sample, per histogram, and per run-level counter total.
+/// per sample, per quantile sketch, and per run-level counter total.
 pub fn jsonl(spans: &SpanLog, metrics: &MetricsRegistry) -> String {
     let mut out = String::new();
     for (id, s) in spans.spans().iter().enumerate() {
@@ -218,27 +218,6 @@ pub fn jsonl(spans: &SpanLog, metrics: &MetricsRegistry) -> String {
             }
         }
     }
-    for h in metrics.histograms() {
-        out.push_str("{\"type\":\"histogram\",\"metric\":");
-        push_json_str(&mut out, &h.name);
-        out.push_str(",\"bounds\":[");
-        for (i, b) in h.bounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_f64(&mut out, *b);
-        }
-        out.push_str("],\"counts\":[");
-        for (i, c) in h.counts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{c}");
-        }
-        let _ = write!(out, "],\"sum\":");
-        push_json_f64(&mut out, h.sum);
-        let _ = writeln!(out, ",\"n\":{}}}", h.n);
-    }
     for (name, sk) in metrics.sketches() {
         out.push_str("{\"type\":\"sketch\",\"metric\":");
         push_json_str(&mut out, name);
@@ -260,74 +239,9 @@ pub fn jsonl(spans: &SpanLog, metrics: &MetricsRegistry) -> String {
     out
 }
 
-/// Renders the SLO observatory and attribution ledger as line-delimited
-/// JSON (`slo_point`, `slo_cum`, and `attrib` lines), appendable to
-/// [`jsonl`] output. The analyzer consumes exactly these line types.
-pub fn slo_jsonl(slo: &SloObservatory, attrib: &AttributionLedger) -> String {
-    let mut out = String::new();
-    for p in slo.points() {
-        let _ = write!(
-            out,
-            "{{\"type\":\"slo_point\",\"window_end_ns\":{},\"model\":{},\"requests\":{},\"tokens\":{},\"tokens_met\":{}",
-            p.window_end_ns, p.model, p.requests, p.tokens, p.tokens_met
-        );
-        for (key, v) in [
-            ("ttft_p50", p.ttft_p50),
-            ("ttft_p90", p.ttft_p90),
-            ("ttft_p99", p.ttft_p99),
-            ("tbt_p50", p.tbt_p50),
-            ("tbt_p90", p.tbt_p90),
-            ("tbt_p99", p.tbt_p99),
-            ("attainment", p.attainment),
-            ("goodput_tps", p.goodput_tps),
-        ] {
-            let _ = write!(out, ",\"{key}\":");
-            push_json_f64(&mut out, v);
-        }
-        out.push_str("}\n");
-    }
-    for (m, c) in slo.cumulative().iter().enumerate() {
-        let _ = write!(
-            out,
-            "{{\"type\":\"slo_cum\",\"model\":{m},\"requests\":{},\"tokens\":{},\"tokens_met\":{},\"attainment\":",
-            c.requests, c.tokens, c.tokens_met
-        );
-        push_json_f64(&mut out, c.attainment());
-        out.push_str("}\n");
-    }
-    for (m, t) in slo.turn_stats().iter().enumerate() {
-        if t.turns == 0 {
-            continue;
-        }
-        let _ = write!(
-            out,
-            "{{\"type\":\"session_turns\",\"model\":{m},\"turns\":{},\"prefix_hits\":{},\"max_depth\":{},\"prefix_hit_rate\":",
-            t.turns, t.prefix_hits, t.max_depth
-        );
-        push_json_f64(&mut out, t.prefix_hit_rate());
-        for (key, q) in [
-            ("turn_latency_p50", 0.50),
-            ("turn_latency_p90", 0.90),
-            ("turn_latency_p99", 0.99),
-        ] {
-            let _ = write!(out, ",\"{key}\":");
-            push_json_f64(&mut out, t.latency_quantile(q));
-        }
-        out.push_str("}\n");
-    }
-    for (inst, model, kind, secs) in attrib.rows() {
-        out.push_str("{\"type\":\"attrib\",\"instance\":");
-        push_json_str(&mut out, inst);
-        let _ = write!(out, ",\"model\":{model},\"kind\":\"{}\",\"secs\":", kind.name());
-        push_json_f64(&mut out, secs);
-        out.push_str("}\n");
-    }
-    out
-}
-
 /// Renders the SLO observatory and attribution ledger as one JSON object —
-/// the body of the gateway's `GET /v1/slo` and the analyzer's native
-/// input. Deterministic for a given observatory state.
+/// the body of the gateway's `GET /v1/slo` and the one document the
+/// analyzer reads. Deterministic for a given observatory state.
 pub fn slo_json(slo: &SloObservatory, attrib: &AttributionLedger) -> String {
     let mut out = String::from("{\"models\":[");
     for (m, c) in slo.cumulative().iter().enumerate() {
@@ -414,8 +328,8 @@ pub fn slo_json(slo: &SloObservatory, attrib: &AttributionLedger) -> String {
 
 /// Renders the registry's current state in the Prometheus text exposition
 /// format (version 0.0.4): one `# TYPE` header per instrument *family*,
-/// counters and gauges as their live values, histograms as cumulative
-/// `_bucket{le=...}` series plus `_sum` and `_count`. Instrument names may
+/// counters and gauges as their live values, quantile sketches as summaries
+/// (p50/p90/p99 plus `_sum` and `_count`). Instrument names may
 /// embed a label set verbatim (e.g. `reactor_ready_depth{reactor="3"}`):
 /// the sample line carries the full name while the `# TYPE` header uses the
 /// base name before the `{` and is emitted once per family. Deterministic:
@@ -489,26 +403,6 @@ pub fn prometheus_text(metrics: &MetricsRegistry) -> String {
         push_value(&mut out, sk.sum());
         out.push('\n');
         let _ = writeln!(out, "{fam}_count{labels} {}", sk.count());
-    }
-    for h in metrics.histograms() {
-        let name = &h.name;
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        let mut cum: u64 = 0;
-        for (i, c) in h.counts.iter().enumerate() {
-            cum += c;
-            if i < h.bounds.len() {
-                let _ = write!(out, "{name}_bucket{{le=\"");
-                push_value(&mut out, h.bounds[i]);
-                let _ = writeln!(out, "\"}} {cum}");
-            } else {
-                let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cum}");
-            }
-        }
-        out.push_str(name);
-        out.push_str("_sum ");
-        push_value(&mut out, h.sum);
-        out.push('\n');
-        let _ = writeln!(out, "{name}_count {}", h.n);
     }
     out
 }
@@ -592,20 +486,18 @@ mod tests {
         let mut reg = MetricsRegistry::enabled();
         let c = reg.counter("http_requests");
         let g = reg.gauge("wall_clock_lag_secs");
-        let h = reg.histogram("latency_secs", &[0.1, 1.0]);
+        let s = reg.sketch("latency_secs", 0.01);
         reg.inc(c, 7);
         reg.set(g, 0.25);
-        reg.observe(h, 0.05);
-        reg.observe(h, 0.5);
-        reg.observe(h, 5.0);
+        for v in [0.05, 0.5, 5.0] {
+            reg.observe_sketch(s, v);
+        }
         let text = prometheus_text(&reg);
         assert!(text.contains("# TYPE http_requests counter\nhttp_requests 7\n"));
         assert!(text.contains("# TYPE wall_clock_lag_secs gauge\nwall_clock_lag_secs 0.25\n"));
-        assert!(text.contains("latency_secs_bucket{le=\"0.1\"} 1"));
-        assert!(text.contains("latency_secs_bucket{le=\"1\"} 2"));
-        assert!(text.contains("latency_secs_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("latency_secs_sum 5.55"));
-        assert!(text.contains("latency_secs_count 3"));
+        assert!(text.contains("# TYPE latency_secs summary\n"));
+        assert!(text.contains("latency_secs_sum 5.55\n"));
+        assert!(text.contains("latency_secs_count 3\n"));
         assert_eq!(prometheus_text(&reg), text, "export must be deterministic");
     }
 
@@ -643,13 +535,6 @@ mod tests {
         assert!(json.contains("\"kind\":\"model_switch\",\"secs\":1.5"));
         assert!(json.contains("\"useful_secs\":3"));
         assert!(json.contains("\"model\":\"m1\",\"requests\":0"));
-        let lines = slo_jsonl(&slo, &attrib);
-        for line in lines.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "bad line: {line}");
-        }
-        assert!(lines.contains("\"type\":\"slo_point\""));
-        assert!(lines.contains("\"type\":\"slo_cum\""));
-        assert!(lines.contains("\"type\":\"attrib\""));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   trees (arrival → queue wait → prefill → KV transfer → decode rounds)
 //!   with parent and cause links.
 //! * [`metrics`] — [`MetricsRegistry`], pre-registered counter/gauge/
-//!   histogram handles with dense ids; a poller samples them into time
-//!   series at a fixed sim-time interval.
+//!   quantile-sketch handles with dense ids; a poller samples counters and
+//!   gauges into time series at a fixed sim-time interval.
 //! * [`export`] — [`chrome_trace`] (Chrome Trace Event Format, loadable in
 //!   Perfetto / `chrome://tracing`) and [`jsonl`].
 //!
@@ -27,10 +27,10 @@ pub mod sketch;
 pub mod span;
 
 pub use export::{
-    chrome_trace, jsonl, looks_like_trace_event_json, prometheus_text, slo_json, slo_jsonl,
-    PID_CLUSTER, PID_METRICS, PID_REQUESTS, SUMMARY_QUANTILES,
+    chrome_trace, jsonl, looks_like_trace_event_json, prometheus_text, slo_json, PID_CLUSTER,
+    PID_METRICS, PID_REQUESTS, SUMMARY_QUANTILES,
 };
-pub use metrics::{labeled, CounterId, GaugeId, HistId, Histogram, MetricsRegistry, Sample, SketchId};
+pub use metrics::{labeled, CounterId, GaugeId, MetricsRegistry, Sample, SketchId};
 pub use observatory::{AttributionLedger, CostKind, SloCum, SloObservatory, SloPoint};
 pub use sketch::QuantileSketch;
 pub use span::{Span, SpanId, SpanKind, SpanLog};
@@ -88,7 +88,7 @@ impl Default for TelemetrySpec {
 pub struct Telemetry {
     /// Request-lifecycle spans.
     pub spans: SpanLog,
-    /// Counters, gauges, histograms and quantile sketches.
+    /// Counters, gauges and quantile sketches.
     pub metrics: MetricsRegistry,
     /// Windowed per-model SLO series (configured by the host, which knows
     /// the model count; stays inert until [`SloObservatory::new`] replaces

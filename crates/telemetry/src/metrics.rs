@@ -3,11 +3,11 @@
 //! Components register named instruments once at setup time (string work is
 //! fine there) and get back dense integer ids; the hot-path operations —
 //! [`inc`](MetricsRegistry::inc), [`set`](MetricsRegistry::set),
-//! [`observe`](MetricsRegistry::observe) — are an index plus an add, with a
-//! single branch when the registry is disabled. A poller calls
-//! [`sample`](MetricsRegistry::sample) at a fixed sim-time interval to
-//! snapshot every counter and gauge into a time series; histograms
-//! accumulate over the whole run.
+//! [`observe_sketch`](MetricsRegistry::observe_sketch) — are an index plus
+//! an update, with a single branch when the registry is disabled. A poller
+//! calls [`sample`](MetricsRegistry::sample) at a fixed sim-time interval to
+//! snapshot every counter and gauge into a time series; quantile sketches,
+//! the one distribution instrument, accumulate over the whole run.
 //!
 //! Sample timestamps are quantized to multiples of the sampling interval so
 //! a series is reproducible regardless of the exact event times that
@@ -47,10 +47,6 @@ pub struct CounterId(pub u16);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GaugeId(pub u16);
 
-/// Handle to a registered histogram (fixed bounds, counts + sum).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HistId(pub u16);
-
 /// Handle to a registered quantile sketch (summary-style instrument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SketchId(pub u16);
@@ -62,10 +58,6 @@ impl CounterId {
 impl GaugeId {
     /// Null handle returned by a disabled registry; all ops on it no-op.
     pub const NONE: GaugeId = GaugeId(u16::MAX);
-}
-impl HistId {
-    /// Null handle returned by a disabled registry; all ops on it no-op.
-    pub const NONE: HistId = HistId(u16::MAX);
 }
 impl SketchId {
     /// Null handle returned by a disabled registry; all ops on it no-op.
@@ -88,24 +80,7 @@ struct Series {
     samples: Vec<Sample>,
 }
 
-/// A fixed-bound histogram: `counts[i]` is the number of observations
-/// `<= bounds[i]`, with one overflow bucket at the end.
-#[derive(Debug)]
-pub struct Histogram {
-    /// Instrument name, e.g. `"ttft_ms"`.
-    pub name: String,
-    /// Ascending upper bounds; observations above the last land in the
-    /// overflow bucket.
-    pub bounds: Vec<f64>,
-    /// `bounds.len() + 1` bucket counts.
-    pub counts: Vec<u64>,
-    /// Sum of all observations.
-    pub sum: f64,
-    /// Number of observations.
-    pub n: u64,
-}
-
-/// Pre-registered counters, gauges and histograms with dense ids.
+/// Pre-registered counters, gauges and quantile sketches with dense ids.
 ///
 /// Disabled by default; a disabled registry hands out null ids and every
 /// hot-path operation on it is one branch.
@@ -114,7 +89,6 @@ pub struct MetricsRegistry {
     enabled: bool,
     counters: Vec<Series>,
     gauges: Vec<Series>,
-    hists: Vec<Histogram>,
     sketches: Vec<(String, QuantileSketch)>,
 }
 
@@ -169,25 +143,6 @@ impl MetricsRegistry {
             samples: Vec::new(),
         });
         GaugeId((self.gauges.len() - 1) as u16)
-    }
-
-    /// Registers a histogram with ascending bucket `bounds` (setup path).
-    pub fn histogram(&mut self, name: &str, bounds: &[f64]) -> HistId {
-        if !self.enabled {
-            return HistId::NONE;
-        }
-        debug_assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be ascending"
-        );
-        self.hists.push(Histogram {
-            name: name.to_string(),
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0.0,
-            n: 0,
-        });
-        HistId((self.hists.len() - 1) as u16)
     }
 
     /// Registers a quantile sketch with relative accuracy `alpha` (setup
@@ -257,19 +212,6 @@ impl MetricsRegistry {
         self.gauges[id.0 as usize].value = value;
     }
 
-    /// Records one histogram observation. One branch when disabled.
-    #[inline]
-    pub fn observe(&mut self, id: HistId, value: f64) {
-        if !self.enabled || id == HistId::NONE {
-            return;
-        }
-        let h = &mut self.hists[id.0 as usize];
-        let bucket = h.bounds.partition_point(|&b| value > b);
-        h.counts[bucket] += 1;
-        h.sum += value;
-        h.n += 1;
-    }
-
     /// Current value of a counter (for tests and run-level summaries).
     pub fn counter_value(&self, id: CounterId) -> f64 {
         if !self.enabled || id == CounterId::NONE {
@@ -302,11 +244,6 @@ impl MetricsRegistry {
         self.gauges.iter().map(|s| (s.name.as_str(), s.samples.as_slice()))
     }
 
-    /// All histograms in registration order.
-    pub fn histograms(&self) -> &[Histogram] {
-        &self.hists
-    }
-
     /// Final `(name, value)` of every counter, in registration order.
     pub fn counter_totals(&self) -> impl Iterator<Item = (&str, f64)> {
         self.counters.iter().map(|s| (s.name.as_str(), s.value))
@@ -332,17 +269,13 @@ mod tests {
         let mut reg = MetricsRegistry::disabled();
         let c = reg.counter("x");
         let g = reg.gauge("y");
-        let h = reg.histogram("z", &[1.0]);
         assert_eq!(c, CounterId::NONE);
         assert_eq!(g, GaugeId::NONE);
-        assert_eq!(h, HistId::NONE);
         reg.inc(c, 3);
         reg.set(g, 5.0);
-        reg.observe(h, 0.5);
         reg.sample(t(1.0));
         assert_eq!(reg.counter_series().count(), 0);
         assert_eq!(reg.gauge_series().count(), 0);
-        assert!(reg.histograms().is_empty());
     }
 
     #[test]
@@ -363,20 +296,6 @@ mod tests {
         assert_eq!(gname, "queue_depth");
         assert_eq!(gsamples[1].value, 2.0);
         assert_eq!(reg.counter_value(c), 3.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut reg = MetricsRegistry::enabled();
-        let h = reg.histogram("lat", &[1.0, 10.0]);
-        reg.observe(h, 0.5); // <= 1.0
-        reg.observe(h, 1.0); // <= 1.0 (inclusive upper bound)
-        reg.observe(h, 5.0); // <= 10.0
-        reg.observe(h, 50.0); // overflow
-        let hist = &reg.histograms()[0];
-        assert_eq!(hist.counts, vec![2, 1, 1]);
-        assert_eq!(hist.n, 4);
-        assert!((hist.sum - 56.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,31 +1,33 @@
 //! Property tests for the Prometheus exposition path and the quantile
-//! sketch: arbitrary observation streams must always yield cumulative
-//! histogram buckets with a `+Inf` terminal equal to `_count`, label
-//! values must round-trip the exposition escaping, and the sketch must
-//! honor its relative-error contract — including after an exact merge.
+//! sketch: arbitrary observation streams must always yield a summary whose
+//! `_count` and `_sum` match the stream and whose quantile lines are
+//! monotone, label values must round-trip the exposition escaping, and the
+//! sketch must honor its relative-error contract — including after an
+//! exact merge.
 
 use proptest::prelude::*;
 
 use aegaeon_telemetry::{labeled, prometheus_text, MetricsRegistry, QuantileSketch};
 
-/// Parses every `name_bucket{le="..."} v` line of `family` out of the
-/// exposition text, in emission order, plus the `_sum` and `_count` lines.
-fn parse_histogram(text: &str, family: &str) -> (Vec<(String, u64)>, f64, u64) {
-    let bucket_prefix = format!("{family}_bucket{{le=\"");
-    let mut buckets = Vec::new();
+/// Parses the summary of unlabeled `family` out of the exposition text: the
+/// `family{quantile="..."} v` lines in emission order, then the `_sum` and
+/// `_count` lines.
+fn parse_summary(text: &str, family: &str) -> (Vec<(String, f64)>, f64, u64) {
+    let quantile_prefix = format!("{family}{{quantile=\"");
+    let mut quantiles = Vec::new();
     let mut sum = f64::NAN;
-    let mut count = 0u64;
+    let mut count = u64::MAX;
     for line in text.lines() {
-        if let Some(rest) = line.strip_prefix(bucket_prefix.as_str()) {
-            let (le, v) = rest.split_once("\"} ").expect("bucket line shape");
-            buckets.push((le.to_string(), v.trim().parse().expect("bucket count")));
+        if let Some(rest) = line.strip_prefix(quantile_prefix.as_str()) {
+            let (q, v) = rest.split_once("\"} ").expect("quantile line shape");
+            quantiles.push((q.to_string(), v.trim().parse().expect("quantile value")));
         } else if let Some(rest) = line.strip_prefix(&format!("{family}_sum ")) {
             sum = rest.trim().parse().expect("sum value");
         } else if let Some(rest) = line.strip_prefix(&format!("{family}_count ")) {
             count = rest.trim().parse().expect("count value");
         }
     }
-    (buckets, sum, count)
+    (quantiles, sum, count)
 }
 
 /// The exact rank the sketch estimates: the value at index `⌊q·(n-1)⌋` of
@@ -37,36 +39,30 @@ fn exact_rank(sorted: &[f64], q: f64) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Histogram exposition is internally consistent for any observation
-    /// stream and bound set: bucket counts are monotone non-decreasing in
-    /// emission order, the terminal bucket is `+Inf` and equals `_count`,
-    /// and `_sum` matches the accumulated observations.
+    /// Summary exposition is internally consistent for any observation
+    /// stream: `_count` is the number of observations, `_sum` is their
+    /// in-order sum bit for bit, and the p50/p90/p99 lines are monotone.
     #[test]
-    fn histogram_buckets_are_cumulative_with_inf_terminal(
-        mut bounds in prop::collection::vec(0.001f64..100.0, 1..8),
-        obs in prop::collection::vec(0.0f64..200.0, 0..200),
+    fn summary_count_sum_and_quantiles_match_the_stream(
+        obs in prop::collection::vec(0.0f64..1e6, 0..200),
     ) {
-        bounds.sort_by(|a, b| a.total_cmp(b));
-        bounds.dedup();
         let mut reg = MetricsRegistry::enabled();
-        let h = reg.histogram("lat_secs", &bounds);
+        let s = reg.sketch("lat_secs", 0.01);
         for &v in &obs {
-            reg.observe(h, v);
+            reg.observe_sketch(s, v);
         }
         let text = prometheus_text(&reg);
-        let (buckets, sum, count) = parse_histogram(&text, "lat_secs");
-        prop_assert_eq!(buckets.len(), bounds.len() + 1);
-        prop_assert!(buckets.windows(2).all(|w| w[0].1 <= w[1].1), "{buckets:?}");
-        let (last_le, last_count) = buckets.last().unwrap();
-        prop_assert_eq!(last_le.as_str(), "+Inf");
-        prop_assert_eq!(*last_count, obs.len() as u64);
+        prop_assert!(text.contains("# TYPE lat_secs summary\n"), "{text}");
+        let (quantiles, sum, count) = parse_summary(&text, "lat_secs");
         prop_assert_eq!(count, obs.len() as u64);
-        let expect: f64 = obs.iter().sum();
-        prop_assert!((sum - expect).abs() <= 1e-6 * expect.abs().max(1.0));
-        // Each finite bucket holds exactly the observations ≤ its bound.
-        for (i, &b) in bounds.iter().enumerate() {
-            let expect = obs.iter().filter(|&&v| v <= b).count() as u64;
-            prop_assert_eq!(buckets[i].1, expect, "le={}", b);
+        let expect = obs.iter().fold(0.0f64, |acc, &v| acc + v);
+        prop_assert_eq!(sum.to_bits(), expect.to_bits(), "sum {} vs {}", sum, expect);
+        let labels: Vec<&str> = quantiles.iter().map(|(q, _)| q.as_str()).collect();
+        prop_assert_eq!(labels, vec!["0.5", "0.9", "0.99"]);
+        if obs.is_empty() {
+            prop_assert!(quantiles.iter().all(|(_, v)| v.is_nan()), "{quantiles:?}");
+        } else {
+            prop_assert!(quantiles.windows(2).all(|w| w[0].1 <= w[1].1), "{quantiles:?}");
         }
     }
 

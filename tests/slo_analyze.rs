@@ -63,3 +63,36 @@ fn analyzer_round_trips_through_the_exported_document() {
     assert_eq!(direct.to_markdown(), via_text.to_markdown());
     assert!(direct.consistency_errors().is_empty(), "{:?}", direct.consistency_errors());
 }
+
+#[test]
+fn analyzer_cli_refuses_a_telemetry_jsonl_dump() {
+    // A telemetry JSONL dump holds spans, samples, sketches and totals but
+    // no SLO document: `--check` must fail rather than pass an empty report.
+    let n_models = 3;
+    let models = market_models(n_models);
+    let trace = uniform_trace(n_models, 0.08, 60.0, 20250713, LengthDist::sharegpt());
+    let mut cfg = AegaeonConfig::small_testbed(2, 3);
+    cfg.seed = 20250713;
+    cfg.telemetry = TelemetrySpec::enabled();
+    let r = ServingSystem::run(&cfg, &models, &trace);
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let jsonl = dir.join("slo_analyze_run.telemetry.jsonl");
+    let doc = dir.join("slo_analyze_run.slo.json");
+    std::fs::write(&jsonl, aegaeon_telemetry::jsonl(&r.telemetry.spans, &r.telemetry.metrics))
+        .expect("write jsonl");
+    std::fs::write(&doc, aegaeon_telemetry::slo_json(&r.telemetry.slo, &r.telemetry.attrib))
+        .expect("write slo doc");
+    let check = |path: &std::path::Path| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_aegaeon-analyze"))
+            .arg("--slo")
+            .arg(path)
+            .arg("--check")
+            .output()
+            .expect("run aegaeon-analyze")
+    };
+    let out = check(&jsonl);
+    assert_eq!(out.status.code(), Some(65), "{out:?}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("All checks passed"));
+    let out = check(&doc);
+    assert!(out.status.success(), "{out:?}");
+}

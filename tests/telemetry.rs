@@ -11,7 +11,9 @@ use aegaeon_baselines::{MuxServe, ServerlessLlm, SllmConfig};
 use aegaeon_bench::{analyze, market_models, uniform_trace};
 use aegaeon_metrics::slo::attainment_per_model;
 use aegaeon_sim::{SimDur, TraceLog};
-use aegaeon_telemetry::{chrome_trace, looks_like_trace_event_json, SpanKind, TelemetrySpec};
+use aegaeon_telemetry::{
+    chrome_trace, looks_like_trace_event_json, QuantileSketch, SpanKind, TelemetrySpec,
+};
 use aegaeon_workload::{LengthDist, SloSpec};
 
 const SEEDS: [u64; 3] = [7, 42, 20250713];
@@ -388,6 +390,14 @@ fn registry_surfaces_queue_auditor_and_chaos_counts() {
     assert_eq!(totals["switches"], r.scale_count as f64);
     assert_eq!(totals["kv_swaps"], r.swaps as f64);
     assert_eq!(totals["prefetch_hits"], r.prefetch_hits as f64);
+    // The distribution sketches see the same observations as the result:
+    // one scale latency per scale-up, summed in the same order.
+    assert!(!r.scale_latencies.is_empty());
+    let scale = sketch(&r.telemetry, "scale_latency_secs");
+    assert_eq!(scale.count(), r.scale_latencies.len() as u64);
+    let sum = r.scale_latencies.iter().fold(0.0f64, |acc, &v| acc + v);
+    assert_eq!(scale.sum().to_bits(), sum.to_bits());
+    assert!(sketch(&r.telemetry, "batch_size").count() > 0);
 
     // The baselines report the same RunResult fields, fed by the same
     // registry counters. MuxServe on two GPUs leaves one of the five
@@ -408,7 +418,17 @@ fn registry_surfaces_queue_auditor_and_chaos_counts() {
         assert_eq!(totals["switches"], r.scale_count as f64, "{name}");
         assert_eq!(totals["completed_requests"], r.completed as f64, "{name}");
         assert_eq!(totals["rejected_requests"], r.rejected as f64, "{name}");
+        assert!(sketch(&r.telemetry, "batch_size").count() > 0, "{name}");
     }
+}
+
+/// The registry sketch named `name`.
+fn sketch<'a>(tel: &'a aegaeon_telemetry::Telemetry, name: &str) -> &'a QuantileSketch {
+    tel.metrics
+        .sketches()
+        .find(|&(n, _)| n == name)
+        .unwrap_or_else(|| panic!("no sketch {name}"))
+        .1
 }
 
 #[test]

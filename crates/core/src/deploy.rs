@@ -2,7 +2,7 @@
 
 use aegaeon_engine::{fit_model, FittedModel, PerfModel};
 use aegaeon_gpu::GpuSpec;
-use aegaeon_model::{ModelId, ModelSpec};
+use aegaeon_model::ModelSpec;
 use aegaeon_sim::SimRng;
 
 /// A model as deployed: its spec plus ground-truth and fitted latency
@@ -53,11 +53,6 @@ pub fn build_deploys(
         .iter()
         .map(|m| ModelDeploy::new(m, gpu, tp, rng))
         .collect()
-}
-
-/// Convenience: the id of the `i`-th deployed model.
-pub fn model_id(i: usize) -> ModelId {
-    ModelId(i as u32)
 }
 
 #[cfg(test)]

@@ -160,11 +160,4 @@ impl SseStream {
             }
         }
     }
-
-    /// Reads the rest of the body (non-streaming fallback, e.g. on a 4xx).
-    pub fn read_remaining(mut self) -> std::io::Result<String> {
-        let mut rest = String::new();
-        self.reader.read_to_string(&mut rest)?;
-        Ok(rest)
-    }
 }

@@ -376,11 +376,6 @@ impl Gateway {
         self.addr
     }
 
-    /// Currently open connections across all reactors.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
-    }
-
     /// High-water mark of simultaneously open connections (global).
     pub fn peak_connections(&self) -> usize {
         self.shared.peak.load(Ordering::SeqCst)

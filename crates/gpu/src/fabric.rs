@@ -393,11 +393,6 @@ impl<T: Clone> Fabric<T> {
         s.queue.is_empty() && matches!(s.state, Running::Idle)
     }
 
-    /// Queued (not yet started) ops on the stream.
-    pub fn stream_depth(&self, stream: StreamId) -> usize {
-        self.streams[stream.0 as usize].queue.len()
-    }
-
     /// Accumulated compute-busy time of the stream.
     pub fn stream_compute_busy(&self, stream: StreamId) -> SimDur {
         self.streams[stream.0 as usize].compute_busy

@@ -69,8 +69,6 @@ impl std::error::Error for OutOfMemory {}
 pub struct BumpBuffer {
     capacity: u64,
     cursor: u64,
-    allocs: u64,
-    resets: u64,
 }
 
 impl BumpBuffer {
@@ -79,8 +77,6 @@ impl BumpBuffer {
         BumpBuffer {
             capacity,
             cursor: 0,
-            allocs: 0,
-            resets: 0,
         }
     }
 
@@ -118,7 +114,6 @@ impl BumpBuffer {
             });
         }
         self.cursor = end;
-        self.allocs += 1;
         Ok(Extent { offset, len })
     }
 
@@ -147,23 +142,11 @@ impl BumpBuffer {
             self.cursor
         );
         self.cursor = mark.0;
-        self.resets += 1;
     }
 
     /// Frees everything: the O(1) wholesale deallocation used at scale-down.
     pub fn reset(&mut self) {
         self.cursor = 0;
-        self.resets += 1;
-    }
-
-    /// Lifetime allocation count (for reporting).
-    pub fn alloc_count(&self) -> u64 {
-        self.allocs
-    }
-
-    /// Lifetime reset/rewind count (for reporting).
-    pub fn reset_count(&self) -> u64 {
-        self.resets
     }
 }
 

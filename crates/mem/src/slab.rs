@@ -294,11 +294,6 @@ impl SlabPool {
         self.shapes.iter().map(|s| s.used_blocks * s.block_bytes).sum()
     }
 
-    /// Total bytes in slabs currently assigned to any shape.
-    pub fn total_allocated_bytes(&self) -> u64 {
-        self.slabs_in_use() as u64 * self.cfg.slab_bytes
-    }
-
     /// Usage snapshot for every registered shape (Figure 16 input).
     pub fn usage(&self) -> Vec<ShapeUsage> {
         self.shapes

@@ -290,11 +290,6 @@ impl FairLink {
             self.delivered += p;
         }
     }
-
-    /// The time a transfer of `bytes` would take if it were alone on the link.
-    pub fn solo_duration(&self, bytes: u64) -> SimDur {
-        SimDur::from_secs_f64(bytes as f64 / self.bw)
-    }
 }
 
 #[cfg(test)]

@@ -68,11 +68,6 @@ impl Welford {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample seen (`+inf` if empty).
     pub fn min(&self) -> f64 {
         self.min

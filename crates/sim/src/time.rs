@@ -102,11 +102,6 @@ impl SimDur {
         self.0 as f64 / 1e9
     }
 
-    /// Fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDur) -> SimDur {
         SimDur(self.0.saturating_sub(other.0))

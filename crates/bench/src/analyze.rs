@@ -223,11 +223,7 @@ impl Analysis {
     /// telemetry JSONL dump, which carries no SLO rows — is an error, so
     /// the analyzer never reports on an empty document.
     pub fn from_slo_text(text: &str) -> Result<Analysis, String> {
-        let trimmed = text.trim();
-        if trimmed.is_empty() {
-            return Err("empty SLO document".to_string());
-        }
-        let doc = serde_json::from_str::<Value>(trimmed)
+        let doc = serde_json::from_str::<Value>(text.trim())
             .map_err(|e| format!("not one JSON object (the /v1/slo document): {e}"))?;
         if field(&doc, "models").is_none() && field(&doc, "windows").is_none() {
             return Err("not an SLO document: no `models` or `windows` array".to_string());

@@ -6,7 +6,7 @@
 //! REGEN_GOLDEN=1 cargo test -p aegaeon-bench --test slo_analyze
 //! ```
 
-use aegaeon::{AegaeonConfig, ServingSystem};
+use aegaeon::{AegaeonConfig, RunResult, ServingSystem};
 use aegaeon_bench::analyze::Analysis;
 use aegaeon_bench::{analyze, market_models, uniform_trace};
 use aegaeon_telemetry::TelemetrySpec;
@@ -14,14 +14,19 @@ use aegaeon_workload::LengthDist;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/slo_report.md");
 
-fn fixed_run_markdown() -> String {
+/// The fixed-seed, telemetry-on run every test here analyzes.
+fn fixed_run() -> RunResult {
     let n_models = 3;
     let models = market_models(n_models);
     let trace = uniform_trace(n_models, 0.08, 60.0, 20250713, LengthDist::sharegpt());
     let mut cfg = AegaeonConfig::small_testbed(2, 3);
     cfg.seed = 20250713;
     cfg.telemetry = TelemetrySpec::enabled();
-    let r = ServingSystem::run(&cfg, &models, &trace);
+    ServingSystem::run(&cfg, &models, &trace)
+}
+
+fn fixed_run_markdown() -> String {
+    let r = fixed_run();
     analyze::analyze_run(&r.telemetry).expect("analyzable run").to_markdown()
 }
 
@@ -50,13 +55,7 @@ fn analyzer_markdown_is_deterministic_across_runs() {
 fn analyzer_round_trips_through_the_exported_document() {
     // The in-process path (`analyze_run`) and the file path the CLI takes
     // (`slo_json` → `from_slo_text`) must agree exactly.
-    let n_models = 3;
-    let models = market_models(n_models);
-    let trace = uniform_trace(n_models, 0.08, 60.0, 20250713, LengthDist::sharegpt());
-    let mut cfg = AegaeonConfig::small_testbed(2, 3);
-    cfg.seed = 20250713;
-    cfg.telemetry = TelemetrySpec::enabled();
-    let r = ServingSystem::run(&cfg, &models, &trace);
+    let r = fixed_run();
     let direct = analyze::analyze_run(&r.telemetry).expect("analyzable run");
     let doc = aegaeon_telemetry::slo_json(&r.telemetry.slo, &r.telemetry.attrib);
     let via_text = Analysis::from_slo_text(&doc).expect("parsable export");
@@ -68,13 +67,7 @@ fn analyzer_round_trips_through_the_exported_document() {
 fn analyzer_cli_refuses_a_telemetry_jsonl_dump() {
     // A telemetry JSONL dump holds spans, samples, sketches and totals but
     // no SLO document: `--check` must fail rather than pass an empty report.
-    let n_models = 3;
-    let models = market_models(n_models);
-    let trace = uniform_trace(n_models, 0.08, 60.0, 20250713, LengthDist::sharegpt());
-    let mut cfg = AegaeonConfig::small_testbed(2, 3);
-    cfg.seed = 20250713;
-    cfg.telemetry = TelemetrySpec::enabled();
-    let r = ServingSystem::run(&cfg, &models, &trace);
+    let r = fixed_run();
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     let jsonl = dir.join("slo_analyze_run.telemetry.jsonl");
     let doc = dir.join("slo_analyze_run.slo.json");

@@ -692,58 +692,6 @@ mod sys {
     }
 }
 
-#[cfg(not(unix))]
-mod sys {
-    use super::PollEvent;
-    use std::io;
-    use std::os::unix::io::RawFd;
-
-    #[derive(Debug)]
-    pub struct Backend;
-
-    impl Backend {
-        pub fn new() -> io::Result<Backend> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "gateway reactor requires a unix poller",
-            ))
-        }
-        pub fn register(&mut self, _fd: RawFd, _token: u64) -> io::Result<()> {
-            unreachable!()
-        }
-        pub fn deregister(&mut self, _fd: RawFd) -> io::Result<()> {
-            unreachable!()
-        }
-        pub fn waker_fd(&self) -> RawFd {
-            unreachable!()
-        }
-        pub fn wait(&mut self, _out: &mut Vec<PollEvent>, _ms: i32) -> io::Result<()> {
-            unreachable!()
-        }
-    }
-
-    pub fn waker_signal(_fd: RawFd) {}
-
-    pub fn shrink_socket_buffers(
-        _fd: RawFd,
-        _sndbuf: Option<u32>,
-        _rcvbuf: Option<u32>,
-    ) -> io::Result<()> {
-        Ok(())
-    }
-
-    pub fn reuseport_listener_group(
-        _addr: std::net::SocketAddr,
-        _n: usize,
-    ) -> io::Result<(Vec<std::net::TcpListener>, std::net::SocketAddr)> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
-    }
-
-    pub fn listen_backlog(_fd: RawFd) -> io::Result<u32> {
-        Err(io::Error::from(io::ErrorKind::Unsupported))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

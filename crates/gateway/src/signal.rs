@@ -2,8 +2,7 @@
 //!
 //! The handler only stores into an [`AtomicBool`] (async-signal-safe); the
 //! gateway's main loop polls [`shutdown_requested`] and performs the
-//! graceful drain on the ordinary control path. On non-Unix targets the
-//! flag simply never trips.
+//! graceful drain on the ordinary control path.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -15,45 +14,33 @@ pub fn shutdown_requested() -> bool {
     TERM.load(Ordering::SeqCst)
 }
 
-/// Trips the shutdown flag programmatically (tests, non-Unix fallbacks).
+/// Trips the shutdown flag programmatically (tests).
 pub fn request_shutdown() {
     TERM.store(true, Ordering::SeqCst);
 }
 
-#[cfg(unix)]
-mod imp {
-    use super::*;
-
-    extern "C" fn on_signal(_signum: i32) {
-        TERM.store(true, Ordering::SeqCst);
-    }
-
-    // libc is linked by std on every Unix target; declaring the one symbol
-    // we need avoids a dependency the offline build cannot fetch.
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-
-    /// Installs the handler for SIGTERM (15) and SIGINT (2).
-    pub fn install() {
-        // SAFETY: `signal` is libc's, called with valid signal numbers and
-        // a handler of the C ABI type it expects (`extern "C" fn(i32)`,
-        // passed as `sighandler_t`). The handler only stores to an atomic,
-        // which is async-signal-safe. The previous handlers it returns are
-        // the defaults, which nothing needs to restore.
-        unsafe {
-            signal(15, on_signal as *const () as usize);
-            signal(2, on_signal as *const () as usize);
-        }
-    }
+extern "C" fn on_signal(_signum: i32) {
+    TERM.store(true, Ordering::SeqCst);
 }
 
-#[cfg(unix)]
-pub use imp::install;
+// libc is linked by std on every Unix target; declaring the one symbol we
+// need avoids a dependency the offline build cannot fetch.
+extern "C" {
+    fn signal(signum: i32, handler: usize) -> usize;
+}
 
-/// No-op on targets without Unix signals.
-#[cfg(not(unix))]
-pub fn install() {}
+/// Installs the handler for SIGTERM (15) and SIGINT (2).
+pub fn install() {
+    // SAFETY: `signal` is libc's, called with valid signal numbers and a
+    // handler of the C ABI type it expects (`extern "C" fn(i32)`, passed as
+    // `sighandler_t`). The handler only stores to an atomic, which is
+    // async-signal-safe. The previous handlers it returns are the defaults,
+    // which nothing needs to restore.
+    unsafe {
+        signal(15, on_signal as *const () as usize);
+        signal(2, on_signal as *const () as usize);
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -137,7 +137,7 @@ impl FairLink {
 
     /// Total bytes accepted by [`Self::start_flow`] so far, minus bytes that
     /// left with a cancelled flow. Conserved quantity: at any settle point,
-    /// `bytes_started == bytes_delivered + Σ bytes_remaining`.
+    /// `bytes_started == bytes_delivered + bytes_in_flight`.
     pub fn bytes_started(&self) -> f64 {
         self.started
     }
@@ -213,14 +213,6 @@ impl FairLink {
         });
         self.started -= dropped;
         self.flows.len() != before
-    }
-
-    /// Bytes still pending for `id`, if the flow is in flight.
-    pub fn bytes_remaining(&self, id: FlowId) -> Option<u64> {
-        self.flows
-            .iter()
-            .find(|f| f.id == id)
-            .map(|f| f.bytes_left.max(0.0).round() as u64)
     }
 
     /// The instant at which the earliest in-flight flow completes, plus the

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Exp, LogNormal, Pareto};
+use rand_distr::{Distribution, Exp, LogNormal};
 
 /// A seeded random source with the distributions the workloads need.
 #[derive(Debug, Clone)]
@@ -65,13 +65,6 @@ impl SimRng {
         let mu = mean.ln() - sigma * sigma / 2.0;
         LogNormal::new(mu, sigma)
             .expect("lognormal parameters must be finite")
-            .sample(&mut self.inner)
-    }
-
-    /// Pareto sample with scale `x_m` and shape `alpha` (popularity skew).
-    pub fn pareto(&mut self, x_m: f64, alpha: f64) -> f64 {
-        Pareto::new(x_m, alpha)
-            .expect("pareto parameters must be positive")
             .sample(&mut self.inner)
     }
 

@@ -223,8 +223,9 @@ pub fn jsonl(spans: &SpanLog, metrics: &MetricsRegistry) -> String {
         push_json_str(&mut out, name);
         let _ = write!(out, ",\"alpha\":{},\"count\":{},\"sum\":", sk.alpha(), sk.count());
         push_json_f64(&mut out, sk.sum());
-        for (q, label) in SUMMARY_QUANTILES {
-            let _ = write!(out, ",\"p{}\":", &label[2..]);
+        for (q, _) in SUMMARY_QUANTILES {
+            // Percentile keys: 0.5 → p50, 0.9 → p90, 0.99 → p99.
+            let _ = write!(out, ",\"p{}\":", (q * 100.0).round() as u32);
             push_json_f64(&mut out, sk.quantile(q));
         }
         out.push_str("}\n");
@@ -539,7 +540,9 @@ mod tests {
 
     #[test]
     fn jsonl_emits_one_object_per_line() {
-        let (_, spans, reg) = sample_run();
+        let (_, spans, mut reg) = sample_run();
+        let sk = reg.sketch("latency_seconds", 0.01);
+        reg.observe_sketch(sk, 0.25);
         let text = jsonl(&spans, &reg);
         for line in text.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "bad line: {line}");
@@ -547,5 +550,13 @@ mod tests {
         assert!(text.contains("\"type\":\"span\""));
         assert!(text.contains("\"type\":\"sample\""));
         assert!(text.contains("\"type\":\"total\""));
+        let sketch = text
+            .lines()
+            .find(|l| l.contains("\"type\":\"sketch\""))
+            .expect("sketch line");
+        for key in ["\"p50\":", "\"p90\":", "\"p99\":"] {
+            assert!(sketch.contains(key), "missing {key}: {sketch}");
+        }
+        assert!(!sketch.contains("\"p5\":") && !sketch.contains("\"p9\":"), "{sketch}");
     }
 }

@@ -584,7 +584,7 @@ impl<S: Scheduler> Host for Serve<'_, S> {
         let mut w = self.w;
         let (completed, rejected) = (w.reqs.completed, w.reqs.rejected);
         w.tel.metrics.set_counter(w.c_rejected, rejected as u64);
-        w.ids.finish(&mut w.tel, completed, q, audit);
+        w.ids.finish(&mut w.tel, &w.reqs, &w.trace, q, audit);
         RunResult {
             outcomes: w.reqs.outcomes(&w.trace),
             horizon: w.trace.horizon,

@@ -20,12 +20,13 @@ use serde_json::{Map, Value};
 
 /// One model's cumulative SLO standing.
 #[derive(Debug, Clone)]
-pub struct ModelRow {
+pub struct ModelSlo {
     /// Model name (`m0`, `m1`, …).
     pub model: String,
     /// Completed requests.
     pub requests: u64,
-    /// Tokens produced.
+    /// Tokens counted: those of completed requests, plus the tokens
+    /// unfinished requests owed by the horizon once the run has finished.
     pub tokens: u64,
     /// Tokens produced by their SLO deadline.
     pub tokens_met: u64,
@@ -112,7 +113,7 @@ pub struct BenchRow {
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
     /// Per-model cumulative standing (input order).
-    pub models: Vec<ModelRow>,
+    pub models: Vec<ModelSlo>,
     /// Sealed windows (input order: time, then model).
     pub windows: Vec<WindowRow>,
     /// Attribution ledger rows (input order: instance, model, kind).
@@ -181,8 +182,8 @@ fn window_row(v: &Value) -> WindowRow {
     }
 }
 
-fn model_row(v: &Value) -> ModelRow {
-    ModelRow {
+fn model_slo(v: &Value) -> ModelSlo {
+    ModelSlo {
         model: get_str(v, "model").to_string(),
         requests: get_u64(v, "requests"),
         tokens: get_u64(v, "tokens"),
@@ -240,7 +241,7 @@ impl Analysis {
             }
         }
         Analysis {
-            models: rows(doc, "models", model_row),
+            models: rows(doc, "models", model_slo),
             windows: rows(doc, "windows", window_row),
             attribution: rows(doc, "attribution", attrib_row),
             sessions: rows(doc, "sessions", session_row),

@@ -19,6 +19,7 @@ use aegaeon_baselines::engine_loop::WorldConfig;
 use aegaeon_baselines::{MuxServe, ServerlessLlm, SllmConfig};
 use aegaeon_engine::AutoscaleOpts;
 use aegaeon_gpu::{ClusterSpec, GpuSpec, NodeSpec};
+use aegaeon_metrics::slo::attainment_per_model;
 use aegaeon_model::Zoo;
 use aegaeon_sim::{SimRng, SimTime};
 use aegaeon_workload::{LengthDist, SloSpec, TraceBuilder};
@@ -275,12 +276,17 @@ fn main() {
         s.tbt.0 * 1e3,
         s.tbt.2 * 1e3
     );
-    let rows = aegaeon_metrics::per_model_rows(&r.outcomes, slo, r.horizon, args.models);
-    if let Some(worst) = rows.first() {
+    let per_model = attainment_per_model(&r.outcomes, slo, r.horizon, args.models);
+    // `min_by` keeps the first of equal minima: the lowest model id.
+    let worst = per_model.iter().enumerate().min_by(|a, b| {
+        a.1.ratio()
+            .partial_cmp(&b.1.ratio())
+            .expect("finite ratios")
+    });
+    if let Some((model, worst)) = worst {
         println!(
-            "worst model m{} at {:.1}% over {} requests",
-            worst.model,
-            worst.attainment.percent(),
+            "worst model m{model} at {:.1}% over {} requests",
+            worst.percent(),
             worst.requests
         );
     }

@@ -23,11 +23,13 @@ use aegaeon::{
 };
 use aegaeon_bench::{banner, market_models, sweep, uniform_trace, HORIZON_SECS, SEED};
 use aegaeon_gpu::{ClusterSpec, NodeSpec};
+use aegaeon_metrics::slo::score_tokens;
 use aegaeon_metrics::RequestOutcome;
 use aegaeon_model::{ModelId, ModelSpec};
 use aegaeon_sim::{
     BinaryHeapQueue, EventQueue, SimDur, SimRng, SimTime, ThroughputReport, Timeline,
 };
+use aegaeon_telemetry::observatory::SLO_WINDOW_NS;
 use aegaeon_telemetry::{labeled, MetricsRegistry, SloObservatory, SpanLog, TelemetrySpec};
 use aegaeon_workload::{LengthDist, SloSpec, Trace, TraceBuilder};
 
@@ -184,7 +186,6 @@ fn replay_spans(log: &SpanLog) -> SpanLog {
 fn replay_sketches(
     retired: &[&RequestOutcome],
     n_models: usize,
-    window_ns: u64,
 ) -> (MetricsRegistry, SloObservatory) {
     let alpha = aegaeon_telemetry::observatory::SLO_SKETCH_ALPHA;
     let mut reg = MetricsRegistry::enabled();
@@ -197,14 +198,10 @@ fn replay_sketches(
             )
         })
         .collect();
-    let mut slo = SloObservatory::new(n_models, window_ns);
+    let mut slo = SloObservatory::new(n_models, SLO_WINDOW_NS);
     let spec = SloSpec::paper_default();
     let mut tbt = Vec::new();
     for o in retired {
-        let met = (0u32..)
-            .zip(&o.token_times)
-            .filter(|&(k, &t)| t <= spec.token_deadline(o.arrival, k))
-            .count() as u64;
         tbt.clear();
         tbt.extend(
             o.token_times
@@ -215,9 +212,9 @@ fn replay_sketches(
         let (s_ttft, s_tbt) = ids[o.model.0 as usize];
         reg.observe_sketch(s_ttft, ttft);
         reg.observe_sketch_all(s_tbt, &tbt);
-        let at = o.token_times.last().map_or(0, |t| t.as_nanos());
-        let tokens = o.token_times.len() as u64;
-        slo.observe_request(at, o.model.0, ttft, &tbt, tokens, met);
+        let at = o.token_times.last().copied().unwrap_or(SimTime::ZERO);
+        let s = score_tokens(o.arrival, &o.token_times, o.target_tokens, spec, at);
+        slo.observe_request(at.as_nanos(), o.model.0, ttft, &tbt, s.tokens, s.met);
     }
     (reg, slo)
 }
@@ -412,9 +409,8 @@ fn main() {
     let mut retired: Vec<&RequestOutcome> =
         ton_r.outcomes.iter().filter(|o| o.finished()).collect();
     retired.sort_by_key(|o| (o.token_times.last().copied(), o.id));
-    let window_ns = TelemetrySpec::enabled().slo_window.as_nanos();
     let (sketch_secs, (reg_again, slo_again)) =
-        median_secs(|| replay_sketches(&retired, tmodels.len(), window_ns));
+        median_secs(|| replay_sketches(&retired, tmodels.len()));
     assert_eq!(retired.len(), ton_r.completed, "every completion retires");
     assert_eq!(
         slo_again.cumulative(),

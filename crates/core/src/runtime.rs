@@ -23,9 +23,11 @@ use aegaeon_gpu::{
     ClusterSpec, ClusterTopology, Completion, EventId, Fabric, FabricEvent, GpuHandles, LinkId,
     StreamId, StreamOp,
 };
+use aegaeon_metrics::slo::score_tokens;
 use aegaeon_metrics::RequestOutcome;
 use aegaeon_model::ModelId;
 use aegaeon_sim::{EventQueue, FxHashMap, Lift, SimDur, SimTime, Timeline};
+use aegaeon_telemetry::observatory::{SLO_SKETCH_ALPHA as SKETCH_ALPHA, SLO_WINDOW_NS};
 use aegaeon_telemetry::{
     labeled, CounterId, GaugeId, SketchId, SloObservatory, SpanId, SpanKind, Telemetry,
     TelemetrySpec,
@@ -459,9 +461,6 @@ impl IndexMut<usize> for Requests {
 
 // ----- Request telemetry --------------------------------------------------------
 
-/// Relative accuracy of the per-model latency sketches.
-const SKETCH_ALPHA: f64 = aegaeon_telemetry::observatory::SLO_SKETCH_ALPHA;
-
 /// Instruments every serving loop registers, ahead of its own (null ids
 /// when telemetry is off, making every hot-path op a single branch).
 #[derive(Debug)]
@@ -480,7 +479,8 @@ pub struct CoreIds {
     /// Per-model TTFT/TBT quantile sketches, fed at retirement.
     s_ttft: Vec<SketchId>,
     s_tbt: Vec<SketchId>,
-    /// Per-model cumulative SLO attainment, refreshed every poll.
+    /// Per-model cumulative SLO attainment, refreshed every poll and at
+    /// finish.
     g_slo_attain: Vec<GaugeId>,
     /// Latency of individual session turns (arrival → last token).
     s_session_turn: SketchId,
@@ -492,7 +492,7 @@ impl CoreIds {
     pub fn telemetry(spec: &TelemetrySpec, n_models: usize) -> (Telemetry, CoreIds) {
         let mut tel = Telemetry::new(spec);
         if tel.is_enabled() {
-            tel.slo = SloObservatory::new(n_models, spec.slo_window.as_nanos().max(1));
+            tel.slo = SloObservatory::new(n_models, SLO_WINDOW_NS);
         }
         let reg = &mut tel.metrics;
         let mut s_ttft = Vec::with_capacity(n_models);
@@ -537,10 +537,7 @@ impl CoreIds {
         let mut models: Vec<u32> = resident.map(|m| m.0).collect();
         models.sort_unstable();
         models.dedup();
-        for (mi, &g) in self.g_slo_attain.iter().enumerate() {
-            let v = tel.slo.attainment(mi);
-            tel.metrics.set(g, v);
-        }
+        self.set_attainment(tel);
         let m = &mut tel.metrics;
         m.set_counter(self.c_completed, completed as u64);
         m.set(self.g_prefill_queue_depth, queued as f64);
@@ -549,18 +546,52 @@ impl CoreIds {
         m.sample(at);
     }
 
-    /// Writes the run-level counters (completions, dispatched events, audit
-    /// checks and violations) and closes the telemetry at the run's end.
-    /// Hosts write their own counters first.
+    /// Sets each model's `slo_attainment` gauge from the observatory.
+    fn set_attainment(&self, tel: &mut Telemetry) {
+        for (mi, &g) in self.g_slo_attain.iter().enumerate() {
+            let v = tel.slo.attainment(mi);
+            tel.metrics.set(g, v);
+        }
+    }
+
+    /// Ends the run: adds every request of `trace` that never retired to
+    /// the SLO observatory, writes the run-level counters (completions,
+    /// dispatched events, audit checks and violations) and closes the
+    /// telemetry. Hosts write their own counters first.
+    ///
+    /// Rejected, starved and cut-off requests are scored against
+    /// `trace.horizon`, the horizon the offline figure uses, so the
+    /// observatory's cumulative rows and the final `slo_attainment` gauges
+    /// equal [`aegaeon_metrics::slo::attainment_per_model`]. A migrated
+    /// request belongs to the shard it moved to.
     pub fn finish<E>(
         &self,
         tel: &mut Telemetry,
-        completed: usize,
+        reqs: &Requests,
+        trace: &Trace,
         q: &EventQueue<E>,
         audit: Option<&AuditReport>,
     ) {
+        if tel.is_enabled() {
+            let slo = SloSpec::paper_default();
+            for r in &trace.requests {
+                let rs = &reqs[r.id.0 as usize];
+                if rs.is_done() || rs.migrated {
+                    continue;
+                }
+                let s = score_tokens(
+                    rs.arrival,
+                    &rs.token_times,
+                    rs.target_tokens,
+                    slo,
+                    trace.horizon,
+                );
+                tel.slo.observe_unfinished(r.model.0, s.tokens, s.met);
+            }
+            self.set_attainment(tel);
+        }
         let m = &mut tel.metrics;
-        m.set_counter(self.c_completed, completed as u64);
+        m.set_counter(self.c_completed, reqs.completed as u64);
         m.set_counter(self.c_events_dispatched, q.events_dispatched());
         if let Some(rep) = audit {
             m.set_counter(self.c_audit_checks, rep.events_checked);
@@ -706,19 +737,12 @@ impl SpanBook {
             return;
         }
         self.close(tel, req, now);
-        let slo = SloSpec::paper_default();
-        let mut met = 0u64;
-        let mut prev: Option<SimTime> = None;
         self.tbt.clear();
-        for (k, &t) in rs.token_times.iter().enumerate() {
-            if t <= slo.token_deadline(rs.arrival, k as u32) {
-                met += 1;
-            }
-            if let Some(p) = prev {
-                self.tbt.push(t.saturating_since(p).as_secs_f64());
-            }
-            prev = Some(t);
-        }
+        self.tbt.extend(
+            rs.token_times
+                .windows(2)
+                .map(|w| w[1].saturating_since(w[0]).as_secs_f64()),
+        );
         let ttft = rs
             .token_times
             .first()
@@ -726,9 +750,15 @@ impl SpanBook {
         let mi = model.0 as usize;
         tel.metrics.observe_sketch(ids.s_ttft[mi], ttft);
         tel.metrics.observe_sketch_all(ids.s_tbt[mi], &self.tbt);
-        let tokens = rs.token_times.len() as u64;
+        let s = score_tokens(
+            rs.arrival,
+            &rs.token_times,
+            rs.target_tokens,
+            SloSpec::paper_default(),
+            now,
+        );
         tel.slo
-            .observe_request(now.as_nanos(), model.0, ttft, &self.tbt, tokens, met);
+            .observe_request(now.as_nanos(), model.0, ttft, &self.tbt, s.tokens, s.met);
         // Each session turn is its own request, so think gaps never enter
         // the TBT figures above; turns also feed the agentic lens.
         if rs.session.is_some() {

@@ -1,12 +1,11 @@
 //! Request-level summary statistics derived from outcomes: TTFT/TBT
-//! percentiles, throughput and per-model tables — the operator-facing view
-//! a serving deployment reports next to raw SLO attainment.
+//! percentiles and throughput — the operator-facing view a serving
+//! deployment reports next to raw SLO attainment.
 
 use aegaeon_sim::SimTime;
-use aegaeon_workload::SloSpec;
 
 use crate::cdf::Cdf;
-use crate::slo::{attainment, AttainmentReport, RequestOutcome};
+use crate::slo::RequestOutcome;
 
 /// Aggregate latency/throughput summary of a run.
 #[derive(Debug, Clone)]
@@ -60,53 +59,10 @@ pub fn summarize(outcomes: &[RequestOutcome], horizon: SimTime) -> Summary {
     }
 }
 
-/// One row of a per-model report.
-#[derive(Debug, Clone)]
-pub struct ModelRow {
-    /// Model index.
-    pub model: u32,
-    /// Attainment for that model's requests.
-    pub attainment: AttainmentReport,
-    /// Requests observed.
-    pub requests: usize,
-}
-
-/// Per-model attainment rows (sorted by worst attainment first), for spotting
-/// starved models in a pool.
-pub fn per_model_rows(
-    outcomes: &[RequestOutcome],
-    slo: SloSpec,
-    horizon: SimTime,
-    n_models: usize,
-) -> Vec<ModelRow> {
-    let mut rows: Vec<ModelRow> = (0..n_models)
-        .map(|m| {
-            let subset: Vec<RequestOutcome> = outcomes
-                .iter()
-                .filter(|o| o.model.0 as usize == m)
-                .cloned()
-                .collect();
-            ModelRow {
-                model: m as u32,
-                requests: subset.len(),
-                attainment: attainment(&subset, slo, horizon),
-            }
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        a.attainment
-            .ratio()
-            .partial_cmp(&b.attainment.ratio())
-            .expect("finite ratios")
-    });
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aegaeon_model::ModelId;
-    use aegaeon_sim::SimDur;
     use aegaeon_workload::RequestId;
 
     fn outcome(model: u32, start: f64, n: u32, gap: f64) -> RequestOutcome {
@@ -133,20 +89,6 @@ mod tests {
         assert!((s.ttft.0 - 1.5).abs() < 1e-9);
         // Gaps: ten of 0.05 and twenty of 0.1.
         assert!(s.tbt.0 >= 0.05 && s.tbt.2 <= 0.1 + 1e-9);
-    }
-
-    #[test]
-    fn per_model_rows_sort_worst_first() {
-        let slo = SloSpec {
-            ttft: SimDur::from_secs(1),
-            tbt: SimDur::from_millis(100),
-        };
-        // Model 0 on time; model 1 hopelessly late.
-        let o = vec![outcome(0, 0.5, 5, 0.05), outcome(1, 50.0, 5, 0.05)];
-        let rows = per_model_rows(&o, slo, SimTime::from_secs_f64(100.0), 2);
-        assert_eq!(rows[0].model, 1);
-        assert!(rows[0].attainment.ratio() < rows[1].attainment.ratio());
-        assert_eq!(rows[1].attainment.ratio(), 1.0);
     }
 
     #[test]

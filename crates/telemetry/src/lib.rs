@@ -44,8 +44,6 @@ pub struct TelemetrySpec {
     pub enabled: bool,
     /// Sim-time interval between registry samples.
     pub sample_every: SimDur,
-    /// Width of the SLO observatory's sim-time windows.
-    pub slo_window: SimDur,
 }
 
 impl TelemetrySpec {
@@ -54,7 +52,6 @@ impl TelemetrySpec {
         TelemetrySpec {
             enabled: false,
             sample_every: SimDur::from_millis(100),
-            slo_window: SimDur::from_secs(10),
         }
     }
 
@@ -71,7 +68,6 @@ impl TelemetrySpec {
         TelemetrySpec {
             enabled: true,
             sample_every,
-            ..TelemetrySpec::disabled()
         }
     }
 }

@@ -19,6 +19,16 @@
 //! regardless of event jitter. Empty windows are skipped (a quiescent gap
 //! produces no points rather than a run of zeros).
 //!
+//! # Cumulative totals
+//!
+//! Per-model cumulative totals take every retired request as it retires.
+//! At the end of a run the host adds every request that never retired
+//! (rejected, starved, or cut off by the hard stop) through
+//! [`SloObservatory::observe_unfinished`], scored by the same token-deadline
+//! rule as the offline figure, so after finish the cumulative rows equal
+//! `aegaeon_metrics::slo::attainment_per_model`. Unfinished requests have
+//! no retirement instant, so they join no window.
+//!
 //! # Attribution
 //!
 //! The [`AttributionLedger`] answers the paper's auto-scaling-overhead
@@ -33,6 +43,9 @@ use crate::sketch::QuantileSketch;
 
 /// Relative accuracy used by every observatory sketch (1%).
 pub const SLO_SKETCH_ALPHA: f64 = 0.01;
+
+/// Width of the observatory's sim-time windows every run uses (10 s).
+pub const SLO_WINDOW_NS: u64 = 10_000_000_000;
 
 /// One sealed window of one model's SLO series.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,9 +84,7 @@ pub struct SloPoint {
 struct ModelWindow {
     ttft: QuantileSketch,
     tbt: QuantileSketch,
-    requests: u64,
-    tokens: u64,
-    tokens_met: u64,
+    totals: SloCum,
 }
 
 impl ModelWindow {
@@ -81,34 +92,38 @@ impl ModelWindow {
         ModelWindow {
             ttft: QuantileSketch::new(SLO_SKETCH_ALPHA),
             tbt: QuantileSketch::new(SLO_SKETCH_ALPHA),
-            requests: 0,
-            tokens: 0,
-            tokens_met: 0,
+            totals: SloCum::default(),
         }
     }
 
     fn clear(&mut self) {
         self.ttft.clear();
         self.tbt.clear();
-        self.requests = 0;
-        self.tokens = 0;
-        self.tokens_met = 0;
+        self.totals = SloCum::default();
     }
 }
 
-/// Cumulative (whole-run) per-model totals.
+/// Per-model token totals: a window's, or the whole run's.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SloCum {
     /// Requests retired.
     pub requests: u64,
-    /// Tokens produced.
+    /// Tokens counted: every token of a retired request, plus (cumulative
+    /// totals only, from finish onwards) the tokens unfinished requests
+    /// owed by the horizon.
     pub tokens: u64,
     /// Tokens that met their deadline.
     pub tokens_met: u64,
 }
 
 impl SloCum {
-    /// Cumulative attainment ratio (1.0 when no tokens yet).
+    fn add(&mut self, requests: u64, tokens: u64, tokens_met: u64) {
+        self.requests += requests;
+        self.tokens += tokens;
+        self.tokens_met += tokens_met;
+    }
+
+    /// Attainment ratio `tokens_met / tokens` (1.0 when no tokens yet).
     pub fn attainment(&self) -> f64 {
         if self.tokens == 0 {
             1.0
@@ -213,7 +228,8 @@ impl SloObservatory {
             self.seal(end);
             // Fast-forward across fully idle stretches instead of stepping
             // one empty window at a time.
-            if self.cur.iter().all(|w| w.requests == 0) && self.next_roll + self.window_ns <= now_ns
+            if self.cur.iter().all(|w| w.totals.requests == 0)
+                && self.next_roll + self.window_ns <= now_ns
             {
                 let gap = (now_ns - self.next_roll) / self.window_ns;
                 self.next_roll += gap * self.window_ns;
@@ -225,28 +241,24 @@ impl SloObservatory {
     fn seal(&mut self, end_ns: u64) {
         let window_secs = self.window_ns as f64 / 1e9;
         for (m, w) in self.cur.iter_mut().enumerate() {
-            if w.requests == 0 {
+            let t = w.totals;
+            if t.requests == 0 {
                 continue;
             }
-            let attainment = if w.tokens == 0 {
-                1.0
-            } else {
-                w.tokens_met as f64 / w.tokens as f64
-            };
             self.points.push(SloPoint {
                 window_end_ns: end_ns,
                 model: m as u32,
-                requests: w.requests,
-                tokens: w.tokens,
-                tokens_met: w.tokens_met,
+                requests: t.requests,
+                tokens: t.tokens,
+                tokens_met: t.tokens_met,
                 ttft_p50: w.ttft.quantile(0.50),
                 ttft_p90: w.ttft.quantile(0.90),
                 ttft_p99: w.ttft.quantile(0.99),
                 tbt_p50: w.tbt.quantile(0.50),
                 tbt_p90: w.tbt.quantile(0.90),
                 tbt_p99: w.tbt.quantile(0.99),
-                attainment,
-                goodput_tps: w.tokens as f64 / window_secs,
+                attainment: t.attainment(),
+                goodput_tps: t.tokens as f64 / window_secs,
             });
             w.clear();
         }
@@ -271,13 +283,19 @@ impl SloObservatory {
         let w = &mut self.cur[model as usize];
         w.ttft.insert(ttft_secs);
         w.tbt.insert_all(tbts_secs);
-        w.requests += 1;
-        w.tokens += tokens;
-        w.tokens_met += tokens_met;
-        let c = &mut self.cum[model as usize];
-        c.requests += 1;
-        c.tokens += tokens;
-        c.tokens_met += tokens_met;
+        w.totals.add(1, tokens, tokens_met);
+        self.cum[model as usize].add(1, tokens, tokens_met);
+    }
+
+    /// Adds a request that never retired to `model`'s cumulative totals:
+    /// the `tokens` it owed by the horizon and the `tokens_met` among them.
+    /// It counts as no retired request, adds no latency sample and joins no
+    /// window (see the module docs).
+    pub fn observe_unfinished(&mut self, model: u32, tokens: u64, tokens_met: u64) {
+        if !self.enabled {
+            return;
+        }
+        self.cum[model as usize].add(0, tokens, tokens_met);
     }
 
     /// Records one retired **session turn** on top of its
@@ -480,6 +498,7 @@ mod tests {
     fn disabled_observatory_is_inert() {
         let mut o = SloObservatory::disabled();
         o.observe_request(5_000_000_000, 0, 0.1, &[0.05], 3, 3);
+        o.observe_unfinished(0, 3, 0);
         o.finish();
         assert!(o.points().is_empty());
         assert_eq!(o.attainment(0), 1.0);
@@ -509,6 +528,27 @@ mod tests {
         // Cumulative totals survive sealing.
         assert!((o.attainment(0) - 0.75).abs() < 1e-12);
         assert_eq!(o.cumulative()[1].tokens, 2);
+    }
+
+    #[test]
+    fn unfinished_requests_move_cumulative_totals_only() {
+        let mut o = SloObservatory::new(2, 10_000_000_000);
+        o.observe_request(1_000_000_000, 0, 0.2, &[0.05], 2, 2);
+        o.finish();
+        let points = o.points().to_vec();
+        o.observe_unfinished(0, 6, 1);
+        o.observe_unfinished(1, 4, 0);
+        assert_eq!(o.points(), points, "no window takes unfinished requests");
+        let cum = o.cumulative();
+        let want = |requests, tokens, tokens_met| SloCum {
+            requests,
+            tokens,
+            tokens_met,
+        };
+        assert_eq!(cum[0], want(1, 8, 3));
+        assert_eq!(cum[1], want(0, 4, 0));
+        assert!((o.attainment(0) - 3.0 / 8.0).abs() < 1e-12);
+        assert_eq!(o.attainment(1), 0.0);
     }
 
     #[test]

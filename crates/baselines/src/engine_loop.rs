@@ -422,7 +422,9 @@ impl World {
             .retire(&mut self.tel, &self.ids, req, model, rs, now);
     }
 
-    /// Drives the simulation with `sched` until the trace drains.
+    /// Drives the simulation with `sched` until the trace drains. With
+    /// `cfg.audit` set, the invariant auditor observes the run and its
+    /// report lands on [`RunResult::audit`].
     ///
     /// # Panics
     ///
@@ -430,18 +432,7 @@ impl World {
     /// the full report (the violation reproduces from the config's seed).
     pub fn run<S: Scheduler>(self, sched: &mut S) -> RunResult {
         let (seed, audit) = (self.cfg.seed, self.cfg.audit);
-        checked(self.drive(sched, audit), format_args!("seed={seed}"))
-    }
-
-    /// Runs with the standard invariant auditor installed, returning the
-    /// audit report alongside the results.
-    pub fn run_audited<S: Scheduler>(self, sched: &mut S) -> (RunResult, AuditReport) {
-        let (result, report) = self.drive(sched, true);
-        (result, report.expect("auditor was installed"))
-    }
-
-    fn drive<S: Scheduler>(self, sched: &mut S, audit: bool) -> (RunResult, Option<AuditReport>) {
-        self.driver(sched, audit).run()
+        checked(self.driver(sched, audit).run(), format_args!("seed={seed}"))
     }
 
     /// The runtime driver over this world and `sched`, with every arrival
@@ -608,6 +599,7 @@ impl<S: Scheduler> Host for Serve<'_, S> {
             events: q.events_dispatched(),
             schedule: TraceLog::disabled(),
             telemetry: w.tel,
+            audit: None,
         }
     }
 }

@@ -68,11 +68,6 @@ impl Placement {
         }
         Placement { per_gpu, unplaced }
     }
-
-    /// Total models placed.
-    pub fn placed_count(&self) -> usize {
-        self.per_gpu.iter().map(|v| v.len()).sum()
-    }
 }
 
 /// The MuxServe runtime scheduler.
@@ -90,31 +85,18 @@ impl MuxServe {
     ///
     /// # Panics
     ///
-    /// Panics unless `cfg.tp == 1` (MuxServe colocates whole models).
+    /// Panics unless `cfg.tp == 1` (MuxServe colocates whole models), and
+    /// on an invariant violation when `cfg.audit` is set ([`World::run`]).
     pub fn run(cfg: &WorldConfig, models: &[ModelSpec], rates: &[f64], trace: &Trace) -> RunResult {
-        let (world, mut sched) = Self::prepare(cfg, models, rates, trace);
+        assert_eq!(cfg.tp, 1, "MuxServe baseline colocates TP=1 models");
+        let mut world = World::new(cfg.clone(), models, trace.clone());
+        let mut sched = Self::place(&mut world, rates);
         world.run(&mut sched)
     }
 
-    /// Runs with the invariant auditor installed, returning its report.
-    pub fn run_audited(
-        cfg: &WorldConfig,
-        models: &[ModelSpec],
-        rates: &[f64],
-        trace: &Trace,
-    ) -> (RunResult, aegaeon::AuditReport) {
-        let (world, mut sched) = Self::prepare(cfg, models, rates, trace);
-        world.run_audited(&mut sched)
-    }
-
-    fn prepare(
-        cfg: &WorldConfig,
-        models: &[ModelSpec],
-        rates: &[f64],
-        trace: &Trace,
-    ) -> (World, MuxServe) {
-        assert_eq!(cfg.tp, 1, "MuxServe baseline colocates TP=1 models");
-        let mut world = World::new(cfg.clone(), models, trace.clone());
+    /// Places `world`'s models (weighted by `rates`) on its GPUs and
+    /// rebuilds its instances as one slot per (GPU, placed model).
+    fn place(world: &mut World, rates: &[f64]) -> MuxServe {
         let weights: Vec<u64> = world.deploys.iter().map(|d| d.shard_bytes).collect();
         let n_gpus = world.topo.gpu_count();
         let placement = Placement::optimize(&weights, rates, n_gpus, world.usable_vram());
@@ -150,14 +132,13 @@ impl MuxServe {
         }
         let n_slots = insts.len();
         world.insts = insts;
-        let sched = MuxServe {
+        MuxServe {
             slot_of_model,
             gpu_of_slot,
             slots_of_gpu,
             kv_share_bytes,
             queues: vec![Vec::new(); n_slots],
-        };
-        (world, sched)
+        }
     }
 
     fn refresh_contention(&self, w: &mut World, gpu: usize) {
@@ -239,7 +220,8 @@ mod tests {
         let w14 = 14_170_000_000u64 * 2;
         let usable = (80u64 << 30) * 9 / 10;
         let p = Placement::optimize(&vec![w14; 40], &vec![1.0; 40], 16, usable);
-        assert_eq!(p.placed_count(), 32, "two 14B models per GPU × 16 GPUs");
+        let placed: usize = p.per_gpu.iter().map(Vec::len).sum();
+        assert_eq!(placed, 32, "two 14B models per GPU × 16 GPUs");
         assert_eq!(p.unplaced.len(), 8);
         for gpu in &p.per_gpu {
             assert!(gpu.len() <= 2);
@@ -286,8 +268,18 @@ mod tests {
             .build(&mut rng);
         let mut cfg = WorldConfig::sllm_default(cluster(1));
         cfg.telemetry = TelemetrySpec::enabled();
-        let (r, report) = MuxServe::run_audited(&cfg, &models, &rates, &trace);
+        let plain = MuxServe::run(&cfg, &models, &rates, &trace);
+        assert!(plain.audit.is_none(), "unaudited runs carry no report");
+        cfg.audit = true;
+        let r = MuxServe::run(&cfg, &models, &rates, &trace);
+        let report = r.audit.as_ref().expect("audited run");
         assert!(report.ok(), "{report}");
+        assert!(report.events_checked > 0);
+        assert_eq!(
+            plain.fingerprint(),
+            r.fingerprint(),
+            "auditor must not perturb"
+        );
         assert!(r.rejected > 0);
         assert_eq!(r.completed + r.rejected, r.total_requests);
         // Rejected requests are resolved: sampling stops within one period
@@ -341,7 +333,8 @@ mod tests {
             .uniform_models(&mut rng, 4, 0.2)
             .build(&mut rng);
         let cfg = WorldConfig::sllm_default(cluster(1));
-        let (world, mut sched) = MuxServe::prepare(&cfg, &models, &rates, &trace);
+        let mut world = World::new(cfg.clone(), &models, trace.clone());
+        let mut sched = MuxServe::place(&mut world, &rates);
         let r = crate::engine_loop::tests::assert_progress_logged(world, &mut sched);
         assert!(r.rejected > 0 && r.completed > 0);
     }

@@ -50,29 +50,14 @@ pub struct ServerlessLlm {
 }
 
 impl ServerlessLlm {
-    /// Runs the system over `trace`.
+    /// Runs the system over `trace`; see [`World::run`] for `audit`.
     pub fn run(cfg: &SllmConfig, models: &[ModelSpec], trace: &Trace) -> RunResult {
-        let (world, mut sched) = Self::prepare(cfg, models, trace);
-        world.run(&mut sched)
-    }
-
-    /// Runs with the invariant auditor installed, returning its report.
-    pub fn run_audited(
-        cfg: &SllmConfig,
-        models: &[ModelSpec],
-        trace: &Trace,
-    ) -> (RunResult, aegaeon::AuditReport) {
-        let (world, mut sched) = Self::prepare(cfg, models, trace);
-        world.run_audited(&mut sched)
-    }
-
-    fn prepare(cfg: &SllmConfig, models: &[ModelSpec], trace: &Trace) -> (World, ServerlessLlm) {
         let world = World::new(cfg.world.clone(), models, trace.clone());
-        let sched = ServerlessLlm {
+        let mut sched = ServerlessLlm {
             queue: Vec::new(),
             sjf: cfg.sjf,
         };
-        (world, sched)
+        world.run(&mut sched)
     }
 
     /// Queue position to serve next: FCFS head or shortest job.
@@ -215,18 +200,17 @@ mod tests {
         let mut cfg = SllmConfig::new(cluster(2));
         let t = trace(3, 0.1, 120.0, 9);
         let plain = ServerlessLlm::run(&cfg, &models(3), &t);
-        let (audited, report) = ServerlessLlm::run_audited(&cfg, &models(3), &t);
+        assert!(plain.audit.is_none(), "unaudited runs carry no report");
+        cfg.world.audit = true;
+        let audited = ServerlessLlm::run(&cfg, &models(3), &t);
+        let report = audited.audit.as_ref().expect("audited run");
         assert!(report.ok(), "{report}");
         assert!(report.events_checked > 0);
         assert_eq!(plain.completed, audited.completed);
         let fa: Vec<_> = plain.outcomes.iter().map(|o| o.token_times.clone()).collect();
         let fb: Vec<_> = audited.outcomes.iter().map(|o| o.token_times.clone()).collect();
         assert_eq!(fa, fb, "auditor must not perturb the run");
-        // The cfg.audit flag routes through the same auditor and panics on
-        // violation; a clean run returns identical results.
-        cfg.world.audit = true;
-        let flagged = ServerlessLlm::run(&cfg, &models(3), &t);
-        assert_eq!(flagged.completed, plain.completed);
+        assert_eq!(plain.fingerprint(), audited.fingerprint());
     }
 
     #[test]
@@ -249,7 +233,11 @@ mod tests {
     fn progress_log_holds_every_request_an_event_changed() {
         let cfg = SllmConfig::new(cluster(2));
         let t = trace(6, 0.2, 120.0, 5);
-        let (world, mut sched) = ServerlessLlm::prepare(&cfg, &models(6), &t);
+        let world = World::new(cfg.world.clone(), &models(6), t.clone());
+        let mut sched = ServerlessLlm {
+            queue: Vec::new(),
+            sjf: cfg.sjf,
+        };
         let r = crate::engine_loop::tests::assert_progress_logged(world, &mut sched);
         assert!(r.scale_count > 2, "the run must switch models");
     }

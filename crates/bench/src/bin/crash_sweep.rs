@@ -17,7 +17,7 @@
 //!   crash_sweep --seed SEED --plan "SPEC"   (single-scenario reproduction)
 
 use aegaeon::chaos::FaultPlan;
-use aegaeon::{AegaeonConfig, ServingSystem};
+use aegaeon::{AegaeonConfig, RunResult, ServingSystem};
 use aegaeon_baselines::{MuxServe, ServerlessLlm, SllmConfig};
 use aegaeon_bench::{analyze, sweep};
 use aegaeon_bench::{banner, market_models, uniform_trace, SEED};
@@ -59,66 +59,64 @@ fn scenario_plan(seed: u64) -> FaultPlan {
     }
 }
 
+/// Runs one audited leg. An audited run panics on an invariant violation,
+/// with the report and its `(seed, plan)` repro in the message; the panic
+/// message becomes the leg's failure instead of aborting the sweep.
+fn audited(run: impl FnOnce() -> RunResult) -> Result<RunResult, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).map_err(|panic| {
+        let text = panic.downcast_ref::<&str>().copied();
+        panic
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| text.unwrap_or("panic").into())
+    })
+}
+
 /// Runs one scenario across all three systems and collects any failures.
 fn run_scenario(scenario: u64, seed: u64, plan: &FaultPlan) -> Outcome {
-    let mut failures = Vec::new();
-    let mut events_checked = 0u64;
     let models = market_models(N_MODELS);
     let trace = uniform_trace(N_MODELS, PER_MODEL_RATE, HORIZON, seed, LengthDist::sharegpt());
     let total = trace.len();
     let repro = format!("--seed {seed} --plan \"{plan}\"");
 
-    // Aegaeon under the full fault plan.
+    // Aegaeon under the full fault plan; the baselines under the same trace
+    // (no fault wiring of their own, but the same invariant suite, seeded
+    // identically).
     let mut cfg = AegaeonConfig::small_testbed(2, 3);
     cfg.seed = seed;
     cfg.faults = plan.clone();
     cfg.drain_window = SimDur::from_secs(DRAIN_SECS);
-    let (r, report) = ServingSystem::run_audited(&cfg, &models, &trace);
-    events_checked += report.events_checked;
-    if !report.ok() {
-        failures.push(format!("aegaeon audit ({repro}):\n{report}"));
-    }
-    if r.completed != total {
-        failures.push(format!(
-            "aegaeon completed {}/{} requests ({repro})",
-            r.completed, total
-        ));
-    }
-
-    // Baselines under the same trace (no fault wiring of their own, but the
-    // same invariant suite, seeded identically).
-    let cluster = cfg.cluster.clone();
-    let mut scfg = SllmConfig::new(cluster.clone());
+    cfg.audit = true;
+    let mut scfg = SllmConfig::new(cfg.cluster.clone());
     scfg.world.seed = seed;
     scfg.world.drain_window = SimDur::from_secs(DRAIN_SECS);
-    let (sr, sreport) = ServerlessLlm::run_audited(&scfg, &models, &trace);
-    events_checked += sreport.events_checked;
-    if !sreport.ok() {
-        failures.push(format!("serverless-llm audit ({repro}):\n{sreport}"));
-    }
-    if sr.completed + sr.rejected != total {
-        failures.push(format!(
-            "serverless-llm served {}+{} of {} requests ({repro})",
-            sr.completed, sr.rejected, total
-        ));
-    }
-
-    let mut mcfg = aegaeon_baselines::engine_loop::WorldConfig::sllm_default(cluster);
-    mcfg.seed = seed;
-    mcfg.drain_window = SimDur::from_secs(DRAIN_SECS);
+    scfg.world.audit = true;
+    let mcfg = scfg.world.clone();
     let rates = vec![PER_MODEL_RATE; N_MODELS];
-    let (mr, mreport) = MuxServe::run_audited(&mcfg, &models, &rates, &trace);
-    events_checked += mreport.events_checked;
-    if !mreport.ok() {
-        failures.push(format!("muxserve audit ({repro}):\n{mreport}"));
-    }
-    if mr.completed + mr.rejected != total {
-        failures.push(format!(
-            "muxserve served {}+{} of {} requests ({repro})",
-            mr.completed, mr.rejected, total
-        ));
-    }
+    let aegaeon = audited(|| ServingSystem::run(&cfg, &models, &trace));
+    let sllm = audited(|| ServerlessLlm::run(&scfg, &models, &trace));
+    let mux = audited(|| MuxServe::run(&mcfg, &models, &rates, &trace));
 
+    let mut failures = Vec::new();
+    let mut events_checked = 0u64;
+    for (name, leg) in [
+        ("aegaeon", aegaeon),
+        ("serverless-llm", sllm),
+        ("muxserve", mux),
+    ] {
+        match leg {
+            Err(msg) => failures.push(format!("{name} audit: {msg}")),
+            Ok(r) => {
+                events_checked += r.audit.map_or(0, |a| a.events_checked);
+                if r.completed + r.rejected != total {
+                    failures.push(format!(
+                        "{name} served {}+{} of {total} requests ({repro})",
+                        r.completed, r.rejected
+                    ));
+                }
+            }
+        }
+    }
     Outcome {
         scenario,
         seed,

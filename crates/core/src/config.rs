@@ -204,11 +204,6 @@ impl AegaeonConfig {
         );
         total
     }
-
-    /// Number of decoding instances.
-    pub fn decode_instances(&self) -> usize {
-        self.instance_count() - self.prefill_instances
-    }
 }
 
 #[cfg(test)]
@@ -219,14 +214,14 @@ mod tests {
     fn paper_testbed_splits_6_plus_10() {
         let cfg = AegaeonConfig::paper_testbed();
         assert_eq!(cfg.instance_count(), 16);
-        assert_eq!(cfg.decode_instances(), 10);
+        assert_eq!(cfg.prefill_instances, 6);
     }
 
     #[test]
     fn tp4_testbed_has_two_instances() {
         let cfg = AegaeonConfig::tp4_testbed();
         assert_eq!(cfg.instance_count(), 2);
-        assert_eq!(cfg.decode_instances(), 1);
+        assert_eq!(cfg.prefill_instances, 1);
     }
 
     #[test]

@@ -69,5 +69,5 @@ pub use quota::{decode_quotas, QuotaInputs};
 pub use result::RunResult;
 pub use session::{Endpoint, LiveRequest, ServingSession};
 pub use sessionbook::{SessEntry, SessPlace, SessionBook};
-pub use shard::{run_sharded, run_sharded_audited, Handoff, ShardPlan};
+pub use shard::{run_sharded, Handoff, ShardPlan};
 pub use system::ServingSystem;

@@ -144,11 +144,17 @@ impl PrefillQueue {
     }
 }
 
-/// Picks the prefill instance for a new request (Algorithm 1): join an
-/// existing group if possible, else the least-loaded queue gets a new group.
-/// Returns the chosen instance index.
+/// Picks the prefill instance for a new request (Algorithm 1) among the
+/// caller's eligible instances: `queues` are their job queues and
+/// `currents` their current models, in the same order. The request joins
+/// the first group with room; otherwise the least-loaded queue (the first
+/// one on ties) gets a new group. Returns the chosen index into `queues`.
+///
+/// # Panics
+///
+/// Panics if `queues` is empty: the caller handles "no eligible instance".
 pub fn dispatch_prefill(
-    queues: &mut [PrefillQueue],
+    queues: &mut [&mut PrefillQueue],
     currents: &[Option<ModelId>],
     model: ModelId,
     req: RequestId,
@@ -156,6 +162,7 @@ pub fn dispatch_prefill(
     mut exec_est: impl FnMut(ModelId, RequestId) -> f64,
     mut switch_est: impl FnMut(ModelId) -> f64,
 ) -> usize {
+    assert!(!queues.is_empty(), "no eligible prefill instance");
     // Lines 4–8: prioritize existing groups anywhere in the pool.
     for (i, q) in queues.iter_mut().enumerate() {
         if q.try_join(model, req, max_gpsize) {
@@ -187,14 +194,18 @@ mod tests {
         ModelId(x)
     }
 
+    /// Dispatches over `qs`, all idle, at 0.1 s per request and 1 s per
+    /// switch.
+    fn dispatch(qs: &mut [&mut PrefillQueue], model: ModelId, req: RequestId, max: u32) -> usize {
+        let currents = vec![None; qs.len()];
+        dispatch_prefill(qs, &currents, model, req, max, |_, _| 0.1, |_| 1.0)
+    }
+
     #[test]
     fn join_prefers_existing_group() {
-        let mut qs = vec![PrefillQueue::new(), PrefillQueue::new()];
-        let currents = vec![None, None];
-        let e = |_: ModelId, _: RequestId| 0.1;
-        let s = |_: ModelId| 1.0;
-        let i0 = dispatch_prefill(&mut qs, &currents, mid(0), rid(0), 8, e, s);
-        let i1 = dispatch_prefill(&mut qs, &currents, mid(0), rid(1), 8, e, s);
+        let mut qs = <[PrefillQueue; 2]>::default();
+        let i0 = dispatch(&mut qs.each_mut(), mid(0), rid(0), 8);
+        let i1 = dispatch(&mut qs.each_mut(), mid(0), rid(1), 8);
         assert_eq!(i0, i1, "same-model jobs share a group");
         assert_eq!(qs[i0].groups().count(), 1);
         assert_eq!(qs[i0].pending(), 2);
@@ -202,19 +213,46 @@ mod tests {
 
     #[test]
     fn full_group_spills_to_least_loaded() {
-        let mut qs = vec![PrefillQueue::new(), PrefillQueue::new()];
-        let currents = vec![None, None];
-        let e = |_: ModelId, _: RequestId| 0.1;
-        let s = |_: ModelId| 1.0;
+        let mut qs = <[PrefillQueue; 2]>::default();
         for k in 0..2 {
-            dispatch_prefill(&mut qs, &currents, mid(0), rid(k), 2, e, s);
+            dispatch(&mut qs.each_mut(), mid(0), rid(k), 2);
         }
         // Group at capacity (2); the third same-model job must open a new
         // group on the *other*, empty queue.
-        let i = dispatch_prefill(&mut qs, &currents, mid(0), rid(2), 2, e, s);
+        let i = dispatch(&mut qs.each_mut(), mid(0), rid(2), 2);
         assert_eq!(qs[0].pending() + qs[1].pending(), 3);
         assert_eq!(qs[i].groups().count(), 1);
         assert_ne!(i, 0);
+    }
+
+    #[test]
+    fn equal_loads_pick_the_first_candidate() {
+        let mut qs = <[PrefillQueue; 3]>::default();
+        let mut next = |m: u32| dispatch(&mut qs.each_mut(), mid(m), rid(u64::from(m)), 8);
+        assert_eq!(next(0), 0, "all idle");
+        // Queue 0 now carries m0's group; queues 1 and 2 tie at zero load.
+        assert_eq!(next(1), 1);
+        assert_eq!(next(2), 2);
+        // One group each, all at equal load (a switch plus one request).
+        assert_eq!(next(3), 0, "three-way tie");
+        // Queue 0 now holds two groups; queues 1 and 2 tie below it.
+        assert_eq!(next(4), 1, "two-way tie");
+    }
+
+    #[test]
+    fn subset_dispatch_indexes_the_subset() {
+        // Pool of three: p0 holds an m0 group with room, p1 is busy with
+        // m1, p2 is idle. The caller excludes p0 (dead, or off the node a
+        // spilled prefix pins).
+        let mut pool = <[PrefillQueue; 3]>::default();
+        pool[0].push_group(mid(0), rid(0));
+        pool[1].push_group(mid(1), rid(1));
+        let [p0, p1, p2] = &mut pool;
+        // p2's load (0) beats p1's; index 1 of the subset is p2.
+        assert_eq!(dispatch(&mut [p1, p2], mid(0), rid(2), 8), 1);
+        assert_eq!(p0.pending(), 1, "the excluded group is never joined");
+        assert_eq!(pool[1].pending(), 1);
+        assert_eq!(pool[2].front_model(), Some(mid(0)));
     }
 
     #[test]

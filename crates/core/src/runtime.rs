@@ -36,6 +36,7 @@ use aegaeon_workload::{RequestId, SloSpec, Trace};
 
 use crate::audit::{AuditReport, AuditView, Auditor, InvariantAuditor};
 use crate::reqstate::ReqState;
+use crate::result::RunResult;
 
 // ----- Event driver ---------------------------------------------------------
 
@@ -152,15 +153,20 @@ impl<H: Host> Driver<H> {
     }
 }
 
-/// Unwraps an optionally audited run, panicking with the report and
-/// `repro` (the parameters that reproduce the run) on any violation.
-pub fn checked<R>((result, report): (R, Option<AuditReport>), repro: impl Display) -> R {
-    if let Some(report) = report {
+/// Stores an optionally audited run's report on its result, panicking
+/// with the report and `repro` (the parameters that reproduce the run) on
+/// any violation.
+pub fn checked(
+    (mut result, report): (RunResult, Option<AuditReport>),
+    repro: impl Display,
+) -> RunResult {
+    if let Some(report) = &report {
         assert!(
             report.ok(),
             "invariant violation (reproduce with {repro}):\n{report}"
         );
     }
+    result.audit = report;
     result
 }
 

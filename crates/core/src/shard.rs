@@ -265,8 +265,9 @@ impl ShardPlan {
 }
 
 /// Runs a sharded simulation on `threads` worker threads and returns the
-/// merged result. With `cfg.audit` set, the run is audited and panics on
-/// any invariant violation, mirroring [`ServingSystem::run`].
+/// merged result. With `cfg.audit` set, every shard is audited, the merged
+/// report lands on [`RunResult::audit`], and any invariant violation
+/// panics, as in [`ServingSystem::run`].
 ///
 /// The merged [`RunResult::fingerprint`] is a pure function of
 /// `(cfg, models, trace, shards)` — worker-thread count cannot perturb it.
@@ -279,23 +280,40 @@ pub fn run_sharded(
     shards: usize,
     threads: usize,
 ) -> RunResult {
+    let plan = ShardPlan::partition(cfg, trace, shards);
+    let sessions: Vec<ServingSession> = plan
+        .cfgs
+        .iter()
+        .zip(&plan.traces)
+        .map(|(c, t)| {
+            let mut s = ServingSession::closed(c, models, t);
+            s.enable_shard_mode();
+            if cfg.audit {
+                s.install_auditor(Box::new(InvariantAuditor::new()));
+            }
+            s
+        })
+        .collect();
+    let mut coord = Coordinator {
+        base_len: plan.traces.iter().map(|t| t.len()).collect(),
+        migrant_globals: vec![Vec::new(); shards],
+        final_slot: plan.home_slot.clone(),
+        clock: GrantClock::new(plan.lookahead),
+        plan: &plan,
+        sessions,
+    };
+    let workers = threads.max(1).min(shards);
+    if workers <= 1 {
+        coord.run_serial();
+    } else {
+        coord.run_parallel(workers);
+    }
+    let finished: Vec<(RunResult, Option<AuditReport>)> =
+        coord.sessions.into_iter().map(|s| s.finish()).collect();
     crate::runtime::checked(
-        run_inner(cfg, models, trace, shards, threads, cfg.audit),
+        merge(models, trace, finished, &coord.final_slot),
         format_args!("seed={} plan=\"{}\" shards={shards}", cfg.seed, cfg.faults),
     )
-}
-
-/// [`run_sharded`] with the invariant auditor installed on every shard;
-/// returns the merged audit report alongside the result.
-pub fn run_sharded_audited(
-    cfg: &AegaeonConfig,
-    models: &[ModelSpec],
-    trace: &Trace,
-    shards: usize,
-    threads: usize,
-) -> (RunResult, AuditReport) {
-    let (result, report) = run_inner(cfg, models, trace, shards, threads, true);
-    (result, report.expect("auditor was installed"))
 }
 
 /// Coordinator state for one sharded run.
@@ -415,47 +433,6 @@ impl Coordinator<'_> {
     }
 }
 
-fn run_inner(
-    cfg: &AegaeonConfig,
-    models: &[ModelSpec],
-    trace: &Trace,
-    shards: usize,
-    threads: usize,
-    audit: bool,
-) -> (RunResult, Option<AuditReport>) {
-    let plan = ShardPlan::partition(cfg, trace, shards);
-    let sessions: Vec<ServingSession> = plan
-        .cfgs
-        .iter()
-        .zip(&plan.traces)
-        .map(|(c, t)| {
-            let mut s = ServingSession::closed(c, models, t);
-            s.enable_shard_mode();
-            if audit {
-                s.install_auditor(Box::new(InvariantAuditor::new()));
-            }
-            s
-        })
-        .collect();
-    let mut coord = Coordinator {
-        base_len: plan.traces.iter().map(|t| t.len()).collect(),
-        migrant_globals: vec![Vec::new(); shards],
-        final_slot: plan.home_slot.clone(),
-        clock: GrantClock::new(plan.lookahead),
-        plan: &plan,
-        sessions,
-    };
-    let workers = threads.max(1).min(shards);
-    if workers <= 1 {
-        coord.run_serial();
-    } else {
-        coord.run_parallel(workers);
-    }
-    let finished: Vec<(RunResult, Option<AuditReport>)> =
-        coord.sessions.into_iter().map(|s| s.finish()).collect();
-    merge(models, trace, finished, &coord.final_slot)
-}
-
 /// Merges per-shard results into one [`RunResult`], deterministically in
 /// shard order. Per-request rows are stitched back in *global* trace order,
 /// each taken from the shard that finally owned the request (its home
@@ -535,6 +512,7 @@ fn merge(
         events: results.iter().map(|r| r.events).sum(),
         schedule: TraceLog::disabled(),
         telemetry: aegaeon_telemetry::Telemetry::disabled(),
+        audit: None,
     };
 
     let report = if reports.iter().all(|r| r.is_none()) {

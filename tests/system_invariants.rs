@@ -34,7 +34,10 @@ fn auditor_is_a_pure_observer() {
             let mut cfg = cfg.clone();
             cfg.seed = seed;
             let plain = ServingSystem::run(&cfg, &models, &trace);
-            let (audited, report) = ServingSystem::run_audited(&cfg, &models, &trace);
+            assert!(plain.audit.is_none(), "unaudited runs carry no report");
+            cfg.audit = true;
+            let audited = ServingSystem::run(&cfg, &models, &trace);
+            let report = audited.audit.as_ref().expect("audited run");
             assert!(
                 report.ok(),
                 "seed {seed} plan \"{}\": {report}",

@@ -440,7 +440,8 @@ fn registry_surfaces_queue_auditor_and_chaos_counts() {
     let trace = uniform_trace(N_MODELS, RATE, SECS, 42, LengthDist::sharegpt());
     let mut cfg = aegaeon_cfg(42, true);
     cfg.audit = true;
-    let (r, report) = ServingSystem::run_audited(&cfg, &models, &trace);
+    let r = ServingSystem::run(&cfg, &models, &trace);
+    let report = r.audit.as_ref().expect("audited run");
     assert!(report.ok());
     let totals: std::collections::HashMap<&str, f64> =
         r.telemetry.metrics.counter_totals().collect();

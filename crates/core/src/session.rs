@@ -578,13 +578,15 @@ impl ServingSession {
 
     /// Finishes the session: drops all token sinks (streaming clients see
     /// end of stream), closes the auditor, and returns the result plus the
-    /// audit report when an auditor was installed.
+    /// audit report when an auditor was installed. The result's `audit`
+    /// field holds a copy of the same report.
     pub fn finish(mut self) -> (RunResult, Option<AuditReport>) {
         self.sinks.clear();
-        let (result, mut report) = self.driver.finish();
+        let (mut result, mut report) = self.driver.finish();
         if let Some(rep) = report.as_mut() {
             rep.rejections = self.rejections;
         }
+        result.audit = report.clone();
         (result, report)
     }
 }
@@ -683,6 +685,8 @@ mod tests {
         let (result, report) = live.finish();
         let report = report.expect("auditor installed");
         assert!(report.ok(), "live audit failed:\n{report}");
+        let stored = result.audit.as_ref().expect("finish stores the report");
+        assert_eq!(stored.events_checked, report.events_checked);
         assert_eq!(result.completed, plan.len());
     }
 

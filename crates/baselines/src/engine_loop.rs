@@ -14,9 +14,10 @@ use std::collections::VecDeque;
 
 use aegaeon::audit::{AuditReport, AuditView};
 use aegaeon::deploy::{build_deploys, ModelDeploy};
-use aegaeon::runtime::{checked, CoreIds, Driver, FabricPort, Host, Requests, SpanBook};
+use aegaeon::runtime::{checked, CoreIds, Driver, FabricPort, Host, Requests, SpanBook, SAMPLE_PERIOD};
 use aegaeon::RunResult;
-use aegaeon_engine::{scale_up_plan, AutoscaleOpts, InitCosts, ScaleCost, ScaleStage, StageKind};
+use aegaeon_engine::init::VRAM_USABLE;
+use aegaeon_engine::{scale_up_plan, AutoscaleOpts, ScaleCost, ScaleStage, StageKind};
 use aegaeon_gpu::{ClusterTopology, FabricEvent, GpuId, StreamId};
 use aegaeon_metrics::BreakdownAcc;
 use aegaeon_model::{ModelId, ModelSpec};
@@ -128,6 +129,16 @@ pub trait Scheduler {
 /// Event queue alias.
 pub type Qq = EventQueue<BEv>;
 
+/// KV admission headroom: the fraction of capacity usable for reservations.
+const KV_FILL: f64 = 0.9;
+
+/// Extra fixed cost per model switch. ServerlessLLM accelerates checkpoint
+/// loading but still restarts the serving engine for the new model; Figure
+/// 7's breakdown attributes seconds to VRAM GC, KV-cache host-memory
+/// pinning and misc component init (2.5 + 4 + 2.3 s), stages the §5.1
+/// component-reuse design removes. We charge a moderate 6 s.
+const RESTART_COST: SimDur = SimDur::from_secs(6);
+
 /// World configuration shared by the baselines.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
@@ -137,19 +148,6 @@ pub struct WorldConfig {
     pub tp: u32,
     /// Scale-plan optimization flags (what the baseline's loader achieves).
     pub opts: AutoscaleOpts,
-    /// Component-init costs.
-    pub init_costs: InitCosts,
-    /// Usable VRAM fraction.
-    pub vram_usable: f64,
-    /// KV admission headroom (fraction of capacity usable for reservations).
-    pub kv_fill: f64,
-    /// Remote-registry bandwidth (always cached here; kept for parity).
-    pub remote_bw: f64,
-    /// Extra fixed cost per model switch (engine/process restart work the
-    /// baseline performs that Aegaeon's component reuse removes, §5.1).
-    pub extra_switch_cost: SimDur,
-    /// Utilization sampling period.
-    pub sample_period: SimDur,
     /// Extra time after the horizon before cutting the run.
     pub drain_window: SimDur,
     /// RNG seed.
@@ -175,17 +173,6 @@ impl WorldConfig {
                 prefetch: false,
                 fine_sync: false,
             },
-            init_costs: InitCosts::paper_default(),
-            vram_usable: 0.9,
-            kv_fill: 0.9,
-            remote_bw: 5e9,
-            // ServerlessLLM accelerates checkpoint loading but still
-            // restarts the serving engine for the new model; Figure 7's
-            // breakdown attributes seconds to VRAM GC, KV-cache host-memory
-            // pinning and misc component init (2.5 + 4 + 2.3 s), stages the
-            // §5.1 component-reuse design removes. We charge a moderate 6 s.
-            extra_switch_cost: SimDur::from_secs(6),
-            sample_period: SimDur::from_secs(1),
             drain_window: SimDur::from_secs(240),
             seed: 42,
             audit: false,
@@ -233,7 +220,7 @@ impl World {
         let (port, topo) = FabricPort::build(&cfg.cluster);
         let gpu_spec = &cfg.cluster.nodes[0].gpu;
         let deploys = build_deploys(models, gpu_spec, cfg.tp, &mut rng);
-        let usable_vram = (gpu_spec.vram_bytes as f64 * cfg.vram_usable) as u64;
+        let usable_vram = (gpu_spec.vram_bytes as f64 * VRAM_USABLE) as u64;
         let gpu_ids: Vec<GpuId> = topo.gpu_ids().collect();
         let insts = gpu_ids
             .chunks(cfg.tp as usize)
@@ -289,7 +276,7 @@ impl World {
     /// True if `inst` can reserve KV space for `req`.
     pub fn can_admit(&self, inst: usize, req: RequestId) -> bool {
         let i = &self.insts[inst];
-        let cap = (i.kv_cap_tokens as f64 * self.cfg.kv_fill) as u64;
+        let cap = (i.kv_cap_tokens as f64 * KV_FILL) as u64;
         i.kv_reserved_tokens + self.final_ctx(req) <= cap
     }
 
@@ -325,20 +312,11 @@ impl World {
     pub fn start_scale(&mut self, inst: usize, model: ModelId, q: &mut Qq) {
         debug_assert!(self.insts[inst].scale_target.is_none(), "already scaling");
         let d = &self.deploys[model.0 as usize];
-        let mut plan = scale_up_plan(
-            &self.cfg.opts,
-            &self.cfg.init_costs,
-            d.shard_bytes,
-            false,
-            true,
-            self.cfg.remote_bw,
-        );
-        if !self.cfg.extra_switch_cost.is_zero() {
-            plan.stages.push(ScaleStage {
-                kind: StageKind::MiscInit,
-                cost: ScaleCost::Fixed(self.cfg.extra_switch_cost),
-            });
-        }
+        let mut plan = scale_up_plan(&self.cfg.opts, d.shard_bytes, false, true);
+        plan.stages.push(ScaleStage {
+            kind: StageKind::MiscInit,
+            cost: ScaleCost::Fixed(RESTART_COST),
+        });
         let i = &mut self.insts[inst];
         i.scale_target = Some(model);
         i.switches += 1;
@@ -439,12 +417,11 @@ impl World {
     /// and the first utilization sample scheduled.
     fn driver<S: Scheduler>(self, sched: &mut S, audit: bool) -> Driver<Serve<'_, S>> {
         let hard_stop = self.trace.horizon + self.cfg.drain_window;
-        let sample_period = self.cfg.sample_period;
         let mut d = Driver::new(Serve { w: self, sched }, hard_stop, audit);
         for (i, r) in d.host.w.trace.requests.iter().enumerate() {
             d.q.schedule_at(r.arrival(), BEv::Arrive(i as u32));
         }
-        d.q.schedule_after(sample_period, BEv::Sample);
+        d.q.schedule_after(SAMPLE_PERIOD, BEv::Sample);
         d
     }
 }
@@ -475,7 +452,7 @@ impl<S: Scheduler> Host for Serve<'_, S> {
             BEv::Sample => {
                 w.util_samples.push((q.now(), w.port.gpu_busy(&w.topo)));
                 if w.reqs.unresolved() > 0 {
-                    q.schedule_after(w.cfg.sample_period, BEv::Sample);
+                    q.schedule_after(SAMPLE_PERIOD, BEv::Sample);
                 }
             }
         }

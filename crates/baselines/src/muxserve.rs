@@ -196,6 +196,7 @@ impl Scheduler for MuxServe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aegaeon::runtime::SAMPLE_PERIOD;
     use aegaeon_gpu::{ClusterSpec, GpuSpec, NodeSpec};
     use aegaeon_model::Zoo;
     use aegaeon_sim::{SimRng, SimTime};
@@ -290,7 +291,7 @@ mod tests {
         let arrivals = trace.requests.iter().map(|q| q.arrival());
         let last = arrivals.fold(last_token, SimTime::max);
         assert!(
-            r.end_time >= last && r.end_time <= last + cfg.sample_period,
+            r.end_time >= last && r.end_time <= last + SAMPLE_PERIOD,
             "run ended at {:.1}s, last token at {:.1}s, last event due at {:.1}s",
             r.end_time.as_secs_f64(),
             last_token.as_secs_f64(),

@@ -8,7 +8,7 @@ use aegaeon::prefill::PrefillQueue;
 use aegaeon::quota::{decode_quotas, QuotaInputs};
 use aegaeon::{AegaeonConfig, ServingSystem};
 use aegaeon_bench::{market_models, uniform_trace, SEED};
-use aegaeon_mem::{BumpBuffer, SlabPool, SlabPoolConfig};
+use aegaeon_mem::{SlabPool, SlabPoolConfig};
 use aegaeon_model::ModelId;
 use aegaeon_sim::{BinaryHeapQueue, EventQueue, FairLink, SimDur, SimTime, Timeline};
 use aegaeon_workload::{LengthDist, RequestId};
@@ -109,18 +109,6 @@ fn bench_fair_link(c: &mut Criterion) {
     });
 }
 
-fn bench_bump(c: &mut Criterion) {
-    c.bench_function("bump/alloc_reset_cycle", |b| {
-        let mut buf = BumpBuffer::new(80 << 30);
-        b.iter(|| {
-            buf.reset();
-            for _ in 0..32 {
-                black_box(buf.alloc(1 << 28, 256).expect("fits"));
-            }
-        })
-    });
-}
-
 fn bench_slab(c: &mut Criterion) {
     c.bench_function("slab/alloc_free_churn", |b| {
         let mut pool = SlabPool::new(SlabPoolConfig {
@@ -168,7 +156,6 @@ criterion_group!(
     targets = bench_event_queue,
         bench_serving_hot_loop,
         bench_fair_link,
-        bench_bump,
         bench_slab,
         bench_quota,
         bench_prefill_dispatch

@@ -2,12 +2,11 @@
 //! the §5.1 component-reuse optimization (13B model, TP = 2).
 
 use aegaeon_bench::{banner, dump_json};
-use aegaeon_engine::{scale_up_plan, AutoscaleOpts, InitCosts, ScaleCost};
+use aegaeon_engine::{scale_up_plan, AutoscaleOpts, ScaleCost};
 use aegaeon_metrics::report::table;
 
 fn main() {
     banner("fig07_init_breakdown", "Figure 7 (initialization breakdown)");
-    let costs = InitCosts::paper_default();
     let shard_13b: u64 = 13_000_000_000; // one TP=2 shard of a 26 GB model
     let pcie = 32e9;
     let dev_copy = 1.675e12;
@@ -18,7 +17,7 @@ fn main() {
         ("after (T1: component reuse)", AutoscaleOpts::t1()),
         ("after (T2: + explicit memory)", AutoscaleOpts::t2()),
     ] {
-        let plan = scale_up_plan(&opts, &costs, shard_13b, false, true, 5e9);
+        let plan = scale_up_plan(&opts, shard_13b, false, true);
         let mut rows = Vec::new();
         for st in &plan.stages {
             let secs = match st.cost {

@@ -1,6 +1,6 @@
 //! Serving-system configuration.
 
-use aegaeon_engine::{AutoscaleOpts, InitCosts};
+use aegaeon_engine::AutoscaleOpts;
 use aegaeon_gpu::{ClusterSpec, GpuSpec, NodeSpec};
 use aegaeon_sim::SimDur;
 
@@ -16,8 +16,6 @@ pub struct AegaeonConfig {
     pub prefill_instances: usize,
     /// §5 optimization flags (T0–T3).
     pub opts: AutoscaleOpts,
-    /// Engine component-initialization costs (Figure 7).
-    pub init_costs: InitCosts,
     /// Maximum accumulative group size in Algorithm 1.
     pub max_gpsize: u32,
     /// Maximum decoding quota in Equation (3), seconds.
@@ -25,38 +23,14 @@ pub struct AegaeonConfig {
     /// Target TBT used by the decoding quota computation, seconds. (The SLO
     /// itself is applied at metric time; the scheduler needs `d` online.)
     pub target_tbt: f64,
-    /// Proxy dispatch latency (metadata sync via the shared store).
-    pub proxy_latency: SimDur,
-    /// Per-request control-plane overhead charged per KV swap (index
-    /// tracking, CUDA event manipulation) — Figure 14's "control overhead".
-    pub control_overhead_per_swap: SimDur,
-    /// Eq. (4) switch-estimate correction factor β (×`size/bw`).
-    pub beta: f64,
-    /// Host Model Cache capacity per node.
-    pub model_cache_bytes: u64,
-    /// Unified CPU KV cache capacity per node.
-    pub cpu_kv_bytes: u64,
     /// Slab size of the unified KV caches.
     pub slab_bytes: u64,
-    /// Tokens per KV block.
-    pub block_tokens: u32,
-    /// Remote registry bandwidth for model-cache misses, bytes/s.
-    pub remote_bw: f64,
-    /// Fraction of VRAM the engine manages (rest left to the tensor lib).
-    pub vram_usable: f64,
-    /// Move-list reclamation daemon period.
-    pub daemon_period: SimDur,
-    /// Statistics sampling period (fragmentation, utilization).
-    pub sample_period: SimDur,
     /// Extra simulated time after the last arrival before the run is cut.
     pub drain_window: SimDur,
     /// RNG seed.
     pub seed: u64,
     /// Record a schedule trace (timeline figures).
     pub trace_schedule: bool,
-    /// Expected decode tokens used for batch-size headroom when the oracle
-    /// output length is unknown (Aegaeon never reads the oracle).
-    pub expected_output_tokens: u32,
     /// Keep preempted batches' KV resident on the GPU when the unified
     /// cache has headroom, instead of always offloading at turn end (an
     /// extension beyond the paper's offload-on-preemption; saves PCIe
@@ -73,9 +47,6 @@ pub struct AegaeonConfig {
     /// OOM, and proxy stalls. [`crate::chaos::FaultPlan::none`] disables all
     /// fault injection.
     pub faults: crate::chaos::FaultPlan,
-    /// Delay before the proxy's status sync notices a dead instance and
-    /// recovers its requests (heartbeat period).
-    pub failover_latency: SimDur,
     /// Session-affinity scheduling for agentic multi-turn traffic: a
     /// finished turn's KV is retained under its session's reserved handle
     /// (on-GPU when the unified cache has headroom, spilled to the CPU
@@ -105,29 +76,16 @@ impl AegaeonConfig {
             tp: 1,
             prefill_instances: 6,
             opts: AutoscaleOpts::t3(),
-            init_costs: InitCosts::paper_default(),
             max_gpsize: 8,
             qmax: 4.0,
             target_tbt: 0.1,
-            proxy_latency: SimDur::from_micros(500),
-            control_overhead_per_swap: SimDur::from_micros(300),
-            beta: 1.25,
-            model_cache_bytes: 1536 << 30,
-            cpu_kv_bytes: 320 << 30,
             slab_bytes: 128 << 20,
-            block_tokens: 16,
-            remote_bw: 5e9,
-            vram_usable: 0.90,
-            daemon_period: SimDur::from_millis(50),
-            sample_period: SimDur::from_secs(1),
             drain_window: SimDur::from_secs(240),
             seed: 42,
             trace_schedule: false,
-            expected_output_tokens: 256,
             kv_residency: false,
             weight_slots: 1,
             faults: crate::chaos::FaultPlan::none(),
-            failover_latency: SimDur::from_secs(2),
             session_affinity: false,
             session_kv_ttl: SimDur::from_secs(120),
             audit: false,

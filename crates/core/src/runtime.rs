@@ -71,6 +71,9 @@ pub trait Host {
 /// Runaway guard: a run stops once it has dispatched this many events.
 const EVENT_CAP: u64 = 400_000_000;
 
+/// Statistics sampling period (fragmentation, utilization) of both hosts.
+pub const SAMPLE_PERIOD: SimDur = SimDur::from_secs(1);
+
 /// The dispatch loop: pop, handle, drain completions, audit, poll
 /// telemetry.
 ///

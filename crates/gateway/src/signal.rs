@@ -8,15 +8,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static TERM: AtomicBool = AtomicBool::new(false);
 
-/// True once SIGTERM or SIGINT was delivered (or [`request_shutdown`] was
-/// called).
+/// True once SIGTERM or SIGINT was delivered.
 pub fn shutdown_requested() -> bool {
     TERM.load(Ordering::SeqCst)
-}
-
-/// Trips the shutdown flag programmatically (tests).
-pub fn request_shutdown() {
-    TERM.store(true, Ordering::SeqCst);
 }
 
 extern "C" fn on_signal(_signum: i32) {
@@ -47,9 +41,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn programmatic_shutdown_trips_the_flag() {
+    fn signal_handler_trips_the_flag() {
         install();
-        request_shutdown();
+        on_signal(15);
         assert!(shutdown_requested());
     }
 }

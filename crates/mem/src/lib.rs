@@ -6,9 +6,6 @@
 //! paper reports multi-second garbage-collection passes on VRAM and poor host
 //! caching efficiency. Aegaeon instead manages memory explicitly:
 //!
-//! * [`BumpBuffer`] — the self-managed VRAM buffer: one up-front allocation,
-//!   bump allocation within it, O(1) wholesale deallocation by pointer reset,
-//!   and a mark/rewind facility used by model prefetching.
 //! * [`SlabPool`] — the unified KV cache: a region divided into fixed-size
 //!   slabs, each dynamically assigned to one KV-cache *shape* and serving as
 //!   a pool of fixed-size blocks for that shape; empty slabs return to the
@@ -20,21 +17,19 @@
 //!   transfer events complete.
 //! * [`FragSampler`] — time-averaged fragmentation accounting (Figure 16).
 //!
+//! The self-managed VRAM weight buffer (no GC, pipelined loading) is a cost
+//! model, not an allocator: `AutoscaleOpts::explicit_memory` in
+//! `aegaeon_engine::init` removes the GC stage and speeds up the load.
+//!
 //! All sizes are simulated byte counts; no real memory is allocated. The
 //! allocator logic (placement, reuse, reclamation) is the real algorithm.
 
-pub mod bump;
 pub mod frag;
 pub mod model_cache;
 pub mod movelist;
 pub mod slab;
-pub mod stage;
 
-pub use bump::{BumpBuffer, BumpMark, Extent, OutOfMemory};
 pub use frag::FragSampler;
 pub use model_cache::ModelCache;
 pub use movelist::MoveList;
 pub use slab::{BlockRef, ShapeKey, SlabPool, SlabPoolConfig};
-pub use stage::{
-    pipelined_copy_time, unpinned_copy_time, StageBufferSpec, UNPINNED_FALLBACK_EFFICIENCY,
-};

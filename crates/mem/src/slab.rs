@@ -269,11 +269,6 @@ impl SlabPool {
         self.slabs.len() - self.free_slabs.len()
     }
 
-    /// Total slab count.
-    pub fn total_slabs(&self) -> usize {
-        self.slabs.len()
-    }
-
     /// Free blocks currently materialized for `shape` plus blocks obtainable
     /// from free slabs.
     pub fn available_blocks(&self, shape: ShapeKey) -> usize {
@@ -528,11 +523,13 @@ mod tests {
 
     #[test]
     fn capacity_rounds_down_to_whole_slabs() {
-        let p = SlabPool::new(SlabPoolConfig {
+        let mut p = SlabPool::new(SlabPoolConfig {
             capacity_bytes: 100,
             slab_bytes: 30,
         });
-        assert_eq!(p.total_slabs(), 3);
+        // One 30-byte block per slab: the blocks obtainable are the slabs.
+        let k = p.register_shape("a", 30);
+        assert_eq!(p.available_blocks(k), 3);
     }
 
     #[test]

@@ -27,16 +27,6 @@ impl KvShape {
         self.layers as u64 * 2 * self.kv_heads as u64 * self.head_dim as u64 * self.dtype_bytes as u64
     }
 
-    /// Bytes per token for one TP shard (`kv_heads` divided across GPUs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tp` is zero.
-    pub fn bytes_per_token_per_shard(&self, tp: u32) -> u64 {
-        assert!(tp > 0, "TP degree must be positive");
-        self.bytes_per_token() / tp as u64
-    }
-
     /// Tuple rendering `(layers, 2, kv_heads, head_dim)` as printed in Table 1.
     pub fn as_tuple(&self) -> (u32, u32, u32, u32) {
         (self.layers, 2, self.kv_heads, self.head_dim)
@@ -66,17 +56,6 @@ mod tests {
         for (shape, kb) in rows {
             assert_eq!(shape.bytes_per_token(), kb * 1024, "shape {shape}");
         }
-    }
-
-    #[test]
-    fn shard_division() {
-        let s = KvShape {
-            layers: 80,
-            kv_heads: 64,
-            head_dim: 128,
-            dtype_bytes: 2,
-        };
-        assert_eq!(s.bytes_per_token_per_shard(4), s.bytes_per_token() / 4);
     }
 
     #[test]

@@ -369,11 +369,6 @@ impl<I> InjectionPort<I> {
         self.pending.len()
     }
 
-    /// Stamp of the next item awaiting admission.
-    pub fn next_stamp(&self) -> Option<SimTime> {
-        self.pending.front().map(|&(s, _)| s)
-    }
-
     /// The most recent stamp handed out (`SimTime::ZERO` before the first).
     pub fn last_stamp(&self) -> SimTime {
         self.last_stamp
@@ -697,7 +692,7 @@ mod tests {
         t.join().unwrap();
         let q: EventQueue<u32> = EventQueue::new();
         port.pump(&q);
-        assert_eq!(port.next_stamp(), Some(SimTime::from_secs_f64(7.0)));
+        assert_eq!(port.pending(), 1);
         let (stamp, item) = port.admit(&q).expect("empty heap admits");
         assert_eq!((stamp, item), (SimTime::from_secs_f64(7.0), 7));
         assert_eq!(port.pending(), 0);

@@ -434,11 +434,6 @@ impl AttributionLedger {
         (self.instances.len() - 1) as u32
     }
 
-    /// Instance names in registration order.
-    pub fn instance_names(&self) -> &[String] {
-        &self.instances
-    }
-
     /// Adds `secs` to the `(inst, model, kind)` cell. One branch when
     /// disabled (null instance ids from a disabled ledger also no-op).
     #[inline]
@@ -642,11 +637,11 @@ mod tests {
             .rows()
             .map(|(n, m, k, s)| (n, m, k, s.to_bits()))
             .collect();
-        let names = l.instance_names();
+        let names = ["p0", "p1", "d0"];
         let expected: Vec<_> = reference
             .iter()
             .map(|(&(i, m, k), &s): (&(u32, u32, CostKind), &f64)| {
-                (names[i as usize].as_str(), m, k, s.to_bits())
+                (names[i as usize], m, k, s.to_bits())
             })
             .collect();
         assert_eq!(rows, expected);

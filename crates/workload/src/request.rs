@@ -109,11 +109,6 @@ impl Request {
         SimTime::from_nanos(self.arrival_ns)
     }
 
-    /// Tokens generated after the first one (decode steps to run).
-    pub fn decode_tokens(&self) -> u32 {
-        self.output_tokens.saturating_sub(1)
-    }
-
     /// Prompt tokens beyond the shared session prefix (the fresh user delta
     /// a prefix-cache hit still has to prefill).
     pub fn delta_tokens(&self) -> u32 {
@@ -193,12 +188,6 @@ mod tests {
         assert_eq!(strict_tbt.tbt, SimDur::from_millis(50));
         let loose_ttft = SloSpec::paper_default().with_ttft_scaled(2.0);
         assert_eq!(loose_ttft.ttft, SimDur::from_secs(20));
-    }
-
-    #[test]
-    fn decode_tokens_excludes_the_first() {
-        let r = Request::single(RequestId(0), ModelId(0), 0, 100, 1);
-        assert_eq!(r.decode_tokens(), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use aegaeon::quota::{decode_quotas, QuotaInputs};
-use aegaeon_mem::{BumpBuffer, BumpMark, Extent, SlabPool, SlabPoolConfig};
+use aegaeon_mem::{SlabPool, SlabPoolConfig};
 use aegaeon_metrics::{attainment, RequestOutcome};
 use aegaeon_model::ModelId;
 use aegaeon_sim::{FairLink, FlowId, SimDur, SimTime};
@@ -227,60 +227,5 @@ proptest! {
             link.bytes_delivered()
         );
         prop_assert!(link.audit().is_none(), "{:?}", link.audit());
-    }
-
-    /// The bump allocator hands out non-overlapping, aligned, in-capacity
-    /// extents; `would_fit` exactly predicts alloc success; and mark/rewind
-    /// frees suffixes without disturbing earlier extents.
-    #[test]
-    fn bump_buffer_books_balance(
-        cap_kb in 1u64..256,
-        ops in prop::collection::vec((0u32..4, 1u64..5_000, 0u32..4), 1..100),
-    ) {
-        let mut buf = BumpBuffer::new(cap_kb << 10);
-        let mut live: Vec<Extent> = Vec::new();
-        let mut marks: Vec<(BumpMark, usize)> = Vec::new();
-        for (op, len, align_pow) in ops {
-            let align = 1u64 << (2 * align_pow); // 1, 4, 16, 64
-            match op {
-                0 | 1 => {
-                    let fits = buf.would_fit(len, align);
-                    match buf.alloc(len, align) {
-                        Ok(e) => {
-                            prop_assert!(fits, "would_fit denied a successful alloc");
-                            prop_assert_eq!(e.offset % align, 0);
-                            prop_assert!(e.end() <= buf.capacity());
-                            for o in &live {
-                                prop_assert!(
-                                    e.offset >= o.end() || e.end() <= o.offset,
-                                    "overlapping extents {:?} and {:?}", e, o
-                                );
-                            }
-                            live.push(e);
-                        }
-                        Err(oom) => {
-                            prop_assert!(!fits, "would_fit approved a failing alloc");
-                            prop_assert_eq!(oom.requested, len);
-                        }
-                    }
-                }
-                2 => marks.push((buf.mark(), live.len())),
-                // Popping the most recent mark keeps the stack monotone, so
-                // rewind never sees a mark ahead of the cursor.
-                _ => {
-                    if let Some((m, n)) = marks.pop() {
-                        buf.rewind(m);
-                        live.truncate(n);
-                    }
-                }
-            }
-            prop_assert!(buf.used() <= buf.capacity());
-            prop_assert_eq!(buf.remaining(), buf.capacity() - buf.used());
-            let high = live.iter().map(Extent::end).max().unwrap_or(0);
-            prop_assert!(buf.used() >= high, "cursor below a live extent");
-        }
-        buf.reset();
-        prop_assert_eq!(buf.used(), 0);
-        prop_assert!(buf.would_fit(buf.capacity(), 1));
     }
 }

@@ -3,11 +3,13 @@
 //! metrics).
 
 use aegaeon::{AegaeonConfig, ServingSystem};
-use aegaeon_baselines::engine_loop::WorldConfig;
+use aegaeon_baselines::engine_loop::{World, WorldConfig};
 use aegaeon_baselines::{MuxServe, ServerlessLlm, SllmConfig};
 use aegaeon_bench::{market_models, uniform_trace};
-use aegaeon_gpu::ClusterSpec;
-use aegaeon_workload::{LengthDist, SloSpec};
+use aegaeon_gpu::{ClusterSpec, GpuSpec, NodeSpec};
+use aegaeon_model::ModelId;
+use aegaeon_sim::{SimDur, SimTime};
+use aegaeon_workload::{LengthDist, Request, RequestId, SloSpec, Trace};
 
 const SEED: u64 = 99;
 
@@ -123,4 +125,69 @@ fn ablation_ladder_is_monotone() {
         ratios[2] > ratios[0] + 0.2,
         "full memory optimizations must clearly beat T0: {ratios:?}"
     );
+}
+
+fn one_gpu_cluster() -> ClusterSpec {
+    ClusterSpec::homogeneous(
+        1,
+        NodeSpec {
+            gpus: 1,
+            gpu: GpuSpec::h800(),
+            dram_bytes: 1 << 40,
+            nic_bw: 25e9,
+        },
+    )
+}
+
+/// One 64-token prompt for model 0 arriving at 1 s, asking for 8 tokens.
+fn one_request_trace() -> Trace {
+    Trace {
+        requests: vec![Request::single(RequestId(0), ModelId(0), 1_000_000_000, 64, 8)],
+        horizon: SimTime::from_secs_f64(10.0),
+    }
+}
+
+#[test]
+fn baseline_usable_vram_is_the_engine_share_of_the_gpu() {
+    let cfg = WorldConfig::sllm_default(one_gpu_cluster());
+    let w = World::new(cfg, &market_models(1), one_request_trace());
+    let vram = w.cfg.cluster.nodes[0].gpu.vram_bytes;
+    assert_eq!(w.usable_vram(), (vram as f64 * 0.90) as u64);
+}
+
+#[test]
+fn baseline_admission_keeps_a_tenth_of_kv_in_reserve() {
+    let cfg = WorldConfig::sllm_default(one_gpu_cluster());
+    let mut w = World::new(cfg, &market_models(1), one_request_trace());
+    let req = RequestId(0);
+    let ctx = w.final_ctx(req);
+    assert_eq!(ctx, 64 + 8);
+    w.insts[0].kv_cap_tokens = 1_000;
+    w.insts[0].kv_reserved_tokens = 900 - ctx;
+    assert!(w.can_admit(0, req));
+    w.insts[0].kv_reserved_tokens += 1;
+    assert!(!w.can_admit(0, req));
+}
+
+#[test]
+fn sllm_cold_start_waits_out_the_engine_restart() {
+    // One request on an idle GPU: its first token waits for the load plus
+    // the 6 s engine restart ServerlessLLM still pays per switch.
+    let cfg = SllmConfig::new(one_gpu_cluster());
+    let r = ServerlessLlm::run(&cfg, &market_models(1), &one_request_trace());
+    assert_eq!((r.completed, r.scale_count), (1, 1));
+    let ttft = r.outcomes[0].ttft().expect("served");
+    assert!(ttft > 6.0 && ttft < 8.0, "ttft {ttft}");
+}
+
+#[test]
+fn sllm_utilization_is_sampled_every_second() {
+    let cfg = SllmConfig::new(ClusterSpec::paper_testbed());
+    let trace = uniform_trace(2, 0.2, 60.0, SEED + 5, LengthDist::sharegpt());
+    let r = ServerlessLlm::run(&cfg, &market_models(2), &trace);
+    assert!(r.util_samples.len() > 1);
+    assert_eq!(r.util_samples[0].0, SimTime::from_secs_f64(1.0));
+    for w in r.util_samples.windows(2) {
+        assert_eq!(w[1].0.saturating_since(w[0].0), SimDur::from_secs(1));
+    }
 }

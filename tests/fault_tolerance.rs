@@ -157,3 +157,23 @@ fn losing_all_decoders_is_fatal() {
     cfg.faults = FaultPlan::crashes(&[(10.0, InstKind::Decode, 0)]);
     let _ = ServingSystem::run(&cfg, &models, &trace);
 }
+
+#[test]
+fn stage_buffer_oom_slows_model_loads() {
+    // With the pinned stage buffer exhausted for the whole run, host loads
+    // fall back to pageable DMA; every request still completes.
+    let models = market_models(6);
+    let trace = uniform_trace(6, 0.08, 120.0, SEED + 9, LengthDist::sharegpt());
+    let healthy = ServingSystem::run(&base_cfg(), &models, &trace);
+    let mut cfg = base_cfg();
+    cfg.faults = FaultPlan {
+        stage_oom_rate: 1.0,
+        stage_oom_secs: 1e4,
+        ..FaultPlan::none()
+    };
+    let oom = ServingSystem::run(&cfg, &models, &trace);
+    assert_eq!(oom.completed, oom.total_requests);
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    let (h, o) = (mean(&healthy.scale_latencies), mean(&oom.scale_latencies));
+    assert!(o > h, "stage OOM mean scale latency {o}s vs healthy {h}s");
+}

@@ -2,51 +2,31 @@
 //!
 //! Every figure sweep evaluates an embarrassingly-parallel grid: each point
 //! builds its own trace from a derived seed and runs one simulation, sharing
-//! nothing with its neighbours. [`map`] fans those points across a
-//! **persistent worker pool** while keeping the output *bit-identical* to a
-//! serial run: results are stitched back in input order, and determinism
-//! comes from each point being a pure function of its inputs (so thread
-//! count and completion order cannot leak into the numbers).
+//! nothing with its neighbours. [`map`] fans those points across **scoped
+//! threads** while keeping the output *bit-identical* to a serial run:
+//! results are stitched back in input order, and determinism comes from
+//! each point being a pure function of its inputs (so thread count and
+//! completion order cannot leak into the numbers).
 //!
-//! The pool is spawned once per process and reused by every sweep, so the
-//! per-call cost is a handful of channel sends instead of `nt` thread
-//! spawns — the spawn-per-call scheme this replaces lost money on short
-//! grids (8 points × sub-second runs) where thread startup rivaled the
-//! work itself. Work is claimed in chunks off a shared cursor
-//! (work-stealing between the caller and the pool), so a slow point never
-//! leaves the other workers idle behind a static partition.
-//!
-//! # How borrowed sweeps ride a `'static` pool
-//!
-//! Pool jobs must be `'static`, but a sweep borrows `points` and `f` from
-//! the caller's stack. Each enqueued helper job carries an atomic
-//! state token (`Pending → Running | Cancelled`) and its borrows are
-//! lifetime-erased. Safety rests on two guarantees enforced here:
-//!
-//! 1. a job only touches borrowed data after winning the `Pending →
-//!    Running` CAS, and the caller never returns (or unwinds) before
-//!    receiving the final ack of every job that won it;
-//! 2. before returning, the caller CASes every remaining job `Pending →
-//!    Cancelled`; a cancelled job is dropped by the pool without running,
-//!    and its drop glue touches only refcounted heap state.
-//!
-//! Cancellation is also what makes *nested* sweeps deadlock-free: an inner
-//! sweep whose helper jobs never get picked up (all workers busy with
-//! outer points) simply does all the work on its own thread, cancels the
-//! queued helpers, and returns without waiting on anyone.
+//! Each call spawns `nt - 1` helper threads inside [`std::thread::scope`],
+//! which lets them borrow `points` and `f` for the length of the call; the
+//! calling thread works too. Work is claimed in chunks off a shared cursor,
+//! so a slow point never leaves the other threads idle behind a static
+//! partition. A nested sweep simply spawns its own helpers. A panic in any
+//! point reaches the caller with its original payload.
 //!
 //! The thread count defaults to the machine's parallelism and can be pinned
 //! with the `AEGAEON_SWEEP_THREADS` environment variable (`1` forces the
 //! serial path, useful for timing comparisons).
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable overriding the sweep thread count.
 pub const THREADS_ENV: &str = "AEGAEON_SWEEP_THREADS";
 
-/// Upper bound on pool workers (backstop against absurd `nt` requests).
+/// Upper bound on helper threads per sweep (backstop against absurd `nt`
+/// requests, since `AEGAEON_SWEEP_THREADS` comes from outside).
 const MAX_WORKERS: usize = 32;
 
 /// The sweep thread count: `AEGAEON_SWEEP_THREADS` if set (minimum 1),
@@ -73,97 +53,6 @@ pub fn derive_seed(base: u64, idx: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-// ---------------------------------------------------------------------------
-// Persistent pool
-// ---------------------------------------------------------------------------
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct Pool {
-    tx: mpsc::Sender<Job>,
-    rx: Arc<Mutex<mpsc::Receiver<Job>>>,
-    spawned: AtomicUsize,
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let (tx, rx) = mpsc::channel::<Job>();
-        Pool {
-            tx,
-            rx: Arc::new(Mutex::new(rx)),
-            spawned: AtomicUsize::new(0),
-        }
-    })
-}
-
-impl Pool {
-    /// Grows the pool to at least `want` workers (capped). Workers pick
-    /// jobs off the shared receiver; pickup is serialized by the mutex but
-    /// execution is parallel. Workers live for the process lifetime — the
-    /// sender half is never dropped.
-    fn ensure(&'static self, want: usize) {
-        let want = want.min(MAX_WORKERS);
-        loop {
-            let have = self.spawned.load(Ordering::Acquire);
-            if have >= want {
-                return;
-            }
-            if self
-                .spawned
-                .compare_exchange(have, have + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            let rx = Arc::clone(&self.rx);
-            std::thread::Builder::new()
-                .name(format!("aegaeon-sweep-{have}"))
-                .spawn(move || loop {
-                    let job = match rx.lock().unwrap().recv() {
-                        Ok(j) => j,
-                        Err(_) => break,
-                    };
-                    job();
-                })
-                .expect("spawn sweep worker");
-        }
-    }
-}
-
-const PENDING: u8 = 0;
-const RUNNING: u8 = 1;
-const CANCELLED: u8 = 2;
-
-/// Per-job start/cancel arbitration (see module docs).
-struct JobToken {
-    state: AtomicU8,
-}
-
-impl JobToken {
-    fn new() -> JobToken {
-        JobToken {
-            state: AtomicU8::new(PENDING),
-        }
-    }
-
-    /// Worker side: claim the right to run. Loses iff the caller already
-    /// cancelled.
-    fn try_start(&self) -> bool {
-        self.state
-            .compare_exchange(PENDING, RUNNING, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Caller side: revoke an unstarted job. Loses iff a worker already
-    /// started it (the caller must then wait for its ack).
-    fn try_cancel(&self) -> bool {
-        self.state
-            .compare_exchange(PENDING, CANCELLED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-}
-
 /// Evaluates `f` over `points` on [`threads()`] threads, returning results
 /// in input order. Equivalent to `points.iter().map(f).collect()` whenever
 /// `f` is pure.
@@ -177,7 +66,7 @@ where
 }
 
 /// [`map`] with an explicit thread count: the calling thread plus up to
-/// `nt - 1` pool workers.
+/// `nt - 1` scoped helper threads.
 pub fn map_with_threads<P, R, F>(points: &[P], nt: usize, f: F) -> Vec<R>
 where
     P: Sync,
@@ -190,92 +79,44 @@ where
     }
 
     // Shared claim cursor; chunks amortize cursor contention while staying
-    // small enough (≥ 4 chunks per worker) that stealing balances skew.
+    // small enough (≥ 4 chunks per thread) that stealing balances skew.
     let next = AtomicUsize::new(0);
     let chunk = (points.len() / (nt * 4)).max(1);
-    let claim = |out: &mut Vec<(usize, R)>| loop {
-        let start = next.fetch_add(chunk, Ordering::Relaxed);
-        if start >= points.len() {
-            break;
-        }
-        let end = (start + chunk).min(points.len());
-        for (i, p) in points.iter().enumerate().take(end).skip(start) {
-            out.push((i, f(p)));
+    let claim = || {
+        let mut out = Vec::new();
+        loop {
+            let start = next.fetch_add(chunk, Ordering::Relaxed);
+            if start >= points.len() {
+                break out;
+            }
+            let end = (start + chunk).min(points.len());
+            for (i, p) in points.iter().enumerate().take(end).skip(start) {
+                out.push((i, f(p)));
+            }
         }
     };
 
-    let helpers = nt - 1;
-    let pool = pool();
-    pool.ensure(helpers);
-    let (ack_tx, ack_rx) = mpsc::channel::<std::thread::Result<Vec<(usize, R)>>>();
-    let mut tokens: Vec<Arc<JobToken>> = Vec::with_capacity(helpers);
-    for _ in 0..helpers {
-        let token = Arc::new(JobToken::new());
-        tokens.push(Arc::clone(&token));
-        let ack = ack_tx.clone();
-        let claim = &claim;
-        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            if !token.try_start() {
-                return;
+    let mut pairs = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (0..(nt - 1).min(MAX_WORKERS))
+            .map(|_| scope.spawn(claim))
+            .collect();
+        let mut pairs = claim();
+        // Join by hand: the scope's own check would replace a helper's
+        // panic payload with a generic message.
+        for h in helpers {
+            match h.join() {
+                Ok(theirs) => pairs.extend(theirs),
+                Err(payload) => resume_unwind(payload),
             }
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut out = Vec::new();
-                claim(&mut out);
-                out
-            }));
-            // The ack doubles as the caller's permission to release the
-            // borrows this job holds; a send can only fail if the caller
-            // itself panicked, and then it still drains acks before
-            // unwinding past the borrowed frame.
-            let _ = ack.send(result);
-        });
-        // SAFETY: the job borrows `points`, `f`, `next`, `claim`, and
-        // `ack_rx`'s peer from this frame. The caller below does not leave
-        // this frame (return or unwind) until every token it failed to
-        // cancel has acked, and a job touches borrows only after winning
-        // try_start — which forces try_cancel to fail. A cancelled job is
-        // dropped unrun; its drop glue touches only the Arc token and the
-        // ack Sender clone, both refcounted heap allocations.
-        let job: Job = unsafe { std::mem::transmute(job) };
-        pool.tx.send(job).expect("sweep pool is immortal");
-    }
-    drop(ack_tx);
-
-    // The caller is a full participant — it cannot be starved of work by a
-    // busy pool, which is also what makes nested sweeps safe.
-    let mine = catch_unwind(AssertUnwindSafe(|| {
-        let mut out = Vec::new();
-        claim(&mut out);
-        out
-    }));
-
-    // All points are claimed; revoke helpers that never started and wait
-    // for every one that did.
-    let started = tokens.iter().filter(|t| !t.try_cancel()).count();
-    let mut results: Vec<std::thread::Result<Vec<(usize, R)>>> =
-        (0..started).map(|_| ack_rx.recv().expect("started helper acks")).collect();
-    results.push(mine);
-
-    let mut slots: Vec<Option<R>> = (0..points.len()).map(|_| None).collect();
-    let mut panic_payload = None;
-    for r in results {
-        match r {
-            Ok(pairs) => {
-                for (i, v) in pairs {
-                    debug_assert!(slots[i].is_none(), "point {i} evaluated twice");
-                    slots[i] = Some(v);
-                }
-            }
-            Err(payload) => panic_payload = Some(payload),
         }
-    }
-    if let Some(payload) = panic_payload {
-        resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every point evaluated exactly once"))
-        .collect()
+        pairs
+    });
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert!(
+        pairs.iter().enumerate().all(|(k, &(i, _))| k == i),
+        "every point evaluated exactly once"
+    );
+    pairs.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -302,15 +143,14 @@ mod tests {
     }
 
     #[test]
-    fn pool_is_reused_across_calls() {
-        // Many short sweeps through the same process-wide pool: worker
-        // count stays bounded by the largest request, results stay ordered.
+    fn repeated_short_sweeps_stay_ordered() {
+        // Many short sweeps in a row, each with its own helpers: results
+        // stay in input order every time.
         for round in 0..50u64 {
             let points: Vec<u64> = (0..13).map(|i| i + round).collect();
             let out = map_with_threads(&points, 4, |&p| p * 3);
             assert_eq!(out, points.iter().map(|&p| p * 3).collect::<Vec<_>>());
         }
-        assert!(pool().spawned.load(Ordering::Relaxed) <= MAX_WORKERS);
     }
 
     #[test]
@@ -332,16 +172,27 @@ mod tests {
     #[test]
     fn panics_propagate_to_the_caller() {
         let points: Vec<u64> = (0..32).collect();
+        let caller = std::thread::current().id();
         let r = std::panic::catch_unwind(|| {
             map_with_threads(&points, 4, |&p| {
+                // Hold the calling thread back so a helper claims point 17:
+                // the payload under test is a helper's.
+                if std::thread::current().id() == caller {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
                 if p == 17 {
                     panic!("boom at {p}");
                 }
                 p
             })
         });
-        assert!(r.is_err(), "worker panic must surface on the caller");
-        // The pool survives a panicking sweep and keeps serving.
+        let payload = r.expect_err("worker panic must surface on the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("boom at 17"),
+            "the caller sees the worker's own payload"
+        );
+        // A panicking sweep leaves nothing behind: the next one runs clean.
         let out = map_with_threads(&points, 4, |&p| p + 1);
         assert_eq!(out, points.iter().map(|&p| p + 1).collect::<Vec<_>>());
     }

@@ -29,15 +29,17 @@
 //!
 //! A sharded run is bit-identical across worker-thread counts: shard
 //! execution inside a window is embarrassingly parallel (disjoint state),
+//! so each window steps contiguous chunks of shards on scoped threads,
 //! and everything order-sensitive — window boundaries, handoff delivery
 //! order, result merging — happens on the coordinator in fixed shard
 //! order. The *serial reference* for the differential tests is therefore
-//! the sharded engine on one thread; the single-queue engine is a
+//! the sharded engine on one thread — the same window loop with one chunk,
+//! stepped on the coordinator thread; the single-queue engine is a
 //! different (also deterministic) interleaving of the same workload, with
 //! globally shared RNG draws and routing scans that no parallel execution
 //! could reproduce without serializing every event.
 
-use std::sync::mpsc;
+use std::ops::Range;
 
 use aegaeon_metrics::RequestOutcome;
 use aegaeon_model::{ModelId, ModelSpec};
@@ -103,6 +105,21 @@ fn derive_shard_seed(base: u64, shard: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Splits `0..n` into `parts.min(n)` contiguous ranges (at least one)
+/// whose lengths differ by at most one, longer ranges first.
+fn even_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.min(n).max(1);
+    let (base, rem) = (n / parts, n % parts);
+    let mut hi = 0;
+    (0..parts)
+        .map(|i| {
+            let lo = hi;
+            hi += base + usize::from(i < rem);
+            lo..hi
+        })
+        .collect()
+}
+
 impl ShardPlan {
     /// The home shard of a model under `shards`-way partitioning.
     pub fn home_shard(model: ModelId, shards: usize) -> usize {
@@ -128,15 +145,7 @@ impl ShardPlan {
         let tp = cfg.tp;
 
         // Contiguous node groups, sizes as even as possible.
-        let base = nodes / shards;
-        let rem = nodes % shards;
-        let mut node_ranges = Vec::with_capacity(shards);
-        let mut lo = 0usize;
-        for s in 0..shards {
-            let count = base + usize::from(s < rem);
-            node_ranges.push(lo..lo + count);
-            lo += count;
-        }
+        let node_ranges = even_ranges(nodes, shards);
 
         // Proportional prefill split, clamped so every shard keeps at least
         // one prefill and one decoding instance.
@@ -303,12 +312,7 @@ pub fn run_sharded(
         plan: &plan,
         sessions,
     };
-    let workers = threads.max(1).min(shards);
-    if workers <= 1 {
-        coord.run_serial();
-    } else {
-        coord.run_parallel(workers);
-    }
+    coord.run(threads);
     let finished: Vec<(RunResult, Option<AuditReport>)> =
         coord.sessions.into_iter().map(|s| s.finish()).collect();
     crate::runtime::checked(
@@ -369,68 +373,30 @@ impl Coordinator<'_> {
         self.clock.next_window(due)
     }
 
-    /// Window loop, all shards stepped on the coordinator thread.
-    fn run_serial(&mut self) {
+    /// The window loop. Each window splits the shards into
+    /// `min(workers, shards)` contiguous chunks and steps them on scoped
+    /// threads; the coordinator thread steps the first chunk itself, so one
+    /// worker spawns nothing. Leaving the scope is the barrier before the
+    /// exchange.
+    fn run(&mut self, workers: usize) {
+        let chunks = even_ranges(self.sessions.len(), workers);
         while let Some(w) = self.next_window() {
-            for s in self.sessions.iter_mut() {
-                if !s.halted() {
+            let step = move |shards: &mut [ServingSession]| {
+                for s in shards.iter_mut().filter(|s| !s.halted()) {
                     s.step_until(w.limit);
                 }
-            }
+            };
+            std::thread::scope(|scope| {
+                let (mine, mut rest) = self.sessions.split_at_mut(chunks[0].end);
+                for r in &chunks[1..] {
+                    let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+                    rest = tail;
+                    scope.spawn(move || step(chunk));
+                }
+                step(mine);
+            });
             self.exchange();
         }
-    }
-
-    /// Window loop with `workers` persistent worker threads. Shards are
-    /// dealt round-robin into per-worker batches each window and handed
-    /// over by value; the coordinator blocks for every batch before the
-    /// exchange, which is the synchronization barrier.
-    fn run_parallel(&mut self, workers: usize) {
-        let shards = self.sessions.len();
-        std::thread::scope(|scope| {
-            let mut task_txs = Vec::with_capacity(workers);
-            let (back_tx, back_rx) = mpsc::channel::<Vec<(usize, ServingSession)>>();
-            for _ in 0..workers {
-                let (tx, rx) = mpsc::channel::<(Vec<(usize, ServingSession)>, SimTime)>();
-                let back = back_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((mut batch, limit)) = rx.recv() {
-                        for (_, s) in batch.iter_mut() {
-                            if !s.halted() {
-                                s.step_until(limit);
-                            }
-                        }
-                        if back.send(batch).is_err() {
-                            break;
-                        }
-                    }
-                });
-                task_txs.push(tx);
-            }
-            while let Some(w) = self.next_window() {
-                let mut batches: Vec<Vec<(usize, ServingSession)>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (i, s) in self.sessions.drain(..).enumerate() {
-                    batches[i % workers].push((i, s));
-                }
-                for (tx, batch) in task_txs.iter().zip(batches) {
-                    tx.send((batch, w.limit)).expect("worker alive");
-                }
-                let mut slots: Vec<Option<ServingSession>> = (0..shards).map(|_| None).collect();
-                for _ in 0..workers {
-                    let batch = back_rx.recv().expect("worker alive");
-                    for (i, s) in batch {
-                        slots[i] = Some(s);
-                    }
-                }
-                self.sessions = slots
-                    .into_iter()
-                    .map(|s| s.expect("every shard returned"))
-                    .collect();
-                self.exchange();
-            }
-            drop(task_txs); // workers drain and exit before the scope joins
-        });
     }
 }
 
@@ -665,6 +631,21 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.completed, 10);
         assert_eq!(a.total_requests, 10);
+    }
+
+    #[test]
+    fn window_chunks_split_shards_evenly_and_in_order() {
+        for shards in 1..=16 {
+            for workers in 1..=shards + 2 {
+                let chunks = even_ranges(shards, workers);
+                assert_eq!(chunks.len(), workers.min(shards), "{shards}/{workers}");
+                let lens: Vec<usize> = chunks.iter().map(|r| r.len()).collect();
+                let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                assert!(*lo >= 1 && hi - lo <= 1, "{shards}/{workers}: {lens:?}");
+                let covered: Vec<usize> = chunks.into_iter().flatten().collect();
+                assert_eq!(covered, (0..shards).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

@@ -58,8 +58,8 @@ fn chaotic_plan() -> FaultPlan {
     }
 }
 
-/// Seeds x configs x {healthy, chaotic}: a 4-thread sharded run reproduces
-/// the 1-thread sharded run bit for bit, under audit.
+/// Seeds x configs x {healthy, chaotic}: 3- and 4-thread sharded runs
+/// reproduce the 1-thread sharded run bit for bit, under audit.
 #[test]
 fn sharded_fingerprint_is_thread_invariant() {
     let configs: [(AegaeonConfig, usize); 2] = [(two_node_cfg(), 2), (four_node_cfg(), 4)];
@@ -72,13 +72,16 @@ fn sharded_fingerprint_is_thread_invariant() {
                 let models = market_models(16);
                 let trace = uniform_trace(16, 0.12, 120.0, seed, LengthDist::sharegpt());
                 let serial = run_sharded(&cfg, &models, &trace, *shards, 1);
-                let parallel = run_sharded(&cfg, &models, &trace, *shards, 4);
-                assert_eq!(
-                    serial.fingerprint(),
-                    parallel.fingerprint(),
-                    "seed={seed} shards={shards} plan=\"{plan}\": \
-                     thread count leaked into the result"
-                );
+                // 3 threads over 4 shards is an uneven chunk split.
+                for threads in [3, 4] {
+                    let parallel = run_sharded(&cfg, &models, &trace, *shards, threads);
+                    assert_eq!(
+                        serial.fingerprint(),
+                        parallel.fingerprint(),
+                        "seed={seed} shards={shards} threads={threads} plan=\"{plan}\": \
+                         thread count leaked into the result"
+                    );
+                }
                 assert!(serial.completed > 0, "seed={seed}: trace actually ran");
                 assert_eq!(serial.completed, serial.total_requests);
             }

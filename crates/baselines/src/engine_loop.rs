@@ -574,6 +574,7 @@ impl<S: Scheduler> Host for Serve<'_, S> {
             prefill_tokens_reused: 0,
             prefill_tokens_recomputed: 0,
             events: q.events_dispatched(),
+            shard_windows: 0,
             schedule: TraceLog::disabled(),
             telemetry: w.tel,
             audit: None,

@@ -506,6 +506,7 @@ fn main() {
     println!("  1 thread            : {shard_serial_secs:.2}s ({} events)", shard_serial.events);
     println!("  {run_threads:>2} threads          : {shard_parallel_secs:.2}s  ({run_speedup:.2}x)");
     println!("  fingerprint         : {:016x} (identical)", shard_serial.fingerprint());
+    println!("  windows             : {}", shard_parallel.shard_windows);
 
     // --- Parallel sweep speedup ---------------------------------------------
     let points: Vec<u64> = (0..8).collect();
@@ -610,6 +611,7 @@ fn main() {
             "shards": shards as u64,
             "threads": run_threads as u64,
             "events": shard_serial.events,
+            "windows": shard_parallel.shard_windows,
             "serial_secs": shard_serial_secs,
             "parallel_secs": shard_parallel_secs,
             "speedup": run_speedup,

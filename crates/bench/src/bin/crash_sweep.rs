@@ -4,7 +4,12 @@
 //! crashes, transient link degradation, staging-buffer OOM windows, proxy
 //! stalls — against Aegaeon *and* both baselines with the always-on
 //! invariant auditor installed, and fails (non-zero exit) if any scenario
-//! violates an invariant or loses a request. Every scenario is a pure
+//! violates an invariant or loses a request. A fourth leg runs the same
+//! plan through a 2-node, 2-shard `run_sharded` at 1 and at 2 workers,
+//! which must agree bit for bit; in a seeded half of the scenarios it also
+//! kills one shard's whole prefill or decoding tier, so the shard windows
+//! derived from each shard's crash schedule are exercised across the
+//! handoffs that schedule allows. Every scenario is a pure
 //! function of `(base seed, scenario index)`, so a failure reproduces
 //! exactly from its printed `(seed, plan)` line:
 //!
@@ -17,26 +22,34 @@
 //!   crash_sweep --seed SEED --plan "SPEC"   (single-scenario reproduction)
 
 use aegaeon::chaos::FaultPlan;
+use aegaeon::events::InstKind;
+use aegaeon::shard::{run_sharded, ShardPlan};
 use aegaeon::{AegaeonConfig, RunResult, ServingSystem};
 use aegaeon_baselines::{MuxServe, ServerlessLlm, SllmConfig};
 use aegaeon_bench::{analyze, sweep};
 use aegaeon_bench::{banner, market_models, uniform_trace, SEED};
+use aegaeon_gpu::ClusterSpec;
 use aegaeon_sim::{SimDur, SimRng};
-use aegaeon_workload::LengthDist;
+use aegaeon_workload::{LengthDist, Trace};
 
 /// Scenario shape: a small pool under light multi-model load, short enough
-/// that 200 scenarios × 3 systems finish in CI, long enough that crashes
+/// that 200 scenarios × 5 audited runs finish in CI, long enough that crashes
 /// land mid-request.
 const N_MODELS: usize = 3;
 const PER_MODEL_RATE: f64 = 0.04;
 const HORIZON: f64 = 80.0;
 const DRAIN_SECS: u64 = 500;
+/// Audited runs per scenario: three serial systems, and the sharded run at
+/// 1 and at 2 workers.
+const RUNS_PER_SCENARIO: usize = 5;
 
 struct Outcome {
     scenario: u64,
     seed: u64,
     plan: String,
     events_checked: u64,
+    /// The sharded leg's plan empties one shard's tier.
+    tier_loss: bool,
     failures: Vec<String>,
 }
 
@@ -59,6 +72,39 @@ fn scenario_plan(seed: u64) -> FaultPlan {
     }
 }
 
+/// The sharded leg's configuration: two copies of the serial legs' node,
+/// one per shard, each keeping the serial legs' 2 prefill + 3 decoding
+/// instances. In a seeded half of the scenarios, explicit crashes empty one
+/// shard's prefill or decoding tier at a seeded instant, forcing handoffs
+/// to the other shard.
+fn sharded_cfg(cfg: &AegaeonConfig, trace: &Trace, seed: u64) -> AegaeonConfig {
+    let mut sharded = cfg.clone();
+    sharded.cluster = ClusterSpec {
+        nodes: [&cfg.cluster.nodes[..], &cfg.cluster.nodes[..]].concat(),
+    };
+    sharded.prefill_instances = 2 * cfg.prefill_instances;
+    let mut rng = SimRng::seed_from_u64(seed ^ 0x5a4d_0ff1_7e55_a11e);
+    if rng.below(2) == 0 {
+        return sharded;
+    }
+    let shard = rng.below(2);
+    let kind = [InstKind::Prefill, InstKind::Decode][rng.below(2)];
+    let at = rng.range_f64(1.0, HORIZON);
+    let tier = |c: &AegaeonConfig| match kind {
+        InstKind::Prefill => c.prefill_instances,
+        InstKind::Decode => c.instance_count() - c.prefill_instances,
+    };
+    // A tier's global indexes concatenate the shards' tiers in order.
+    let plan = ShardPlan::partition(&sharded, trace, 2);
+    let first: usize = plan.cfgs[..shard].iter().map(tier).sum();
+    let n = tier(&plan.cfgs[shard]);
+    sharded
+        .faults
+        .crashes
+        .extend((first..first + n).map(|i| (at, kind, i as u32)));
+    sharded
+}
+
 /// Runs one audited leg. An audited run panics on an invariant violation,
 /// with the report and its `(seed, plan)` repro in the message; the panic
 /// message becomes the leg's failure instead of aborting the sweep.
@@ -72,7 +118,7 @@ fn audited(run: impl FnOnce() -> RunResult) -> Result<RunResult, String> {
     })
 }
 
-/// Runs one scenario across all three systems and collects any failures.
+/// Runs one scenario across all four legs and collects any failures.
 fn run_scenario(scenario: u64, seed: u64, plan: &FaultPlan) -> Outcome {
     let models = market_models(N_MODELS);
     let trace = uniform_trace(N_MODELS, PER_MODEL_RATE, HORIZON, seed, LengthDist::sharegpt());
@@ -93,16 +139,39 @@ fn run_scenario(scenario: u64, seed: u64, plan: &FaultPlan) -> Outcome {
     scfg.world.audit = true;
     let mcfg = scfg.world.clone();
     let rates = vec![PER_MODEL_RATE; N_MODELS];
+    let mut failures = Vec::new();
+    let mut events_checked = 0u64;
     let aegaeon = audited(|| ServingSystem::run(&cfg, &models, &trace));
     let sllm = audited(|| ServerlessLlm::run(&scfg, &models, &trace));
     let mux = audited(|| MuxServe::run(&mcfg, &models, &rates, &trace));
+    let shcfg = sharded_cfg(&cfg, &trace, seed);
+    let tier_loss = !shcfg.faults.crashes.is_empty();
+    let sharded_1 = audited(|| run_sharded(&shcfg, &models, &trace, 2, 1));
+    let sharded_2 = audited(|| run_sharded(&shcfg, &models, &trace, 2, 2));
+    if let (Ok(a), Ok(b)) = (&sharded_1, &sharded_2) {
+        if a.fingerprint() != b.fingerprint() {
+            failures.push(format!(
+                "sharded fingerprint {:016x} at 1 worker, {:016x} at 2 ({repro})",
+                a.fingerprint(),
+                b.fingerprint()
+            ));
+        }
+        // Only a tier loss lets a shard hand off, so only a tier loss may
+        // cost a barrier before the end of the run.
+        if (a.shard_windows > 1) != tier_loss {
+            failures.push(format!(
+                "sharded run took {} window(s) with tier_loss={tier_loss} ({repro})",
+                a.shard_windows
+            ));
+        }
+    }
 
-    let mut failures = Vec::new();
-    let mut events_checked = 0u64;
     for (name, leg) in [
         ("aegaeon", aegaeon),
         ("serverless-llm", sllm),
         ("muxserve", mux),
+        ("sharded x1", sharded_1),
+        ("sharded x2", sharded_2),
     ] {
         match leg {
             Err(msg) => failures.push(format!("{name} audit: {msg}")),
@@ -122,6 +191,7 @@ fn run_scenario(scenario: u64, seed: u64, plan: &FaultPlan) -> Outcome {
         seed,
         plan: plan.to_string(),
         events_checked,
+        tier_loss,
         failures,
     }
 }
@@ -277,7 +347,12 @@ fn main() {
         outcomes.len() - failed.len(),
         outcomes.len(),
         total_events,
-        outcomes.len() * 3
+        outcomes.len() * RUNS_PER_SCENARIO
+    );
+    println!(
+        "sharded leg: {} of {} scenarios emptied a shard's tier",
+        outcomes.iter().filter(|o| o.tier_loss).count(),
+        outcomes.len()
     );
     if !failed.is_empty() {
         std::process::exit(1);

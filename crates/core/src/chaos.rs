@@ -249,6 +249,46 @@ impl FaultPlan {
     }
 }
 
+/// The first instant, in seconds, at which a materialized `schedule` leaves
+/// every prefill or every decoding instance dead, or `None` if both tiers
+/// keep a survivor for the whole run.
+///
+/// Crashes are permanent, so the answer is the crash that kills the last
+/// live instance of either tier. A repeated crash of a dead instance kills
+/// nothing and is counted once; indices outside the tier are ignored. A
+/// serving system re-routes a request off its shard only after such a
+/// loss, so a sharded run uses this instant to bound when a shard can first
+/// emit a handoff. [`FaultPlan::materialize`] never lets stochastic crashes
+/// empty a tier, so only explicit `crashes` can make this `Some`.
+pub fn first_tier_loss(schedule: &[FaultEvent], n_prefill: u32, n_decode: u32) -> Option<f64> {
+    if n_prefill == 0 || n_decode == 0 {
+        return Some(0.0);
+    }
+    let mut dead = [
+        vec![false; n_prefill as usize],
+        vec![false; n_decode as usize],
+    ];
+    let mut alive = [n_prefill, n_decode];
+    for e in schedule {
+        let FaultKind::Crash { kind, idx } = e.kind else {
+            continue;
+        };
+        let tier = match kind {
+            InstKind::Prefill => 0,
+            InstKind::Decode => 1,
+        };
+        match dead[tier].get_mut(idx as usize) {
+            Some(d) if !*d => *d = true,
+            _ => continue,
+        }
+        alive[tier] -= 1;
+        if alive[tier] == 0 {
+            return Some(e.at);
+        }
+    }
+    None
+}
+
 impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan::none()
@@ -472,6 +512,91 @@ mod tests {
         victims.sort_unstable();
         victims.dedup();
         assert_eq!(victims.len(), decode_crashes, "no victim crashes twice");
+    }
+
+    fn crash(at: f64, kind: InstKind, idx: u32) -> FaultEvent {
+        FaultEvent {
+            at,
+            until: at,
+            kind: FaultKind::Crash { kind, idx },
+        }
+    }
+
+    #[test]
+    fn no_tier_loss_without_explicit_crashes() {
+        assert_eq!(first_tier_loss(&[], 3, 4), None);
+        assert_eq!(
+            first_tier_loss(&FaultPlan::none().materialize(42, 1000.0, 3, 4, 8, 2), 3, 4),
+            None
+        );
+        // Stochastic crash processes fast enough to kill every instance many
+        // times over still leave one survivor per tier, whatever the seed.
+        let plan = FaultPlan {
+            crash_rate_prefill: 10.0,
+            crash_rate_decode: 10.0,
+            link_rate: 0.5,
+            stall_rate: 0.5,
+            ..FaultPlan::none()
+        };
+        for seed in 0..200 {
+            let mut p = plan.clone();
+            p.seed = seed;
+            let events = p.materialize(seed, 1000.0, 3, 4, 8, 2);
+            assert_eq!(first_tier_loss(&events, 3, 4), None, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn tier_loss_is_the_last_explicit_crash_of_a_tier() {
+        let plan = FaultPlan::crashes(&[
+            (30.0, InstKind::Decode, 2),
+            (10.0, InstKind::Decode, 0),
+            (20.0, InstKind::Prefill, 1),
+            (25.0, InstKind::Decode, 1),
+        ]);
+        // Decode 0, 1, 2 are all dead at 30 s; prefill 0 survives.
+        let events = plan.materialize(7, 600.0, 2, 3, 8, 2);
+        assert_eq!(first_tier_loss(&events, 2, 3), Some(30.0));
+        // With a fourth decoder nobody crashes, no tier is lost.
+        let events = plan.materialize(7, 600.0, 2, 4, 8, 2);
+        assert_eq!(first_tier_loss(&events, 2, 4), None);
+    }
+
+    #[test]
+    fn repeated_crash_of_one_instance_counts_once() {
+        let schedule = [
+            crash(5.0, InstKind::Prefill, 0),
+            crash(6.0, InstKind::Prefill, 0),
+            crash(7.0, InstKind::Prefill, 0),
+            crash(9.0, InstKind::Prefill, 1),
+        ];
+        assert_eq!(first_tier_loss(&schedule[..3], 2, 2), None);
+        assert_eq!(first_tier_loss(&schedule, 2, 2), Some(9.0));
+        // An index outside the tier kills nothing.
+        assert_eq!(
+            first_tier_loss(&[crash(1.0, InstKind::Decode, 5)], 2, 2),
+            None
+        );
+    }
+
+    #[test]
+    fn mixed_crashes_report_the_one_that_empties_the_tier() {
+        // A materialized schedule does not record which crashes were
+        // explicit, so an explicit crash and stochastic ones count alike:
+        // here stochastic crashes at 12 s and 40 s finish off the prefill
+        // tier an explicit crash at 3 s began to empty.
+        let schedule = [
+            crash(3.0, InstKind::Prefill, 1),
+            crash(8.0, InstKind::Decode, 0),
+            crash(12.0, InstKind::Prefill, 2),
+            crash(40.0, InstKind::Prefill, 0),
+            crash(41.0, InstKind::Decode, 1),
+        ];
+        assert_eq!(first_tier_loss(&schedule, 3, 2), Some(40.0));
+        // The decode tier empties first when it is the smaller one.
+        assert_eq!(first_tier_loss(&schedule[..4], 3, 1), Some(8.0));
+        // An empty tier is lost from the start.
+        assert_eq!(first_tier_loss(&[], 0, 2), Some(0.0));
     }
 
     #[test]

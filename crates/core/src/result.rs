@@ -57,6 +57,10 @@ pub struct RunResult {
     pub prefill_tokens_recomputed: u64,
     /// Simulation events dispatched.
     pub events: u64,
+    /// Conservative synchronization windows a sharded run took; 0 for a
+    /// single-queue run. Observer-only: the window schedule never changes
+    /// what the shards compute, so [`RunResult::fingerprint`] skips it.
+    pub shard_windows: u64,
     /// Schedule trace (when enabled).
     pub schedule: TraceLog,
     /// Request-lifecycle spans and sampled metrics (when enabled).
@@ -92,9 +96,10 @@ impl RunResult {
     }
 
     /// Order-sensitive hash over every *behavioral* field — everything the
-    /// simulation produced except the observer-only artifacts (`schedule`,
-    /// `telemetry`, `audit`). The differential telemetry test asserts this is
-    /// bit-identical with telemetry on and off.
+    /// simulation produced except the observer-only artifacts
+    /// (`shard_windows`, `schedule`, `telemetry`, `audit`). The differential
+    /// telemetry test asserts this is bit-identical with telemetry on and
+    /// off.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = aegaeon_sim::FxHasher::default();

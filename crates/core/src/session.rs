@@ -278,6 +278,14 @@ impl ServingSession {
         std::mem::take(&mut self.driver.host.outbox)
     }
 
+    /// The earliest instant this shard can emit a handoff: the instant its
+    /// materialized crash schedule first leaves a whole tier dead, or `None`
+    /// if it never does. Migrants admitted later cannot move it earlier:
+    /// only crashes kill instances.
+    pub(crate) fn earliest_handoff(&self) -> Option<SimTime> {
+        self.driver.host.first_tier_loss()
+    }
+
     /// Admits a request handed off by a peer shard at simulated instant
     /// `at` (strictly in this shard's future — the conservative window
     /// guarantees it) and returns the local trace index it was assigned.

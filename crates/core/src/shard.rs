@@ -12,25 +12,35 @@
 //!
 //! Shards advance in bulk-synchronous conservative windows computed by
 //! [`aegaeon_sim::GrantClock`]: every window, each shard processes events
-//! strictly below `min(next due across shards) + lookahead`, then the
-//! coordinator exchanges boundary events at the barrier. The lookahead is
-//! the minimum timestamp increment of any cross-shard interaction. In this
-//! system the only *dynamic* cross-shard coupling is a failover handoff —
-//! a shard that lost an entire prefill or decoding tier re-routes stranded
-//! requests to a peer shard, which re-serves them from scratch after the
-//! proxy's failover detection window (`system::FAILOVER_LATENCY`, itself a
-//! ceiling on the MetaStore sync and link latencies on that path). Ingress
-//! arrivals are trace-known up front and carry no lookahead constraint.
-//! Null-message style, no rollback: a handoff emitted at `t` is received
-//! at `t + lookahead >= grant`, provably outside every shard's processed
-//! past (see `aegaeon_sim::horizon` for the argument).
+//! strictly below the window's grant, then the coordinator exchanges
+//! boundary events at the barrier. Ingress arrivals are trace-known up
+//! front and carry no constraint. The only *dynamic* cross-shard coupling
+//! is a failover handoff — a shard that lost an entire prefill or decoding
+//! tier re-routes stranded requests to a peer shard, which re-serves them
+//! from scratch after the proxy's failover detection window
+//! (`system::FAILOVER_LATENCY`, itself a ceiling on the MetaStore sync and
+//! link latencies on that path). That window is the lookahead: a handoff
+//! emitted at `t` is received at `t + lookahead`.
+//!
+//! Crashes are the only way an instance dies, and each shard materializes
+//! its crash schedule before its first event, so each shard knows up front
+//! the first instant it could emit a handoff: when its schedule first
+//! empties a tier ([`crate::chaos::first_tier_loss`]). The grant is the
+//! minimum over shards with work of `max(next due, that instant) +
+//! lookahead`, and unbounded when no such shard can ever lose a tier. A
+//! healthy or stochastic-chaos run (`FaultPlan::materialize` always leaves
+//! one instance per tier) therefore takes a single window; a run with a
+//! forced tier loss takes ordinary lookahead-sized windows only from the
+//! loss on. Null-message style, no rollback: every handoff lands at or
+//! after the grant, outside every shard's processed past (see
+//! `aegaeon_sim::horizon` for the argument).
 //!
 //! # Determinism
 //!
 //! A sharded run is bit-identical across worker-thread counts: shard
-//! execution inside a window is embarrassingly parallel (disjoint state),
-//! so each window steps contiguous chunks of shards on scoped threads,
-//! and everything order-sensitive — window boundaries, handoff delivery
+//! construction, and shard execution inside a window, are embarrassingly
+//! parallel (disjoint state), so contiguous chunks of shards are built
+//! and then stepped each window on scoped threads, and everything order-sensitive — window boundaries, handoff delivery
 //! order, result merging — happens on the coordinator in fixed shard
 //! order. The *serial reference* for the differential tests is therefore
 //! the sharded engine on one thread — the same window loop with one chunk,
@@ -167,35 +177,29 @@ impl ShardPlan {
             })
             .collect();
 
-        // Global → shard-local instance index maps for explicit crashes.
-        let prefill_offsets: Vec<usize> = prefill_counts
-            .iter()
-            .scan(0usize, |acc, &p| {
-                let off = *acc;
-                *acc += p;
-                Some(off)
-            })
-            .collect();
-        let decode_offsets: Vec<usize> = inst_counts
+        // Global → shard-local instance index maps for explicit crashes:
+        // each tier's global indexes concatenate the per-shard tiers.
+        let decode_counts: Vec<usize> = inst_counts
             .iter()
             .zip(&prefill_counts)
-            .scan(0usize, |acc, (&inst, &p)| {
-                let off = *acc;
-                *acc += inst - p;
-                Some(off)
-            })
+            .map(|(&i, &p)| i - p)
             .collect();
+        let offsets = |counts: &[usize]| -> Vec<usize> {
+            counts
+                .iter()
+                .scan(0usize, |acc, &c| {
+                    let off = *acc;
+                    *acc += c;
+                    Some(off)
+                })
+                .collect()
+        };
+        let prefill_offsets = offsets(&prefill_counts);
+        let decode_offsets = offsets(&decode_counts);
         let locate = |kind: crate::events::InstKind, idx: u32| -> (usize, u32) {
-            let (offs, counts): (&[usize], Vec<usize>) = match kind {
-                crate::events::InstKind::Prefill => (&prefill_offsets, prefill_counts.clone()),
-                crate::events::InstKind::Decode => (
-                    &decode_offsets,
-                    inst_counts
-                        .iter()
-                        .zip(&prefill_counts)
-                        .map(|(&i, &p)| i - p)
-                        .collect(),
-                ),
+            let (offs, counts) = match kind {
+                crate::events::InstKind::Prefill => (&prefill_offsets, &prefill_counts),
+                crate::events::InstKind::Decode => (&decode_offsets, &decode_counts),
             };
             for s in 0..shards {
                 let lo = offs[s];
@@ -291,32 +295,12 @@ pub fn run_sharded(
     threads: usize,
 ) -> RunResult {
     let plan = ShardPlan::partition(cfg, trace, shards);
-    let sessions: Vec<ServingSession> = plan
-        .cfgs
-        .iter()
-        .zip(&plan.traces)
-        .map(|(c, t)| {
-            let mut s = ServingSession::closed(c, models, t);
-            s.enable_shard_mode();
-            if cfg.audit {
-                s.install_auditor(Box::new(InvariantAuditor::new()));
-            }
-            s
-        })
-        .collect();
-    let mut coord = Coordinator {
-        base_len: plan.traces.iter().map(|t| t.len()).collect(),
-        migrant_globals: vec![Vec::new(); shards],
-        final_slot: plan.home_slot.clone(),
-        clock: GrantClock::new(plan.lookahead),
-        plan: &plan,
-        sessions,
-    };
-    coord.run(threads);
+    let mut coord = Coordinator::new(cfg, models, &plan, threads);
+    let windows = coord.run().len() as u64;
     let finished: Vec<(RunResult, Option<AuditReport>)> =
         coord.sessions.into_iter().map(|s| s.finish()).collect();
     crate::runtime::checked(
-        merge(models, trace, finished, &coord.final_slot),
+        merge(models, trace, finished, &coord.final_slot, windows),
         format_args!("seed={} plan=\"{}\" shards={shards}", cfg.seed, cfg.faults),
     )
 }
@@ -326,6 +310,11 @@ struct Coordinator<'p> {
     sessions: Vec<ServingSession>,
     plan: &'p ShardPlan,
     clock: GrantClock,
+    /// Per shard: the earliest instant it can emit a handoff (`None`:
+    /// never), fixed by its materialized crash schedule.
+    emit: Vec<Option<SimTime>>,
+    /// Contiguous shard ranges, one per worker thread.
+    chunks: Vec<Range<usize>>,
     /// Original sub-trace length per shard (locals beyond it are migrants).
     base_len: Vec<usize>,
     /// Per shard: migrant local index (minus base) → global trace index.
@@ -334,12 +323,64 @@ struct Coordinator<'p> {
     final_slot: Vec<(usize, u32)>,
 }
 
-impl Coordinator<'_> {
+impl<'p> Coordinator<'p> {
+    /// One closed session per shard of `plan`, in shard mode and audited
+    /// when `cfg.audit` is set, ready for the first window. Shards build
+    /// independently, so each chunk of `workers` builds on the thread that
+    /// will step it.
+    fn new(
+        cfg: &AegaeonConfig,
+        models: &[ModelSpec],
+        plan: &'p ShardPlan,
+        workers: usize,
+    ) -> Coordinator<'p> {
+        let chunks = even_ranges(plan.cfgs.len(), workers);
+        let build = |r: &Range<usize>| -> Vec<ServingSession> {
+            r.clone()
+                .map(|s| {
+                    let mut session = ServingSession::closed(&plan.cfgs[s], models, &plan.traces[s]);
+                    session.enable_shard_mode();
+                    if cfg.audit {
+                        session.install_auditor(Box::new(InvariantAuditor::new()));
+                    }
+                    session
+                })
+                .collect()
+        };
+        let sessions: Vec<ServingSession> = std::thread::scope(|scope| {
+            let rest: Vec<_> = chunks[1..]
+                .iter()
+                .map(|r| scope.spawn(move || build(r)))
+                .collect();
+            let mut sessions = build(&chunks[0]);
+            for h in rest {
+                sessions.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            sessions
+        });
+        Coordinator {
+            emit: sessions.iter().map(|s| s.earliest_handoff()).collect(),
+            base_len: plan.traces.iter().map(|t| t.len()).collect(),
+            migrant_globals: vec![Vec::new(); sessions.len()],
+            final_slot: plan.home_slot.clone(),
+            clock: GrantClock::new(plan.lookahead),
+            chunks,
+            plan,
+            sessions,
+        }
+    }
+
     /// One barrier: drain every shard's outbox in shard order and deliver
     /// each handoff to the next shard (cyclic) at `emitted + lookahead`.
     /// Delivery order is part of the deterministic contract: it fixes the
     /// destination shard's trace growth and event-queue tie-breaking.
-    fn exchange(&mut self) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a handoff would land before `grant`, inside the window the
+    /// shards just processed: a shard emitted earlier than its emission
+    /// bound said it could.
+    fn exchange(&mut self, grant: SimTime) {
         let shards = self.sessions.len();
         for src in 0..shards {
             for h in self.sessions[src].take_handoffs() {
@@ -350,6 +391,12 @@ impl Coordinator<'_> {
                 };
                 let dst = (src + 1) % shards;
                 let at = h.emitted + self.clock.lookahead();
+                assert!(
+                    at >= grant,
+                    "shard {src} handed off at {:?}, landing at {at:?} inside the \
+                     window granted to {grant:?}: its emission bound is unsafe",
+                    h.emitted
+                );
                 let local = self.sessions[dst].migrate_in(at, &h);
                 debug_assert_eq!(
                     local as usize,
@@ -365,22 +412,22 @@ impl Coordinator<'_> {
     /// The next conservative window, or `None` when every shard is drained
     /// or halted.
     fn next_window(&mut self) -> Option<aegaeon_sim::GrantWindow> {
-        let due: Vec<Option<SimTime>> = self
-            .sessions
-            .iter_mut()
-            .map(|s| if s.halted() { None } else { s.next_due() })
-            .collect();
-        self.clock.next_window(due)
+        let due = |s: &mut ServingSession| if s.halted() { None } else { s.next_due() };
+        let shards = self.sessions.iter_mut().zip(&self.emit);
+        self.clock
+            .next_window(shards.map(|(s, &emit)| (due(s), emit)))
     }
 
-    /// The window loop. Each window splits the shards into
-    /// `min(workers, shards)` contiguous chunks and steps them on scoped
-    /// threads; the coordinator thread steps the first chunk itself, so one
-    /// worker spawns nothing. Leaving the scope is the barrier before the
-    /// exchange.
-    fn run(&mut self, workers: usize) {
-        let chunks = even_ranges(self.sessions.len(), workers);
+    /// The window loop; returns each window's grant, in order. Each window
+    /// steps the `min(workers, shards)` contiguous chunks of shards on
+    /// scoped threads; the coordinator thread steps the first chunk
+    /// itself, so one worker spawns nothing. Leaving the scope is the
+    /// barrier before the exchange.
+    fn run(&mut self) -> Vec<SimTime> {
+        let chunks = self.chunks.clone();
+        let mut grants = Vec::new();
         while let Some(w) = self.next_window() {
+            grants.push(w.grant);
             let step = move |shards: &mut [ServingSession]| {
                 for s in shards.iter_mut().filter(|s| !s.halted()) {
                     s.step_until(w.limit);
@@ -395,8 +442,9 @@ impl Coordinator<'_> {
                 }
                 step(mine);
             });
-            self.exchange();
+            self.exchange(w.grant);
         }
+        grants
     }
 }
 
@@ -413,6 +461,7 @@ fn merge(
     trace: &Trace,
     finished: Vec<(RunResult, Option<AuditReport>)>,
     final_slot: &[(usize, u32)],
+    windows: u64,
 ) -> (RunResult, Option<AuditReport>) {
     let (results, reports): (Vec<RunResult>, Vec<Option<AuditReport>>) =
         finished.into_iter().unzip();
@@ -477,6 +526,7 @@ fn merge(
         prefill_tokens_reused: results.iter().map(|r| r.prefill_tokens_reused).sum(),
         prefill_tokens_recomputed: results.iter().map(|r| r.prefill_tokens_recomputed).sum(),
         events: results.iter().map(|r| r.events).sum(),
+        shard_windows: windows,
         schedule: TraceLog::disabled(),
         telemetry: aegaeon_telemetry::Telemetry::disabled(),
         audit: None,
@@ -627,10 +677,16 @@ mod tests {
         let models = Zoo::replicate(&zoo.market_band(), 4);
         let trace = toy_trace(10, 4);
         let a = run_sharded(&cfg, &models, &trace, 1, 1);
-        let b = run_sharded(&cfg, &models, &trace, 1, 4);
+        let mut b = run_sharded(&cfg, &models, &trace, 1, 4);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.completed, 10);
         assert_eq!(a.total_requests, 10);
+        // The window count is observer-only, and single-queue runs take none.
+        assert_eq!(a.shard_windows, 1);
+        b.shard_windows = 99;
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        let single = crate::system::ServingSystem::run(&cfg, &models, &trace);
+        assert_eq!(single.shard_windows, 0);
     }
 
     #[test]
@@ -651,9 +707,70 @@ mod tests {
     #[test]
     fn lookahead_is_the_failover_detection_window() {
         let plan = ShardPlan::partition(&four_node_cfg(), &toy_trace(8, 4), 4);
-        // A handoff is emitted no earlier than failover detection after the
-        // crash: two 1 s heartbeat periods.
+        // A shard emits a handoff no earlier than its own crash schedule
+        // first empties a tier, and the peer receives it one failover
+        // detection window (two 1 s heartbeat periods) later. So the grant
+        // is bounded per shard by max(next due, first tier loss) + this.
         assert_eq!(plan.lookahead, FAILOVER_LATENCY);
         assert_eq!(plan.lookahead, SimDur::from_secs(2));
+    }
+
+    /// Runs `cfg` over a small 4-shard market trace and returns each
+    /// shard's emission bound and the window grants, in order.
+    fn window_schedule(cfg: &AegaeonConfig) -> (Vec<Option<SimTime>>, Vec<SimTime>) {
+        use aegaeon_model::Zoo;
+        let models = Zoo::replicate(&Zoo::standard().market_band(), 8);
+        let trace = toy_trace(40, 8);
+        let plan = ShardPlan::partition(cfg, &trace, 4);
+        let mut coord = Coordinator::new(cfg, &models, &plan, 2);
+        let emit = coord.emit.clone();
+        let grants = coord.run();
+        (emit, grants)
+    }
+
+    #[test]
+    fn healthy_and_stochastic_chaos_runs_take_one_window() {
+        let mut cfg = four_node_cfg();
+        let (emit, grants) = window_schedule(&cfg);
+        assert_eq!(emit, vec![None; 4]);
+        assert_eq!(grants, vec![SimTime::MAX]);
+        // Stochastic crashes never empty a tier, however fast they come.
+        cfg.faults = crate::chaos::FaultPlan {
+            seed: 5,
+            crash_rate_prefill: 1.0,
+            crash_rate_decode: 1.0,
+            stall_rate: 0.1,
+            ..crate::chaos::FaultPlan::none()
+        };
+        let (emit, grants) = window_schedule(&cfg);
+        assert_eq!(emit, vec![None; 4]);
+        assert_eq!(grants, vec![SimTime::MAX]);
+    }
+
+    #[test]
+    fn tier_loss_windows_start_at_the_loss() {
+        let mut cfg = four_node_cfg();
+        let probe = ShardPlan::partition(&cfg, &toy_trace(40, 8), 4);
+        // Shard 2's decode tier dies at 20 s; its global decode indexes
+        // follow shards 0 and 1's.
+        let before: usize = probe.cfgs[..2]
+            .iter()
+            .map(|c| c.instance_count() - c.prefill_instances)
+            .sum();
+        let n = probe.cfgs[2].instance_count() - probe.cfgs[2].prefill_instances;
+        cfg.faults = crate::chaos::FaultPlan::crashes(
+            &(before..before + n)
+                .map(|i| (20.0, InstKind::Decode, i as u32))
+                .collect::<Vec<_>>(),
+        );
+        let (emit, grants) = window_schedule(&cfg);
+        let loss = SimTime::from_secs_f64(20.0);
+        assert_eq!(emit, vec![None, None, Some(loss), None]);
+        assert!(grants.len() > 1, "a tier loss windows the run: {grants:?}");
+        assert_eq!(grants[0], loss + FAILOVER_LATENCY);
+        for pair in grants.windows(2) {
+            assert!(pair[0] < pair[1], "grants advance: {grants:?}");
+        }
+        assert!(grants.iter().all(|&g| g >= loss + FAILOVER_LATENCY));
     }
 }

@@ -844,6 +844,20 @@ impl ServingSystem {
         }
     }
 
+    /// The earliest instant [`ServingSystem::migrate_out`] can run: its only
+    /// callers are the total-tier-loss branches of prefill and decode
+    /// routing, and crashes are permanent, so nothing is handed off before
+    /// the materialized schedule first empties a tier. `None` when no tier
+    /// is ever lost.
+    pub(crate) fn first_tier_loss(&self) -> Option<SimTime> {
+        crate::chaos::first_tier_loss(
+            &self.faults,
+            self.prefills.len() as u32,
+            self.decodes.len() as u32,
+        )
+        .map(SimTime::from_secs_f64)
+    }
+
     /// Hands a request off to the shard coordinator (sharded runs only):
     /// the shard has lost an entire tier, so the request is re-served from
     /// scratch on a peer shard after the failover detection window. The
@@ -2747,6 +2761,7 @@ impl Host for ServingSystem {
             prefill_tokens_reused: self.prefill_tokens_reused,
             prefill_tokens_recomputed: self.prefill_tokens_recomputed,
             events: q.events_dispatched(),
+            shard_windows: 0,
             schedule: self.schedule,
             telemetry: self.tel,
             audit: None,

@@ -19,6 +19,13 @@ use aegaeon_workload::LengthDist;
 
 const SEEDS: [u64; 3] = [3, 1717, 900_001];
 
+/// Fingerprint of the forced total-prefill-loss run (seed 42), as measured
+/// when every window was one lookahead wide: the window schedule must not
+/// change what the shards compute.
+const PREFILL_LOSS_FINGERPRINT: u64 = 0xabafb2a2350fe59b;
+/// Same for the forced total-decode-loss run (seed 43).
+const DECODE_LOSS_FINGERPRINT: u64 = 0x2d84dd35ad134cb9;
+
 /// The paper testbed: 2 nodes x 8 H800, splittable into 2 shards.
 fn two_node_cfg() -> AegaeonConfig {
     let mut cfg = AegaeonConfig::paper_testbed();
@@ -84,6 +91,9 @@ fn sharded_fingerprint_is_thread_invariant() {
                 }
                 assert!(serial.completed > 0, "seed={seed}: trace actually ran");
                 assert_eq!(serial.completed, serial.total_requests);
+                // No shard ever loses a whole tier, so none can emit a
+                // handoff: the run needs no barrier before its end.
+                assert_eq!(serial.shard_windows, 1, "seed={seed} plan=\"{plan}\"");
             }
         }
     }
@@ -126,6 +136,9 @@ fn total_prefill_loss_migrates_across_shards_and_completes() {
     assert!(report.ok(), "serial audit failed:\n{report}");
     assert!(report.events_checked > 0);
     assert_eq!(a.fingerprint(), b.fingerprint());
+    assert_eq!(a.fingerprint(), PREFILL_LOSS_FINGERPRINT, "{:016x}", a.fingerprint());
+    assert!(a.shard_windows > 1, "the tier loss must window the run");
+    assert_eq!(a.shard_windows, b.shard_windows);
 }
 
 /// Same for a total decoding-tier loss: prefilled requests stranded without
@@ -154,6 +167,9 @@ fn total_decode_loss_migrates_across_shards_and_completes() {
     assert!(report.ok(), "serial audit failed:\n{report}");
     assert!(report.events_checked > 0);
     assert_eq!(a.fingerprint(), b.fingerprint());
+    assert_eq!(a.fingerprint(), DECODE_LOSS_FINGERPRINT, "{:016x}", a.fingerprint());
+    assert!(a.shard_windows > 1, "the tier loss must window the run");
+    assert_eq!(a.shard_windows, b.shard_windows);
 }
 
 mod prop {

@@ -127,7 +127,6 @@ mod tests {
             NodeSpec {
                 gpus,
                 gpu: GpuSpec::h800(),
-                dram_bytes: 1 << 40,
                 nic_bw: 25e9,
             },
         )

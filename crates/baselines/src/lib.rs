@@ -24,5 +24,5 @@ pub mod muxserve;
 pub mod serverless;
 
 pub use dedicated::Dedicated;
-pub use muxserve::{MuxServe, Placement};
+pub use muxserve::MuxServe;
 pub use serverless::{ServerlessLlm, SllmConfig};

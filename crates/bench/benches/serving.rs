@@ -27,7 +27,6 @@ fn bench_sllm(c: &mut Criterion) {
         aegaeon_gpu::NodeSpec {
             gpus: 5,
             gpu: aegaeon_gpu::GpuSpec::h800(),
-            dram_bytes: 1 << 40,
             nic_bw: 25e9,
         },
     ));

@@ -20,112 +20,112 @@ use serde_json::{Map, Value};
 
 /// One model's cumulative SLO standing.
 #[derive(Debug, Clone)]
-pub struct ModelSlo {
+pub(crate) struct ModelSlo {
     /// Model name (`m0`, `m1`, …).
-    pub model: String,
+    pub(crate) model: String,
     /// Completed requests.
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Tokens counted: those of completed requests, plus the tokens
     /// unfinished requests owed by the horizon once the run has finished.
-    pub tokens: u64,
+    pub(crate) tokens: u64,
     /// Tokens produced by their SLO deadline.
-    pub tokens_met: u64,
+    pub(crate) tokens_met: u64,
     /// `tokens_met / tokens` (1.0 when no tokens).
-    pub attainment: f64,
+    pub(crate) attainment: f64,
 }
 
 /// One sealed observatory window for one model.
 #[derive(Debug, Clone)]
-pub struct WindowRow {
+pub(crate) struct WindowRow {
     /// Window end, sim nanoseconds.
-    pub window_end_ns: u64,
+    pub(crate) window_end_ns: u64,
     /// Model name.
-    pub model: String,
+    pub(crate) model: String,
     /// Requests retired in the window.
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Tokens produced in the window.
-    pub tokens: u64,
+    pub(crate) tokens: u64,
     /// Tokens on deadline in the window.
-    pub tokens_met: u64,
+    pub(crate) tokens_met: u64,
     /// TTFT p50/p90/p99 seconds.
-    pub ttft: [f64; 3],
+    pub(crate) ttft: [f64; 3],
     /// TBT p50/p90/p99 seconds.
-    pub tbt: [f64; 3],
+    pub(crate) tbt: [f64; 3],
     /// Window attainment.
-    pub attainment: f64,
+    pub(crate) attainment: f64,
     /// Window goodput, tokens per second.
-    pub goodput_tps: f64,
+    pub(crate) goodput_tps: f64,
 }
 
 /// One switch-cost attribution cell.
 #[derive(Debug, Clone)]
-pub struct AttribRow {
+pub(crate) struct AttribRow {
     /// Instance name (`p0`…, `d0`…).
-    pub instance: String,
+    pub(crate) instance: String,
     /// Model name.
-    pub model: String,
+    pub(crate) model: String,
     /// Cost kind (`model_switch`, `kv_swap_in`, …).
-    pub kind: String,
+    pub(crate) kind: String,
     /// Attributed seconds.
-    pub secs: f64,
+    pub(crate) secs: f64,
 }
 
 /// One model's cumulative agentic-session standing.
 #[derive(Debug, Clone)]
 pub struct SessionRow {
     /// Model name.
-    pub model: String,
+    pub(crate) model: String,
     /// Session turns retired.
-    pub turns: u64,
+    pub(crate) turns: u64,
     /// Turns that prefilled only their delta off a retained prefix.
-    pub prefix_hits: u64,
+    pub(crate) prefix_hits: u64,
     /// Deepest session (turn count) observed.
-    pub max_depth: u64,
+    pub(crate) max_depth: u64,
     /// `prefix_hits / turns`.
-    pub hit_rate: f64,
+    pub(crate) hit_rate: f64,
     /// Turn-latency p50/p90/p99 seconds (arrival → final token per turn;
     /// think gaps excluded by construction).
-    pub latency: [f64; 3],
+    pub(crate) latency: [f64; 3],
 }
 
 /// The slice of a gateway bench report the analysis uses.
 #[derive(Debug, Clone, Default)]
-pub struct BenchRow {
+pub(crate) struct BenchRow {
     /// Requests offered by the load generator.
-    pub offered: u64,
+    pub(crate) offered: u64,
     /// Streams completed with the DONE sentinel.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// 429 rejections.
-    pub rejected: u64,
+    pub(crate) rejected: u64,
     /// Client-side goodput, tokens per second.
-    pub goodput_tps: f64,
+    pub(crate) goodput_tps: f64,
     /// Client-observed TTFT p50/p90/p99 seconds.
-    pub ttft: [f64; 3],
+    pub(crate) ttft: [f64; 3],
     /// Client-observed TBT p50/p90/p99 seconds.
-    pub tbt: [f64; 3],
+    pub(crate) tbt: [f64; 3],
     /// Peak concurrent streams per reactor.
-    pub per_reactor_peak: Vec<u64>,
+    pub(crate) per_reactor_peak: Vec<u64>,
     /// max/min of the per-reactor peaks.
-    pub balance: f64,
+    pub(crate) balance: f64,
 }
 
 /// A parsed, cross-checked post-run analysis.
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
     /// Per-model cumulative standing (input order).
-    pub models: Vec<ModelSlo>,
+    pub(crate) models: Vec<ModelSlo>,
     /// Sealed windows (input order: time, then model).
-    pub windows: Vec<WindowRow>,
+    pub(crate) windows: Vec<WindowRow>,
     /// Attribution ledger rows (input order: instance, model, kind).
-    pub attribution: Vec<AttribRow>,
+    pub(crate) attribution: Vec<AttribRow>,
     /// Per-model agentic-session series (models with no turns omitted).
     pub sessions: Vec<SessionRow>,
     /// Total useful seconds (prefill + decode execution).
-    pub useful_secs: f64,
+    pub(crate) useful_secs: f64,
     /// Total overhead seconds (switches + KV swaps).
-    pub overhead_secs: f64,
+    pub(crate) overhead_secs: f64,
     /// Gateway bench summary, when a bench report was provided.
-    pub bench: Option<BenchRow>,
+    pub(crate) bench: Option<BenchRow>,
 }
 
 // ---- Value accessors for the vendored serde_json's owned tree -------------
@@ -233,7 +233,7 @@ impl Analysis {
     }
 
     /// Builds the analysis from the parsed `/v1/slo` object.
-    pub fn from_slo_value(doc: &Value) -> Analysis {
+    pub(crate) fn from_slo_value(doc: &Value) -> Analysis {
         fn rows<T>(doc: &Value, k: &str, f: fn(&Value) -> T) -> Vec<T> {
             match field(doc, k) {
                 Some(Value::Array(items)) => items.iter().map(f).collect(),
@@ -364,7 +364,7 @@ impl Analysis {
 
     /// Per-kind attribution totals, in the fixed kind order with any
     /// unknown kinds appended (seconds summed across instances and models).
-    pub fn kind_totals(&self) -> Vec<(String, f64)> {
+    pub(crate) fn kind_totals(&self) -> Vec<(String, f64)> {
         const ORDER: [&str; 5] = [
             "model_switch",
             "kv_swap_out",

@@ -174,7 +174,6 @@ fn main() {
         NodeSpec {
             gpus: args.gpus,
             gpu,
-            dram_bytes: 1 << 40,
             nic_bw: 25e9,
         },
     );

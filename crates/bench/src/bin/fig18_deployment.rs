@@ -60,7 +60,6 @@ fn h20_cluster(gpus: u32) -> ClusterSpec {
         NodeSpec {
             gpus,
             gpu: GpuSpec::h20(),
-            dram_bytes: 2 << 40,
             nic_bw: 25e9,
         },
     )

@@ -27,7 +27,7 @@ pub const HORIZON_SECS: f64 = 400.0;
 /// ```text
 /// AEGAEON_TRACE_OUT=fig11.trace.json cargo run --release --bin fig11_end_to_end
 /// ```
-pub const TRACE_OUT_ENV: &str = "AEGAEON_TRACE_OUT";
+pub(crate) const TRACE_OUT_ENV: &str = "AEGAEON_TRACE_OUT";
 
 static TRACE_DUMPED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
@@ -41,7 +41,7 @@ fn trace_out_requested() -> Option<String> {
 /// Enables telemetry + schedule tracing on `cfg` when [`TRACE_OUT_ENV`] is
 /// set and no trace has been dumped yet. Telemetry is observer-only, so
 /// figure numbers are unchanged either way.
-pub fn apply_env_telemetry(cfg: &mut AegaeonConfig) {
+pub(crate) fn apply_env_telemetry(cfg: &mut AegaeonConfig) {
     if trace_out_requested().is_some() {
         cfg.telemetry = aegaeon_telemetry::TelemetrySpec::enabled();
         cfg.trace_schedule = true;
@@ -50,7 +50,7 @@ pub fn apply_env_telemetry(cfg: &mut AegaeonConfig) {
 
 /// Exports `r` as a Chrome trace when [`TRACE_OUT_ENV`] is set (first run
 /// in the process wins; later runs are skipped).
-pub fn maybe_dump_trace(r: &RunResult) {
+pub(crate) fn maybe_dump_trace(r: &RunResult) {
     let Some(path) = trace_out_requested() else {
         return;
     };

@@ -102,7 +102,6 @@ impl AegaeonConfig {
             NodeSpec {
                 gpus: (prefill + decode) as u32,
                 gpu: GpuSpec::h800(),
-                dram_bytes: 1 << 40,
                 nic_bw: 25e9,
             },
         );
@@ -120,7 +119,6 @@ impl AegaeonConfig {
             NodeSpec {
                 gpus: 4,
                 gpu: GpuSpec::a10(),
-                dram_bytes: 512 << 30,
                 nic_bw: 25e9,
             },
         );

@@ -13,36 +13,36 @@ use aegaeon_workload::RequestId;
 
 /// Identifies a batch within one instance's work list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BatchId(pub u64);
+pub(crate) struct BatchId(pub(crate) u64);
 
 /// A decoding batch: requests of one model plus its current quota.
 #[derive(Debug, Clone)]
-pub struct Batch {
+pub(crate) struct Batch {
     /// Stable id.
-    pub id: BatchId,
+    pub(crate) id: BatchId,
     /// The model.
-    pub model: ModelId,
+    pub(crate) model: ModelId,
     /// Member requests.
-    pub reqs: Vec<RequestId>,
+    pub(crate) reqs: Vec<RequestId>,
     /// Current round's quota, seconds.
-    pub quota: f64,
+    pub(crate) quota: f64,
 }
 
 /// One decoding instance's rotating work list.
 #[derive(Debug, Clone, Default)]
-pub struct WorkList {
+pub(crate) struct WorkList {
     batches: Vec<Batch>,
     next_id: u64,
 }
 
 impl WorkList {
     /// Creates an empty list.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a new batch for `model` holding `req`.
-    pub fn add_batch(&mut self, model: ModelId, req: RequestId) -> BatchId {
+    pub(crate) fn add_batch(&mut self, model: ModelId, req: RequestId) -> BatchId {
         let id = BatchId(self.next_id);
         self.next_id += 1;
         self.batches.push(Batch {
@@ -55,7 +55,7 @@ impl WorkList {
     }
 
     /// A same-model batch that `can_accept` (capacity predicate) approves.
-    pub fn find_joinable(
+    pub(crate) fn find_joinable(
         &self,
         model: ModelId,
         mut can_accept: impl FnMut(&Batch) -> bool,
@@ -67,22 +67,22 @@ impl WorkList {
     }
 
     /// Mutable access to a batch.
-    pub fn get_mut(&mut self, id: BatchId) -> Option<&mut Batch> {
+    pub(crate) fn get_mut(&mut self, id: BatchId) -> Option<&mut Batch> {
         self.batches.iter_mut().find(|b| b.id == id)
     }
 
     /// Shared access to a batch.
-    pub fn get(&self, id: BatchId) -> Option<&Batch> {
+    pub(crate) fn get(&self, id: BatchId) -> Option<&Batch> {
         self.batches.iter().find(|b| b.id == id)
     }
 
     /// Removes empty batches.
-    pub fn remove_empty(&mut self) {
+    pub(crate) fn remove_empty(&mut self) {
         self.batches.retain(|b| !b.reqs.is_empty());
     }
 
     /// Removes `req` from its batch, if present; returns the batch id.
-    pub fn remove_request(&mut self, req: RequestId) -> Option<BatchId> {
+    pub(crate) fn remove_request(&mut self, req: RequestId) -> Option<BatchId> {
         for b in &mut self.batches {
             if let Some(pos) = b.reqs.iter().position(|&r| r == req) {
                 b.reqs.remove(pos);
@@ -94,7 +94,7 @@ impl WorkList {
 
     /// Stable reorder grouping same-model batches adjacently, by first
     /// occurrence (Algorithm 2, line 6).
-    pub fn reorder_by_model(&mut self) {
+    pub(crate) fn reorder_by_model(&mut self) {
         let mut order: Vec<ModelId> = Vec::new();
         for b in &self.batches {
             if !order.contains(&b.model) {
@@ -110,22 +110,22 @@ impl WorkList {
     }
 
     /// Batch ids in rotation order.
-    pub fn order(&self) -> Vec<BatchId> {
+    pub(crate) fn order(&self) -> Vec<BatchId> {
         self.batches.iter().map(|b| b.id).collect()
     }
 
     /// Number of batches (the "work list size" load metric).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.batches.len()
     }
 
     /// True if no batches.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.batches.is_empty()
     }
 
     /// Distinct models present.
-    pub fn distinct_models(&self) -> Vec<ModelId> {
+    pub(crate) fn distinct_models(&self) -> Vec<ModelId> {
         let mut out = Vec::new();
         for b in &self.batches {
             if !out.contains(&b.model) {
@@ -136,20 +136,15 @@ impl WorkList {
     }
 
     /// Iterates batches in order.
-    pub fn iter(&self) -> impl Iterator<Item = &Batch> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Batch> {
         self.batches.iter()
-    }
-
-    /// Total requests across batches.
-    pub fn total_requests(&self) -> usize {
-        self.batches.iter().map(|b| b.reqs.len()).sum()
     }
 }
 
 /// Picks the decoding instance for a freshly prefilled request (Algorithm 2,
 /// line 2): prefer an instance with a joinable same-model batch; otherwise
 /// the smallest work list. `same_node` breaks ties toward KV locality.
-pub fn dispatch_decode(
+pub(crate) fn dispatch_decode(
     lists: &[&WorkList],
     model: ModelId,
     mut can_accept: impl FnMut(usize, &Batch) -> bool,
@@ -243,7 +238,7 @@ mod tests {
         let b0 = wl.add_batch(mid(0), rid(0));
         wl.get_mut(b0).unwrap().reqs.push(rid(1));
         assert_eq!(wl.remove_request(rid(0)), Some(b0));
-        assert_eq!(wl.total_requests(), 1);
+        assert_eq!(wl.iter().map(|b| b.reqs.len()).sum::<usize>(), 1);
         wl.remove_request(rid(1));
         wl.remove_empty();
         assert!(wl.is_empty());

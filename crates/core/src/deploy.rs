@@ -13,11 +13,11 @@ const BETA: f64 = 1.25;
 #[derive(Debug, Clone)]
 pub struct ModelDeploy {
     /// The architecture (with the deployment's TP degree).
-    pub spec: ModelSpec,
+    pub(crate) spec: ModelSpec,
     /// Ground-truth latency (drives execution).
     pub perf: PerfModel,
     /// Appendix A.2 estimator (drives scheduling decisions).
-    pub fitted: FittedModel,
+    pub(crate) fitted: FittedModel,
     /// Weight bytes per GPU shard.
     pub shard_bytes: u64,
     /// KV bytes per token per GPU shard.
@@ -26,7 +26,7 @@ pub struct ModelDeploy {
 
 impl ModelDeploy {
     /// Profiles and fits a model for `gpu` at TP degree `tp`.
-    pub fn new(spec: &ModelSpec, gpu: &GpuSpec, tp: u32, rng: &mut SimRng) -> ModelDeploy {
+    pub(crate) fn new(spec: &ModelSpec, gpu: &GpuSpec, tp: u32, rng: &mut SimRng) -> ModelDeploy {
         let spec = spec.with_tp(tp);
         let perf = PerfModel::new(gpu, &spec);
         let fitted = fit_model(&perf, &spec, rng);
@@ -40,7 +40,7 @@ impl ModelDeploy {
     }
 
     /// Eq. (4) switch-time estimate, seconds.
-    pub fn est_switch_secs(&self, pcie_bw: f64) -> f64 {
+    pub(crate) fn est_switch_secs(&self, pcie_bw: f64) -> f64 {
         aegaeon_engine::analytical::estimate_switch_secs(self.shard_bytes, pcie_bw, BETA)
     }
 }

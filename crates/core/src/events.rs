@@ -18,14 +18,14 @@ pub enum InstKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstRef {
     /// Prefill or decode.
-    pub kind: InstKind,
+    pub(crate) kind: InstKind,
     /// Index within its kind.
-    pub idx: u32,
+    pub(crate) idx: u32,
 }
 
 impl InstRef {
     /// A prefill instance reference.
-    pub fn prefill(idx: usize) -> InstRef {
+    pub(crate) fn prefill(idx: usize) -> InstRef {
         InstRef {
             kind: InstKind::Prefill,
             idx: idx as u32,
@@ -33,7 +33,7 @@ impl InstRef {
     }
 
     /// A decoding instance reference.
-    pub fn decode(idx: usize) -> InstRef {
+    pub(crate) fn decode(idx: usize) -> InstRef {
         InstRef {
             kind: InstKind::Decode,
             idx: idx as u32,

@@ -60,14 +60,13 @@ pub mod shard;
 pub mod system;
 pub mod unified;
 
-pub use audit::{AuditReport, AuditView, Auditor, InvariantAuditor, Violation};
-pub use chaos::{FaultEvent, FaultKind, FaultPlan};
+pub use audit::{AuditReport, AuditView, Auditor, InvariantAuditor};
+pub use chaos::FaultPlan;
 pub use config::AegaeonConfig;
 pub use events::TokenEv;
 pub use proxy::{Admission, AdmissionPolicy};
 pub use quota::{decode_quotas, QuotaInputs};
 pub use result::RunResult;
 pub use session::{Endpoint, LiveRequest, ServingSession};
-pub use sessionbook::{SessEntry, SessPlace, SessionBook};
-pub use shard::{run_sharded, Handoff, ShardPlan};
+pub use shard::{run_sharded, ShardPlan};
 pub use system::ServingSystem;

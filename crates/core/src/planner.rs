@@ -158,7 +158,6 @@ pub fn search_min_pool(
             NodeSpec {
                 gpus: g,
                 gpu: gpu.clone(),
-                dram_bytes: 2 << 40,
                 nic_bw: 25e9,
             },
         );

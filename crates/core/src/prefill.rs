@@ -17,13 +17,13 @@ use aegaeon_workload::RequestId;
 
 /// A group of same-model prefill jobs.
 #[derive(Debug, Clone)]
-pub struct Group {
+pub(crate) struct Group {
     /// The model all jobs in the group target.
-    pub model: ModelId,
+    pub(crate) model: ModelId,
     /// Pending requests.
-    pub reqs: VecDeque<RequestId>,
+    pub(crate) reqs: VecDeque<RequestId>,
     /// Accumulative size (never decremented; caps admission).
-    pub accum: u32,
+    pub(crate) accum: u32,
 }
 
 /// One prefill instance's job queue.
@@ -40,7 +40,7 @@ impl PrefillQueue {
 
     /// Tries to add `req` to an existing group of `model` with accumulative
     /// size below `max_gpsize` (Algorithm 1, lines 6–8).
-    pub fn try_join(&mut self, model: ModelId, req: RequestId, max_gpsize: u32) -> bool {
+    pub(crate) fn try_join(&mut self, model: ModelId, req: RequestId, max_gpsize: u32) -> bool {
         for g in &mut self.groups {
             if g.model == model && g.accum < max_gpsize {
                 g.reqs.push_back(req);
@@ -63,18 +63,18 @@ impl PrefillQueue {
     }
 
     /// Model of the front group, if any.
-    pub fn front_model(&self) -> Option<ModelId> {
+    pub(crate) fn front_model(&self) -> Option<ModelId> {
         self.groups.front().map(|g| g.model)
     }
 
     /// Model of the group *after* the front (the prefetch target).
-    pub fn next_model(&self) -> Option<ModelId> {
+    pub(crate) fn next_model(&self) -> Option<ModelId> {
         self.groups.get(1).map(|g| g.model)
     }
 
     /// Pops one request from the front group (Algorithm 1, line 15),
     /// removing the group once drained.
-    pub fn pop_request(&mut self) -> Option<(ModelId, RequestId)> {
+    pub(crate) fn pop_request(&mut self) -> Option<(ModelId, RequestId)> {
         loop {
             let front = self.groups.front_mut()?;
             if let Some(r) = front.reqs.pop_front() {
@@ -89,7 +89,7 @@ impl PrefillQueue {
     }
 
     /// Puts a request back at the head (GPU KV backpressure retry).
-    pub fn push_front(&mut self, model: ModelId, req: RequestId) {
+    pub(crate) fn push_front(&mut self, model: ModelId, req: RequestId) {
         match self.groups.front_mut() {
             Some(g) if g.model == model => g.reqs.push_front(req),
             _ => {
@@ -105,13 +105,8 @@ impl PrefillQueue {
     }
 
     /// Total queued requests.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.groups.iter().map(|g| g.reqs.len()).sum()
-    }
-
-    /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
     }
 
     /// The queue's load (Algorithm 1, line 9): estimated seconds to finish
@@ -137,11 +132,6 @@ impl PrefillQueue {
         }
         load
     }
-
-    /// Iterates the groups (introspection/tests).
-    pub fn groups(&self) -> impl Iterator<Item = &Group> {
-        self.groups.iter()
-    }
 }
 
 /// Picks the prefill instance for a new request (Algorithm 1) among the
@@ -153,7 +143,7 @@ impl PrefillQueue {
 /// # Panics
 ///
 /// Panics if `queues` is empty: the caller handles "no eligible instance".
-pub fn dispatch_prefill(
+pub(crate) fn dispatch_prefill(
     queues: &mut [&mut PrefillQueue],
     currents: &[Option<ModelId>],
     model: ModelId,
@@ -207,7 +197,7 @@ mod tests {
         let i0 = dispatch(&mut qs.each_mut(), mid(0), rid(0), 8);
         let i1 = dispatch(&mut qs.each_mut(), mid(0), rid(1), 8);
         assert_eq!(i0, i1, "same-model jobs share a group");
-        assert_eq!(qs[i0].groups().count(), 1);
+        assert_eq!(qs[i0].groups.len(), 1);
         assert_eq!(qs[i0].pending(), 2);
     }
 
@@ -221,7 +211,7 @@ mod tests {
         // group on the *other*, empty queue.
         let i = dispatch(&mut qs.each_mut(), mid(0), rid(2), 2);
         assert_eq!(qs[0].pending() + qs[1].pending(), 3);
-        assert_eq!(qs[i].groups().count(), 1);
+        assert_eq!(qs[i].groups.len(), 1);
         assert_ne!(i, 0);
     }
 
@@ -296,7 +286,7 @@ mod tests {
             order,
             vec![(mid(0), rid(0)), (mid(0), rid(1)), (mid(1), rid(2))]
         );
-        assert!(q.is_empty());
+        assert!(q.groups.is_empty());
     }
 
     #[test]

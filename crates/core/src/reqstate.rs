@@ -12,17 +12,17 @@ use crate::sessionbook::SessPlace;
 /// swap-in for GPU-resident prefixes, the node CPU cache at offload for
 /// spilled ones).
 #[derive(Debug, Clone, Copy)]
-pub struct PrefixClaim {
+pub(crate) struct PrefixClaim {
     /// Retained tokens the claim covers (≤ the request's `prefix_tokens`).
-    pub tokens: u32,
+    pub(crate) tokens: u32,
     /// Cache currently holding the session handle's blocks.
-    pub src: SessPlace,
+    pub(crate) src: SessPlace,
 }
 
 /// Where a request's KV cache currently lives. Block lists are tracked by
 /// the owning [`aegaeon_engine::KvCache`]; this is only the location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KvPlace {
+pub(crate) enum KvPlace {
     /// Not yet materialized (pre-prefill).
     None,
     /// On a prefill or decoding instance's GPU (possibly still in flight;
@@ -37,7 +37,7 @@ pub enum KvPlace {
 
 /// Lifecycle phase of a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// Waiting for / undergoing prefill.
     Prefill,
     /// In a decoding work list.
@@ -52,44 +52,44 @@ pub struct ReqState {
     /// Prompt length.
     pub input_tokens: u32,
     /// Oracle output length (simulation termination only).
-    pub target_tokens: u32,
+    pub(crate) target_tokens: u32,
     /// Arrival time.
-    pub arrival: SimTime,
+    pub(crate) arrival: SimTime,
     /// Output tokens produced so far.
     pub produced: u32,
     /// Generation instants (first token included).
     pub token_times: Vec<SimTime>,
     /// Current phase.
-    pub phase: Phase,
+    pub(crate) phase: Phase,
     /// KV location.
-    pub kv: KvPlace,
+    pub(crate) kv: KvPlace,
     /// Event guarding the latest swap-out of this request's KV (§5.3 rule
     /// ❷: a swap-in must wait on it).
-    pub offload_event: Option<EventId>,
+    pub(crate) offload_event: Option<EventId>,
     /// Set while the request's KV is present on the decoding GPU and ready
     /// to decode.
-    pub kv_ready: bool,
+    pub(crate) kv_ready: bool,
     /// Decoding instance the request is assigned to.
-    pub decode_inst: Option<u32>,
+    pub(crate) decode_inst: Option<u32>,
     /// Instant prefill execution started (for breakdown accounting).
     pub prefill_start: Option<SimTime>,
     /// Instant prefill finished.
     pub prefill_end: Option<SimTime>,
     /// Accumulated decode execution seconds (steps it participated in).
-    pub decode_exec_secs: f64,
+    pub(crate) decode_exec_secs: f64,
     /// Accumulated explicit KV-transfer wait seconds (Figure 14 "data
     /// overhead", Figure 15 right).
-    pub data_wait_secs: f64,
+    pub(crate) data_wait_secs: f64,
     /// Accumulated control-plane overhead seconds.
-    pub control_secs: f64,
+    pub(crate) control_secs: f64,
     /// Number of KV swaps (in + out) this request underwent.
-    pub swaps: u32,
+    pub(crate) swaps: u32,
     /// Instant the request was dispatched to its decoding instance.
-    pub decode_dispatch: Option<SimTime>,
+    pub(crate) decode_dispatch: Option<SimTime>,
     /// Instant the last token was produced.
-    pub finished_at: Option<SimTime>,
+    pub(crate) finished_at: Option<SimTime>,
     /// Set when the swap-in for the current turn has been issued.
-    pub swapin_inflight: bool,
+    pub(crate) swapin_inflight: bool,
     /// Set when the request was handed off to another shard after a total
     /// tier loss (sharded runs only). A migrated request is locally
     /// resolved: it is never re-dispatched here and never completes here;
@@ -97,25 +97,25 @@ pub struct ReqState {
     pub migrated: bool,
     /// Agentic session this request is a turn of ([`SessionId::NONE`] for
     /// single-shot requests).
-    pub session: SessionId,
+    pub(crate) session: SessionId,
     /// Zero-based turn index within the session.
-    pub turn_index: u32,
+    pub(crate) turn_index: u32,
     /// Leading prompt tokens shared with the session's prior turns.
-    pub prefix_tokens: u32,
+    pub(crate) prefix_tokens: u32,
     /// Outstanding claim on the session's retained prefix, if any.
-    pub prefix_claim: Option<PrefixClaim>,
+    pub(crate) prefix_claim: Option<PrefixClaim>,
     /// Set once the request prefilled only its delta off a claimed prefix.
-    pub prefix_hit: bool,
+    pub(crate) prefix_hit: bool,
     /// The claimed prefix was lost (its holder crashed) after prefill was
     /// sized against it; the next prefill touchpoint must discard the
     /// delta-only KV and recompute the full context.
-    pub prefix_lost: bool,
+    pub(crate) prefix_lost: bool,
 }
 
 impl ReqState {
     /// Fresh state for a request of `input_tokens`/`target_tokens` arriving
     /// at `arrival`.
-    pub fn new(arrival: SimTime, input_tokens: u32, target_tokens: u32) -> ReqState {
+    pub(crate) fn new(arrival: SimTime, input_tokens: u32, target_tokens: u32) -> ReqState {
         ReqState {
             input_tokens,
             target_tokens,
@@ -147,7 +147,7 @@ impl ReqState {
     }
 
     /// Fresh state for a trace request, session identity included.
-    pub fn from_request(r: &Request) -> ReqState {
+    pub(crate) fn from_request(r: &Request) -> ReqState {
         let mut rs = ReqState::new(r.arrival(), r.input_tokens, r.output_tokens);
         rs.session = r.session;
         rs.turn_index = r.turn_index;
@@ -158,7 +158,7 @@ impl ReqState {
     }
 
     /// Tokens covered by an outstanding prefix claim (0 when none).
-    pub fn claimed_tokens(&self) -> u32 {
+    pub(crate) fn claimed_tokens(&self) -> u32 {
         self.prefix_claim.map_or(0, |c| c.tokens)
     }
 

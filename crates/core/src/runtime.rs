@@ -104,12 +104,12 @@ impl<H: Host> Driver<H> {
     }
 
     /// Installs (or replaces) the auditor.
-    pub fn install_auditor(&mut self, auditor: Box<dyn Auditor + Send>) {
+    pub(crate) fn install_auditor(&mut self, auditor: Box<dyn Auditor + Send>) {
         self.auditor = Some(auditor);
     }
 
     /// True once the hard stop or the runaway cap halted the run.
-    pub fn halted(&self) -> bool {
+    pub(crate) fn halted(&self) -> bool {
         self.halted
     }
 
@@ -232,7 +232,7 @@ impl<T: Clone> FabricPort<T> {
     }
 
     /// Submits `op` to `lane`.
-    pub fn submit<E: From<FabricEvent>>(
+    pub(crate) fn submit<E: From<FabricEvent>>(
         &mut self,
         lane: StreamId,
         op: StreamOp<Joined<T>>,
@@ -243,7 +243,7 @@ impl<T: Clone> FabricPort<T> {
     }
 
     /// `cudaEventRecord` on `lane`.
-    pub fn record_event<E: From<FabricEvent>>(
+    pub(crate) fn record_event<E: From<FabricEvent>>(
         &mut self,
         lane: StreamId,
         q: &mut EventQueue<E>,
@@ -254,7 +254,7 @@ impl<T: Clone> FabricPort<T> {
     }
 
     /// `cudaStreamWaitEvent` on `lane`.
-    pub fn wait_event<E: From<FabricEvent>>(
+    pub(crate) fn wait_event<E: From<FabricEvent>>(
         &mut self,
         lane: StreamId,
         ev: EventId,
@@ -316,7 +316,7 @@ impl<T: Clone> FabricPort<T> {
 
     /// The next completed tag, in release order; a join yields its tag
     /// when its last op completes.
-    pub fn pop(&mut self) -> Option<T> {
+    pub(crate) fn pop(&mut self) -> Option<T> {
         while let Some(c) = self.ready.pop_front() {
             let Completion::Op { tag, .. } = c else {
                 continue;
@@ -386,18 +386,13 @@ impl Requests {
     }
 
     /// Admits one more request (a live or migrated arrival).
-    pub fn push(&mut self, rs: ReqState) {
+    pub(crate) fn push(&mut self, rs: ReqState) {
         self.states.push(rs);
     }
 
     /// Requests admitted so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.states.len()
-    }
-
-    /// True before any request is admitted.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
     }
 
     /// Every request's state, in id order.
@@ -647,21 +642,21 @@ impl SpanBook {
     }
 
     /// Makes room for one more request (a live or migrated arrival).
-    pub fn push(&mut self, tel: &Telemetry) {
+    pub(crate) fn push(&mut self, tel: &Telemetry) {
         if tel.is_enabled() {
             self.open.push(CLOSED);
         }
     }
 
     /// The request's root span ([`SpanId::NONE`] when off or retired).
-    pub fn root(&self, req: RequestId) -> SpanId {
+    pub(crate) fn root(&self, req: RequestId) -> SpanId {
         self.open
             .get(req.0 as usize)
             .map_or(SpanId::NONE, |o| o.root)
     }
 
     /// Sets the cause link of the request's next phase.
-    pub fn set_cause(&mut self, req: RequestId, cause: SpanId) {
+    pub(crate) fn set_cause(&mut self, req: RequestId, cause: SpanId) {
         if let Some(o) = self.open.get_mut(req.0 as usize) {
             o.cause = cause;
         }
@@ -711,7 +706,7 @@ impl SpanBook {
     }
 
     /// Ends the request's open phase, if any.
-    pub fn end_phase(&mut self, tel: &mut Telemetry, req: RequestId, now: SimTime) {
+    pub(crate) fn end_phase(&mut self, tel: &mut Telemetry, req: RequestId, now: SimTime) {
         if !tel.is_enabled() {
             return;
         }

@@ -97,26 +97,6 @@ pub struct LiveRequest {
     pub sink: Option<Box<dyn TokenSink>>,
 }
 
-impl LiveRequest {
-    /// A standalone (sessionless) request — the common gateway case.
-    pub fn single(
-        model: ModelId,
-        input_tokens: u32,
-        output_tokens: u32,
-        sink: Option<Box<dyn TokenSink>>,
-    ) -> LiveRequest {
-        LiveRequest {
-            model,
-            input_tokens,
-            output_tokens,
-            session: SessionId::NONE,
-            turn_index: 0,
-            prefix_tokens: 0,
-            sink,
-        }
-    }
-}
-
 impl std::fmt::Debug for LiveRequest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveRequest")
@@ -314,18 +294,8 @@ impl ServingSession {
     }
 
     /// True once the runaway cap or the hard stop halted the session.
-    pub fn halted(&self) -> bool {
+    pub(crate) fn halted(&self) -> bool {
         self.driver.halted()
-    }
-
-    /// Number of completed requests so far.
-    pub fn completed(&self) -> usize {
-        self.driver.host.reqs.completed
-    }
-
-    /// Total admitted requests so far.
-    pub fn admitted(&self) -> usize {
-        self.driver.host.trace.len()
     }
 
     /// True when every admitted request has completed and no injection is
@@ -482,11 +452,6 @@ impl ServingSession {
         self.driver.host.tel.metrics.inc(id, 1);
     }
 
-    /// Total rejections recorded via [`ServingSession::note_rejection`].
-    pub fn rejections(&self) -> u64 {
-        self.rejections
-    }
-
     /// Registers labeled per-reactor instruments for an N-reactor gateway:
     /// `reactor_registered_fds{reactor="i"}`, `reactor_ready_depth{...}`,
     /// `reactor_peak_streams{...}` gauges and `gateway_slow_drops{...}` and
@@ -569,16 +534,6 @@ impl ServingSession {
         }
     }
 
-    /// Reads a counter total by name (e.g. `"proxy_retries"`); 0.0 when the
-    /// counter does not exist.
-    pub fn counter(&self, name: &str) -> f64 {
-        self.metrics()
-            .counter_totals()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
-            .unwrap_or(0.0)
-    }
-
     /// Direct access to the metrics registry (Prometheus export).
     pub fn metrics(&self) -> &aegaeon_telemetry::MetricsRegistry {
         &self.driver.host.tel.metrics
@@ -618,6 +573,24 @@ mod tests {
         Zoo::replicate(&zoo.market_band(), n)
     }
 
+    /// A standalone (sessionless) request, as the gateway injects.
+    fn single(
+        model: ModelId,
+        input_tokens: u32,
+        output_tokens: u32,
+        sink: Option<Box<dyn TokenSink>>,
+    ) -> LiveRequest {
+        LiveRequest {
+            model,
+            input_tokens,
+            output_tokens,
+            session: SessionId::NONE,
+            turn_index: 0,
+            prefix_tokens: 0,
+            sink,
+        }
+    }
+
     /// The closed session IS the historical run loop: same fingerprint.
     #[test]
     fn closed_session_matches_run() {
@@ -648,7 +621,7 @@ mod tests {
         for (i, r) in plan.requests.iter().enumerate() {
             assert!(inj.send(
                 r.arrival(),
-                LiveRequest::single(r.model, r.input_tokens, r.output_tokens, None),
+                single(r.model, r.input_tokens, r.output_tokens, None),
             ));
             if i % 3 == 0 {
                 slice += SimDur::from_millis(700 * (i as u64 % 5 + 1));
@@ -685,7 +658,7 @@ mod tests {
         for r in &plan.requests {
             inj.send(
                 r.arrival(),
-                LiveRequest::single(r.model, r.input_tokens, r.output_tokens, None),
+                single(r.model, r.input_tokens, r.output_tokens, None),
             );
             live.step_until(live.now() + SimDur::from_secs(2));
         }
@@ -714,7 +687,7 @@ mod tests {
         for i in 0..n {
             inj.send(
                 SimTime::from_secs_f64(1.0 + i as f64 * 0.25),
-                LiveRequest::single(
+                single(
                     ModelId((i % 2) as u32),
                     32,
                     1,
@@ -745,7 +718,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         inj.send(
             SimTime::from_secs_f64(1.0),
-            LiveRequest::single(ModelId(0), 64, 7, Some(Box::new(tx))),
+            single(ModelId(0), 64, 7, Some(Box::new(tx))),
         );
         live.step_until(SimTime::MAX);
         let toks: Vec<TokenEv> = rx.iter().collect(); // ends when sender drops
@@ -774,12 +747,16 @@ mod tests {
         for i in 0..12u64 {
             inj.send(
                 SimTime::from_secs_f64((1 + 3 * i) as f64),
-                LiveRequest::single(ModelId(0), 64, 4, None),
+                single(ModelId(0), 64, 4, None),
             );
         }
         live.step_until(SimTime::MAX);
         assert!(live.quiescent());
-        let retries = live.counter("proxy_retries");
+        let retries = live
+            .metrics()
+            .counter_totals()
+            .find(|(n, _)| *n == "proxy_retries")
+            .map_or(0.0, |(_, v)| v);
         assert!(retries > 0.0, "expected stalled dispatches to retry");
         let (result, _) = live.finish();
         assert_eq!(result.completed, 12);

@@ -30,20 +30,20 @@ pub enum UnifiedPolicy {
 #[derive(Debug, Clone, Copy)]
 pub struct MicroReq {
     /// Model index.
-    pub model: usize,
+    pub(crate) model: usize,
     /// Arrival time, seconds.
-    pub arrival: f64,
+    pub(crate) arrival: f64,
     /// Prefill duration, seconds.
-    pub prefill_secs: f64,
+    pub(crate) prefill_secs: f64,
     /// Output tokens (first produced by prefill).
-    pub output_tokens: u32,
+    pub(crate) output_tokens: u32,
 }
 
 /// Timing constants of the micro-scenario.
 #[derive(Debug, Clone, Copy)]
 pub struct MicroCfg {
     /// GPUs available.
-    pub gpus: usize,
+    pub(crate) gpus: usize,
     /// Model-switch (auto-scaling) cost, seconds.
     pub switch_secs: f64,
     /// Decode step time, seconds (one token for every resident request of
@@ -55,14 +55,12 @@ pub struct MicroCfg {
     pub tbt: f64,
     /// Maximum consecutive time a GPU decodes one model before rotating to
     /// another with pending work (the token-level quota, Algorithm 2).
-    pub max_stint: f64,
+    pub(crate) max_stint: f64,
 }
 
 /// Outcome of one policy run.
 #[derive(Debug)]
 pub struct MicroResult {
-    /// Per-request token generation times (seconds).
-    pub token_times: Vec<Vec<f64>>,
     /// Token deadlines missed.
     pub violations: usize,
     /// Tokens total.
@@ -363,7 +361,6 @@ pub fn run_unified(policy: UnifiedPolicy, cfg: &MicroCfg, reqs: &[MicroReq]) -> 
         .flat_map(|r| r.times.iter().cloned())
         .fold(0.0, f64::max);
     MicroResult {
-        token_times: runs.into_iter().map(|r| r.times).collect(),
         violations,
         tokens,
         ttft,

@@ -25,9 +25,9 @@ const FLASH_BLOCK: f64 = 128.0;
 #[derive(Debug, Clone)]
 pub struct FittedModel {
     /// `[C1, C2, C3]`.
-    pub prefill_c: [f64; 3],
+    pub(crate) prefill_c: [f64; 3],
     /// `[C4, C5]`.
-    pub decode_c: [f64; 2],
+    pub(crate) decode_c: [f64; 2],
     /// Coefficient of determination of the prefill fit.
     pub r2_prefill: f64,
     /// Coefficient of determination of the decode fit.

@@ -84,7 +84,7 @@ pub const VRAM_USABLE: f64 = 0.90;
 
 /// Host→device load efficiency of the unoptimized path (Figure 7: a
 /// LLaMA-13B shard loads at 2.83 GB/s over a 32 GB/s PCIe 4.0 link).
-pub const NAIVE_LOAD_EFFICIENCY: f64 = 2.83 / 32.0;
+pub(crate) const NAIVE_LOAD_EFFICIENCY: f64 = 2.83 / 32.0;
 
 /// Load efficiency of the §5.2 multi-threaded, chunked, pipelined path.
 pub const PIPELINED_LOAD_EFFICIENCY: f64 = 0.80;

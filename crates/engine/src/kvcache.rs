@@ -24,17 +24,6 @@ pub struct KvCacheConfig {
     pub block_tokens: u32,
 }
 
-impl KvCacheConfig {
-    /// Production-like defaults: 256 MB slabs, 16-token blocks.
-    pub fn with_capacity(capacity_bytes: u64) -> KvCacheConfig {
-        KvCacheConfig {
-            capacity_bytes,
-            slab_bytes: 256 << 20,
-            block_tokens: 16,
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct ReqKv {
     shape: ShapeKey,
@@ -49,8 +38,8 @@ pub struct KvCache {
     block_tokens: u32,
     /// Shape key per distinct block byte size.
     by_block_bytes: HashMap<u64, ShapeKey>,
-    /// Registered models → (shape, bytes per token per shard).
-    models: HashMap<ModelId, (ShapeKey, u64)>,
+    /// Registered models → their shape class.
+    models: HashMap<ModelId, ShapeKey>,
     requests: HashMap<RequestId, ReqKv>,
     /// Mutation epoch (see [`Self::epoch`]).
     epoch: u64,
@@ -90,7 +79,7 @@ impl KvCache {
         let key = *self.by_block_bytes.entry(block_bytes).or_insert_with(|| {
             pool.register_shape(spec.kv_shape().to_string(), block_bytes)
         });
-        self.models.insert(id, (key, per_token));
+        self.models.insert(id, key);
         self.epoch += 1;
     }
 
@@ -113,7 +102,7 @@ impl KvCache {
             !self.requests.contains_key(&req),
             "request {req:?} already holds KV"
         );
-        let (shape, _) = *self.models.get(&model).expect("model registered");
+        let shape = *self.models.get(&model).expect("model registered");
         let blocks = self.pool.alloc(shape, self.blocks_for(tokens))?;
         self.requests.insert(
             req,
@@ -238,7 +227,7 @@ impl KvCache {
 
     /// Tokens' worth of KV still allocatable for `model` right now.
     pub fn token_capacity(&self, model: ModelId) -> u64 {
-        let (shape, _) = *self.models.get(&model).expect("model registered");
+        let shape = *self.models.get(&model).expect("model registered");
         self.pool.available_blocks(shape) as u64 * self.block_tokens as u64
     }
 
@@ -246,7 +235,7 @@ impl KvCache {
     /// `ctx_tokens` (the Algorithm 2 line-2 derivation).
     pub fn max_batch(&self, model: ModelId, ctx_tokens: u32) -> usize {
         let per_req = self.blocks_for(ctx_tokens).max(1);
-        let (shape, _) = *self.models.get(&model).expect("model registered");
+        let shape = *self.models.get(&model).expect("model registered");
         // Include blocks already used here: capacity is a static property.
         let total = self.pool.available_blocks(shape) + self.pool.used_blocks(shape) as usize;
         total / per_req
@@ -261,16 +250,6 @@ impl KvCache {
     /// for per-interval telemetry gauges.
     pub fn used_bytes(&self) -> u64 {
         self.pool.total_used_bytes()
-    }
-
-    /// Slabs currently assigned to any shape in the backing pool.
-    pub fn slabs_in_use(&self) -> usize {
-        self.pool.slabs_in_use()
-    }
-
-    /// Bytes per token per shard for a registered model.
-    pub fn bytes_per_token(&self, model: ModelId) -> u64 {
-        self.models.get(&model).expect("model registered").1
     }
 
     /// Checks the cache's bookkeeping against the underlying slab pool;

@@ -77,7 +77,7 @@ impl PerfModel {
     }
 
     /// Mean prefill time for a batch with the given input lengths.
-    pub fn prefill_mean_secs(&self, lens: &[u32]) -> f64 {
+    pub(crate) fn prefill_mean_secs(&self, lens: &[u32]) -> f64 {
         let t: f64 = lens.iter().map(|&l| l as f64).sum();
         let t2: f64 = lens.iter().map(|&l| (l as f64) * (l as f64)).sum();
         (self.flops_per_token * t + self.attn_coeff * t2) / self.eff_flops_total
@@ -87,7 +87,7 @@ impl PerfModel {
 
     /// Mean decode-step time for `batch` requests whose context lengths sum
     /// to `ctx_total` tokens.
-    pub fn decode_mean_secs(&self, batch: usize, ctx_total: u64) -> f64 {
+    pub(crate) fn decode_mean_secs(&self, batch: usize, ctx_total: u64) -> f64 {
         debug_assert!(batch > 0, "decode step needs a non-empty batch");
         (self.weight_bytes_per_gpu + ctx_total as f64 * self.kv_bytes_per_token_per_gpu)
             / self.eff_bw
@@ -111,8 +111,9 @@ impl PerfModel {
         batch as f64 / self.decode_mean_secs(batch, mean_ctx * batch as u64)
     }
 
-    /// Disables noise (deterministic microbenchmarks).
-    pub fn without_noise(mut self) -> PerfModel {
+    /// Disables noise, for tests that compare against the mean model.
+    #[cfg(test)]
+    pub(crate) fn without_noise(mut self) -> PerfModel {
         self.noise_sigma = 0.0;
         self
     }
@@ -198,5 +199,20 @@ mod tests {
         let a = pm.decode_secs(4, 1000, &mut rng);
         let b = pm.decode_secs(4, 1000, &mut rng);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn prefill_noise_is_small_and_centered() {
+        let pm = PerfModel::new(&GpuSpec::h800(), &qwen7());
+        let mut rng = SimRng::seed_from_u64(2);
+        let lens = [512, 1024, 96];
+        let mean = pm.prefill_mean_secs(&lens);
+        let n = 2000;
+        let samples: Vec<f64> = (0..n)
+            .map(|_| pm.prefill_secs(&lens, &mut rng).as_secs_f64())
+            .collect();
+        let avg = samples.iter().sum::<f64>() / n as f64;
+        assert!((avg - mean).abs() / mean < 0.02, "avg {avg} vs {mean}");
+        assert!(samples.iter().all(|&s| (s - mean).abs() / mean < 0.25));
     }
 }

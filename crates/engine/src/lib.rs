@@ -23,6 +23,6 @@ pub mod kvcache;
 pub mod latency;
 
 pub use analytical::{fit_model, FittedModel};
-pub use init::{scale_up_plan, AutoscaleOpts, ScaleCost, ScalePlan, ScaleStage, StageKind};
+pub use init::{scale_up_plan, AutoscaleOpts, ScaleCost, ScaleStage, StageKind};
 pub use kvcache::{KvCache, KvCacheConfig};
 pub use latency::PerfModel;

@@ -14,19 +14,19 @@ use serde_json::Value;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletionParams {
     /// Target model.
-    pub model: ModelId,
+    pub(crate) model: ModelId,
     /// Prompt length in tokens.
-    pub input_tokens: u32,
+    pub(crate) input_tokens: u32,
     /// Tokens to generate (the simulator's oracle output length).
-    pub output_tokens: u32,
+    pub(crate) output_tokens: u32,
     /// Agentic session this turn belongs to ([`SessionId::NONE`] for
     /// standalone completions).
-    pub session: SessionId,
+    pub(crate) session: SessionId,
     /// Zero-based turn index within the session.
-    pub turn_index: u32,
+    pub(crate) turn_index: u32,
     /// Leading prompt tokens shared verbatim with the session's previous
     /// turn (clamped to leave at least one fresh token).
-    pub prefix_tokens: u32,
+    pub(crate) prefix_tokens: u32,
 }
 
 /// Why a completions body was refused.
@@ -39,11 +39,11 @@ pub enum ApiError {
 }
 
 /// Default generation length when `max_tokens` is omitted.
-pub const DEFAULT_MAX_TOKENS: u32 = 16;
+pub(crate) const DEFAULT_MAX_TOKENS: u32 = 16;
 /// Upper bound on requested generation length.
-pub const MAX_MAX_TOKENS: u32 = 4096;
+pub(crate) const MAX_MAX_TOKENS: u32 = 4096;
 /// Upper bound on the prompt length.
-pub const MAX_INPUT_TOKENS: u32 = 32768;
+pub(crate) const MAX_INPUT_TOKENS: u32 = 32768;
 
 fn as_u64(v: &Value) -> Option<u64> {
     match v {
@@ -185,7 +185,7 @@ pub fn completion_chunk(
 }
 
 /// Serializes a JSON error body.
-pub fn error_body(kind: &str, message: &str) -> String {
+pub(crate) fn error_body(kind: &str, message: &str) -> String {
     let value = serde_json::to_value(message);
     let msg = serde_json::to_string(&value).unwrap_or_else(|_| "\"error\"".into());
     format!("{{\"error\":{{\"type\":\"{kind}\",\"message\":{msg}}}}}")

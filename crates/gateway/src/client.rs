@@ -11,9 +11,9 @@ pub struct Response {
     /// Status code.
     pub status: u16,
     /// Headers in arrival order, names lower-cased.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// Whole body (read to EOF).
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 impl Response {
@@ -110,7 +110,7 @@ pub struct SseStream {
     /// Status code of the response head.
     pub status: u16,
     /// Response headers.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     reader: BufReader<TcpStream>,
 }
 

@@ -30,13 +30,13 @@ pub enum ClockMode {
 
 /// Pure sim↔wall mapper (see module docs).
 #[derive(Debug, Clone, Copy)]
-pub struct ClockDriver {
+pub(crate) struct ClockDriver {
     factor: f64,
 }
 
 impl ClockDriver {
     /// Creates a driver; panics on a non-positive or non-finite factor.
-    pub fn new(mode: ClockMode) -> ClockDriver {
+    pub(crate) fn new(mode: ClockMode) -> ClockDriver {
         let factor = match mode {
             ClockMode::Realtime => 1.0,
             ClockMode::Timewarp(f) => f,
@@ -48,27 +48,22 @@ impl ClockDriver {
         ClockDriver { factor }
     }
 
-    /// Simulated seconds advanced per wall second.
-    pub fn factor(&self) -> f64 {
-        self.factor
-    }
-
     /// The simulated instant the session should have reached after
     /// `elapsed` wall time.
-    pub fn sim_at(&self, elapsed: Duration) -> SimTime {
+    pub(crate) fn sim_at(&self, elapsed: Duration) -> SimTime {
         SimTime::from_nanos((elapsed.as_nanos() as f64 * self.factor) as u64)
     }
 
     /// How much longer to sleep (from `elapsed` wall time) until simulated
     /// instant `sim` is due; zero when it is already due.
-    pub fn delay_for(&self, sim: SimTime, elapsed: Duration) -> Duration {
+    pub(crate) fn delay_for(&self, sim: SimTime, elapsed: Duration) -> Duration {
         let due = Duration::from_nanos((sim.as_nanos() as f64 / self.factor) as u64);
         due.saturating_sub(elapsed)
     }
 
     /// How far simulated time trails its wall target, in simulated seconds
     /// (0.0 when the session is caught up or ahead).
-    pub fn lag_secs(&self, sim_now: SimTime, elapsed: Duration) -> f64 {
+    pub(crate) fn lag_secs(&self, sim_now: SimTime, elapsed: Duration) -> f64 {
         let target = self.sim_at(elapsed);
         if target > sim_now {
             (target - sim_now).as_secs_f64()

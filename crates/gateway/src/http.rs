@@ -31,9 +31,9 @@ pub struct HttpRequest {
     /// Request target (path + query), as sent.
     pub target: String,
     /// Protocol version (e.g. `HTTP/1.1`).
-    pub version: String,
+    pub(crate) version: String,
     /// Headers in arrival order, names lower-cased.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// Request body (`Content-Length` bytes).
     pub body: Vec<u8>,
 }
@@ -74,7 +74,7 @@ impl HttpError {
     }
 
     /// Human-readable detail for the error body.
-    pub fn detail(&self) -> &'static str {
+    pub(crate) fn detail(&self) -> &'static str {
         match self {
             HttpError::BadRequest(d) | HttpError::NotImplemented(d) => d,
             HttpError::HeadersTooLarge => "header section too large",
@@ -242,7 +242,7 @@ fn declared_body_len(req: &HttpRequest) -> Result<usize, HttpError> {
 
 /// Serializes a complete response with `Connection: close` and a
 /// `Content-Length` body.
-pub fn response(
+pub(crate) fn response(
     status: u16,
     reason: &str,
     content_type: &str,
@@ -263,7 +263,7 @@ pub fn response(
 
 /// Serializes the response head for an SSE stream (no `Content-Length`;
 /// the connection close delimits the stream).
-pub fn sse_head() -> Vec<u8> {
+pub(crate) fn sse_head() -> Vec<u8> {
     b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n".to_vec()
 }
 
@@ -364,5 +364,36 @@ mod tests {
         assert!(text.contains("Content-Length: 10\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("slow down\n"));
+    }
+
+    #[test]
+    fn errors_render_status_and_detail() {
+        let cases = [
+            (HttpError::BadRequest("bad request line"), "400 Bad Request: bad request line"),
+            (
+                HttpError::HeadersTooLarge,
+                "431 Request Header Fields Too Large: header section too large",
+            ),
+            (HttpError::BodyTooLarge, "413 Payload Too Large: body too large"),
+            (
+                HttpError::NotImplemented("chunked bodies"),
+                "501 Not Implemented: chunked bodies",
+            ),
+        ];
+        for (err, want) in cases {
+            assert_eq!(err.to_string(), want);
+        }
+    }
+
+    #[test]
+    fn sse_head_opens_an_undelimited_event_stream() {
+        let head = String::from_utf8(sse_head()).unwrap();
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(head.ends_with("\r\n\r\n"));
+        assert_eq!(head.matches("\r\n\r\n").count(), 1, "one blank line ends the head");
+        let lower = head.to_ascii_lowercase();
+        assert!(lower.contains("content-type: text/event-stream\r\n"));
+        assert!(lower.contains("connection: close\r\n"));
+        assert!(!lower.contains("content-length"), "close delimits the stream");
     }
 }

@@ -34,5 +34,5 @@ pub mod signal;
 pub mod sse;
 pub mod swarm;
 
-pub use clock::{ClockDriver, ClockMode};
+pub use clock::ClockMode;
 pub use server::{Gateway, GatewayConfig, GatewayReport};

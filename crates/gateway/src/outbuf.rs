@@ -18,7 +18,7 @@ pub struct Overflow {
     /// Unsent bytes already queued.
     pub queued: usize,
     /// Bytes the rejected push attempted to add.
-    pub attempted: usize,
+    pub(crate) attempted: usize,
     /// The configured cap.
     pub cap: usize,
 }
@@ -52,11 +52,6 @@ impl WriteQueue {
         self.head == self.buf.len()
     }
 
-    /// The configured cap.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// Append `bytes`, failing (and queuing nothing) if the queue would
     /// exceed its cap. All-or-nothing: a frame is never half-queued.
     pub fn push(&mut self, bytes: &[u8]) -> Result<(), Overflow> {
@@ -77,7 +72,7 @@ impl WriteQueue {
     /// stays bounded by the payload's own size because the connection
     /// queues nothing further. Streaming frames must use [`Self::push`]
     /// so the cap can trip.
-    pub fn push_unchecked(&mut self, bytes: &[u8]) {
+    pub(crate) fn push_unchecked(&mut self, bytes: &[u8]) {
         self.compact();
         self.buf.extend_from_slice(bytes);
     }

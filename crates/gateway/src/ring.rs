@@ -32,7 +32,7 @@ pub struct RingTag {
     /// Index of the owning I/O reactor.
     pub reactor: u32,
     /// The reactor's slab token for the connection: `(generation << 32) | slot`.
-    pub conn: u64,
+    pub(crate) conn: u64,
 }
 
 impl RingTag {
@@ -119,7 +119,7 @@ pub struct Producer<T> {
     inner: Arc<Inner<T>>,
     /// Where deliveries go; carried so the sim thread can mark the right
     /// reactor dirty and the reactor can reject stale tags.
-    pub tag: RingTag,
+    pub(crate) tag: RingTag,
 }
 
 /// Consumer half: owned by the reactor connection the ring feeds.
@@ -245,36 +245,26 @@ impl<T> Drop for Consumer<T> {
 /// the loop wakes exactly the reactors whose flags it swaps off. Flag
 /// traffic is sim-thread-local except for the reactor-side `take` in
 /// drain paths, so contention is nil.
-pub struct DirtyBoard {
+pub(crate) struct DirtyBoard {
     flags: Vec<AtomicBool>,
 }
 
 impl DirtyBoard {
     /// A board covering `reactors` flags, all clean.
-    pub fn new(reactors: usize) -> DirtyBoard {
+    pub(crate) fn new(reactors: usize) -> DirtyBoard {
         DirtyBoard {
             flags: (0..reactors).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
     /// Mark a reactor as having pending ring deliveries.
-    pub fn mark(&self, reactor: usize) {
+    pub(crate) fn mark(&self, reactor: usize) {
         self.flags[reactor].store(true, Ordering::Release);
     }
 
     /// Clear and return a reactor's flag.
-    pub fn take(&self, reactor: usize) -> bool {
+    pub(crate) fn take(&self, reactor: usize) -> bool {
         self.flags[reactor].swap(false, Ordering::AcqRel)
-    }
-
-    /// Number of reactors covered.
-    pub fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// True when the board covers no reactors.
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
     }
 }
 
@@ -390,7 +380,7 @@ mod tests {
     #[test]
     fn dirty_board_marks_and_takes() {
         let board = DirtyBoard::new(3);
-        assert_eq!(board.len(), 3);
+        assert_eq!(board.flags.len(), 3);
         assert!(!board.take(1));
         board.mark(1);
         assert!(board.take(1));

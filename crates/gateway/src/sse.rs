@@ -45,11 +45,6 @@ impl SseScanner {
             }
         }
     }
-
-    /// Bytes of the current unterminated line (diagnostics).
-    pub fn pending(&self) -> usize {
-        self.partial.len()
-    }
 }
 
 #[cfg(test)]

@@ -14,17 +14,17 @@ pub struct GpuSpec {
     /// VRAM capacity in bytes.
     pub vram_bytes: u64,
     /// Peak dense FP16 tensor throughput, FLOP/s.
-    pub fp16_flops: f64,
+    pub(crate) fp16_flops: f64,
     /// Peak HBM bandwidth, bytes/s.
-    pub hbm_bw: f64,
+    pub(crate) hbm_bw: f64,
     /// Fraction of peak FLOP/s achieved by prefill-style GEMMs.
-    pub mfu: f64,
+    pub(crate) mfu: f64,
     /// Fraction of peak HBM bandwidth achieved by decode-style kernels.
-    pub membw_eff: f64,
+    pub(crate) membw_eff: f64,
     /// PCIe host link bandwidth per direction, bytes/s.
     pub pcie_bw: f64,
     /// NVLink bandwidth to peers within the node, bytes/s (0 if absent).
-    pub nvlink_bw: f64,
+    pub(crate) nvlink_bw: f64,
 }
 
 impl GpuSpec {

@@ -25,11 +25,11 @@ pub struct LinkId(pub u32);
 
 /// Identifies a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StreamId(pub u32);
+pub struct StreamId(pub(crate) u32);
 
 /// Identifies a CUDA-like event. Valid fabric-wide (IPC-shareable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(pub u32);
+pub struct EventId(pub(crate) u32);
 
 /// An operation submitted to a stream.
 #[derive(Debug, Clone)]
@@ -380,11 +380,6 @@ impl<T: Clone> Fabric<T> {
     /// Read access to a link (bandwidth/occupancy statistics).
     pub fn link(&self, link: LinkId) -> &FairLink {
         &self.links[link.0 as usize]
-    }
-
-    /// Number of streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
     }
 
     /// Number of links (ids are dense: `LinkId(0)..LinkId(n)`).

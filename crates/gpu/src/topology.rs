@@ -30,8 +30,6 @@ pub struct NodeSpec {
     pub gpus: u32,
     /// The GPU model installed (homogeneous within a node).
     pub gpu: GpuSpec,
-    /// Host DRAM capacity in bytes.
-    pub dram_bytes: u64,
     /// NIC bandwidth per direction, bytes/s.
     pub nic_bw: f64,
 }
@@ -42,7 +40,6 @@ impl NodeSpec {
         NodeSpec {
             gpus: 8,
             gpu: GpuSpec::h800(),
-            dram_bytes: 2 << 40,
             nic_bw: 25e9,
         }
     }
@@ -66,11 +63,6 @@ impl ClusterSpec {
     /// The paper's main testbed: two nodes with eight H800s each.
     pub fn paper_testbed() -> ClusterSpec {
         ClusterSpec::homogeneous(2, NodeSpec::h800_node())
-    }
-
-    /// Total GPU count.
-    pub fn gpu_count(&self) -> u32 {
-        self.nodes.iter().map(|n| n.gpus).sum()
     }
 }
 
@@ -100,12 +92,6 @@ pub struct GpuHandles {
 pub struct NodeHandles {
     /// Outbound NIC channel.
     pub nic_tx: LinkId,
-    /// Inbound NIC channel.
-    pub nic_rx: LinkId,
-    /// GPUs on this node.
-    pub gpu_ids: Vec<GpuId>,
-    /// Host DRAM capacity.
-    pub dram_bytes: u64,
 }
 
 /// The built topology: an index from GPUs/nodes to fabric handles.
@@ -122,10 +108,10 @@ impl ClusterTopology {
         let mut nodes = Vec::new();
         for (ni, node) in spec.nodes.iter().enumerate() {
             let nic_tx = fabric.add_link(format!("node{ni}.nic_tx"), node.nic_bw);
-            let nic_rx = fabric.add_link(format!("node{ni}.nic_rx"), node.nic_bw);
-            let mut gpu_ids = Vec::new();
+            // Inbound NIC channel: no transfer names it, but it keeps its
+            // link id, so link-indexed faults and audits see every channel.
+            fabric.add_link(format!("node{ni}.nic_rx"), node.nic_bw);
             for gi in 0..node.gpus {
-                let gid = GpuId(gpus.len() as u32);
                 let tag = format!("n{ni}g{gi}");
                 gpus.push(GpuHandles {
                     node: NodeId(ni as u32),
@@ -137,14 +123,8 @@ impl ClusterTopology {
                     h2d: fabric.add_link(format!("{tag}.h2d"), node.gpu.pcie_bw),
                     d2h: fabric.add_link(format!("{tag}.d2h"), node.gpu.pcie_bw),
                 });
-                gpu_ids.push(gid);
             }
-            nodes.push(NodeHandles {
-                nic_tx,
-                nic_rx,
-                gpu_ids,
-                dram_bytes: node.dram_bytes,
-            });
+            nodes.push(NodeHandles { nic_tx });
         }
         ClusterTopology { gpus, nodes }
     }
@@ -173,11 +153,6 @@ impl ClusterTopology {
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
-
-    /// True if two GPUs share a node (KV handoff avoids the NIC).
-    pub fn same_node(&self, a: GpuId, b: GpuId) -> bool {
-        self.gpu(a).node == self.gpu(b).node
-    }
 }
 
 #[cfg(test)]
@@ -189,15 +164,21 @@ mod tests {
     #[test]
     fn paper_testbed_has_16_gpus_on_2_nodes() {
         let spec = ClusterSpec::paper_testbed();
-        assert_eq!(spec.gpu_count(), 16);
         let mut fabric: Fabric<()> = Fabric::new();
         let topo = ClusterTopology::build(&spec, &mut fabric);
         assert_eq!(topo.gpu_count(), 16);
         assert_eq!(topo.node_count(), 2);
-        assert!(topo.same_node(GpuId(0), GpuId(7)));
-        assert!(!topo.same_node(GpuId(7), GpuId(8)));
-        // 4 streams per GPU.
-        assert_eq!(fabric.stream_count(), 64);
+        assert_eq!(topo.gpu(GpuId(0)).node, topo.gpu(GpuId(7)).node);
+        assert_ne!(topo.gpu(GpuId(7)).node, topo.gpu(GpuId(8)).node);
+        // 4 distinct streams per GPU.
+        let streams: std::collections::HashSet<StreamId> = topo
+            .gpu_ids()
+            .flat_map(|g| {
+                let h = topo.gpu(g);
+                [h.default_stream, h.kv_in, h.kv_out, h.prefetch]
+            })
+            .collect();
+        assert_eq!(streams.len(), 64);
     }
 
     #[test]
@@ -232,5 +213,17 @@ mod tests {
         }
         let _ = SimDur::ZERO; // keep import used
         let _ = q.now();
+    }
+
+    #[test]
+    fn link_ids_are_dense_and_count_both_nic_directions() {
+        let mut fabric: Fabric<()> = Fabric::new();
+        let topo = ClusterTopology::build(&ClusterSpec::paper_testbed(), &mut fabric);
+        // Per node: NIC out and in, then an H2D and a D2H channel per GPU.
+        assert_eq!(fabric.link_count(), 2 * (2 + 8 * 2));
+        assert_eq!(topo.node(NodeId(0)).nic_tx, LinkId(0));
+        assert_eq!(topo.gpu(GpuId(0)).h2d, LinkId(2));
+        assert_eq!(topo.node(NodeId(1)).nic_tx, LinkId(18));
+        assert_eq!(topo.gpu(GpuId(15)).d2h, LinkId(35));
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! Raw tensor chunks of model checkpoints are cached in a shared host-memory
 //! region (Figure 9: "Model Cache, 640 GB") so that scale-ups hit DRAM
-//! instead of the remote registry. Eviction is LRU; models currently being
-//! loaded onto a GPU are pinned and cannot be evicted.
+//! instead of the remote registry. Eviction is LRU over every resident entry.
 
 use std::collections::HashMap;
 
@@ -38,24 +37,23 @@ pub struct ModelCache {
 struct Entry {
     bytes: u64,
     last_use: u64,
-    pins: u32,
 }
 
 /// Error: a model cannot be admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheFull {
     /// Bytes requested.
-    pub requested: u64,
-    /// Bytes that could be made free by evicting all unpinned entries.
-    pub reclaimable: u64,
+    pub(crate) requested: u64,
+    /// Cache capacity: the most any eviction can free.
+    pub(crate) capacity: u64,
 }
 
 impl std::fmt::Display for CacheFull {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "model cache full: need {} bytes, only {} reclaimable",
-            self.requested, self.reclaimable
+            "model cache full: need {} bytes, capacity is {}",
+            self.requested, self.capacity
         )
     }
 }
@@ -97,35 +95,28 @@ impl ModelCache {
         }
     }
 
-    /// Inserts `model` (`bytes` large), evicting LRU unpinned entries as
-    /// needed. Inserting a resident model only refreshes recency.
+    /// Inserts `model` (`bytes` large), evicting LRU entries as needed.
+    /// Inserting a resident model only refreshes recency; a model larger
+    /// than the whole cache is refused.
     pub fn insert(&mut self, model: u32, bytes: u64) -> Result<(), CacheFull> {
         self.clock += 1;
         if let Some(e) = self.entries.get_mut(&model) {
             e.last_use = self.clock;
             return Ok(());
         }
-        let reclaimable: u64 = self.capacity - self.used
-            + self
-                .entries
-                .values()
-                .filter(|e| e.pins == 0)
-                .map(|e| e.bytes)
-                .sum::<u64>();
-        if bytes > reclaimable {
+        if bytes > self.capacity {
             return Err(CacheFull {
                 requested: bytes,
-                reclaimable,
+                capacity: self.capacity,
             });
         }
         while self.used + bytes > self.capacity {
             let victim = self
                 .entries
                 .iter()
-                .filter(|(_, e)| e.pins == 0)
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(&k, _)| k)
-                .expect("reclaimable check guarantees an unpinned victim");
+                .expect("capacity check guarantees a victim");
             let e = self.entries.remove(&victim).expect("victim exists");
             self.used -= e.bytes;
         }
@@ -135,46 +126,9 @@ impl ModelCache {
             Entry {
                 bytes,
                 last_use: self.clock,
-                pins: 0,
             },
         );
         Ok(())
-    }
-
-    /// Pins a resident model against eviction (reference counted).
-    ///
-    /// Returns false if the model is not resident.
-    pub fn pin(&mut self, model: u32) -> bool {
-        if let Some(e) = self.entries.get_mut(&model) {
-            e.pins += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Releases one pin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is not resident or not pinned.
-    pub fn unpin(&mut self, model: u32) {
-        let e = self
-            .entries
-            .get_mut(&model)
-            .expect("unpinning a non-resident model");
-        assert!(e.pins > 0, "unpin without matching pin");
-        e.pins -= 1;
-    }
-
-    /// Bytes in use.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 }
 
@@ -197,28 +151,31 @@ mod tests {
     }
 
     #[test]
-    fn pinned_models_survive_eviction() {
+    fn insert_fails_only_when_larger_than_capacity() {
         let mut c = ModelCache::new(20);
-        c.insert(1, 10).unwrap();
-        c.insert(2, 10).unwrap();
-        assert!(c.pin(1));
-        c.touch(2);
-        // 1 is LRU but pinned; 2 must be evicted instead.
-        c.insert(3, 10).unwrap();
-        assert!(c.contains(1));
-        assert!(!c.contains(2));
-        c.unpin(1);
+        c.insert(1, 15).unwrap();
+        let err = c.insert(2, 21).unwrap_err();
+        assert_eq!(err, CacheFull { requested: 21, capacity: 20 });
+        assert_eq!(err.to_string(), "model cache full: need 21 bytes, capacity is 20");
+        assert!(c.contains(1), "a refused insert evicts nothing");
+        // Exactly the capacity fits, by evicting everything else.
+        assert!(c.insert(2, 20).is_ok());
+        assert!(!c.contains(1));
+        assert_eq!(c.used, 20);
     }
 
     #[test]
-    fn insert_fails_when_pins_block_reclaim() {
+    fn touching_an_absent_model_changes_nothing() {
         let mut c = ModelCache::new(20);
-        c.insert(1, 15).unwrap();
-        c.pin(1);
-        let err = c.insert(2, 10).unwrap_err();
-        assert_eq!(err.reclaimable, 5);
-        c.unpin(1);
-        assert!(c.insert(2, 10).is_ok());
+        c.insert(1, 10).unwrap();
+        c.insert(2, 10).unwrap();
+        c.touch(3);
+        assert!(!c.contains(3));
+        assert_eq!(c.used, 20);
+        // 1 is still the eviction victim.
+        c.insert(4, 10).unwrap();
+        assert!(!c.contains(1));
+        assert!(c.contains(2));
     }
 
     #[test]
@@ -226,7 +183,7 @@ mod tests {
         let mut c = ModelCache::new(20);
         c.insert(1, 10).unwrap();
         c.insert(1, 10).unwrap();
-        assert_eq!(c.used(), 10);
+        assert_eq!(c.used, 10);
     }
 
     #[test]
@@ -246,7 +203,7 @@ mod tests {
         c.insert(3, 10).unwrap();
         assert!(c.contains(1));
         assert!(!c.contains(2));
-        assert_eq!(c.used(), 20);
+        assert_eq!(c.used, 20);
     }
 
     #[test]
@@ -256,7 +213,7 @@ mod tests {
         c.insert(2, 10).unwrap();
         assert!(!c.lookup(3));
         assert!(!c.contains(3));
-        assert_eq!(c.used(), 20);
+        assert_eq!(c.used, 20);
         // 1 is still the eviction victim.
         c.insert(4, 10).unwrap();
         assert!(!c.contains(1));

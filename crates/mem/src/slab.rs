@@ -13,15 +13,15 @@ use std::fmt;
 
 /// A registered KV-cache shape class within one [`SlabPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ShapeKey(pub u32);
+pub struct ShapeKey(pub(crate) u32);
 
 /// A block handle: slab index plus block index within the slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockRef {
     /// Slab index within the pool.
-    pub slab: u32,
+    pub(crate) slab: u32,
     /// Block index within the slab.
-    pub index: u32,
+    pub(crate) index: u32,
 }
 
 /// Pool geometry.
@@ -37,7 +37,7 @@ pub struct SlabPoolConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlabExhausted {
     /// Shape that failed to allocate.
-    pub shape: ShapeKey,
+    pub(crate) shape: ShapeKey,
     /// Blocks requested.
     pub requested: usize,
     /// Blocks that were available for this shape (free blocks plus blocks
@@ -78,25 +78,13 @@ struct Slab {
 #[derive(Debug, Clone)]
 pub struct ShapeUsage {
     /// Shape label given at registration.
-    pub label: String,
+    pub(crate) label: String,
     /// Bytes in slabs currently assigned to the shape.
     pub allocated_bytes: u64,
     /// Bytes in blocks currently in use.
     pub used_bytes: u64,
     /// Peak bytes ever assigned to the shape.
     pub peak_allocated_bytes: u64,
-}
-
-impl ShapeUsage {
-    /// Unused fraction of the currently assigned memory (0 when nothing is
-    /// assigned).
-    pub fn fragmentation(&self) -> f64 {
-        if self.allocated_bytes == 0 {
-            0.0
-        } else {
-            1.0 - self.used_bytes as f64 / self.allocated_bytes as f64
-        }
-    }
 }
 
 /// A multi-shape slab allocator.
@@ -432,11 +420,6 @@ impl SlabPool {
         }
         None
     }
-
-    /// Pool configuration.
-    pub fn config(&self) -> SlabPoolConfig {
-        self.cfg
-    }
 }
 
 #[cfg(test)]
@@ -514,10 +497,9 @@ mod tests {
         let u = &p.usage()[0];
         assert_eq!(u.allocated_bytes, 16 << 20);
         assert_eq!(u.used_bytes, 4 << 20);
-        assert!((u.fragmentation() - 0.75).abs() < 1e-9);
         p.free(k, &blocks);
         let u = &p.usage()[0];
-        assert_eq!(u.fragmentation(), 0.0);
+        assert_eq!(u.used_bytes, 0);
         assert_eq!(u.peak_allocated_bytes, 16 << 20);
     }
 
@@ -580,5 +562,20 @@ mod tests {
     fn oversized_block_panics() {
         let mut p = pool(16, 16);
         let _ = p.register_shape("huge", 17 << 20);
+    }
+
+    #[test]
+    fn total_used_bytes_matches_the_usage_snapshot() {
+        let mut p = pool(64, 16);
+        let a = p.register_shape("a", 4 << 20);
+        let b = p.register_shape("b", 2 << 20);
+        assert_eq!((p.block_bytes(a), p.block_bytes(b)), (4 << 20, 2 << 20));
+        let xa = p.alloc(a, 3).unwrap();
+        let _xb = p.alloc(b, 5).unwrap();
+        let from_usage: u64 = p.usage().iter().map(|u| u.used_bytes).sum();
+        assert_eq!(p.total_used_bytes(), from_usage);
+        assert_eq!(p.total_used_bytes(), 3 * (4 << 20) + 5 * (2 << 20));
+        p.free(a, &xa);
+        assert_eq!(p.total_used_bytes(), 5 * (2 << 20));
     }
 }

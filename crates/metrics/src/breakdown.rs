@@ -6,8 +6,6 @@
 //! tracking, event manipulation) and data overhead (explicit waiting for KV
 //! transfers). The figure reports the share of total time spent in each.
 
-use aegaeon_sim::SimDur;
-
 /// A lifetime stage of a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
@@ -65,11 +63,6 @@ impl BreakdownAcc {
         Self::default()
     }
 
-    /// Adds `dur` to a stage.
-    pub fn add(&mut self, stage: Stage, dur: SimDur) {
-        self.totals[stage.index()] += dur.as_secs_f64();
-    }
-
     /// Adds seconds to a stage.
     pub fn add_secs(&mut self, stage: Stage, secs: f64) {
         debug_assert!(secs >= -1e-9, "negative stage duration {secs}");
@@ -77,7 +70,7 @@ impl BreakdownAcc {
     }
 
     /// Total seconds across stages.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.totals.iter().sum()
     }
 
@@ -92,11 +85,6 @@ impl BreakdownAcc {
             *o = x / t;
         }
         out
-    }
-
-    /// Raw seconds per stage.
-    pub fn seconds(&self) -> [f64; 6] {
-        self.totals
     }
 
     /// Merges another accumulator.
@@ -114,8 +102,8 @@ mod tests {
     #[test]
     fn fractions_sum_to_one() {
         let mut acc = BreakdownAcc::new();
-        acc.add(Stage::PrefillWait, SimDur::from_secs(1));
-        acc.add(Stage::DecodeExec, SimDur::from_secs(3));
+        acc.add_secs(Stage::PrefillWait, 1.0);
+        acc.add_secs(Stage::DecodeExec, 3.0);
         let f = acc.fractions();
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!((f[0] - 0.25).abs() < 1e-9);
@@ -130,7 +118,7 @@ mod tests {
         b.add_secs(Stage::ControlOverhead, 2.0);
         b.add_secs(Stage::DataOverhead, 1.0);
         a.merge(&b);
-        assert!((a.seconds()[4] - 3.0).abs() < 1e-9);
+        assert!((a.totals[4] - 3.0).abs() < 1e-9);
         assert!((a.total() - 4.0).abs() < 1e-9);
     }
 

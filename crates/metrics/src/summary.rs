@@ -10,10 +10,6 @@ use crate::slo::RequestOutcome;
 /// Aggregate latency/throughput summary of a run.
 #[derive(Debug, Clone)]
 pub struct Summary {
-    /// Requests observed.
-    pub requests: usize,
-    /// Requests that produced every target token.
-    pub finished: usize,
     /// Output tokens produced.
     pub tokens: u64,
     /// Token throughput over the horizon, tokens/s.
@@ -36,12 +32,8 @@ pub fn summarize(outcomes: &[RequestOutcome], horizon: SimTime) -> Summary {
     let mut ttft = Cdf::new();
     let mut tbt = Cdf::new();
     let mut tokens = 0u64;
-    let mut finished = 0usize;
     for o in outcomes {
         tokens += o.token_times.len() as u64;
-        if o.finished() {
-            finished += 1;
-        }
         if let Some(t) = o.ttft() {
             ttft.push(t);
         }
@@ -50,8 +42,6 @@ pub fn summarize(outcomes: &[RequestOutcome], horizon: SimTime) -> Summary {
         }
     }
     Summary {
-        requests: outcomes.len(),
-        finished,
         tokens,
         token_rate: tokens as f64 / horizon.as_secs_f64().max(1e-9),
         ttft: pcts(&mut ttft),
@@ -81,8 +71,6 @@ mod tests {
     fn summary_counts_and_percentiles() {
         let o = vec![outcome(0, 1.0, 11, 0.05), outcome(1, 2.0, 21, 0.1)];
         let s = summarize(&o, SimTime::from_secs_f64(10.0));
-        assert_eq!(s.requests, 2);
-        assert_eq!(s.finished, 2);
         assert_eq!(s.tokens, 32);
         assert!((s.token_rate - 3.2).abs() < 1e-9);
         // TTFTs are 1.0 and 2.0 → p50 = 1.5 by interpolation.
@@ -94,7 +82,7 @@ mod tests {
     #[test]
     fn empty_run_is_safe() {
         let s = summarize(&[], SimTime::from_secs_f64(1.0));
-        assert_eq!(s.requests, 0);
+        assert_eq!(s.tokens, 0);
         assert_eq!(s.ttft, (0.0, 0.0, 0.0));
     }
 }

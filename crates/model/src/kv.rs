@@ -12,18 +12,18 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct KvShape {
     /// Transformer layers.
-    pub layers: u32,
+    pub(crate) layers: u32,
     /// KV heads.
-    pub kv_heads: u32,
+    pub(crate) kv_heads: u32,
     /// Per-head dimension.
-    pub head_dim: u32,
+    pub(crate) head_dim: u32,
     /// Bytes per element (2 for FP16).
-    pub dtype_bytes: u32,
+    pub(crate) dtype_bytes: u32,
 }
 
 impl KvShape {
     /// Bytes of KV cache per token: `layers · 2 · kv_heads · head_dim · dtype`.
-    pub fn bytes_per_token(&self) -> u64 {
+    pub(crate) fn bytes_per_token(&self) -> u64 {
         self.layers as u64 * 2 * self.kv_heads as u64 * self.head_dim as u64 * self.dtype_bytes as u64
     }
 

@@ -10,6 +10,5 @@ pub mod kv;
 pub mod spec;
 pub mod zoo;
 
-pub use kv::KvShape;
-pub use spec::{DType, ModelId, ModelSpec};
-pub use zoo::{Zoo, ZooEntry};
+pub use spec::{ModelId, ModelSpec};
+pub use zoo::Zoo;

@@ -18,7 +18,7 @@ impl std::fmt::Display for ModelId {
 
 /// Parameter/KV element data type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DType {
+pub(crate) enum DType {
     /// 16-bit floats (FP16/BF16), the paper's default.
     F16,
     /// 8-bit quantized weights.
@@ -29,7 +29,7 @@ pub enum DType {
 
 impl DType {
     /// Bytes per element.
-    pub const fn bytes(self) -> u64 {
+    pub(crate) const fn bytes(self) -> u64 {
         match self {
             DType::F16 => 2,
             DType::Int8 => 1,
@@ -54,15 +54,15 @@ pub struct ModelSpec {
     /// Hidden size `h`.
     pub hidden: u32,
     /// Attention heads.
-    pub heads: u32,
+    pub(crate) heads: u32,
     /// KV heads (< `heads` for GQA/MQA models).
-    pub kv_heads: u32,
+    pub(crate) kv_heads: u32,
     /// Per-head dimension.
-    pub head_dim: u32,
+    pub(crate) head_dim: u32,
     /// FFN intermediate size `m`.
     pub ffn: u32,
     /// Weight/KV data type.
-    pub dtype: DType,
+    pub(crate) dtype: DType,
     /// Tensor-parallel degree this deployment uses.
     pub tp: u32,
 }
@@ -99,21 +99,6 @@ impl ModelSpec {
         self.kv_bytes_per_token() / self.tp as u64
     }
 
-    /// Rough parameter count implied by the dimensions (embedding excluded);
-    /// used to sanity-check catalog entries.
-    pub fn params_from_dims(&self) -> u64 {
-        let h = self.hidden as u64;
-        let m = self.ffn as u64;
-        let kvh = self.kv_heads as u64;
-        let hd = self.head_dim as u64;
-        let heads = self.heads as u64;
-        // Attention: Q and O are h×(heads·hd); K and V are h×(kvh·hd).
-        let attn = 2 * h * heads * hd + 2 * h * kvh * hd;
-        // Gated FFN (LLaMA-style): three h×m matrices.
-        let ffn = 3 * h * m;
-        self.layers as u64 * (attn + ffn)
-    }
-
     /// Returns a copy with a different TP degree.
     ///
     /// # Panics
@@ -125,11 +110,6 @@ impl ModelSpec {
             tp,
             ..self.clone()
         }
-    }
-
-    /// Parameter count in billions (for display).
-    pub fn params_b(&self) -> f64 {
-        self.params as f64 / 1e9
     }
 }
 
@@ -167,16 +147,18 @@ mod tests {
     }
 
     #[test]
-    fn dims_estimate_is_in_the_right_ballpark() {
-        let m = qwen7b();
-        let est = m.params_from_dims();
-        let ratio = est as f64 / m.params as f64;
-        assert!((0.5..1.2).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
     #[should_panic(expected = "TP degree")]
     fn zero_tp_panics() {
         let _ = qwen7b().with_tp(0);
+    }
+
+    #[test]
+    fn tensor_parallelism_splits_kv_and_weights_per_gpu() {
+        let m = qwen7b();
+        assert_eq!(m.kv_bytes_per_token_per_gpu(), 512 * 1024);
+        let tp4 = m.with_tp(4);
+        assert_eq!(tp4.kv_bytes_per_token_per_gpu(), 128 * 1024);
+        assert_eq!(tp4.kv_bytes_per_token(), m.kv_bytes_per_token());
+        assert_eq!(tp4.weight_bytes_per_gpu() * 4, m.weight_bytes());
     }
 }

@@ -119,6 +119,20 @@ impl Zoo {
 mod tests {
     use super::*;
 
+    /// Rough parameter count implied by the dimensions (embedding excluded).
+    fn params_from_dims(s: &ModelSpec) -> u64 {
+        let h = s.hidden as u64;
+        let m = s.ffn as u64;
+        let kvh = s.kv_heads as u64;
+        let hd = s.head_dim as u64;
+        let heads = s.heads as u64;
+        // Attention: Q and O are h×(heads·hd); K and V are h×(kvh·hd).
+        let attn = 2 * h * heads * hd + 2 * h * kvh * hd;
+        // Gated FFN (LLaMA-style): three h×m matrices.
+        let ffn = 3 * h * m;
+        s.layers as u64 * (attn + ffn)
+    }
+
     #[test]
     fn table1_rows_reproduce_exactly() {
         // (model name, KV shape tuple, KiB per token) — Table 1 rows.
@@ -163,7 +177,7 @@ mod tests {
     #[test]
     fn params_roughly_match_dimensions() {
         for e in Zoo::standard().entries() {
-            let est = e.spec.params_from_dims() as f64;
+            let est = params_from_dims(&e.spec) as f64;
             let ratio = est / e.spec.params as f64;
             assert!(
                 (0.45..1.25).contains(&ratio),

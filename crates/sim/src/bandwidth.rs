@@ -30,7 +30,7 @@ use crate::time::{SimDur, SimTime};
 
 /// Identifies one in-flight transfer on a [`FairLink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowId(pub u64);
+pub struct FlowId(pub(crate) u64);
 
 #[derive(Debug)]
 struct Flow {
@@ -79,16 +79,6 @@ impl FairLink {
             delivered: 0.0,
             busy: SimDur::ZERO,
         }
-    }
-
-    /// The link's display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Current (possibly degraded) bandwidth in bytes per second.
-    pub fn bandwidth(&self) -> f64 {
-        self.bw
     }
 
     /// Full-speed bandwidth as configured at construction time.
@@ -378,7 +368,7 @@ mod tests {
             total
         );
         // Total time must be at least total/bw.
-        let t_min = total as f64 / link.bandwidth();
+        let t_min = total as f64 / link.bw;
         let t_end = done.last().unwrap().0.as_secs_f64();
         assert!(t_end >= t_min - 1e-6);
     }
@@ -399,7 +389,7 @@ mod tests {
         // Halve the bandwidth at t=0.5 (0.5 GB already done).
         let t_half = SimTime::from_secs_f64(0.5);
         link.set_bandwidth(t_half, 5e8);
-        assert_eq!(link.bandwidth(), 5e8);
+        assert_eq!(link.bw, 5e8);
         assert_eq!(link.nominal_bandwidth(), 1e9);
         // Restore at t=1.0: 0.25 GB moved during the degraded window.
         let t_one = SimTime::from_secs_f64(1.0);

@@ -7,14 +7,11 @@
 //! multiply-rotate scheme: a handful of cycles per key, and fully
 //! deterministic so simulations replay identically.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` keyed by [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// A `HashSet` keyed by [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -105,14 +102,10 @@ mod tests {
     }
 
     #[test]
-    fn map_and_set_aliases_work() {
+    fn map_alias_works() {
         let mut m: FxHashMap<u64, &str> = FxHashMap::default();
         m.insert(7, "seven");
         assert_eq!(m.get(&7), Some(&"seven"));
-
-        let mut s: FxHashSet<(u32, u32)> = FxHashSet::default();
-        assert!(s.insert((1, 2)));
-        assert!(!s.insert((1, 2)));
     }
 
     #[test]

@@ -27,14 +27,13 @@ pub mod time;
 pub mod trace;
 
 pub use bandwidth::{FairLink, FlowId};
-pub use hash::{FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxHashMap, FxHasher};
 pub use horizon::{GrantClock, GrantWindow};
 pub use queue::{
     injection_channel, BinaryHeapQueue, EventQueue, InjectionPort, Injector, Lift,
     ThroughputReport, Timeline,
 };
 pub use rng::SimRng;
-pub use stamp::Stamp;
 pub use stats::Welford;
 pub use time::{SimDur, SimTime};
-pub use trace::{TraceInterval, TraceKind, TraceLog};
+pub use trace::{TraceKind, TraceLog};

@@ -219,16 +219,6 @@ impl<E> EventQueue<E> {
         self.keys.first().map(|&k| key_time(k))
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
     /// Total number of events dispatched so far (for throughput reporting).
     pub fn events_dispatched(&self) -> u64 {
         self.popped
@@ -368,11 +358,6 @@ impl<I> InjectionPort<I> {
     pub fn pending(&self) -> usize {
         self.pending.len()
     }
-
-    /// The most recent stamp handed out (`SimTime::ZERO` before the first).
-    pub fn last_stamp(&self) -> SimTime {
-        self.last_stamp
-    }
 }
 
 // ----- Reference implementation --------------------------------------------
@@ -409,7 +394,6 @@ pub struct BinaryHeapQueue<E> {
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
     seq: u64,
     now: SimTime,
-    popped: u64,
 }
 
 impl<E> Default for BinaryHeapQueue<E> {
@@ -425,7 +409,6 @@ impl<E> BinaryHeapQueue<E> {
             heap: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
-            popped: 0,
         }
     }
 
@@ -433,28 +416,7 @@ impl<E> BinaryHeapQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(s) = self.heap.pop()?;
         self.now = s.at;
-        self.popped += 1;
         Some((s.at, s.ev))
-    }
-
-    /// The time of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(s)| s.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events dispatched so far.
-    pub fn events_dispatched(&self) -> u64 {
-        self.popped
     }
 }
 
@@ -795,5 +757,22 @@ mod tests {
         let r = ThroughputReport::new(1_000_000, 400.0, 2.0);
         assert_eq!(r.events_per_sec(), 500_000.0);
         assert_eq!(r.wall_per_sim_sec(), 0.005);
+    }
+
+    #[test]
+    fn peek_time_reports_the_earliest_event_without_popping() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.schedule_at(SimTime::from_secs_f64(5.0), 'b');
+        q.schedule_at(SimTime::from_secs_f64(2.0), 'a');
+        q.schedule_at(SimTime::from_secs_f64(9.0), 'c');
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs_f64(2.0)));
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs_f64(2.0)), "peeking pops nothing");
+        assert_eq!(q.now(), SimTime::ZERO, "peeking leaves the clock alone");
+        assert_eq!(q.pop(), Some((SimTime::from_secs_f64(2.0), 'a')));
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs_f64(5.0)));
+        q.pop();
+        q.pop();
+        assert_eq!(q.peek_time(), None);
     }
 }

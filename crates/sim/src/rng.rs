@@ -77,11 +77,6 @@ impl SimRng {
             .expect("noise sigma must be finite")
             .sample(&mut self.inner)
     }
-
-    /// Access to the raw `rand` generator for anything not covered above.
-    pub fn raw(&mut self) -> &mut StdRng {
-        &mut self.inner
-    }
 }
 
 #[cfg(test)]
@@ -150,5 +145,17 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.iter().all(|&s| s), "{seen:?}");
+    }
+
+    #[test]
+    fn range_f64_stays_in_its_half_open_range_and_replays() {
+        let mut a = SimRng::seed_from_u64(21);
+        let xs: Vec<f64> = (0..1000).map(|_| a.range_f64(-2.0, 3.0)).collect();
+        assert!(xs.iter().all(|&x| (-2.0..3.0).contains(&x)));
+        // The samples spread over the range rather than sticking to an end.
+        assert!(xs.iter().any(|&x| x < -1.0) && xs.iter().any(|&x| x > 2.0));
+        let mut b = SimRng::seed_from_u64(21);
+        let ys: Vec<f64> = (0..1000).map(|_| b.range_f64(-2.0, 3.0)).collect();
+        assert_eq!(xs, ys, "same seed, same samples");
     }
 }

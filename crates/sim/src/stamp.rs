@@ -8,29 +8,24 @@
 
 /// A monotonically increasing generation counter.
 #[derive(Debug, Clone, Default)]
-pub struct Stamp {
+pub(crate) struct Stamp {
     cur: u64,
 }
 
 impl Stamp {
     /// Creates a counter at generation zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Stamp::default()
     }
 
     /// Invalidates all previously issued generations and returns the new one.
-    pub fn bump(&mut self) -> u64 {
+    pub(crate) fn bump(&mut self) -> u64 {
         self.cur += 1;
         self.cur
     }
 
-    /// The current generation.
-    pub fn current(&self) -> u64 {
-        self.cur
-    }
-
     /// True if `g` is the live generation (i.e. the timer is not stale).
-    pub fn is_current(&self, g: u64) -> bool {
+    pub(crate) fn is_current(&self, g: u64) -> bool {
         self.cur == g
     }
 }
@@ -47,6 +42,6 @@ mod tests {
         let g2 = s.bump();
         assert!(!s.is_current(g1));
         assert!(s.is_current(g2));
-        assert_eq!(s.current(), g2);
+        assert_eq!(s.cur, g2);
     }
 }

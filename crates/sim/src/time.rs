@@ -56,8 +56,6 @@ impl SimTime {
 impl SimDur {
     /// The empty duration.
     pub const ZERO: SimDur = SimDur(0);
-    /// The greatest representable duration.
-    pub const MAX: SimDur = SimDur(u64::MAX);
 
     /// Creates a duration from raw nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
@@ -102,13 +100,8 @@ impl SimDur {
         self.0 as f64 / 1e9
     }
 
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDur) -> SimDur {
-        SimDur(self.0.saturating_sub(other.0))
-    }
-
     /// True if this is the zero duration.
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
     }
 }

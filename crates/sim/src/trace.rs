@@ -141,12 +141,6 @@ impl TraceLog {
     pub fn lanes(&self) -> &[Arc<str>] {
         &self.lanes
     }
-
-    /// Drops all recorded intervals (and the lane table).
-    pub fn clear(&mut self) {
-        self.intervals.clear();
-        self.lanes.clear();
-    }
 }
 
 #[cfg(test)]

@@ -26,24 +26,22 @@ pub mod observatory;
 pub mod sketch;
 pub mod span;
 
-pub use export::{
-    chrome_trace, jsonl, looks_like_trace_event_json, prometheus_text, slo_json, PID_CLUSTER,
-    PID_METRICS, PID_REQUESTS, SUMMARY_QUANTILES,
-};
+pub use export::{chrome_trace, jsonl, looks_like_trace_event_json, prometheus_text, slo_json};
 pub use metrics::{labeled, CounterId, GaugeId, MetricsRegistry, Sample, SketchId};
-pub use observatory::{AttributionLedger, CostKind, SloCum, SloObservatory, SloPoint};
+pub use observatory::{CostKind, SloCum, SloObservatory};
 pub use sketch::QuantileSketch;
 pub use span::{Span, SpanId, SpanKind, SpanLog};
 
 use aegaeon_sim::{SimDur, SimTime};
+use observatory::AttributionLedger;
 
 /// Configuration for a run's telemetry: off by default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetrySpec {
     /// Record spans and metrics.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// Sim-time interval between registry samples.
-    pub sample_every: SimDur,
+    pub(crate) sample_every: SimDur,
 }
 
 impl TelemetrySpec {

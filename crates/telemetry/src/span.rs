@@ -44,7 +44,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable lowercase name used by both exporters.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SpanKind::Request => "request",
             SpanKind::QueueWait => "queue-wait",
@@ -64,14 +64,14 @@ impl SpanKind {
 /// it is a no-op, and it is what every recording call returns while the
 /// log is disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(pub u32);
+pub struct SpanId(pub(crate) u32);
 
 impl SpanId {
     /// The null handle (no span).
     pub const NONE: SpanId = SpanId(u32::MAX);
 
     /// True if this is the null handle.
-    pub fn is_none(self) -> bool {
+    pub(crate) fn is_none(self) -> bool {
         self == SpanId::NONE
     }
 }
@@ -130,7 +130,7 @@ impl SpanLog {
     }
 
     /// True if recording.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -230,7 +230,7 @@ impl SpanLog {
     }
 
     /// Position of `track` in [`SpanLog::tracks`], if it was recorded.
-    pub fn track_index(&self, track: &str) -> Option<usize> {
+    pub(crate) fn track_index(&self, track: &str) -> Option<usize> {
         self.index.get(track).map(|&i| i as usize)
     }
 

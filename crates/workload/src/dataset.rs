@@ -14,17 +14,17 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct LengthDist {
     /// Mean prompt length (tokens).
-    pub input_mean: f64,
+    pub(crate) input_mean: f64,
     /// Sigma of the underlying normal for inputs.
-    pub input_sigma: f64,
+    pub(crate) input_sigma: f64,
     /// Mean output length (tokens).
-    pub output_mean: f64,
+    pub(crate) output_mean: f64,
     /// Sigma of the underlying normal for outputs.
-    pub output_sigma: f64,
+    pub(crate) output_sigma: f64,
     /// Clamp for inputs.
-    pub max_input: u32,
+    pub(crate) max_input: u32,
     /// Clamp for outputs.
-    pub max_output: u32,
+    pub(crate) max_output: u32,
 }
 
 impl LengthDist {

@@ -23,7 +23,7 @@ pub struct DiurnalProcess {
 
 impl DiurnalProcess {
     /// Instantaneous rate at time `t` (seconds).
-    pub fn rate_at(&self, t: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t: f64) -> f64 {
         let theta = std::f64::consts::TAU * (t / self.period_secs + self.phase);
         (self.mean_rate * (1.0 + self.amplitude * theta.sin())).max(0.0)
     }

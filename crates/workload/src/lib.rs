@@ -21,7 +21,7 @@ pub use active::{active_count_series, expected_active};
 pub use dataset::LengthDist;
 pub use diurnal::DiurnalProcess;
 pub use popularity::{head_share, zipf_weights};
-pub use process::{poisson_arrivals, BurstProcess};
+pub use process::BurstProcess;
 pub use request::{Request, RequestId, SessionId, SloSpec};
-pub use session::{AgentSession, FanOutChild, ServiceEstimate, SessionBuilder, SessionTurn, SessionWorkload};
+pub use session::{SessionBuilder, SessionWorkload};
 pub use trace::{Trace, TraceBuilder};

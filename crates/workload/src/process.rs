@@ -4,7 +4,7 @@ use aegaeon_sim::{SimRng, SimTime};
 
 /// Arrival instants of a Poisson process with rate `rate` (req/s) over
 /// `[0, horizon)`.
-pub fn poisson_arrivals(rng: &mut SimRng, rate: f64, horizon: SimTime) -> Vec<SimTime> {
+pub(crate) fn poisson_arrivals(rng: &mut SimRng, rate: f64, horizon: SimTime) -> Vec<SimTime> {
     let mut out = Vec::new();
     if rate <= 0.0 {
         return out;

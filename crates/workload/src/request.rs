@@ -108,12 +108,6 @@ impl Request {
     pub fn arrival(&self) -> SimTime {
         SimTime::from_nanos(self.arrival_ns)
     }
-
-    /// Prompt tokens beyond the shared session prefix (the fresh user delta
-    /// a prefix-cache hit still has to prefill).
-    pub fn delta_tokens(&self) -> u32 {
-        self.input_tokens.saturating_sub(self.prefix_tokens)
-    }
 }
 
 /// Per-token service-level objectives (§2.1).
@@ -191,10 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn session_sentinel_and_delta() {
+    fn session_sentinel_and_display() {
         let r = Request::single(RequestId(0), ModelId(0), 0, 100, 4);
         assert!(!r.session.is_some());
-        assert_eq!(r.delta_tokens(), 100);
         let turn = Request {
             session: SessionId(7),
             turn_index: 2,
@@ -202,7 +195,6 @@ mod tests {
             ..r
         };
         assert!(turn.session.is_some());
-        assert_eq!(turn.delta_tokens(), 40);
         assert_eq!(format!("{}", turn.session), "s7");
         assert_eq!(format!("{}", SessionId::NONE), "s-");
     }

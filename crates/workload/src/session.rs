@@ -42,14 +42,14 @@ use crate::trace::Trace;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServiceEstimate {
     /// Estimated time to first token (seconds).
-    pub ttft_secs: f64,
+    pub(crate) ttft_secs: f64,
     /// Estimated time between tokens (seconds).
-    pub tbt_secs: f64,
+    pub(crate) tbt_secs: f64,
 }
 
 impl ServiceEstimate {
     /// A paper-SLO-shaped guess: 2 s to first token, 100 ms/token after.
-    pub fn paper_slo() -> ServiceEstimate {
+    pub(crate) fn paper_slo() -> ServiceEstimate {
         ServiceEstimate {
             ttft_secs: 2.0,
             tbt_secs: 0.1,
@@ -57,7 +57,7 @@ impl ServiceEstimate {
     }
 
     /// Estimated wall time to serve a turn emitting `output_tokens`.
-    pub fn service_secs(&self, output_tokens: u32) -> f64 {
+    pub(crate) fn service_secs(&self, output_tokens: u32) -> f64 {
         self.ttft_secs + self.tbt_secs * f64::from(output_tokens.saturating_sub(1))
     }
 }
@@ -93,9 +93,9 @@ pub struct FanOutChild {
     /// Target model (never the parent session's model).
     pub model: ModelId,
     /// Prompt length (no shared prefix — fresh pipeline stage).
-    pub input_tokens: u32,
+    pub(crate) input_tokens: u32,
     /// Output length.
-    pub output_tokens: u32,
+    pub(crate) output_tokens: u32,
 }
 
 /// A fully-resolved multi-turn agent session.
@@ -125,7 +125,7 @@ pub struct SessionWorkload {
     /// All sessions, in generation order (model-major, then start time).
     pub sessions: Vec<AgentSession>,
     /// Generation window end (the lowered horizon covers stragglers too).
-    pub horizon: SimTime,
+    pub(crate) horizon: SimTime,
     /// The estimate used to plan arrivals (kept for audit/tests).
     pub est: ServiceEstimate,
 }
@@ -137,7 +137,7 @@ impl SessionWorkload {
     }
 
     /// Total DAG children across all sessions.
-    pub fn total_children(&self) -> usize {
+    pub(crate) fn total_children(&self) -> usize {
         self.sessions.iter().map(|s| s.children.len()).sum()
     }
 
@@ -224,12 +224,6 @@ impl SessionBuilder {
     pub fn depth(mut self, min: u32, max: u32) -> SessionBuilder {
         self.turns_min = min.max(1);
         self.turns_max = max.max(self.turns_min);
-        self
-    }
-
-    /// Per-turn length distribution (delta prompt / output).
-    pub fn lengths(mut self, d: LengthDist) -> SessionBuilder {
-        self.dataset = d;
         self
     }
 

@@ -241,4 +241,33 @@ mod tests {
         let b = build(42);
         assert_eq!(a.requests, b.requests);
     }
+
+    #[test]
+    fn explicit_arrivals_merge_by_time_then_model() {
+        let mut rng = SimRng::seed_from_u64(3);
+        let t = |s: u64| SimTime::from_secs_f64(s as f64);
+        let trace = TraceBuilder::new(t(100), LengthDist::sharegpt())
+            .explicit_model(ModelId(1), vec![t(5), t(1)])
+            .explicit_model(ModelId(0), vec![t(5)])
+            .build(&mut rng);
+        let order: Vec<(u64, u32)> = trace
+            .requests
+            .iter()
+            .map(|r| (r.arrival_ns / 1_000_000_000, r.model.0))
+            .collect();
+        assert_eq!(order, vec![(1, 1), (5, 0), (5, 1)]);
+        let ids: Vec<u64> = trace.requests.iter().map(|r| r.id.0).collect();
+        assert_eq!(ids, vec![0, 1, 2], "ids follow the merged order");
+        assert!(!trace.is_empty());
+    }
+
+    #[test]
+    fn a_builder_without_models_yields_an_empty_trace() {
+        let mut rng = SimRng::seed_from_u64(4);
+        let trace =
+            TraceBuilder::new(SimTime::from_secs_f64(60.0), LengthDist::sharegpt()).build(&mut rng);
+        assert!(trace.is_empty());
+        assert_eq!(trace.len(), 0);
+        assert_eq!(trace.aggregate_rate(), 0.0);
+    }
 }

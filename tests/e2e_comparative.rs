@@ -133,7 +133,6 @@ fn one_gpu_cluster() -> ClusterSpec {
         NodeSpec {
             gpus: 1,
             gpu: GpuSpec::h800(),
-            dram_bytes: 1 << 40,
             nic_bw: 25e9,
         },
     )

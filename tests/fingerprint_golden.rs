@@ -33,7 +33,6 @@ fn one_node(gpus: u32) -> ClusterSpec {
         NodeSpec {
             gpus,
             gpu: GpuSpec::h800(),
-            dram_bytes: 1 << 40,
             nic_bw: 25e9,
         },
     )

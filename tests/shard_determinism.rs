@@ -41,7 +41,6 @@ fn four_node_cfg() -> AegaeonConfig {
         NodeSpec {
             gpus: 4,
             gpu: GpuSpec::h800(),
-            dram_bytes: 1 << 40,
             nic_bw: 25e9,
         },
     );

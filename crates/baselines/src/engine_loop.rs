@@ -90,6 +90,9 @@ pub struct InstState {
     pub kv_cap_tokens: u64,
     /// Model switches performed.
     pub(crate) switches: u64,
+    /// Open telemetry span of the in-flight switch ([`SpanId::NONE`] when
+    /// idle or telemetry is off).
+    switch_span: SpanId,
 }
 
 impl InstState {
@@ -107,6 +110,7 @@ impl InstState {
             kv_reserved_tokens: 0,
             kv_cap_tokens: 0,
             switches: 0,
+            switch_span: SpanId::NONE,
         }
     }
 
@@ -207,9 +211,6 @@ pub struct World {
     c_rejected: CounterId,
     g_kv_reserved: GaugeId,
     spans: SpanBook,
-    /// Open switch span per instance (lazily sized: MuxServe rebuilds
-    /// `insts` after construction).
-    switch_spans: Vec<SpanId>,
 }
 
 impl World {
@@ -250,7 +251,6 @@ impl World {
             c_rejected,
             g_kv_reserved,
             spans,
-            switch_spans: Vec::new(),
         }
     }
 
@@ -324,13 +324,10 @@ impl World {
         i.kv_cap_tokens = 0; // set on completion
         self.tel.metrics.inc(self.ids.c_switches, 1);
         if self.tel.is_enabled() {
-            if self.switch_spans.len() <= inst {
-                self.switch_spans.resize(inst + 1, SpanId::NONE);
-            }
             let now = q.now();
-            let old = std::mem::replace(&mut self.switch_spans[inst], SpanId::NONE);
+            let old = std::mem::replace(&mut self.insts[inst].switch_span, SpanId::NONE);
             self.tel.spans.end(old, now);
-            self.switch_spans[inst] = self.tel.spans.start(
+            self.insts[inst].switch_span = self.tel.spans.start(
                 || format!("inst{inst}"),
                 SpanKind::Switch,
                 now,
@@ -369,11 +366,7 @@ impl World {
             let inst = inst as u32;
             (base, BTag::Prefill { inst, req })
         } else if !i.batch.is_empty() {
-            let ctx: u64 = i
-                .batch
-                .iter()
-                .map(|r| self.reqs[r.0 as usize].ctx_tokens() as u64)
-                .sum();
+            let ctx = self.reqs.ctx_tokens(&i.batch);
             let base = perf.decode_secs(i.batch.len(), ctx, &mut self.rng);
             self.tel
                 .metrics
@@ -464,10 +457,8 @@ impl<S: Scheduler> Host for Serve<'_, S> {
         let (inst, emptied) = match tag {
             BTag::Scale { inst } => {
                 let inst = inst as usize;
-                if let Some(s) = w.switch_spans.get_mut(inst) {
-                    let span = std::mem::replace(s, SpanId::NONE);
-                    w.tel.spans.end(span, now);
-                }
+                let span = std::mem::replace(&mut w.insts[inst].switch_span, SpanId::NONE);
+                w.tel.spans.end(span, now);
                 let model = w.insts[inst].scale_target.take().expect("scaling target");
                 let cap = w.kv_tokens_for(model, w.deploys[model.0 as usize].shard_bytes);
                 let i = &mut w.insts[inst];

@@ -2,13 +2,14 @@
 //!
 //! Generates a multi-model arrival schedule with the standard workload
 //! synthesizer, compresses it onto the wall clock with
-//! [`Trace::time_scaled`], and fires each request at its scheduled wall
-//! instant regardless of completions (open-system load, the paper's §7
+//! [`Trace::time_scaled`](aegaeon_workload::Trace::time_scaled), and
+//! fires each request at its scheduled wall instant regardless of
+//! completions (open-system load, the paper's §7
 //! methodology — closed-loop clients understate tail latency). Each
 //! request is a real `POST /v1/completions`; the SSE stream is consumed
 //! frame by frame to timestamp first and subsequent tokens.
 //!
-//! Load is driven by the [`Swarm`](aegaeon_gateway::swarm::Swarm): a small
+//! Load is driven by the [`Swarm`]: a small
 //! connector pool fires requests off a shared cursor and one reactor
 //! thread reads every live stream, so tens of thousands of streams can be
 //! simultaneously open from a handful of threads. The harness is honest

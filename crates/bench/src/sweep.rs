@@ -22,6 +22,8 @@
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+pub use aegaeon_sim::derive_seed;
+
 /// Environment variable overriding the sweep thread count.
 pub const THREADS_ENV: &str = "AEGAEON_SWEEP_THREADS";
 
@@ -40,17 +42,6 @@ pub fn threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Derives an independent per-point seed from a base seed (SplitMix64 mix),
-/// so sweep points decorrelate without depending on evaluation order.
-pub fn derive_seed(base: u64, idx: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(0x9e3779b97f4a7c15)
-        .wrapping_add(idx.wrapping_mul(0xbf58476d1ce4e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// Evaluates `f` over `points` on [`threads()`] threads, returning results

@@ -81,8 +81,6 @@ pub enum Tag {
         inst: u32,
         /// The request.
         req: RequestId,
-        /// Turn generation it was issued for.
-        turn: u64,
     },
     /// A request's KV cache finished swapping out (accounting only; block
     /// reclamation goes through move lists).

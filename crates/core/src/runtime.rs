@@ -10,7 +10,7 @@
 //! requests into the per-model latency sketches and the SLO observatory;
 //! the same [`Requests`] table holds request state, the per-event progress
 //! log and the completed/rejected/migrated counts; and every run reports
-//! the same [`RunResult`](crate::RunResult). Systems therefore differ only
+//! the same [`RunResult`]. Systems therefore differ only
 //! in policy, never in how time, transfers, requests or telemetry are
 //! accounted.
 
@@ -407,6 +407,14 @@ impl Requests {
         self.states
             .len()
             .saturating_sub(self.completed + self.rejected + self.migrated)
+    }
+
+    /// Summed context length of a decode batch's requests.
+    pub fn ctx_tokens(&self, batch: &[RequestId]) -> u64 {
+        batch
+            .iter()
+            .map(|r| self.states[r.0 as usize].ctx_tokens() as u64)
+            .sum()
     }
 
     /// Produces one token of request `req` at `t` and logs it. Every

@@ -16,7 +16,7 @@
 //!   run-to-completion loop bit for bit.
 //! * **Open** ([`ServingSession::open`]): the session starts with an empty
 //!   trace and requests arrive through a thread-safe
-//!   [`Injector`](aegaeon_sim::Injector). The injection port stamps each
+//!   [`Injector`]. The injection port stamps each
 //!   request with a strictly increasing, strictly future simulated arrival
 //!   and only releases it at a pop boundary where the stamp precedes every
 //!   queued event, so injection can never reorder history.

@@ -1,12 +1,12 @@
 //! Sharded conservative-parallel execution of the serving system.
 //!
-//! A sharded run partitions one [`ServingSystem`] simulation into per-node
-//! shards: each shard is a complete serving system over a contiguous slice
-//! of the cluster's nodes, with its own indexed 4-ary event queue, GPU
-//! instances, slab/KV books, RNG stream, materialized fault schedule, and
-//! auditor view. Requests are routed to their *home shard* by model
-//! (`model.0 % shards`), so a model's auto-scaling state never straddles a
-//! shard boundary.
+//! A sharded run partitions one [`ServingSystem`](crate::ServingSystem)
+//! simulation into per-node shards: each shard is a complete serving
+//! system over a contiguous slice of the cluster's nodes, with its own
+//! indexed 4-ary event queue, GPU instances, slab/KV books, RNG stream,
+//! materialized fault schedule, and auditor view. Requests are routed to
+//! their *home shard* by model (`model.0 % shards`), so a model's
+//! auto-scaling state never straddles a shard boundary.
 //!
 //! # Synchronization
 //!
@@ -53,7 +53,7 @@ use std::ops::Range;
 
 use aegaeon_metrics::RequestOutcome;
 use aegaeon_model::{ModelId, ModelSpec};
-use aegaeon_sim::{GrantClock, SimDur, SimTime, TraceLog};
+use aegaeon_sim::{derive_seed, GrantClock, SimDur, SimTime, TraceLog};
 use aegaeon_workload::{Request, RequestId, SessionId, Trace};
 
 use crate::audit::{AuditReport, InvariantAuditor, Violation};
@@ -101,18 +101,6 @@ pub struct ShardPlan {
     pub(crate) global_ids: Vec<Vec<u64>>,
     /// Per global request: `(home shard, home-local trace index)`.
     pub(crate) home_slot: Vec<(usize, u32)>,
-}
-
-/// SplitMix64 mix of the base seed and a shard index, so shard RNG and
-/// fault streams decorrelate without depending on shard count elsewhere.
-/// (Same mixing as the bench sweep's per-point seeds.)
-fn derive_shard_seed(base: u64, shard: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(0x9e3779b97f4a7c15)
-        .wrapping_add(shard.wrapping_mul(0xbf58476d1ce4e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// Splits `0..n` into `parts.min(n)` contiguous ranges (at least one)
@@ -217,7 +205,7 @@ impl ShardPlan {
                 nodes: cfg.cluster.nodes[node_ranges[s].clone()].to_vec(),
             };
             sub.prefill_instances = prefill_counts[s];
-            sub.seed = derive_shard_seed(cfg.seed, s as u64);
+            sub.seed = derive_seed(cfg.seed, s as u64);
             // Stochastic fault processes redraw per shard (decorrelated via
             // the derived seed); explicit crashes are remapped below.
             sub.faults.crashes = Vec::new();

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use aegaeon_engine::init::{PIPELINED_LOAD_EFFICIENCY, UNPINNED_FALLBACK_EFFICIENCY, VRAM_USABLE};
 use aegaeon_engine::{scale_up_plan, KvCache, KvCacheConfig, ScaleCost};
-use aegaeon_gpu::{ClusterTopology, EventId, GpuId, LinkId, StreamOp};
+use aegaeon_gpu::{ClusterTopology, EventId, Fabric, GpuId, LinkId, StreamOp};
 use aegaeon_mem::{BlockRef, FragSampler, ModelCache, MoveList, ShapeKey};
 use aegaeon_metrics::Stage;
 use aegaeon_model::ModelId;
@@ -32,7 +32,9 @@ use crate::proxy::MetaStore;
 use crate::quota::{decode_quotas, QuotaInputs};
 use crate::reqstate::{KvPlace, Phase, PrefixClaim, ReqState};
 use crate::result::RunResult;
-use crate::runtime::{checked, CoreIds, FabricPort, Host, Requests, SpanBook, SAMPLE_PERIOD};
+use crate::runtime::{
+    checked, CoreIds, FabricPort, Host, Joined, Requests, SpanBook, SAMPLE_PERIOD,
+};
 use crate::sessionbook::{SessEntry, SessPlace, SessionBook};
 
 /// Proxy dispatch latency (metadata sync via the shared store).
@@ -193,17 +195,36 @@ impl TelIds {
 
 type ParkedBlocks = MoveList<(ShapeKey, Vec<BlockRef>), EventId>;
 
+/// Frees every block batch parked behind a copy that has completed (§5.3
+/// rule ❸); true if any was.
+fn reclaim(kv: &mut KvCache, parked: &mut ParkedBlocks, fabric: &Fabric<Joined<Tag>>) -> bool {
+    let freed = parked.reclaim(|ev| fabric.query_event(*ev));
+    let any = !freed.is_empty();
+    for (shape, blocks) in freed {
+        kv.free_blocks(shape, &blocks);
+    }
+    any
+}
+
+/// What every instance carries whichever scheduler drives it (Alg. 1 or
+/// Alg. 2): its TP group, the §5 auto-scaling state, and the §5.3 KV book
+/// with the move list parking blocks behind in-flight copies.
 #[derive(Debug)]
-struct PrefillInst {
+struct Inst {
     gpus: Vec<GpuId>,
     node: u32,
-    queue: PrefillQueue,
     scaler: Scaler,
     gpu_kv: KvCache,
     parked: ParkedBlocks,
+    dead: bool,
+}
+
+#[derive(Debug)]
+struct PrefillInst {
+    inst: Inst,
+    queue: PrefillQueue,
     active: Option<RequestId>,
     retry: bool,
-    dead: bool,
 }
 
 #[derive(Debug)]
@@ -222,16 +243,21 @@ struct TurnState {
 
 #[derive(Debug)]
 struct DecodeInst {
-    gpus: Vec<GpuId>,
-    node: u32,
+    inst: Inst,
     work: WorkList,
-    scaler: Scaler,
-    gpu_kv: KvCache,
-    parked: ParkedBlocks,
     round: VecDeque<BatchId>,
     turn: Option<TurnState>,
     turn_gen: u64,
-    dead: bool,
+}
+
+impl DecodeInst {
+    /// The model of the batch whose turn is running, if any.
+    fn turn_model(&self) -> Option<ModelId> {
+        self.turn
+            .as_ref()
+            .and_then(|t| self.work.get(t.batch))
+            .map(|b| b.model)
+    }
 }
 
 #[derive(Debug)]
@@ -240,8 +266,9 @@ struct NodeState {
     cpu_parked: ParkedBlocks,
     model_cache: ModelCache,
     /// Requests whose prefill finished but whose KV offload could not yet
-    /// allocate CPU space (retried by the daemon).
-    offload_retry: Vec<(InstRef, RequestId)>,
+    /// allocate CPU space, with their prefill instance (retried by the
+    /// daemon).
+    offload_retry: Vec<(usize, RequestId)>,
 }
 
 /// The serving system (see module docs).
@@ -374,57 +401,44 @@ impl ServingSystem {
         };
         let kv_cap = usable - max_shard * weight_slots as u64 - prefetch_cap;
 
-        let mk_gpu_kv = || {
-            let mut kv = KvCache::new(KvCacheConfig {
+        // Instances: TP-sized groups of consecutive GPUs; the first
+        // `prefill_instances` groups prefill, the rest decode.
+        let n_inst = cfg.instance_count();
+        let mut gpu_iter = topo.gpu_ids().collect::<Vec<_>>().into_iter();
+        let mut prefills = Vec::new();
+        let mut decodes = Vec::new();
+        for i in 0..n_inst {
+            let gpus: Vec<GpuId> = (&mut gpu_iter).take(cfg.tp as usize).collect();
+            let mut gpu_kv = KvCache::new(KvCacheConfig {
                 capacity_bytes: kv_cap,
                 slab_bytes: cfg.slab_bytes,
                 block_tokens: BLOCK_TOKENS,
             });
-            for (i, d) in deploys.iter().enumerate() {
-                kv.register_model(ModelId(i as u32), &d.spec);
+            for (m, d) in deploys.iter().enumerate() {
+                gpu_kv.register_model(ModelId(m as u32), &d.spec);
             }
-            kv
-        };
-
-        // Instances: TP-sized groups of consecutive GPUs; the first
-        // `prefill_instances` groups prefill, the rest decode.
-        let n_inst = cfg.instance_count();
-        let mut groups: Vec<(Vec<GpuId>, u32)> = Vec::with_capacity(n_inst);
-        let mut gpu_iter = topo.gpu_ids().collect::<Vec<_>>().into_iter();
-        for _ in 0..n_inst {
-            let gpus: Vec<GpuId> = (&mut gpu_iter).take(cfg.tp as usize).collect();
-            let node = topo.gpu(gpus[0]).node.0;
-            groups.push((gpus, node));
-        }
-
-        let warm = cfg.opts.component_reuse;
-        let mut prefills = Vec::new();
-        let mut decodes = Vec::new();
-        for (i, (gpus, node)) in groups.into_iter().enumerate() {
+            let inst = Inst {
+                node: topo.gpu(gpus[0]).node.0,
+                gpus,
+                scaler: Scaler::new(cfg.opts.component_reuse),
+                gpu_kv,
+                parked: MoveList::new(),
+                dead: false,
+            };
             if i < cfg.prefill_instances {
                 prefills.push(PrefillInst {
-                    gpus,
-                    node,
+                    inst,
                     queue: PrefillQueue::new(),
-                    scaler: Scaler::new(warm),
-                    gpu_kv: mk_gpu_kv(),
-                    parked: MoveList::new(),
                     active: None,
                     retry: false,
-                    dead: false,
                 });
             } else {
                 decodes.push(DecodeInst {
-                    gpus,
-                    node,
+                    inst,
                     work: WorkList::new(),
-                    scaler: Scaler::new(warm),
-                    gpu_kv: mk_gpu_kv(),
-                    parked: MoveList::new(),
                     round: VecDeque::new(),
                     turn: None,
                     turn_gen: 0,
-                    dead: false,
                 });
             }
         }
@@ -592,43 +606,24 @@ impl ServingSystem {
         }
     }
 
-    fn inst_gpus(&self, at: InstRef) -> &[GpuId] {
+    fn inst(&self, at: InstRef) -> &Inst {
         match at.kind {
-            InstKind::Prefill => &self.prefills[at.idx as usize].gpus,
-            InstKind::Decode => &self.decodes[at.idx as usize].gpus,
+            InstKind::Prefill => &self.prefills[at.idx as usize].inst,
+            InstKind::Decode => &self.decodes[at.idx as usize].inst,
         }
     }
 
-    fn inst_node(&self, at: InstRef) -> u32 {
+    fn inst_mut(&mut self, at: InstRef) -> &mut Inst {
         match at.kind {
-            InstKind::Prefill => self.prefills[at.idx as usize].node,
-            InstKind::Decode => self.decodes[at.idx as usize].node,
+            InstKind::Prefill => &mut self.prefills[at.idx as usize].inst,
+            InstKind::Decode => &mut self.decodes[at.idx as usize].inst,
         }
     }
 
-    fn scaler_mut(&mut self, at: InstRef) -> &mut Scaler {
-        match at.kind {
-            InstKind::Prefill => &mut self.prefills[at.idx as usize].scaler,
-            InstKind::Decode => &mut self.decodes[at.idx as usize].scaler,
-        }
-    }
-
-    fn scaler(&self, at: InstRef) -> &Scaler {
-        match at.kind {
-            InstKind::Prefill => &self.prefills[at.idx as usize].scaler,
-            InstKind::Decode => &self.decodes[at.idx as usize].scaler,
-        }
-    }
-
-    fn primary(&self, at: InstRef) -> GpuId {
-        self.inst_gpus(at)[0]
-    }
-
-    fn inst_dead(&self, at: InstRef) -> bool {
-        match at.kind {
-            InstKind::Prefill => self.prefills[at.idx as usize].dead,
-            InstKind::Decode => self.decodes[at.idx as usize].dead,
-        }
+    /// Every instance, prefills first (the ledger's registration order).
+    fn insts(&self) -> impl Iterator<Item = &Inst> {
+        let prefills = self.prefills.iter().map(|p| &p.inst);
+        prefills.chain(self.decodes.iter().map(|d| &d.inst))
     }
 
     // ----- Telemetry hooks (observer only) ------------------------------
@@ -738,13 +733,11 @@ impl ServingSystem {
         // A crash of an already-dead instance (back-to-back failures) is a
         // no-op: there is no process left to kill, and re-running failover
         // would double-recover the stranded requests.
-        if self.inst_dead(InstRef { kind, idx }) {
+        let inst = self.inst_mut(InstRef { kind, idx });
+        if inst.dead {
             return;
         }
-        match kind {
-            InstKind::Prefill => self.prefills[idx as usize].dead = true,
-            InstKind::Decode => self.decodes[idx as usize].dead = true,
-        }
+        inst.dead = true;
         // The store stops seeing heartbeats; the proxy presumes death after
         // the detection window and recovers the stranded requests.
         self.meta.confirm_dead();
@@ -863,6 +856,7 @@ impl ServingSystem {
     /// slot is superseded by the destination shard's at merge time, and any
     /// KV footprint it left behind stays with the functionally lost tier.
     fn migrate_out(&mut self, req: RequestId, now: SimTime) {
+        self.unclaim_for_migration(req, now);
         let i = req.0 as usize;
         {
             let rs = &mut self.reqs[i];
@@ -938,21 +932,9 @@ impl ServingSystem {
     /// Submits the same compute to every GPU of the instance; `tag` fires
     /// when all shards finish.
     fn compute_all(&mut self, at: InstRef, dur: SimDur, tag: Tag, q: &mut Q) {
-        let gpus = match at.kind {
-            InstKind::Prefill => &self.prefills[at.idx as usize].gpus,
-            InstKind::Decode => &self.decodes[at.idx as usize].gpus,
-        };
-        let lanes = gpus.iter().map(|&g| self.topo.gpu(g).default_stream);
-        self.port.compute_all(lanes, dur, tag, q);
-    }
-
-    // ----- Tag dispatch -------------------------------------------------
-
-    // ----- Prefill path -------------------------------------------------
-
-    fn dispatch_prefill_req(&mut self, idx: usize, q: &mut Q) {
-        let req = self.trace.requests[idx].id;
-        self.route_prefill(req, q);
+        let gpus = self.inst(at).gpus.iter();
+        let lanes: Vec<_> = gpus.map(|&g| self.topo.gpu(g).default_stream).collect();
+        self.port.compute_all(lanes.into_iter(), dur, tag, q);
     }
 
     // ----- Agentic sessions: prefix claims & retention -------------------
@@ -965,24 +947,12 @@ impl ServingSystem {
         let h = SessionBook::handle(sess);
         match e.place {
             SessPlace::DecodeGpu(di) => {
-                let di = di as usize;
-                if !self.decodes[di].dead && self.decodes[di].gpu_kv.holds(h) {
-                    self.decodes[di].gpu_kv.free(h);
+                let inst = &mut self.decodes[di as usize].inst;
+                if !inst.dead && inst.gpu_kv.holds(h) {
+                    inst.gpu_kv.free(h);
                 }
             }
-            SessPlace::Cpu(node) => {
-                let node = node as usize;
-                if !self.nodes[node].cpu_kv.holds(h) {
-                    return;
-                }
-                let (shape, blocks) = self.nodes[node].cpu_kv.take(h);
-                match e.guard {
-                    Some(ev) if !self.port.fabric.query_event(ev) => {
-                        self.nodes[node].cpu_parked.park(ev, vec![(shape, blocks)]);
-                    }
-                    _ => self.nodes[node].cpu_kv.free_blocks(shape, &blocks),
-                }
-            }
+            SessPlace::Cpu(node) => self.release_cpu_kv(node as usize, h, e.guard),
         }
     }
 
@@ -1029,7 +999,7 @@ impl ServingSystem {
             return;
         }
         match e.place {
-            SessPlace::DecodeGpu(di) if self.decodes[di as usize].dead => {
+            SessPlace::DecodeGpu(di) if self.decodes[di as usize].inst.dead => {
                 // The holder died; its VRAM (and this entry) are gone.
                 self.sessions.remove(sess);
                 self.tel.metrics.inc(self.tm.c_sess_evicted, 1);
@@ -1086,29 +1056,28 @@ impl ServingSystem {
         let i = req.0 as usize;
         let sess = self.reqs[i].session;
         self.reqs[i].prefix_claim = None;
-        self.reqs[i].prefix_hit = false;
         self.sessions.clear_claim(sess);
         if let KvPlace::Cpu { node } = self.reqs[i].kv {
-            let node = node as usize;
-            if self.nodes[node].cpu_kv.holds(req) {
-                let (shape, blocks) = self.nodes[node].cpu_kv.take(req);
-                match self.reqs[i].offload_event {
-                    // The offload copy may still be writing these blocks.
-                    Some(ev) if !self.port.fabric.query_event(ev) => {
-                        self.nodes[node].cpu_parked.park(ev, vec![(shape, blocks)]);
-                    }
-                    _ => self.nodes[node].cpu_kv.free_blocks(shape, &blocks),
-                }
-            }
+            // The offload copy may still be writing these blocks.
+            self.release_cpu_kv(node as usize, req, self.reqs[i].offload_event);
         }
         // KvPlace::Gpu can only mean the dead holder here (claimed requests
         // are pinned to it), whose cache died with it: nothing to free.
         let rs = &mut self.reqs[i];
-        rs.kv = KvPlace::None;
-        rs.kv_ready = false;
         rs.swapin_inflight = false;
         rs.offload_event = None;
         rs.phase = Phase::Prefill;
+        self.recompute_full(req, q);
+    }
+
+    /// Re-prefills `req` from its full context once the delta-only KV it
+    /// computed against a lost prefix has been discarded (the chaos
+    /// recovery path).
+    fn recompute_full(&mut self, req: RequestId, q: &mut Q) {
+        let rs = &mut self.reqs[req.0 as usize];
+        rs.prefix_hit = false;
+        rs.kv = KvPlace::None;
+        rs.kv_ready = false;
         self.tel.metrics.inc(self.tm.c_sess_affinity_fallback, 1);
         self.route_prefill(req, q);
     }
@@ -1121,16 +1090,15 @@ impl ServingSystem {
             return;
         };
         let holder_dead =
-            matches!(c.src, SessPlace::DecodeGpu(di) if self.decodes[di as usize].dead);
+            matches!(c.src, SessPlace::DecodeGpu(di) if self.decodes[di as usize].inst.dead);
         if holder_dead {
             let sess = self.reqs[i].session;
             self.reqs[i].prefix_claim = None;
-            self.reqs[i].prefix_hit = false;
             self.sessions.clear_claim(sess);
         } else {
             self.release_claim(req, now);
-            self.reqs[i].prefix_hit = false;
         }
+        self.reqs[i].prefix_hit = false;
     }
 
     /// Retires a finished decode request's KV: frees it, unless session
@@ -1146,80 +1114,55 @@ impl ServingSystem {
             && self.reqs[i].prefix_claim.is_none()
             && !self.sessions.is_claimed(sess);
         if !retain {
-            self.decodes[di].gpu_kv.free(req);
+            self.decodes[di].inst.gpu_kv.free(req);
             self.reqs[i].kv = KvPlace::None;
             self.reqs[i].kv_ready = false;
             return;
         }
         let now = q.now();
         let model = self.trace.requests[i].model;
-        let tokens = self.decodes[di].gpu_kv.tokens_of(req);
+        let tokens = self.decodes[di].inst.gpu_kv.tokens_of(req);
         // The handle must stay unique: retire any prior retention first.
         if let Some(old) = self.sessions.remove(sess) {
             self.free_sess_entry(sess, &old);
             self.tel.metrics.inc(self.tm.c_sess_evicted, 1);
         }
         let h = SessionBook::handle(sess);
-        if self.decodes[di].gpu_kv.token_capacity(model) > tokens as u64 * 2 {
+        let node = self.decodes[di].inst.node as usize;
+        let retained = if self.decodes[di].inst.gpu_kv.token_capacity(model) > tokens as u64 * 2 {
             // Keep the conversation KV resident across the think gap: pure
             // relabeling, no bytes move.
-            self.decodes[di].gpu_kv.rekey(req, h);
-            self.sessions.insert(
-                sess,
-                SessEntry {
-                    model,
-                    tokens,
-                    place: SessPlace::DecodeGpu(di as u32),
-                    retained_at: now,
-                    guard: None,
-                },
-            );
+            self.decodes[di].inst.gpu_kv.rekey(req, h);
             self.tel.metrics.inc(self.tm.c_sess_retained_gpu, 1);
+            Some((SessPlace::DecodeGpu(di as u32), None))
+        } else if self.nodes[node].cpu_kv.alloc(h, model, tokens).is_ok() {
+            let kv_bytes = self.deploys[model.0 as usize].kv_token_bytes * tokens as u64;
+            // Noop, not KvOut: the handle is not a request and must not feed
+            // request-indexed telemetry.
+            let ev = self.copy_out(InstRef::decode(di), req, kv_bytes, Tag::Noop, q);
+            self.tel.metrics.inc(self.tm.c_sess_retained_cpu, 1);
+            Some((SessPlace::Cpu(node as u32), Some(ev)))
         } else {
-            let node = self.decodes[di].node as usize;
-            if self.nodes[node].cpu_kv.alloc(h, model, tokens).is_ok() {
-                let kv_bytes = self.deploys[model.0 as usize].kv_token_bytes * tokens as u64;
-                let g = self.topo.gpu(self.primary(InstRef::decode(di))).clone();
-                let stream = if self.cfg.opts.fine_sync {
-                    g.kv_out
-                } else {
-                    g.default_stream
-                };
-                self.port.submit(
-                    stream,
-                    StreamOp::Copy {
-                        link: g.d2h,
-                        bytes: kv_bytes,
-                        // Noop, not KvOut: the handle is not a request and
-                        // must not feed request-indexed telemetry.
-                        tag: Tag::Noop.into(),
-                    },
-                    q,
-                );
-                let ev = self.port.record_event(stream, q);
-                // §5.3 rule ❸ for the GPU-side source blocks.
-                let (shape, blocks) = self.decodes[di].gpu_kv.take(req);
-                self.decodes[di].parked.park(ev, vec![(shape, blocks)]);
-                self.sessions.insert(
-                    sess,
-                    SessEntry {
-                        model,
-                        tokens,
-                        place: SessPlace::Cpu(node as u32),
-                        retained_at: now,
-                        guard: Some(ev),
-                    },
-                );
-                self.tel.metrics.inc(self.tm.c_sess_retained_cpu, 1);
-            } else {
-                // Pressure on both tiers: give up retention.
-                self.decodes[di].gpu_kv.free(req);
-                self.tel.metrics.inc(self.tm.c_sess_evicted, 1);
-            }
+            // Pressure on both tiers: give up retention.
+            self.decodes[di].inst.gpu_kv.free(req);
+            self.tel.metrics.inc(self.tm.c_sess_evicted, 1);
+            None
+        };
+        if let Some((place, guard)) = retained {
+            let e = SessEntry {
+                model,
+                tokens,
+                place,
+                retained_at: now,
+                guard,
+            };
+            self.sessions.insert(sess, e);
         }
         self.reqs[i].kv = KvPlace::None;
         self.reqs[i].kv_ready = false;
     }
+
+    // ----- Prefill path -------------------------------------------------
 
     /// Algorithm 1 placement for a (possibly re-prefilled) request.
     fn route_prefill(&mut self, req: RequestId, q: &mut Q) {
@@ -1235,7 +1178,12 @@ impl ServingSystem {
                     SessPlace::DecodeGpu(_) => None,
                 });
         let want_node = match want_node {
-            Some(n) if !self.prefills.iter().any(|p| !p.dead && p.node == n) => {
+            Some(n)
+                if !self
+                    .prefills
+                    .iter()
+                    .any(|p| !p.inst.dead && p.inst.node == n) =>
+            {
                 self.release_claim(req, q.now());
                 self.reqs[req.0 as usize].prefix_hit = false;
                 self.tel.metrics.inc(self.tm.c_sess_affinity_fallback, 1);
@@ -1244,10 +1192,9 @@ impl ServingSystem {
             w => w,
         };
         // Algorithm 1 over the live instances (on the pinned node, if any).
-        let eligible = |p: &PrefillInst| !p.dead && want_node.is_none_or(|n| p.node == n);
+        let eligible = |p: &PrefillInst| !p.inst.dead && want_node.is_none_or(|n| p.inst.node == n);
         if !self.prefills.iter().any(eligible) {
             assert!(self.shard_mode, "every prefill instance has failed");
-            self.unclaim_for_migration(req, q.now());
             self.migrate_out(req, q.now());
             return;
         }
@@ -1263,7 +1210,7 @@ impl ServingSystem {
             .iter_mut()
             .enumerate()
             .filter(|(_, p)| eligible(p))
-            .map(|(i, p)| (i, (&mut p.queue, p.scaler.current)))
+            .map(|(i, p)| (i, (&mut p.queue, p.inst.scaler.current)))
             .unzip();
         let k = dispatch_prefill(
             &mut queues,
@@ -1282,7 +1229,7 @@ impl ServingSystem {
     }
 
     fn prefill_try_start(&mut self, pi: usize, q: &mut Q) {
-        if self.prefills[pi].dead || self.prefills[pi].active.is_some() {
+        if self.prefills[pi].inst.dead || self.prefills[pi].active.is_some() {
             return;
         }
         let Some(front_model) = self.prefills[pi].queue.front_model() else {
@@ -1316,7 +1263,12 @@ impl ServingSystem {
         }
         let full = self.reqs[req.0 as usize].ctx_tokens() + u32::from(fresh);
         let ptokens = full.saturating_sub(claimed);
-        if self.prefills[pi].gpu_kv.alloc(req, model, ptokens).is_err() {
+        if self.prefills[pi]
+            .inst
+            .gpu_kv
+            .alloc(req, model, ptokens)
+            .is_err()
+        {
             // VRAM KV backpressure: requeue and retry after reclamation.
             self.prefills[pi].queue.push_front(model, req);
             self.prefills[pi].retry = true;
@@ -1375,7 +1327,7 @@ impl ServingSystem {
     }
 
     fn on_prefill_done(&mut self, pi: usize, req: RequestId, q: &mut Q) {
-        if self.prefills[pi].dead {
+        if self.prefills[pi].inst.dead {
             return; // completion from a failed instance
         }
         let now = q.now();
@@ -1385,18 +1337,12 @@ impl ServingSystem {
             // the KV just computed is unusable without it. Discard and
             // recompute the full context (chaos recovery path).
             self.spans.end_phase(&mut self.tel, req, now);
-            self.prefills[pi].gpu_kv.free(req);
-            {
-                let rs = &mut self.reqs[req.0 as usize];
-                rs.prefix_lost = false;
-                rs.prefix_hit = false;
-                rs.kv = KvPlace::None;
-                rs.kv_ready = false;
-                rs.prefill_start = None;
-            }
+            self.prefills[pi].inst.gpu_kv.free(req);
+            let rs = &mut self.reqs[req.0 as usize];
+            rs.prefix_lost = false;
+            rs.prefill_start = None;
             self.prefills[pi].active = None;
-            self.tel.metrics.inc(self.tm.c_sess_affinity_fallback, 1);
-            self.route_prefill(req, q);
+            self.recompute_full(req, q);
             self.prefill_try_start(pi, q);
             return;
         }
@@ -1434,7 +1380,7 @@ impl ServingSystem {
             now.saturating_since(start).as_secs_f64(),
         );
         if self.schedule.is_enabled() {
-            let lane = self.primary(InstRef::prefill(pi)).to_string();
+            let lane = self.prefills[pi].inst.gpus[0].to_string();
             self.schedule
                 .record_with(lane, start, now, TraceKind::Prefill, || {
                     format!("P:{model}")
@@ -1450,7 +1396,7 @@ impl ServingSystem {
             // real; the merge point simply never came), and the delta KV is
             // freed without retention.
             self.release_claim(req, now);
-            self.prefills[pi].gpu_kv.free(req);
+            self.prefills[pi].inst.gpu_kv.free(req);
             let rs = &mut self.reqs[req.0 as usize];
             rs.kv = KvPlace::None;
             rs.kv_ready = false;
@@ -1461,10 +1407,8 @@ impl ServingSystem {
             // on the offload event, §5.3 rule ❷).
             self.dispatch_decode_req(req, q);
         } else {
-            let node = self.prefills[pi].node as usize;
-            self.nodes[node]
-                .offload_retry
-                .push((InstRef::prefill(pi), req));
+            let node = self.prefills[pi].inst.node as usize;
+            self.nodes[node].offload_retry.push((pi, req));
         }
         self.prefill_try_start(pi, q);
     }
@@ -1476,11 +1420,10 @@ impl ServingSystem {
         let expected_ctx = self.reqs[req.0 as usize].input_tokens + EXPECTED_OUTPUT_TOKENS;
         let req_node = match self.reqs[req.0 as usize].kv {
             KvPlace::Cpu { node } => node,
-            _ => self.prefills.first().map(|p| p.node).unwrap_or(0),
+            _ => self.prefills.first().map(|p| p.inst.node).unwrap_or(0),
         };
-        if self.decodes.iter().all(|d| d.dead) {
+        if self.decodes.iter().all(|d| d.inst.dead) {
             assert!(self.shard_mode, "every decoding instance has failed");
-            self.unclaim_for_migration(req, q.now());
             self.migrate_out(req, q.now());
             return;
         }
@@ -1495,7 +1438,7 @@ impl ServingSystem {
                     SessPlace::Cpu(_) => None,
                 });
         if let Some(h) = forced {
-            if self.decodes[h].dead {
+            if self.decodes[h].inst.dead {
                 self.abandon_claim_and_recompute(req, q);
                 return;
             }
@@ -1509,24 +1452,26 @@ impl ServingSystem {
                     &lists,
                     model,
                     |_, b| {
-                        let cap = decodes[h].gpu_kv.max_batch(model, expected_ctx);
+                        let cap = decodes[h].inst.gpu_kv.max_batch(model, expected_ctx);
                         b.reqs.len() < cap.max(1)
                     },
                     |_| true,
                 );
                 (h, join)
             } else {
-                let alive: Vec<usize> = (0..decodes.len()).filter(|&i| !decodes[i].dead).collect();
+                let alive: Vec<usize> = (0..decodes.len())
+                    .filter(|&i| !decodes[i].inst.dead)
+                    .collect();
                 let lists: Vec<&WorkList> = alive.iter().map(|&i| &decodes[i].work).collect();
                 let (k, join) = dispatch_decode(
                     &lists,
                     model,
                     |k, b| {
                         let i = alive[k];
-                        let cap = decodes[i].gpu_kv.max_batch(model, expected_ctx);
+                        let cap = decodes[i].inst.gpu_kv.max_batch(model, expected_ctx);
                         b.reqs.len() < cap.max(1)
                     },
-                    |k| decodes[alive[k]].node == req_node,
+                    |k| decodes[alive[k]].inst.node == req_node,
                 );
                 (alive[k], join)
             }
@@ -1584,7 +1529,7 @@ impl ServingSystem {
     }
 
     fn decode_kick(&mut self, di: usize, q: &mut Q) {
-        if self.decodes[di].dead {
+        if self.decodes[di].inst.dead {
             return;
         }
         if self.decodes[di].turn.is_none() {
@@ -1607,23 +1552,19 @@ impl ServingSystem {
                 .work
                 .iter()
                 .map(|b| {
-                    let ctx: u64 = b
-                        .reqs
-                        .iter()
-                        .map(|r| self.reqs[r.0 as usize].ctx_tokens() as u64)
-                        .sum();
+                    let ctx = self.reqs.ctx_tokens(&b.reqs);
                     self.deploys[b.model.0 as usize].fitted.estimate_decode(ctx)
                 })
                 .collect();
             let distinct = d.work.distinct_models();
-            let switch_total: f64 = if distinct.len() == 1 && d.scaler.current == Some(distinct[0])
-            {
+            let sc = &d.inst.scaler;
+            let switch_total: f64 = if distinct.len() == 1 && sc.current == Some(distinct[0]) {
                 0.0
             } else {
                 distinct
                     .iter()
                     .map(|m| {
-                        if d.scaler.resident.contains(m) {
+                        if sc.resident.contains(m) {
                             0.02 // colocated: activation only
                         } else {
                             self.deploys[m.0 as usize].est_switch_secs(pcie)
@@ -1741,18 +1682,12 @@ impl ServingSystem {
 
     fn maybe_start_stepping(&mut self, di: usize, q: &mut Q) {
         let now = q.now();
-        let at = InstRef::decode(di);
-        let Some(batch_model) = self.decodes[di]
-            .turn
-            .as_ref()
-            .and_then(|t| self.decodes[di].work.get(t.batch))
-            .map(|b| b.model)
-        else {
+        let Some(batch_model) = self.decodes[di].turn_model() else {
             return;
         };
-        let scaler_ready =
-            self.scaler(at).current == Some(batch_model) && self.scaler(at).scaling.is_none();
         let d = &mut self.decodes[di];
+        let scaler_ready =
+            d.inst.scaler.current == Some(batch_model) && d.inst.scaler.scaling.is_none();
         let Some(turn) = d.turn.as_mut() else { return };
         if turn.stepping {
             return;
@@ -1842,10 +1777,7 @@ impl ServingSystem {
             }
             return;
         }
-        let ctx: u64 = active
-            .iter()
-            .map(|r| self.reqs[r.0 as usize].ctx_tokens() as u64)
-            .sum();
+        let ctx = self.reqs.ctx_tokens(&active);
         let dur = self.deploys[model.0 as usize]
             .perf
             .decode_secs(active.len(), ctx, &mut self.rng);
@@ -1866,7 +1798,7 @@ impl ServingSystem {
     }
 
     fn on_decode_step(&mut self, di: usize, gen: u64, q: &mut Q) {
-        if self.decodes[di].dead {
+        if self.decodes[di].inst.dead {
             return;
         }
         let now = q.now();
@@ -1879,7 +1811,7 @@ impl ServingSystem {
             (t.step_reqs.clone(), t.step_dur)
         };
         if self.schedule.is_enabled() {
-            let lane = self.primary(InstRef::decode(di)).to_string();
+            let lane = self.decodes[di].inst.gpus[0].to_string();
             let model = self.trace.requests[step_reqs[0].0 as usize].model;
             self.schedule.record_with(
                 lane,
@@ -1920,7 +1852,7 @@ impl ServingSystem {
                 self.retire_decode_kv(di, req, q);
                 self.decodes[di].work.remove_request(req);
                 self.retire(req, now);
-            } else if self.decodes[di].gpu_kv.extend(req, ctx).is_err() {
+            } else if self.decodes[di].inst.gpu_kv.extend(req, ctx).is_err() {
                 overflow = true;
             }
         }
@@ -1972,21 +1904,16 @@ impl ServingSystem {
         }
         if !skip_offload && self.cfg.kv_residency {
             if let Some(b) = self.decodes[di].work.get(batch_id) {
-                let ctx: u64 = b
-                    .reqs
-                    .iter()
-                    .map(|r| self.reqs[r.0 as usize].ctx_tokens() as u64)
-                    .sum();
-                skip_offload = self.decodes[di].gpu_kv.token_capacity(b.model) > ctx * 2;
+                let ctx = self.reqs.ctx_tokens(&b.reqs);
+                skip_offload = self.decodes[di].inst.gpu_kv.token_capacity(b.model) > ctx * 2;
             }
         }
         if !skip_offload {
+            // Under CPU cache pressure an offload fails and the KV stays
+            // resident; decode can still proceed next time from VRAM.
             for req in reqs {
-                if self.reqs[req.0 as usize].kv_ready
-                    && !self.issue_offload(InstRef::decode(di), req, q)
-                {
-                    // CPU cache pressure: leave resident; decode can
-                    // still proceed next time from VRAM.
+                if self.reqs[req.0 as usize].kv_ready {
+                    self.issue_offload(InstRef::decode(di), req, q);
                 }
             }
         }
@@ -1998,9 +1925,9 @@ impl ServingSystem {
         }
     }
 
-    fn on_kv_in(&mut self, di: usize, req: RequestId, _turn: u64, q: &mut Q) {
+    fn on_kv_in(&mut self, di: usize, req: RequestId, q: &mut Q) {
         self.tel_kv_end(req, q.now(), false);
-        if self.decodes[di].dead {
+        if self.decodes[di].inst.dead {
             return;
         }
         {
@@ -2016,6 +1943,7 @@ impl ServingSystem {
                 debug_assert_eq!(h as usize, di, "claimed request dispatched off-holder");
                 let sess = self.reqs[req.0 as usize].session;
                 self.decodes[di]
+                    .inst
                     .gpu_kv
                     .absorb(req, SessionBook::handle(sess));
                 self.reqs[req.0 as usize].prefix_claim = None;
@@ -2030,7 +1958,7 @@ impl ServingSystem {
     /// Starts offloading a request's GPU KV to its node's unified CPU
     /// cache. Returns false if the CPU cache cannot hold it right now.
     fn issue_offload(&mut self, at: InstRef, req: RequestId, q: &mut Q) -> bool {
-        let node = self.inst_node(at) as usize;
+        let node = self.inst(at).node as usize;
         let model = self.trace.requests[req.0 as usize].model;
         let ctx = self.reqs[req.0 as usize].ctx_tokens();
         // Only the freshly computed tokens move: a claimed prefix already
@@ -2055,51 +1983,70 @@ impl ServingSystem {
             }
         }
         let kv_bytes = self.deploys[model.0 as usize].kv_token_bytes * move_tokens as u64;
-        let (shape, blocks) = match at.kind {
-            InstKind::Prefill => self.prefills[at.idx as usize].gpu_kv.take(req),
-            InstKind::Decode => self.decodes[at.idx as usize].gpu_kv.take(req),
-        };
-        let g = self.topo.gpu(self.primary(at)).clone();
+        let ev = self.copy_out(at, req, kv_bytes, Tag::KvOut { req }, q);
+        let rs = &mut self.reqs[req.0 as usize];
+        rs.kv = KvPlace::Cpu { node: node as u32 };
+        rs.kv_ready = false;
+        rs.offload_event = Some(ev);
+        self.count_swap(at, req, true, q.now());
+        true
+    }
+
+    /// Copies `bytes` of `id`'s KV from instance `at`'s GPU to host memory
+    /// (on the KV-out stream under fine-grained sync, else the default
+    /// stream) and parks the source blocks on the instance's move list
+    /// until the copy's event fires (§5.3 rule ❸). Returns that event.
+    fn copy_out(&mut self, at: InstRef, id: RequestId, bytes: u64, tag: Tag, q: &mut Q) -> EventId {
+        let g = self.topo.gpu(self.inst(at).gpus[0]);
         let stream = if self.cfg.opts.fine_sync {
             g.kv_out
         } else {
             g.default_stream
         };
-        self.port.submit(
-            stream,
-            StreamOp::Copy {
-                link: g.d2h,
-                bytes: kv_bytes,
-                tag: Tag::KvOut { req }.into(),
-            },
-            q,
-        );
+        let tag = tag.into();
+        let op = StreamOp::Copy {
+            link: g.d2h,
+            bytes,
+            tag,
+        };
+        self.port.submit(stream, op, q);
         let ev = self.port.record_event(stream, q);
-        match at.kind {
-            InstKind::Prefill => self.prefills[at.idx as usize]
-                .parked
-                .park(ev, vec![(shape, blocks)]),
-            InstKind::Decode => self.decodes[at.idx as usize]
-                .parked
-                .park(ev, vec![(shape, blocks)]),
-        }
-        {
-            let rs = &mut self.reqs[req.0 as usize];
-            rs.kv = KvPlace::Cpu { node: node as u32 };
-            rs.kv_ready = false;
-            rs.offload_event = Some(ev);
-            rs.swaps += 1;
-            rs.control_secs += CONTROL_OVERHEAD_PER_SWAP.as_secs_f64();
-        }
-        self.breakdown.add_secs(
-            Stage::ControlOverhead,
-            CONTROL_OVERHEAD_PER_SWAP.as_secs_f64(),
-        );
+        let inst = self.inst_mut(at);
+        let blocks = inst.gpu_kv.take(id);
+        inst.parked.park(ev, vec![blocks]);
+        ev
+    }
+
+    /// Books one KV swap of `req` issued by instance `at` (an offload when
+    /// `out`): the request's and the run's swap counts, the per-swap
+    /// control overhead (Figure 14), and the transfer's telemetry span.
+    fn count_swap(&mut self, at: InstRef, req: RequestId, out: bool, now: SimTime) {
+        let overhead = CONTROL_OVERHEAD_PER_SWAP.as_secs_f64();
+        let rs = &mut self.reqs[req.0 as usize];
+        rs.swaps += 1;
+        rs.control_secs += overhead;
+        self.breakdown.add_secs(Stage::ControlOverhead, overhead);
         self.swaps += 1;
         self.tel.metrics.inc(self.tm.c_swaps, 1);
         let inst = self.ledger_inst(at);
-        self.tel_kv_start(req, q.now(), true, inst);
-        true
+        self.tel_kv_start(req, now, out, inst);
+    }
+
+    /// Takes `key`'s blocks, if any, out of node `node`'s CPU cache and
+    /// frees them, or parks them on the node's move list while `guard` (a
+    /// copy still writing them) is pending (§5.3 rule ❸).
+    fn release_cpu_kv(&mut self, node: usize, key: RequestId, guard: Option<EventId>) {
+        let n = &mut self.nodes[node];
+        if !n.cpu_kv.holds(key) {
+            return;
+        }
+        let (shape, blocks) = n.cpu_kv.take(key);
+        match guard {
+            Some(ev) if !self.port.fabric.query_event(ev) => {
+                n.cpu_parked.park(ev, vec![(shape, blocks)]);
+            }
+            _ => n.cpu_kv.free_blocks(shape, &blocks),
+        }
     }
 
     /// Starts swapping a request's KV from the CPU cache into decoding
@@ -2125,6 +2072,7 @@ impl ServingSystem {
         let move_tokens = ctx.saturating_sub(claimed);
         if self
             .decodes[di]
+            .inst
             .gpu_kv
             .alloc(req, model, move_tokens)
             .is_err()
@@ -2134,18 +2082,17 @@ impl ServingSystem {
         }
         let (shape, blocks) = self.nodes[src_node].cpu_kv.take(req);
         let kv_bytes = self.deploys[model.0 as usize].kv_token_bytes * move_tokens as u64;
-        let g = self.topo.gpu(self.primary(InstRef::decode(di))).clone();
+        let g = self.topo.gpu(self.decodes[di].inst.gpus[0]).clone();
         let stream = if self.cfg.opts.fine_sync {
             g.kv_in
         } else {
             g.default_stream
         };
-        let turn_gen = self.decodes[di].turn.as_ref().map(|t| t.gen).unwrap_or(0);
         if let Some(ev) = self.reqs[req.0 as usize].offload_event {
             // §5.3 rule ❷: wait for the offload writing these blocks.
             self.port.wait_event(stream, ev, q);
         }
-        if src_node as u32 != self.decodes[di].node {
+        if src_node as u32 != self.decodes[di].inst.node {
             let nic = self.topo.node(aegaeon_gpu::NodeId(src_node as u32)).nic_tx;
             self.port.submit(
                 stream,
@@ -2165,7 +2112,6 @@ impl ServingSystem {
                 tag: Tag::KvIn {
                     inst: di as u32,
                     req,
-                    turn: turn_gen,
                 }
                 .into(),
             },
@@ -2177,21 +2123,10 @@ impl ServingSystem {
         self.nodes[src_node]
             .cpu_parked
             .park(ev_in, vec![(shape, blocks)]);
-        {
-            let rs = &mut self.reqs[req.0 as usize];
-            rs.kv = KvPlace::Gpu;
-            rs.swapin_inflight = true;
-            rs.swaps += 1;
-            rs.control_secs += CONTROL_OVERHEAD_PER_SWAP.as_secs_f64();
-        }
-        self.breakdown.add_secs(
-            Stage::ControlOverhead,
-            CONTROL_OVERHEAD_PER_SWAP.as_secs_f64(),
-        );
-        self.swaps += 1;
-        self.tel.metrics.inc(self.tm.c_swaps, 1);
-        let inst = self.ledger_inst(InstRef::decode(di));
-        self.tel_kv_start(req, q.now(), false, inst);
+        let rs = &mut self.reqs[req.0 as usize];
+        rs.kv = KvPlace::Gpu;
+        rs.swapin_inflight = true;
+        self.count_swap(InstRef::decode(di), req, false, q.now());
     }
 
     // ----- Auto-scaling -------------------------------------------------
@@ -2199,23 +2134,22 @@ impl ServingSystem {
     /// Ensures `target` is the instance's resident model. Returns true when
     /// it already is (and no scaling is in progress).
     fn ensure_model(&mut self, at: InstRef, target: ModelId, q: &mut Q) -> bool {
-        let s = self.scaler(at);
-        if s.current == Some(target) && s.scaling.is_none() {
-            return true;
-        }
-        if self.weight_slots > 1 && s.scaling.is_none() && s.resident.contains(&target) {
-            // Colocated model: activation is free (§8 multiplexing).
-            let sc = self.scaler_mut(at);
-            sc.resident.retain(|&m| m != target);
-            sc.resident.push(target); // most-recently-used at the back
-            sc.current = Some(target);
-            return true;
-        }
-        let s = self.scaler(at);
+        let multi_slot = self.weight_slots > 1;
+        let s = &mut self.inst_mut(at).scaler;
         if s.scaling.is_some() {
             // Either already scaling to `target`, or to a stale target; the
             // completion handler re-evaluates what the instance needs.
             return false;
+        }
+        if s.current == Some(target) {
+            return true;
+        }
+        if multi_slot && s.resident.contains(&target) {
+            // Colocated model: activation is free (§8 multiplexing).
+            s.resident.retain(|&m| m != target);
+            s.resident.push(target); // most-recently-used at the back
+            s.current = Some(target);
+            return true;
         }
         self.start_scale(at, target, q);
         false
@@ -2223,7 +2157,7 @@ impl ServingSystem {
 
     fn start_scale(&mut self, at: InstRef, target: ModelId, q: &mut Q) {
         let now = q.now();
-        let node = self.inst_node(at) as usize;
+        let node = self.inst(at).node as usize;
         let deploy = &self.deploys[target.0 as usize];
         let shard = deploy.shard_bytes;
         let cached = self.nodes[node].model_cache.lookup(target.0);
@@ -2232,18 +2166,14 @@ impl ServingSystem {
             // The fetch below brings it into the cache (LRU-evicting).
             let _ = self.nodes[node].model_cache.insert(target.0, bytes);
         }
-        let (prefetch_hit, wait_events) = {
-            let s = self.scaler_mut(at);
-            let hit = s.prefetched == Some(target);
-            let wait = match &s.prefetch_inflight {
-                Some((m, evs)) if *m == target => Some(evs.clone()),
-                _ => None,
-            };
-            (hit, wait)
+        let s = &self.inst(at).scaler;
+        let prefetch_hit = s.prefetched == Some(target);
+        let wait_events = match &s.prefetch_inflight {
+            Some((m, evs)) if *m == target => Some(evs.clone()),
+            _ => None,
         };
-        let warm = self.scaler(at).warm;
         let mut opts = self.cfg.opts;
-        opts.component_reuse = opts.component_reuse && warm;
+        opts.component_reuse = opts.component_reuse && s.warm;
         let mut plan = scale_up_plan(&opts, shard, prefetch_hit || wait_events.is_some(), cached);
         if self.stage_oom_depth[node] > 0 {
             // Chaos injection: while the node's pinned stage buffer is
@@ -2255,9 +2185,9 @@ impl ServingSystem {
                 }
             }
         }
-        let gpus = self.inst_gpus(at).to_vec();
+        let gpus = self.inst(at).gpus.to_vec();
         let seq = {
-            let s = self.scaler_mut(at);
+            let s = &mut self.inst_mut(at).scaler;
             s.scale_seq += 1;
             s.scaling = Some(Scaling {
                 target,
@@ -2272,7 +2202,7 @@ impl ServingSystem {
         if self.tel.is_enabled() {
             // A crash can strand the previous switch span open: close it
             // before a new switch starts on the same instance track.
-            let old = std::mem::replace(&mut self.scaler_mut(at).switch_span, SpanId::NONE);
+            let old = std::mem::replace(&mut self.inst_mut(at).scaler.switch_span, SpanId::NONE);
             self.tel.spans.end(old, now);
             let span = self.tel.spans.start(
                 || match at.kind {
@@ -2285,7 +2215,7 @@ impl ServingSystem {
                 SpanId::NONE,
                 || format!("S:{target}"),
             );
-            self.scaler_mut(at).switch_span = span;
+            self.inst_mut(at).scaler.switch_span = span;
         }
         let tag = self.port.join(plan.stages.len() * gpus.len(), Tag::ScaleDone { at, seq });
         for (gi, g) in gpus.iter().enumerate() {
@@ -2299,13 +2229,13 @@ impl ServingSystem {
     }
 
     fn on_scale_done(&mut self, at: InstRef, seq: u64, q: &mut Q) {
-        let current = matches!(&self.scaler(at).scaling, Some(sc) if sc.seq == seq);
-        if self.inst_dead(at) || !current {
+        let current = matches!(&self.inst(at).scaler.scaling, Some(sc) if sc.seq == seq);
+        if self.inst(at).dead || !current {
             return;
         }
         let now = q.now();
         let (target, started, hit) = {
-            let s = self.scaler_mut(at);
+            let s = &mut self.inst_mut(at).scaler;
             let sc = s.scaling.take().expect("scaling in progress");
             s.current = Some(sc.target);
             s.warm = true;
@@ -2327,7 +2257,7 @@ impl ServingSystem {
         }
         if self.weight_slots > 1 {
             let slots = self.weight_slots as usize;
-            let sc = self.scaler_mut(at);
+            let sc = &mut self.inst_mut(at).scaler;
             sc.resident.retain(|&m| m != target);
             sc.resident.push(target);
             while sc.resident.len() > slots {
@@ -2343,10 +2273,10 @@ impl ServingSystem {
         self.tel
             .attrib
             .add(inst, target.0, CostKind::ModelSwitch, secs);
-        let switch_span = std::mem::replace(&mut self.scaler_mut(at).switch_span, SpanId::NONE);
-        self.tel.spans.end(switch_span, now);
+        let span = std::mem::replace(&mut self.inst_mut(at).scaler.switch_span, SpanId::NONE);
+        self.tel.spans.end(span, now);
         if self.schedule.is_enabled() {
-            let lane = self.primary(at).to_string();
+            let lane = self.inst(at).gpus[0].to_string();
             self.schedule
                 .record_with(lane, started, now, TraceKind::Switch, || {
                     format!("S:{target}")
@@ -2357,12 +2287,7 @@ impl ServingSystem {
             InstKind::Decode => {
                 let di = at.idx as usize;
                 // The turn may need a *different* model by now.
-                let needed = self.decodes[di]
-                    .turn
-                    .as_ref()
-                    .and_then(|t| self.decodes[di].work.get(t.batch))
-                    .map(|b| b.model);
-                match needed {
+                match self.decodes[di].turn_model() {
                     Some(m) if m != target => {
                         self.start_scale(at, m, q);
                     }
@@ -2378,7 +2303,7 @@ impl ServingSystem {
             return;
         }
         {
-            let s = self.scaler(at);
+            let s = &self.inst(at).scaler;
             if s.prefetch_inflight.is_some()
                 || s.prefetched == Some(model)
                 || s.current == Some(model)
@@ -2391,18 +2316,18 @@ impl ServingSystem {
                 }
             }
         }
-        let node = self.inst_node(at) as usize;
+        let node = self.inst(at).node as usize;
         if !self.nodes[node].model_cache.contains(model.0) {
             return; // prefetch only cache-resident checkpoints
         }
         self.nodes[node].model_cache.touch(model.0);
         let shard = self.deploys[model.0 as usize].shard_bytes;
         let seq = {
-            let s = self.scaler_mut(at);
+            let s = &mut self.inst_mut(at).scaler;
             s.prefetch_seq += 1;
             s.prefetch_seq
         };
-        let gpus = self.inst_gpus(at).to_vec();
+        let gpus = self.inst(at).gpus.to_vec();
         let tag = self
             .port
             .join(gpus.len(), Tag::PrefetchDone { at, model, seq });
@@ -2415,12 +2340,12 @@ impl ServingSystem {
             self.port.submit(h.prefetch, op, q);
             events.push(self.port.record_event(h.prefetch, q));
         }
-        self.scaler_mut(at).prefetch_inflight = Some((model, events));
+        self.inst_mut(at).scaler.prefetch_inflight = Some((model, events));
     }
 
-    fn on_prefetch_done(&mut self, at: InstRef, model: ModelId, seq: u64, _q: &mut Q) {
+    fn on_prefetch_done(&mut self, at: InstRef, model: ModelId, seq: u64) {
         let slots = self.weight_slots as usize;
-        let s = self.scaler_mut(at);
+        let s = &mut self.inst_mut(at).scaler;
         if s.prefetch_seq != seq {
             return;
         }
@@ -2453,86 +2378,64 @@ impl ServingSystem {
     fn daemon(&mut self, q: &mut Q) {
         // Reclaim GPU-side parked blocks (offload sources).
         for pi in 0..self.prefills.len() {
-            let fabric = &self.port.fabric;
-            let freed = self.prefills[pi]
-                .parked
-                .reclaim(|ev| fabric.query_event(*ev));
-            for (shape, blocks) in freed {
-                self.prefills[pi].gpu_kv.free_blocks(shape, &blocks);
-            }
-            if self.prefills[pi].retry {
-                self.prefills[pi].retry = false;
+            let p = &mut self.prefills[pi];
+            reclaim(&mut p.inst.gpu_kv, &mut p.inst.parked, &self.port.fabric);
+            if p.retry {
+                p.retry = false;
                 self.prefill_try_start(pi, q);
             }
         }
         for di in 0..self.decodes.len() {
-            let fabric = &self.port.fabric;
-            let freed = self.decodes[di]
-                .parked
-                .reclaim(|ev| fabric.query_event(*ev));
-            let reclaimed = !freed.is_empty();
-            for (shape, blocks) in freed {
-                self.decodes[di].gpu_kv.free_blocks(shape, &blocks);
+            let d = &mut self.decodes[di].inst;
+            if !reclaim(&mut d.gpu_kv, &mut d.parked, &self.port.fabric) {
+                continue;
             }
-            if reclaimed {
-                // Retry swap-ins that failed on GPU KV pressure.
-                if let Some(t) = self.decodes[di].turn.as_ref() {
-                    let pending: Vec<RequestId> = self.decodes[di]
-                        .work
-                        .get(t.batch)
-                        .map(|b| {
-                            b.reqs
-                                .iter()
-                                .copied()
-                                .filter(|r| {
-                                    let rs = &self.reqs[r.0 as usize];
-                                    !rs.kv_ready && !rs.swapin_inflight
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    for req in pending {
-                        self.issue_swap_in(di, req, q);
-                    }
-                    self.maybe_start_stepping(di, q);
+            // Retry swap-ins that failed on GPU KV pressure.
+            if let Some(t) = self.decodes[di].turn.as_ref() {
+                let pending: Vec<RequestId> = self.decodes[di]
+                    .work
+                    .get(t.batch)
+                    .map(|b| {
+                        b.reqs
+                            .iter()
+                            .copied()
+                            .filter(|r| {
+                                let rs = &self.reqs[r.0 as usize];
+                                !rs.kv_ready && !rs.swapin_inflight
+                            })
+                            .collect()
+                    })
+                    .unwrap_or_default();
+                for req in pending {
+                    self.issue_swap_in(di, req, q);
                 }
+                self.maybe_start_stepping(di, q);
             }
         }
         // Reclaim CPU-side parked blocks and retry stalled offloads.
         for ni in 0..self.nodes.len() {
-            let fabric = &self.port.fabric;
-            let freed = self.nodes[ni]
-                .cpu_parked
-                .reclaim(|ev| fabric.query_event(*ev));
-            for (shape, blocks) in freed {
-                self.nodes[ni].cpu_kv.free_blocks(shape, &blocks);
-            }
-            let retries = std::mem::take(&mut self.nodes[ni].offload_retry);
-            for (at, req) in retries {
+            let n = &mut self.nodes[ni];
+            reclaim(&mut n.cpu_kv, &mut n.cpu_parked, &self.port.fabric);
+            let retries = std::mem::take(&mut n.offload_retry);
+            for (pi, req) in retries {
                 // A retrying request whose claimed prefix died holds
                 // delta-only KV: discard it and recompute instead of
                 // offloading an incomplete context.
                 if self.reqs[req.0 as usize].prefix_lost {
-                    if at.kind == InstKind::Prefill {
-                        let pi = at.idx as usize;
-                        if !self.prefills[pi].dead && self.prefills[pi].gpu_kv.holds(req) {
-                            self.prefills[pi].gpu_kv.free(req);
-                        }
+                    let inst = &mut self.prefills[pi].inst;
+                    if !inst.dead && inst.gpu_kv.holds(req) {
+                        inst.gpu_kv.free(req);
                     }
                     let rs = &mut self.reqs[req.0 as usize];
                     rs.prefix_lost = false;
-                    rs.prefix_hit = false;
-                    rs.kv = KvPlace::None;
-                    rs.kv_ready = false;
                     rs.phase = Phase::Prefill;
-                    self.tel.metrics.inc(self.tm.c_sess_affinity_fallback, 1);
-                    self.route_prefill(req, q);
+                    self.recompute_full(req, q);
                     continue;
                 }
-                if self.issue_offload(at, req, q) {
+                if self.issue_offload(InstRef::prefill(pi), req, q) {
                     self.dispatch_decode_req(req, q);
                 } else {
-                    self.nodes[ni].offload_retry.push((at, req));
+                    self.nodes[ni].offload_retry.push((pi, req));
                 }
             }
         }
@@ -2549,18 +2452,24 @@ impl ServingSystem {
         self.drain(q);
     }
 
+    /// Sends arrival `idx` on to prefill dispatch after the proxy latency;
+    /// while the metadata path is stalled, schedules retry `attempt + 1`
+    /// after its backoff instead of dispatching against stale state.
+    fn proxy_dispatch(&self, idx: u32, attempt: u32, q: &mut Q) {
+        if self.meta.stalled(q.now()) {
+            let attempt = attempt + 1;
+            let wait = self.meta.retry_backoff(attempt);
+            q.schedule_after(wait, Ev::Retry { req: idx, attempt });
+        } else {
+            q.schedule_after(PROXY_LATENCY, Ev::DispatchPrefill { idx });
+        }
+    }
+
     fn sample(&mut self, q: &mut Q) {
         let now = q.now();
         // Live instances publish heartbeats to the status store.
-        for p in &self.prefills {
-            if !p.dead {
-                self.meta.heartbeat();
-            }
-        }
-        for d in &self.decodes {
-            if !d.dead {
-                self.meta.heartbeat();
-            }
+        for _ in 0..self.insts().filter(|i| !i.dead).count() {
+            self.meta.heartbeat();
         }
         // Combined CPU-cache usage across nodes (aligned shape order).
         let mut combined = self.nodes[0].cpu_kv.usage();
@@ -2587,20 +2496,7 @@ impl Host for ServingSystem {
             Ev::Arrive(idx) => {
                 let r = &self.trace.requests[idx as usize];
                 self.spans.arrive(&mut self.tel, r.id, r.model, q.now());
-                if self.meta.stalled(q.now()) {
-                    // Proxy metadata path is stalled: retry with backoff
-                    // instead of dispatching against stale state.
-                    let wait = self.meta.retry_backoff(1);
-                    q.schedule_after(
-                        wait,
-                        Ev::Retry {
-                            req: idx,
-                            attempt: 1,
-                        },
-                    );
-                } else {
-                    q.schedule_after(PROXY_LATENCY, Ev::DispatchPrefill { idx });
-                }
+                self.proxy_dispatch(idx, 0, q);
                 self.ensure_ticks(q);
             }
             Ev::Retry { req, attempt } => {
@@ -2616,20 +2512,11 @@ impl Host for ServingSystem {
                         || format!("retry#{attempt}"),
                     );
                 }
-                if self.meta.stalled(q.now()) {
-                    let wait = self.meta.retry_backoff(attempt + 1);
-                    q.schedule_after(
-                        wait,
-                        Ev::Retry {
-                            req,
-                            attempt: attempt + 1,
-                        },
-                    );
-                } else {
-                    q.schedule_after(PROXY_LATENCY, Ev::DispatchPrefill { idx: req });
-                }
+                self.proxy_dispatch(req, attempt, q);
             }
-            Ev::DispatchPrefill { idx } => self.dispatch_prefill_req(idx as usize, q),
+            Ev::DispatchPrefill { idx } => {
+                self.route_prefill(self.trace.requests[idx as usize].id, q)
+            }
             Ev::Daemon { gen } => {
                 // Stale generations (a tick queued before an idle stop) are
                 // dropped entirely: no side effects, no reschedule.
@@ -2663,9 +2550,9 @@ impl Host for ServingSystem {
         match tag {
             Tag::PrefillDone { inst, req } => self.on_prefill_done(inst as usize, req, q),
             Tag::ScaleDone { at, seq } => self.on_scale_done(at, seq, q),
-            Tag::PrefetchDone { at, model, seq } => self.on_prefetch_done(at, model, seq, q),
+            Tag::PrefetchDone { at, model, seq } => self.on_prefetch_done(at, model, seq),
             Tag::DecodeStep { inst, turn } => self.on_decode_step(inst as usize, turn, q),
-            Tag::KvIn { inst, req, turn } => self.on_kv_in(inst as usize, req, turn, q),
+            Tag::KvIn { inst, req } => self.on_kv_in(inst as usize, req, q),
             // The offload copy's completion only matters to telemetry (the
             // daemon reclaims its blocks via the recorded fabric event).
             Tag::KvOut { req } => self.tel_kv_end(req, q.now(), true),
@@ -2680,12 +2567,7 @@ impl Host for ServingSystem {
     /// Computes every gauge and snapshots the registry at boundary `at`.
     fn poll(&mut self, at: SimTime) {
         let batches: usize = self.decodes.iter().map(|d| d.work.iter().count()).sum();
-        let vram: u64 = self
-            .prefills
-            .iter()
-            .map(|p| p.gpu_kv.used_bytes())
-            .chain(self.decodes.iter().map(|d| d.gpu_kv.used_bytes()))
-            .sum();
+        let vram: u64 = self.insts().map(|i| i.gpu_kv.used_bytes()).sum();
         let cpu: u64 = self.nodes.iter().map(|n| n.cpu_kv.used_bytes()).sum();
         let fabric = &self.port.fabric;
         let inflight: f64 = (0..fabric.link_count())
@@ -2696,8 +2578,8 @@ impl Host for ServingSystem {
         m.set(self.tm.g_vram_kv_used, vram as f64);
         m.set(self.tm.g_cpu_kv_used, cpu as f64);
         m.set(self.tm.g_link_bytes_in_flight, inflight);
-        let resident = self.prefills.iter().map(|p| p.scaler.current);
-        let resident = resident.chain(self.decodes.iter().map(|d| d.scaler.current));
+        let resident = self.prefills.iter().map(|p| p.inst.scaler.current);
+        let resident = resident.chain(self.decodes.iter().map(|d| d.inst.scaler.current));
         self.ids.sample(
             &mut self.tel,
             at,
@@ -2788,38 +2670,32 @@ impl ServingSystem {
     /// caches.
     fn book(&self, i: usize) -> Book<'_> {
         let (np, nd) = (self.prefills.len(), self.decodes.len());
-        if i < np {
-            let p = &self.prefills[i];
-            Book {
-                kind: "prefill",
-                idx: i,
-                kv: &p.gpu_kv,
-                parked: &p.parked,
-                dead: p.dead,
-                place: None,
-            }
-        } else if i < np + nd {
-            let di = i - np;
-            let d = &self.decodes[di];
-            Book {
-                kind: "decode",
-                idx: di,
-                kv: &d.gpu_kv,
-                parked: &d.parked,
-                dead: d.dead,
-                place: Some(SessPlace::DecodeGpu(di as u32)),
-            }
-        } else {
+        if i >= np + nd {
             let ni = i - np - nd;
             let n = &self.nodes[ni];
-            Book {
+            return Book {
                 kind: "node",
                 idx: ni,
                 kv: &n.cpu_kv,
                 parked: &n.cpu_parked,
                 dead: false,
                 place: Some(SessPlace::Cpu(ni as u32)),
-            }
+            };
+        }
+        let (kind, idx, inst, place) = if i < np {
+            ("prefill", i, &self.prefills[i].inst, None)
+        } else {
+            let di = i - np;
+            let place = Some(SessPlace::DecodeGpu(di as u32));
+            ("decode", di, &self.decodes[di].inst, place)
+        };
+        Book {
+            kind,
+            idx,
+            kv: &inst.gpu_kv,
+            parked: &inst.parked,
+            dead: inst.dead,
+            place,
         }
     }
 }
@@ -3148,6 +3024,43 @@ mod tests {
             tokens + r.total_requests as u64,
             "one check per token plus the final sweep"
         );
+    }
+
+    /// The d2h copy-out overlaps compute on the KV-out stream only under
+    /// fine-grained sync, and parks its source blocks until it lands. CPU
+    /// blocks released behind its pending event park too (§5.3 rule ❸);
+    /// unguarded ones, or ones whose guard already fired, are freed at once.
+    #[test]
+    fn copy_out_and_cpu_release_honour_the_guard_event() {
+        for fine_sync in [false, true] {
+            let mut cfg = AegaeonConfig::small_testbed(1, 1);
+            cfg.opts.fine_sync = fine_sync;
+            let trace = small_trace(1, 0.1, 10.0, 1);
+            let mut sys = ServingSystem::new(cfg, &models(1), trace);
+            let mut q = Q::new();
+            let (at, req, ids) = (InstRef::prefill(0), RequestId(0), [1, 2, 3].map(RequestId));
+            sys.inst_mut(at).gpu_kv.alloc(req, ModelId(0), 64).unwrap();
+            for r in ids {
+                sys.nodes[0].cpu_kv.alloc(r, ModelId(0), 64).unwrap();
+            }
+            sys.compute_all(at, SimDur::from_secs(10), Tag::Noop, &mut q);
+            let ev = sys.copy_out(at, req, 1 << 20, Tag::Noop, &mut q);
+            assert!(!sys.inst(at).gpu_kv.holds(req));
+            assert_eq!(sys.inst(at).parked.iter().count(), 1);
+            sys.release_cpu_kv(0, ids[0], Some(ev));
+            sys.release_cpu_kv(0, ids[1], None);
+            assert_eq!(sys.nodes[0].cpu_parked.iter().count(), 1);
+            while !sys.port.fabric.query_event(ev) {
+                if let (_, Ev::Fabric(fe)) = q.pop().expect("the copy lands") {
+                    sys.port.advance(fe, &mut q);
+                }
+            }
+            let behind_compute = q.now() >= SimTime::from_secs_f64(10.0);
+            assert_eq!(behind_compute, !fine_sync, "fine_sync {fine_sync}");
+            sys.release_cpu_kv(0, ids[2], Some(ev));
+            assert_eq!(sys.nodes[0].cpu_parked.iter().count(), 1);
+            assert!(ids.iter().all(|&r| !sys.nodes[0].cpu_kv.holds(r)));
+        }
     }
 
     #[test]

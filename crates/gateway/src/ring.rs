@@ -2,7 +2,7 @@
 //! I/O reactors' token path.
 //!
 //! One ring per in-flight request: the sim thread (single producer) pushes
-//! [`TokenEv`]-shaped payloads as decode events dispatch; the reactor that
+//! [`TokenEv`](aegaeon::TokenEv)-shaped payloads as decode events dispatch; the reactor that
 //! owns the connection (single consumer) drains them into the connection's
 //! `WriteQueue`. Capacity is fixed at creation to the request's maximum
 //! output length, so a well-formed stream can **never** overflow its ring —

@@ -22,7 +22,7 @@
 //!   [`Injector`] (the existing injection port; stamps are assigned at pop
 //!   boundaries on the sim thread, so reactor count cannot perturb replay).
 //! * **Tokens** flow sim → reactor through one bounded SPSC
-//!   [`ring`](crate::ring) per request, created by the owning reactor and
+//!   [`ring`] per request, created by the owning reactor and
 //!   sized to the request's maximum output, so a well-formed stream can
 //!   never overflow it. Each ring handle is tagged `(reactor, generation,
 //!   slot)`; a recycled connection bumps the slot generation, so a stale

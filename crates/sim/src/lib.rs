@@ -33,7 +33,7 @@ pub use queue::{
     injection_channel, BinaryHeapQueue, EventQueue, InjectionPort, Injector, Lift,
     ThroughputReport, Timeline,
 };
-pub use rng::SimRng;
+pub use rng::{derive_seed, SimRng};
 pub use stats::Welford;
 pub use time::{SimDur, SimTime};
 pub use trace::{TraceKind, TraceLog};

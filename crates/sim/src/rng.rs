@@ -8,6 +8,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Exp, LogNormal};
 
+/// Derives an independent seed from a base seed and an index (SplitMix64
+/// mix), so sweep points and shards decorrelate without depending on
+/// evaluation order or shard count.
+pub fn derive_seed(base: u64, idx: u64) -> u64 {
+    let mut z = base
+        .wrapping_add(0x9e3779b97f4a7c15)
+        .wrapping_add(idx.wrapping_mul(0xbf58476d1ce4e5b9));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
 /// A seeded random source with the distributions the workloads need.
 #[derive(Debug, Clone)]
 pub struct SimRng {

@@ -311,7 +311,7 @@ fn main() {
             }
             let models = market_models(args.models);
             let mut gw_cfg = GatewayConfig::local(ClockMode::Timewarp(args.warp));
-            gw_cfg.admission.max_inflight_total = args.max_inflight;
+            gw_cfg.max_inflight = args.max_inflight;
             gw_cfg.reactors = args.reactors;
             let gw = Gateway::start(&cfg, &models, gw_cfg).expect("start in-process gateway");
             (vec![gw.addr()], Some(gw))
@@ -402,8 +402,9 @@ fn main() {
     let rss = peak_rss_bytes();
     // Accept-sharding + SLO evidence: prefer a final scrape (the gateway
     // may still be up, e.g. in-process mode), else the last mid-run scrape.
-    // The first fetch nudges a stale snapshot (`Ctl::ForceRender`); the
-    // retry one refresh interval later reads the fresh render.
+    // The per-model summaries come from the sim thread's snapshot: the
+    // first fetch pings a stale one into a re-render, and the retry one
+    // refresh interval later reads it.
     let _ = http_get(addrs[0], "/metrics");
     std::thread::sleep(Duration::from_millis(300));
     if let Some(text) = http_get_body(addrs[0], "/metrics") {
@@ -492,15 +493,14 @@ fn main() {
     if let Some(gw) = hosted {
         let report = gw.shutdown();
         println!(
-            "  gateway   : admitted {} completed {} slow_drops {} (audit rejections {})",
+            "  gateway   : admitted {} completed {} slow_drops {} rejections {}",
             report.trace.requests.len(),
             report.result.completed,
             report.slow_drops,
-            report.audit.as_ref().map_or(0, |a| a.rejections)
+            report.rejections
         );
-        if let Some(audit) = &report.audit {
-            assert!(audit.ok(), "audit violations: {:?}", audit.violations);
-        }
+        let audit = report.audit.expect("the gateway always audits");
+        assert!(audit.ok(), "audit violations: {:?}", audit.violations);
     }
 
     let json = serde_json::json!({

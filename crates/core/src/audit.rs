@@ -79,11 +79,6 @@ pub struct AuditReport {
     pub books_checked: u64,
     /// All violations, in detection order.
     pub violations: Vec<Violation>,
-    /// Requests turned away at the gateway's admission gate (429s). These
-    /// never enter the trace — conservation is audited over admitted
-    /// requests only — so the gateway surfaces its rejection book here for
-    /// cross-checks against client-observed 429 counts.
-    pub rejections: u64,
 }
 
 impl AuditReport {

@@ -49,7 +49,7 @@ pub mod deploy;
 pub mod events;
 pub mod planner;
 pub mod prefill;
-pub mod proxy;
+mod proxy;
 pub mod quota;
 pub mod reqstate;
 pub mod result;
@@ -64,9 +64,8 @@ pub use audit::{AuditReport, AuditView, Auditor, InvariantAuditor};
 pub use chaos::FaultPlan;
 pub use config::AegaeonConfig;
 pub use events::TokenEv;
-pub use proxy::{Admission, AdmissionPolicy};
 pub use quota::{decode_quotas, QuotaInputs};
 pub use result::RunResult;
-pub use session::{Endpoint, LiveRequest, ServingSession};
+pub use session::{LiveRequest, ServingSession};
 pub use shard::{run_sharded, ShardPlan};
 pub use system::ServingSystem;

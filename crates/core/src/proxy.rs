@@ -9,8 +9,7 @@
 //! detection window (missed heartbeats plus one RPC), and while the
 //! metadata path is stalled it retries with RPC-paced backoff.
 
-use aegaeon_model::ModelId;
-use aegaeon_sim::{FxHashMap, SimDur, SimTime};
+use aegaeon_sim::{SimDur, SimTime};
 
 /// The shared metadata store.
 #[derive(Debug, Clone)]
@@ -79,79 +78,6 @@ impl MetaStore {
     }
 }
 
-/// Gateway admission-control policy: per-model and total in-flight quotas.
-///
-/// Zero means unlimited for either bound. `retry_after_secs` is the hint
-/// returned with a 429 so well-behaved clients back off.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionPolicy {
-    /// Maximum in-flight requests per model (0 = unlimited).
-    pub(crate) max_inflight_per_model: u32,
-    /// Maximum in-flight requests across all models (0 = unlimited).
-    pub max_inflight_total: u32,
-    /// `Retry-After` hint attached to rejections, in seconds.
-    pub(crate) retry_after_secs: u32,
-}
-
-impl AdmissionPolicy {
-    /// A permissive default: no per-model bound, 1024 total, 1 s backoff.
-    pub fn default_gateway() -> AdmissionPolicy {
-        AdmissionPolicy {
-            max_inflight_per_model: 0,
-            max_inflight_total: 1024,
-            retry_after_secs: 1,
-        }
-    }
-}
-
-/// The gateway's admission gate: counts in-flight requests against an
-/// [`AdmissionPolicy`].
-#[derive(Debug, Clone)]
-pub struct Admission {
-    policy: AdmissionPolicy,
-    inflight_total: u32,
-    inflight: FxHashMap<ModelId, u32>,
-}
-
-impl Admission {
-    /// An empty gate under `policy`.
-    pub fn new(policy: AdmissionPolicy) -> Admission {
-        Admission {
-            policy,
-            inflight_total: 0,
-            inflight: FxHashMap::default(),
-        }
-    }
-
-    /// Tries to admit one request for `model`. On success the request is
-    /// counted in-flight until [`Admission::release`]; on rejection the
-    /// `Retry-After` hint (seconds) is returned.
-    pub fn try_admit(&mut self, model: ModelId) -> Result<(), u32> {
-        let per_model = self.policy.max_inflight_per_model;
-        let total = self.policy.max_inflight_total;
-        let cur = self.inflight.get(&model).copied().unwrap_or(0);
-        let over_model = per_model > 0 && cur >= per_model;
-        let over_total = total > 0 && self.inflight_total >= total;
-        if over_model || over_total {
-            return Err(self.policy.retry_after_secs);
-        }
-        self.inflight.insert(model, cur + 1);
-        self.inflight_total += 1;
-        Ok(())
-    }
-
-    /// Releases one in-flight slot for `model` (stream finished or client
-    /// hung up).
-    pub fn release(&mut self, model: ModelId) {
-        if let Some(c) = self.inflight.get_mut(&model) {
-            if *c > 0 {
-                *c -= 1;
-                self.inflight_total -= 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,68 +129,5 @@ mod tests {
         let capped = m.retry_backoff(10);
         assert_eq!(m.retry_backoff(40), capped, "backoff must be capped");
         assert!(capped.as_secs_f64() < 1.0);
-    }
-
-    #[test]
-    fn admission_enforces_per_model_quota() {
-        let mut a = Admission::new(AdmissionPolicy {
-            max_inflight_per_model: 2,
-            max_inflight_total: 0,
-            retry_after_secs: 3,
-        });
-        let m0 = ModelId(0);
-        let m1 = ModelId(1);
-        assert!(a.try_admit(m0).is_ok());
-        assert!(a.try_admit(m0).is_ok());
-        assert_eq!(a.try_admit(m0), Err(3), "third in-flight for m0 refused");
-        assert!(a.try_admit(m1).is_ok(), "other models unaffected");
-        a.release(m0);
-        assert!(a.try_admit(m0).is_ok(), "released slot is reusable");
-    }
-
-    #[test]
-    fn admission_enforces_total_quota() {
-        let mut a = Admission::new(AdmissionPolicy {
-            max_inflight_per_model: 0,
-            max_inflight_total: 3,
-            retry_after_secs: 1,
-        });
-        for i in 0..3 {
-            assert!(a.try_admit(ModelId(i)).is_ok());
-        }
-        assert_eq!(a.inflight_total, 3);
-        assert_eq!(a.try_admit(ModelId(9)), Err(1));
-        a.release(ModelId(1));
-        assert!(a.try_admit(ModelId(9)).is_ok());
-    }
-
-    #[test]
-    fn admission_zero_quotas_mean_unlimited() {
-        let mut a = Admission::new(AdmissionPolicy {
-            max_inflight_per_model: 0,
-            max_inflight_total: 0,
-            retry_after_secs: 1,
-        });
-        for i in 0..10_000u32 {
-            assert!(a.try_admit(ModelId(i % 7)).is_ok());
-        }
-    }
-
-    #[test]
-    fn release_without_admit_is_a_noop() {
-        let mut a = Admission::new(AdmissionPolicy::default_gateway());
-        a.release(ModelId(0));
-        assert_eq!(a.inflight_total, 0);
-    }
-
-    #[test]
-    fn default_gateway_bounds_only_the_total() {
-        let mut a = Admission::new(AdmissionPolicy::default_gateway());
-        for _ in 0..1024 {
-            assert!(a.try_admit(ModelId(0)).is_ok(), "no per-model bound");
-        }
-        assert_eq!(a.try_admit(ModelId(1)), Err(1), "1 s Retry-After hint");
-        a.release(ModelId(0));
-        assert!(a.try_admit(ModelId(1)).is_ok());
     }
 }

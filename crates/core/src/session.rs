@@ -111,32 +111,6 @@ impl std::fmt::Debug for LiveRequest {
     }
 }
 
-/// Per-endpoint request classes the gateway reports through the session's
-/// metrics registry (observer-only: excluded from result fingerprints).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
-    /// `POST /v1/completions`.
-    Completions,
-    /// `GET /metrics`.
-    Metrics,
-    /// `GET /healthz`.
-    Healthz,
-    /// `GET /v1/slo`.
-    Slo,
-}
-
-/// Labeled instrument ids for one I/O reactor, registered by
-/// [`ServingSession::configure_reactors`]. The names carry a Prometheus
-/// `reactor="i"` label so `/metrics` exposes per-reactor health instead of
-/// one aggregate that N reactors would trample.
-struct ReactorIds {
-    fds: aegaeon_telemetry::GaugeId,
-    ready: aegaeon_telemetry::GaugeId,
-    peak: aegaeon_telemetry::GaugeId,
-    drops: aegaeon_telemetry::CounterId,
-    accept_errors: aegaeon_telemetry::CounterId,
-}
-
 /// An incremental serving run: the [`ServingSystem`] under the runtime's
 /// [`Driver`] (event queue, auditor, telemetry poller) and, in open mode,
 /// the external-injection port. See module docs.
@@ -148,22 +122,11 @@ pub struct ServingSession {
     injected: Vec<Request>,
     /// Token sinks keyed by request id; removed after the final token.
     sinks: FxHashMap<u64, Box<dyn TokenSink>>,
-    /// Per-reactor labeled instruments (live gateway only; see
-    /// [`ServingSession::configure_reactors`]).
-    reactor_ids: Vec<ReactorIds>,
-    /// Age of the gateway's rendered `/metrics` snapshot at scrape time
-    /// (live gateway only; registered by
-    /// [`ServingSession::configure_reactors`]).
-    g_snapshot_age: aegaeon_telemetry::GaugeId,
     /// Construction-time horizon: replay must materialize the identical
     /// fault schedule, so [`ServingSession::injected_trace`] reports this
     /// value rather than the grown `trace.horizon`.
     live_horizon: SimTime,
     open: bool,
-    /// Gateway admission rejections (429s), surfaced on the audit report.
-    rejections: u64,
-    /// Gateway slow-reader drops (bounded output queue overflows).
-    slow_drops: u64,
 }
 
 impl ServingSession {
@@ -203,12 +166,8 @@ impl ServingSession {
             injector,
             injected: Vec::new(),
             sinks: FxHashMap::default(),
-            reactor_ids: Vec::new(),
-            g_snapshot_age: aegaeon_telemetry::GaugeId::NONE,
             live_horizon,
             open,
-            rejections: 0,
-            slow_drops: 0,
         }
     }
 
@@ -358,7 +317,7 @@ impl ServingSession {
     }
 
     /// Pumps the injection channel and admits every request whose stamp
-    /// precedes all queued events. Admission re-checks the queue after each
+    /// precedes all queued events. The queue is re-checked after each
     /// release because admitting schedules the `Arrive` event, which
     /// changes the head of the queue.
     fn admit_pending(&mut self) {
@@ -422,116 +381,11 @@ impl ServingSession {
         }
     }
 
-    // ---- observer-only gateway instrumentation -------------------------
-    // These touch the metrics registry, which result fingerprints exclude,
-    // so calling them (or not) cannot perturb the differential replay.
-
-    /// Sets the wall-clock lag gauge (how far simulated time trails the
-    /// clock driver's target), in seconds.
-    pub fn set_wall_lag(&mut self, secs: f64) {
-        let id = self.driver.host.tm.g_wall_lag;
-        self.driver.host.tel.metrics.set(id, secs);
-    }
-
-    /// Counts one served request on an endpoint.
-    pub fn note_endpoint(&mut self, ep: Endpoint) {
-        let id = match ep {
-            Endpoint::Completions => self.driver.host.tm.c_http_completions,
-            Endpoint::Metrics => self.driver.host.tm.c_http_metrics,
-            Endpoint::Healthz => self.driver.host.tm.c_http_healthz,
-            Endpoint::Slo => self.driver.host.tm.c_http_slo,
-        };
-        self.driver.host.tel.metrics.inc(id, 1);
-    }
-
-    /// Counts one admission rejection (429) in both the registry and the
-    /// rejection book surfaced on the audit report.
-    pub fn note_rejection(&mut self) {
-        self.rejections += 1;
-        let id = self.driver.host.tm.c_gw_rejected;
-        self.driver.host.tel.metrics.inc(id, 1);
-    }
-
-    /// Registers labeled per-reactor instruments for an N-reactor gateway:
-    /// `reactor_registered_fds{reactor="i"}`, `reactor_ready_depth{...}`,
-    /// `reactor_peak_streams{...}` gauges and `gateway_slow_drops{...}` and
-    /// `gateway_accept_errors{...}` counters per reactor. Prometheus text
-    /// renders the label verbatim from the registered name. Observer-only
-    /// (the registry is excluded from fingerprints) and never called on
-    /// replay, so configuring any reactor count cannot perturb the
-    /// differential. Call once, before stepping.
-    pub fn configure_reactors(&mut self, n: usize) {
-        assert!(self.reactor_ids.is_empty(), "reactors already configured");
-        let reg = &mut self.driver.host.tel.metrics;
-        self.reactor_ids = (0..n)
-            .map(|i| ReactorIds {
-                fds: reg.gauge(&format!("reactor_registered_fds{{reactor=\"{i}\"}}")),
-                ready: reg.gauge(&format!("reactor_ready_depth{{reactor=\"{i}\"}}")),
-                peak: reg.gauge(&format!("reactor_peak_streams{{reactor=\"{i}\"}}")),
-                drops: reg.counter(&format!("gateway_slow_drops{{reactor=\"{i}\"}}")),
-                accept_errors: reg.counter(&format!("gateway_accept_errors{{reactor=\"{i}\"}}")),
-            })
-            .collect();
-        self.g_snapshot_age = reg.gauge("metrics_snapshot_age_ms");
-    }
-
-    /// Sets the `metrics_snapshot_age_ms` gauge: how stale the rendered
-    /// `/metrics` snapshot was when the sim thread last (re-)rendered it.
-    /// The gateway records the age observed *at render time*, so a scrape
-    /// that forced a refresh reports the staleness it actually saw.
-    pub fn note_snapshot_age(&mut self, age_ms: f64) {
-        let id = self.g_snapshot_age;
-        self.driver.host.tel.metrics.set(id, age_ms);
-    }
-
     /// Renders the SLO observatory and switch-cost attribution ledger as a
     /// JSON document (the `GET /v1/slo` body). Observer-only: reads
     /// telemetry state that result fingerprints exclude.
     pub fn slo_snapshot_json(&self) -> String {
         aegaeon_telemetry::slo_json(&self.driver.host.tel.slo, &self.driver.host.tel.attrib)
-    }
-
-    /// Counts one slow-reader drop on a reactor: a streaming connection
-    /// whose bounded output queue overflowed because the client stopped
-    /// reading. The simulated request still runs to completion (a hung-up
-    /// client never perturbs the simulation); only the gateway-side stream
-    /// is severed.
-    pub fn note_slow_drop(&mut self, reactor: usize) {
-        self.slow_drops += 1;
-        if let Some(ids) = self.reactor_ids.get(reactor) {
-            self.driver.host.tel.metrics.inc(ids.drops, 1);
-        }
-    }
-
-    /// Total slow-reader drops recorded via
-    /// [`ServingSession::note_slow_drop`] across all reactors.
-    pub fn slow_drops(&self) -> u64 {
-        self.slow_drops
-    }
-
-    /// Counts one failed `accept(2)` (EMFILE, ENFILE, ...) on a reactor.
-    pub fn note_accept_error(&mut self, reactor: usize) {
-        if let Some(ids) = self.reactor_ids.get(reactor) {
-            self.driver.host.tel.metrics.inc(ids.accept_errors, 1);
-        }
-    }
-
-    /// Sets one reactor's health gauges: currently registered descriptors,
-    /// the size of the last readiness batch its event loop serviced, and
-    /// its peak concurrent stream count so far.
-    pub fn set_reactor_gauges(
-        &mut self,
-        reactor: usize,
-        registered_fds: usize,
-        ready_depth: usize,
-        peak_streams: usize,
-    ) {
-        if let Some(ids) = self.reactor_ids.get(reactor) {
-            let (fds, ready, peak) = (ids.fds, ids.ready, ids.peak);
-            self.driver.host.tel.metrics.set(fds, registered_fds as f64);
-            self.driver.host.tel.metrics.set(ready, ready_depth as f64);
-            self.driver.host.tel.metrics.set(peak, peak_streams as f64);
-        }
     }
 
     /// Direct access to the metrics registry (Prometheus export).
@@ -545,10 +399,7 @@ impl ServingSession {
     /// field holds a copy of the same report.
     pub fn finish(mut self) -> (RunResult, Option<AuditReport>) {
         self.sinks.clear();
-        let (mut result, mut report) = self.driver.finish();
-        if let Some(rep) = report.as_mut() {
-            rep.rejections = self.rejections;
-        }
+        let (mut result, report) = self.driver.finish();
         result.audit = report.clone();
         (result, report)
     }

@@ -529,7 +529,6 @@ fn merge(
             merged_report.events_checked += rep.events_checked;
             merged_report.requests_checked += rep.requests_checked;
             merged_report.books_checked += rep.books_checked;
-            merged_report.rejections += rep.rejections;
             merged_report
                 .violations
                 .extend(rep.violations.into_iter().map(|v| Violation {

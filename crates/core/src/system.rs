@@ -123,7 +123,7 @@ impl KvSpan {
 /// [`CoreIds`] (all nulls when telemetry is off, making every hot-path op
 /// a single branch).
 #[derive(Debug)]
-pub(crate) struct TelIds {
+struct TelIds {
     c_prefetch_hits: CounterId,
     c_swaps: CounterId,
     c_preemptions: CounterId,
@@ -131,13 +131,6 @@ pub(crate) struct TelIds {
     c_chaos_crashes: CounterId,
     c_chaos_windows: CounterId,
     c_meta_writes: CounterId,
-    /// Live-gateway instruments (observer only; written by the session).
-    pub(crate) c_http_completions: CounterId,
-    pub(crate) c_http_metrics: CounterId,
-    pub(crate) c_http_healthz: CounterId,
-    pub(crate) c_http_slo: CounterId,
-    pub(crate) c_gw_rejected: CounterId,
-    pub(crate) g_wall_lag: GaugeId,
     g_decode_batches: GaugeId,
     g_vram_kv_used: GaugeId,
     g_cpu_kv_used: GaugeId,
@@ -166,12 +159,6 @@ impl TelIds {
             c_chaos_crashes: reg.counter("chaos_crashes"),
             c_chaos_windows: reg.counter("chaos_windows"),
             c_meta_writes: reg.counter("metastore_writes"),
-            c_http_completions: reg.counter("http_completions_requests"),
-            c_http_metrics: reg.counter("http_metrics_requests"),
-            c_http_healthz: reg.counter("http_healthz_requests"),
-            c_http_slo: reg.counter("http_slo_requests"),
-            c_gw_rejected: reg.counter("gateway_rejected_requests"),
-            g_wall_lag: reg.gauge("wall_clock_lag_secs"),
             g_decode_batches: reg.gauge("decode_batches"),
             g_vram_kv_used: reg.gauge("vram_kv_used_bytes"),
             g_cpu_kv_used: reg.gauge("cpu_kv_used_bytes"),
@@ -302,7 +289,7 @@ pub struct ServingSystem {
     pub(crate) tel: Telemetry,
     /// Pre-registered metric ids: the runtime's and Aegaeon's own.
     ids: CoreIds,
-    pub(crate) tm: TelIds,
+    tm: TelIds,
     /// Per-request span handles and the retirement hook.
     spans: SpanBook,
     /// Per-request KV-transfer spans; empty when telemetry is off.

@@ -9,7 +9,9 @@
 //! violations. The full system ([`crate::system`]) implements only the
 //! disaggregated design.
 
-use aegaeon_sim::{SimTime, TraceKind, TraceLog};
+use aegaeon_metrics::slo::score_tokens;
+use aegaeon_sim::{SimDur, SimTime, TraceKind, TraceLog};
+use aegaeon_workload::SloSpec;
 
 /// Scheduling policy for the micro-study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -329,18 +331,30 @@ pub fn run_unified(policy: UnifiedPolicy, cfg: &MicroCfg, reqs: &[MicroReq]) -> 
         }
     }
 
-    // Score token deadlines (Figure 3 semantics).
-    let mut violations = 0usize;
-    let mut tokens = 0usize;
+    let makespan = runs
+        .iter()
+        .flat_map(|r| r.times.iter().cloned())
+        .fold(0.0, f64::max);
+    // Score token deadlines through the one rule (Figure 3 semantics).
+    let slo = SloSpec {
+        ttft: SimDur::from_secs_f64(cfg.ttft),
+        tbt: SimDur::from_secs_f64(cfg.tbt),
+    };
+    let horizon = SimTime::from_secs_f64(makespan);
+    let (mut tokens, mut met) = (0, 0);
     let mut ttft = Vec::new();
-    for r in &runs {
-        for (i, &t) in r.times.iter().enumerate() {
-            tokens += 1;
-            let deadline = r.spec.arrival + cfg.ttft + cfg.tbt * i as f64;
-            if t > deadline + 1e-9 {
-                violations += 1;
-            }
+    for (i, r) in runs.iter().enumerate() {
+        let times: Vec<SimTime> = r.times.iter().map(|&t| SimTime::from_secs_f64(t)).collect();
+        // The microbenchmark bypasses the event-driven audit hook, so
+        // enforce the auditor's token-order invariant inline before
+        // reporting.
+        if let Some(err) = crate::audit::check_token_order(i, &times) {
+            panic!("unified {policy:?} scheduler violated token order: {err}");
         }
+        let arrival = SimTime::from_secs_f64(r.spec.arrival);
+        let score = score_tokens(arrival, &times, r.spec.output_tokens, slo, horizon);
+        tokens += score.tokens as usize;
+        met += score.met as usize;
         ttft.push(
             r.times
                 .first()
@@ -348,20 +362,8 @@ pub fn run_unified(policy: UnifiedPolicy, cfg: &MicroCfg, reqs: &[MicroReq]) -> 
                 .unwrap_or(f64::INFINITY),
         );
     }
-    // The microbenchmark bypasses the event-driven audit hook, so enforce
-    // the auditor's token-order invariant inline before reporting.
-    for (i, r) in runs.iter().enumerate() {
-        let times: Vec<SimTime> = r.times.iter().map(|&t| SimTime::from_secs_f64(t)).collect();
-        if let Some(err) = crate::audit::check_token_order(i, &times) {
-            panic!("unified {policy:?} scheduler violated token order: {err}");
-        }
-    }
-    let makespan = runs
-        .iter()
-        .flat_map(|r| r.times.iter().cloned())
-        .fold(0.0, f64::max);
     MicroResult {
-        violations,
+        violations: tokens - met,
         tokens,
         ttft,
         trace,

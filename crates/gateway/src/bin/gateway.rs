@@ -171,7 +171,7 @@ fn main() {
     let mut gw_cfg = GatewayConfig::local(args.mode);
     gw_cfg.addr = args.addr;
     gw_cfg.live_horizon = SimTime::from_secs_f64(args.horizon_secs);
-    gw_cfg.admission.max_inflight_total = args.max_inflight;
+    gw_cfg.max_inflight = args.max_inflight;
     gw_cfg.max_connections = args.max_connections;
     gw_cfg.reactors = args.reactors;
 
@@ -195,13 +195,15 @@ fn main() {
     }
 
     eprintln!("gateway: shutdown requested, draining...");
-    let peak_connections = gateway.peak_connections();
     let report = gateway.shutdown();
     let r = &report.result;
+    let audit = report.audit.as_ref().expect("the gateway always audits");
     eprintln!(
-        "gateway: drained. requests={} completed={} slow_drops={} accept_errors={} sim_end={:.3}s",
+        "gateway: drained. requests={} completed={} rejections={} slow_drops={} accept_errors={} \
+         sim_end={:.3}s",
         report.trace.requests.len(),
         r.completed,
+        report.rejections,
         report.slow_drops,
         report.accept_errors.iter().sum::<u64>(),
         r.end_time.as_secs_f64(),
@@ -209,11 +211,6 @@ fn main() {
     if let Some(out) = &args.report_out {
         // Gateway-side half of the two-process soak: the bench harness
         // merges this with its client-side samples.
-        let (events_checked, violations, rejections) = report
-            .audit
-            .as_ref()
-            .map(|a| (a.events_checked, a.violations.len(), a.rejections))
-            .unwrap_or_default();
         let join = |v: Vec<String>| v.join(", ");
         let peaks = join(
             report
@@ -241,12 +238,12 @@ fn main() {
              \"fingerprint\": \"{:#018x}\"\n}}\n",
             report.trace.requests.len(),
             r.completed,
-            rejections,
+            report.rejections,
             report.slow_drops,
-            peak_connections,
+            report.peak_connections,
             r.end_time.as_secs_f64(),
-            events_checked,
-            violations,
+            audit.events_checked,
+            audit.violations.len(),
             args.reactors,
             peaks,
             accept_errors,
@@ -269,15 +266,12 @@ fn main() {
         }
         eprintln!("gateway: trace written to {out}");
     }
-    if let Some(audit) = &report.audit {
-        eprintln!(
-            "gateway: audit events_checked={} violations={} rejections={}",
-            audit.events_checked,
-            audit.violations.len(),
-            audit.rejections
-        );
-        if !audit.violations.is_empty() {
-            std::process::exit(1);
-        }
+    eprintln!(
+        "gateway: audit events_checked={} violations={}",
+        audit.events_checked,
+        audit.violations.len()
+    );
+    if !audit.violations.is_empty() {
+        std::process::exit(1);
     }
 }

@@ -29,9 +29,15 @@
 //!   delivery can never reach the wrong stream. A `DirtyBoard` flag per
 //!   reactor tells the sim loop exactly which reactor `Waker`s to poke
 //!   after a step flushes tokens.
-//! * **Observer-only notes** (endpoint counters, 429s, slow drops, health
-//!   gauges) flow reactor → sim over an unbounded control channel; they
-//!   touch only the metrics registry, which fingerprints exclude.
+//! * **Signals** flow reactor → sim over an unbounded control channel: a
+//!   ping after an injection or a stale scrape, and each reactor's drain
+//!   barrier message.
+//!
+//! The gateway keeps its own books. Every count it reports (requests per
+//! endpoint, 429s, the wall-clock lag, and per reactor the registered
+//! fds, the last readiness batch, the peak stream count, slow drops and
+//! failed accepts) is one atomic in the shared state, written where it
+//! happens and never copied into the simulation's metrics registry.
 //!
 //! A failed `accept(2)` (EMFILE, ENFILE, ...) is counted per reactor
 //! (`gateway_accept_errors{reactor="i"}` in `/metrics`,
@@ -39,13 +45,15 @@
 //! it raise no new readiness edge, so the reactor retries the accept on
 //! its next loop tick instead of waiting for the next connection.
 //!
-//! `/metrics` and `/v1/slo` are served from snapshots the sim thread
-//! re-renders every `METRICS_REFRESH`; reactors never read the session
-//! directly. A scrape that finds the snapshot older than the refresh
-//! cadence (the sim thread only renders on its own loop iterations, which
-//! an idle or busy loop can stretch) posts a `Ctl::ForceRender` so the
-//! sim thread re-renders promptly; the observed staleness is exported as
-//! the `metrics_snapshot_age_ms` gauge.
+//! `/metrics` is the sim thread's latest snapshot of the session's
+//! registry followed by a gateway section that the serving reactor renders
+//! from those atomics at scrape time, so gateway counts are exact when
+//! read; `/v1/slo` is the snapshot alone. The sim thread re-renders the
+//! snapshot every `METRICS_REFRESH`; reactors never read the session
+//! directly. `metrics_snapshot_age_ms` is the age of the snapshot being
+//! served. A scrape that finds it older than the refresh cadence (the sim
+//! thread only renders on its own loop iterations, which an idle or busy
+//! loop can stretch) pings the sim thread, which re-renders on waking.
 //!
 //! # Backpressure contract
 //!
@@ -56,9 +64,10 @@
 //! the connection closes without the `[DONE]` sentinel, the admission slot
 //! is released, and the drop is counted (labeled
 //! `gateway_slow_drops{reactor="i"}` in `/metrics`,
-//! [`GatewayReport::slow_drops`] at shutdown). Admission quotas are shared
-//! across reactors behind a mutex taken once per request lifecycle, never
-//! per token.
+//! [`GatewayReport::slow_drops`] at shutdown). Admission is one in-flight
+//! bound ([`GatewayConfig::max_inflight`]) shared by every reactor as a
+//! single atomic: a compare-exchange loop admits, a decrement releases,
+//! once per request lifecycle and never per token.
 //!
 //! # Graceful drain
 //!
@@ -76,19 +85,18 @@
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use aegaeon::proxy::{Admission, AdmissionPolicy};
-use aegaeon::session::{Endpoint, LiveRequest, ServingSession, TokenSink};
+use aegaeon::session::{LiveRequest, ServingSession, TokenSink};
 use aegaeon::{AegaeonConfig, AuditReport, InvariantAuditor, RunResult, TokenEv};
 use aegaeon_model::{ModelId, ModelSpec};
 use aegaeon_sim::queue::Injector;
 use aegaeon_sim::SimTime;
-use aegaeon_telemetry::prometheus_text;
+use aegaeon_telemetry::{labeled, prometheus_text, MetricsRegistry};
 use aegaeon_workload::Trace;
 
 use crate::api::{self, ApiError};
@@ -102,8 +110,8 @@ use crate::{http, sse};
 /// Poller token for the listening socket.
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
 /// Simulation events dispatched per sim-loop iteration before the control
-/// channel is re-checked; bounds how long arrivals/notes can queue behind
-/// sim work.
+/// channel is re-checked; bounds how long arrivals can queue behind sim
+/// work.
 const STEP_CHUNK: u64 = 8192;
 /// Longest either loop sleeps with nothing due (keeps gauges fresh).
 const MAX_WAIT: Duration = Duration::from_millis(100);
@@ -116,8 +124,8 @@ const SWEEP_EVERY: Duration = Duration::from_secs(5);
 const DRAIN_DEADLINE: Duration = Duration::from_secs(60);
 /// Cadence of the sim thread's `/metrics` snapshot re-render.
 const METRICS_REFRESH: Duration = Duration::from_millis(200);
-/// Cadence of each reactor's health-gauge report to the sim thread.
-const GAUGE_EVERY: Duration = Duration::from_millis(250);
+/// `Retry-After` hint on a 429, in seconds.
+const RETRY_AFTER_SECS: u32 = 1;
 
 /// Gateway deployment settings.
 #[derive(Debug, Clone)]
@@ -128,10 +136,9 @@ pub struct GatewayConfig {
     pub(crate) mode: ClockMode,
     /// Fault/hard-stop horizon for the open session.
     pub live_horizon: SimTime,
-    /// Admission quotas (shared across reactors).
-    pub admission: AdmissionPolicy,
-    /// Install the invariant auditor (observer only).
-    pub(crate) audit: bool,
+    /// Bound on in-flight completions across all reactors (0 = unlimited);
+    /// a request over it gets 429 and never reaches the simulation.
+    pub max_inflight: u32,
     /// Number of I/O reactor threads, each with its own `SO_REUSEPORT`
     /// listener. 1 reproduces the single-reactor layout (and is the only
     /// value supported off Linux); reactor count never changes simulation
@@ -150,15 +157,14 @@ pub struct GatewayConfig {
 }
 
 impl GatewayConfig {
-    /// Loopback on an ephemeral port, a 1-hour horizon, default admission,
-    /// auditor on, one reactor, 16k connection cap, 256 KiB write buffers.
+    /// Loopback on an ephemeral port, a 1-hour horizon, 1024 in-flight
+    /// completions, one reactor, 16k connection cap, 256 KiB write buffers.
     pub fn local(mode: ClockMode) -> GatewayConfig {
         GatewayConfig {
             addr: "127.0.0.1:0".to_string(),
             mode,
             live_horizon: SimTime::from_secs_f64(3600.0),
-            admission: AdmissionPolicy::default_gateway(),
-            audit: true,
+            max_inflight: 1024,
             reactors: 1,
             max_connections: 16 * 1024,
             max_conn_buffer: 256 * 1024,
@@ -173,17 +179,21 @@ pub struct GatewayReport {
     /// The run result, fingerprint-comparable with an offline replay of
     /// [`GatewayReport::trace`].
     pub result: RunResult,
-    /// Audit report (when `GatewayConfig::audit` was set), including the
-    /// gateway rejection book.
+    /// The invariant auditor's report (every gateway installs one).
     pub audit: Option<AuditReport>,
     /// Every admitted request with its simulated arrival stamp — replay it
     /// with [`ServingSession::replay`] to reproduce the run offline. The
     /// trace format is reactor-count invariant: stamps are assigned by the
     /// injection port on the sim thread, never by an I/O thread.
     pub trace: Trace,
+    /// Requests turned away by the admission gate (429s). They never reach
+    /// the simulation, so none of them is in [`GatewayReport::trace`].
+    pub rejections: u64,
     /// Streams dropped by write-back backpressure (slow readers), summed
     /// across reactors.
     pub slow_drops: u64,
+    /// High-water mark of simultaneously open connections (global).
+    pub peak_connections: usize,
     /// Peak simultaneously-open connections per reactor, indexed by
     /// reactor id — the accept-sharding balance evidence.
     pub per_reactor_peak: Vec<usize>,
@@ -191,42 +201,157 @@ pub struct GatewayReport {
     pub accept_errors: Vec<u64>,
 }
 
-/// State shared between the threads and the [`Gateway`] handle.
+/// The admission gate: a lock-free bound on in-flight completions, shared
+/// by every reactor.
+#[derive(Default)]
+struct Gate {
+    inflight: AtomicU32,
+    /// 0 = unlimited.
+    max: u32,
+}
+
+impl Gate {
+    fn new(max: u32) -> Gate {
+        Gate {
+            max,
+            ..Gate::default()
+        }
+    }
+
+    /// Admits one request, counting it in flight until [`Gate::release`],
+    /// or returns the `Retry-After` hint in seconds.
+    fn try_admit(&self) -> Result<(), u32> {
+        self.inflight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (self.max == 0 || n < self.max).then_some(n + 1)
+            })
+            .map(drop)
+            .map_err(|_| RETRY_AFTER_SECS)
+    }
+
+    /// Releases one in-flight slot (stream finished or client hung up); a
+    /// no-op when nothing is in flight.
+    fn release(&self) {
+        let _ = self
+            .inflight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+    }
+}
+
+/// One reactor's books, written by that reactor and read by whichever
+/// reactor serves a scrape.
+#[derive(Default)]
+struct ReactorStats {
+    /// Registered descriptors, stored on each loop pass.
+    fds: AtomicUsize,
+    /// Size of the last readiness batch serviced, stored on each loop pass.
+    ready: AtomicUsize,
+    /// Peak of simultaneously open connections.
+    peak: AtomicUsize,
+    /// Streams dropped because their output queue overflowed.
+    slow_drops: AtomicU64,
+    /// Failed `accept(2)` passes.
+    accept_errors: AtomicU64,
+}
+
+/// Selects one per-reactor book, to render it once per reactor.
+type StatField<T> = fn(&ReactorStats) -> &T;
+
+/// State shared between the threads and the [`Gateway`] handle, including
+/// every count the gateway reports: each is kept once, where it happens.
+#[derive(Default)]
 struct Shared {
     active: AtomicUsize,
     peak: AtomicUsize,
     draining: AtomicBool,
-    /// Per-reactor peak of simultaneously open connections.
-    reactor_peaks: Vec<AtomicUsize>,
+    gate: Gate,
+    /// Requests served per endpoint.
+    completions: AtomicU64,
+    metrics: AtomicU64,
+    healthz: AtomicU64,
+    slo: AtomicU64,
+    /// Admission rejections (429s).
+    rejected: AtomicU64,
+    /// How far simulated time trails the clock driver's target, in seconds
+    /// (`f64` bits), stored by the sim thread on each pass.
+    wall_lag: AtomicU64,
+    reactors: Vec<ReactorStats>,
 }
 
-/// Reactor → sim-thread control messages. Everything here is
-/// observer-only (metrics registry traffic) or pure signaling; simulation
-/// state is exclusively the sim thread's.
+impl Shared {
+    /// The gateway section of `/metrics`, rendered at scrape time through
+    /// the same Prometheus formatter as the sim snapshot.
+    fn prometheus(&self, snapshot_age: Duration) -> String {
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        let mut reg = MetricsRegistry::enabled();
+        for (name, n) in [
+            ("http_completions_requests", &self.completions),
+            ("http_metrics_requests", &self.metrics),
+            ("http_healthz_requests", &self.healthz),
+            ("http_slo_requests", &self.slo),
+            ("gateway_rejected_requests", &self.rejected),
+        ] {
+            let id = reg.counter(name);
+            reg.set_counter(id, load(n));
+        }
+        let counters: [(&str, StatField<AtomicU64>); 2] = [
+            ("gateway_slow_drops", |r| &r.slow_drops),
+            ("gateway_accept_errors", |r| &r.accept_errors),
+        ];
+        for (family, count) in counters {
+            for (i, r) in self.reactors.iter().enumerate() {
+                let id = reg.counter(&labeled(family, "reactor", &i.to_string()));
+                reg.set_counter(id, load(count(r)));
+            }
+        }
+        let id = reg.gauge("wall_clock_lag_secs");
+        reg.set(id, f64::from_bits(load(&self.wall_lag)));
+        let id = reg.gauge("metrics_snapshot_age_ms");
+        reg.set(id, snapshot_age.as_secs_f64() * 1e3);
+        let gauges: [(&str, StatField<AtomicUsize>); 3] = [
+            ("reactor_registered_fds", |r| &r.fds),
+            ("reactor_ready_depth", |r| &r.ready),
+            ("reactor_peak_streams", |r| &r.peak),
+        ];
+        for (family, level) in gauges {
+            for (i, r) in self.reactors.iter().enumerate() {
+                let id = reg.gauge(&labeled(family, "reactor", &i.to_string()));
+                reg.set(id, level(r).load(Ordering::Relaxed) as f64);
+            }
+        }
+        prometheus_text(&reg)
+    }
+}
+
+/// The sim thread's latest rendering of the session's observers; reactors
+/// serve it so no reactor ever reads the session.
+struct Snapshot {
+    /// Prometheus text of the session's metrics registry.
+    metrics: String,
+    /// The `GET /v1/slo` document.
+    slo: String,
+    /// When it was rendered.
+    at: Instant,
+}
+
+impl Snapshot {
+    fn render(session: &ServingSession) -> Snapshot {
+        Snapshot {
+            metrics: prometheus_text(session.metrics()),
+            slo: session.slo_snapshot_json(),
+            at: Instant::now(),
+        }
+    }
+}
+
+/// Reactor → sim-thread signals; simulation state is exclusively the sim
+/// thread's.
 enum Ctl {
-    /// Poke: a reactor injected an arrival (or the gateway wants the sim
-    /// loop to notice the drain flag).
+    /// Poke: a reactor injected an arrival or found a stale snapshot (or
+    /// the gateway wants the sim loop to notice the drain flag).
     Ping,
-    /// One request served on an endpoint.
-    Note(Endpoint),
-    /// One admission rejection (429).
-    Rejection,
-    /// One slow-reader drop on a reactor.
-    SlowDrop(usize),
-    /// One failed `accept(2)` on a reactor.
-    AcceptError(usize),
-    /// Periodic reactor health gauges.
-    Gauges {
-        reactor: usize,
-        fds: usize,
-        ready: usize,
-    },
-    /// A scrape found the `/metrics` (or `/v1/slo`) snapshot older than
-    /// [`METRICS_REFRESH`]: re-render promptly instead of waiting for the
-    /// next sim-loop iteration to notice.
-    ForceRender,
     /// Drain barrier: the reactor has flushed (or force-closed) every
-    /// connection and exited. Sent exactly once, after its final messages.
+    /// connection and exited. Sent exactly once.
     Drained,
 }
 
@@ -237,14 +362,13 @@ pub struct Gateway {
     shared: Arc<Shared>,
     wakers: Vec<Waker>,
     ctl: Sender<Ctl>,
-    /// Reactor threads; each returns its failed-accept count.
-    reactors: Vec<JoinHandle<u64>>,
+    reactors: Vec<JoinHandle<()>>,
     sim: Option<JoinHandle<SimOutcome>>,
 }
 
 /// What the sim thread hands back at join: the run result, the audit
-/// verdict, the injected trace for replay, and the slow-drop tally.
-type SimOutcome = (RunResult, Option<AuditReport>, Trace, u64);
+/// verdict, and the injected trace for replay.
+type SimOutcome = (RunResult, Option<AuditReport>, Trace);
 
 impl Gateway {
     /// Binds the `SO_REUSEPORT` listener group, spawns the sim thread and
@@ -274,20 +398,14 @@ impl Gateway {
         let mut sys_cfg = sys_cfg.clone();
         sys_cfg.telemetry = aegaeon_telemetry::TelemetrySpec::enabled();
         let mut session = ServingSession::open(&sys_cfg, models, gw.live_horizon);
-        session.configure_reactors(gw.reactors);
-        if gw.audit {
-            session.install_auditor(Box::new(InvariantAuditor::new()));
-        }
+        session.install_auditor(Box::new(InvariantAuditor::new()));
         let shared = Arc::new(Shared {
-            active: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
-            reactor_peaks: (0..gw.reactors).map(|_| AtomicUsize::new(0)).collect(),
+            gate: Gate::new(gw.max_inflight),
+            reactors: (0..gw.reactors).map(|_| ReactorStats::default()).collect(),
+            ..Shared::default()
         });
         let board = Arc::new(DirtyBoard::new(gw.reactors));
-        let snapshot = Arc::new(Mutex::new(prometheus_text(session.metrics())));
-        let slo_snapshot = Arc::new(Mutex::new(session.slo_snapshot_json()));
-        let render_stamp = Arc::new(Mutex::new(Instant::now()));
+        let snapshot = Arc::new(Mutex::new(Snapshot::render(&session)));
         let (ctl_tx, ctl_rx) = std::sync::mpsc::channel::<Ctl>();
         let clock = ClockDriver::new(gw.mode);
         let epoch = Instant::now();
@@ -314,10 +432,6 @@ impl Gateway {
                 wakers: wakers.clone(),
                 shared: Arc::clone(&shared),
                 snapshot: Arc::clone(&snapshot),
-                slo_snapshot: Arc::clone(&slo_snapshot),
-                render_stamp: Arc::clone(&render_stamp),
-                force_render: false,
-                n_reactors: gw.reactors,
                 drained: 0,
             };
             thread::Builder::new()
@@ -325,7 +439,6 @@ impl Gateway {
                 .spawn(move || sim.run())?
         };
 
-        let admission = Arc::new(Mutex::new(Admission::new(gw.admission)));
         let mut reactor_handles = Vec::with_capacity(gw.reactors);
         for (id, (listener, poller)) in listeners.into_iter().zip(pollers).enumerate() {
             let reactor = Reactor {
@@ -338,21 +451,16 @@ impl Gateway {
                 epoch,
                 board: Arc::clone(&board),
                 n_models: models.len() as u32,
-                admission: Arc::clone(&admission),
                 max_connections: gw.max_connections,
                 max_conn_buffer: gw.max_conn_buffer,
                 sock_sndbuf: gw.sock_sndbuf,
                 shared: Arc::clone(&shared),
                 snapshot: Arc::clone(&snapshot),
-                slo_snapshot: Arc::clone(&slo_snapshot),
-                render_stamp: Arc::clone(&render_stamp),
                 slab: Vec::new(),
                 gen: Vec::new(),
                 free: Vec::new(),
                 streaming: Vec::new(),
                 pending_write: Vec::new(),
-                local_active: 0,
-                accept_errors: 0,
                 accept_retry: false,
             };
             reactor_handles.push(
@@ -376,11 +484,6 @@ impl Gateway {
         self.addr
     }
 
-    /// High-water mark of simultaneously open connections (global).
-    pub fn peak_connections(&self) -> usize {
-        self.shared.peak.load(Ordering::SeqCst)
-    }
-
     /// Graceful drain: stop accepting on every reactor, complete every
     /// admitted request (fast-forwarded — wall pacing no longer applies),
     /// flush all token streams on all reactors, and return the final
@@ -391,30 +494,34 @@ impl Gateway {
             w.wake();
         }
         let _ = self.ctl.send(Ctl::Ping);
-        let accept_errors = self
-            .reactors
-            .drain(..)
-            .map(|r| r.join().unwrap_or(0))
-            .collect();
-        let (result, audit, trace, slow_drops) = self
+        for r in self.reactors.drain(..) {
+            let _ = r.join();
+        }
+        let (result, audit, trace) = self
             .sim
             .take()
             .expect("shutdown runs once")
             .join()
             .expect("gateway sim thread panicked");
-        let per_reactor_peak = self
-            .shared
-            .reactor_peaks
-            .iter()
-            .map(|p| p.load(Ordering::SeqCst))
-            .collect();
+        let stats = &self.shared.reactors;
         GatewayReport {
             result,
             audit,
             trace,
-            slow_drops,
-            per_reactor_peak,
-            accept_errors,
+            rejections: self.shared.rejected.load(Ordering::Relaxed),
+            slow_drops: stats
+                .iter()
+                .map(|r| r.slow_drops.load(Ordering::Relaxed))
+                .sum(),
+            peak_connections: self.shared.peak.load(Ordering::SeqCst),
+            per_reactor_peak: stats
+                .iter()
+                .map(|r| r.peak.load(Ordering::Relaxed))
+                .collect(),
+            accept_errors: stats
+                .iter()
+                .map(|r| r.accept_errors.load(Ordering::Relaxed))
+                .collect(),
         }
     }
 }
@@ -459,14 +566,8 @@ struct SimThread {
     board: Arc<DirtyBoard>,
     wakers: Vec<Waker>,
     shared: Arc<Shared>,
-    snapshot: Arc<Mutex<String>>,
-    slo_snapshot: Arc<Mutex<String>>,
-    /// When the snapshots were last rendered; reactors read it to decide
-    /// whether a scrape should post [`Ctl::ForceRender`].
-    render_stamp: Arc<Mutex<Instant>>,
-    /// A stale scrape asked for a prompt re-render (deduped per ctl batch).
-    force_render: bool,
-    n_reactors: usize,
+    snapshot: Arc<Mutex<Snapshot>>,
+    /// Reactors that have posted [`Ctl::Drained`] (one waker per reactor).
     drained: usize,
 }
 
@@ -478,10 +579,12 @@ impl SimThread {
             }
             let target = self.clock.sim_at(self.epoch.elapsed());
             let (_, truncated) = self.session.step_bounded(target, STEP_CHUNK);
-            self.session
-                .set_wall_lag(self.clock.lag_secs(self.session.now(), self.epoch.elapsed()));
+            let lag = self
+                .clock
+                .lag_secs(self.session.now(), self.epoch.elapsed());
+            self.shared.wall_lag.store(lag.to_bits(), Ordering::Relaxed);
             self.wake_dirty();
-            if self.force_render || self.snapshot_age() >= METRICS_REFRESH {
+            if self.snapshot_age() >= METRICS_REFRESH {
                 self.render_snapshot();
             }
             let timeout = if truncated {
@@ -526,38 +629,24 @@ impl SimThread {
         for w in &self.wakers {
             w.wake();
         }
-        // Barrier: reactors post their final notes and then `Drained`; the
-        // per-sender FIFO of the channel guarantees nothing is lost.
-        while self.drained < self.n_reactors && Instant::now() < deadline {
+        // Barrier: hold the session until every reactor has flushed its
+        // streams and checked in.
+        while self.drained < self.wakers.len() && Instant::now() < deadline {
             match self.ctl_rx.recv_timeout(Duration::from_millis(50)) {
                 Ok(msg) => self.handle_ctl(msg),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        self.render_snapshot();
         let trace = self.session.injected_trace();
-        let slow_drops = self.session.slow_drops();
         let (result, audit) = self.session.finish();
-        (result, audit, trace, slow_drops)
+        (result, audit, trace)
     }
 
     fn handle_ctl(&mut self, msg: Ctl) {
         match msg {
+            // Waking is the whole message: the loop re-checks its inputs.
             Ctl::Ping => {}
-            Ctl::Note(ep) => self.session.note_endpoint(ep),
-            Ctl::Rejection => self.session.note_rejection(),
-            Ctl::SlowDrop(reactor) => self.session.note_slow_drop(reactor),
-            Ctl::AcceptError(reactor) => self.session.note_accept_error(reactor),
-            Ctl::Gauges {
-                reactor,
-                fds,
-                ready,
-            } => {
-                let peak = self.shared.reactor_peaks[reactor].load(Ordering::SeqCst);
-                self.session.set_reactor_gauges(reactor, fds, ready, peak);
-            }
-            Ctl::ForceRender => self.force_render = true,
             Ctl::Drained => self.drained += 1,
         }
     }
@@ -571,24 +660,15 @@ impl SimThread {
         }
     }
 
-    /// Age of the rendered snapshots (how long since the last render).
+    /// How long since the last render.
     fn snapshot_age(&self) -> Duration {
-        self.render_stamp.lock().expect("render stamp lock").elapsed()
+        self.snapshot.lock().expect("snapshot lock").at.elapsed()
     }
 
-    /// Re-renders the `/metrics` and `/v1/slo` snapshots. The age of the
-    /// snapshot being replaced is recorded first (as
-    /// `metrics_snapshot_age_ms`), so the fresh snapshot reports the
-    /// staleness a concurrent scrape could actually have observed.
-    fn render_snapshot(&mut self) {
-        let age = self.snapshot_age();
-        self.session.note_snapshot_age(age.as_secs_f64() * 1e3);
-        let text = prometheus_text(self.session.metrics());
-        *self.snapshot.lock().expect("snapshot lock") = text;
-        let slo = self.session.slo_snapshot_json();
-        *self.slo_snapshot.lock().expect("slo snapshot lock") = slo;
-        *self.render_stamp.lock().expect("render stamp lock") = Instant::now();
-        self.force_render = false;
+    /// Re-renders the `/metrics` and `/v1/slo` snapshot.
+    fn render_snapshot(&self) {
+        let fresh = Snapshot::render(&self.session);
+        *self.snapshot.lock().expect("snapshot lock") = fresh;
     }
 }
 
@@ -635,28 +715,22 @@ struct Reactor {
     epoch: Instant,
     board: Arc<DirtyBoard>,
     n_models: u32,
-    admission: Arc<Mutex<Admission>>,
     max_connections: usize,
     max_conn_buffer: usize,
     sock_sndbuf: Option<u32>,
     shared: Arc<Shared>,
-    snapshot: Arc<Mutex<String>>,
-    slo_snapshot: Arc<Mutex<String>>,
-    render_stamp: Arc<Mutex<Instant>>,
+    snapshot: Arc<Mutex<Snapshot>>,
     /// Generation-tagged connection slab: token = (gen << 32) | idx, so a
     /// stale readiness event (or ring tag) for a recycled slot can never
     /// touch the new occupant.
     slab: Vec<Option<Conn>>,
     gen: Vec<u32>,
+    /// Empty slab slots; every other slot holds an open connection.
     free: Vec<usize>,
     /// Slab indices currently in `Streaming` state (token-pump worklist).
     streaming: Vec<usize>,
     /// Slab indices with queued output awaiting a pump (deduped).
     pending_write: Vec<usize>,
-    /// Connections this reactor currently owns (its share of `shared.active`).
-    local_active: usize,
-    /// Failed `accept(2)` calls so far.
-    accept_errors: u64,
     /// The last accept pass ended on an error with connections possibly
     /// still queued: retry on the next loop tick.
     accept_retry: bool,
@@ -682,12 +756,37 @@ fn accept_pass<C, S>(
     }
 }
 
+/// Copies one part of the sim snapshot, with the snapshot's age. The sim
+/// thread only re-renders on its own loop iterations, so a scrape can find
+/// the snapshot older than [`METRICS_REFRESH`] while the loop sleeps. Then
+/// it sends a [`Ctl::Ping`]: after any wake the sim loop re-renders a
+/// snapshot that old, so the next scrape is at most one loop iteration
+/// stale.
+fn read_snapshot(
+    snapshot: &Mutex<Snapshot>,
+    ctl: &Sender<Ctl>,
+    part: impl FnOnce(&Snapshot) -> &String,
+) -> (String, Duration) {
+    let (text, age) = {
+        let snap = snapshot.lock().expect("snapshot lock");
+        (part(&snap).clone(), snap.at.elapsed())
+    };
+    if age >= METRICS_REFRESH {
+        let _ = ctl.send(Ctl::Ping);
+    }
+    (text, age)
+}
+
 impl Reactor {
-    /// Serves until drain; returns the failed-accept count.
-    fn run(mut self) -> u64 {
+    /// This reactor's books in the shared state.
+    fn stats(&self) -> &ReactorStats {
+        &self.shared.reactors[self.id]
+    }
+
+    /// Serves until drain.
+    fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::new();
         let mut last_sweep = Instant::now();
-        let mut last_gauges = Instant::now();
         loop {
             if self.shared.draining.load(Ordering::SeqCst) {
                 break;
@@ -697,14 +796,9 @@ impl Reactor {
             }
             self.pump_tokens();
             self.pump_writes();
-            if last_gauges.elapsed() >= GAUGE_EVERY {
-                let _ = self.ctl.send(Ctl::Gauges {
-                    reactor: self.id,
-                    fds: self.poller.registered(),
-                    ready: events.len(),
-                });
-                last_gauges = Instant::now();
-            }
+            let stats = self.stats();
+            stats.fds.store(self.poller.registered(), Ordering::Relaxed);
+            stats.ready.store(events.len(), Ordering::Relaxed);
             if self.poller.wait(&mut events, Some(MAX_WAIT)).is_err() {
                 break;
             }
@@ -722,7 +816,6 @@ impl Reactor {
             }
         }
         self.drain_flush();
-        self.accept_errors
     }
 
     /// Drain: stop accepting, flush every in-flight stream (the sim thread
@@ -757,13 +850,6 @@ impl Reactor {
         for idx in 0..self.slab.len() {
             self.close(idx);
         }
-        // Final health report, then the barrier message — per-sender FIFO
-        // means the sim thread sees every note before `Drained`.
-        let _ = self.ctl.send(Ctl::Gauges {
-            reactor: self.id,
-            fds: self.poller.registered(),
-            ready: 0,
-        });
         let _ = self.ctl.send(Ctl::Drained);
     }
 
@@ -775,8 +861,7 @@ impl Reactor {
         );
         self.accept_retry = failed.is_some();
         if failed.is_some() {
-            self.accept_errors += 1;
-            let _ = self.ctl.send(Ctl::AcceptError(self.id));
+            self.stats().accept_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -818,8 +903,8 @@ impl Reactor {
         });
         let now_active = self.shared.active.fetch_add(1, Ordering::SeqCst) + 1;
         self.shared.peak.fetch_max(now_active, Ordering::SeqCst);
-        self.local_active += 1;
-        self.shared.reactor_peaks[self.id].fetch_max(self.local_active, Ordering::SeqCst);
+        let open = self.slab.len() - self.free.len();
+        self.stats().peak.fetch_max(open, Ordering::SeqCst);
     }
 
     /// Resolve a generation-tagged token to a live slab index.
@@ -920,19 +1005,18 @@ impl Reactor {
         let path = target.split('?').next().unwrap_or("");
         match (method.as_str(), path) {
             ("GET", "/healthz") => {
-                let _ = self.ctl.send(Ctl::Note(Endpoint::Healthz));
+                self.shared.healthz.fetch_add(1, Ordering::Relaxed);
                 self.respond(idx, 200, "OK", "text/plain", "ok\n", &[]);
             }
             ("GET", "/metrics") => {
-                let _ = self.ctl.send(Ctl::Note(Endpoint::Metrics));
-                self.nudge_stale_snapshot();
-                let text = self.snapshot.lock().expect("snapshot lock").clone();
+                self.shared.metrics.fetch_add(1, Ordering::Relaxed);
+                let (mut text, age) = read_snapshot(&self.snapshot, &self.ctl, |s| &s.metrics);
+                text.push_str(&self.shared.prometheus(age));
                 self.respond(idx, 200, "OK", "text/plain; version=0.0.4", &text, &[]);
             }
             ("GET", "/v1/slo") => {
-                let _ = self.ctl.send(Ctl::Note(Endpoint::Slo));
-                self.nudge_stale_snapshot();
-                let json = self.slo_snapshot.lock().expect("slo snapshot lock").clone();
+                self.shared.slo.fetch_add(1, Ordering::Relaxed);
+                let (json, _) = read_snapshot(&self.snapshot, &self.ctl, |s| &s.slo);
                 self.respond(idx, 200, "OK", "application/json", &json, &[]);
             }
             ("POST", "/v1/completions") => self.route_completion(idx, &body),
@@ -956,19 +1040,6 @@ impl Reactor {
                     &[],
                 );
             }
-        }
-    }
-
-    /// Staleness guard for scrape endpoints: the sim thread only re-renders
-    /// snapshots on its own loop iterations, so a scrape can observe a
-    /// snapshot arbitrarily older than [`METRICS_REFRESH`] while the loop
-    /// idles. When that happens, post a [`Ctl::ForceRender`] (and a ping is
-    /// implicit — the ctl recv wakes the sim thread) so the next scrape is
-    /// at most one loop iteration stale.
-    fn nudge_stale_snapshot(&self) {
-        let age = self.render_stamp.lock().expect("render stamp lock").elapsed();
-        if age >= METRICS_REFRESH {
-            let _ = self.ctl.send(Ctl::ForceRender);
         }
     }
 
@@ -1007,27 +1078,20 @@ impl Reactor {
             );
         }
         // Admission control: over-quota requests are turned away with a
-        // backoff hint and never reach the simulation. The quota book is
-        // shared across reactors; the lock is taken once per request
-        // lifecycle (admit/release), never per token.
-        let admit = self
-            .admission
-            .lock()
-            .expect("admission lock")
-            .try_admit(params.model);
-        if let Err(retry_after) = admit {
-            let _ = self.ctl.send(Ctl::Rejection);
+        // backoff hint and never reach the simulation.
+        if let Err(retry_after) = self.shared.gate.try_admit() {
+            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
             let retry = retry_after.to_string();
             return self.respond(
                 idx,
                 429,
                 "Too Many Requests",
                 "application/json",
-                &api::error_body("rate_limit_exceeded", "per-model quota exhausted"),
+                &api::error_body("rate_limit_exceeded", "in-flight quota exhausted"),
                 &[("Retry-After", retry.as_str())],
             );
         }
-        let _ = self.ctl.send(Ctl::Note(Endpoint::Completions));
+        self.shared.completions.fetch_add(1, Ordering::Relaxed);
         // The ring holds the request's entire output, so the sim thread
         // can fast-forward an arbitrary backlog without ever blocking on
         // this reactor; the tag pins the delivery to this (gen, slot).
@@ -1161,17 +1225,14 @@ impl Reactor {
                 }
                 Outcome::Done => {
                     let conn = self.slab[idx].as_mut().expect("streaming conn");
-                    if let ConnState::Streaming { model, done, .. } = &mut conn.state {
-                        self.admission
-                            .lock()
-                            .expect("admission lock")
-                            .release(*model);
+                    if let ConnState::Streaming { done, .. } = &mut conn.state {
+                        self.shared.gate.release();
                         *done = true;
                     }
                     self.mark_pending(idx);
                 }
                 Outcome::SlowDrop => {
-                    let _ = self.ctl.send(Ctl::SlowDrop(self.id));
+                    self.stats().slow_drops.fetch_add(1, Ordering::Relaxed);
                     self.close(idx);
                 }
             }
@@ -1246,11 +1307,8 @@ impl Reactor {
             return;
         };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        if let ConnState::Streaming { model, done: false, .. } = conn.state {
-            self.admission
-                .lock()
-                .expect("admission lock")
-                .release(model);
+        if let ConnState::Streaming { done: false, .. } = conn.state {
+            self.shared.gate.release();
         }
         // Bumping the generation retires every outstanding tag for this
         // slot: stale poller events and stale ring deliveries both fail
@@ -1259,7 +1317,6 @@ impl Reactor {
         self.gen[idx] = self.gen[idx].wrapping_add(1);
         self.free.push(idx);
         self.shared.active.fetch_sub(1, Ordering::SeqCst);
-        self.local_active = self.local_active.saturating_sub(1);
         // Dropping `conn.stream` closes the fd; the session keeps feeding
         // any still-live sink into a closed ring, which is harmless.
     }
@@ -1305,5 +1362,142 @@ mod tests {
         // The retry on the next tick drains the rest.
         assert!(run_pass(&mut queue, &mut admitted).is_none());
         assert_eq!(admitted, [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn gate_bounds_in_flight_with_a_one_second_hint() {
+        let gate = Gate::new(3);
+        for _ in 0..3 {
+            assert_eq!(gate.try_admit(), Ok(()));
+        }
+        assert_eq!(
+            gate.try_admit(),
+            Err(1),
+            "fourth in flight refused, 1 s hint"
+        );
+        gate.release();
+        assert_eq!(gate.try_admit(), Ok(()), "a released slot is reusable");
+        assert_eq!(gate.try_admit(), Err(1));
+    }
+
+    #[test]
+    fn gate_release_without_admit_is_a_noop() {
+        let gate = Gate::new(1);
+        gate.release();
+        assert_eq!(gate.inflight.load(Ordering::Relaxed), 0);
+        assert_eq!(gate.try_admit(), Ok(()));
+        assert_eq!(
+            gate.try_admit(),
+            Err(1),
+            "a stray release must not widen the bound"
+        );
+    }
+
+    #[test]
+    fn gate_zero_means_unlimited() {
+        let gate = Gate::new(0);
+        for _ in 0..10_000 {
+            assert_eq!(gate.try_admit(), Ok(()));
+        }
+    }
+
+    /// Threads racing to admit and release never hold more than the bound
+    /// at once, and every slot comes back.
+    #[test]
+    fn gate_never_admits_past_its_bound_across_threads() {
+        const K: u32 = 3;
+        let gate = Gate::new(K);
+        const THREADS: usize = 8;
+        let (holding, peak, admitted) = (AtomicU32::new(0), AtomicU32::new(0), AtomicU64::new(0));
+        let start = std::sync::Barrier::new(THREADS);
+        thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..2_000 {
+                        if gate.try_admit().is_err() {
+                            continue;
+                        }
+                        let now = holding.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        thread::yield_now();
+                        holding.fetch_sub(1, Ordering::SeqCst);
+                        gate.release();
+                        admitted.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert!(
+            peak.load(Ordering::SeqCst) <= K,
+            "in flight exceeded the bound"
+        );
+        assert!(admitted.load(Ordering::SeqCst) > 0);
+        assert_eq!(
+            gate.inflight.load(Ordering::SeqCst),
+            0,
+            "every slot released"
+        );
+    }
+
+    fn snapshot_aged(age: Duration) -> Mutex<Snapshot> {
+        Mutex::new(Snapshot {
+            metrics: "metrics".into(),
+            slo: "slo".into(),
+            at: Instant::now() - age,
+        })
+    }
+
+    #[test]
+    fn stale_snapshot_read_pings_the_sim_thread() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (text, age) = read_snapshot(&snapshot_aged(Duration::ZERO), &tx, |s| &s.metrics);
+        assert_eq!(text, "metrics");
+        assert!(age < METRICS_REFRESH);
+        assert!(rx.try_recv().is_err(), "a fresh snapshot needs no render");
+        let (text, age) = read_snapshot(&snapshot_aged(METRICS_REFRESH), &tx, |s| &s.slo);
+        assert_eq!(text, "slo");
+        assert!(age >= METRICS_REFRESH);
+        assert!(
+            matches!(rx.try_recv(), Ok(Ctl::Ping)),
+            "a stale read must wake the sim"
+        );
+    }
+
+    /// An idle gateway never serves an arbitrarily stale snapshot: the sim
+    /// loop wakes at least every `MAX_WAIT` (or at once on a stale scrape's
+    /// ping) and re-renders a snapshot older than `METRICS_REFRESH`, so
+    /// scrape-time `metrics_snapshot_age_ms` stays under their sum. The
+    /// slack absorbs thread scheduling on a loaded host.
+    #[test]
+    fn stale_metrics_scrape_forces_a_rerender() {
+        const SLACK: Duration = Duration::from_millis(200);
+        let models =
+            aegaeon_model::Zoo::replicate(&aegaeon_model::Zoo::standard().market_band(), 1);
+        let gw = Gateway::start(
+            &AegaeonConfig::small_testbed(1, 1),
+            &models,
+            GatewayConfig::local(ClockMode::Timewarp(50.0)),
+        )
+        .expect("gateway start");
+        let rtt = Duration::from_secs(30);
+        for pause_ms in [0, 400, 150, 250, 330] {
+            thread::sleep(Duration::from_millis(pause_ms));
+            let text = crate::client::request(gw.addr(), "GET", "/metrics", None, rtt)
+                .expect("scrape")
+                .text();
+            let age_ms: f64 = text
+                .lines()
+                .find_map(|l| l.strip_prefix("metrics_snapshot_age_ms "))
+                .expect("snapshot age exported")
+                .parse()
+                .expect("numeric age");
+            let bound = METRICS_REFRESH + MAX_WAIT + SLACK;
+            assert!(
+                age_ms < bound.as_secs_f64() * 1e3,
+                "served a {age_ms} ms old snapshot after {pause_ms} ms idle"
+            );
+        }
+        gw.shutdown();
     }
 }

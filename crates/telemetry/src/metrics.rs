@@ -57,7 +57,7 @@ impl CounterId {
 }
 impl GaugeId {
     /// Null handle returned by a disabled registry; all ops on it no-op.
-    pub const NONE: GaugeId = GaugeId(u16::MAX);
+    pub(crate) const NONE: GaugeId = GaugeId(u16::MAX);
 }
 impl SketchId {
     /// Null handle returned by a disabled registry; all ops on it no-op.

@@ -484,6 +484,33 @@ fn registry_surfaces_queue_auditor_and_chaos_counts() {
     }
 }
 
+/// An offline run's Prometheus export carries only what the simulation
+/// counts: the live gateway's families are rendered by the gateway itself,
+/// so an offline run never prints them as always-zero lines.
+#[test]
+fn offline_export_names_no_gateway_family() {
+    let models = market_models(N_MODELS);
+    let trace = uniform_trace(N_MODELS, RATE, SECS, 7, LengthDist::sharegpt());
+    let r = ServingSystem::run(&aegaeon_cfg(7, true), &models, &trace);
+    let text = aegaeon_telemetry::prometheus_text(&r.telemetry.metrics);
+    assert!(
+        text.contains("events_dispatched "),
+        "export is empty:\n{text}"
+    );
+    let gateway = [
+        "http_",
+        "gateway_",
+        "reactor_",
+        "wall_clock_lag_secs",
+        "metrics_snapshot_age_ms",
+    ];
+    for line in text.lines() {
+        let name = line.strip_prefix("# TYPE ").unwrap_or(line);
+        let offline = gateway.iter().any(|g| name.starts_with(g));
+        assert!(!offline, "gateway family in an offline export: {line}");
+    }
+}
+
 /// The registry sketch named `name`.
 fn sketch<'a>(tel: &'a aegaeon_telemetry::Telemetry, name: &str) -> &'a QuantileSketch {
     tel.metrics

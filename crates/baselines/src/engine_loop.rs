@@ -535,8 +535,9 @@ impl<S: Scheduler> Host for Serve<'_, S> {
         &self.w
     }
 
-    fn requests_mut(&mut self) -> &mut Requests {
-        &mut self.w.reqs
+    fn clear_logs(&mut self) {
+        self.w.reqs.clear_progress();
+        self.w.port.fabric.clear_dirty_links();
     }
 
     fn finish(self, q: &Qq, audit: Option<&AuditReport>) -> RunResult {
@@ -582,8 +583,8 @@ impl AuditView for World {
         &self.reqs
     }
 
-    fn link_audit(&self) -> Option<String> {
-        self.port.link_audit()
+    fn link_audit(&self, all: bool) -> Option<String> {
+        self.port.link_audit(all)
     }
 }
 

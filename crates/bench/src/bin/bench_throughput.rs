@@ -14,6 +14,7 @@
 //! ride along with the code they describe.
 
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use aegaeon::shard::run_sharded;
@@ -62,21 +63,29 @@ macro_rules! drive_queue {
 /// Timed repeats of each observer setting (the median is reported).
 const OBSERVER_REPEATS: usize = 7;
 
-/// The invariant suite plus a deep check of every memory book after every
-/// event, epochs ignored: what the auditor would cost without them.
-struct EveryBook(InvariantAuditor);
+/// Block allocations and frees the slab pools logged during the last
+/// [`EveryBook`] run, counted by reading every book's log after every event.
+static LOGGED_BLOCK_OPS: AtomicU64 = AtomicU64::new(0);
+
+/// The invariant suite plus a dense check of every memory book after every
+/// event, touch logs ignored: what the auditor would cost without them.
+/// It also counts the block ops every pool logged, an independent tally of
+/// what the suite's incremental checks must have replayed.
+struct EveryBook(InvariantAuditor, u64);
 
 impl Auditor for EveryBook {
     fn after_event(&mut self, now: SimTime, view: &dyn AuditView) {
         self.0.after_event(now, view);
-        for i in 0..view.book_count() {
-            std::hint::black_box(view.book_audit(i));
-        }
+        view.books(true, &mut |i, book| {
+            std::hint::black_box((book.audit(), view.sessions_audit(i)));
+            self.1 += book.kv.block_ops() as u64;
+        });
     }
     fn at_finish(&mut self, now: SimTime, view: &dyn AuditView) {
         self.0.at_finish(now, view);
     }
     fn take_report(&mut self) -> AuditReport {
+        LOGGED_BLOCK_OPS.store(self.1, Ordering::Relaxed);
         self.0.take_report()
     }
 }
@@ -93,7 +102,7 @@ fn invariant_auditor() -> Option<Box<dyn Auditor + Send>> {
 }
 
 fn every_book_auditor() -> Option<Box<dyn Auditor + Send>> {
-    Some(Box::new(EveryBook(InvariantAuditor::new())))
+    Some(Box::new(EveryBook(InvariantAuditor::new(), 0)))
 }
 
 /// Runs every setting over `trace` [`OBSERVER_REPEATS`] times, interleaved
@@ -295,10 +304,12 @@ fn main() {
     );
 
     // --- Observer tax: the invariant auditor ---------------------------------
-    // A chaos run under the auditor's full-scan threshold: after every event
-    // the requests that produced a token are checked, and a memory book (one
-    // KV cache and its move list) is deep-checked only when the event moved
-    // its epoch.
+    // A 16-model chaos trace the size of the benchmark's small `observed`
+    // trace: after every event the requests that produced a token are
+    // checked, and each memory book (one KV cache and its move list) the
+    // event touched replays its touch logs and checks the blocks they name.
+    // The "every book" leg densely checks every book after every event
+    // instead: the reference the logs replace.
     let omodels = market_models(16);
     let otrace = uniform_trace(16, 0.3, 30.0, SEED, LengthDist::sharegpt());
     let mut ocfg = AegaeonConfig::paper_testbed();
@@ -316,10 +327,16 @@ fn main() {
     )
     .into_iter();
     let (bare_secs, bare, _) = runs.next().expect("off");
-    let (audit_secs, audited, report) = runs.next().expect("changed books");
-    let (every_secs, every, _) = runs.next().expect("every book");
+    let (audit_secs, audited, report) = runs.next().expect("touched books");
+    let (every_secs, every, every_report) = runs.next().expect("every book");
     let report = report.expect("auditor installed");
     assert!(report.ok(), "{report}");
+    let logged_ops = LOGGED_BLOCK_OPS.load(Ordering::Relaxed);
+    assert_eq!(
+        report.blocks_checked, logged_ops,
+        "the auditor checks every block op the pools log"
+    );
+    assert_eq!(every_report.map(|r| r.blocks_checked), Some(logged_ops));
     assert_eq!(
         bare.fingerprint(),
         audited.fingerprint(),
@@ -332,6 +349,7 @@ fn main() {
     );
     let books = ocfg.instance_count() + ocfg.cluster.nodes.len();
     let audits_per_event = report.books_checked as f64 / report.events_checked as f64;
+    let blocks_per_event = report.blocks_checked as f64 / report.events_checked as f64;
     let tokens: u64 = bare
         .outcomes
         .iter()
@@ -340,7 +358,7 @@ fn main() {
     let request_audits_per_event = report.requests_checked as f64 / report.events_checked as f64;
     let tax = |secs: f64| (secs / bare_secs - 1.0) * 100.0;
     println!(
-        "\nauditor tax ({} requests, chaos, full scan, median of {OBSERVER_REPEATS}):",
+        "\nauditor tax ({} requests, chaos, median of {OBSERVER_REPEATS}):",
         otrace.len()
     );
     println!(
@@ -348,7 +366,7 @@ fn main() {
         bare.events
     );
     println!(
-        "  on (changed books)  : {audit_secs:.3}s (+{:.0}%), {audits_per_event:.2} of {books} books audited per event",
+        "  on (touched books)  : {audit_secs:.3}s (+{:.0}%), {audits_per_event:.2} of {books} books and {blocks_per_event:.2} blocks checked per event",
         tax(audit_secs)
     );
     println!(
@@ -565,6 +583,9 @@ fn main() {
             "every_book_tax_pct": tax(every_secs),
             "book_audits": report.books_checked,
             "book_audits_per_event": audits_per_event,
+            "blocks_checked": report.blocks_checked,
+            "blocks_checked_per_event": blocks_per_event,
+            "block_ops_logged": logged_ops,
             "request_audits": report.requests_checked,
             "tokens": tokens,
             "request_audits_per_event": request_audits_per_event,

@@ -12,10 +12,79 @@
 //! perturb scheduling, so a run with the auditor on produces bit-identical
 //! results to a run with it off (a differential test asserts this).
 
+use aegaeon_engine::KvCache;
+use aegaeon_gpu::EventId;
+use aegaeon_mem::{BlockRef, MoveList, ShapeKey, SlabShadow};
 use aegaeon_sim::SimTime;
 use std::fmt;
 
 use crate::runtime::Requests;
+use crate::sessionbook::SessionBook;
+
+/// Blocks a §5.3 move list parks behind in-flight copies: per guarding
+/// copy event, the `(shape, blocks)` batches it parks.
+pub type ParkedBlocks = MoveList<(ShapeKey, Vec<BlockRef>), EventId>;
+
+/// One memory book: a unified KV cache together with the move list
+/// parking its blocks. Its ledger is the cache's slab pool on one side and,
+/// on the other, every request's block list plus every parked batch.
+#[derive(Clone, Copy)]
+pub struct Book<'a> {
+    /// "prefill", "decode" or "node" (names the book in messages).
+    pub(crate) kind: &'static str,
+    /// Index within that kind.
+    pub(crate) idx: usize,
+    /// The cache.
+    pub kv: &'a KvCache,
+    /// The blocks parked behind in-flight copies out of it.
+    pub parked: &'a ParkedBlocks,
+}
+
+impl fmt::Display for Book<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {} kv", self.kind, self.idx)
+    }
+}
+
+impl<'a> Book<'a> {
+    fn parked_batches(&self) -> impl Iterator<Item = (ShapeKey, &'a [BlockRef])> {
+        self.parked.iter().flat_map(|(_, batches)| {
+            batches
+                .iter()
+                .map(|(shape, blocks)| (*shape, blocks.as_slice()))
+        })
+    }
+
+    /// Dense double entry over the whole ledger ([`KvCache::audit`]):
+    /// `Some(description)` on violation.
+    pub fn audit(&self) -> Option<String> {
+        let err = self.kv.audit(self.parked_batches());
+        err.map(|e| format!("{self}: {e}"))
+    }
+
+    /// True if the last event touched either side of the ledger.
+    #[inline]
+    pub(crate) fn touched(&self) -> bool {
+        self.kv.touched() || !self.parked.touches().is_empty()
+    }
+
+    /// Replays the last event's touch logs onto `shadow` and checks what
+    /// they touched; the block allocations and frees replayed, or the
+    /// first violation.
+    fn check(&self, shadow: &mut SlabShadow) -> Result<usize, String> {
+        let parked = self.parked.touches().iter();
+        let parked = parked.map(|(gained, (shape, blocks))| (*shape, blocks.as_slice(), *gained));
+        let checked = self.kv.check_touches(shadow, parked);
+        checked.map_err(|e| format!("{self}: {e}"))
+    }
+
+    /// True if the last event gave or took blocks of a session handle.
+    fn names_session(&self) -> bool {
+        self.kv
+            .touches()
+            .any(|(key, ..)| SessionBook::is_handle(key))
+    }
+}
 
 /// Read-only view a serving system exposes to the auditor.
 pub trait AuditView {
@@ -23,26 +92,26 @@ pub trait AuditView {
     /// log and the completed/rejected/migrated counters, which the auditor
     /// cross-checks against per-request state.
     fn requests(&self) -> &Requests;
-    /// Number of memory books: one per KV cache, together with the move
-    /// list parking its blocks (0 for a view without KV accounting).
-    fn book_count(&self) -> usize {
+    /// Visits each memory book `(i, book)`, in index order: every book
+    /// when `all`, else only the books whose touch logs are non-empty. A
+    /// book's touch logs must hold every change the last event made to its
+    /// ledger. A view without KV accounting has no books.
+    fn books(&self, _all: bool, _visit: &mut dyn FnMut(usize, Book<'_>)) {}
+    /// Mutation epoch of the session book: it moves whenever a retained
+    /// prefix or an outstanding claim is added or removed.
+    fn sessions_epoch(&self) -> u64 {
         0
     }
-    /// Mutation epoch of book `i`. It must strictly increase whenever
-    /// anything [`Self::book_audit`] reads for book `i` changes, so an
-    /// unchanged epoch guarantees an unchanged verdict and the auditor
-    /// skips the book.
-    fn book_epoch(&self, _i: usize) -> u64 {
-        0
-    }
-    /// Deep-checks book `i` (slab and block ledgers, session cross-entries);
-    /// `Some(description)` on violation.
-    fn book_audit(&self, _i: usize) -> Option<String> {
+    /// Cross-checks book `i` against the session book (retained prefixes
+    /// are backed, held session handles are owned); `Some(description)` on
+    /// violation.
+    fn sessions_audit(&self, _i: usize) -> Option<String> {
         None
     }
-    /// Deep-checks bandwidth conservation on every fabric link;
-    /// `Some(description)` on violation.
-    fn link_audit(&self) -> Option<String> {
+    /// Deep-checks bandwidth conservation on every fabric link when `all`,
+    /// else on the links the last event touched; `Some(description)` on
+    /// violation.
+    fn link_audit(&self, _all: bool) -> Option<String> {
         None
     }
 }
@@ -65,18 +134,19 @@ impl fmt::Display for Violation {
 /// Outcome of an audited run.
 #[derive(Debug, Clone, Default)]
 pub struct AuditReport {
-    /// Events audited, the final sweep included. Causality, conservation
-    /// and the requests an event logged are checked after every one; the
-    /// memory/link books after every one only up to
-    /// [`InvariantAuditor::FULL_SCAN_MAX`] requests, and every
-    /// `InvariantAuditor::BOOKS_EVERY` events above it.
+    /// Events audited, the final sweep included. Every check runs after
+    /// every one, at any request count.
     pub events_checked: u64,
     /// Per-request checks, summed over events: one per logged token, plus
     /// every request in the final sweep.
     pub requests_checked: u64,
-    /// Memory books deep-checked, summed over events: only books whose
-    /// epoch moved since their last clean check, plus every book at finish.
+    /// Memory books checked, summed over events: the books whose touch
+    /// logs were non-empty, plus one dense pass per book when its shadow is
+    /// seeded (first event, or after a violation) and every book at finish.
     pub books_checked: u64,
+    /// Block allocations and frees checked, summed over events: every one
+    /// the books' slab pools logged during audited events.
+    pub blocks_checked: u64,
     /// All violations, in detection order.
     pub violations: Vec<Violation>,
 }
@@ -93,8 +163,8 @@ impl fmt::Display for AuditReport {
         if self.ok() {
             write!(
                 f,
-                "audit ok ({} events audited, {} request checks, {} book audits)",
-                self.events_checked, self.requests_checked, self.books_checked
+                "audit ok ({} events audited, {} request checks, {} book audits, {} block checks)",
+                self.events_checked, self.requests_checked, self.books_checked, self.blocks_checked
             )
         } else {
             writeln!(
@@ -132,36 +202,51 @@ pub trait Auditor {
 ///    never exceeds the oracle target; one timestamp per token.
 /// 4. **Token monotonicity** — per-token timestamps are nondecreasing and
 ///    never in the future.
-/// 5. **Memory accounting** — delegated to [`AuditView::book_audit`]
-///    per KV book (every block of an assigned slab is exactly once free or
-///    held, per-slab used counts equal holdings, retained session prefixes
-///    are backed and owned). A book is re-checked only when its
-///    [`AuditView::book_epoch`] moved since it last passed: an event
-///    touches one or two caches, so re-auditing all of them after every
-///    event would cost O(books × blocks) for nothing. A failed book stays
-///    due until it passes.
+/// 5. **Memory accounting** — per KV [`Book`]: every block of an assigned
+///    slab is exactly once free or held, in a slab of its shape; per-slab
+///    used counts equal holdings; per shape, used + free equals capacity.
+///    Per book, [`AuditView::sessions_audit`] checks that retained session
+///    prefixes are backed and held session handles owned.
 /// 6. **Bandwidth conservation** — delegated to [`AuditView::link_audit`]
 ///    (per-link started = delivered + in-flight; delivered never exceeds
 ///    nominal capacity × busy time).
 ///
 /// # Scaling
 ///
-/// Request work is proportional to what an event changed. The token-level
-/// invariants (2–4) can only move when a request produces a token, and
-/// every token goes through [`Requests::push_token`], which logs the
-/// request in the table's progress log ([`Requests::progressed`]). After
-/// each event the auditor checks exactly the logged requests against their
-/// high-water marks (a request logged twice is simply checked twice) and
-/// keeps the number of done requests incrementally, so the exact
-/// `completed == done-requests` cross-count runs after every event at any
-/// request count. The final sweep at finish re-checks every request, so a
-/// change that bypassed the log is still caught, only later.
+/// Every check costs what the event changed, so each one runs after every
+/// event at any request count.
 ///
-/// The memory/link book audits run after every event up to
-/// [`InvariantAuditor::FULL_SCAN_MAX`] requests and every
-/// `InvariantAuditor::BOOKS_EVERY` events above it (still skipping books
-/// whose epoch has not moved), plus once at finish. All of this is
-/// deterministic (purely event-count driven) and observer-only.
+/// *Requests.* The token-level invariants (2–4) can only move when a
+/// request produces a token, and every token goes through
+/// [`Requests::push_token`], which logs the request in the table's progress
+/// log ([`Requests::progressed`]). After each event the auditor checks
+/// exactly the logged requests against their high-water marks (a request
+/// logged twice is simply checked twice) and keeps the number of done
+/// requests incrementally, so the exact `completed == done-requests`
+/// cross-count runs after every event. The final sweep at finish re-checks
+/// every request, so a change that bypassed the log is still caught, only
+/// later.
+///
+/// *Memory books.* An event touches a few blocks of one or two books. Each
+/// book's slab pool logs every block it hands out or takes back and every
+/// slab it assigns or releases; its cache logs every key that gains or
+/// loses blocks, its move list every batch it parks or releases. The
+/// driver clears the logs before each event. Per book the auditor keeps a
+/// [`SlabShadow`] — per block, the pool's side and the owner side — seeded
+/// by one dense pass ([`Book::audit`]) on the first event it sees, so an
+/// auditor installed mid-run starts from the state as it is. After each
+/// event it replays the logs of every book whose logs are non-empty and
+/// checks the double entry of each touched block, slab and shape. A
+/// violation drops the shadow, so the book is dense-checked again on each
+/// later event until it passes. The session cross-check of a book runs
+/// when the session book's epoch moved or the book's log names a session
+/// handle. At finish every book gets the dense pass, the oracle for the
+/// incremental checks.
+///
+/// *Links.* The fabric marks every link whose books an event changed, and
+/// only those are checked; every link is checked at finish.
+///
+/// All of this is deterministic (purely event driven) and observer-only.
 #[derive(Debug, Default)]
 pub struct InvariantAuditor {
     last_now: SimTime,
@@ -173,12 +258,13 @@ pub struct InvariantAuditor {
     report: AuditReport,
     /// Cap on recorded violations so a broken run cannot OOM the auditor.
     max_violations: usize,
-    /// Events since the last memory/link book audit above
-    /// [`InvariantAuditor::FULL_SCAN_MAX`] requests.
-    since_books: u32,
-    /// Per memory book, the epoch at which it last audited clean (`None`
-    /// until its first clean audit, and again after a failed one).
-    clean_at: Vec<Option<u64>>,
+    /// Per memory book, the shadow of its ledger (`None` until a dense pass
+    /// seeds it, and again after a violation).
+    shadows: Vec<Option<SlabShadow>>,
+    /// True while some book may lack a shadow: every book is visited.
+    unseeded: bool,
+    /// The session book's epoch at the last event.
+    sessions_epoch: Option<u64>,
 }
 
 /// What the auditor last saw of one request.
@@ -190,17 +276,18 @@ struct Seen {
 }
 
 impl InvariantAuditor {
-    /// Largest request count whose memory/link books are audited after
-    /// every event.
+    /// A request count that once split the auditor into two modes: above
+    /// it, memory and link books were checked only every 256 events. Every
+    /// check now runs after every event at any size, so it selects
+    /// nothing; it remains only because the `observed` benchmark names its
+    /// two traces by it.
     pub const FULL_SCAN_MAX: usize = 2048;
-    /// Event cadence of the memory/link book audits above
-    /// [`Self::FULL_SCAN_MAX`] requests.
-    pub(crate) const BOOKS_EVERY: u32 = 256;
 
     /// A fresh auditor.
     pub fn new() -> Self {
         InvariantAuditor {
             max_violations: 64,
+            unseeded: true,
             ..Default::default()
         }
     }
@@ -279,38 +366,85 @@ impl InvariantAuditor {
             );
         }
 
-        if finish || n <= Self::FULL_SCAN_MAX {
-            self.audit_books(now, view, finish);
-        } else {
-            self.since_books += 1;
-            if self.since_books >= Self::BOOKS_EVERY {
-                self.since_books = 0;
-                self.audit_books(now, view, false);
-            }
-        }
+        self.audit_books(now, view, finish);
     }
 
-    /// Deep-checks the memory books whose epoch moved since they last
-    /// passed (every book when `all`), then every link.
-    fn audit_books(&mut self, now: SimTime, view: &dyn AuditView, all: bool) {
-        let n = view.book_count();
-        self.clean_at.resize(n, None);
-        for i in 0..n {
-            let epoch = view.book_epoch(i);
-            if !all && self.clean_at[i] == Some(epoch) {
-                continue;
+    /// Checks the memory books the last event touched against their
+    /// shadows (every book densely at `finish`), their session entries when
+    /// due, then the links.
+    fn audit_books(&mut self, now: SimTime, view: &dyn AuditView, finish: bool) {
+        let epoch = view.sessions_epoch();
+        let sessions_moved = self.sessions_epoch.replace(epoch) != Some(epoch);
+        // Every book is visited at finish, and while any may lack a shadow
+        // (the first event, or after a violation).
+        let all = finish || self.unseeded;
+        let Self {
+            report,
+            max_violations,
+            shadows,
+            unseeded,
+            ..
+        } = self;
+        *unseeded = false;
+        let mut flag = |what: String| {
+            if report.violations.len() < *max_violations {
+                report.violations.push(Violation { at: now, what });
             }
-            self.report.books_checked += 1;
-            self.clean_at[i] = match view.book_audit(i) {
-                None => Some(epoch),
-                Some(what) => {
-                    self.flag(now, format!("memory: {what}"));
-                    None
+        };
+        view.books(all, &mut |i, book| {
+            if i >= shadows.len() {
+                shadows.resize_with(i + 1, || None);
+            }
+            let shadow = &mut shadows[i];
+            let verdict = match shadow {
+                // The final sweep: the dense oracle. The last event's logs
+                // were already replayed after it.
+                _ if finish => {
+                    report.books_checked += 1;
+                    book.audit()
+                }
+                Some(sh) if book.touched() => {
+                    report.books_checked += 1;
+                    match book.check(sh) {
+                        Ok(blocks) => {
+                            report.blocks_checked += blocks as u64;
+                            None
+                        }
+                        Err(what) => Some(what),
+                    }
+                }
+                Some(_) => None,
+                // Seeding: the dense pass also covers this event's logs.
+                None => {
+                    report.books_checked += 1;
+                    report.blocks_checked += book.kv.block_ops() as u64;
+                    let verdict = book.audit();
+                    if verdict.is_none() {
+                        *shadow = Some(book.kv.shadow(book.parked_batches()));
+                    }
+                    verdict
                 }
             };
+            if let Some(what) = verdict {
+                *shadow = None;
+                *unseeded = true;
+                flag(format!("memory: {what}"));
+            }
+            if !(finish || sessions_moved) && book.names_session() {
+                if let Some(what) = view.sessions_audit(i) {
+                    flag(format!("memory: {what}"));
+                }
+            }
+        });
+        if finish || sessions_moved {
+            for i in 0..shadows.len() {
+                if let Some(what) = view.sessions_audit(i) {
+                    flag(format!("memory: {what}"));
+                }
+            }
         }
-        if let Some(what) = view.link_audit() {
-            self.flag(now, format!("bandwidth: {what}"));
+        if let Some(what) = view.link_audit(finish) {
+            flag(format!("bandwidth: {what}"));
         }
     }
 
@@ -433,15 +567,22 @@ pub(crate) fn check_token_order(req_idx: usize, token_times: &[SimTime]) -> Opti
 mod tests {
     use super::*;
 
+    use std::cell::Cell;
+
     use crate::reqstate::ReqState;
+    use aegaeon_engine::KvCacheConfig;
+    use aegaeon_model::{ModelId, Zoo};
     use aegaeon_workload::RequestId;
 
-    /// Hand-rolled view for exercising the auditor without a full system.
+    /// Hand-rolled view for exercising the auditor without a full system:
+    /// one real memory book, a canned session and link verdict.
     struct FakeView {
         reqs: Requests,
-        /// One memory book: its epoch and verdict.
-        mem_epoch: u64,
-        mem: Option<String>,
+        kv: KvCache,
+        parked: ParkedBlocks,
+        /// The session book's epoch and the calls of its cross-check.
+        sessions_epoch: u64,
+        sessions_audits: Cell<u32>,
         link: Option<String>,
     }
 
@@ -449,18 +590,39 @@ mod tests {
         fn requests(&self) -> &Requests {
             &self.reqs
         }
-        fn book_count(&self) -> usize {
-            1
+        fn books(&self, all: bool, visit: &mut dyn FnMut(usize, Book<'_>)) {
+            let book = Book {
+                kind: "fake",
+                idx: 0,
+                kv: &self.kv,
+                parked: &self.parked,
+            };
+            if all || book.touched() {
+                visit(0, book);
+            }
         }
-        fn book_epoch(&self, _i: usize) -> u64 {
-            self.mem_epoch
+        fn sessions_epoch(&self) -> u64 {
+            self.sessions_epoch
         }
-        fn book_audit(&self, _i: usize) -> Option<String> {
-            self.mem.clone()
+        fn sessions_audit(&self, _i: usize) -> Option<String> {
+            self.sessions_audits.set(self.sessions_audits.get() + 1);
+            None
         }
-        fn link_audit(&self) -> Option<String> {
+        fn link_audit(&self, _all: bool) -> Option<String> {
             self.link.clone()
         }
+    }
+
+    /// The model every fake book registers.
+    const M: ModelId = ModelId(0);
+
+    /// Audits `v` after an event at `secs`, then clears its logs the way
+    /// the driver does before the next event.
+    fn event(a: &mut InvariantAuditor, v: &mut FakeView, secs: f64) {
+        a.after_event(t(secs), v);
+        v.reqs.clear_progress();
+        v.kv.clear_touches();
+        v.parked.clear_touches();
     }
 
     fn t(secs: f64) -> SimTime {
@@ -474,10 +636,18 @@ mod tests {
         for &target in targets {
             reqs.push(ReqState::new(SimTime::ZERO, 1, target));
         }
+        let mut kv = KvCache::new(KvCacheConfig {
+            capacity_bytes: 1 << 30,
+            slab_bytes: 256 << 20,
+            block_tokens: 16,
+        });
+        kv.register_model(M, Zoo::standard().get("Qwen-7B").unwrap());
         FakeView {
             reqs,
-            mem_epoch: 0,
-            mem: None,
+            kv,
+            parked: ParkedBlocks::new(),
+            sessions_epoch: 0,
+            sessions_audits: Cell::new(0),
             link: None,
         }
     }
@@ -655,55 +825,108 @@ mod tests {
     fn surfaces_memory_and_link_violations() {
         let mut a = InvariantAuditor::new();
         let mut v = clean_view();
-        v.mem = Some("slab 3 double-assigned".into());
+        v.kv.alloc(RequestId(0), M, 40).unwrap();
+        event(&mut a, &mut v, 2.0);
+        assert!(a.report.ok(), "{}", a.report);
+        // The request's blocks are taken out and never parked: a leak.
+        let _ = v.kv.take(RequestId(0));
         v.link = Some("link pcie0 over capacity".into());
-        a.after_event(t(3.0), &v);
+        event(&mut a, &mut v, 3.0);
         let report = a.take_report();
-        assert_eq!(report.violations.len(), 2);
-        assert!(report.violations[0].what.starts_with("memory:"));
+        assert_eq!(report.violations.len(), 2, "{report}");
+        assert!(report.violations[0].what.starts_with("memory: fake 0 kv"));
+        assert!(report.violations[0].what.contains("no holder holds it"));
         assert!(report.violations[1].what.starts_with("bandwidth:"));
     }
 
     #[test]
-    fn books_are_rechecked_only_when_their_epoch_moves() {
+    fn books_are_checked_only_when_their_logs_are_non_empty() {
         let mut a = InvariantAuditor::new();
         let mut v = clean_view();
+        v.kv.alloc(RequestId(0), M, 40).unwrap(); // 3 blocks
         for i in 0..5 {
-            a.after_event(t(2.0 + i as f64), &v);
+            event(&mut a, &mut v, 2.0 + i as f64);
         }
-        assert_eq!(a.report.books_checked, 1, "unchanged book audited once");
-        // A corruption that did not move the epoch would go unseen until
-        // finish; one that moved it is caught on the next event.
-        v.mem = Some("block held twice".into());
-        a.after_event(t(8.0), &v);
-        assert!(a.report.ok());
-        v.mem_epoch += 1;
-        a.after_event(t(9.0), &v);
+        // The first event seeds the shadow with a dense pass, which covers
+        // the blocks it allocated; idle events check nothing.
+        assert_eq!((a.report.books_checked, a.report.blocks_checked), (1, 3));
+        v.kv.extend(RequestId(0), 60).unwrap(); // one fresh block
+        event(&mut a, &mut v, 7.0);
+        assert_eq!((a.report.books_checked, a.report.blocks_checked), (2, 4));
+        // A leak is flagged on its event, and the book is re-checked densely
+        // on every event until it passes (here: once the blocks are freed).
+        let (shape, blocks) = v.kv.take(RequestId(0));
+        event(&mut a, &mut v, 8.0);
         assert_eq!(a.report.violations.len(), 1);
-        // A failed book stays due on every event until it passes.
-        a.after_event(t(10.0), &v);
+        event(&mut a, &mut v, 9.0);
         assert_eq!(a.report.violations.len(), 2);
-        v.mem = None;
-        a.after_event(t(11.0), &v);
-        a.after_event(t(12.0), &v);
-        assert_eq!(a.report.books_checked, 4);
-        // The final sweep audits every book, moved or not.
+        v.kv.free_blocks(shape, &blocks);
+        event(&mut a, &mut v, 10.0);
+        event(&mut a, &mut v, 11.0);
+        assert_eq!(a.report.books_checked, 5);
+        assert_eq!(a.report.violations.len(), 2, "{}", a.report);
+        // The final sweep audits every book, touched or not.
         produce(&mut v, 1, 12.0);
         produce(&mut v, 1, 12.5);
         v.reqs.completed = 2;
         a.at_finish(t(13.0), &v);
         let report = a.take_report();
-        assert_eq!(report.books_checked, 5);
+        assert_eq!(report.books_checked, 6);
         assert_eq!(report.violations.len(), 2, "{report}");
+    }
+
+    #[test]
+    fn planted_book_violation_above_full_scan_max_is_flagged_on_its_event() {
+        let mut a = InvariantAuditor::new();
+        let mut v = idle_view(InvariantAuditor::FULL_SCAN_MAX + 1);
+        v.kv.alloc(RequestId(5), M, 16).unwrap();
+        v.kv.alloc(RequestId(6), M, 16).unwrap();
+        event(&mut a, &mut v, 1.0);
+        // Request 6's block goes back to the pool behind its holder's back:
+        // free, yet still held.
+        let (shape, blocks) = v.kv.take(RequestId(6));
+        v.kv.free_blocks(shape, &blocks);
+        v.kv.alloc(RequestId(6), M, 16).unwrap();
+        let _ = v.kv.take(RequestId(5));
+        event(&mut a, &mut v, 2.0);
+        let report = a.take_report();
+        assert_eq!(report.violations.len(), 1, "{report}");
+        assert_eq!(report.violations[0].at, t(2.0), "{report}");
+        assert!(report.violations[0].what.starts_with("memory:"), "{report}");
+    }
+
+    #[test]
+    fn session_cross_checks_run_when_the_book_or_a_handle_moves() {
+        let mut a = InvariantAuditor::new();
+        let mut v = clean_view();
+        let calls = |v: &FakeView| v.sessions_audits.get();
+        event(&mut a, &mut v, 2.0);
+        assert_eq!(calls(&v), 1, "first event");
+        event(&mut a, &mut v, 3.0);
+        v.kv.alloc(RequestId(0), M, 16).unwrap();
+        event(&mut a, &mut v, 4.0);
+        assert_eq!(calls(&v), 1, "idle and plain-request events skip it");
+        v.sessions_epoch += 1;
+        event(&mut a, &mut v, 5.0);
+        assert_eq!(calls(&v), 2, "the session book moved");
+        v.kv.rekey(
+            RequestId(0),
+            SessionBook::handle(aegaeon_workload::SessionId(7)),
+        );
+        event(&mut a, &mut v, 6.0);
+        assert_eq!(calls(&v), 3, "the log names a session handle");
+        a.at_finish(t(7.0), &v);
+        assert_eq!(calls(&v), 4, "the final sweep");
     }
 
     #[test]
     fn violation_count_is_capped() {
         let mut a = InvariantAuditor::new();
         let mut v = clean_view();
-        v.mem = Some("boom".into());
+        v.kv.alloc(RequestId(0), M, 16).unwrap();
+        let _ = v.kv.take(RequestId(0)); // leaked for good
         for i in 0..1000 {
-            a.after_event(t(i as f64), &v);
+            event(&mut a, &mut v, i as f64);
         }
         let report = a.take_report();
         assert_eq!(report.violations.len(), 64);

@@ -61,9 +61,13 @@ pub trait Host {
     fn telemetry(&mut self) -> &mut Telemetry;
     /// The read-only state the auditor checks.
     fn view(&self) -> &dyn AuditView;
-    /// The request table, whose progress log the driver clears before
-    /// each event.
-    fn requests_mut(&mut self) -> &mut Requests;
+    /// Empties the logs of what one event touched — the request table's
+    /// progress log, the fabric's dirty links and the KV books' touch logs
+    /// — which the driver does before each event.
+    fn clear_logs(&mut self);
+    /// Turns on the KV books' touch logs, which only the auditor reads:
+    /// they record nothing until an auditor is installed.
+    fn record_touches(&mut self) {}
     /// Builds the result from the drained run.
     fn finish(self, q: &EventQueue<Self::Ev>, audit: Option<&AuditReport>) -> Self::Output;
 }
@@ -94,17 +98,22 @@ impl<H: Host> Driver<H> {
     /// A driver for `host` that stops at the first event past `hard_stop`,
     /// with the standard invariant auditor installed when `audit` is set.
     pub fn new(host: H, hard_stop: SimTime, audit: bool) -> Self {
-        Driver {
+        let mut d = Driver {
             host,
             q: EventQueue::new(),
-            auditor: audit.then(|| Box::new(InvariantAuditor::new()) as Box<dyn Auditor + Send>),
+            auditor: None,
             hard_stop,
             halted: false,
+        };
+        if audit {
+            d.install_auditor(Box::new(InvariantAuditor::new()));
         }
+        d
     }
 
     /// Installs (or replaces) the auditor.
     pub(crate) fn install_auditor(&mut self, auditor: Box<dyn Auditor + Send>) {
+        self.host.record_touches();
         self.auditor = Some(auditor);
     }
 
@@ -123,8 +132,8 @@ impl<H: Host> Driver<H> {
             self.halted = true;
             return false;
         }
-        // After `step` returns, the log holds exactly this event's progress.
-        self.host.requests_mut().clear_progress();
+        // After `step` returns, the logs hold exactly this event's changes.
+        self.host.clear_logs();
         self.host.on_event(ev, &mut self.q);
         while let Some(tag) = self.host.port().pop() {
             self.host.on_tag(tag, &mut self.q);
@@ -345,9 +354,16 @@ impl<T: Clone> FabricPort<T> {
             .collect()
     }
 
-    /// Bandwidth conservation on every link (the auditor's link check).
-    pub fn link_audit(&self) -> Option<String> {
-        (0..self.fabric.link_count()).find_map(|l| self.fabric.link(LinkId(l as u32)).audit())
+    /// Bandwidth conservation (the auditor's link check) on every link
+    /// when `all`, else on the links the last event touched.
+    pub fn link_audit(&self, all: bool) -> Option<String> {
+        if all {
+            (0..self.fabric.link_count()).find_map(|l| self.fabric.link(LinkId(l as u32)).audit())
+        } else {
+            self.fabric
+                .dirty_links()
+                .find_map(|l| self.fabric.link(l).audit())
+        }
     }
 }
 
@@ -434,7 +450,7 @@ impl Requests {
     }
 
     /// Empties the progress log.
-    pub(crate) fn clear_progress(&mut self) {
+    pub fn clear_progress(&mut self) {
         self.progressed.clear();
     }
 

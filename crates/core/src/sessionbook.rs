@@ -119,8 +119,8 @@ impl SessionBook {
     }
 
     /// Mutation epoch: bumped by every call that changes an entry or a
-    /// claim, so the auditor's session cross-checks can be skipped while it
-    /// (and the caches they read) stand still.
+    /// claim. While it stands still, the auditor re-runs a book's session
+    /// cross-check only when the book's touch log names a session handle.
     pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -133,13 +133,6 @@ impl SessionBook {
     /// Entries in deterministic (session-id) order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (SessionId, &SessEntry)> {
         self.entries.iter().map(|(&k, e)| (SessionId(k), e))
-    }
-
-    /// Outstanding claims in deterministic order, for state digests in
-    /// tests.
-    #[cfg(test)]
-    pub(crate) fn claims(&self) -> impl Iterator<Item = (SessionId, RequestId)> + '_ {
-        self.claims.iter().map(|(&k, &r)| (SessionId(k), r))
     }
 
     /// Removes every entry stored at `place` (instance death) and returns

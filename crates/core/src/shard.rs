@@ -529,6 +529,7 @@ fn merge(
             merged_report.events_checked += rep.events_checked;
             merged_report.requests_checked += rep.requests_checked;
             merged_report.books_checked += rep.books_checked;
+            merged_report.blocks_checked += rep.blocks_checked;
             merged_report
                 .violations
                 .extend(rep.violations.into_iter().map(|v| Violation {

@@ -14,14 +14,15 @@ use std::collections::VecDeque;
 use aegaeon_engine::init::{PIPELINED_LOAD_EFFICIENCY, UNPINNED_FALLBACK_EFFICIENCY, VRAM_USABLE};
 use aegaeon_engine::{scale_up_plan, KvCache, KvCacheConfig, ScaleCost};
 use aegaeon_gpu::{ClusterTopology, EventId, Fabric, GpuId, LinkId, StreamOp};
-use aegaeon_mem::{BlockRef, FragSampler, ModelCache, MoveList, ShapeKey};
+use aegaeon_mem::journal::marked_books;
+use aegaeon_mem::{FragSampler, Journal, ModelCache, MoveList};
 use aegaeon_metrics::Stage;
 use aegaeon_model::ModelId;
 use aegaeon_sim::{EventQueue, Lift, SimDur, SimRng, SimTime, Timeline, TraceKind, TraceLog};
 use aegaeon_telemetry::{CostKind, CounterId, GaugeId, SketchId, SpanId, SpanKind, Telemetry};
 use aegaeon_workload::{Request, RequestId, SessionId, Trace};
 
-use crate::audit::{AuditReport, AuditView};
+use crate::audit::{AuditReport, AuditView, Book, ParkedBlocks};
 use crate::chaos::{FaultEvent, FaultKind};
 use crate::config::AegaeonConfig;
 use crate::decode::{dispatch_decode, BatchId, WorkList};
@@ -180,8 +181,6 @@ impl TelIds {
     }
 }
 
-type ParkedBlocks = MoveList<(ShapeKey, Vec<BlockRef>), EventId>;
-
 /// Frees every block batch parked behind a copy that has completed (§5.3
 /// rule ❸); true if any was.
 fn reclaim(kv: &mut KvCache, parked: &mut ParkedBlocks, fabric: &Fabric<Joined<Tag>>) -> bool {
@@ -267,6 +266,10 @@ pub struct ServingSystem {
     prefills: Vec<PrefillInst>,
     decodes: Vec<DecodeInst>,
     nodes: Vec<NodeState>,
+    /// The books (prefill, decode, then node caches) whose touch logs the
+    /// current event wrote to; the logs record only once an auditor is
+    /// installed.
+    journal: Journal,
     pub(crate) reqs: Requests,
     pub(crate) trace: Trace,
     rng: SimRng,
@@ -392,6 +395,8 @@ impl ServingSystem {
         // `prefill_instances` groups prefill, the rest decode.
         let n_inst = cfg.instance_count();
         let mut gpu_iter = topo.gpu_ids().collect::<Vec<_>>().into_iter();
+        let journal = Journal::default();
+        journal.record(false);
         let mut prefills = Vec::new();
         let mut decodes = Vec::new();
         for i in 0..n_inst {
@@ -404,12 +409,15 @@ impl ServingSystem {
             for (m, d) in deploys.iter().enumerate() {
                 gpu_kv.register_model(ModelId(m as u32), &d.spec);
             }
+            let mut parked = MoveList::new();
+            gpu_kv.join(journal.member(i));
+            parked.join(journal.member(i));
             let inst = Inst {
                 node: topo.gpu(gpus[0]).node.0,
                 gpus,
                 scaler: Scaler::new(cfg.opts.component_reuse),
                 gpu_kv,
-                parked: MoveList::new(),
+                parked,
                 dead: false,
             };
             if i < cfg.prefill_instances {
@@ -432,7 +440,7 @@ impl ServingSystem {
 
         // Node state: CPU caches pre-warmed with as many checkpoints as fit.
         let mut nodes = Vec::new();
-        for _ in 0..topo.node_count() {
+        for ni in 0..topo.node_count() {
             let mut cpu_kv = KvCache::new(KvCacheConfig {
                 capacity_bytes: CPU_KV_BYTES,
                 slab_bytes: cfg.slab_bytes,
@@ -443,9 +451,12 @@ impl ServingSystem {
                 cpu_kv.register_model(ModelId(i as u32), &d.spec);
                 let _ = model_cache.insert(i as u32, d.spec.weight_bytes());
             }
+            let mut cpu_parked = MoveList::new();
+            cpu_kv.join(journal.member(n_inst + ni));
+            cpu_parked.join(journal.member(n_inst + ni));
             nodes.push(NodeState {
                 cpu_kv,
-                cpu_parked: MoveList::new(),
+                cpu_parked,
                 model_cache,
                 offload_retry: Vec::new(),
             });
@@ -490,6 +501,7 @@ impl ServingSystem {
             prefills,
             decodes,
             nodes,
+            journal,
             reqs,
             trace,
             rng,
@@ -2585,8 +2597,28 @@ impl Host for ServingSystem {
         self
     }
 
-    fn requests_mut(&mut self) -> &mut Requests {
-        &mut self.reqs
+    fn record_touches(&mut self) {
+        self.journal.record(true);
+    }
+
+    fn clear_logs(&mut self) {
+        self.reqs.clear_progress();
+        self.port.fabric.clear_dirty_links();
+        let (np, nd) = (self.prefills.len(), self.decodes.len());
+        for i in marked_books(self.journal.take(), np + nd + self.nodes.len()) {
+            let (kv, parked) = if i < np {
+                let inst = &mut self.prefills[i].inst;
+                (&mut inst.gpu_kv, &mut inst.parked)
+            } else if i < np + nd {
+                let inst = &mut self.decodes[i - np].inst;
+                (&mut inst.gpu_kv, &mut inst.parked)
+            } else {
+                let n = &mut self.nodes[i - np - nd];
+                (&mut n.cpu_kv, &mut n.cpu_parked)
+            };
+            kv.clear_touches();
+            parked.clear_touches();
+        }
     }
 
     fn finish(mut self, q: &Q, audit: Option<&AuditReport>) -> RunResult {
@@ -2634,40 +2666,29 @@ impl Host for ServingSystem {
     }
 }
 
-/// One memory book: a unified KV cache with the move list parking its
-/// blocks, and the session place it backs (decode GPUs and node CPUs).
-struct Book<'a> {
-    /// "prefill", "decode" or "node", and the index within that kind.
-    kind: &'static str,
-    idx: usize,
-    kv: &'a KvCache,
-    parked: &'a ParkedBlocks,
+/// Where a memory book sits: whether its instance is dead, and the session
+/// place it backs (decode GPUs and node CPUs).
+struct BookSite {
     dead: bool,
     place: Option<SessPlace>,
 }
 
-impl std::fmt::Display for Book<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} {} kv", self.kind, self.idx)
-    }
-}
-
 impl ServingSystem {
     /// Book `i`: prefill GPU caches, then decode GPU caches, then node CPU
-    /// caches.
-    fn book(&self, i: usize) -> Book<'_> {
+    /// caches; `None` past the last.
+    fn book_at(&self, i: usize) -> Option<(Book<'_>, BookSite)> {
         let (np, nd) = (self.prefills.len(), self.decodes.len());
         if i >= np + nd {
             let ni = i - np - nd;
-            let n = &self.nodes[ni];
-            return Book {
+            let n = self.nodes.get(ni)?;
+            let book = Book {
                 kind: "node",
                 idx: ni,
                 kv: &n.cpu_kv,
                 parked: &n.cpu_parked,
-                dead: false,
-                place: Some(SessPlace::Cpu(ni as u32)),
             };
+            let place = Some(SessPlace::Cpu(ni as u32));
+            return Some((book, BookSite { dead: false, place }));
         }
         let (kind, idx, inst, place) = if i < np {
             ("prefill", i, &self.prefills[i].inst, None)
@@ -2676,14 +2697,19 @@ impl ServingSystem {
             let place = Some(SessPlace::DecodeGpu(di as u32));
             ("decode", di, &self.decodes[di].inst, place)
         };
-        Book {
+        let book = Book {
             kind,
             idx,
             kv: &inst.gpu_kv,
             parked: &inst.parked,
-            dead: inst.dead,
-            place,
-        }
+        };
+        Some((
+            book,
+            BookSite {
+                dead: inst.dead,
+                place,
+            },
+        ))
     }
 }
 
@@ -2695,35 +2721,34 @@ impl AuditView for ServingSystem {
         &self.reqs
     }
 
-    fn book_count(&self) -> usize {
-        self.prefills.len() + self.decodes.len() + self.nodes.len()
-    }
-
-    fn book_epoch(&self, i: usize) -> u64 {
-        // Each term only grows (`dead` is never cleared), so the sum
-        // strictly grows whenever anything `book_audit` reads changes.
-        let b = self.book(i);
-        b.kv.epoch() + b.parked.epoch() + self.sessions.epoch() + b.dead as u64
-    }
-
-    fn book_audit(&self, i: usize) -> Option<String> {
-        let b = self.book(i);
-        let parked = b.parked.iter().flat_map(|(_, batches)| {
-            batches
-                .iter()
-                .map(|(shape, blocks)| (*shape, blocks.as_slice()))
-        });
-        if let Some(e) = b.kv.audit(parked) {
-            return Some(format!("{b}: {e}"));
+    fn books(&self, all: bool, visit: &mut dyn FnMut(usize, Book<'_>)) {
+        let n = self.prefills.len() + self.decodes.len() + self.nodes.len();
+        if all {
+            (0..n).for_each(|i| visit(i, self.book_at(i).expect("book").0));
+            return;
         }
+        for i in marked_books(self.journal.marked(), n) {
+            let book = self.book_at(i).expect("book").0;
+            if book.touched() {
+                visit(i, book);
+            }
+        }
+    }
+
+    fn sessions_epoch(&self) -> u64 {
+        self.sessions.epoch()
+    }
+
+    fn sessions_audit(&self, i: usize) -> Option<String> {
         // Session-prefix double entry: every book entry placed here must be
         // backed with the recorded token count, and every reserved handle
         // held here must be owned by a book entry or an outstanding claim.
         // A dead instance's stale holdings are expected.
-        if b.dead {
+        let (b, site) = self.book_at(i)?;
+        if site.dead {
             return None;
         }
-        if let Some(place) = b.place {
+        if let Some(place) = site.place {
             for (sess, e) in self.sessions.iter().filter(|(_, e)| e.place == place) {
                 if b.kv.tokens_of(SessionBook::handle(sess)) != e.tokens {
                     return Some(format!(
@@ -2742,14 +2767,15 @@ impl AuditView for ServingSystem {
         orphan.map(|s| format!("{b} holds session handle {s} owned by no book entry or claim"))
     }
 
-    fn link_audit(&self) -> Option<String> {
-        self.port.link_audit()
+    fn link_audit(&self, all: bool) -> Option<String> {
+        self.port.link_audit(all)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aegaeon_mem::{BlockRef, ShapeKey};
     use aegaeon_model::Zoo;
     use aegaeon_workload::{LengthDist, SloSpec, TraceBuilder};
 
@@ -2878,37 +2904,42 @@ mod tests {
         assert!(mean < 1.5, "mean scale latency {mean}s");
     }
 
-    /// A digest of everything `book_audit(i)` reads: holdings per key,
-    /// pool usage, parked batches, the dead flag and the session book.
-    fn book_state(sys: &ServingSystem, i: usize) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let b = sys.book(i);
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        let mut ids: Vec<RequestId> = b.kv.request_ids().collect();
-        ids.sort_unstable();
-        for id in ids {
-            (id.0, b.kv.tokens_of(id), b.kv.bytes_of(id)).hash(&mut h);
-        }
-        for u in b.kv.usage() {
-            (u.allocated_bytes, u.used_bytes).hash(&mut h);
-        }
-        for (_, batches) in b.parked.iter() {
-            batches.hash(&mut h);
-        }
-        b.dead.hash(&mut h);
-        for (sess, e) in sys.sessions.iter() {
-            (sess.0, e.tokens, e.place).hash(&mut h);
-        }
-        for (sess, req) in sys.sessions.claims() {
-            (sess.0, req.0).hash(&mut h);
-        }
-        h.finish()
+    /// One book's ledger as its touch logs must account for it: each key's
+    /// (tokens, bytes), the parked batches, and per-shape pool usage. Only
+    /// a session handle's tokens count: a request's grow without a fresh
+    /// block.
+    type Ledger = (
+        std::collections::BTreeMap<RequestId, (u32, u64)>,
+        Vec<Vec<(ShapeKey, Vec<BlockRef>)>>,
+        Vec<(u64, u64)>,
+    );
+
+    fn ledger(b: &Book<'_>) -> Ledger {
+        let keys = b.kv.request_ids();
+        let tokens = |id| {
+            if SessionBook::is_handle(id) {
+                b.kv.tokens_of(id)
+            } else {
+                0
+            }
+        };
+        let keys = keys.map(|id| (id, (tokens(id), b.kv.bytes_of(id))));
+        let parked = b.parked.iter().map(|(_, batches)| batches.to_vec());
+        let usage =
+            b.kv.usage()
+                .into_iter()
+                .map(|u| (u.allocated_bytes, u.used_bytes));
+        (keys.collect(), parked.collect(), usage.collect())
     }
 
     /// A started, audited driver over a chaotic agentic run: a decode
     /// crash, link degradation and staging OOM windows, with retained,
     /// spilled and claimed session prefixes.
     fn chaotic_agentic_driver() -> crate::runtime::Driver<ServingSystem> {
+        chaotic_agentic_driver_audited(true)
+    }
+
+    fn chaotic_agentic_driver_audited(audit: bool) -> crate::runtime::Driver<ServingSystem> {
         let mut cfg = AegaeonConfig::small_testbed(2, 3);
         cfg.session_affinity = true;
         cfg.faults = crate::chaos::FaultPlan {
@@ -2929,39 +2960,127 @@ mod tests {
             .lower();
         let sys = ServingSystem::new(cfg, &models(4), trace);
         let hard_stop = sys.hard_stop;
-        let mut d = crate::runtime::Driver::new(sys, hard_stop, true);
+        let mut d = crate::runtime::Driver::new(sys, hard_stop, audit);
         d.host.start(&mut d.q);
         d
     }
 
-    /// Epoch soundness, the property that lets the auditor skip books: over
-    /// a chaotic agentic run, a book whose epoch did not move across an
-    /// event has exactly the state it had before the event.
+    /// Without an auditor no book logs anything, so nothing grows between
+    /// the driver's clears (which visit only journaled books).
     #[test]
-    fn book_epochs_move_whenever_audited_state_changes() {
+    fn unaudited_runs_log_nothing() {
+        let mut d = chaotic_agentic_driver_audited(false);
+        while d.step() {
+            let books = (0..).map_while(|i| d.host.book_at(i));
+            for (b, _) in books {
+                assert!(!b.touched(), "{b} logged without an auditor");
+            }
+        }
+        assert!(d.finish().0.prefix_hits > 0);
+    }
+
+    /// Touch-log soundness, the property that lets the auditor check only
+    /// what an event touched: over a chaotic agentic run, every key whose
+    /// blocks (or, for a session handle, tokens) changed across an event is
+    /// named in its cache's log, a changed move list logged a park or a
+    /// release, and changed pool usage logged a block op. So a book whose
+    /// logs stayed empty kept its ledger. Every book that logged anything
+    /// is marked in the journal.
+    #[test]
+    fn touch_logs_name_every_holder_an_event_changed() {
         let mut d = chaotic_agentic_driver();
-        let n = d.host.book_count();
-        let snap = |sys: &ServingSystem, i| (sys.book_epoch(i), book_state(sys, i));
-        let mut last: Vec<_> = (0..n).map(|i| snap(&d.host, i)).collect();
+        let books = |sys: &ServingSystem| -> Vec<Ledger> {
+            (0..)
+                .map_while(|i| sys.book_at(i))
+                .map(|(b, _)| ledger(&b))
+                .collect()
+        };
+        let mut last = books(&d.host);
         let (mut moved, mut still) = (0u64, 0u64);
         while d.step() {
-            for (i, prev) in last.iter_mut().enumerate() {
-                let now = snap(&d.host, i);
-                if now.0 == prev.0 {
-                    assert_eq!(now.1, prev.1, "book {i} changed under epoch {}", now.0);
+            let now = books(&d.host);
+            for (i, (was, is)) in last.iter().zip(&now).enumerate() {
+                let (b, _) = d.host.book_at(i).expect("book");
+                let named: Vec<RequestId> = b.kv.touches().map(|(k, ..)| k).collect();
+                let keys = was.0.keys().chain(is.0.keys());
+                for &k in keys {
+                    let (w, n) = (was.0.get(&k), is.0.get(&k));
+                    let changed = w != n;
+                    assert!(
+                        !changed || named.contains(&k),
+                        "book {i}: {k:?} {w:?} -> {n:?} unlogged"
+                    );
+                }
+                assert!(
+                    was.1 == is.1 || !b.parked.touches().is_empty(),
+                    "book {i}: parks unlogged"
+                );
+                assert!(
+                    was.2 == is.2 || b.kv.block_ops() > 0,
+                    "book {i}: pool usage unlogged"
+                );
+                let logged = b.kv.touched() || !b.parked.touches().is_empty();
+                let n = last.len();
+                let marked = marked_books(d.host.journal.marked(), n).any(|m| m == i);
+                assert!(
+                    marked || !logged,
+                    "book {i} logged but not marked in the journal"
+                );
+                if !logged {
+                    assert_eq!(was, is, "book {i} changed with empty logs");
                     still += 1;
                 } else {
                     moved += 1;
                 }
-                *prev = now;
             }
+            last = now;
         }
         let (r, report) = d.finish();
         let report = report.expect("auditor installed");
         assert!(report.ok(), "{report}");
         assert!(r.prefix_hits > 0, "the run must claim retained prefixes");
         assert!(moved > 0 && still > moved, "moved {moved}, still {still}");
-        assert!(report.books_checked < report.events_checked * n as u64);
+        let n = last.len() as u64;
+        assert!(report.books_checked < report.events_checked * n);
+        assert!(report.blocks_checked > 0);
+    }
+
+    /// Dirty-link soundness, the property that lets the auditor check only
+    /// dirty links: over a chaotic run with link degradation, every link
+    /// whose books changed across an event is marked dirty.
+    #[test]
+    fn dirty_links_hold_every_link_an_event_changed() {
+        let mut d = chaotic_agentic_driver();
+        let links = |sys: &ServingSystem| -> Vec<_> {
+            let f = &sys.port.fabric;
+            (0..f.link_count())
+                .map(|l| {
+                    let l = f.link(LinkId(l as u32));
+                    let flows = (l.in_flight(), l.bytes_in_flight());
+                    (l.bytes_started(), l.bytes_delivered(), flows)
+                })
+                .collect()
+        };
+        let mut last = links(&d.host);
+        let mut changed = 0u64;
+        while d.step() {
+            let now = links(&d.host);
+            let dirty: Vec<LinkId> = d.host.port.fabric.dirty_links().collect();
+            for (l, (was, is)) in last.iter().zip(&now).enumerate() {
+                if was != is {
+                    let l = LinkId(l as u32);
+                    assert!(
+                        dirty.contains(&l),
+                        "{l:?} changed {was:?} -> {is:?} unmarked"
+                    );
+                    changed += 1;
+                }
+            }
+            last = now;
+        }
+        assert!(changed > 0);
+        let report = d.finish().1.expect("auditor installed");
+        assert!(report.ok(), "{report}");
     }
 
     /// Everything the auditor checks of one request: produced count,

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use aegaeon_mem::{BlockRef, ShapeKey, SlabPool, SlabPoolConfig};
+use aegaeon_mem::{BlockRef, Journal, ShapeKey, SlabPool, SlabPoolConfig, SlabShadow};
 use aegaeon_mem::slab::{ShapeUsage, SlabExhausted};
 use aegaeon_model::{ModelId, ModelSpec};
 use aegaeon_workload::RequestId;
@@ -41,8 +41,13 @@ pub struct KvCache {
     /// Registered models → their shape class.
     models: HashMap<ModelId, ShapeKey>,
     requests: HashMap<RequestId, ReqKv>,
-    /// Mutation epoch (see [`Self::epoch`]).
-    epoch: u64,
+    /// Holder changes since the last [`Self::clear_touches`]: each key that
+    /// gained (`true`) or lost blocks, with its range in `touched_blocks`.
+    touches: Vec<(RequestId, bool, ShapeKey, u32, u32)>,
+    touched_blocks: Vec<BlockRef>,
+    /// Marked whenever the holders' side of the touch log grows; says
+    /// whether it records at all.
+    journal: Journal,
 }
 
 impl KvCache {
@@ -57,17 +62,70 @@ impl KvCache {
             by_block_bytes: HashMap::new(),
             models: HashMap::new(),
             requests: HashMap::new(),
-            epoch: 0,
+            touches: Vec::new(),
+            touched_blocks: Vec::new(),
+            journal: Journal::default(),
         }
     }
 
-    /// Mutation epoch: bumped by every call that changes the pool or the
-    /// per-request holdings (registration, allocation, growth, frees,
-    /// re-keying, merging, taking blocks out), never by queries or by a
-    /// failed allocation, which leaves the cache unchanged. An unchanged
-    /// epoch therefore means an unchanged [`Self::audit`] verdict.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// Logs both sides into `journal`'s set: marks it whenever the touch
+    /// log grows, and records only while it does.
+    pub fn join(&mut self, journal: Journal) {
+        self.pool.join(journal.clone());
+        self.journal = journal;
+    }
+
+    /// Logs that `key` gained or lost `blocks`.
+    fn log(&mut self, key: RequestId, gained: bool, shape: ShapeKey, blocks: &[BlockRef]) {
+        if !self.journal.recording() {
+            return;
+        }
+        let start = self.touched_blocks.len() as u32;
+        self.touched_blocks.extend_from_slice(blocks);
+        let end = self.touched_blocks.len() as u32;
+        self.touches.push((key, gained, shape, start, end));
+        self.journal.mark();
+    }
+
+    /// The holders' side of the touch log since the last
+    /// [`Self::clear_touches`], in order: each key that gained (`true`) or
+    /// lost blocks, with the blocks. A request gains blocks on allocation
+    /// and growth and loses them when freed or taken out into a move list;
+    /// a rekey or absorb is a loss by the old key and a gain by the new.
+    /// Growth that fills the last block without a fresh one logs nothing.
+    pub fn touches(&self) -> impl Iterator<Item = (RequestId, bool, ShapeKey, &[BlockRef])> {
+        self.touches
+            .iter()
+            .map(|&(key, gained, shape, start, end)| {
+                (
+                    key,
+                    gained,
+                    shape,
+                    &self.touched_blocks[start as usize..end as usize],
+                )
+            })
+    }
+
+    /// True if either side of the touch log is non-empty.
+    #[inline]
+    pub fn touched(&self) -> bool {
+        !self.touches.is_empty() || !self.pool.touches().is_empty()
+    }
+
+    /// Block allocations and frees the pool logged since the last
+    /// [`Self::clear_touches`].
+    pub fn block_ops(&self) -> usize {
+        self.pool.block_ops()
+    }
+
+    /// Empties both sides of the touch log.
+    #[inline]
+    pub fn clear_touches(&mut self) {
+        if self.touched() {
+            self.touches.clear();
+            self.touched_blocks.clear();
+            self.pool.clear_touches();
+        }
     }
 
     /// Registers a model; its KV shape becomes allocatable. Models with
@@ -80,7 +138,6 @@ impl KvCache {
             pool.register_shape(spec.kv_shape().to_string(), block_bytes)
         });
         self.models.insert(id, key);
-        self.epoch += 1;
     }
 
     fn blocks_for(&self, tokens: u32) -> usize {
@@ -104,6 +161,7 @@ impl KvCache {
         );
         let shape = *self.models.get(&model).expect("model registered");
         let blocks = self.pool.alloc(shape, self.blocks_for(tokens))?;
+        self.log(req, true, shape, &blocks);
         self.requests.insert(
             req,
             ReqKv {
@@ -112,7 +170,6 @@ impl KvCache {
                 tokens,
             },
         );
-        self.epoch += 1;
         Ok(())
     }
 
@@ -131,13 +188,13 @@ impl KvCache {
         if grow > 0 {
             let shape = r.shape;
             let fresh = self.pool.alloc(shape, grow)?;
+            self.log(req, true, shape, &fresh);
             let r = self.requests.get_mut(&req).expect("still present");
             r.blocks.extend(fresh);
             r.tokens = new_tokens;
         } else {
             self.requests.get_mut(&req).expect("still present").tokens = new_tokens;
         }
-        self.epoch += 1;
         Ok(grow)
     }
 
@@ -148,8 +205,8 @@ impl KvCache {
     /// Panics if the request holds no KV.
     pub fn free(&mut self, req: RequestId) {
         let r = self.requests.remove(&req).expect("request holds KV");
+        self.log(req, false, r.shape, &r.blocks);
         self.pool.free(r.shape, &r.blocks);
-        self.epoch += 1;
     }
 
     /// Re-labels a request's KV under a new key without touching the pool
@@ -165,8 +222,9 @@ impl KvCache {
             "rekey target {new:?} already holds KV"
         );
         let r = self.requests.remove(&old).expect("rekey source holds KV");
+        self.log(old, false, r.shape, &r.blocks);
+        self.log(new, true, r.shape, &r.blocks);
         self.requests.insert(new, r);
-        self.epoch += 1;
     }
 
     /// Merges `src`'s blocks into `dst` (both must hold KV of the same
@@ -179,11 +237,12 @@ impl KvCache {
     /// Panics if either request holds no KV or the shapes differ.
     pub fn absorb(&mut self, dst: RequestId, src: RequestId) {
         let s = self.requests.remove(&src).expect("absorb source holds KV");
+        self.log(src, false, s.shape, &s.blocks);
+        self.log(dst, true, s.shape, &s.blocks);
         let d = self.requests.get_mut(&dst).expect("absorb target holds KV");
         assert_eq!(d.shape, s.shape, "absorb across KV shapes");
         d.blocks.extend(s.blocks);
         d.tokens += s.tokens;
-        self.epoch += 1;
     }
 
     /// Removes a request's KV *without* freeing the blocks — the caller
@@ -191,14 +250,14 @@ impl KvCache {
     /// [`Self::free_blocks`].
     pub fn take(&mut self, req: RequestId) -> (ShapeKey, Vec<BlockRef>) {
         let r = self.requests.remove(&req).expect("request holds KV");
-        self.epoch += 1;
+        self.log(req, false, r.shape, &r.blocks);
         (r.shape, r.blocks)
     }
 
-    /// Frees blocks previously returned by [`Self::take`].
+    /// Frees blocks previously returned by [`Self::take`]. Their holder is
+    /// the move list that parked them, which logs their release.
     pub fn free_blocks(&mut self, shape: ShapeKey, blocks: &[BlockRef]) {
         self.pool.free(shape, blocks);
-        self.epoch += 1;
     }
 
     /// KV bytes a request currently occupies.
@@ -264,11 +323,40 @@ impl KvCache {
         &'a self,
         parked: impl IntoIterator<Item = (ShapeKey, &'a [BlockRef])>,
     ) -> Option<String> {
-        let held = self
-            .requests
+        self.pool.audit(self.held().chain(parked))
+    }
+
+    /// Every request's blocks, by shape.
+    fn held(&self) -> impl Iterator<Item = (ShapeKey, &[BlockRef])> {
+        self.requests
             .values()
-            .map(|r| (r.shape, r.blocks.as_slice()));
-        self.pool.audit(held.chain(parked))
+            .map(|r| (r.shape, r.blocks.as_slice()))
+    }
+
+    /// A shadow of the ledger [`Self::audit`] checks — every request's
+    /// blocks plus the `parked` batches — to check later events
+    /// incrementally with [`Self::check_touches`].
+    pub fn shadow<'a>(
+        &'a self,
+        parked: impl IntoIterator<Item = (ShapeKey, &'a [BlockRef])>,
+    ) -> SlabShadow {
+        SlabShadow::seed(&self.pool, self.held().chain(parked))
+    }
+
+    /// Replays the touch log since the last [`Self::clear_touches`] onto
+    /// `shadow`: the pool's side, this cache's holders' side, and `parked`,
+    /// the blocks the move lists parked (`true`) or released (`false`).
+    /// Checks every touched block, slab and shape (see [`SlabShadow`]) and
+    /// returns the number of block allocations and frees replayed.
+    pub fn check_touches<'a>(
+        &'a self,
+        shadow: &mut SlabShadow,
+        parked: impl IntoIterator<Item = (ShapeKey, &'a [BlockRef], bool)>,
+    ) -> Result<usize, String> {
+        let held = self
+            .touches()
+            .map(|(_, gained, shape, blocks)| (shape, blocks, gained));
+        shadow.apply(&self.pool, held.chain(parked))
     }
 }
 
@@ -351,39 +439,49 @@ mod tests {
         assert!(c.audit([]).is_none());
     }
 
+    /// After each call: the keys it logged as gaining (+) or losing (-)
+    /// blocks, and the block allocations and frees a shadow replayed.
     #[test]
-    fn every_mutation_and_only_mutations_move_the_epoch() {
+    fn every_holder_change_is_logged_and_replays_clean() {
         let (mut c, ids) = cache_with(&[("Qwen-72B", 1)]);
-        let mut last = c.epoch();
-        let mut step = |c: &KvCache, moved: bool| {
-            assert_eq!(c.epoch() != last, moved, "epoch {} after {last}", c.epoch());
-            last = c.epoch();
-        };
+        let mut shadow = c.shadow([]);
+        let mut step =
+            |c: &mut KvCache, parked: &[(bool, &[BlockRef])], keys: &[i64], ops: usize| {
+                let logged: Vec<i64> = c
+                    .touches()
+                    .map(|(k, gained, _, _)| if gained { k.0 as i64 } else { -(k.0 as i64) })
+                    .collect();
+                assert_eq!(logged, keys);
+                let shape = c.models[&ModelId(0)];
+                let parked = parked.iter().map(|&(gained, b)| (shape, b, gained));
+                assert_eq!(c.check_touches(&mut shadow, parked), Ok(ops));
+                c.clear_touches();
+            };
         c.alloc(RequestId(1), ids[0], 16).unwrap();
-        step(&c, true);
+        step(&mut c, &[], &[1], 1);
         assert!(c.alloc(RequestId(2), ids[0], 1 << 20).is_err());
-        step(&c, false);
+        step(&mut c, &[], &[], 0);
         c.extend(RequestId(1), 17).unwrap();
-        step(&c, true);
+        step(&mut c, &[], &[1], 1);
         c.extend(RequestId(1), 18).unwrap(); // tokens only, no new block
-        step(&c, true);
+        step(&mut c, &[], &[], 0);
         let _ = (c.holds(RequestId(1)), c.tokens_of(RequestId(1)), c.usage());
         let _ = (c.token_capacity(ids[0]), c.audit([]), c.used_bytes());
-        step(&c, false);
+        step(&mut c, &[], &[], 0);
         c.alloc(RequestId(2), ids[0], 16).unwrap();
-        step(&c, true);
+        step(&mut c, &[], &[2], 1);
         c.absorb(RequestId(1), RequestId(2));
-        step(&c, true);
+        step(&mut c, &[], &[-2, 1], 0);
         c.rekey(RequestId(1), RequestId(3));
-        step(&c, true);
+        step(&mut c, &[], &[-1, 3], 0);
         let (shape, blocks) = c.take(RequestId(3));
-        step(&c, true);
+        step(&mut c, &[(true, &blocks)], &[-3], 0);
         c.free_blocks(shape, &blocks);
-        step(&c, true);
+        step(&mut c, &[(false, &blocks)], &[], 3);
         c.alloc(RequestId(4), ids[0], 16).unwrap();
-        step(&c, true);
         c.free(RequestId(4));
-        step(&c, true);
+        step(&mut c, &[], &[4, -4], 2);
+        assert!(!c.touched());
     }
 
     #[test]

@@ -137,6 +137,8 @@ pub struct Fabric<T> {
     events: Vec<EventSlot>,
     flow_owner: HashMap<(u32, FlowId), u32>,
     token: u64,
+    /// Links whose books changed since the last [`Self::clear_dirty_links`].
+    dirty: Vec<u32>,
 }
 
 impl<T: Clone> Default for Fabric<T> {
@@ -154,6 +156,7 @@ impl<T: Clone> Fabric<T> {
             events: Vec::new(),
             flow_owner: HashMap::new(),
             token: 0,
+            dirty: Vec::new(),
         }
     }
 
@@ -257,6 +260,7 @@ impl<T: Clone> Fabric<T> {
                 let Some(done) = self.links[link as usize].expire(now, gen) else {
                     return out;
                 };
+                self.mark_dirty(link);
                 for flow in done {
                     let owner = self
                         .flow_owner
@@ -305,6 +309,7 @@ impl<T: Clone> Fabric<T> {
                 StreamOp::Copy { link, bytes, tag } => {
                     let now = tl.now();
                     let flow = self.links[link.0 as usize].start_flow(now, bytes);
+                    self.mark_dirty(link.0);
                     self.flow_owner.insert((link.0, flow), si);
                     let s = &mut self.streams[si as usize];
                     s.state = Running::Copy { link: link.0, flow };
@@ -408,6 +413,7 @@ impl<T: Clone> Fabric<T> {
         );
         let l = &mut self.links[link.0 as usize];
         l.set_bandwidth(tl.now(), l.nominal_bandwidth() * factor);
+        self.mark_dirty(link.0);
         self.refresh_link(link.0, tl);
     }
 
@@ -415,7 +421,31 @@ impl<T: Clone> Fabric<T> {
     /// completion timer.
     pub fn restore_link(&mut self, link: LinkId, tl: &mut impl Timeline<FabricEvent>) {
         self.links[link.0 as usize].restore_bandwidth(tl.now());
+        self.mark_dirty(link.0);
         self.refresh_link(link.0, tl);
+    }
+
+    /// Logs that link `li`'s books changed. Every link mutation goes
+    /// through a flow start, a timer expiry or a bandwidth change (the
+    /// fabric never cancels a flow), and each marks its link.
+    fn mark_dirty(&mut self, li: u32) {
+        if self.dirty.last() != Some(&li) {
+            self.dirty.push(li);
+        }
+    }
+
+    /// Links whose books changed since the last
+    /// [`Self::clear_dirty_links`], in first-touch order (a link touched
+    /// again after another may appear twice): the links an auditor must
+    /// re-check.
+    pub fn dirty_links(&self) -> impl Iterator<Item = LinkId> + '_ {
+        self.dirty.iter().map(|&l| LinkId(l))
+    }
+
+    /// Empties the dirty-link log.
+    #[inline]
+    pub fn clear_dirty_links(&mut self) {
+        self.dirty.clear();
     }
 }
 
@@ -634,6 +664,47 @@ mod tests {
         let done = ops_only(&out);
         assert_eq!(done.len(), 1);
         assert!((done[0].0 - 1.75).abs() < 1e-6, "t={}", done[0].0);
+    }
+
+    #[test]
+    fn only_the_links_an_op_touched_are_dirty() {
+        let mut f: Fabric<&'static str> = Fabric::new();
+        let mut q = Q::new();
+        let (a, b) = (f.add_link("a", 1e9), f.add_link("b", 1e9));
+        let s = f.add_stream("s");
+        let dirty = |f: &Fabric<&'static str>| f.dirty_links().collect::<Vec<_>>();
+        f.submit(
+            s,
+            StreamOp::Compute {
+                dur: SimDur::from_secs(1),
+                tag: "c",
+            },
+            &mut q,
+        );
+        assert!(dirty(&f).is_empty(), "compute touches no link");
+        f.submit(
+            s,
+            StreamOp::Copy {
+                link: a,
+                bytes: 1_000_000_000,
+                tag: "x",
+            },
+            &mut q,
+        );
+        assert!(dirty(&f).is_empty(), "a queued copy has not started");
+        let (_, ev) = q.pop().unwrap();
+        f.advance(ev, &mut q);
+        assert_eq!(dirty(&f), [a], "the copy started on a");
+        f.clear_dirty_links();
+        f.degrade_link(b, 0.5, &mut q);
+        assert_eq!(dirty(&f), [b]);
+        f.clear_dirty_links();
+        f.restore_link(b, &mut q);
+        assert_eq!(dirty(&f), [b]);
+        f.clear_dirty_links();
+        let (_, ev) = q.pop().unwrap();
+        f.advance(ev, &mut q);
+        assert_eq!(dirty(&f), [a], "the copy finished on a");
     }
 
     #[test]

@@ -11,6 +11,8 @@
 
 use std::fmt;
 
+use crate::Journal;
+
 /// A registered KV-cache shape class within one [`SlabPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShapeKey(pub(crate) u32);
@@ -74,6 +76,20 @@ struct Slab {
     used: u32,
 }
 
+/// One change the pool made to its side of the ledger, in the order it made
+/// them (see [`SlabPool::touches`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PoolTouch {
+    /// A free block of the shape was handed out.
+    Alloc(ShapeKey, BlockRef),
+    /// A block came back to the shape's free list.
+    Free(ShapeKey, BlockRef),
+    /// A free slab was assigned to the shape; all its blocks became free.
+    Assign(ShapeKey, u32),
+    /// An empty slab of the shape went back to the shared free list.
+    Unassign(ShapeKey, u32),
+}
+
 /// Per-shape usage snapshot (drives the Figure 16 fragmentation report).
 #[derive(Debug, Clone)]
 pub struct ShapeUsage {
@@ -110,6 +126,10 @@ pub struct SlabPool {
     shapes: Vec<ShapeInfo>,
     slabs: Vec<Slab>,
     free_slabs: Vec<u32>,
+    /// Every change since the last [`Self::clear_touches`], in order.
+    touches: Vec<PoolTouch>,
+    /// Marked whenever `touches` grows; says whether it records at all.
+    journal: Journal,
 }
 
 impl SlabPool {
@@ -131,6 +151,23 @@ impl SlabPool {
                 })
                 .collect(),
             free_slabs: (0..n).rev().collect(),
+            touches: Vec::new(),
+            journal: Journal::default(),
+        }
+    }
+
+    /// Logs into `journal`'s set: marks it whenever the touch log grows,
+    /// and records only while it does.
+    pub fn join(&mut self, journal: Journal) {
+        self.journal = journal;
+    }
+
+    /// Appends `t` to the touch log while the journal records.
+    #[inline]
+    fn log(&mut self, t: PoolTouch) {
+        if self.journal.recording() {
+            self.touches.push(t);
+            self.journal.mark();
         }
     }
 
@@ -180,6 +217,7 @@ impl SlabPool {
             if let Some(b) = self.shapes[si].free_blocks.pop() {
                 self.slabs[b.slab as usize].used += 1;
                 self.shapes[si].used_blocks += 1;
+                self.log(PoolTouch::Alloc(shape, b));
                 out.push(b);
             } else {
                 let slab_idx = self
@@ -197,34 +235,30 @@ impl SlabPool {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) on double free or on freeing a block whose
-    /// slab is not assigned to `shape`.
+    /// Panics on freeing a block whose slab is not assigned to `shape`, and
+    /// on freeing more blocks from a slab than it has in use (a double
+    /// free).
     pub fn free(&mut self, shape: ShapeKey, blocks: &[BlockRef]) {
         let si = shape.0 as usize;
         let mut emptied: Vec<u32> = Vec::new();
         for &b in blocks {
             let slab = &mut self.slabs[b.slab as usize];
-            debug_assert_eq!(
+            assert_eq!(
                 slab.shape,
                 Some(shape),
                 "freeing block {b:?} into the wrong shape"
             );
-            debug_assert!(slab.used > 0, "double free of {b:?}");
+            assert!(slab.used > 0, "double free of {b:?}");
             slab.used -= 1;
-            self.shapes[si].used_blocks -= 1;
-            self.shapes[si].free_blocks.push(b);
             if slab.used == 0 {
                 emptied.push(b.slab);
             }
+            self.shapes[si].used_blocks -= 1;
+            self.shapes[si].free_blocks.push(b);
+            self.log(PoolTouch::Free(shape, b));
         }
         for slab_idx in emptied {
-            // A freed slab may have been refilled by an interleaved alloc of
-            // the same call? No allocation happens during `free`, but the
-            // same slab can appear twice in `emptied` only if `blocks` holds
-            // duplicates, which the double-free assert rejects.
-            if self.slabs[slab_idx as usize].used == 0 {
-                self.unassign_slab(slab_idx, shape);
-            }
+            self.unassign_slab(slab_idx, shape);
         }
     }
 
@@ -241,6 +275,7 @@ impl SlabPool {
         }
         let assigned = s.slabs.len() as u64 * self.cfg.slab_bytes;
         s.peak_slab_bytes = s.peak_slab_bytes.max(assigned);
+        self.log(PoolTouch::Assign(shape, slab_idx));
     }
 
     fn unassign_slab(&mut self, slab_idx: u32, shape: ShapeKey) {
@@ -250,6 +285,29 @@ impl SlabPool {
         s.slabs.retain(|&x| x != slab_idx);
         self.slabs[slab_idx as usize].shape = None;
         self.free_slabs.push(slab_idx);
+        self.log(PoolTouch::Unassign(shape, slab_idx));
+    }
+
+    /// Every block and slab the pool handed out or took back since the last
+    /// [`Self::clear_touches`], in order: the pool's side of the touch log
+    /// a [`SlabShadow`] applies.
+    #[inline]
+    pub fn touches(&self) -> &[PoolTouch] {
+        &self.touches
+    }
+
+    /// Block allocations and frees in [`Self::touches`].
+    pub fn block_ops(&self) -> usize {
+        self.touches
+            .iter()
+            .filter(|t| matches!(t, PoolTouch::Alloc(..) | PoolTouch::Free(..)))
+            .count()
+    }
+
+    /// Empties the touch log.
+    #[inline]
+    pub fn clear_touches(&mut self) {
+        self.touches.clear();
     }
 
     /// Number of slabs currently assigned to any shape.
@@ -422,6 +480,353 @@ impl SlabPool {
     }
 }
 
+/// The pool's side of one block slot, as the pool's touch log left it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Side {
+    /// The slot's slab is not assigned to a shape that has this block.
+    #[default]
+    Absent,
+    /// On its shape's free list.
+    Free,
+    /// Handed out by [`SlabPool::alloc`].
+    Used,
+}
+
+/// One block slot of a [`SlabShadow`]: the pool's side and the owner side.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    side: Side,
+    /// Holders holding the block (1 when used, 0 when not).
+    held: i8,
+    /// The last [`SlabShadow::apply`] that touched the slot.
+    seen: u32,
+    /// The shape of the last holder that gained the block during the
+    /// current [`SlabShadow::apply`] ([`NOT_FILED`] when none did).
+    filed: u32,
+}
+
+impl Default for Slot {
+    fn default() -> Slot {
+        Slot {
+            side: Side::Absent,
+            held: 0,
+            seen: 0,
+            filed: NOT_FILED,
+        }
+    }
+}
+
+/// [`Slot::filed`] when no holder gained the block.
+const NOT_FILED: u32 = u32::MAX;
+
+/// An auditor's running copy of one [`SlabPool`]'s double-entry ledger,
+/// kept in step by the touch logs instead of re-derived from the pool.
+///
+/// [`SlabPool::audit`] checks the whole ledger in one dense pass. A shadow
+/// is seeded from the state such a pass accepted ([`Self::seed`]); after
+/// every event [`Self::apply`] replays the pool's log ([`SlabPool::touches`])
+/// and the holders' log (blocks each holder gained or lost) and checks only
+/// what they touched:
+///
+/// - each touched block is free or held exactly once, and a held block
+///   lives in a slab of the shape its holder filed it under;
+/// - each touched slab has the shape its log says, and its `used` count
+///   equals the blocks its holders hold;
+/// - for each shape the pool's log touched, the pool's used count equals
+///   the log's, and used + free equals the assigned capacity.
+///
+/// The work is proportional to the blocks an event touched, and the memory
+/// to the slabs ever assigned, not to the pool's capacity.
+#[derive(Debug, Clone, Default)]
+pub struct SlabShadow {
+    /// Per slab.
+    rows: Vec<Row>,
+    /// Per shape, blocks per slab, and the blocks the pool's log handed out
+    /// and did not take back.
+    bps: Vec<u32>,
+    used: Vec<u64>,
+    /// Counts [`Self::apply`] calls, stamping the slots each one touched
+    /// (it skips 0, the stamp of a slot never touched).
+    applies: u32,
+    /// Scratch for one [`Self::apply`]: the blocks it touched, each once,
+    /// and the slabs and shapes its pool log touched.
+    touched: Vec<BlockRef>,
+    slabs: Vec<u32>,
+    shapes: Vec<ShapeKey>,
+}
+
+/// One slab of a [`SlabShadow`].
+#[derive(Debug, Clone, Default)]
+struct Row {
+    /// The shape the pool's log last assigned the slab to.
+    shape: Option<ShapeKey>,
+    /// The blocks its holders hold.
+    held: i64,
+    /// Its block slots: as many as the widest shape it was ever assigned
+    /// to has blocks per slab (none for a slab never assigned).
+    slots: Vec<Slot>,
+}
+
+impl SlabShadow {
+    /// A shadow of `pool` and its holders' blocks `held` as they are now.
+    /// The state should be one [`SlabPool::audit`] accepts: the shadow
+    /// copies it without checking.
+    pub fn seed<'a>(
+        pool: &SlabPool,
+        held: impl IntoIterator<Item = (ShapeKey, &'a [BlockRef])>,
+    ) -> SlabShadow {
+        let mut sh = SlabShadow {
+            used: pool.shapes.iter().map(|s| s.used_blocks).collect(),
+            ..SlabShadow::default()
+        };
+        sh.sync_shapes(pool);
+        let used = Slot {
+            side: Side::Used,
+            ..Slot::default()
+        };
+        sh.rows = (pool.slabs.iter())
+            .map(|slab| Row {
+                shape: slab.shape,
+                held: 0,
+                slots: slab
+                    .shape
+                    .map_or(Vec::new(), |k| vec![used; sh.bps[k.0 as usize] as usize]),
+            })
+            .collect();
+        for s in &pool.shapes {
+            for &b in &s.free_blocks {
+                if let Some(slot) = sh.slot(b) {
+                    slot.side = Side::Free;
+                }
+            }
+        }
+        for (_, blocks) in held {
+            for &b in blocks {
+                if let Some(slot) = sh.slot(b) {
+                    slot.held = slot.held.wrapping_add(1);
+                    sh.rows[b.slab as usize].held += 1;
+                }
+            }
+        }
+        sh
+    }
+
+    /// Picks up shapes registered since the last call.
+    fn sync_shapes(&mut self, pool: &SlabPool) {
+        let known = self.bps.len();
+        self.bps
+            .extend(pool.shapes[known..].iter().map(|s| s.blocks_per_slab));
+        self.used.resize(pool.shapes.len(), 0);
+    }
+
+    /// The slot of `b`; `None` when its slab was never assigned a shape
+    /// with that many blocks, or lies outside the pool.
+    fn slot(&mut self, b: BlockRef) -> Option<&mut Slot> {
+        let row = self.rows.get_mut(b.slab as usize)?;
+        row.slots.get_mut(b.index as usize)
+    }
+
+    /// Replays one event's logs — the pool's [`SlabPool::touches`], then
+    /// `held`, each block a holder gained (`true`) or lost (`false`) — and
+    /// checks the double entry of every block, slab and shape they touched.
+    /// Returns the number of block allocations and frees replayed, or the
+    /// first inconsistency. After an error the shadow is no longer in step
+    /// with the pool and must be re-seeded.
+    pub fn apply<'a>(
+        &mut self,
+        pool: &SlabPool,
+        held: impl IntoIterator<Item = (ShapeKey, &'a [BlockRef], bool)>,
+    ) -> Result<usize, String> {
+        self.touched.clear();
+        self.slabs.clear();
+        self.shapes.clear();
+        self.applies = self.applies.wrapping_add(1).max(1);
+        if self.bps.len() != pool.shapes.len() {
+            self.sync_shapes(pool);
+        }
+        let mut ops = 0;
+        for &t in pool.touches() {
+            match t {
+                PoolTouch::Alloc(k, b) => {
+                    ops += 1;
+                    self.hand(k, b, Side::Free, Side::Used)?;
+                    self.used[k.0 as usize] += 1;
+                }
+                PoolTouch::Free(k, b) => {
+                    ops += 1;
+                    self.hand(k, b, Side::Used, Side::Free)?;
+                    self.used[k.0 as usize] -= 1;
+                }
+                PoolTouch::Assign(k, slab) => self.reassign(k, slab, true)?,
+                PoolTouch::Unassign(k, slab) => self.reassign(k, slab, false)?,
+            }
+        }
+        for (k, blocks, gained) in held {
+            let d = if gained { 1 } else { -1 };
+            for &b in blocks {
+                let stamp = self.applies;
+                let row = self.rows.get_mut(b.slab as usize);
+                let Some(slot) = row.and_then(|r| {
+                    r.held += d as i64;
+                    r.slots.get_mut(b.index as usize)
+                }) else {
+                    return Err(format!("held block {b:?} lies in no assigned slab"));
+                };
+                slot.held = slot.held.wrapping_add(d);
+                if slot.seen != stamp {
+                    slot.seen = stamp;
+                    self.touched.push(b);
+                }
+                if gained {
+                    slot.filed = k.0;
+                }
+            }
+        }
+        let mut last_slab = u32::MAX;
+        for &b in &self.touched {
+            let row = &mut self.rows[b.slab as usize];
+            let slot = &mut row.slots[b.index as usize];
+            let s = *slot;
+            slot.filed = NOT_FILED;
+            if !matches!(
+                (s.side, s.held),
+                (Side::Used, 1) | (Side::Free | Side::Absent, 0)
+            ) {
+                return Err(unbalanced(b, s));
+            }
+            let real = &pool.slabs[b.slab as usize];
+            if s.held == 1 && s.filed != NOT_FILED && real.shape != Some(ShapeKey(s.filed)) {
+                let k = ShapeKey(s.filed);
+                return Err(format!("held block {b:?} lives outside the slabs of {k:?}"));
+            }
+            if last_slab != b.slab {
+                last_slab = b.slab;
+                check_slab(b.slab, real, row)?;
+            }
+        }
+        for &i in &self.slabs {
+            check_slab(i, &pool.slabs[i as usize], &self.rows[i as usize])?;
+        }
+        for &k in &self.shapes {
+            let s = &pool.shapes[k.0 as usize];
+            if s.used_blocks != self.used[k.0 as usize] {
+                return Err(format!(
+                    "shape {}: pool counts {} used blocks, its log {}",
+                    s.label, s.used_blocks, self.used[k.0 as usize]
+                ));
+            }
+            let cap = s.slabs.len() as u64 * s.blocks_per_slab as u64;
+            if s.used_blocks + s.free_blocks.len() as u64 != cap {
+                return Err(format!(
+                    "shape {}: used {} + free {} != assigned capacity {}",
+                    s.label,
+                    s.used_blocks,
+                    s.free_blocks.len(),
+                    cap
+                ));
+            }
+        }
+        Ok(ops)
+    }
+
+    /// Replays the pool handing block `b` of shape `k` out (`from` free
+    /// `to` used) or taking it back.
+    #[inline]
+    fn hand(&mut self, k: ShapeKey, b: BlockRef, from: Side, to: Side) -> Result<(), String> {
+        if self.shapes.last() != Some(&k) {
+            self.shapes.push(k);
+        }
+        let bps = self.bps[k.0 as usize];
+        let row = self.rows.get_mut(b.slab as usize);
+        let row = row.filter(|r| r.shape == Some(k) && b.index < bps);
+        let Some(slot) = row.and_then(|r| r.slots.get_mut(b.index as usize)) else {
+            return Err(misplaced(
+                b,
+                from,
+                to,
+                format!("outside the slabs of {k:?}"),
+            ));
+        };
+        if slot.side != from {
+            return Err(misplaced(b, from, to, format!("while {:?}", slot.side)));
+        }
+        slot.side = to;
+        if slot.seen != self.applies {
+            slot.seen = self.applies;
+            self.touched.push(b);
+        }
+        Ok(())
+    }
+
+    /// Replays the pool assigning `slab` to shape `k`, or releasing it.
+    fn reassign(&mut self, k: ShapeKey, slab: u32, assign: bool) -> Result<(), String> {
+        let (from, to, what) = if assign {
+            (None, Some(k), "assigned to")
+        } else {
+            (Some(k), None, "released by")
+        };
+        let bps = self.bps[k.0 as usize] as usize;
+        let row = self.rows.get_mut(slab as usize);
+        let Some(row) = row.filter(|r| r.shape == from) else {
+            return Err(format!("slab {slab} {what} {k:?} against its log"));
+        };
+        row.shape = to;
+        if row.slots.len() < bps {
+            row.slots.resize(bps, Slot::default());
+        }
+        for (j, s) in row.slots.iter_mut().enumerate() {
+            s.side = match (s.side, assign) {
+                (Side::Absent, _) if j >= bps => continue,
+                (Side::Absent, true) => Side::Free,
+                (Side::Free, false) => Side::Absent,
+                (side, _) => {
+                    return Err(format!("slab {slab} {what} {k:?} with block {j} {side:?}"))
+                }
+            };
+        }
+        self.slabs.push(slab);
+        self.shapes.push(k);
+        Ok(())
+    }
+}
+
+/// Slab `i`'s shape and used count in the pool (`real`) against its
+/// shadow `row`.
+fn check_slab(i: u32, real: &Slab, row: &Row) -> Result<(), String> {
+    if real.shape != row.shape {
+        return Err(format!(
+            "slab {i}: pool has it at {:?}, its log at {:?}",
+            real.shape, row.shape
+        ));
+    }
+    if real.used as i64 != row.held {
+        return Err(format!(
+            "slab {i}: pool counts {} used blocks but holders hold {}",
+            real.used, row.held
+        ));
+    }
+    Ok(())
+}
+
+/// Describes a block the pool moved `from` one side `to` another where it
+/// could not (`why`).
+#[cold]
+fn misplaced(b: BlockRef, from: Side, to: Side, why: String) -> String {
+    format!("block {b:?} moved {from:?} to {to:?} {why}")
+}
+
+/// Describes a block whose two sides disagree.
+#[cold]
+fn unbalanced(b: BlockRef, s: Slot) -> String {
+    match (s.side, s.held) {
+        (_, n) if n > 1 => format!("block {b:?} held {n} times"),
+        (_, n) if n < 0 => format!("block {b:?} released more often than held"),
+        (Side::Used, _) => format!("block {b:?} is in use but no holder holds it"),
+        (Side::Free, _) => format!("held block {b:?} is also free"),
+        (Side::Absent, _) => format!("held block {b:?} lies in no assigned slab"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,6 +960,124 @@ mod tests {
         // A block that is neither free nor counted used.
         p.shapes[a.0 as usize].free_blocks.pop();
         assert!(err(&p, &[(a, &xa[1..]), (b, &xb[..])]).contains("assigned capacity"));
+    }
+
+    /// A pool with shapes `a` (1 MB blocks, 8 per slab) and `b` (3 MB, 2
+    /// per slab), ten blocks of `a` and two of `b` held, and a shadow seeded
+    /// from that state with the pool's log cleared.
+    fn shadowed() -> (
+        SlabPool,
+        [ShapeKey; 2],
+        Vec<BlockRef>,
+        Vec<BlockRef>,
+        SlabShadow,
+    ) {
+        let mut p = pool(64, 8);
+        let a = p.register_shape("a", 1 << 20);
+        let b = p.register_shape("b", 3 << 20);
+        let xa = p.alloc(a, 10).unwrap();
+        let xb = p.alloc(b, 2).unwrap();
+        let sh = SlabShadow::seed(&p, [(a, &xa[..]), (b, &xb[..])]);
+        p.clear_touches();
+        (p, [a, b], xa, xb, sh)
+    }
+
+    #[test]
+    fn shadow_replays_every_reachable_state() {
+        let (mut p, [a, b], xa, xb, mut sh) = shadowed();
+        assert_eq!(sh.apply(&p, []), Ok(0), "an empty log checks nothing");
+        // Free a whole slab of `a` back to the shared list, reuse it for
+        // `b`, and hand out blocks freed the same event.
+        p.free(a, &xa[..8]);
+        let yb = p.alloc(b, 3).unwrap();
+        let ya = p.alloc(a, 2).unwrap();
+        let held = [(a, &xa[..8], false), (b, &yb[..], true), (a, &ya[..], true)];
+        assert_eq!(sh.apply(&p, held), Ok(13));
+        p.clear_touches();
+        // A move between holders touches no pool block.
+        assert_eq!(
+            sh.apply(&p, [(a, &ya[..], false), (a, &ya[..], true)]),
+            Ok(0)
+        );
+        p.free(a, &xa[8..]);
+        p.free(a, &ya);
+        p.free(b, &xb);
+        p.free(b, &yb);
+        let gone = [
+            (a, &xa[8..], false),
+            (a, &ya[..], false),
+            (b, &xb[..], false),
+        ];
+        assert_eq!(
+            sh.apply(&p, gone.into_iter().chain([(b, &yb[..], false)])),
+            Ok(9)
+        );
+        assert_eq!(p.slabs_in_use(), 0);
+    }
+
+    /// The dense audit's violation classes, each caught by the incremental
+    /// check on the event that causes it.
+    #[test]
+    fn shadow_flags_each_violation_on_its_event() {
+        let err = |r: Result<usize, String>, what: &str| {
+            let e = r.expect_err("violation detected");
+            assert!(e.contains(what), "{e}");
+        };
+        // A leak: the pool hands out a block no holder logs.
+        let (mut p, [a, _], _, _, mut sh) = shadowed();
+        p.alloc(a, 1).unwrap();
+        err(sh.apply(&p, []), "no holder holds it");
+        // One block held twice.
+        let (p, [a, _], xa, _, mut sh) = shadowed();
+        err(sh.apply(&p, [(a, &xa[..1], true)]), "held 2 times");
+        // A held block filed under the wrong shape.
+        let (mut p, [a, b], _, _, mut sh) = shadowed();
+        let yb = p.alloc(b, 1).unwrap();
+        err(
+            sh.apply(&p, [(a, &yb[..], true)]),
+            "lives outside the slabs",
+        );
+        // Use after free: a held block goes back to the free list.
+        let (mut p, [a, _], xa, _, mut sh) = shadowed();
+        p.free(a, &xa[..1]);
+        err(sh.apply(&p, []), "also free");
+        // The pool frees one block while its holder lets go of another: the
+        // slab's counts balance, the blocks do not.
+        let (mut p, [a, _], xa, _, mut sh) = shadowed();
+        p.free(a, &xa[..1]);
+        err(sh.apply(&p, [(a, &xa[1..2], false)]), "also free");
+        // A block that is neither free nor counted used.
+        let (mut p, [a, _], _, _, mut sh) = shadowed();
+        p.shapes[a.0 as usize].free_blocks.pop();
+        let ya = p.alloc(a, 1).unwrap();
+        err(sh.apply(&p, [(a, &ya[..], true)]), "assigned capacity");
+    }
+
+    #[test]
+    fn logs_mark_their_journal_and_stop_while_it_is_off() {
+        let root = Journal::default();
+        let mut p = pool(16, 8);
+        p.join(root.member(2));
+        let k = p.register_shape("a", 1 << 20);
+        let x = p.alloc(k, 2).unwrap();
+        assert_eq!(root.take(), 1 << 2, "an allocation marks the book");
+        p.free(k, &x);
+        assert_eq!(root.take(), 1 << 2, "a free marks the book");
+        assert_eq!(p.block_ops(), 4);
+        p.clear_touches();
+        root.record(false);
+        let x = p.alloc(k, 2).unwrap();
+        p.free(k, &x);
+        assert!(p.touches().is_empty() && root.marked() == 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn double_free_panics_in_every_build() {
+        let mut p = pool(16, 16);
+        let k = p.register_shape("a", 1 << 20);
+        let x = p.alloc(k, 1).unwrap();
+        p.free(k, &[x[0], x[0]]);
     }
 
     #[test]

@@ -2604,8 +2604,12 @@ impl Host for ServingSystem {
     fn clear_logs(&mut self) {
         self.reqs.clear_progress();
         self.port.fabric.clear_dirty_links();
+        let marked = self.journal.take();
+        if marked == 0 {
+            return;
+        }
         let (np, nd) = (self.prefills.len(), self.decodes.len());
-        for i in marked_books(self.journal.take(), np + nd + self.nodes.len()) {
+        for i in marked_books(marked, np + nd + self.nodes.len()) {
             let (kv, parked) = if i < np {
                 let inst = &mut self.prefills[i].inst;
                 (&mut inst.gpu_kv, &mut inst.parked)

@@ -80,14 +80,18 @@ impl Journal {
 /// The book indices a [`Journal`] word names, in order, for `books` books:
 /// each set bit below 63, and every book from 63 on when bit 63 is set.
 pub fn marked_books(bits: u64, books: usize) -> impl Iterator<Item = usize> {
-    let mut low = bits & !(1 << 63);
-    let low = std::iter::from_fn(move || {
-        let i = low.trailing_zeros() as usize;
-        low &= low.wrapping_sub(1);
-        (i < 63).then_some(i)
-    });
-    let high = if bits >> 63 != 0 { 63..books } else { 0..0 };
-    low.take_while(move |&i| i < books).chain(high)
+    let (mut low, mut high) = (bits & !(1 << 63), if bits >> 63 != 0 { 63 } else { books });
+    std::iter::from_fn(move || {
+        if low != 0 {
+            let i = low.trailing_zeros() as usize;
+            low &= low - 1;
+            return (i < books).then_some(i);
+        }
+        (high < books).then(|| {
+            high += 1;
+            high - 1
+        })
+    })
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //!
 //! Aegaeon's [`ServingSystem`](crate::system::ServingSystem) and the
 //! baselines' `World` are policies plugged into one simulator core (the
-//! shape LLMServingSim uses): the same [`Driver`] pops their events, drains
-//! the fabric completions each event releases, runs the auditor and polls
-//! telemetry; the same [`FabricPort`] submits their stream ops, joins
+//! shape LLMServingSim uses): the same [`Driver`] pops their events, polls
+//! telemetry, drains the fabric completions each event releases and runs
+//! the auditor; the same [`FabricPort`] submits their stream ops, joins
 //! multi-op completions and turns scale-up plans into fabric ops; and the
 //! same [`SpanBook`] opens and closes request spans and retires finished
 //! requests into the per-model latency sketches and the SLO observatory;
@@ -78,12 +78,13 @@ const EVENT_CAP: u64 = 400_000_000;
 /// Statistics sampling period (fragmentation, utilization) of both hosts.
 pub const SAMPLE_PERIOD: SimDur = SimDur::from_secs(1);
 
-/// The dispatch loop: pop, handle, drain completions, audit, poll
-/// telemetry.
+/// The dispatch loop: pop, poll telemetry, handle, drain completions,
+/// audit.
 ///
-/// The auditor and the telemetry poller are observers: they run after the
-/// event, never schedule queue events, and never touch state the host
-/// reads, so results are bit-identical with either on or off.
+/// The auditor and the telemetry poller are observers: they never schedule
+/// queue events and never touch state the host reads, so results are
+/// bit-identical with either on or off. The poller runs before the event
+/// and the auditor after it.
 pub struct Driver<H: Host> {
     /// The loop being driven.
     pub host: H,
@@ -132,6 +133,13 @@ impl<H: Host> Driver<H> {
             self.halted = true;
             return false;
         }
+        // Sample boundaries derive from the popped timestamp, never from a
+        // queue event, so enabling telemetry cannot change event counts.
+        // They are drained before the event: the sample stamped `b` holds
+        // the state after every event strictly before `b`.
+        while let Some(at) = self.host.telemetry().sample_due(t) {
+            self.host.poll(at);
+        }
         // After `step` returns, the logs hold exactly this event's changes.
         self.host.clear_logs();
         self.host.on_event(ev, &mut self.q);
@@ -140,11 +148,6 @@ impl<H: Host> Driver<H> {
         }
         if let Some(a) = self.auditor.as_deref_mut() {
             a.after_event(self.q.now(), self.host.view());
-        }
-        // Sample boundaries derive from the popped timestamp, never from a
-        // queue event, so enabling telemetry cannot change event counts.
-        while let Some(at) = self.host.telemetry().sample_due(t) {
-            self.host.poll(at);
         }
         true
     }
@@ -800,5 +803,87 @@ impl SpanBook {
                 rs.prefix_hit,
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aegaeon_gpu::NodeSpec;
+    use aegaeon_telemetry::expand;
+
+    /// A host whose whole state is one gauge level that each event sets.
+    struct Level {
+        level: f64,
+        gauge: GaugeId,
+        tel: Telemetry,
+        port: FabricPort<()>,
+        reqs: Requests,
+    }
+
+    impl AuditView for Level {
+        fn requests(&self) -> &Requests {
+            &self.reqs
+        }
+    }
+
+    impl Host for Level {
+        type Ev = f64;
+        type Tag = ();
+        type Output = Telemetry;
+        fn on_event(&mut self, level: f64, _: &mut EventQueue<f64>) {
+            self.level = level;
+        }
+        fn on_tag(&mut self, _: (), _: &mut EventQueue<f64>) {}
+        fn port(&mut self) -> &mut FabricPort<()> {
+            &mut self.port
+        }
+        fn poll(&mut self, at: SimTime) {
+            self.tel.metrics.set(self.gauge, self.level);
+            self.tel.metrics.sample(at);
+        }
+        fn telemetry(&mut self) -> &mut Telemetry {
+            &mut self.tel
+        }
+        fn view(&self) -> &dyn AuditView {
+            self
+        }
+        fn clear_logs(&mut self) {}
+        fn finish(mut self, q: &EventQueue<f64>, _: Option<&AuditReport>) -> Telemetry {
+            self.tel.metrics.set(self.gauge, self.level);
+            self.tel.finish(q.now());
+            self.tel
+        }
+    }
+
+    /// The sample stamped `b` holds the state after every event strictly
+    /// before `b`: neither an event 1 ns past `b`, which triggers the
+    /// sample, nor an event at exactly `b` is in it.
+    #[test]
+    fn a_sample_holds_only_events_before_its_instant() {
+        let every = SimDur::from_millis(100);
+        let mut tel = Telemetry::new(&TelemetrySpec::with_sample_every(every));
+        let gauge = tel.metrics.gauge("level");
+        let cluster = ClusterSpec::homogeneous(1, NodeSpec::h800_node());
+        let host = Level {
+            level: 0.0,
+            gauge,
+            tel,
+            port: FabricPort::build(&cluster).0,
+            reqs: Requests::default(),
+        };
+        let mut d = Driver::new(host, SimTime::from_secs_f64(1.0), false);
+        let b = SimTime::ZERO + every;
+        d.q.schedule_at(SimTime::ZERO, 1.0);
+        d.q.schedule_at(b + SimDur::from_nanos(1), 2.0);
+        d.q.schedule_at(b + every, 3.0);
+        let (tel, _) = d.run();
+        let (_, points) = tel.metrics.gauge_series().next().expect("level");
+        let dense = expand(points, every, tel.metrics.samples_taken());
+        let at: Vec<u64> = dense.iter().map(|p| p.at.as_nanos()).collect();
+        let level: Vec<f64> = dense.iter().map(|p| p.value).collect();
+        let ns = every.as_nanos();
+        assert_eq!(at, [0, ns, 2 * ns, 2 * ns], "three samples and the final point");
+        assert_eq!(level, [0.0, 1.0, 2.0, 3.0]);
     }
 }

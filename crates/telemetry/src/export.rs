@@ -6,6 +6,11 @@
 //! sampled metric series becomes a `C` counter track. [`jsonl`] emits the
 //! same data as line-delimited JSON for scripting.
 //!
+//! Metric series are change-only step functions (see
+//! [`metrics`](crate::metrics)): a `C` event or a JSONL `sample` row holds
+//! its value until the series' next one, and each series ends with its
+//! final value, which may repeat the previous instant and value.
+//!
 //! Both emitters are hand-rolled and fully deterministic: timestamps are
 //! integer nanoseconds formatted as exact microseconds (`ns/1000` plus a
 //! three-digit fraction), never round-tripped through floats, so the same
@@ -180,7 +185,10 @@ pub fn chrome_trace(schedule: &TraceLog, spans: &SpanLog, metrics: &MetricsRegis
 }
 
 /// Renders the same telemetry as line-delimited JSON: one object per span,
-/// per sample, per quantile sketch, and per run-level counter total.
+/// per stored series point, per quantile sketch, and per run-level counter
+/// total. `sample` rows are step-function changes: within a series each row
+/// holds until the next, and only the final row may repeat the previous
+/// instant or value.
 pub fn jsonl(spans: &SpanLog, metrics: &MetricsRegistry) -> String {
     let mut out = String::new();
     for (id, s) in spans.spans().iter().enumerate() {

@@ -220,7 +220,9 @@ impl World {
         let mut rng = SimRng::seed_from_u64(cfg.seed);
         let (port, topo) = FabricPort::build(&cfg.cluster);
         let gpu_spec = &cfg.cluster.nodes[0].gpu;
-        let deploys = build_deploys(models, gpu_spec, cfg.tp, &mut rng);
+        // The baselines schedule without the Eq. (5)/(6) estimator, so
+        // no model is fitted; the draws are skipped all the same.
+        let deploys = build_deploys(models, gpu_spec, cfg.tp, &mut rng, |_| false);
         let usable_vram = (gpu_spec.vram_bytes as f64 * VRAM_USABLE) as u64;
         let gpu_ids: Vec<GpuId> = topo.gpu_ids().collect();
         let insts = gpu_ids
@@ -559,6 +561,7 @@ impl<S: Scheduler> Host for Serve<'_, S> {
             rejected,
             total_requests: w.trace.len(),
             model_count: w.deploys.len(),
+            models_profiled: 0,
             scale_count: w.insts.iter().map(|i| i.switches).sum(),
             prefetch_hits: 0,
             swaps: 0,

@@ -41,6 +41,10 @@ pub struct RunResult {
     pub total_requests: usize,
     /// Models deployed.
     pub model_count: usize,
+    /// Deployed models whose Eq. (5)/(6) estimator the run fitted: those
+    /// its trace named, plus any first seen later. Observer-only, so
+    /// [`RunResult::fingerprint`] skips it; the baselines fit none.
+    pub models_profiled: usize,
     /// Model switches performed: Aegaeon's preemptive scale-ups, a
     /// baseline's instance reloads.
     pub scale_count: u64,
@@ -97,9 +101,9 @@ impl RunResult {
 
     /// Order-sensitive hash over every *behavioral* field — everything the
     /// simulation produced except the observer-only artifacts
-    /// (`shard_windows`, `schedule`, `telemetry`, `audit`). The differential
-    /// telemetry test asserts this is bit-identical with telemetry on and
-    /// off.
+    /// (`models_profiled`, `shard_windows`, `schedule`, `telemetry`,
+    /// `audit`). The differential telemetry test asserts this is
+    /// bit-identical with telemetry on and off.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = aegaeon_sim::FxHasher::default();

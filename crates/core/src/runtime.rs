@@ -468,6 +468,10 @@ impl Requests {
                     id: r.id,
                     model: r.model,
                     arrival: rs.arrival,
+                    // Cloned, not moved: the clone trims the growth slack
+                    // of a vector filled token by token, and every
+                    // retained outcome would otherwise keep that slack
+                    // (on `market`, peak RSS rose from 276 to 337 MiB).
                     token_times: rs.token_times.clone(),
                     target_tokens: r.output_tokens,
                 }

@@ -38,9 +38,10 @@
 //! # Determinism
 //!
 //! A sharded run is bit-identical across worker-thread counts: shard
-//! construction, and shard execution inside a window, are embarrassingly
-//! parallel (disjoint state), so contiguous chunks of shards are built
-//! and then stepped each window on scoped threads, and everything order-sensitive — window boundaries, handoff delivery
+//! construction, shard execution inside a window, and shard finishing are
+//! embarrassingly parallel (disjoint state), so contiguous chunks of
+//! shards are built, stepped each window, and finished on scoped threads,
+//! and everything order-sensitive — window boundaries, handoff delivery
 //! order, result merging — happens on the coordinator in fixed shard
 //! order. The *serial reference* for the differential tests is therefore
 //! the sharded engine on one thread — the same window loop with one chunk,
@@ -285,10 +286,10 @@ pub fn run_sharded(
     let plan = ShardPlan::partition(cfg, trace, shards);
     let mut coord = Coordinator::new(cfg, models, &plan, threads);
     let windows = coord.run().len() as u64;
-    let finished: Vec<(RunResult, Option<AuditReport>)> =
-        coord.sessions.into_iter().map(|s| s.finish()).collect();
+    let final_slot = std::mem::take(&mut coord.final_slot);
+    let finished = coord.finish();
     crate::runtime::checked(
-        merge(models, trace, finished, &coord.final_slot, windows),
+        merge(models, trace, finished, &final_slot, windows),
         format_args!("seed={} plan=\"{}\" shards={shards}", cfg.seed, cfg.faults),
     )
 }
@@ -323,28 +324,14 @@ impl<'p> Coordinator<'p> {
         workers: usize,
     ) -> Coordinator<'p> {
         let chunks = even_ranges(plan.cfgs.len(), workers);
-        let build = |r: &Range<usize>| -> Vec<ServingSession> {
-            r.clone()
-                .map(|s| {
-                    let mut session = ServingSession::closed(&plan.cfgs[s], models, &plan.traces[s]);
-                    session.enable_shard_mode();
-                    if cfg.audit {
-                        session.install_auditor(Box::new(InvariantAuditor::new()));
-                    }
-                    session
-                })
-                .collect()
-        };
-        let sessions: Vec<ServingSession> = std::thread::scope(|scope| {
-            let rest: Vec<_> = chunks[1..]
-                .iter()
-                .map(|r| scope.spawn(move || build(r)))
-                .collect();
-            let mut sessions = build(&chunks[0]);
-            for h in rest {
-                sessions.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        let shards: Vec<usize> = (0..plan.cfgs.len()).collect();
+        let sessions = Self::on_chunks(&chunks, shards, |s| {
+            let mut session = ServingSession::closed(&plan.cfgs[s], models, &plan.traces[s]);
+            session.enable_shard_mode();
+            if cfg.audit {
+                session.install_auditor(Box::new(InvariantAuditor::new()));
             }
-            sessions
+            session
         });
         Coordinator {
             emit: sessions.iter().map(|s| s.earliest_handoff()).collect(),
@@ -406,33 +393,56 @@ impl<'p> Coordinator<'p> {
             .next_window(shards.map(|(s, &emit)| (due(s), emit)))
     }
 
+    /// Maps `f` over `items`, one per shard, with each of `chunks` on its
+    /// own scoped thread; the coordinator thread takes the first chunk
+    /// itself, so one worker spawns nothing. Results come back in shard
+    /// order, and returning is the barrier.
+    fn on_chunks<T: Send, R: Send>(
+        chunks: &[Range<usize>],
+        items: Vec<T>,
+        f: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        debug_assert_eq!(chunks.last().map(|r| r.end), Some(items.len()));
+        let f = &f;
+        let mut items = items.into_iter();
+        let mut parts = chunks
+            .iter()
+            .map(|r| items.by_ref().take(r.len()).collect::<Vec<T>>());
+        let mine = parts.next().expect("at least one chunk");
+        std::thread::scope(|scope| {
+            let rest: Vec<_> = parts
+                .map(|part| scope.spawn(move || part.into_iter().map(f).collect::<Vec<R>>()))
+                .collect();
+            let mut out: Vec<R> = mine.into_iter().map(f).collect();
+            for h in rest {
+                out.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            out
+        })
+    }
+
     /// The window loop; returns each window's grant, in order. Each window
     /// steps the `min(workers, shards)` contiguous chunks of shards on
-    /// scoped threads; the coordinator thread steps the first chunk
-    /// itself, so one worker spawns nothing. Leaving the scope is the
-    /// barrier before the exchange.
+    /// their threads, then exchanges handoffs.
     fn run(&mut self) -> Vec<SimTime> {
-        let chunks = self.chunks.clone();
         let mut grants = Vec::new();
         while let Some(w) = self.next_window() {
             grants.push(w.grant);
-            let step = move |shards: &mut [ServingSession]| {
-                for s in shards.iter_mut().filter(|s| !s.halted()) {
+            let sessions: Vec<&mut ServingSession> = self.sessions.iter_mut().collect();
+            Self::on_chunks(&self.chunks, sessions, |s| {
+                if !s.halted() {
                     s.step_until(w.limit);
                 }
-            };
-            std::thread::scope(|scope| {
-                let (mine, mut rest) = self.sessions.split_at_mut(chunks[0].end);
-                for r in &chunks[1..] {
-                    let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-                    rest = tail;
-                    scope.spawn(move || step(chunk));
-                }
-                step(mine);
             });
             self.exchange(w.grant);
         }
         grants
+    }
+
+    /// Finishes every shard on the thread that stepped it and returns the
+    /// results in shard order.
+    fn finish(self) -> Vec<(RunResult, Option<AuditReport>)> {
+        Self::on_chunks(&self.chunks, self.sessions, ServingSession::finish)
     }
 }
 
@@ -441,9 +451,10 @@ impl<'p> Coordinator<'p> {
 /// each taken from the shard that finally owned the request (its home
 /// shard, or the last shard it migrated to); concatenated per-shard series
 /// (GPU busy, fragmentation, utilization samples) follow the contiguous
-/// node partition, so GPU ordering matches the unsharded cluster. The
-/// merged result carries disabled observer artifacts (schedule, telemetry);
-/// both are excluded from fingerprints.
+/// node partition, so GPU ordering matches the unsharded cluster. Token
+/// times and series move out of the shard results rather than being
+/// copied. The merged result carries disabled observer artifacts
+/// (schedule, telemetry); both are excluded from fingerprints.
 fn merge(
     models: &[ModelSpec],
     trace: &Trace,
@@ -451,7 +462,7 @@ fn merge(
     final_slot: &[(usize, u32)],
     windows: u64,
 ) -> (RunResult, Option<AuditReport>) {
-    let (results, reports): (Vec<RunResult>, Vec<Option<AuditReport>>) =
+    let (mut results, reports): (Vec<RunResult>, Vec<Option<AuditReport>>) =
         finished.into_iter().unzip();
 
     let n = trace.len();
@@ -459,15 +470,15 @@ fn merge(
     let mut kv_sync = Vec::with_capacity(n);
     for (g, r) in trace.requests.iter().enumerate() {
         let (s, local) = final_slot[g];
-        let shard = &results[s];
-        let o = &shard.outcomes[local as usize];
+        let shard = &mut results[s];
+        let o = &mut shard.outcomes[local as usize];
         outcomes.push(RequestOutcome {
             id: RequestId(g as u64),
             model: r.model,
             // A migrated request keeps its original arrival: failover is
             // the system's fault, not the client's.
             arrival: r.arrival(),
-            token_times: o.token_times.clone(),
+            token_times: std::mem::take(&mut o.token_times),
             target_tokens: r.output_tokens,
         });
         kv_sync.push(shard.kv_sync_per_request[local as usize]);
@@ -486,27 +497,16 @@ fn merge(
             .max()
             .unwrap_or(SimTime::ZERO),
         breakdown,
-        scale_latencies: results
-            .iter()
-            .flat_map(|r| r.scale_latencies.iter().copied())
-            .collect(),
+        scale_latencies: concat(&mut results, |r| &mut r.scale_latencies),
         kv_sync_per_request: kv_sync,
-        frag_rows: results
-            .iter()
-            .flat_map(|r| r.frag_rows.iter().cloned())
-            .collect(),
-        gpu_busy: results
-            .iter()
-            .flat_map(|r| r.gpu_busy.iter().copied())
-            .collect(),
-        util_samples: results
-            .iter()
-            .flat_map(|r| r.util_samples.iter().cloned())
-            .collect(),
+        frag_rows: concat(&mut results, |r| &mut r.frag_rows),
+        gpu_busy: concat(&mut results, |r| &mut r.gpu_busy),
+        util_samples: concat(&mut results, |r| &mut r.util_samples),
         completed: results.iter().map(|r| r.completed).sum(),
         rejected: results.iter().map(|r| r.rejected).sum(),
         total_requests: n,
         model_count: models.len(),
+        models_profiled: results.iter().map(|r| r.models_profiled).sum(),
         scale_count: results.iter().map(|r| r.scale_count).sum(),
         prefetch_hits: results.iter().map(|r| r.prefetch_hits).sum(),
         swaps: results.iter().map(|r| r.swaps).sum(),
@@ -540,6 +540,17 @@ fn merge(
         Some(merged_report)
     };
     (merged, report)
+}
+
+/// Moves one per-shard series out of every result into a single vector
+/// of exact capacity, in shard order.
+fn concat<T>(results: &mut [RunResult], field: impl Fn(&mut RunResult) -> &mut Vec<T>) -> Vec<T> {
+    let len = results.iter_mut().map(|r| field(r).len()).sum();
+    let mut out = Vec::with_capacity(len);
+    for r in results {
+        out.append(field(r));
+    }
+    out
 }
 
 #[cfg(test)]

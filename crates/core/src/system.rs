@@ -359,7 +359,14 @@ impl ServingSystem {
         let mut rng = SimRng::seed_from_u64(cfg.seed);
         let (port, topo) = FabricPort::build(&cfg.cluster);
         let gpu_spec = cfg.cluster.nodes[0].gpu.clone();
-        let deploys = build_deploys(models, &gpu_spec, cfg.tp, &mut rng);
+        // Profile before serving (§5.1) every model the trace names; a
+        // model first seen later (a migrant, a live request) is fitted
+        // from its profiling turn when it is first estimated.
+        let mut named = vec![false; models.len()];
+        for r in &trace.requests {
+            named[r.model.0 as usize] = true;
+        }
+        let deploys = build_deploys(models, &gpu_spec, cfg.tp, &mut rng, |m| named[m.0 as usize]);
 
         let usable = (gpu_spec.vram_bytes as f64 * VRAM_USABLE) as u64;
         let max_shard = deploys
@@ -1201,7 +1208,7 @@ impl ServingSystem {
         let pcie = cfg.cluster.nodes[0].gpu.pcie_bw;
         let est_exec = |m: ModelId, r: RequestId| {
             let input = reqs[r.0 as usize].input_tokens;
-            deploys[m.0 as usize].fitted.estimate_prefill(&[input])
+            deploys[m.0 as usize].fitted().estimate_prefill(&[input])
         };
         let est_switch = |m: ModelId| deploys[m.0 as usize].est_switch_secs(pcie);
         let (ids, (mut queues, currents)): (Vec<usize>, (Vec<_>, Vec<_>)) = self
@@ -1552,7 +1559,9 @@ impl ServingSystem {
                 .iter()
                 .map(|b| {
                     let ctx = self.reqs.ctx_tokens(&b.reqs);
-                    self.deploys[b.model.0 as usize].fitted.estimate_decode(ctx)
+                    self.deploys[b.model.0 as usize]
+                        .fitted()
+                        .estimate_decode(ctx)
                 })
                 .collect();
             let distinct = d.work.distinct_models();
@@ -2655,6 +2664,7 @@ impl Host for ServingSystem {
             rejected: 0,
             total_requests: self.trace.len(),
             model_count: self.deploys.len(),
+            models_profiled: self.deploys.iter().filter(|d| d.is_fitted()).count(),
             scale_count: self.scale_count,
             prefetch_hits: self.prefetch_hits,
             swaps: self.swaps,

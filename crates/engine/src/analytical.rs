@@ -21,6 +21,25 @@ use crate::latency::PerfModel;
 /// FlashAttention kernel block size `b` entering Eq. 5.
 const FLASH_BLOCK: f64 = 128.0;
 
+/// Prefill sweep: single sequences and small batches of varying length.
+const PREFILL_LENS: [u32; 12] = [16, 32, 64, 128, 256, 384, 512, 768, 1024, 2048, 4096, 8192];
+const PREFILL_BATCHES: [usize; 3] = [1, 2, 4];
+/// Decode sweep: varying batch sizes and context lengths.
+const DECODE_BATCHES: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
+const DECODE_CTXS: [u64; 5] = [64, 256, 512, 1024, 2048];
+/// Profilers average repeated measurements per point to suppress noise.
+const REPS: usize = 10;
+
+/// Raw RNG draws one [`fit_model`] call consumes on a noisy
+/// [`PerfModel`] (every deployed one): one noise sample per repetition of
+/// every sweep point, two draws each (Box–Muller). A caller that skips a
+/// fit can `discard` this many draws and leave its stream where the fit
+/// would have.
+pub const FIT_DRAWS: u64 = 2
+    * REPS as u64
+    * (PREFILL_LENS.len() * PREFILL_BATCHES.len() + DECODE_BATCHES.len() * DECODE_CTXS.len())
+        as u64;
+
 /// A fitted instance of Equations (5) and (6) for one (GPU, model) pair.
 #[derive(Debug, Clone)]
 pub struct FittedModel {
@@ -130,14 +149,10 @@ pub fn fit_model(perf: &PerfModel, model: &ModelSpec, rng: &mut SimRng) -> Fitte
     let h = model.hidden as f64;
     let m = model.ffn as f64;
 
-    // Prefill sweep: single sequences and small batches of varying length.
     let mut pxs: Vec<[f64; 3]> = Vec::new();
     let mut pys: Vec<f64> = Vec::new();
-    let lens: [u32; 12] = [16, 32, 64, 128, 256, 384, 512, 768, 1024, 2048, 4096, 8192];
-    // Profilers average repeated measurements per point to suppress noise.
-    const REPS: usize = 10;
-    for &l in &lens {
-        for batch in [1usize, 2, 4] {
+    for l in PREFILL_LENS {
+        for batch in PREFILL_BATCHES {
             let ls: Vec<u32> = vec![l; batch];
             let t: f64 = ls.iter().map(|&x| x as f64).sum();
             let t2: f64 = ls.iter().map(|&x| (x as f64) * (x as f64)).sum();
@@ -155,11 +170,10 @@ pub fn fit_model(perf: &PerfModel, model: &ModelSpec, rng: &mut SimRng) -> Fitte
     }
     let prefill_c = lstsq::<3>(&pxs, &pys);
 
-    // Decode sweep: varying batch sizes and context lengths.
     let mut dxs: Vec<[f64; 2]> = Vec::new();
     let mut dys: Vec<f64> = Vec::new();
-    for batch in [1usize, 2, 4, 8, 16, 32, 64] {
-        for ctx in [64u64, 256, 512, 1024, 2048] {
+    for batch in DECODE_BATCHES {
+        for ctx in DECODE_CTXS {
             let total = ctx * batch as u64;
             dxs.push([4.0 * h * h + 2.0 * h * m, 3.0 * h * total as f64]);
             let y = (0..REPS)
@@ -230,6 +244,21 @@ mod tests {
             let fit = fit_model(&perf, spec, &mut rng);
             assert!(fit.r2_prefill > 0.9, "{name} prefill R² {}", fit.r2_prefill);
             assert!(fit.r2_decode > 0.9, "{name} decode R² {}", fit.r2_decode);
+        }
+    }
+
+    #[test]
+    fn a_fit_consumes_exactly_fit_draws() {
+        assert_eq!(FIT_DRAWS, 1_420);
+        let zoo = Zoo::standard();
+        let spec = zoo.get("Qwen-7B").unwrap();
+        let perf = PerfModel::new(&GpuSpec::h800(), spec);
+        let mut fitted = SimRng::seed_from_u64(17);
+        let mut skipped = fitted.clone();
+        fit_model(&perf, spec, &mut fitted);
+        skipped.discard(FIT_DRAWS);
+        for _ in 0..4 {
+            assert_eq!(fitted.f64(), skipped.f64());
         }
     }
 

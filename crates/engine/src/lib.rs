@@ -22,7 +22,7 @@ pub mod init;
 pub mod kvcache;
 pub mod latency;
 
-pub use analytical::{fit_model, FittedModel};
+pub use analytical::{fit_model, FittedModel, FIT_DRAWS};
 pub use init::{scale_up_plan, AutoscaleOpts, ScaleCost, ScaleStage, StageKind};
 pub use kvcache::{KvCache, KvCacheConfig};
 pub use latency::PerfModel;

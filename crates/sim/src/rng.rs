@@ -5,7 +5,7 @@
 //! identical traces, which an integration test asserts end to end.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_distr::{Distribution, Exp, LogNormal};
 
 /// Derives an independent seed from a base seed and an index (SplitMix64
@@ -37,6 +37,14 @@ impl SimRng {
     /// Splits off an independent generator (for per-component streams).
     pub fn fork(&mut self) -> SimRng {
         SimRng::seed_from_u64(self.inner.gen())
+    }
+
+    /// Advances the stream by `n` raw 64-bit draws without sampling any
+    /// distribution: the generator ends where `n` draws would leave it.
+    pub fn discard(&mut self, n: u64) {
+        for _ in 0..n {
+            self.inner.next_u64();
+        }
     }
 
     /// Uniform sample in `[0, 1)`.
@@ -145,6 +153,19 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.f64(), b.f64());
         }
+    }
+
+    #[test]
+    fn discard_lands_where_the_draws_would() {
+        // Each uniform `f64` is one raw draw; each noise sample two.
+        let mut drawn = SimRng::seed_from_u64(13);
+        for _ in 0..5 {
+            drawn.f64();
+        }
+        drawn.noise(0.1);
+        let mut skipped = SimRng::seed_from_u64(13);
+        skipped.discard(7);
+        assert_eq!(drawn.f64(), skipped.f64());
     }
 
     #[test]

@@ -9,15 +9,23 @@
 //! that contract across seeds, configs, and fault plans, and force the
 //! cross-shard migration path by killing entire tiers.
 
+use std::collections::HashSet;
+
 use aegaeon::chaos::FaultPlan;
 use aegaeon::events::InstKind;
 use aegaeon::shard::{run_sharded, ShardPlan};
-use aegaeon::AegaeonConfig;
+use aegaeon::{AegaeonConfig, ServingSession};
 use aegaeon_bench::{market_models, uniform_trace};
 use aegaeon_gpu::{ClusterSpec, GpuSpec, NodeSpec};
-use aegaeon_workload::LengthDist;
+use aegaeon_workload::{LengthDist, Trace};
 
 const SEEDS: [u64; 3] = [3, 1717, 900_001];
+
+/// The number of distinct models `trace` names.
+fn distinct_models(trace: &Trace) -> usize {
+    let models: HashSet<u32> = trace.requests.iter().map(|r| r.model.0).collect();
+    models.len()
+}
 
 /// Fingerprint of the forced total-prefill-loss run (seed 42), as measured
 /// when every window was one lookahead wide: the window schedule must not
@@ -90,6 +98,8 @@ fn sharded_fingerprint_is_thread_invariant() {
                 }
                 assert!(serial.completed > 0, "seed={seed}: trace actually ran");
                 assert_eq!(serial.completed, serial.total_requests);
+                // Each model is profiled once, by its home shard.
+                assert_eq!(serial.models_profiled, distinct_models(&trace));
                 // No shard ever loses a whole tier, so none can emit a
                 // handoff: the run needs no barrier before its end.
                 assert_eq!(serial.shard_windows, 1, "seed={seed} plan=\"{plan}\"");
@@ -138,6 +148,37 @@ fn total_prefill_loss_migrates_across_shards_and_completes() {
     assert_eq!(a.fingerprint(), PREFILL_LOSS_FINGERPRINT, "{:016x}", a.fingerprint());
     assert!(a.shard_windows > 1, "the tier loss must window the run");
     assert_eq!(a.shard_windows, b.shard_windows);
+    // Shard 1 first meets shard 0's models (0, 4, 8, 12) when their
+    // requests migrate in after the loss, and fits each on arrival; the
+    // fit is bit-identical at any thread count.
+    let c = run_sharded(&cfg, &models, &trace, 4, 4);
+    assert_eq!(c.fingerprint(), a.fingerprint(), "{:016x}", c.fingerprint());
+    assert_eq!(distinct_models(&trace), 16);
+    for r in [&a, &b, &c] {
+        assert_eq!(r.models_profiled, 16 + 4);
+    }
+}
+
+/// On the 16-node, 256-model trace of the `sharded` benchmark, each shard
+/// profiles exactly the models its sub-trace names: 256 fits in all, not
+/// one per model per shard (4,096).
+#[test]
+fn each_shard_profiles_only_its_home_models() {
+    let mut cfg = AegaeonConfig::paper_testbed();
+    cfg.cluster = ClusterSpec::homogeneous(16, NodeSpec::h800_node());
+    cfg.prefill_instances = 48;
+    let models = market_models(256);
+    let trace = uniform_trace(256, 0.2, 400.0, 7, LengthDist::sharegpt());
+    assert_eq!(distinct_models(&trace), 256);
+    let plan = ShardPlan::partition(&cfg, &trace, 16);
+    let mut total = 0;
+    for (sub, t) in plan.cfgs.iter().zip(&plan.traces) {
+        let (r, _) = ServingSession::closed(sub, &models, t).finish();
+        assert_eq!(r.models_profiled, distinct_models(t));
+        assert_eq!(r.models_profiled, 16, "256 models over 16 home shards");
+        total += r.models_profiled;
+    }
+    assert_eq!(total, 256);
 }
 
 /// Same for a total decoding-tier loss: prefilled requests stranded without

@@ -21,8 +21,8 @@ use aegaeon_engine::{scale_up_plan, AutoscaleOpts, ScaleCost, ScaleStage, StageK
 use aegaeon_gpu::{ClusterTopology, FabricEvent, GpuId, StreamId};
 use aegaeon_metrics::BreakdownAcc;
 use aegaeon_model::{ModelId, ModelSpec};
-use aegaeon_sim::{EventQueue, SimDur, SimRng, SimTime, Timeline, TraceLog};
-use aegaeon_telemetry::{CounterId, GaugeId, SpanId, SpanKind, Telemetry};
+use aegaeon_sim::{EventQueue, SimDur, SimRng, SimTime, Timeline};
+use aegaeon_telemetry::{CounterId, GaugeId, SpanId, SpanKind, SpanLog, Telemetry};
 use aegaeon_workload::{RequestId, Trace};
 
 /// Simulation events.
@@ -570,7 +570,7 @@ impl<S: Scheduler> Host for Serve<'_, S> {
             prefill_tokens_recomputed: 0,
             events: q.events_dispatched(),
             shard_windows: 0,
-            schedule: TraceLog::disabled(),
+            schedule: SpanLog::disabled(),
             telemetry: w.tel,
             audit: None,
         }

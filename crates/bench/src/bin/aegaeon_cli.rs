@@ -111,7 +111,7 @@ fn usage() {
 /// metrics, and (for Aegaeon) schedule trace.
 fn export(
     args: &Args,
-    schedule: &aegaeon_sim::TraceLog,
+    schedule: &aegaeon_telemetry::SpanLog,
     tel: &aegaeon_telemetry::Telemetry,
 ) {
     if let Some(err) = tel.spans.validate() {

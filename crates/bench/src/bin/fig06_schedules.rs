@@ -6,8 +6,8 @@
 
 use aegaeon::unified::{figure6_scenario, run_unified, UnifiedPolicy};
 use aegaeon_bench::{banner, dump_json};
-use aegaeon_metrics::report::render_timeline;
 use aegaeon_sim::SimTime;
+use aegaeon_telemetry::render_timeline;
 
 fn main() {
     banner("fig06_schedules", "Figure 6 (and the Figure 2 comparison)");

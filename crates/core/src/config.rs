@@ -29,7 +29,9 @@ pub struct AegaeonConfig {
     pub drain_window: SimDur,
     /// RNG seed.
     pub seed: u64,
-    /// Record a schedule trace (timeline figures).
+    /// Record the per-GPU schedule into `RunResult::schedule` (timeline
+    /// figures). Separate from `telemetry`: the schedule holds far more
+    /// intervals than the request spans.
     pub trace_schedule: bool,
     /// Keep preempted batches' KV resident on the GPU when the unified
     /// cache has headroom, instead of always offloading at turn end (an

@@ -2,7 +2,8 @@
 
 use aegaeon_mem::frag::FragRow;
 use aegaeon_metrics::{attainment, AttainmentReport, BreakdownAcc, RequestOutcome};
-use aegaeon_sim::{SimTime, TraceLog};
+use aegaeon_sim::SimTime;
+use aegaeon_telemetry::SpanLog;
 use aegaeon_workload::SloSpec;
 
 use crate::audit::AuditReport;
@@ -65,8 +66,9 @@ pub struct RunResult {
     /// single-queue run. Observer-only: the window schedule never changes
     /// what the shards compute, so [`RunResult::fingerprint`] skips it.
     pub shard_windows: u64,
-    /// Schedule trace (when enabled).
-    pub schedule: TraceLog,
+    /// Per-GPU schedule: prefill, decode-round and switch intervals on
+    /// GPU-lane tracks (when `trace_schedule` is on).
+    pub schedule: SpanLog,
     /// Request-lifecycle spans and sampled metrics (when enabled).
     pub telemetry: aegaeon_telemetry::Telemetry,
     /// The invariant auditor's report: `Some` exactly when an auditor

@@ -54,7 +54,7 @@ use std::ops::Range;
 
 use aegaeon_metrics::RequestOutcome;
 use aegaeon_model::{ModelId, ModelSpec};
-use aegaeon_sim::{derive_seed, GrantClock, SimDur, SimTime, TraceLog};
+use aegaeon_sim::{derive_seed, GrantClock, SimDur, SimTime};
 use aegaeon_workload::{Request, RequestId, SessionId, Trace};
 
 use crate::audit::{AuditReport, InvariantAuditor, Violation};
@@ -515,7 +515,7 @@ fn merge(
         prefill_tokens_recomputed: results.iter().map(|r| r.prefill_tokens_recomputed).sum(),
         events: results.iter().map(|r| r.events).sum(),
         shard_windows: windows,
-        schedule: TraceLog::disabled(),
+        schedule: aegaeon_telemetry::SpanLog::disabled(),
         telemetry: aegaeon_telemetry::Telemetry::disabled(),
         audit: None,
     };

@@ -18,8 +18,10 @@ use aegaeon_mem::journal::marked_books;
 use aegaeon_mem::{FragSampler, Journal, ModelCache, MoveList};
 use aegaeon_metrics::Stage;
 use aegaeon_model::ModelId;
-use aegaeon_sim::{EventQueue, Lift, SimDur, SimRng, SimTime, Timeline, TraceKind, TraceLog};
-use aegaeon_telemetry::{CostKind, CounterId, GaugeId, SketchId, SpanId, SpanKind, Telemetry};
+use aegaeon_sim::{EventQueue, Lift, SimDur, SimRng, SimTime, Timeline};
+use aegaeon_telemetry::{
+    CostKind, CounterId, GaugeId, SketchId, SpanId, SpanKind, SpanLog, Telemetry,
+};
 use aegaeon_workload::{Request, RequestId, SessionId, Trace};
 
 use crate::audit::{AuditReport, AuditView, Book, ParkedBlocks};
@@ -287,7 +289,7 @@ pub struct ServingSystem {
     scale_latencies: Vec<f64>,
     frag: FragSampler,
     util_samples: Vec<(SimTime, Vec<f64>)>,
-    schedule: TraceLog,
+    schedule: SpanLog,
     /// Request-lifecycle spans + sampled metrics (observer only).
     pub(crate) tel: Telemetry,
     /// Pre-registered metric ids: the runtime's and Aegaeon's own.
@@ -472,9 +474,9 @@ impl ServingSystem {
         let reqs = Requests::new(&trace);
         let hard_stop = trace.horizon + cfg.drain_window;
         let schedule = if cfg.trace_schedule {
-            TraceLog::enabled()
+            SpanLog::enabled()
         } else {
-            TraceLog::disabled()
+            SpanLog::disabled()
         };
         let (mut tel, ids) = CoreIds::telemetry(&cfg.telemetry, deploys.len());
         let tm = TelIds::register(&mut tel.metrics);
@@ -1385,13 +1387,13 @@ impl ServingSystem {
             CostKind::PrefillExec,
             now.saturating_since(start).as_secs_f64(),
         );
-        if self.schedule.is_enabled() {
-            let lane = self.prefills[pi].inst.gpus[0].to_string();
-            self.schedule
-                .record_with(lane, start, now, TraceKind::Prefill, || {
-                    format!("P:{model}")
-                });
-        }
+        self.schedule.record_with(
+            || self.prefills[pi].inst.gpus[0].to_string(),
+            SpanKind::Prefill,
+            start,
+            now,
+            || format!("P:{model}"),
+        );
         self.spans.end_phase(&mut self.tel, req, now);
         self.prefills[pi].active = None;
         if self.reqs[req.0 as usize].is_done() {
@@ -1818,15 +1820,15 @@ impl ServingSystem {
             let t = self.decodes[di].turn.as_ref().expect("turn");
             (t.step_reqs.clone(), t.step_dur)
         };
+        // Decode steps are the hottest event: skip even the start
+        // instant's conversion while the schedule is off.
         if self.schedule.is_enabled() {
-            let lane = self.decodes[di].inst.gpus[0].to_string();
-            let model = self.trace.requests[step_reqs[0].0 as usize].model;
             self.schedule.record_with(
-                lane,
+                || self.decodes[di].inst.gpus[0].to_string(),
+                SpanKind::DecodeRound,
                 now - SimDur::from_secs_f64(dur),
                 now,
-                TraceKind::Decode,
-                || format!("D:{model}"),
+                || format!("D:{}", self.trace.requests[step_reqs[0].0 as usize].model),
             );
         }
         self.breakdown
@@ -2283,13 +2285,14 @@ impl ServingSystem {
             .add(inst, target.0, CostKind::ModelSwitch, secs);
         let span = std::mem::replace(&mut self.inst_mut(at).scaler.switch_span, SpanId::NONE);
         self.tel.spans.end(span, now);
-        if self.schedule.is_enabled() {
-            let lane = self.inst(at).gpus[0].to_string();
-            self.schedule
-                .record_with(lane, started, now, TraceKind::Switch, || {
-                    format!("S:{target}")
-                });
-        }
+        let gpu = self.inst(at).gpus[0];
+        self.schedule.record_with(
+            || gpu.to_string(),
+            SpanKind::Switch,
+            started,
+            now,
+            || format!("S:{target}"),
+        );
         match at.kind {
             InstKind::Prefill => self.prefill_try_start(at.idx as usize, q),
             InstKind::Decode => {

@@ -10,7 +10,8 @@
 //! disaggregated design.
 
 use aegaeon_metrics::slo::score_tokens;
-use aegaeon_sim::{SimDur, SimTime, TraceKind, TraceLog};
+use aegaeon_sim::{SimDur, SimTime};
+use aegaeon_telemetry::{SpanKind, SpanLog};
 use aegaeon_workload::SloSpec;
 
 /// Scheduling policy for the micro-study.
@@ -70,7 +71,7 @@ pub struct MicroResult {
     /// Per-request TTFT.
     pub ttft: Vec<f64>,
     /// Rendered schedule.
-    pub trace: TraceLog,
+    pub trace: SpanLog,
     /// Makespan, seconds.
     pub makespan: f64,
 }
@@ -103,7 +104,7 @@ pub fn run_unified(policy: UnifiedPolicy, cfg: &MicroCfg, reqs: &[MicroReq]) -> 
     let mut gpu_time = vec![0.0f64; cfg.gpus];
     let mut gpu_model: Vec<Option<usize>> = vec![None; cfg.gpus];
     let mut gpu_stint = vec![0.0f64; cfg.gpus];
-    let mut trace = TraceLog::enabled();
+    let mut trace = SpanLog::enabled();
     let prefill_only = match policy {
         UnifiedPolicy::Disaggregated { prefill_gpus } => prefill_gpus,
         _ => 0,
@@ -273,10 +274,10 @@ pub fn run_unified(policy: UnifiedPolicy, cfg: &MicroCfg, reqs: &[MicroReq]) -> 
                 let mut t = now.max(runs[i].spec.arrival);
                 if gpu_model[g] != Some(runs[i].spec.model) {
                     trace.record_with(
-                        &lane,
+                        || &lane,
+                        SpanKind::Switch,
                         SimTime::from_secs_f64(t),
                         SimTime::from_secs_f64(t + cfg.switch_secs),
-                        TraceKind::Switch,
                         || format!("S{}", runs[i].spec.model),
                     );
                     t += cfg.switch_secs;
@@ -285,10 +286,10 @@ pub fn run_unified(policy: UnifiedPolicy, cfg: &MicroCfg, reqs: &[MicroReq]) -> 
                 }
                 let end = t + runs[i].spec.prefill_secs;
                 trace.record_with(
-                    &lane,
+                    || &lane,
+                    SpanKind::Prefill,
                     SimTime::from_secs_f64(t),
                     SimTime::from_secs_f64(end),
-                    TraceKind::Prefill,
                     || format!("P{}", runs[i].spec.model),
                 );
                 runs[i].prefilled = true;
@@ -302,10 +303,10 @@ pub fn run_unified(policy: UnifiedPolicy, cfg: &MicroCfg, reqs: &[MicroReq]) -> 
                 let mut t = now;
                 if gpu_model[g] != Some(model) {
                     trace.record_with(
-                        &lane,
+                        || &lane,
+                        SpanKind::Switch,
                         SimTime::from_secs_f64(t),
                         SimTime::from_secs_f64(t + cfg.switch_secs),
-                        TraceKind::Switch,
                         || format!("S{model}"),
                     );
                     t += cfg.switch_secs;
@@ -315,10 +316,10 @@ pub fn run_unified(policy: UnifiedPolicy, cfg: &MicroCfg, reqs: &[MicroReq]) -> 
                 let end = t + cfg.decode_step;
                 gpu_stint[g] += cfg.decode_step;
                 trace.record_with(
-                    &lane,
+                    || &lane,
+                    SpanKind::DecodeRound,
                     SimTime::from_secs_f64(t),
                     SimTime::from_secs_f64(end),
-                    TraceKind::Decode,
                     || format!("D{model}"),
                 );
                 for i in batch {
@@ -459,7 +460,7 @@ mod tests {
     #[test]
     fn schedules_render() {
         let r = run(UnifiedPolicy::Disaggregated { prefill_gpus: 1 });
-        assert!(!r.trace.intervals().is_empty());
-        assert_eq!(r.trace.lanes().len(), 2);
+        assert!(!r.trace.spans().is_empty());
+        assert_eq!(r.trace.tracks().len(), 2);
     }
 }

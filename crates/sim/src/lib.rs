@@ -10,7 +10,6 @@
 //! * [`FairLink`] — a fair-share bandwidth resource used to model PCIe,
 //!   NVLink and NIC links.
 //! * [`SimRng`] — a seeded random source; one seed reproduces one trace.
-//! * [`TraceLog`] — interval tracing used to render schedule timelines.
 //!
 //! The kernel is single-threaded and fully deterministic: given the same
 //! seed and the same sequence of API calls, every run produces an identical
@@ -24,7 +23,6 @@ pub mod rng;
 pub mod stamp;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use bandwidth::{FairLink, FlowId};
 pub use hash::{FxHashMap, FxHasher};
@@ -36,4 +34,3 @@ pub use queue::{
 pub use rng::{derive_seed, SimRng};
 pub use stats::Welford;
 pub use time::{SimDur, SimTime};
-pub use trace::{TraceKind, TraceLog};

@@ -10,10 +10,11 @@
 //!   quantile-sketch handles with dense ids; a poller samples counters and
 //!   gauges at a fixed sim-time interval into change-only time series.
 //! * [`export`] — [`chrome_trace`] (Chrome Trace Event Format, loadable in
-//!   Perfetto / `chrome://tracing`) and [`jsonl`].
+//!   Perfetto / `chrome://tracing`), [`jsonl`], and [`render_timeline`]
+//!   (an ASCII Gantt of a schedule [`SpanLog`]).
 //!
-//! Everything follows the `TraceLog` discipline: disabled telemetry costs
-//! one branch per call site, runs no label closures, and allocates nothing.
+//! Disabled telemetry costs one branch per call site, runs no track or
+//! label closures, and allocates nothing.
 //! The observing layer is proven side-effect free by a differential test
 //! (telemetry on vs. off produces bit-identical run results); to keep that
 //! guarantee the registry poller is driven from the host's dispatch loop
@@ -28,7 +29,9 @@ pub mod observatory;
 pub mod sketch;
 pub mod span;
 
-pub use export::{chrome_trace, jsonl, looks_like_trace_event_json, prometheus_text, slo_json};
+pub use export::{
+    chrome_trace, jsonl, looks_like_trace_event_json, prometheus_text, render_timeline, slo_json,
+};
 pub use metrics::{expand, labeled, CounterId, GaugeId, MetricsRegistry, Sample, SketchId};
 pub use observatory::{CostKind, SloCum, SloObservatory};
 pub use sketch::QuantileSketch;

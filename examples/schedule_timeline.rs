@@ -11,9 +11,9 @@
 //! (open in Perfetto / `chrome://tracing`).
 
 use aegaeon::{AegaeonConfig, ServingSystem};
-use aegaeon_metrics::report::render_timeline;
 use aegaeon_model::Zoo;
 use aegaeon_sim::{SimRng, SimTime};
+use aegaeon_telemetry::render_timeline;
 use aegaeon_workload::{LengthDist, SloSpec, TraceBuilder};
 
 fn main() {

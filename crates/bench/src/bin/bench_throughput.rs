@@ -341,8 +341,8 @@ fn main() {
     // --- Observer tax: the invariant auditor ---------------------------------
     // A 16-model chaos trace the size of the benchmark's small `observed`
     // trace: after every event the requests that produced a token are
-    // checked, and each memory book (one KV cache and its move list) the
-    // event touched replays its touch logs and checks the blocks they name.
+    // checked, and each memory book (one KV cache, parked blocks included)
+    // the event touched replays its touch log and checks the blocks it names.
     // The "every book" leg densely checks every book after every event
     // instead: the reference the logs replace.
     let omodels = market_models(16);

@@ -1,7 +1,8 @@
 //! Which books' touch logs are non-empty, and whether they record at all.
 //!
-//! A serving system owns many KV books (a cache with its move list), and an
-//! event touches one or two. Each book logs what the event changed; a
+//! A serving system owns many KV books (a cache, its requests and the
+//! blocks it parks behind in-flight copies), and an event touches one or
+//! two. Each book logs what the event changed; a
 //! [`Journal`] shared by all of them records *which* books logged
 //! anything, so clearing the logs and auditing them costs what the event
 //! touched rather than one visit per book. Nothing but an auditor reads

@@ -14,9 +14,6 @@
 //!   [`SlabShadow`] replays those logs to check the ledger block by block.
 //! * [`ModelCache`] — the shared host-DRAM cache of raw model checkpoints
 //!   with LRU eviction and pinning.
-//! * [`MoveList`] — the §5.3 "unsafe section" ledger: blocks whose transfers
-//!   are still in flight are excluded from reuse until a daemon observes the
-//!   transfer events complete.
 //! * [`FragSampler`] — time-averaged fragmentation accounting (Figure 16).
 //! * [`Journal`] — which books' touch logs an event wrote to, so clearing
 //!   and auditing the logs visits only those books.
@@ -31,11 +28,9 @@
 pub mod frag;
 pub mod journal;
 pub mod model_cache;
-pub mod movelist;
 pub mod slab;
 
 pub use frag::FragSampler;
 pub use journal::Journal;
 pub use model_cache::ModelCache;
-pub use movelist::MoveList;
 pub use slab::{BlockRef, ShapeKey, SlabPool, SlabPoolConfig, SlabShadow};

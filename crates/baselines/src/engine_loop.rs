@@ -325,7 +325,7 @@ impl World {
         i.busy = true;
         i.kv_cap_tokens = 0; // set on completion
         self.tel.metrics.inc(self.ids.c_switches, 1);
-        if self.tel.is_enabled() {
+        if self.tel.spans.is_enabled() {
             let now = q.now();
             let old = std::mem::replace(&mut self.insts[inst].switch_span, SpanId::NONE);
             self.tel.spans.end(old, now);
@@ -515,13 +515,12 @@ impl<S: Scheduler> Host for Serve<'_, S> {
         &mut self.w.port
     }
 
-    fn poll(&mut self, at: SimTime) {
+    fn set_gauges(&mut self) {
         let w = &mut self.w;
         let reserved: u64 = w.insts.iter().map(|i| i.kv_reserved_tokens).sum();
         w.tel.metrics.set(w.g_kv_reserved, reserved as f64);
-        w.ids.sample(
+        w.ids.set_gauges(
             &mut w.tel,
-            at,
             w.reqs.completed,
             w.insts.iter().map(|i| i.prefill_q.len()).sum(),
             w.insts.iter().map(|i| i.batch.len()).sum(),

@@ -86,6 +86,9 @@ impl Auditor for EveryBook {
     fn at_finish(&mut self, now: SimTime, view: &dyn AuditView) {
         self.0.at_finish(now, view);
     }
+    fn report(&self) -> &AuditReport {
+        self.0.report()
+    }
     fn take_report(&mut self) -> AuditReport {
         LOGGED_BLOCK_OPS.store(self.1, Ordering::Relaxed);
         self.0.take_report()

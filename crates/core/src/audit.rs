@@ -164,6 +164,8 @@ pub trait Auditor {
     fn after_event(&mut self, now: SimTime, view: &dyn AuditView);
     /// Called once when the run drains.
     fn at_finish(&mut self, now: SimTime, view: &dyn AuditView);
+    /// The report accumulated so far (read-only).
+    fn report(&self) -> &AuditReport;
     /// Consumes the accumulated report.
     fn take_report(&mut self) -> AuditReport;
 }
@@ -517,6 +519,10 @@ impl Auditor for InvariantAuditor {
                 ),
             );
         }
+    }
+
+    fn report(&self) -> &AuditReport {
+        &self.report
     }
 
     fn take_report(&mut self) -> AuditReport {

@@ -41,7 +41,8 @@ use crate::result::RunResult;
 // ----- Event driver ---------------------------------------------------------
 
 /// A serving loop the [`Driver`] runs: everything system-specific about
-/// handling events and completions, sampling gauges and building the result.
+/// handling events and completions, computing gauges and building the
+/// result.
 pub trait Host {
     /// Top-level simulation event.
     type Ev;
@@ -55,8 +56,10 @@ pub trait Host {
     fn on_tag(&mut self, tag: Self::Tag, q: &mut EventQueue<Self::Ev>);
     /// The fabric the loop submits to.
     fn port(&mut self) -> &mut FabricPort<Self::Tag>;
-    /// Sets the gauges and samples the registry at sample boundary `at`.
-    fn poll(&mut self, at: SimTime);
+    /// Computes every gauge from the current state. The driver samples
+    /// the registry after it at each boundary; a live session calls it
+    /// before its `/metrics` reads the registry.
+    fn set_gauges(&mut self);
     /// The run's telemetry.
     fn telemetry(&mut self) -> &mut Telemetry;
     /// The read-only state the auditor checks.
@@ -123,6 +126,13 @@ impl<H: Host> Driver<H> {
         self.halted
     }
 
+    /// The host, its queue and the installed auditor's report so far
+    /// (without the final sweep), for observers that read between steps.
+    pub(crate) fn observe(&mut self) -> (&mut H, &EventQueue<H::Ev>, Option<&AuditReport>) {
+        let audit = self.auditor.as_deref().map(|a| a.report());
+        (&mut self.host, &self.q, audit)
+    }
+
     /// Dispatches the next event. Returns false when the queue is empty or
     /// the run halted instead.
     pub fn step(&mut self) -> bool {
@@ -138,7 +148,8 @@ impl<H: Host> Driver<H> {
         // They are drained before the event: the sample stamped `b` holds
         // the state after every event strictly before `b`.
         while let Some(at) = self.host.telemetry().sample_due(t) {
-            self.host.poll(at);
+            self.host.set_gauges();
+            self.host.telemetry().metrics.sample(at);
         }
         // After `step` returns, the logs hold exactly this event's changes.
         self.host.clear_logs();
@@ -514,8 +525,8 @@ pub struct CoreIds {
     /// Per-model TTFT/TBT quantile sketches, fed at retirement.
     s_ttft: Vec<SketchId>,
     s_tbt: Vec<SketchId>,
-    /// Per-model cumulative SLO attainment, refreshed every poll and at
-    /// finish.
+    /// Per-model cumulative SLO attainment, set with the other gauges and
+    /// at finish.
     g_slo_attain: Vec<GaugeId>,
     /// Latency of individual session turns (arrival → last token).
     s_session_turn: SketchId,
@@ -558,12 +569,10 @@ impl CoreIds {
     }
 
     /// Sets the gauges every loop reports — completions, queued prefills,
-    /// decoding requests, distinct resident models, per-model attainment —
-    /// and samples the registry at `at`. Hosts set their own gauges first.
-    pub fn sample(
+    /// decoding requests, distinct resident models, per-model attainment.
+    pub fn set_gauges(
         &self,
         tel: &mut Telemetry,
-        at: SimTime,
         completed: usize,
         queued: usize,
         decoding: usize,
@@ -578,7 +587,6 @@ impl CoreIds {
         m.set(self.g_prefill_queue_depth, queued as f64);
         m.set(self.g_decode_work, decoding as f64);
         m.set(self.g_active_models, models.len() as f64);
-        m.sample(at);
     }
 
     /// Sets each model's `slo_attainment` gauge from the observatory.
@@ -625,14 +633,26 @@ impl CoreIds {
             }
             self.set_attainment(tel);
         }
+        tel.metrics.set_counter(self.c_completed, reqs.completed as u64);
+        self.set_run_counters(tel, q, audit);
+        tel.finish(q.now());
+    }
+
+    /// Writes the run-level counters: dispatched events and, when audited,
+    /// the auditor's checks and violations. A closed run writes them once,
+    /// at finish; a live session also before each `/metrics` read.
+    pub(crate) fn set_run_counters<E>(
+        &self,
+        tel: &mut Telemetry,
+        q: &EventQueue<E>,
+        audit: Option<&AuditReport>,
+    ) {
         let m = &mut tel.metrics;
-        m.set_counter(self.c_completed, reqs.completed as u64);
         m.set_counter(self.c_events_dispatched, q.events_dispatched());
         if let Some(rep) = audit {
             m.set_counter(self.c_audit_checks, rep.events_checked);
             m.set_counter(self.c_audit_violations, rep.violations.len() as u64);
         }
-        tel.finish(q.now());
     }
 }
 
@@ -655,6 +675,8 @@ const CLOSED: Open = Open {
 
 /// Per-request span handles and the retirement hook. Every method is one
 /// branch when telemetry is off; none touches state the simulation reads.
+/// The handles exist only while the span log is on; retirement feeds the
+/// instruments whenever they are on.
 #[derive(Debug, Default)]
 pub struct SpanBook {
     open: Vec<Open>,
@@ -663,9 +685,9 @@ pub struct SpanBook {
 }
 
 impl SpanBook {
-    /// Handles for `requests` requests (none when telemetry is off).
+    /// Handles for `requests` requests (none when spans are off).
     pub fn new(tel: &Telemetry, requests: usize) -> SpanBook {
-        let n = if tel.is_enabled() { requests } else { 0 };
+        let n = if tel.spans.is_enabled() { requests } else { 0 };
         SpanBook {
             open: vec![CLOSED; n],
             tbt: Vec::new(),
@@ -674,12 +696,13 @@ impl SpanBook {
 
     /// Makes room for one more request (a live or migrated arrival).
     pub(crate) fn push(&mut self, tel: &Telemetry) {
-        if tel.is_enabled() {
+        if tel.spans.is_enabled() {
             self.open.push(CLOSED);
         }
     }
 
-    /// The request's root span ([`SpanId::NONE`] when off or retired).
+    /// The request's root span ([`SpanId::NONE`] when spans are off or the
+    /// request retired).
     pub(crate) fn root(&self, req: RequestId) -> SpanId {
         self.open
             .get(req.0 as usize)
@@ -695,7 +718,7 @@ impl SpanBook {
 
     /// Opens the request's root span at arrival.
     pub fn arrive(&mut self, tel: &mut Telemetry, req: RequestId, model: ModelId, now: SimTime) {
-        if !tel.is_enabled() {
+        if !tel.spans.is_enabled() {
             return;
         }
         let i = req.0 as usize;
@@ -721,7 +744,7 @@ impl SpanBook {
         label: &'static str,
         now: SimTime,
     ) {
-        if !tel.is_enabled() {
+        if !tel.spans.is_enabled() {
             return;
         }
         let i = req.0 as usize;
@@ -738,7 +761,7 @@ impl SpanBook {
 
     /// Ends the request's open phase, if any.
     pub(crate) fn end_phase(&mut self, tel: &mut Telemetry, req: RequestId, now: SimTime) {
-        if !tel.is_enabled() {
+        if !tel.spans.is_enabled() {
             return;
         }
         let phase = std::mem::replace(&mut self.open[req.0 as usize].phase, SpanId::NONE);
@@ -747,7 +770,7 @@ impl SpanBook {
 
     /// Ends the phase and root spans of a request leaving the system.
     pub fn close(&mut self, tel: &mut Telemetry, req: RequestId, now: SimTime) {
-        if !tel.is_enabled() {
+        if !tel.spans.is_enabled() {
             return;
         }
         let o = std::mem::replace(&mut self.open[req.0 as usize], CLOSED);
@@ -842,9 +865,8 @@ mod tests {
         fn port(&mut self) -> &mut FabricPort<()> {
             &mut self.port
         }
-        fn poll(&mut self, at: SimTime) {
+        fn set_gauges(&mut self) {
             self.tel.metrics.set(self.gauge, self.level);
-            self.tel.metrics.sample(at);
         }
         fn telemetry(&mut self) -> &mut Telemetry {
             &mut self.tel

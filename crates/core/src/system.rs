@@ -282,7 +282,9 @@ pub struct ServingSystem {
     tm: TelIds,
     /// Per-request span handles and the retirement hook.
     spans: SpanBook,
-    /// Per-request KV-transfer spans; empty when telemetry is off.
+    /// Per-request KV-transfer spans and their start times; empty when
+    /// telemetry is off. Kept without a span log too: the attribution
+    /// ledger's `kv_swap_*` seconds come from the start times.
     kv_tel: Vec<[KvSpan; 2]>,
     swaps: u64,
     scale_count: u64,
@@ -567,6 +569,11 @@ impl ServingSystem {
         id
     }
 
+    /// Writes the run-level counters a live `/metrics` reads before finish.
+    pub(crate) fn set_run_counters(&mut self, q: &Q, audit: Option<&AuditReport>) {
+        self.ids.set_run_counters(&mut self.tel, q, audit);
+    }
+
     pub(crate) fn live(&self) -> bool {
         self.reqs.unresolved() > 0
     }
@@ -638,7 +645,7 @@ impl ServingSystem {
         now: SimTime,
         label: impl FnOnce() -> S,
     ) {
-        if !self.tel.is_enabled() {
+        if !self.tel.spans.is_enabled() {
             return;
         }
         let id =
@@ -1624,7 +1631,7 @@ impl ServingSystem {
         self.tel
             .metrics
             .observe_sketch(self.ids.s_batch_size, reqs.len() as f64);
-        if self.tel.is_enabled() {
+        if self.tel.spans.is_enabled() {
             let span = self.tel.spans.start(
                 || format!("decode{di}"),
                 SpanKind::DecodeRound,
@@ -1879,7 +1886,7 @@ impl ServingSystem {
             if !reqs.is_empty() {
                 // Quota expired with members still decoding: a preemption.
                 self.tel.metrics.inc(self.tm.c_preemptions, 1);
-                if self.tel.is_enabled() {
+                if self.tel.spans.is_enabled() {
                     self.tel.spans.instant(
                         || format!("decode{di}"),
                         SpanKind::Preempt,
@@ -1889,7 +1896,7 @@ impl ServingSystem {
                     );
                 }
             }
-            if self.tel.is_enabled() {
+            if self.tel.spans.is_enabled() {
                 for r in &reqs {
                     self.spans.end_phase(&mut self.tel, *r, now);
                 }
@@ -2185,7 +2192,7 @@ impl ServingSystem {
         };
         self.scale_count += 1;
         self.tel.metrics.inc(self.ids.c_switches, 1);
-        if self.tel.is_enabled() {
+        if self.tel.spans.is_enabled() {
             // A crash can strand the previous switch span open: close it
             // before a new switch starts on the same instance track.
             let old = std::mem::replace(&mut self.inst_mut(at).scaler.switch_span, SpanId::NONE);
@@ -2488,7 +2495,7 @@ impl Host for ServingSystem {
             }
             Ev::Retry { req, attempt } => {
                 self.tel.metrics.inc(self.tm.c_retries, 1);
-                if self.tel.is_enabled() {
+                if self.tel.spans.is_enabled() {
                     let rid = self.trace.requests[req as usize].id;
                     let (i, cause) = (rid.0, self.spans.root(rid));
                     self.tel.spans.instant(
@@ -2551,8 +2558,7 @@ impl Host for ServingSystem {
         &mut self.port
     }
 
-    /// Computes every gauge and snapshots the registry at boundary `at`.
-    fn poll(&mut self, at: SimTime) {
+    fn set_gauges(&mut self) {
         let batches: usize = self.decodes.iter().map(|d| d.work.iter().count()).sum();
         let vram: u64 = self.insts().map(|i| i.gpu_kv.used_bytes()).sum();
         let cpu: u64 = self.nodes.iter().map(|n| n.cpu_kv.used_bytes()).sum();
@@ -2567,9 +2573,8 @@ impl Host for ServingSystem {
         m.set(self.tm.g_link_bytes_in_flight, inflight);
         let resident = self.prefills.iter().map(|p| p.inst.scaler.current);
         let resident = resident.chain(self.decodes.iter().map(|d| d.inst.scaler.current));
-        self.ids.sample(
+        self.ids.set_gauges(
             &mut self.tel,
-            at,
             self.reqs.completed,
             self.prefills.iter().map(|p| p.queue.pending()).sum(),
             self.decodes.iter().map(|d| d.work.len()).sum(),

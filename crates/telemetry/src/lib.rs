@@ -22,6 +22,13 @@
 //! telemetry never changes event counts or tie-breaking. The loop polls
 //! before it handles the event that reached a boundary, so the sample
 //! stamped `b` holds the state after every event strictly before `b`.
+//!
+//! Live telemetry ([`Telemetry::make_live`]) keeps only the instruments a
+//! live endpoint reads — the registry's current values, the sketches, the
+//! SLO observatory and the attribution ledger. It records no spans and
+//! never samples, so its cost follows the work simulated rather than the
+//! sim time that passes; the spans and series of a live run come from
+//! replaying its trace with full telemetry.
 
 pub mod export;
 pub mod metrics;
@@ -120,10 +127,21 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// True if this run records telemetry.
+    /// Keeps the instruments and drops the rest: no span log from here on,
+    /// and [`sample_due`](Self::sample_due) never fires, so every series
+    /// holds only the final point [`finish`](Self::finish) appends. Call
+    /// before anything is recorded.
+    pub fn make_live(&mut self) {
+        self.spans = SpanLog::disabled();
+        self.next_sample = SimTime::MAX;
+    }
+
+    /// True if this run's instruments are on: the registry, the sketches,
+    /// the SLO observatory and the attribution ledger. The span log has its
+    /// own switch ([`SpanLog::is_enabled`]).
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.spans.is_enabled()
+        self.metrics.is_enabled()
     }
 
     /// Dispatch-loop poller: if a sample boundary has been reached, returns
@@ -213,5 +231,22 @@ mod tests {
         assert_eq!(samples.last().unwrap().at, SimTime::from_nanos(20_000_000));
         assert_eq!(samples.last().unwrap().value, 7.0);
         assert_eq!(t.metrics.samples_taken(), 3);
+    }
+
+    #[test]
+    fn live_telemetry_keeps_instruments_but_never_samples_or_spans() {
+        let mut t = Telemetry::new(&TelemetrySpec::with_sample_every(SimDur::from_millis(10)));
+        t.make_live();
+        assert!(t.is_enabled() && !t.spans.is_enabled());
+        let g = t.metrics.gauge("depth");
+        t.metrics.set(g, 3.0);
+        let s = t.spans.start(|| "req0", SpanKind::Request, SimTime::ZERO, SpanId::NONE, SpanId::NONE, || "r");
+        assert!(s.is_none());
+        assert!(t.sample_due(SimTime::from_secs_f64(1e6)).is_none());
+        t.finish(SimTime::from_nanos(25_000_000));
+        assert!(t.spans.spans().is_empty());
+        let (_, samples) = t.metrics.gauge_series().next().unwrap();
+        assert_eq!(samples, [Sample { at: SimTime::from_nanos(20_000_000), value: 3.0 }]);
+        assert_eq!(t.metrics.samples_taken(), 0);
     }
 }

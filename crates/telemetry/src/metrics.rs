@@ -140,6 +140,12 @@ impl MetricsRegistry {
         }
     }
 
+    /// True if this registry records.
+    #[inline]
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Registers a counter (setup path; do not call per event).
     pub fn counter(&mut self, name: &str) -> CounterId {
         if !self.enabled {

@@ -60,16 +60,17 @@ impl ClockDriver {
         let due = Duration::from_nanos((sim.as_nanos() as f64 / self.factor) as u64);
         due.saturating_sub(elapsed)
     }
+}
 
-    /// How far simulated time trails its wall target, in simulated seconds
-    /// (0.0 when the session is caught up or ahead).
-    pub(crate) fn lag_secs(&self, sim_now: SimTime, elapsed: Duration) -> f64 {
-        let target = self.sim_at(elapsed);
-        if target > sim_now {
-            (target - sim_now).as_secs_f64()
-        } else {
-            0.0
-        }
+/// How far simulated time trails its wall target, in simulated seconds:
+/// `target - t` when the earliest undispatched event `t` is at or before
+/// `target` (a step stopped short of it), and 0.0 otherwise. An idle or
+/// caught-up session has nothing due before the target, so time spent
+/// waiting for the next event is never lag.
+pub(crate) fn lag_secs(next_due: Option<SimTime>, target: SimTime) -> f64 {
+    match next_due {
+        Some(t) if t <= target => (target - t).as_secs_f64(),
+        _ => 0.0,
     }
 }
 
@@ -113,11 +114,19 @@ mod tests {
 
     #[test]
     fn lag_is_zero_when_caught_up() {
-        let c = ClockDriver::new(ClockMode::Realtime);
-        let e = Duration::from_secs(5);
-        assert_eq!(c.lag_secs(SimTime::from_secs_f64(5.0), e), 0.0);
-        assert_eq!(c.lag_secs(SimTime::from_secs_f64(9.0), e), 0.0);
-        assert!((c.lag_secs(SimTime::from_secs_f64(3.0), e) - 2.0).abs() < 1e-9);
+        let target = SimTime::from_secs_f64(5.0);
+        assert_eq!(lag_secs(None, target), 0.0, "quiescent: nothing due");
+        assert_eq!(
+            lag_secs(Some(SimTime::from_secs_f64(9.0)), target),
+            0.0,
+            "next event not yet due, however long ago the last one ran"
+        );
+        assert_eq!(lag_secs(Some(target), target), 0.0);
+        let behind = lag_secs(Some(SimTime::from_secs_f64(3.0)), target);
+        assert!(
+            (behind - 2.0).abs() < 1e-9,
+            "a truncated step trails by {behind}"
+        );
     }
 
     #[test]

@@ -14,7 +14,14 @@
 //! **One sim thread** (`gw-sim`) owns the open [`ServingSession`]
 //! exclusively: it steps simulated time toward the wall-clock target in
 //! bounded event chunks and is the only thread that mutates simulation
-//! state, so determinism needs no locks at all.
+//! state, so determinism needs no locks at all. It steps at most once per
+//! [`STEP_SLICE`] of wall time unless signalled: after a pass it sleeps
+//! until the next event is due or the slice that began with the pass
+//! ends, whichever is later. A control message still wakes it at once
+//! and a truncated chunk loops without sleeping. So a token reaches its
+//! ring at most one slice after its due wall instant, and tokens due
+//! inside one slice reach their rings, and their reactors, together.
+//! Stepping cadence never changes simulation outcomes.
 //!
 //! Work crosses the boundary exactly three ways:
 //!
@@ -34,10 +41,18 @@
 //!   barrier message.
 //!
 //! The gateway keeps its own books. Every count it reports (requests per
-//! endpoint, 429s, the wall-clock lag, and per reactor the registered
-//! fds, the last readiness batch, the peak stream count, slow drops and
-//! failed accepts) is one atomic in the shared state, written where it
-//! happens and never copied into the simulation's metrics registry.
+//! endpoint, 429s, the wall-clock lag, sim-loop passes and truncated
+//! chunks, and per reactor the registered fds, the last readiness batch,
+//! the peak stream count, slow drops and failed accepts) is one atomic in
+//! the shared state, written where it happens and never copied into the
+//! simulation's metrics registry.
+//!
+//! `wall_clock_lag_secs` is in simulated seconds: after each pass it is
+//! `target - t` when the earliest undispatched event `t` is at or before
+//! the pass's target (the chunk was truncated), and 0 otherwise, so an
+//! idle or caught-up gateway reports 0 however long it has been idle.
+//! `gateway_sim_wakes` counts sim-loop passes and
+//! `gateway_sim_truncated_chunks` the passes cut short by `STEP_CHUNK`.
 //!
 //! A failed `accept(2)` (EMFILE, ENFILE, ...) is counted per reactor
 //! (`gateway_accept_errors{reactor="i"}` in `/metrics`,
@@ -101,7 +116,7 @@ use aegaeon_telemetry::{labeled, prometheus_text, MetricsRegistry};
 use aegaeon_workload::Trace;
 
 use crate::api::{self, ApiError};
-use crate::clock::{ClockDriver, ClockMode};
+use crate::clock::{self, ClockDriver, ClockMode};
 use crate::http::HttpParser;
 use crate::outbuf::WriteQueue;
 use crate::poll::{self, PollEvent, Poller, Waker, WAKE_TOKEN};
@@ -114,6 +129,11 @@ const LISTEN_TOKEN: u64 = u64::MAX - 1;
 /// channel is re-checked; bounds how long arrivals can queue behind sim
 /// work.
 const STEP_CHUNK: u64 = 8192;
+/// Shortest wall time between the starts of two sim-loop passes unless a
+/// control message or a truncated chunk cuts the wait short. Tokens due
+/// inside one slice reach their rings together at its end, so each
+/// reactor wakes once per slice rather than once per token.
+pub const STEP_SLICE: Duration = Duration::from_micros(100);
 /// Longest either loop sleeps with nothing due (keeps gauges fresh).
 const MAX_WAIT: Duration = Duration::from_millis(100);
 /// Idle connections (no complete request, or unflushed response with a
@@ -273,9 +293,14 @@ struct Shared {
     slo: AtomicU64,
     /// Admission rejections (429s).
     rejected: AtomicU64,
-    /// How far simulated time trails the clock driver's target, in seconds
-    /// (`f64` bits), stored by the sim thread on each pass.
+    /// How far simulated time trails the clock driver's target, in
+    /// simulated seconds (`f64` bits), stored by the sim thread on each
+    /// pass.
     wall_lag: AtomicU64,
+    /// Sim-loop passes.
+    sim_wakes: AtomicU64,
+    /// Passes whose step ran out of `STEP_CHUNK` with events still due.
+    sim_truncations: AtomicU64,
     reactors: Vec<ReactorStats>,
 }
 
@@ -291,6 +316,8 @@ impl Shared {
             ("http_healthz_requests", &self.healthz),
             ("http_slo_requests", &self.slo),
             ("gateway_rejected_requests", &self.rejected),
+            ("gateway_sim_wakes", &self.sim_wakes),
+            ("gateway_sim_truncated_chunks", &self.sim_truncations),
         ] {
             let id = reg.counter(name);
             reg.set_counter(id, load(n));
@@ -581,21 +608,31 @@ impl SimThread {
             if self.shared.draining.load(Ordering::SeqCst) {
                 break;
             }
-            let target = self.clock.sim_at(self.epoch.elapsed());
+            self.shared.sim_wakes.fetch_add(1, Ordering::Relaxed);
+            let stepped = Instant::now();
+            let target = self.clock.sim_at(stepped - self.epoch);
             let (_, truncated) = self.session.step_bounded(target, STEP_CHUNK);
-            let lag = self
-                .clock
-                .lag_secs(self.session.now(), self.epoch.elapsed());
+            let next = self.session.next_due();
+            let lag = clock::lag_secs(next, target);
             self.shared.wall_lag.store(lag.to_bits(), Ordering::Relaxed);
             self.wake_dirty();
             if self.snapshot_age() >= METRICS_REFRESH {
                 self.render_snapshot();
             }
+            // Sleep until the next event is due, but no sooner than one
+            // slice after this pass began: events due meanwhile are stepped
+            // together when it ends. A control message still wakes the
+            // loop at once.
             let timeout = if truncated {
+                self.shared.sim_truncations.fetch_add(1, Ordering::Relaxed);
                 Duration::ZERO
             } else {
-                match self.session.next_due() {
-                    Some(t) => self.clock.delay_for(t, self.epoch.elapsed()).min(MAX_WAIT),
+                match next {
+                    Some(t) => {
+                        let slice = STEP_SLICE.saturating_sub(stepped.elapsed());
+                        let due = self.clock.delay_for(t, self.epoch.elapsed());
+                        due.max(slice).min(MAX_WAIT)
+                    }
                     None => MAX_WAIT,
                 }
             };

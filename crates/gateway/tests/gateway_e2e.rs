@@ -3,12 +3,13 @@
 //! backpressure, and graceful drain (including under four-digit stream
 //! counts). std-only — every client is `std::net`.
 
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use aegaeon::session::ServingSession;
 use aegaeon::AegaeonConfig;
 use aegaeon_gateway::client::{request, SseStream};
-use aegaeon_gateway::server::{Gateway, GatewayConfig};
+use aegaeon_gateway::server::{Gateway, GatewayConfig, GatewayReport, STEP_SLICE};
 use aegaeon_gateway::swarm::{Swarm, SwarmOptions};
 use aegaeon_gateway::{sse, ClockMode};
 use aegaeon_model::{ModelSpec, Zoo};
@@ -42,6 +43,60 @@ fn consume_stream(stream: &mut SseStream) -> (Vec<String>, bool) {
         chunks.push(data);
     }
     (chunks, done)
+}
+
+/// `clients` closed-loop clients: each posts a completion, reads it to
+/// `[DONE]` and posts the next, until `run` has passed. Returns the
+/// number of streams completed.
+fn closed_loop(addr: SocketAddr, clients: usize, run: Duration) -> usize {
+    let deadline = Instant::now() + run;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..clients)
+            .map(|c| {
+                s.spawn(move || {
+                    let mut done = 0;
+                    while Instant::now() < deadline {
+                        let i = c + done * clients;
+                        let body = format!(
+                            r#"{{"model":"m{}","input_tokens":{},"max_tokens":{}}}"#,
+                            i % 3,
+                            4 + i % 7,
+                            8 + i % 25
+                        );
+                        let mut s = SseStream::post(addr, "/v1/completions", &body, RTT).unwrap();
+                        assert_eq!(s.status, 200);
+                        let (_, fin) = consume_stream(&mut s);
+                        assert!(fin, "stream {i} ended without [DONE]");
+                        done += 1;
+                    }
+                    done
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    })
+}
+
+/// Replays the report's injected trace offline and asserts the live run's
+/// fingerprint is reproduced.
+fn assert_replays(report: &GatewayReport, n_models: usize, run: &str) {
+    let mut replay = ServingSession::replay(&cfg(), &models(n_models), &report.trace);
+    replay.step_until(SimTime::MAX);
+    let (offline, _) = replay.finish();
+    assert_eq!(
+        report.result.fingerprint(),
+        offline.fingerprint(),
+        "{run} and offline replay must be indistinguishable"
+    );
+}
+
+/// The value of the unlabeled sample `name` in a Prometheus scrape.
+fn sample(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no `{name}` in:\n{text}"))
+        .parse()
+        .expect("numeric sample")
 }
 
 fn finish_reason(chunk: &str) -> Option<String> {
@@ -168,14 +223,76 @@ fn live_gateway_run_replays_fingerprint_identical() {
     assert_eq!(report.trace.requests.len(), 8);
     assert_eq!(report.result.completed, 8);
 
-    let mut replay = ServingSession::replay(&cfg(), &models(3), &report.trace);
-    replay.step_until(SimTime::MAX);
-    let (offline, _) = replay.finish();
-    assert_eq!(
-        report.result.fingerprint(),
-        offline.fingerprint(),
-        "live gateway run and offline replay must be indistinguishable"
+    assert_replays(&report, 3, "live gateway run");
+}
+
+/// Live-vs-replay identity in the benchmark's regime: warp 1000 with
+/// concurrent closed-loop clients, where the sim thread steps in wall
+/// slices and stamps arrivals while its clock trails the wall target.
+#[test]
+fn warp_1000_concurrent_clients_replay_fingerprint_identical() {
+    let gw = start(ClockMode::Timewarp(1000.0), 3);
+    let streams = closed_loop(gw.addr(), 3, Duration::from_millis(500));
+    let report = gw.shutdown();
+    assert_eq!(report.trace.requests.len(), streams);
+    assert_eq!(report.result.completed, streams);
+
+    assert_replays(&report, 3, "live warp-1000 run");
+}
+
+/// The sim loop steps at most once per `STEP_SLICE` unless a control
+/// message or a truncated chunk ends its wait, so every pass is paid for by
+/// a slice of wall time, a ping (one per completion, at most one per
+/// snapshot read, one at start-up) or a truncation.
+#[test]
+fn sim_wakes_are_bounded_by_slices_and_signals() {
+    let started = Instant::now();
+    let gw = start(ClockMode::Timewarp(1000.0), 3);
+    let streams = closed_loop(gw.addr(), 2, Duration::from_secs(1));
+    let text = request(gw.addr(), "GET", "/metrics", None, RTT)
+        .unwrap()
+        .text();
+    let elapsed = started.elapsed();
+    let wakes = sample(&text, "gateway_sim_wakes");
+    let signals = [
+        "http_completions_requests",
+        "http_metrics_requests",
+        "http_slo_requests",
+        "gateway_sim_truncated_chunks",
+    ]
+    .map(|name| sample(&text, name));
+    assert_eq!(signals[0], streams as f64);
+    let slices = elapsed.as_secs_f64() / STEP_SLICE.as_secs_f64();
+    let bound = slices + signals.iter().sum::<f64>() + 2.0;
+    assert!(
+        wakes > 0.0 && wakes <= bound,
+        "{wakes} sim wakes in {elapsed:?} for {streams} streams; bound {bound:.0}"
     );
+    gw.shutdown();
+}
+
+/// `wall_clock_lag_secs` measures how far the session trails its target,
+/// not how long ago its last event ran: an idle gateway reports 0.
+#[test]
+fn idle_gateway_reports_zero_wall_clock_lag() {
+    let gw = start(ClockMode::Timewarp(1000.0), 1);
+    let addr = gw.addr();
+    let mut stream = SseStream::post(
+        addr,
+        "/v1/completions",
+        r#"{"model":"m0","input_tokens":8,"max_tokens":5}"#,
+        RTT,
+    )
+    .unwrap();
+    let (chunks, done) = consume_stream(&mut stream);
+    assert!(done && chunks.len() == 5);
+    for pause in [300, 700] {
+        std::thread::sleep(Duration::from_millis(pause));
+        let text = request(addr, "GET", "/metrics", None, RTT).unwrap().text();
+        let lag = sample(&text, "wall_clock_lag_secs");
+        assert_eq!(lag, 0.0, "idle for {pause} ms more, lag read {lag}");
+    }
+    gw.shutdown();
 }
 
 /// `GET /v1/slo` serves the observatory's JSON document — per-model
@@ -470,18 +587,11 @@ fn drain_under_load_completes_every_stream() {
     assert_eq!(report.result.completed, N);
     assert_eq!(report.slow_drops, 0);
     assert_eq!(report.rejections, 0);
-    let audit = report.audit.expect("auditor installed");
+    let audit = report.audit.as_ref().expect("auditor installed");
     assert!(audit.ok(), "violations: {:?}", audit.violations);
 
     // The reactor path preserves replay identity at four-digit scale.
-    let mut replay = ServingSession::replay(&cfg(), &models(MODELS), &report.trace);
-    replay.step_until(SimTime::MAX);
-    let (offline, _) = replay.finish();
-    assert_eq!(
-        report.result.fingerprint(),
-        offline.fingerprint(),
-        "drained live run and offline replay must be indistinguishable"
-    );
+    assert_replays(&report, MODELS, "drained live run");
 }
 
 /// Tentpole acceptance for the multi-reactor I/O plane, in-process: four
@@ -560,7 +670,7 @@ fn four_reactor_drain_under_load_is_fingerprint_identical() {
     assert_eq!(report.result.completed, N);
     assert_eq!(report.slow_drops, 0);
     assert_eq!(report.accept_errors, [0; REACTORS]);
-    let audit = report.audit.expect("auditor installed");
+    let audit = report.audit.as_ref().expect("auditor installed");
     assert!(audit.ok(), "violations: {:?}", audit.violations);
 
     // The kernel sharded accepts across the group: with 600 connections
@@ -573,14 +683,7 @@ fn four_reactor_drain_under_load_is_fingerprint_identical() {
         report.per_reactor_peak
     );
 
-    let mut replay = ServingSession::replay(&cfg(), &models(MODELS), &report.trace);
-    replay.step_until(SimTime::MAX);
-    let (offline, _) = replay.finish();
-    assert_eq!(
-        report.result.fingerprint(),
-        offline.fingerprint(),
-        "4-reactor live run and offline replay must be indistinguishable"
-    );
+    assert_replays(&report, MODELS, "4-reactor live run");
 }
 
 /// The full deployment shape: the `gateway` binary with four reactors and

@@ -219,6 +219,8 @@ impl<T> From<T> for Joined<T> {
 pub struct FabricPort<T> {
     /// The fabric (queries, link statistics, extra streams).
     pub fabric: Fabric<Joined<T>>,
+    /// Completions released and not yet popped: every fabric call appends
+    /// to this one buffer, so none allocates its own.
     ready: VecDeque<Completion<Joined<T>>>,
     /// Ops still outstanding per live join.
     joins: FxHashMap<u64, u32>,
@@ -261,8 +263,8 @@ impl<T: Clone> FabricPort<T> {
         op: StreamOp<Joined<T>>,
         q: &mut EventQueue<E>,
     ) {
-        let cs = self.fabric.submit(lane, op, &mut Lift::new(q, E::from));
-        self.ready.extend(cs);
+        let tl = &mut Lift::new(q, E::from);
+        self.fabric.submit(lane, op, tl, &mut self.ready);
     }
 
     /// `cudaEventRecord` on `lane`.
@@ -271,9 +273,8 @@ impl<T: Clone> FabricPort<T> {
         lane: StreamId,
         q: &mut EventQueue<E>,
     ) -> EventId {
-        let (ev, cs) = self.fabric.record_event(lane, &mut Lift::new(q, E::from));
-        self.ready.extend(cs);
-        ev
+        let tl = &mut Lift::new(q, E::from);
+        self.fabric.record_event(lane, tl, &mut self.ready)
     }
 
     /// `cudaStreamWaitEvent` on `lane`.
@@ -283,14 +284,14 @@ impl<T: Clone> FabricPort<T> {
         ev: EventId,
         q: &mut EventQueue<E>,
     ) {
-        let cs = self.fabric.wait_event(lane, ev, &mut Lift::new(q, E::from));
-        self.ready.extend(cs);
+        let tl = &mut Lift::new(q, E::from);
+        self.fabric.wait_event(lane, ev, tl, &mut self.ready);
     }
 
     /// Handles a fabric event popped from the queue.
     pub fn advance<E: From<FabricEvent>>(&mut self, fe: FabricEvent, q: &mut EventQueue<E>) {
-        let cs = self.fabric.advance(fe, &mut Lift::new(q, E::from));
-        self.ready.extend(cs);
+        let tl = &mut Lift::new(q, E::from);
+        self.fabric.advance(fe, tl, &mut self.ready);
     }
 
     /// Runs the same compute on every lane of a TP group; `tag` completes

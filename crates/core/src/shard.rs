@@ -54,7 +54,7 @@ use std::ops::Range;
 
 use aegaeon_metrics::RequestOutcome;
 use aegaeon_model::{ModelId, ModelSpec};
-use aegaeon_sim::{derive_seed, GrantClock, SimDur, SimTime};
+use aegaeon_sim::{derive_seed, FxHashMap, GrantClock, SimDur, SimTime};
 use aegaeon_workload::{Request, RequestId, SessionId, Trace};
 
 use crate::audit::{AuditReport, InvariantAuditor, Violation};
@@ -231,7 +231,7 @@ impl ShardPlan {
         // session-stable. Check it anyway: a hand-built trace whose session
         // straddles models would otherwise scatter its turns across shards
         // and silently miss every retained prefix.
-        let mut session_home: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+        let mut session_home: FxHashMap<u64, usize> = FxHashMap::default();
         for (g, r) in trace.requests.iter().enumerate() {
             let s = Self::home_shard(r.model, shards);
             if r.session.is_some() {

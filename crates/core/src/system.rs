@@ -931,9 +931,14 @@ impl ServingSystem {
     /// Submits the same compute to every GPU of the instance; `tag` fires
     /// when all shards finish.
     fn compute_all(&mut self, at: InstRef, dur: SimDur, tag: Tag, q: &mut Q) {
-        let gpus = self.inst(at).gpus.iter();
-        let lanes: Vec<_> = gpus.map(|&g| self.topo.gpu(g).default_stream).collect();
-        self.port.compute_all(lanes.into_iter(), dur, tag, q);
+        // `self.inst(at)` would borrow all of `self` while the port submits.
+        let gpus = match at.kind {
+            InstKind::Prefill => &self.prefills[at.idx as usize].inst.gpus,
+            InstKind::Decode => &self.decodes[at.idx as usize].inst.gpus,
+        };
+        let topo = &self.topo;
+        let lanes = gpus.iter().map(|&g| topo.gpu(g).default_stream);
+        self.port.compute_all(lanes, dur, tag, q);
     }
 
     // ----- Agentic sessions: prefix claims & retention -------------------
@@ -1749,26 +1754,28 @@ impl ServingSystem {
             self.end_turn(di, q);
             return;
         }
-        let (model, active): (ModelId, Vec<RequestId>) = {
-            let d = &self.decodes[di];
+        // Refill the turn's step buffer in place: a decode step allocates
+        // nothing.
+        let (model, active) = {
+            let d = &mut self.decodes[di];
             let b = d.work.get(batch_id).expect("turn batch exists");
-            (
-                b.model,
+            let t = d.turn.as_mut().expect("turn");
+            let mut active = std::mem::take(&mut t.step_reqs);
+            active.clear();
+            let reqs = &self.reqs;
+            active.extend(
                 b.reqs
                     .iter()
                     .copied()
-                    .filter(|r| {
-                        self.reqs[r.0 as usize].kv_ready && !self.reqs[r.0 as usize].is_done()
-                    })
-                    .collect(),
-            )
+                    .filter(|r| reqs[r.0 as usize].kv_ready && !reqs[r.0 as usize].is_done()),
+            );
+            (b.model, active)
         };
         if active.is_empty() {
-            let any_left = {
-                let d = &self.decodes[di];
-                !d.work.get(batch_id).expect("batch").reqs.is_empty()
-            };
-            let t = self.decodes[di].turn.as_mut().expect("turn");
+            let d = &mut self.decodes[di];
+            let any_left = !d.work.get(batch_id).expect("batch").reqs.is_empty();
+            let t = d.turn.as_mut().expect("turn");
+            t.step_reqs = active;
             t.stepping = false;
             if any_left {
                 // Waiting on swap-ins; KvIn completions resume stepping.
@@ -1807,9 +1814,9 @@ impl ServingSystem {
         if current_gen != Some(gen) {
             return; // stale step from an ended turn
         }
-        let (step_reqs, dur) = {
-            let t = self.decodes[di].turn.as_ref().expect("turn");
-            (t.step_reqs.clone(), t.step_dur)
+        let (mut step_reqs, dur) = {
+            let t = self.decodes[di].turn.as_mut().expect("turn");
+            (std::mem::take(&mut t.step_reqs), t.step_dur)
         };
         // Decode steps are the hottest event: skip even the start
         // instant's conversion while the schedule is off.
@@ -1834,7 +1841,7 @@ impl ServingSystem {
                 .add(inst, m.0, CostKind::DecodeExec, dur * step_reqs.len() as f64);
         }
         let mut overflow = false;
-        for req in step_reqs {
+        for &req in &step_reqs {
             self.reqs.push_token(req, now);
             let rs = &mut self.reqs[req.0 as usize];
             rs.decode_exec_secs += dur;
@@ -1856,6 +1863,11 @@ impl ServingSystem {
             } else if self.decodes[di].inst.gpu_kv.extend(req, ctx).is_err() {
                 overflow = true;
             }
+        }
+        // Hand the emptied buffer back for the next step to refill.
+        if let Some(t) = self.decodes[di].turn.as_mut().filter(|t| t.gen == gen) {
+            step_reqs.clear();
+            t.step_reqs = step_reqs;
         }
         if overflow {
             // KV pool pressure: finish the turn to offload peers and let the

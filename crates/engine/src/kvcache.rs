@@ -12,12 +12,11 @@
 //! daemon's [`KvCache::reclaim`] sees the event fire. Parked batches are
 //! holders like requests, so the cache's ledger and touch log cover them.
 
-use std::collections::HashMap;
-
 use aegaeon_gpu::EventId;
 use aegaeon_mem::{BlockRef, Journal, ShapeKey, SlabPool, SlabPoolConfig, SlabShadow};
 use aegaeon_mem::slab::{ShapeUsage, SlabExhausted};
 use aegaeon_model::{ModelId, ModelSpec};
+use aegaeon_sim::FxHashMap;
 use aegaeon_workload::RequestId;
 
 /// Geometry of a KV cache region.
@@ -44,10 +43,10 @@ pub struct KvCache {
     pool: SlabPool,
     block_tokens: u32,
     /// Shape key per distinct block byte size.
-    by_block_bytes: HashMap<u64, ShapeKey>,
+    by_block_bytes: FxHashMap<u64, ShapeKey>,
     /// Registered models → their shape class.
-    models: HashMap<ModelId, ShapeKey>,
-    requests: HashMap<RequestId, ReqKv>,
+    models: FxHashMap<ModelId, ShapeKey>,
+    requests: FxHashMap<RequestId, ReqKv>,
     /// The §5.3 move list: batches parked behind the copy events guarding
     /// them, in park order.
     parked: Vec<(EventId, ShapeKey, Vec<BlockRef>)>,
@@ -70,9 +69,9 @@ impl KvCache {
                 slab_bytes: cfg.slab_bytes,
             }),
             block_tokens: cfg.block_tokens,
-            by_block_bytes: HashMap::new(),
-            models: HashMap::new(),
-            requests: HashMap::new(),
+            by_block_bytes: FxHashMap::default(),
+            models: FxHashMap::default(),
+            requests: FxHashMap::default(),
             parked: Vec::new(),
             touches: Vec::new(),
             touched_blocks: Vec::new(),
@@ -198,21 +197,19 @@ impl KvCache {
     ///
     /// Panics if the request holds no KV or shrinks.
     pub fn extend(&mut self, req: RequestId, new_tokens: u32) -> Result<usize, SlabExhausted> {
-        let r = self.requests.get(&req).expect("request holds KV");
+        let r = self.requests.get_mut(&req).expect("request holds KV");
         assert!(new_tokens >= r.tokens, "KV cannot shrink");
-        let need = self.blocks_for(new_tokens);
-        let have = r.blocks.len();
-        let grow = need.saturating_sub(have);
-        if grow > 0 {
-            let shape = r.shape;
-            let fresh = self.pool.alloc(shape, grow)?;
-            self.log(&[(Some(req), true)], shape, &fresh);
-            let r = self.requests.get_mut(&req).expect("still present");
-            r.blocks.extend(fresh);
+        let need = new_tokens.div_ceil(self.block_tokens) as usize;
+        let grow = need.saturating_sub(r.blocks.len());
+        if grow == 0 {
             r.tokens = new_tokens;
-        } else {
-            self.requests.get_mut(&req).expect("still present").tokens = new_tokens;
+            return Ok(0);
         }
+        let shape = r.shape;
+        let fresh = self.pool.alloc(shape, grow)?;
+        r.blocks.extend_from_slice(&fresh);
+        r.tokens = new_tokens;
+        self.log(&[(Some(req), true)], shape, &fresh);
         Ok(grow)
     }
 
@@ -331,8 +328,9 @@ impl KvCache {
         self.requests.get(&req).map(|r| r.tokens).unwrap_or(0)
     }
 
-    /// Every key currently holding KV, in unspecified order (audit use;
-    /// callers wanting determinism must sort).
+    /// Every key currently holding KV (audit use). The order is fixed by
+    /// the sequence of operations the cache has seen, so identically driven
+    /// caches list their keys identically, but it is not sorted.
     pub fn request_ids(&self) -> impl Iterator<Item = RequestId> + '_ {
         self.requests.keys().copied()
     }
@@ -424,7 +422,8 @@ mod tests {
         let mut f: Fabric<()> = Fabric::new();
         let mut q = EventQueue::<FabricEvent>::new();
         let s = f.add_stream("s");
-        [(); N].map(|_| f.record_event(s, &mut q).0)
+        let mut cs = std::collections::VecDeque::new();
+        [(); N].map(|_| f.record_event(s, &mut q, &mut cs))
     }
 
     fn cache_with(models: &[(&str, u32)]) -> (KvCache, Vec<ModelId>) {
@@ -614,6 +613,34 @@ mod tests {
         c.free(RequestId(4));
         step(&mut c, &["+4", "-4"], 2);
         assert!(!c.touched());
+    }
+
+    /// Two caches driven through the same operations list their keys in
+    /// the same order, so an audit's first violation replays from the
+    /// scenario alone.
+    #[test]
+    fn identically_driven_caches_list_keys_identically() {
+        let [ev] = events();
+        let drive = || {
+            let (mut c, ids) = cache_with(&[("Qwen-7B", 1)]);
+            for i in 0..64u64 {
+                c.alloc(RequestId(i), ids[0], 16 + i as u32).unwrap();
+            }
+            for i in (0..64u64).step_by(3) {
+                c.extend(RequestId(i), 40 + i as u32).unwrap();
+            }
+            for i in (0..64u64).step_by(5) {
+                c.rekey(RequestId(i), RequestId(1 << 63 | i));
+            }
+            for i in (1..64u64).step_by(7).filter(|i| i % 5 != 0) {
+                c.park(RequestId(i), ev);
+            }
+            c
+        };
+        let (a, b) = (drive(), drive());
+        let keys = |c: &KvCache| c.request_ids().collect::<Vec<_>>();
+        assert_eq!(keys(&a).len(), 64 - 7);
+        assert_eq!(keys(&a), keys(&b));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property tests for the paged KV cache over slab allocation.
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
 
 use aegaeon_engine::{KvCache, KvCacheConfig};
@@ -79,7 +81,7 @@ proptest! {
                     // Park the oldest live request behind a fresh event.
                     if !live.is_empty() {
                         let (req, _) = live.remove(0);
-                        let ev = fabric.record_event(stream, &mut q).0;
+                        let ev = fabric.record_event(stream, &mut q, &mut VecDeque::new());
                         events.push(ev);
                         c.park(req, ev);
                         prop_assert!(!c.holds(req));

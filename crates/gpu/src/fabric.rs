@@ -15,9 +15,9 @@
 //! | `cudaStreamWaitEvent`     | [`Fabric::wait_event`]             |
 //! | `cudaIpcGet/OpenEventHandle` | [`EventId`] is globally valid   |
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use aegaeon_sim::{FairLink, FlowId, SimDur, Timeline};
+use aegaeon_sim::{FairLink, FlowId, FxHashMap, SimDur, Timeline};
 
 /// Identifies a link (one direction of an interconnect channel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -135,7 +135,7 @@ pub struct Fabric<T> {
     links: Vec<FairLink>,
     streams: Vec<Stream<T>>,
     events: Vec<EventSlot>,
-    flow_owner: HashMap<(u32, FlowId), u32>,
+    flow_owner: FxHashMap<(u32, FlowId), u32>,
     token: u64,
     /// Links whose books changed since the last [`Self::clear_dirty_links`].
     dirty: Vec<u32>,
@@ -154,7 +154,7 @@ impl<T: Clone> Fabric<T> {
             links: Vec::new(),
             streams: Vec::new(),
             events: Vec::new(),
-            flow_owner: HashMap::new(),
+            flow_owner: FxHashMap::default(),
             token: 0,
             dirty: Vec::new(),
         }
@@ -187,18 +187,18 @@ impl<T: Clone> Fabric<T> {
         EventId(self.events.len() as u32 - 1)
     }
 
-    /// Submits an op to a stream; returns any completions that resolve
-    /// immediately (markers, instant records, waits on fired events).
+    /// Submits an op to a stream; appends to `out` any completions that
+    /// resolve immediately (markers, instant records, waits on fired
+    /// events).
     pub fn submit(
         &mut self,
         stream: StreamId,
         op: StreamOp<T>,
         tl: &mut impl Timeline<FabricEvent>,
-    ) -> Vec<Completion<T>> {
+        out: &mut VecDeque<Completion<T>>,
+    ) {
         self.streams[stream.0 as usize].queue.push_back(op);
-        let mut out = Vec::new();
-        self.pump(stream.0, tl, &mut out);
-        out
+        self.pump(stream.0, tl, out);
     }
 
     /// `cudaEventRecord`: creates an event that fires when all work
@@ -207,10 +207,11 @@ impl<T: Clone> Fabric<T> {
         &mut self,
         stream: StreamId,
         tl: &mut impl Timeline<FabricEvent>,
-    ) -> (EventId, Vec<Completion<T>>) {
+        out: &mut VecDeque<Completion<T>>,
+    ) -> EventId {
         let e = self.create_event();
-        let out = self.submit(stream, StreamOp::RecordEvent { event: e }, tl);
-        (e, out)
+        self.submit(stream, StreamOp::RecordEvent { event: e }, tl, out);
+        e
     }
 
     /// `cudaStreamWaitEvent`: makes future work on `stream` wait for `event`.
@@ -219,8 +220,9 @@ impl<T: Clone> Fabric<T> {
         stream: StreamId,
         event: EventId,
         tl: &mut impl Timeline<FabricEvent>,
-    ) -> Vec<Completion<T>> {
-        self.submit(stream, StreamOp::WaitEvent { event }, tl)
+        out: &mut VecDeque<Completion<T>>,
+    ) {
+        self.submit(stream, StreamOp::WaitEvent { event }, tl, out);
     }
 
     /// `cudaEventQuery`: non-blocking completion check.
@@ -228,13 +230,14 @@ impl<T: Clone> Fabric<T> {
         self.events[event.0 as usize].fired
     }
 
-    /// Handles a fabric event popped from the simulation queue.
+    /// Handles a fabric event popped from the simulation queue; appends
+    /// the completions it releases to `out`.
     pub fn advance(
         &mut self,
         ev: FabricEvent,
         tl: &mut impl Timeline<FabricEvent>,
-    ) -> Vec<Completion<T>> {
-        let mut out = Vec::new();
+        out: &mut VecDeque<Completion<T>>,
+    ) {
         match ev {
             FabricEvent::OpDone { stream, token } => {
                 let s = &mut self.streams[stream as usize];
@@ -242,11 +245,11 @@ impl<T: Clone> Fabric<T> {
                     Running::Compute { token: t } if t == token => {
                         s.state = Running::Idle;
                         let tag = s.current_tag.take().expect("compute op had a tag");
-                        out.push(Completion::Op {
+                        out.push_back(Completion::Op {
                             stream: StreamId(stream),
                             tag,
                         });
-                        self.pump(stream, tl, &mut out);
+                        self.pump(stream, tl, out);
                     }
                     // Stale tokens cannot normally occur (compute ops are
                     // never cancelled), but tolerate them for robustness.
@@ -258,7 +261,7 @@ impl<T: Clone> Fabric<T> {
                 // A stale timer means a newer one is already pending;
                 // refreshing here would invalidate it and livelock.
                 let Some(done) = self.links[link as usize].expire(now, gen) else {
-                    return out;
+                    return;
                 };
                 self.mark_dirty(link);
                 for flow in done {
@@ -274,20 +277,24 @@ impl<T: Clone> Fabric<T> {
                     );
                     s.state = Running::Idle;
                     let tag = s.current_tag.take().expect("copy op had a tag");
-                    out.push(Completion::Op {
+                    out.push_back(Completion::Op {
                         stream: StreamId(owner),
                         tag,
                     });
-                    self.pump(owner, tl, &mut out);
+                    self.pump(owner, tl, out);
                 }
                 self.refresh_link(link, tl);
             }
         }
-        out
     }
 
     /// Runs the head of `stream`'s queue as far as it will go.
-    fn pump(&mut self, si: u32, tl: &mut impl Timeline<FabricEvent>, out: &mut Vec<Completion<T>>) {
+    fn pump(
+        &mut self,
+        si: u32,
+        tl: &mut impl Timeline<FabricEvent>,
+        out: &mut VecDeque<Completion<T>>,
+    ) {
         loop {
             let s = &mut self.streams[si as usize];
             if !matches!(s.state, Running::Idle) {
@@ -331,7 +338,7 @@ impl<T: Clone> Fabric<T> {
                     return;
                 }
                 StreamOp::Marker { tag } => {
-                    out.push(Completion::Op {
+                    out.push_back(Completion::Op {
                         stream: StreamId(si),
                         tag,
                     });
@@ -344,14 +351,14 @@ impl<T: Clone> Fabric<T> {
         &mut self,
         ei: u32,
         tl: &mut impl Timeline<FabricEvent>,
-        out: &mut Vec<Completion<T>>,
+        out: &mut VecDeque<Completion<T>>,
     ) {
         let slot = &mut self.events[ei as usize];
         if slot.fired {
             return;
         }
         slot.fired = true;
-        out.push(Completion::Event { event: EventId(ei) });
+        out.push_back(Completion::Event { event: EventId(ei) });
         let waiters = std::mem::take(&mut slot.waiters);
         for w in waiters {
             let s = &mut self.streams[w as usize];
@@ -458,10 +465,10 @@ mod tests {
 
     fn run(fabric: &mut Fabric<&'static str>, q: &mut Q) -> Vec<(SimTime, Completion<&'static str>)> {
         let mut out = Vec::new();
+        let mut cs = VecDeque::new();
         while let Some((t, ev)) = q.pop() {
-            for c in fabric.advance(ev, q) {
-                out.push((t, c));
-            }
+            fabric.advance(ev, q, &mut cs);
+            out.extend(cs.drain(..).map(|c| (t, c)));
         }
         out
     }
@@ -481,9 +488,10 @@ mod tests {
     fn compute_ops_serialize_on_one_stream() {
         let mut f: Fabric<&'static str> = Fabric::new();
         let mut q = Q::new();
+        let mut cs = VecDeque::new();
         let s = f.add_stream("s");
-        f.submit(s, StreamOp::Compute { dur: SimDur::from_secs(1), tag: "a" }, &mut q);
-        f.submit(s, StreamOp::Compute { dur: SimDur::from_secs(2), tag: "b" }, &mut q);
+        f.submit(s, StreamOp::Compute { dur: SimDur::from_secs(1), tag: "a" }, &mut q, &mut cs);
+        f.submit(s, StreamOp::Compute { dur: SimDur::from_secs(2), tag: "b" }, &mut q, &mut cs);
         let done = ops_only(&run(&mut f, &mut q));
         assert_eq!(done, vec![(1.0, "a"), (3.0, "b")]);
     }
@@ -492,10 +500,11 @@ mod tests {
     fn streams_run_in_parallel() {
         let mut f: Fabric<&'static str> = Fabric::new();
         let mut q = Q::new();
+        let mut cs = VecDeque::new();
         let s1 = f.add_stream("s1");
         let s2 = f.add_stream("s2");
-        f.submit(s1, StreamOp::Compute { dur: SimDur::from_secs(3), tag: "long" }, &mut q);
-        f.submit(s2, StreamOp::Compute { dur: SimDur::from_secs(1), tag: "short" }, &mut q);
+        f.submit(s1, StreamOp::Compute { dur: SimDur::from_secs(3), tag: "long" }, &mut q, &mut cs);
+        f.submit(s2, StreamOp::Compute { dur: SimDur::from_secs(1), tag: "short" }, &mut q, &mut cs);
         let done = ops_only(&run(&mut f, &mut q));
         assert_eq!(done, vec![(1.0, "short"), (3.0, "long")]);
     }
@@ -504,11 +513,12 @@ mod tests {
     fn copies_contend_on_links() {
         let mut f: Fabric<&'static str> = Fabric::new();
         let mut q = Q::new();
+        let mut cs = VecDeque::new();
         let l = f.add_link("pcie", 1e9);
         let s1 = f.add_stream("s1");
         let s2 = f.add_stream("s2");
-        f.submit(s1, StreamOp::Copy { link: l, bytes: 1_000_000_000, tag: "c1" }, &mut q);
-        f.submit(s2, StreamOp::Copy { link: l, bytes: 1_000_000_000, tag: "c2" }, &mut q);
+        f.submit(s1, StreamOp::Copy { link: l, bytes: 1_000_000_000, tag: "c1" }, &mut q, &mut cs);
+        f.submit(s2, StreamOp::Copy { link: l, bytes: 1_000_000_000, tag: "c2" }, &mut q, &mut cs);
         let done = ops_only(&run(&mut f, &mut q));
         // Fair sharing: both finish at ~2 s instead of 1 s.
         assert_eq!(done.len(), 2);
@@ -521,13 +531,14 @@ mod tests {
     fn record_then_wait_synchronizes_across_streams() {
         let mut f: Fabric<&'static str> = Fabric::new();
         let mut q = Q::new();
+        let mut cs = VecDeque::new();
         let s1 = f.add_stream("producer");
         let s2 = f.add_stream("consumer");
-        f.submit(s1, StreamOp::Compute { dur: SimDur::from_secs(2), tag: "produce" }, &mut q);
-        let (e, _) = f.record_event(s1, &mut q);
+        f.submit(s1, StreamOp::Compute { dur: SimDur::from_secs(2), tag: "produce" }, &mut q, &mut cs);
+        let e = f.record_event(s1, &mut q, &mut cs);
         assert!(!f.query_event(e), "event must not fire before prior work");
-        f.wait_event(s2, e, &mut q);
-        f.submit(s2, StreamOp::Compute { dur: SimDur::from_secs(1), tag: "consume" }, &mut q);
+        f.wait_event(s2, e, &mut q, &mut cs);
+        f.submit(s2, StreamOp::Compute { dur: SimDur::from_secs(1), tag: "consume" }, &mut q, &mut cs);
         let done = ops_only(&run(&mut f, &mut q));
         assert_eq!(done, vec![(2.0, "produce"), (3.0, "consume")]);
         assert!(f.query_event(e));
@@ -537,28 +548,31 @@ mod tests {
     fn wait_on_fired_event_is_instant() {
         let mut f: Fabric<&'static str> = Fabric::new();
         let mut q = Q::new();
+        let mut cs = VecDeque::new();
         let s1 = f.add_stream("s1");
         let s2 = f.add_stream("s2");
-        let (e, _) = f.record_event(s1, &mut q); // empty stream: fires now
+        let e = f.record_event(s1, &mut q, &mut cs); // empty stream: fires now
         assert!(f.query_event(e));
-        f.wait_event(s2, e, &mut q);
-        let out = f.submit(s2, StreamOp::Marker { tag: "go" }, &mut q);
-        assert!(matches!(&out[0], Completion::Op { tag: "go", .. }));
+        f.wait_event(s2, e, &mut q, &mut cs);
+        cs.clear();
+        f.submit(s2, StreamOp::Marker { tag: "go" }, &mut q, &mut cs);
+        assert!(matches!(&cs[0], Completion::Op { tag: "go", .. }));
     }
 
     #[test]
     fn multiple_waiters_release_together() {
         let mut f: Fabric<&'static str> = Fabric::new();
         let mut q = Q::new();
+        let mut cs = VecDeque::new();
         let p = f.add_stream("p");
         let a = f.add_stream("a");
         let b = f.add_stream("b");
-        f.submit(p, StreamOp::Compute { dur: SimDur::from_secs(1), tag: "p" }, &mut q);
-        let (e, _) = f.record_event(p, &mut q);
-        f.wait_event(a, e, &mut q);
-        f.wait_event(b, e, &mut q);
-        f.submit(a, StreamOp::Marker { tag: "a" }, &mut q);
-        f.submit(b, StreamOp::Marker { tag: "b" }, &mut q);
+        f.submit(p, StreamOp::Compute { dur: SimDur::from_secs(1), tag: "p" }, &mut q, &mut cs);
+        let e = f.record_event(p, &mut q, &mut cs);
+        f.wait_event(a, e, &mut q, &mut cs);
+        f.wait_event(b, e, &mut q, &mut cs);
+        f.submit(a, StreamOp::Marker { tag: "a" }, &mut q, &mut cs);
+        f.submit(b, StreamOp::Marker { tag: "b" }, &mut q, &mut cs);
         let done = ops_only(&run(&mut f, &mut q));
         assert_eq!(done, vec![(1.0, "p"), (1.0, "a"), (1.0, "b")]);
     }
@@ -570,6 +584,7 @@ mod tests {
         // (rule ❷), and decode starts only after the swap-in (rule ❶).
         let mut f: Fabric<&'static str> = Fabric::new();
         let mut q = Q::new();
+        let mut cs = VecDeque::new();
         let d2h = f.add_link("pcie-d2h", 1e9);
         let h2d = f.add_link("pcie-h2d", 1e9);
         let prefill_out = f.add_stream("prefill.kv_out");
@@ -577,17 +592,17 @@ mod tests {
         let decode = f.add_stream("decode.default");
 
         // ① record + ② memcpy on the prefill instance.
-        f.submit(prefill_out, StreamOp::Copy { link: d2h, bytes: 500_000_000, tag: "kvout" }, &mut q);
-        let (e_out, _) = f.record_event(prefill_out, &mut q);
+        f.submit(prefill_out, StreamOp::Copy { link: d2h, bytes: 500_000_000, tag: "kvout" }, &mut q, &mut cs);
+        let e_out = f.record_event(prefill_out, &mut q, &mut cs);
         // ③ the decoding instance pauses its swap-in stream on the event
         // (shared via IPC — EventIds are fabric-global).
-        f.wait_event(decode_in, e_out, &mut q);
+        f.wait_event(decode_in, e_out, &mut q, &mut cs);
         // ④⑤ swap-in copy.
-        f.submit(decode_in, StreamOp::Copy { link: h2d, bytes: 500_000_000, tag: "kvin" }, &mut q);
-        let (e_in, _) = f.record_event(decode_in, &mut q);
+        f.submit(decode_in, StreamOp::Copy { link: h2d, bytes: 500_000_000, tag: "kvin" }, &mut q, &mut cs);
+        let e_in = f.record_event(decode_in, &mut q, &mut cs);
         // ⑥⑦ decode waits on the swap-in and then runs.
-        f.wait_event(decode, e_in, &mut q);
-        f.submit(decode, StreamOp::Compute { dur: SimDur::from_millis(25), tag: "decode" }, &mut q);
+        f.wait_event(decode, e_in, &mut q, &mut cs);
+        f.submit(decode, StreamOp::Compute { dur: SimDur::from_millis(25), tag: "decode" }, &mut q, &mut cs);
 
         let done = ops_only(&run(&mut f, &mut q));
         assert_eq!(done[0], (0.5, "kvout"));
@@ -600,10 +615,11 @@ mod tests {
     fn busy_accounting() {
         let mut f: Fabric<&'static str> = Fabric::new();
         let mut q = Q::new();
+        let mut cs = VecDeque::new();
         let l = f.add_link("pcie", 1e9);
         let s = f.add_stream("s");
-        f.submit(s, StreamOp::Compute { dur: SimDur::from_secs(2), tag: "c" }, &mut q);
-        f.submit(s, StreamOp::Copy { link: l, bytes: 1_000_000_000, tag: "x" }, &mut q);
+        f.submit(s, StreamOp::Compute { dur: SimDur::from_secs(2), tag: "c" }, &mut q, &mut cs);
+        f.submit(s, StreamOp::Copy { link: l, bytes: 1_000_000_000, tag: "x" }, &mut q, &mut cs);
         let done = ops_only(&run(&mut f, &mut q));
         assert_eq!(f.stream_compute_busy(s).as_secs_f64(), 2.0);
         // The copy occupies the stream for bytes / bandwidth after the compute.
@@ -617,9 +633,10 @@ mod tests {
         // A 1 GB copy on a 1 GB/s link, degraded to 25% mid-flight.
         let mut f: Fabric<&'static str> = Fabric::new();
         let mut q = Q::new();
+        let mut cs = VecDeque::new();
         let l = f.add_link("pcie", 1e9);
         let s = f.add_stream("s");
-        f.submit(s, StreamOp::Copy { link: l, bytes: 1_000_000_000, tag: "x" }, &mut q);
+        f.submit(s, StreamOp::Copy { link: l, bytes: 1_000_000_000, tag: "x" }, &mut q, &mut cs);
         // 0.5 GB moves by t=0.5; degrade there. schedule_at clamps to now(),
         // so drive time forward by degrading inside the event loop.
         q.schedule_at(SimTime::from_secs_f64(0.5), FabricEvent::LinkTimer { link: 9999, gen: 0 });
@@ -629,9 +646,8 @@ mod tests {
                 f.degrade_link(l, 0.25, &mut q);
                 continue;
             }
-            for c in f.advance(ev, &mut q) {
-                out.push((t, c));
-            }
+            f.advance(ev, &mut q, &mut cs);
+            out.extend(cs.drain(..).map(|c| (t, c)));
         }
         // Remaining 0.5 GB at 0.25 GB/s -> finishes at 0.5 + 2.0 = 2.5 s.
         let done = ops_only(&out);
@@ -642,9 +658,10 @@ mod tests {
         // And degradation followed by restore.
         let mut f: Fabric<&'static str> = Fabric::new();
         let mut q = Q::new();
+        let mut cs = VecDeque::new();
         let l = f.add_link("pcie", 1e9);
         let s = f.add_stream("s");
-        f.submit(s, StreamOp::Copy { link: l, bytes: 1_000_000_000, tag: "x" }, &mut q);
+        f.submit(s, StreamOp::Copy { link: l, bytes: 1_000_000_000, tag: "x" }, &mut q, &mut cs);
         q.schedule_at(SimTime::from_secs_f64(0.5), FabricEvent::LinkTimer { link: 9998, gen: 0 });
         q.schedule_at(SimTime::from_secs_f64(1.5), FabricEvent::LinkTimer { link: 9997, gen: 0 });
         let mut out = Vec::new();
@@ -653,9 +670,8 @@ mod tests {
                 FabricEvent::LinkTimer { link: 9998, .. } => f.degrade_link(l, 0.25, &mut q),
                 FabricEvent::LinkTimer { link: 9997, .. } => f.restore_link(l, &mut q),
                 _ => {
-                    for c in f.advance(ev, &mut q) {
-                        out.push((t, c));
-                    }
+                    f.advance(ev, &mut q, &mut cs);
+                    out.extend(cs.drain(..).map(|c| (t, c)));
                 }
             }
         }
@@ -670,6 +686,7 @@ mod tests {
     fn only_the_links_an_op_touched_are_dirty() {
         let mut f: Fabric<&'static str> = Fabric::new();
         let mut q = Q::new();
+        let mut cs = VecDeque::new();
         let (a, b) = (f.add_link("a", 1e9), f.add_link("b", 1e9));
         let s = f.add_stream("s");
         let dirty = |f: &Fabric<&'static str>| f.dirty_links().collect::<Vec<_>>();
@@ -680,6 +697,7 @@ mod tests {
                 tag: "c",
             },
             &mut q,
+            &mut cs,
         );
         assert!(dirty(&f).is_empty(), "compute touches no link");
         f.submit(
@@ -690,10 +708,11 @@ mod tests {
                 tag: "x",
             },
             &mut q,
+            &mut cs,
         );
         assert!(dirty(&f).is_empty(), "a queued copy has not started");
         let (_, ev) = q.pop().unwrap();
-        f.advance(ev, &mut q);
+        f.advance(ev, &mut q, &mut cs);
         assert_eq!(dirty(&f), [a], "the copy started on a");
         f.clear_dirty_links();
         f.degrade_link(b, 0.5, &mut q);
@@ -703,7 +722,7 @@ mod tests {
         assert_eq!(dirty(&f), [b]);
         f.clear_dirty_links();
         let (_, ev) = q.pop().unwrap();
-        f.advance(ev, &mut q);
+        f.advance(ev, &mut q, &mut cs);
         assert_eq!(dirty(&f), [a], "the copy finished on a");
     }
 
@@ -711,14 +730,14 @@ mod tests {
     fn manual_barrier_event() {
         let mut f: Fabric<&'static str> = Fabric::new();
         let mut q = Q::new();
+        let mut cs = VecDeque::new();
         let s = f.add_stream("s");
         let gate = f.create_event();
-        f.wait_event(s, gate, &mut q);
-        f.submit(s, StreamOp::Marker { tag: "after-gate" }, &mut q);
+        f.wait_event(s, gate, &mut q, &mut cs);
+        f.submit(s, StreamOp::Marker { tag: "after-gate" }, &mut q, &mut cs);
         assert!(run(&mut f, &mut q).is_empty(), "stream must stay parked");
-        let mut out = Vec::new();
-        f.fire_event(gate.0, &mut q, &mut out);
-        assert!(out
+        f.fire_event(gate.0, &mut q, &mut cs);
+        assert!(cs
             .iter()
             .any(|c| matches!(c, Completion::Op { tag: "after-gate", .. })));
     }

@@ -188,20 +188,24 @@ mod tests {
         let g0 = topo.gpu(GpuId(0)).clone();
         let g1 = topo.gpu(GpuId(1)).clone();
         let mut q: EventQueue<FabricEvent> = EventQueue::new();
+        let mut cs = std::collections::VecDeque::new();
         // Loads on two different GPUs must not contend.
         fabric.submit(
             g0.prefetch,
             crate::fabric::StreamOp::Copy { link: g0.h2d, bytes: 32_000_000_000, tag: "a" },
             &mut q,
+            &mut cs,
         );
         fabric.submit(
             g1.prefetch,
             crate::fabric::StreamOp::Copy { link: g1.h2d, bytes: 32_000_000_000, tag: "b" },
             &mut q,
+            &mut cs,
         );
         let mut finishes = Vec::new();
         while let Some((t, ev)) = q.pop() {
-            for c in fabric.advance(ev, &mut q) {
+            fabric.advance(ev, &mut q, &mut cs);
+            for c in cs.drain(..) {
                 if let crate::fabric::Completion::Op { .. } = c {
                     finishes.push(t);
                 }

@@ -2,6 +2,8 @@
 //! preserve CUDA semantics (per-stream FIFO, event ordering, byte
 //! conservation) and always drain.
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
 
 use aegaeon_gpu::{Completion, Fabric, FabricEvent, StreamOp};
@@ -35,46 +37,38 @@ proptest! {
         let link = fabric.add_link("l", 1e9);
         let streams: Vec<_> = (0..4).map(|i| fabric.add_stream(format!("s{i}"))).collect();
         let mut submitted = [0usize; 4];
-        let mut done: Vec<(usize, usize)> = Vec::new();
-        let collect = |cs: Vec<Completion<(usize, usize)>>, done: &mut Vec<(usize, usize)>| {
-            for c in cs {
-                if let Completion::Op { tag, .. } = c {
-                    done.push(tag);
-                }
-            }
-        };
+        // Every call appends its completions here, in release order.
+        let mut cs: VecDeque<Completion<(usize, usize)>> = VecDeque::new();
         for (si, op) in &ops {
             let seq = submitted[*si];
             submitted[*si] += 1;
             match op {
                 GenOp::Compute { us } => {
-                    let cs = fabric.submit(
+                    fabric.submit(
                         streams[*si],
                         StreamOp::Compute { dur: SimDur::from_micros(*us), tag: (*si, seq) },
                         &mut q,
+                        &mut cs,
                     );
-                    collect(cs, &mut done);
                 }
                 GenOp::Copy { kb } => {
-                    let cs = fabric.submit(
+                    fabric.submit(
                         streams[*si],
                         StreamOp::Copy { link, bytes: kb * 1024, tag: (*si, seq) },
                         &mut q,
+                        &mut cs,
                     );
-                    collect(cs, &mut done);
                 }
                 GenOp::RecordWait { producer } => {
                     // Record on the producer, wait on this stream, then mark.
-                    let (ev, cs) = fabric.record_event(streams[*producer], &mut q);
-                    collect(cs, &mut done);
-                    let cs = fabric.wait_event(streams[*si], ev, &mut q);
-                    collect(cs, &mut done);
-                    let cs = fabric.submit(
+                    let ev = fabric.record_event(streams[*producer], &mut q, &mut cs);
+                    fabric.wait_event(streams[*si], ev, &mut q, &mut cs);
+                    fabric.submit(
                         streams[*si],
                         StreamOp::Marker { tag: (*si, seq) },
                         &mut q,
+                        &mut cs,
                     );
-                    collect(cs, &mut done);
                 }
             }
         }
@@ -82,8 +76,15 @@ proptest! {
         while let Some((t, ev)) = q.pop() {
             prop_assert!(t >= last_t);
             last_t = t;
-            collect(fabric.advance(ev, &mut q), &mut done);
+            fabric.advance(ev, &mut q, &mut cs);
         }
+        let done: Vec<(usize, usize)> = cs
+            .into_iter()
+            .filter_map(|c| match c {
+                Completion::Op { tag, .. } => Some(tag),
+                Completion::Event { .. } => None,
+            })
+            .collect();
         // Everything completed exactly once…
         prop_assert_eq!(done.len(), ops.len(), "all ops completed");
         // …and per-stream order is FIFO.
@@ -108,18 +109,16 @@ proptest! {
         let bw = 1e9;
         let link = fabric.add_link("l", bw);
         let s: Vec<_> = (0..sizes.len()).map(|i| fabric.add_stream(format!("s{i}"))).collect();
+        let mut cs = VecDeque::new();
         for (i, bytes) in sizes.iter().enumerate() {
-            fabric.submit(s[i], StreamOp::Copy { link, bytes: *bytes, tag: i }, &mut q);
+            fabric.submit(s[i], StreamOp::Copy { link, bytes: *bytes, tag: i }, &mut q, &mut cs);
         }
         let mut end = SimTime::ZERO;
         let mut count = 0;
         while let Some((t, ev)) = q.pop() {
             end = t;
-            for c in fabric.advance(ev, &mut q) {
-                if matches!(c, Completion::Op { .. }) {
-                    count += 1;
-                }
-            }
+            fabric.advance(ev, &mut q, &mut cs);
+            count += cs.drain(..).filter(|c| matches!(c, Completion::Op { .. })).count();
         }
         prop_assert_eq!(count, sizes.len());
         let total: u64 = sizes.iter().sum();

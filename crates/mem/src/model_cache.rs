@@ -4,7 +4,7 @@
 //! region (Figure 9: "Model Cache, 640 GB") so that scale-ups hit DRAM
 //! instead of the remote registry. Eviction is LRU over every resident entry.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// LRU cache of model weights in host memory.
 ///
@@ -29,7 +29,7 @@ use std::collections::HashMap;
 pub struct ModelCache {
     capacity: u64,
     used: u64,
-    entries: HashMap<u32, Entry>,
+    entries: BTreeMap<u32, Entry>,
     clock: u64,
 }
 
@@ -66,7 +66,7 @@ impl ModelCache {
         ModelCache {
             capacity,
             used: 0,
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
             clock: 0,
         }
     }

@@ -175,7 +175,15 @@ impl ReqState {
     /// Records a produced token at `t`. Serving loops go through
     /// [`crate::runtime::Requests::push_token`], which also logs it for the
     /// auditor.
+    ///
+    /// The first token reserves room for exactly `target_tokens`, so the
+    /// vector is allocated once and holds no slack when the request
+    /// completes. (The gateway clamps `max_tokens` to 4096, so a live
+    /// request reserves at most 32 KiB.)
     pub(crate) fn push_token(&mut self, t: SimTime) {
+        if self.token_times.capacity() == 0 {
+            self.token_times.reserve_exact(self.target_tokens as usize);
+        }
         self.produced += 1;
         self.token_times.push(t);
         if self.is_done() {

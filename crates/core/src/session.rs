@@ -299,6 +299,7 @@ impl ServingSession {
     /// work to do (`None` when quiescent — the driver should block on its
     /// control channel instead of sleeping toward a deadline).
     pub fn next_due(&mut self) -> Option<SimTime> {
+        self.port.pump(&self.driver.q);
         self.admit_pending();
         if self.open && self.quiescent() {
             return None;
@@ -322,8 +323,13 @@ impl ServingSession {
     /// out while events at or before `limit` were still due. Stepping
     /// cadence never changes simulation outcomes, so slicing by budget is
     /// as determinism-safe as slicing by time.
+    ///
+    /// The injection channel is drained once per call; requests sent
+    /// during the call wait for the next one. Admission of the stamped
+    /// requests is still checked before every event.
     pub fn step_bounded(&mut self, limit: SimTime, max_events: u64) -> (u64, bool) {
         let mut dispatched: u64 = 0;
+        self.port.pump(&self.driver.q);
         loop {
             self.admit_pending();
             if self.open && self.quiescent() {
@@ -347,12 +353,11 @@ impl ServingSession {
         (dispatched, false)
     }
 
-    /// Pumps the injection channel and admits every request whose stamp
-    /// precedes all queued events. The queue is re-checked after each
-    /// release because admitting schedules the `Arrive` event, which
-    /// changes the head of the queue.
+    /// Admits every stamped request whose stamp precedes all queued
+    /// events. The queue is re-checked after each release because
+    /// admitting schedules the `Arrive` event, which changes the head of
+    /// the queue.
     fn admit_pending(&mut self) {
-        self.port.pump(&self.driver.q);
         while let Some((stamp, lr)) = self.port.admit(&self.driver.q) {
             let r = Request {
                 id: RequestId(0),

@@ -9,15 +9,32 @@
 //!
 //! # Heap layout
 //!
-//! [`EventQueue`] is an indexed 4-ary min-heap over packed `u128` keys
+//! [`EventQueue`] keys every event by a packed `u128`
 //! (`(time_ns << 64) | seq`), so time order *and* FIFO tie-breaking resolve
-//! in a single integer comparison. Keys live in their own array, separate
-//! from the event payloads: sift operations touch only the dense key array
-//! (four children share a cache line) and move payloads once per level at
-//! most. The 4-ary shape halves tree depth versus a binary heap, trading a
-//! few extra comparisons per level for far fewer cache misses — the winning
-//! trade for the simulator's hot dispatch loop. The previous
-//! `BinaryHeap<Reverse<…>>` implementation is retained as
+//! in a single integer comparison. Keys are unique, and the queue keeps
+//! them in two structures:
+//!
+//! * **A sorted run**: a `VecDeque` of `(key, event)` pairs in ascending
+//!   key order. `schedule_at` appends to it, in O(1), whenever the new key
+//!   is above the run's last key (or the run is empty). A trace's
+//!   arrivals, pre-scheduled in time order before the run starts, all land
+//!   here, so they never enter the heap and the heap holds only in-flight
+//!   events.
+//! * **An indexed 4-ary min-heap** for every other push. Keys live in their
+//!   own array, separate from the event payloads: sift operations touch only
+//!   the dense key array (four children share a cache line) and move
+//!   payloads once per level at most. The 4-ary shape halves tree depth
+//!   versus a binary heap, trading a few extra comparisons per level for
+//!   far fewer cache misses.
+//!
+//! `pop` and `peek_time` take the smaller of the two heads. Since keys are
+//! unique, the pop order is exactly that of a single heap over all keys.
+//! The run's last key is the largest in the queue: a key enters the heap
+//! only below it, so it pops before it. The run is therefore empty only
+//! when the whole queue is, and its head is where `pop` and `peek_time`
+//! start.
+//!
+//! The previous `BinaryHeap<Reverse<…>>` implementation is retained as
 //! [`BinaryHeapQueue`] to serve as the differential-testing and benchmark
 //! reference.
 //!
@@ -35,7 +52,7 @@
 //! through an [`InjectionPort`]: a thread-safe channel whose receiving side
 //! stamps every item with the monotonic guard
 //! `stamp = max(requested, now + 1 ns, last_stamp + 1 ns)` and only
-//! *admits* an item once the heap holds nothing earlier than its stamp.
+//! *admits* an item once the queue holds nothing earlier than its stamp.
 //! Those two rules make the admission point a pure function of the queue
 //! state, so replaying the recorded stamps offline reproduces the exact
 //! event order (including FIFO tie-breaking) of the live run.
@@ -81,7 +98,8 @@ fn key_time(key: u128) -> SimTime {
     SimTime::from_nanos((key >> 64) as u64)
 }
 
-/// A monotonic event heap with stable FIFO ordering for simultaneous events.
+/// A monotonic event queue with stable FIFO ordering for simultaneous
+/// events: a sorted run beside a 4-ary heap (see the module docs).
 ///
 /// # Examples
 ///
@@ -100,6 +118,13 @@ pub struct EventQueue<E> {
     /// Packed `(time, seq)` keys, heap-ordered; `evs[i]` is `keys[i]`'s payload.
     keys: Vec<u128>,
     evs: Vec<E>,
+    /// Events pushed above every key already in it, in ascending key order.
+    run: VecDeque<(u128, E)>,
+    /// One above the last key pushed to `run`: the least key it accepts.
+    /// A field, not a read of `run.back()`, to keep the push check to one
+    /// compare. It is right even after the run drains: the run's last key
+    /// popped last, so every later push is above it.
+    run_floor: u128,
     seq: u64,
     now: SimTime,
     popped: u64,
@@ -121,6 +146,8 @@ impl<E> EventQueue<E> {
         EventQueue {
             keys: Vec::new(),
             evs: Vec::new(),
+            run: VecDeque::new(),
+            run_floor: 0,
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -201,14 +228,22 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, advancing the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let &first_key = self.keys.first()?;
-        let at = key_time(first_key);
-        debug_assert!(at >= self.now, "event heap went backwards in time");
-        self.keys.swap_remove(0);
-        let ev = self.evs.swap_remove(0);
-        if !self.keys.is_empty() {
-            self.sift_down(0);
-        }
+        let Some(&(run_key, _)) = self.run.front() else {
+            debug_assert!(self.keys.is_empty(), "the heap outlived the run");
+            return None;
+        };
+        let (key, ev) = if self.keys.first().is_none_or(|&k| run_key < k) {
+            self.run.pop_front()?
+        } else {
+            let key = self.keys.swap_remove(0);
+            let ev = self.evs.swap_remove(0);
+            if !self.keys.is_empty() {
+                self.sift_down(0);
+            }
+            (key, ev)
+        };
+        let at = key_time(key);
+        debug_assert!(at >= self.now, "event queue went backwards in time");
         self.now = at;
         self.popped += 1;
         Some((at, ev))
@@ -216,7 +251,9 @@ impl<E> EventQueue<E> {
 
     /// The time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.keys.first().map(|&k| key_time(k))
+        let &(run_key, _) = self.run.front()?;
+        let first = self.keys.first().map_or(run_key, |&k| k.min(run_key));
+        Some(key_time(first))
     }
 
     /// Total number of events dispatched so far (for throughput reporting).
@@ -258,7 +295,13 @@ impl<E> Timeline<E> for EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.keys.push(pack_key(at, seq));
+        let key = pack_key(at, seq);
+        if key >= self.run_floor {
+            self.run_floor = key + 1;
+            self.run.push_back((key, ev));
+            return;
+        }
+        self.keys.push(key);
         self.evs.push(ev);
         self.sift_up(self.keys.len() - 1);
     }
@@ -294,7 +337,7 @@ impl<I> Injector<I> {
 }
 
 /// Receiving side of the external-injection channel: stamps items with the
-/// monotonic guard and decides *when* each may enter the event heap.
+/// monotonic guard and decides *when* each may enter the event queue.
 ///
 /// Determinism contract (proven by the gateway's differential replay test):
 ///
@@ -302,7 +345,7 @@ impl<I> Injector<I> {
 ///   last_stamp + 1 ns)`. Stamps are strictly increasing and strictly in
 ///   the future, so an injected event can never tie with an event popped in
 ///   the same dispatch batch.
-/// * **Admission** (`admit`): the front item is released only when the heap
+/// * **Admission** (`admit`): the front item is released only when the queue
 ///   is empty or its next event time is `>= stamp`. Since the stamp is
 ///   recorded, an offline replay that re-injects the recorded stamps admits
 ///   every item at the *same pop boundary* with the *same push sequence
@@ -343,9 +386,14 @@ impl<I> InjectionPort<I> {
     }
 
     /// Releases the front stamped item if it may enter the simulation now:
-    /// the heap is empty, or nothing in it fires before the item's stamp.
-    /// Call in a loop before every pop; the caller schedules the returned
-    /// item at exactly its stamp.
+    /// the queue is empty, or nothing in it fires before the item's stamp.
+    /// The caller schedules the returned item at exactly its stamp.
+    ///
+    /// Contract: a stepping loop drains the channel with [`Self::pump`]
+    /// once per stepping call, but calls `admit` in a loop before every
+    /// pop. Admission reads only the queue head, so checking it per event
+    /// is cheap, and it is what makes the admission point (and therefore
+    /// the push sequence number) a function of the queue state alone.
     pub fn admit<E>(&mut self, q: &EventQueue<E>) -> Option<(SimTime, I)> {
         let stamp = self.pending.front()?.0;
         match q.peek_time() {
@@ -750,6 +798,28 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn ties_across_the_run_and_the_heap_pop_in_push_order() {
+        let mut q = EventQueue::new();
+        let t = |s: f64| SimTime::from_secs_f64(s);
+        q.schedule_at(t(1.0), 'a');
+        q.schedule_at(t(2.0), 'b');
+        // Below the run's tail: both go to the heap, one tied with 'a'.
+        q.schedule_at(t(1.0), 'c');
+        q.schedule_at(t(0.5), 'd');
+        // At the run's tail time but a later seq: appended to the run.
+        q.schedule_at(t(2.0), 'e');
+        assert_eq!((q.run.len(), q.keys.len()), (3, 2), "both hold events");
+        let mut order = Vec::new();
+        while let Some(at) = q.peek_time() {
+            let (popped_at, ev) = q.pop().unwrap();
+            assert_eq!(at, popped_at, "peek names the next pop");
+            order.push(ev);
+        }
+        assert_eq!(order, ['d', 'a', 'c', 'b', 'e']);
+        assert!(q.keys.is_empty(), "the heap drains before the run's tail");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! hold end to end on the full stack (workload → schedulers → fabric →
 //! metrics).
 
-use aegaeon::{AegaeonConfig, ServingSystem};
+use aegaeon::{AegaeonConfig, RunResult, ServingSession, ServingSystem};
 use aegaeon_baselines::engine_loop::{World, WorldConfig};
 use aegaeon_baselines::{MuxServe, ServerlessLlm, SllmConfig};
 use aegaeon_bench::{market_models, uniform_trace};
@@ -125,6 +125,39 @@ fn ablation_ladder_is_monotone() {
         ratios[2] > ratios[0] + 0.2,
         "full memory optimizations must clearly beat T0: {ratios:?}"
     );
+}
+
+/// Asserts that every completed outcome holds exactly one instant per
+/// target token, in a vector with no spare capacity.
+fn assert_token_vectors_exact(system: &str, r: &RunResult) {
+    let mut completed = 0;
+    for o in r.outcomes.iter().filter(|o| o.finished()) {
+        let (id, len) = (o.id, o.token_times.len());
+        assert_eq!(len, o.target_tokens as usize, "{system}: {id:?}");
+        assert_eq!(o.token_times.capacity(), len, "{system}: {id:?} has slack");
+        completed += 1;
+    }
+    assert_eq!(completed, r.completed, "{system}: completed outcomes");
+    assert!(completed > 0, "{system}: the trace completes requests");
+}
+
+#[test]
+fn completed_token_vectors_are_sized_once_to_their_target() {
+    let n = 8;
+    let models = market_models(n);
+    let trace = uniform_trace(n, 0.5, 60.0, SEED, LengthDist::sharegpt());
+
+    let mut session = ServingSession::closed(&AegaeonConfig::paper_testbed(), &models, &trace);
+    session.step_until(SimTime::MAX);
+    let (aeg, _) = session.finish();
+    assert_token_vectors_exact("Aegaeon", &aeg);
+
+    let sllm = ServerlessLlm::run(
+        &SllmConfig::new(ClusterSpec::paper_testbed()),
+        &models,
+        &trace,
+    );
+    assert_token_vectors_exact("ServerlessLLM", &sllm);
 }
 
 fn one_gpu_cluster() -> ClusterSpec {

@@ -1,8 +1,11 @@
-//! Simulator throughput report: raw event-dispatch speed of the new indexed
-//! 4-ary event heap versus the retained `BinaryHeap` reference, events/sec
-//! of a real serving run (serial), the invariant auditor's tax on a chaos
-//! run, the telemetry tax split by instrument, the sharded parallel
-//! engine's speedup on one big run, and the parallel sweep harness speedup.
+//! Simulator observer and parallelism report: the invariant auditor's tax
+//! on a chaos run, the telemetry tax split by instrument, the sharded
+//! parallel engine's speedup on one big run, and the parallel sweep
+//! harness speedup. The CI `bench-parallel` job gates every section.
+//!
+//! The event queue's speed and a serial run's events/sec are not measured
+//! here: the benchmark package reports them as `sim.queue.ns_per_op` and
+//! `core.dispatch.events_per_s`.
 //!
 //! Speedup numbers are only as honest as the host: `host_parallelism` is
 //! recorded alongside them, and on a single-core machine the expected
@@ -27,40 +30,12 @@ use aegaeon_gpu::{ClusterSpec, NodeSpec};
 use aegaeon_metrics::slo::score_tokens;
 use aegaeon_metrics::RequestOutcome;
 use aegaeon_model::{ModelId, ModelSpec};
-use aegaeon_sim::{
-    BinaryHeapQueue, EventQueue, SimDur, SimRng, SimTime, ThroughputReport, Timeline,
-};
+use aegaeon_sim::{SimRng, SimTime};
 use aegaeon_telemetry::observatory::SLO_WINDOW_NS;
 use aegaeon_telemetry::{
     expand, labeled, MetricsRegistry, Sample, SloObservatory, SpanLog, Telemetry, TelemetrySpec,
 };
 use aegaeon_workload::{LengthDist, SloSpec, Trace, TraceBuilder};
-
-/// Standing event population for the synthetic dispatch benchmark.
-const STANDING: u64 = 4096;
-/// Dispatches measured per synthetic run.
-const DISPATCHES: u64 = 4_000_000;
-
-/// One pop + one push per step against a standing population — the DES
-/// steady state — returning events/sec. Identical work for both queues.
-macro_rules! drive_queue {
-    ($queue:expr) => {{
-        let mut q = $queue;
-        for i in 0..STANDING {
-            q.schedule_after(SimDur::from_nanos(i.wrapping_mul(2654435761) % 100_000), i);
-        }
-        let start = Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..DISPATCHES {
-            let (_, e) = q.pop().expect("standing population");
-            acc = acc.wrapping_add(e).wrapping_mul(6364136223846793005);
-            q.schedule_after(SimDur::from_nanos(acc % 100_000), e);
-        }
-        let wall = start.elapsed().as_secs_f64();
-        std::hint::black_box(acc);
-        DISPATCHES as f64 / wall
-    }};
-}
 
 /// Timed repeats of each observer setting (the median is reported).
 const OBSERVER_REPEATS: usize = 7;
@@ -310,36 +285,7 @@ fn sketch_count(metrics: &MetricsRegistry) -> u64 {
 }
 
 fn main() {
-    banner("bench_throughput", "simulator hot-path throughput");
-
-    // --- Synthetic queue dispatch throughput --------------------------------
-    // Warm-up pass, then the measured pass.
-    let _ = drive_queue!(EventQueue::<u64>::new());
-    let fast_eps = drive_queue!(EventQueue::<u64>::new());
-    let _ = drive_queue!(BinaryHeapQueue::<u64>::new());
-    let ref_eps = drive_queue!(BinaryHeapQueue::<u64>::new());
-    let speedup = fast_eps / ref_eps;
-    println!("queue dispatch (standing {STANDING}, {DISPATCHES} events):");
-    println!("  indexed 4-ary heap : {:.2}M events/s", fast_eps / 1e6);
-    println!("  BinaryHeap (ref)   : {:.2}M events/s", ref_eps / 1e6);
-    println!("  speedup            : {speedup:.2}x");
-
-    // --- Real serving run (serial) ------------------------------------------
-    let models = market_models(24);
-    let trace = uniform_trace(24, 0.2, HORIZON_SECS, SEED, LengthDist::sharegpt());
-    let cfg = AegaeonConfig::paper_testbed();
-    let start = Instant::now();
-    let r = ServingSystem::run(&cfg, &models, &trace);
-    let wall = start.elapsed().as_secs_f64();
-    let serving = ThroughputReport::new(r.events, HORIZON_SECS, wall);
-    println!("\nserving run (24 models, RPS 0.2, {HORIZON_SECS:.0}s horizon):");
-    println!(
-        "  {} events in {:.2}s = {:.2}M events/s, {:.2}ms wall per sim-s",
-        serving.events,
-        serving.wall_secs,
-        serving.events_per_sec() / 1e6,
-        serving.wall_per_sim_sec() * 1e3,
-    );
+    banner("bench_throughput", "observer taxes and parallel speedups");
 
     // --- Observer tax: the invariant auditor ---------------------------------
     // A 16-model chaos trace the size of the benchmark's small `observed`
@@ -594,20 +540,6 @@ fn main() {
     // --- Report -------------------------------------------------------------
     let json = serde_json::json!({
         "host_parallelism": host_parallelism as u64,
-        "queue_microbench": serde_json::json!({
-            "standing_events": STANDING,
-            "dispatches": DISPATCHES,
-            "indexed_d4_events_per_sec": fast_eps,
-            "binary_heap_ref_events_per_sec": ref_eps,
-            "speedup": speedup,
-        }),
-        "serving_serial": serde_json::json!({
-            "events": serving.events,
-            "sim_secs": serving.sim_secs,
-            "wall_secs": serving.wall_secs,
-            "events_per_sec": serving.events_per_sec(),
-            "wall_per_sim_sec": serving.wall_per_sim_sec(),
-        }),
         "auditor_tax": serde_json::json!({
             "requests": otrace.len() as u64,
             "events": bare.events,

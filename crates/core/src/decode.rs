@@ -232,6 +232,19 @@ mod tests {
         assert_eq!(i, 1);
     }
 
+    /// A forced prefix holder is the only candidate: it joins a batch of
+    /// the model with room, and opens a new one when that batch is full.
+    #[test]
+    fn dispatch_over_a_lone_candidate() {
+        let mut wl = WorkList::new();
+        let b0 = wl.add_batch(mid(0), rid(0));
+        let lists = [&wl];
+        let room = dispatch_decode(&lists, mid(0), |_, _| true, |_| true);
+        assert_eq!(room, (0, Some(b0)));
+        let full = dispatch_decode(&lists, mid(0), |_, _| false, |_| true);
+        assert_eq!(full, (0, None));
+    }
+
     #[test]
     fn remove_request_and_empty_cleanup() {
         let mut wl = WorkList::new();

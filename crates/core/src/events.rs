@@ -147,12 +147,12 @@ impl From<FabricEvent> for Ev {
     }
 }
 
-/// One produced token, observed by the live session's token tap.
+/// One produced token, as a live session's token sink receives it.
 ///
-/// The tap is an *observer*: entries are copied out of the two token
-/// production sites after the fact and forwarded to per-request SSE sinks;
-/// nothing in the simulation reads them back, so enabling the tap cannot
-/// perturb results (same discipline as telemetry).
+/// Sinks are *observers*: after each event the session builds these from
+/// the request table's progress log and the requests' states, and nothing
+/// in the simulation reads them back, so streaming cannot perturb results
+/// (same discipline as telemetry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TokenEv {
     /// The request that produced the token.
@@ -164,6 +164,7 @@ pub struct TokenEv {
     /// True when this token completes the request.
     pub done: bool,
     /// True when the request prefilled only its delta off a retained
-    /// session prefix (surfaced in the gateway's SSE done frame).
+    /// session prefix, read after the token's event (surfaced in the
+    /// gateway's SSE done frame).
     pub prefix_hit: bool,
 }

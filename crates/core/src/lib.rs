@@ -3,7 +3,7 @@
 //! This crate implements the paper's contribution on top of the simulated
 //! substrates:
 //!
-//! * [`prefill`] — Algorithm 1, the grouped FCFS prefill-phase scheduler;
+//! * `prefill` — Algorithm 1, the grouped FCFS prefill-phase scheduler;
 //! * [`decode`] — Algorithm 2, the batched weighted-round-robin
 //!   decoding-phase scheduler, with the quota equations (2)–(3) in
 //!   [`quota`];
@@ -48,7 +48,7 @@ pub mod decode;
 pub mod deploy;
 pub mod events;
 pub mod planner;
-pub mod prefill;
+mod prefill;
 mod proxy;
 pub mod quota;
 pub mod reqstate;

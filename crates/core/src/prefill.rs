@@ -52,7 +52,7 @@ impl PrefillQueue {
     }
 
     /// Appends a fresh group holding `req` (Algorithm 1, line 13).
-    pub fn push_group(&mut self, model: ModelId, req: RequestId) {
+    pub(crate) fn push_group(&mut self, model: ModelId, req: RequestId) {
         let mut reqs = VecDeque::new();
         reqs.push_back(req);
         self.groups.push_back(Group {
@@ -113,7 +113,7 @@ impl PrefillQueue {
     /// every pending group, counting execution (`exec_est` per request) and
     /// one auto-scaling (`switch_est` per model) whenever consecutive groups
     /// change models, starting from `current`.
-    pub fn load_estimate(
+    pub(crate) fn load_estimate(
         &self,
         current: Option<ModelId>,
         mut exec_est: impl FnMut(ModelId, RequestId) -> f64,

@@ -68,7 +68,7 @@ use crate::result::RunResult;
 use crate::runtime::{Driver, Host};
 use crate::system::ServingSystem;
 
-/// Destination for one request's tapped tokens. The session is the single
+/// Destination for one request's produced tokens. The session is the single
 /// producer (tokens are delivered from the dispatch loop, in order); the
 /// consumer side is whatever the embedder wires up — an [`mpsc`] receiver
 /// in tests, or one of the gateway's bounded SPSC rings fanning out to the
@@ -131,8 +131,9 @@ pub struct ServingSession {
     injector: Injector<LiveRequest>,
     /// Admitted injected requests in arrival order (the replayable trace).
     injected: Vec<Request>,
-    /// Token sinks keyed by request id; removed after the final token.
-    sinks: FxHashMap<u64, Box<dyn TokenSink>>,
+    /// Token sinks keyed by request id, each with the index of the next
+    /// token it receives; removed after the final token.
+    sinks: FxHashMap<u64, (Box<dyn TokenSink>, u32)>,
     /// Construction-time horizon: replay must materialize the identical
     /// fault schedule, so [`ServingSession::injected_trace`] reports this
     /// value rather than the grown `trace.horizon`.
@@ -152,9 +153,8 @@ impl ServingSession {
 
     /// An open-system session: starts with an empty trace (faults are still
     /// materialized against `live_horizon`) and accepts requests through
-    /// [`ServingSession::injector`]. The token tap is enabled so sinks
-    /// receive every produced token. Its telemetry is live: instruments
-    /// only (see module docs).
+    /// [`ServingSession::injector`]. Sinks receive every produced token.
+    /// Its telemetry is live: instruments only (see module docs).
     pub fn open(
         cfg: &AegaeonConfig,
         models: &[ModelSpec],
@@ -174,7 +174,6 @@ impl ServingSession {
             horizon: live_horizon,
         };
         let mut sys = ServingSystem::new(cfg.clone(), models, trace);
-        sys.tap_enabled = true;
         if live {
             sys.tel.make_live();
         }
@@ -372,27 +371,37 @@ impl ServingSession {
             let id = self.driver.host.admit_live(r, &mut self.driver.q);
             self.injected.push(Request { id, ..r });
             if let Some(sink) = lr.sink {
-                self.sinks.insert(id.0, sink);
+                self.sinks.insert(id.0, (sink, 0));
             }
         }
     }
 
-    /// Forwards tapped tokens to their sinks; a request's sink is dropped
-    /// after its final token so consumers observe end of stream.
+    /// Forwards the last event's tokens, read off the request table's
+    /// progress log, to their sinks; a request's sink is dropped after its
+    /// final token so consumers observe end of stream.
     fn flush_tokens(&mut self) {
-        if self.driver.host.tap.is_empty() {
+        if self.sinks.is_empty() {
             return;
         }
-        for tok in self.driver.host.tap.drain(..) {
-            let req = tok.req.0;
-            let done = tok.done;
-            let gone = match self.sinks.get_mut(&req) {
-                // A gone consumer (client hung up) is not an error: the
-                // simulated request still runs to completion.
-                Some(sink) => !sink.deliver(tok),
-                None => false,
+        let reqs = &self.driver.host.reqs;
+        for &i in reqs.progressed() {
+            let req = i as u64;
+            let Some((sink, next)) = self.sinks.get_mut(&req) else {
+                continue;
             };
-            if done || gone {
+            let rs = &reqs[i];
+            let index = *next;
+            *next += 1;
+            let tok = TokenEv {
+                req: RequestId(req),
+                index,
+                at: rs.token_times[index as usize],
+                done: index + 1 >= rs.target_tokens,
+                prefix_hit: rs.prefix_hit,
+            };
+            // A gone consumer (client hung up) is not an error: the
+            // simulated request still runs to completion.
+            if !sink.deliver(tok) || tok.done {
                 self.sinks.remove(&req);
             }
         }
@@ -638,6 +647,82 @@ mod tests {
             assert_eq!(t.done, i == 6);
         }
         assert!(toks.windows(2).all(|w| w[0].at <= w[1].at));
+    }
+
+    /// Sinks are observers: a session whose sinks take every token, or
+    /// whose clients hung up before the first, runs the same as one
+    /// without sinks, and every request still completes.
+    #[test]
+    fn token_sinks_do_not_perturb_the_run() {
+        let cfg = AegaeonConfig::small_testbed(1, 1);
+        let specs = models(2);
+        let plan = small_trace(2, 0.3, 30.0, 16);
+        let run = |sinks: bool, hang_up: bool| {
+            let mut live = ServingSession::open(&cfg, &specs, plan.horizon);
+            let inj = live.injector();
+            let mut rxs = Vec::new();
+            for r in &plan.requests {
+                let sink: Option<Box<dyn TokenSink>> = sinks.then(|| {
+                    let (tx, rx) = mpsc::channel();
+                    rxs.push(rx);
+                    Box::new(tx) as Box<dyn TokenSink>
+                });
+                inj.send(
+                    r.arrival(),
+                    single(r.model, r.input_tokens, r.output_tokens, sink),
+                );
+            }
+            if hang_up {
+                rxs.clear();
+            }
+            live.step_until(SimTime::MAX);
+            assert!(live.sinks.is_empty(), "every sink closes");
+            live.finish().0
+        };
+        let bare = run(false, false);
+        assert_eq!(bare.completed, plan.len());
+        for hang_up in [false, true] {
+            let r = run(true, hang_up);
+            assert_eq!(r.completed, plan.len());
+            assert_eq!(r.fingerprint(), bare.fingerprint());
+        }
+    }
+
+    /// With a sink on every request, each one receives its request's
+    /// tokens `0..n` in order, each stamped with the instant the finished
+    /// result records for it, and `done` only on the last.
+    #[test]
+    fn token_sinks_match_the_finished_token_times() {
+        let cfg = AegaeonConfig::small_testbed(1, 1);
+        let specs = models(2);
+        let plan = small_trace(2, 0.3, 30.0, 15);
+        let mut live = ServingSession::open(&cfg, &specs, plan.horizon);
+        let inj = live.injector();
+        let rxs: Vec<_> = plan
+            .requests
+            .iter()
+            .map(|r| {
+                let (tx, rx) = mpsc::channel();
+                let sink: Box<dyn TokenSink> = Box::new(tx);
+                let lr = single(r.model, r.input_tokens, r.output_tokens, Some(sink));
+                inj.send(r.arrival(), lr);
+                rx
+            })
+            .collect();
+        live.step_until(SimTime::MAX);
+        let (result, _) = live.finish();
+        assert!(plan.len() > 1);
+        assert_eq!(result.completed, plan.len());
+        for (o, rx) in result.outcomes.iter().zip(&rxs) {
+            let toks: Vec<TokenEv> = rx.iter().collect();
+            assert_eq!(toks.len(), o.token_times.len(), "request {}", o.id.0);
+            for (k, t) in toks.iter().enumerate() {
+                assert_eq!(t.req, o.id);
+                assert_eq!(t.index, k as u32);
+                assert_eq!(t.at, o.token_times[k]);
+                assert_eq!(t.done, k + 1 == toks.len());
+            }
+        }
     }
 
     /// The current value of the counter or gauge `name`.

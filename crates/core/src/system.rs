@@ -299,9 +299,6 @@ pub struct ServingSystem {
     /// idle-stopped tick still in the queue cannot fork a second stream.
     tick_gen: u64,
     pub(crate) hard_stop: SimTime,
-    /// Live-session token tap (observer only; drained after every event).
-    pub(crate) tap: Vec<crate::events::TokenEv>,
-    pub(crate) tap_enabled: bool,
     /// Sharded-run mode: a total tier loss hands stranded requests to the
     /// shard coordinator via [`ServingSystem::outbox`] instead of being a
     /// fatal condition. Off (the default) preserves the historical asserts.
@@ -521,8 +518,6 @@ impl ServingSystem {
             ticks_live: false,
             tick_gen: 0,
             hard_stop,
-            tap: Vec::new(),
-            tap_enabled: false,
             shard_mode: false,
             outbox: Vec::new(),
         }
@@ -1357,15 +1352,6 @@ impl ServingSystem {
                 self.reqs.push_token(req, now);
             }
             let rs = &mut self.reqs[req.0 as usize];
-            if first && self.tap_enabled {
-                self.tap.push(crate::events::TokenEv {
-                    req,
-                    index: 0,
-                    at: now,
-                    done: rs.is_done(),
-                    prefix_hit: rs.prefix_hit,
-                });
-            }
             rs.prefill_end = Some(now);
             rs.kv = KvPlace::Gpu;
             rs.kv_ready = false;
@@ -1448,37 +1434,26 @@ impl ServingSystem {
             }
         }
         let (di, join) = {
+            // Algorithm 2's join-or-new over the candidates: the holder
+            // alone when a claimed prefix forces it, else every live decoder.
             let decodes = &self.decodes;
-            if let Some(h) = forced {
-                // Algorithm 2's join-or-new on the holder alone.
-                let lists = [&decodes[h].work];
-                let (_, join) = dispatch_decode(
-                    &lists,
-                    model,
-                    |_, b| {
-                        let cap = decodes[h].inst.gpu_kv.max_batch(model, expected_ctx);
-                        b.reqs.len() < cap.max(1)
-                    },
-                    |_| true,
-                );
-                (h, join)
-            } else {
-                let alive: Vec<usize> = (0..decodes.len())
+            let cands: Vec<usize> = match forced {
+                Some(h) => vec![h],
+                None => (0..decodes.len())
                     .filter(|&i| !decodes[i].inst.dead)
-                    .collect();
-                let lists: Vec<&WorkList> = alive.iter().map(|&i| &decodes[i].work).collect();
-                let (k, join) = dispatch_decode(
-                    &lists,
-                    model,
-                    |k, b| {
-                        let i = alive[k];
-                        let cap = decodes[i].inst.gpu_kv.max_batch(model, expected_ctx);
-                        b.reqs.len() < cap.max(1)
-                    },
-                    |k| decodes[alive[k]].inst.node == req_node,
-                );
-                (alive[k], join)
-            }
+                    .collect(),
+            };
+            let lists: Vec<&WorkList> = cands.iter().map(|&i| &decodes[i].work).collect();
+            let (k, join) = dispatch_decode(
+                &lists,
+                model,
+                |k, b| {
+                    let cap = decodes[cands[k]].inst.gpu_kv.max_batch(model, expected_ctx);
+                    b.reqs.len() < cap.max(1)
+                },
+                |k| forced.is_some() || decodes[cands[k]].inst.node == req_node,
+            );
+            (cands[k], join)
         };
         let batch_id = match join {
             Some(b) => {
@@ -1847,15 +1822,6 @@ impl ServingSystem {
             rs.decode_exec_secs += dur;
             let done = rs.is_done();
             let ctx = rs.ctx_tokens();
-            if self.tap_enabled {
-                self.tap.push(crate::events::TokenEv {
-                    req,
-                    index: rs.produced - 1,
-                    at: now,
-                    done,
-                    prefix_hit: rs.prefix_hit,
-                });
-            }
             if done {
                 self.retire_decode_kv(di, req, q);
                 self.decodes[di].work.remove_request(req);

@@ -158,7 +158,7 @@ pub fn parse_completion(body: &[u8], n_models: u32) -> Result<CompletionParams, 
 /// shape; timestamps are simulated nanoseconds). The final frame (`done`)
 /// additionally reports whether the turn prefilled only its delta off a
 /// retained session prefix (`prefix_hit`) — observer data copied from the
-/// token tap, so surfacing it cannot perturb the simulation.
+/// session's token sink, so surfacing it cannot perturb the simulation.
 pub fn completion_chunk(
     request_id: u64,
     model: ModelId,

@@ -28,8 +28,7 @@ pub use bandwidth::{FairLink, FlowId};
 pub use hash::{FxHashMap, FxHasher};
 pub use horizon::{GrantClock, GrantWindow};
 pub use queue::{
-    injection_channel, BinaryHeapQueue, EventQueue, InjectionPort, Injector, Lift,
-    ThroughputReport, Timeline,
+    injection_channel, BinaryHeapQueue, EventQueue, InjectionPort, Injector, Lift, Timeline,
 };
 pub use rng::{derive_seed, SimRng};
 pub use stats::Welford;

@@ -35,8 +35,9 @@
 //! start.
 //!
 //! The previous `BinaryHeap<Reverse<…>>` implementation is retained as
-//! [`BinaryHeapQueue`] to serve as the differential-testing and benchmark
-//! reference.
+//! [`BinaryHeapQueue`], the oracle the queue's unit tests and its property
+//! tests check pop order against. The queue's speed is measured by the
+//! benchmark package's traced runs, reported as `sim.queue.ns_per_op`.
 //!
 //! # Monotonic-stamp guard
 //!
@@ -61,8 +62,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::mpsc;
-
-use serde::Serialize;
 
 use crate::time::{SimDur, SimTime};
 
@@ -482,49 +481,6 @@ impl<E> Timeline<E> for BinaryHeapQueue<E> {
     }
 }
 
-// ----- Throughput reporting -------------------------------------------------
-
-/// Raw-speed summary of one simulation run, derived from the queue's
-/// dispatch counter and a wall-clock measurement taken by the caller.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct ThroughputReport {
-    /// Events dispatched over the run.
-    pub events: u64,
-    /// Simulated seconds covered.
-    pub sim_secs: f64,
-    /// Wall-clock seconds the run took.
-    pub wall_secs: f64,
-}
-
-impl ThroughputReport {
-    /// Builds a report from a drained queue's counter and measured wall time.
-    pub fn new(events: u64, sim_secs: f64, wall_secs: f64) -> Self {
-        ThroughputReport {
-            events,
-            sim_secs,
-            wall_secs,
-        }
-    }
-
-    /// Events dispatched per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Wall-clock seconds spent per simulated second (lower is faster).
-    pub fn wall_per_sim_sec(&self) -> f64 {
-        if self.sim_secs > 0.0 {
-            self.wall_secs / self.sim_secs
-        } else {
-            0.0
-        }
-    }
-}
-
 // ----- Lift -----------------------------------------------------------------
 
 /// Adapter embedding a sub-system event type `Sub` into an outer timeline
@@ -820,13 +776,6 @@ mod tests {
         }
         assert_eq!(order, ['d', 'a', 'c', 'b', 'e']);
         assert!(q.keys.is_empty(), "the heap drains before the run's tail");
-    }
-
-    #[test]
-    fn throughput_report_math() {
-        let r = ThroughputReport::new(1_000_000, 400.0, 2.0);
-        assert_eq!(r.events_per_sec(), 500_000.0);
-        assert_eq!(r.wall_per_sim_sec(), 0.005);
     }
 
     #[test]

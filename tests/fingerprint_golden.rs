@@ -52,6 +52,27 @@ fn chaos(seed: u64) -> FaultPlan {
     }
 }
 
+/// Aegaeon on the 2+3 testbed under [`chaos`], with a drain window long
+/// enough for every request to finish.
+fn chaos_cfg(seed: u64) -> AegaeonConfig {
+    let mut cfg = AegaeonConfig::small_testbed(2, 3);
+    cfg.seed = seed;
+    cfg.faults = chaos(seed);
+    cfg.drain_window = aegaeon_sim::SimDur::from_secs(400);
+    cfg
+}
+
+/// Agentic sessions over six models whose retained prefixes spill to the
+/// CPU caches and are claimed across decode crashes.
+fn agentic_trace(seed: u64) -> aegaeon_workload::Trace {
+    let mut rng = SimRng::seed_from_u64(seed);
+    SessionBuilder::new(SimTime::from_secs_f64(300.0), 6, 0.05)
+        .depth(2, 5)
+        .think_gap(15.0, 0.5)
+        .generate(&mut rng)
+        .lower()
+}
+
 /// Every pinned run as `(name, fingerprint)`, in golden-file order.
 fn fingerprints() -> Vec<(String, u64)> {
     let mut out = Vec::new();
@@ -84,6 +105,25 @@ fn fingerprints() -> Vec<(String, u64)> {
     tp2.seed = 7;
     let r = ServingSystem::run(&tp2, &models, &trace);
     out.push(("aegaeon seed=7 tp=2".into(), r.fingerprint()));
+    // Two weight slots (§8 colocation): activations of a colocated model
+    // and prefetches that land in the spare slot, evicting by recency.
+    let slots_trace = uniform_trace(5, 0.2, 60.0, 7, LengthDist::sharegpt());
+    let mut slots = AegaeonConfig::small_testbed(1, 2);
+    slots.weight_slots = 2;
+    slots.seed = 7;
+    let r = ServingSystem::run(&slots, &models, &slots_trace);
+    out.push(("aegaeon seed=7 weight_slots=2".into(), r.fingerprint()));
+    // Agentic sessions under chaos: seed 9 is the run `audit_counts` pins;
+    // at seeds 16 and 271 a crashed decoder holds outstanding prefix
+    // claims, of requests in its work list (16) and of requests still
+    // prefilling elsewhere (271).
+    for seed in [9, 16, 271] {
+        let mut cfg = chaos_cfg(seed);
+        cfg.session_affinity = true;
+        let r = ServingSystem::run(&cfg, &market_models(6), &agentic_trace(seed));
+        let name = format!("aegaeon seed={seed} agentic affinity chaos");
+        out.push((name, r.fingerprint()));
+    }
 
     // Two shards over the paper testbed's two nodes.
     let sharded_models = market_models(8);
@@ -170,25 +210,16 @@ fn audit_counts() -> String {
         let trace = uniform_trace(5, 0.12, 60.0, seed, LengthDist::sharegpt());
         runs.push((format!("aegaeon seed={seed} chaos"), seed, false, 5, trace));
     }
-    let mut rng = SimRng::seed_from_u64(9);
-    let trace = SessionBuilder::new(SimTime::from_secs_f64(300.0), 6, 0.05)
-        .depth(2, 5)
-        .think_gap(15.0, 0.5)
-        .generate(&mut rng)
-        .lower();
     runs.push((
         "aegaeon seed=9 agentic affinity chaos".into(),
         9,
         true,
         6,
-        trace,
+        agentic_trace(9),
     ));
     let mut s = String::new();
     for (name, seed, affinity, n_models, trace) in runs {
-        let mut cfg = AegaeonConfig::small_testbed(2, 3);
-        cfg.seed = seed;
-        cfg.faults = chaos(seed);
-        cfg.drain_window = aegaeon_sim::SimDur::from_secs(400);
+        let mut cfg = chaos_cfg(seed);
         cfg.session_affinity = affinity;
         cfg.audit = true;
         let r = ServingSystem::run(&cfg, &market_models(n_models), &trace);

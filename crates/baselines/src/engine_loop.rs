@@ -541,11 +541,11 @@ impl<S: Scheduler> Host for Serve<'_, S> {
         self.w.port.fabric.clear_dirty_links();
     }
 
-    fn finish(self, q: &Qq, audit: Option<&AuditReport>) -> RunResult {
+    fn finish(self, q: &Qq, audit: Option<AuditReport>) -> RunResult {
         let mut w = self.w;
         let (completed, rejected) = (w.reqs.completed, w.reqs.rejected);
         w.tel.metrics.set_counter(w.c_rejected, rejected as u64);
-        w.ids.finish(&mut w.tel, &w.reqs, &w.trace, q, audit);
+        w.ids.finish(&mut w.tel, &w.reqs, &w.trace, q, audit.as_ref());
         RunResult {
             outcomes: w.reqs.outcomes(&w.trace),
             horizon: w.trace.horizon,
@@ -571,7 +571,7 @@ impl<S: Scheduler> Host for Serve<'_, S> {
             shard_windows: 0,
             schedule: SpanLog::disabled(),
             telemetry: w.tel,
-            audit: None,
+            audit,
         }
     }
 }
@@ -626,8 +626,8 @@ pub(crate) mod tests {
             }
             last = now;
         }
-        let (r, report) = d.finish();
-        let report = report.expect("auditor installed");
+        let r = d.finish();
+        let report = r.audit.as_ref().expect("auditor installed");
         assert!(report.ok(), "{report}");
         let tokens: u64 = r.outcomes.iter().map(|o| o.token_times.len() as u64).sum();
         assert!(

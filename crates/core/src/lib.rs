@@ -54,6 +54,7 @@ pub mod quota;
 pub mod reqstate;
 pub mod result;
 pub mod runtime;
+mod scaler;
 pub mod session;
 pub mod sessionbook;
 pub mod shard;

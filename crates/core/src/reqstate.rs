@@ -4,21 +4,6 @@ use aegaeon_gpu::EventId;
 use aegaeon_sim::SimTime;
 use aegaeon_workload::{Request, SessionId};
 
-use crate::sessionbook::SessPlace;
-
-/// An unabsorbed claim on a session's retained KV prefix: the claimant
-/// prefills only its delta and merges the retained blocks into its own KV
-/// entry at the first point both live in the same cache (the decode GPU at
-/// swap-in for GPU-resident prefixes, the node CPU cache at offload for
-/// spilled ones).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PrefixClaim {
-    /// Retained tokens the claim covers (≤ the request's `prefix_tokens`).
-    pub(crate) tokens: u32,
-    /// Cache currently holding the session handle's blocks.
-    pub(crate) src: SessPlace,
-}
-
 /// Where a request's KV cache currently lives. Block lists are tracked by
 /// the owning [`aegaeon_engine::KvCache`]; this is only the location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,8 +87,6 @@ pub struct ReqState {
     pub(crate) turn_index: u32,
     /// Leading prompt tokens shared with the session's prior turns.
     pub(crate) prefix_tokens: u32,
-    /// Outstanding claim on the session's retained prefix, if any.
-    pub(crate) prefix_claim: Option<PrefixClaim>,
     /// Set once the request prefilled only its delta off a claimed prefix.
     pub(crate) prefix_hit: bool,
     /// The claimed prefix was lost (its holder crashed) after prefill was
@@ -140,7 +123,6 @@ impl ReqState {
             session: SessionId::NONE,
             turn_index: 0,
             prefix_tokens: 0,
-            prefix_claim: None,
             prefix_hit: false,
             prefix_lost: false,
         }
@@ -155,11 +137,6 @@ impl ReqState {
         // malformed prefix rather than underflowing delta math.
         rs.prefix_tokens = r.prefix_tokens.min(r.input_tokens.saturating_sub(1));
         rs
-    }
-
-    /// Tokens covered by an outstanding prefix claim (0 when none).
-    pub(crate) fn claimed_tokens(&self) -> u32 {
-        self.prefix_claim.map_or(0, |c| c.tokens)
     }
 
     /// Context length (prompt plus produced tokens).

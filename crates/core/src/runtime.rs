@@ -71,8 +71,9 @@ pub trait Host {
     /// Turns on the KV books' touch logs, which only the auditor reads:
     /// they record nothing until an auditor is installed.
     fn record_touches(&mut self) {}
-    /// Builds the result from the drained run.
-    fn finish(self, q: &EventQueue<Self::Ev>, audit: Option<&AuditReport>) -> Self::Output;
+    /// Builds the result from the drained run, storing the auditor's
+    /// report on it when one was installed.
+    fn finish(self, q: &EventQueue<Self::Ev>, audit: Option<AuditReport>) -> Self::Output;
 }
 
 /// Runaway guard: a run stops once it has dispatched this many events.
@@ -164,35 +165,32 @@ impl<H: Host> Driver<H> {
     }
 
     /// Steps until the queue drains or the run halts, then finishes.
-    pub fn run(mut self) -> (H::Output, Option<AuditReport>) {
+    pub fn run(mut self) -> H::Output {
         while self.step() {}
         self.finish()
     }
 
-    /// Ends the run: the auditor's final sweep, then the host's result.
-    pub fn finish(mut self) -> (H::Output, Option<AuditReport>) {
+    /// Ends the run: the auditor's final sweep, then the host's result,
+    /// which holds the auditor's report.
+    pub fn finish(mut self) -> H::Output {
         let report = self.auditor.take().map(|mut a| {
             a.at_finish(self.q.now(), self.host.view());
             a.take_report()
         });
-        (self.host.finish(&self.q, report.as_ref()), report)
+        self.host.finish(&self.q, report)
     }
 }
 
-/// Stores an optionally audited run's report on its result, panicking
-/// with the report and `repro` (the parameters that reproduce the run) on
-/// any violation.
-pub fn checked(
-    (mut result, report): (RunResult, Option<AuditReport>),
-    repro: impl Display,
-) -> RunResult {
-    if let Some(report) = &report {
+/// Passes an optionally audited run's result through, panicking with its
+/// report and `repro` (the parameters that reproduce the run) on any
+/// violation.
+pub fn checked(result: RunResult, repro: impl Display) -> RunResult {
+    if let Some(report) = &result.audit {
         assert!(
             report.ok(),
             "invariant violation (reproduce with {repro}):\n{report}"
         );
     }
-    result.audit = report;
     result
 }
 
@@ -873,7 +871,7 @@ mod tests {
             self
         }
         fn clear_logs(&mut self) {}
-        fn finish(mut self, q: &EventQueue<f64>, _: Option<&AuditReport>) -> Telemetry {
+        fn finish(mut self, q: &EventQueue<f64>, _: Option<AuditReport>) -> Telemetry {
             self.tel.metrics.set(self.gauge, self.level);
             self.tel.finish(q.now());
             self.tel
@@ -901,7 +899,7 @@ mod tests {
         d.q.schedule_at(SimTime::ZERO, 1.0);
         d.q.schedule_at(b + SimDur::from_nanos(1), 2.0);
         d.q.schedule_at(b + every, 3.0);
-        let (tel, _) = d.run();
+        let tel = d.run();
         let (_, points) = tel.metrics.gauge_series().next().expect("level");
         let dense = expand(points, every, tel.metrics.samples_taken());
         let at: Vec<u64> = dense.iter().map(|p| p.at.as_nanos()).collect();

@@ -458,18 +458,23 @@ impl ServingSession {
     }
 
     /// Finishes the session: drops all token sinks (streaming clients see
-    /// end of stream), closes the auditor, and returns the result plus the
-    /// audit report when an auditor was installed. The result's `audit`
-    /// field holds a copy of the same report. A live session's final
-    /// series points hold the gauges computed at its end.
-    pub fn finish(mut self) -> (RunResult, Option<AuditReport>) {
+    /// end of stream), closes the auditor, and returns the result plus a
+    /// copy of the audit report it holds when an auditor was installed.
+    /// A live session's final series points hold the gauges computed at
+    /// its end.
+    pub fn finish(self) -> (RunResult, Option<AuditReport>) {
+        let result = self.into_result();
+        let report = result.audit.clone();
+        (result, report)
+    }
+
+    /// [`ServingSession::finish`] without the copy of the report.
+    pub(crate) fn into_result(mut self) -> RunResult {
         self.sinks.clear();
         if self.live {
             self.refresh();
         }
-        let (mut result, report) = self.driver.finish();
-        result.audit = report.clone();
-        (result, report)
+        self.driver.finish()
     }
 }
 

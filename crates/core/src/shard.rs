@@ -441,8 +441,8 @@ impl<'p> Coordinator<'p> {
 
     /// Finishes every shard on the thread that stepped it and returns the
     /// results in shard order.
-    fn finish(self) -> Vec<(RunResult, Option<AuditReport>)> {
-        Self::on_chunks(&self.chunks, self.sessions, ServingSession::finish)
+    fn finish(self) -> Vec<RunResult> {
+        Self::on_chunks(&self.chunks, self.sessions, ServingSession::into_result)
     }
 }
 
@@ -454,16 +454,15 @@ impl<'p> Coordinator<'p> {
 /// node partition, so GPU ordering matches the unsharded cluster. Token
 /// times and series move out of the shard results rather than being
 /// copied. The merged result carries disabled observer artifacts
-/// (schedule, telemetry); both are excluded from fingerprints.
+/// (schedule, telemetry); both are excluded from fingerprints. The shards'
+/// audit reports merge into one, each violation tagged with its shard.
 fn merge(
     models: &[ModelSpec],
     trace: &Trace,
-    finished: Vec<(RunResult, Option<AuditReport>)>,
+    mut results: Vec<RunResult>,
     final_slot: &[(usize, u32)],
     windows: u64,
-) -> (RunResult, Option<AuditReport>) {
-    let (mut results, reports): (Vec<RunResult>, Vec<Option<AuditReport>>) =
-        finished.into_iter().unzip();
+) -> RunResult {
 
     let n = trace.len();
     let mut outcomes = Vec::with_capacity(n);
@@ -488,7 +487,22 @@ fn merge(
     for r in &results {
         breakdown.merge(&r.breakdown);
     }
-    let merged = RunResult {
+    let mut audit: Option<AuditReport> = None;
+    for (s, r) in results.iter_mut().enumerate() {
+        let Some(rep) = r.audit.take() else {
+            continue;
+        };
+        let merged = audit.get_or_insert_with(AuditReport::default);
+        merged.events_checked += rep.events_checked;
+        merged.requests_checked += rep.requests_checked;
+        merged.books_checked += rep.books_checked;
+        merged.blocks_checked += rep.blocks_checked;
+        merged.violations.extend(rep.violations.into_iter().map(|v| Violation {
+            at: v.at,
+            what: format!("shard {s}: {}", v.what),
+        }));
+    }
+    RunResult {
         outcomes,
         horizon: trace.horizon,
         end_time: results
@@ -517,29 +531,8 @@ fn merge(
         shard_windows: windows,
         schedule: aegaeon_telemetry::SpanLog::disabled(),
         telemetry: aegaeon_telemetry::Telemetry::disabled(),
-        audit: None,
-    };
-
-    let report = if reports.iter().all(|r| r.is_none()) {
-        None
-    } else {
-        let mut merged_report = AuditReport::default();
-        for (s, rep) in reports.into_iter().enumerate() {
-            let rep = rep.expect("all shards audited alike");
-            merged_report.events_checked += rep.events_checked;
-            merged_report.requests_checked += rep.requests_checked;
-            merged_report.books_checked += rep.books_checked;
-            merged_report.blocks_checked += rep.blocks_checked;
-            merged_report
-                .violations
-                .extend(rep.violations.into_iter().map(|v| Violation {
-                    at: v.at,
-                    what: format!("shard {s}: {}", v.what),
-                }));
-        }
-        Some(merged_report)
-    };
-    (merged, report)
+        audit,
+    }
 }
 
 /// Moves one per-shard series out of every result into a single vector

@@ -395,9 +395,9 @@ pub struct Gateway {
     sim: Option<JoinHandle<SimOutcome>>,
 }
 
-/// What the sim thread hands back at join: the run result, the audit
-/// verdict, and the injected trace for replay.
-type SimOutcome = (RunResult, Option<AuditReport>, Trace);
+/// What the sim thread hands back at join: the run result, which holds the
+/// audit verdict, and the injected trace for replay.
+type SimOutcome = (RunResult, Trace);
 
 impl Gateway {
     /// Binds the `SO_REUSEPORT` listener group, spawns the sim thread and
@@ -528,7 +528,7 @@ impl Gateway {
         for r in self.reactors.drain(..) {
             let _ = r.join();
         }
-        let (result, audit, trace) = self
+        let (result, trace) = self
             .sim
             .take()
             .expect("shutdown runs once")
@@ -536,8 +536,8 @@ impl Gateway {
             .expect("gateway sim thread panicked");
         let stats = &self.shared.reactors;
         GatewayReport {
+            audit: result.audit.clone(),
             result,
-            audit,
             trace,
             rejections: self.shared.rejected.load(Ordering::Relaxed),
             slow_drops: stats
@@ -680,8 +680,8 @@ impl SimThread {
             }
         }
         let trace = self.session.injected_trace();
-        let (result, audit) = self.session.finish();
-        (result, audit, trace)
+        let (result, _) = self.session.finish();
+        (result, trace)
     }
 
     fn handle_ctl(&mut self, msg: Ctl) {

@@ -9,8 +9,8 @@
 //! goodput than ServerlessLLM, supporting up to seven models per decoding
 //! GPU; MuxServe cannot place more than 32 models on 16 GPUs.
 //!
-//! Every (system, load) grid point is an independent simulation, so the
-//! whole grid fans out through [`sweep::map`]; results are identical to the
+//! Every (system, load) grid point is an independent simulation, so each
+//! grid fans out through [`sweep::grid`]; results are identical to the
 //! serial loop for any thread count.
 
 use aegaeon_bench::{
@@ -19,29 +19,18 @@ use aegaeon_bench::{
 };
 use aegaeon_workload::{LengthDist, SloSpec};
 
+/// Every system, labelled.
+fn systems() -> Vec<(String, System)> {
+    System::ALL.map(|s| (s.label().to_string(), s)).to_vec()
+}
+
 fn sweep_models(rps: f64, counts: &[usize]) -> Vec<(String, Vec<(f64, f64)>)> {
     let slo = SloSpec::paper_default();
-    let points: Vec<(System, usize)> = System::ALL
-        .iter()
-        .flat_map(|&sys| counts.iter().map(move |&n| (sys, n)))
-        .collect();
-    let ratios = sweep::map(&points, |&(sys, n)| {
+    sweep::grid(&systems(), counts, |&sys, &n| {
         let models = market_models(n);
         let trace = uniform_trace(n, rps, HORIZON_SECS, SEED + n as u64, LengthDist::sharegpt());
-        run_system(sys, &models, &trace, slo, rps).ratio()
-    });
-    System::ALL
-        .iter()
-        .enumerate()
-        .map(|(si, sys)| {
-            let pts = counts
-                .iter()
-                .enumerate()
-                .map(|(ci, &n)| (n as f64, ratios[si * counts.len() + ci]))
-                .collect();
-            (sys.label().to_string(), pts)
-        })
-        .collect()
+        (n as f64, run_system(sys, &models, &trace, slo, rps).ratio())
+    })
 }
 
 fn main() {
@@ -57,11 +46,7 @@ fn main() {
 
     let slo = SloSpec::paper_default();
     let rates = [0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75];
-    let points_c: Vec<(System, f64)> = System::ALL
-        .iter()
-        .flat_map(|&sys| rates.iter().map(move |&r| (sys, r)))
-        .collect();
-    let ratios_c = sweep::map(&points_c, |&(sys, r)| {
+    let c = sweep::grid(&systems(), &rates, |&sys, &r| {
         let models = market_models(40);
         let trace = uniform_trace(
             40,
@@ -70,20 +55,8 @@ fn main() {
             SEED + (r * 1000.0) as u64,
             LengthDist::sharegpt(),
         );
-        run_system(sys, &models, &trace, slo, r).ratio()
+        (r, run_system(sys, &models, &trace, slo, r).ratio())
     });
-    let c: Vec<(String, Vec<(f64, f64)>)> = System::ALL
-        .iter()
-        .enumerate()
-        .map(|(si, sys)| {
-            let pts = rates
-                .iter()
-                .enumerate()
-                .map(|(ri, &r)| (r, ratios_c[si * rates.len() + ri]))
-                .collect();
-            (sys.label().to_string(), pts)
-        })
-        .collect();
     print_sweep("(c) 40 models, varying per-model RPS", "req/s", &c);
 
     // Headline ratios at the 90% goodput frontier.

@@ -4,9 +4,11 @@
 //! Paper: up to 2.5× higher goodput than ServerlessLLM for longer outputs
 //! (more HOL blocking to exploit); every system dips slightly on longer
 //! inputs.
+//!
+//! Each (system, count) grid fans out through [`sweep::grid`].
 
 use aegaeon_bench::{
-    banner, dump_json, market_models, print_sweep, run_system, uniform_trace, System,
+    banner, dump_json, market_models, print_sweep, run_system, sweep, uniform_trace, System,
     HORIZON_SECS, SEED,
 };
 use aegaeon_workload::{LengthDist, SloSpec};
@@ -17,20 +19,12 @@ fn sweep(
     counts: &[usize],
 ) -> Vec<(String, Vec<(f64, f64)>)> {
     let slo = SloSpec::paper_default();
-    System::ALL
-        .iter()
-        .map(|sys| {
-            let pts = counts
-                .iter()
-                .map(|&n| {
-                    let models = market_models(n);
-                    let trace = uniform_trace(n, rps, HORIZON_SECS, SEED + n as u64, dataset);
-                    (n as f64, run_system(*sys, &models, &trace, slo, rps).ratio())
-                })
-                .collect();
-            (sys.label().to_string(), pts)
-        })
-        .collect()
+    let systems = System::ALL.map(|s| (s.label().to_string(), s));
+    sweep::grid(&systems, counts, |&sys, &n| {
+        let models = market_models(n);
+        let trace = uniform_trace(n, rps, HORIZON_SECS, SEED + n as u64, dataset);
+        (n as f64, run_system(sys, &models, &trace, slo, rps).ratio())
+    })
 }
 
 fn main() {

@@ -5,8 +5,8 @@
 //! slack disappears and static multiplexing (MuxServe) wins, though
 //! Aegaeon still beats request-level auto-scaling.
 //!
-//! All three SLO panels share one [`sweep::map`] fan-out over the full
-//! (factor, system, count) grid.
+//! All three SLO panels share one [`sweep::grid`] fan-out: one series per
+//! (factor, system) pair.
 
 use aegaeon_bench::{
     banner, dump_json, market_models, print_sweep, run_system, sweep, uniform_trace, System,
@@ -20,42 +20,23 @@ fn main() {
     let systems = [System::Aegaeon, System::ServerlessLlm, System::MuxServe];
     let panels = [("(a) 0.5x SLO", 0.5), ("(b) 0.3x SLO", 0.3), ("(c) 0.2x SLO", 0.2)];
 
-    let points: Vec<(f64, System, usize)> = panels
+    let series: Vec<(String, (f64, System))> = panels
         .iter()
-        .flat_map(|&(_, factor)| {
-            systems
-                .iter()
-                .flat_map(move |&sys| counts.into_iter().map(move |n| (factor, sys, n)))
-        })
+        .flat_map(|&(_, factor)| systems.map(|sys| (sys.label().to_string(), (factor, sys))))
         .collect();
-    let ratios = sweep::map(&points, |&(factor, sys, n)| {
+    let all = sweep::grid(&series, &counts, |&(factor, sys), &n| {
         let slo = SloSpec::paper_default().scaled(factor);
         let models = market_models(n);
         let trace = uniform_trace(n, 0.1, HORIZON_SECS, SEED + n as u64, LengthDist::sharegpt());
-        run_system(sys, &models, &trace, slo, 0.1).ratio()
+        (n as f64, run_system(sys, &models, &trace, slo, 0.1).ratio())
     });
 
     let mut json = serde_json::Map::new();
-    for (pi, (label, factor)) in panels.iter().enumerate() {
-        let series: Vec<(String, Vec<(f64, f64)>)> = systems
-            .iter()
-            .enumerate()
-            .map(|(si, sys)| {
-                let pts = counts
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, &n)| {
-                        let idx = (pi * systems.len() + si) * counts.len() + ci;
-                        (n as f64, ratios[idx])
-                    })
-                    .collect();
-                (sys.label().to_string(), pts)
-            })
-            .collect();
+    for ((label, factor), series) in panels.iter().zip(all.chunks(systems.len())) {
         print_sweep(
             &format!("{label} (TTFT {:.1}s, TBT {:.0}ms)", 10.0 * factor, 100.0 * factor),
             "#models",
-            &series,
+            series,
         );
         json.insert(label.to_string(), serde_json::json!(series));
     }

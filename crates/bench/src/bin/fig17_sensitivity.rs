@@ -9,7 +9,7 @@
 //! decoding instance), 4 models, increasing per-model rates, under Strict
 //! (0.5×), Normal and Loose (2×) TTFT.
 //!
-//! Both (SLO scale × load) grids fan out through [`sweep::map`].
+//! Both (SLO scale × load) grids fan out through [`sweep::grid`].
 
 use aegaeon::{AegaeonConfig, ServingSystem};
 use aegaeon_bench::{banner, dump_json, print_sweep, sweep, uniform_trace, HORIZON_SECS, SEED};
@@ -29,11 +29,8 @@ fn main() {
         zoo.get("Qwen-7B").expect("zoo"),
     ];
     let counts = [4usize, 6, 8, 10];
-    let points_l: Vec<(f64, usize)> = SLO_SCALES
-        .iter()
-        .flat_map(|&(_, f)| counts.iter().map(move |&n| (f, n)))
-        .collect();
-    let ratios_l = sweep::map(&points_l, |&(f, n)| {
+    let scales = SLO_SCALES.map(|(name, f)| (format!("{name} TBT"), f));
+    let series = sweep::grid(&scales, &counts, |&f, &n| {
         let slo = SloSpec::paper_default().with_tbt_scaled(f);
         let models = Zoo::replicate(&small, n);
         let trace = uniform_trace(n, 0.1, HORIZON_SECS, SEED + n as u64, LengthDist::sharegpt());
@@ -41,30 +38,15 @@ fn main() {
         cfg.seed = SEED;
         cfg.target_tbt = slo.tbt.as_secs_f64();
         let r = ServingSystem::run(&cfg, &models, &trace);
-        r.attainment(slo).ratio()
+        (n as f64, r.attainment(slo).ratio())
     });
-    let series: Vec<(String, Vec<(f64, f64)>)> = SLO_SCALES
-        .iter()
-        .enumerate()
-        .map(|(si, (name, _))| {
-            let pts = counts
-                .iter()
-                .enumerate()
-                .map(|(ci, &n)| (n as f64, ratios_l[si * counts.len() + ci]))
-                .collect();
-            (format!("{name} TBT"), pts)
-        })
-        .collect();
     print_sweep("(left) 4xA10, RPS = 0.1, 6-7B models", "#models", &series);
 
     // Right: 72B at TP=4 on one 8×H800 node.
     let m72 = zoo.get("Qwen-72B").expect("zoo");
     let rates = [0.4, 0.9, 1.4, 1.9, 2.4];
-    let points_r: Vec<(f64, f64)> = SLO_SCALES
-        .iter()
-        .flat_map(|&(_, f)| rates.iter().map(move |&rate| (f, rate)))
-        .collect();
-    let ratios_r = sweep::map(&points_r, |&(f, rate)| {
+    let scales = SLO_SCALES.map(|(name, f)| (format!("{name} TTFT"), f));
+    let series_r = sweep::grid(&scales, &rates, |&f, &rate| {
         let slo = SloSpec::paper_default().with_ttft_scaled(f);
         let models = Zoo::replicate(&[m72], 4);
         let trace = uniform_trace(
@@ -78,20 +60,8 @@ fn main() {
         cfg.seed = SEED;
         cfg.target_tbt = slo.tbt.as_secs_f64();
         let r = ServingSystem::run(&cfg, &models, &trace);
-        r.attainment(slo).ratio()
+        (rate, r.attainment(slo).ratio())
     });
-    let series_r: Vec<(String, Vec<(f64, f64)>)> = SLO_SCALES
-        .iter()
-        .enumerate()
-        .map(|(si, (name, _))| {
-            let pts = rates
-                .iter()
-                .enumerate()
-                .map(|(ri, &rate)| (rate, ratios_r[si * rates.len() + ri]))
-                .collect();
-            (format!("{name} TTFT"), pts)
-        })
-        .collect();
     print_sweep(
         "(right) 8xH800, TP = 4, four 72B models, varying aggregate rate",
         "agg req/s",

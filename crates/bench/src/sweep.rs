@@ -56,6 +56,25 @@ where
     map_with_threads(points, threads(), f)
 }
 
+/// Evaluates a figure's (series × x) grid through [`map`]: `f(s, x)` is
+/// the `(x, y)` point at `x` of the series whose payload is `s`. Returns
+/// each series' label with its points in `xs` order, series in input
+/// order.
+pub fn grid<S, X, F>(series: &[(String, S)], xs: &[X], f: F) -> Vec<(String, Vec<(f64, f64)>)>
+where
+    S: Sync,
+    X: Sync,
+    F: Fn(&S, &X) -> (f64, f64) + Sync,
+{
+    let points: Vec<(&S, &X)> = series
+        .iter()
+        .flat_map(|(_, s)| xs.iter().map(move |x| (s, x)))
+        .collect();
+    let mut ys = map(&points, |&(s, x)| f(s, x)).into_iter();
+    let line = |(label, _): &(String, S)| (label.clone(), ys.by_ref().take(xs.len()).collect());
+    series.iter().map(line).collect()
+}
+
 /// [`map`] with an explicit thread count: the calling thread plus up to
 /// `nt - 1` scoped helper threads.
 pub fn map_with_threads<P, R, F>(points: &[P], nt: usize, f: F) -> Vec<R>
@@ -186,6 +205,15 @@ mod tests {
         // A panicking sweep leaves nothing behind: the next one runs clean.
         let out = map_with_threads(&points, 4, |&p| p + 1);
         assert_eq!(out, points.iter().map(|&p| p + 1).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn grid_groups_points_by_series_in_input_order() {
+        let series = [("a".to_string(), 10.0), ("b".to_string(), 20.0)];
+        let out = grid(&series, &[1usize, 2, 3], |&s, &x| (x as f64, s + x as f64));
+        let a = vec![(1.0, 11.0), (2.0, 12.0), (3.0, 13.0)];
+        let b = vec![(1.0, 21.0), (2.0, 22.0), (3.0, 23.0)];
+        assert_eq!(out, [("a".to_string(), a), ("b".to_string(), b)]);
     }
 
     #[test]

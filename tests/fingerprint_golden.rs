@@ -1,6 +1,9 @@
 //! Cross-commit fingerprint golden: every serving system's result
 //! fingerprint on a fixed set of small runs, pinned in
-//! `tests/golden/fingerprints.txt`, and the invariant auditor's counts on
+//! `tests/golden/fingerprints.txt` beside each run's event and token
+//! counts (the fingerprint is taken with the event count zeroed, so a
+//! change that only moves how many events a run takes shows on `events=`
+//! alone), and the invariant auditor's counts on
 //! audited chaos runs, pinned in `tests/golden/audit_counts.txt`. The other
 //! differential tests compare two runs of the same build; these compare
 //! against what earlier builds produced, so a refactor that claims to
@@ -73,8 +76,18 @@ fn agentic_trace(seed: u64) -> aegaeon_workload::Trace {
         .lower()
 }
 
-/// Every pinned run as `(name, fingerprint)`, in golden-file order.
-fn fingerprints() -> Vec<(String, u64)> {
+/// One golden line's fields: the fingerprint of `r` with its event count
+/// zeroed, then the event and produced-token counts. A change that only
+/// moves how many events a run takes moves `events=` alone.
+fn line(r: aegaeon::RunResult) -> String {
+    let events = r.events;
+    let tokens: usize = r.outcomes.iter().map(|o| o.token_times.len()).sum();
+    let fp = aegaeon::RunResult { events: 0, ..r }.fingerprint();
+    format!("{fp:016x} events={events} tokens={tokens}")
+}
+
+/// Every pinned run as `(name, line)`, in golden-file order.
+fn fingerprints() -> Vec<(String, String)> {
     let mut out = Vec::new();
     let models = market_models(5);
 
@@ -89,7 +102,7 @@ fn fingerprints() -> Vec<(String, u64)> {
             cfg.faults = plan;
             cfg.drain_window = aegaeon_sim::SimDur::from_secs(400);
             let r = ServingSystem::run(&cfg, &models, &trace);
-            out.push((format!("aegaeon seed={seed} {label}"), r.fingerprint()));
+            out.push((format!("aegaeon seed={seed} {label}"), line(r)));
         }
     }
     let trace = uniform_trace(5, 0.12, 60.0, 7, LengthDist::sharegpt());
@@ -98,13 +111,13 @@ fn fingerprints() -> Vec<(String, u64)> {
     observed.audit = true;
     observed.telemetry = TelemetrySpec::enabled();
     let r = ServingSystem::run(&observed, &models, &trace);
-    out.push(("aegaeon seed=7 healthy audit+telemetry".into(), r.fingerprint()));
+    out.push(("aegaeon seed=7 healthy audit+telemetry".into(), line(r)));
     let mut tp2 = AegaeonConfig::small_testbed(2, 2);
     tp2.tp = 2;
     tp2.prefill_instances = 1;
     tp2.seed = 7;
     let r = ServingSystem::run(&tp2, &models, &trace);
-    out.push(("aegaeon seed=7 tp=2".into(), r.fingerprint()));
+    out.push(("aegaeon seed=7 tp=2".into(), line(r)));
     // Two weight slots (§8 colocation): activations of a colocated model
     // and prefetches that land in the spare slot, evicting by recency.
     let slots_trace = uniform_trace(5, 0.2, 60.0, 7, LengthDist::sharegpt());
@@ -112,7 +125,7 @@ fn fingerprints() -> Vec<(String, u64)> {
     slots.weight_slots = 2;
     slots.seed = 7;
     let r = ServingSystem::run(&slots, &models, &slots_trace);
-    out.push(("aegaeon seed=7 weight_slots=2".into(), r.fingerprint()));
+    out.push(("aegaeon seed=7 weight_slots=2".into(), line(r)));
     // Agentic sessions under chaos: seed 9 is the run `audit_counts` pins;
     // at seeds 16 and 271 a crashed decoder holds outstanding prefix
     // claims, of requests in its work list (16) and of requests still
@@ -122,7 +135,7 @@ fn fingerprints() -> Vec<(String, u64)> {
         cfg.session_affinity = true;
         let r = ServingSystem::run(&cfg, &market_models(6), &agentic_trace(seed));
         let name = format!("aegaeon seed={seed} agentic affinity chaos");
-        out.push((name, r.fingerprint()));
+        out.push((name, line(r)));
     }
 
     // Two shards over the paper testbed's two nodes.
@@ -131,7 +144,7 @@ fn fingerprints() -> Vec<(String, u64)> {
     let mut cfg = AegaeonConfig::paper_testbed();
     cfg.seed = 3;
     let r = run_sharded(&cfg, &sharded_models, &sharded_trace, 2, 2);
-    out.push(("sharded shards=2 seed=3".into(), r.fingerprint()));
+    out.push(("sharded shards=2 seed=3".into(), line(r)));
 
     // Baselines.
     for seed in SEEDS {
@@ -139,23 +152,23 @@ fn fingerprints() -> Vec<(String, u64)> {
         let mut plain = SllmConfig::new(one_node(2));
         plain.world.seed = seed;
         let r = ServerlessLlm::run(&plain, &models, &trace);
-        out.push((format!("serverlessllm seed={seed}"), r.fingerprint()));
+        out.push((format!("serverlessllm seed={seed}"), line(r)));
         let mut plus = SllmConfig::plus(one_node(2));
         plus.world.seed = seed;
         let r = ServerlessLlm::run(&plus, &models, &trace);
-        out.push((format!("serverlessllm+ seed={seed}"), r.fingerprint()));
+        out.push((format!("serverlessllm+ seed={seed}"), line(r)));
     }
     let mut observed = SllmConfig::new(one_node(2));
     observed.world.seed = 7;
     observed.world.audit = true;
     observed.world.telemetry = TelemetrySpec::enabled();
     let r = ServerlessLlm::run(&observed, &models, &trace);
-    out.push(("serverlessllm seed=7 audit+telemetry".into(), r.fingerprint()));
+    out.push(("serverlessllm seed=7 audit+telemetry".into(), line(r)));
     let mut tp2 = SllmConfig::new(one_node(4));
     tp2.world.tp = 2;
     tp2.world.seed = 7;
     let r = ServerlessLlm::run(&tp2, &models, &trace);
-    out.push(("serverlessllm seed=7 tp=2".into(), r.fingerprint()));
+    out.push(("serverlessllm seed=7 tp=2".into(), line(r)));
 
     // MuxServe on 2 GPUs for 8 models: half the models stay unplaced and
     // their requests are rejected at arrival.
@@ -166,7 +179,7 @@ fn fingerprints() -> Vec<(String, u64)> {
         cfg.seed = seed;
         let r = MuxServe::run(&cfg, &mux_models, &[0.1; 8], &trace);
         assert!(r.rejected > 0, "seed {seed}: the trace must exercise rejection");
-        out.push((format!("muxserve seed={seed}"), r.fingerprint()));
+        out.push((format!("muxserve seed={seed}"), line(r)));
     }
     let trace = uniform_trace(8, 0.1, 60.0, 7, LengthDist::sharegpt());
     let mut observed = WorldConfig::sllm_default(one_node(2));
@@ -174,7 +187,7 @@ fn fingerprints() -> Vec<(String, u64)> {
     observed.audit = true;
     observed.telemetry = TelemetrySpec::enabled();
     let r = MuxServe::run(&observed, &mux_models, &[0.1; 8], &trace);
-    out.push(("muxserve seed=7 audit+telemetry".into(), r.fingerprint()));
+    out.push(("muxserve seed=7 audit+telemetry".into(), line(r)));
 
     // Dedicated: one instance per model, then TP=2 replicas.
     let ded_models = market_models(4);
@@ -182,20 +195,20 @@ fn fingerprints() -> Vec<(String, u64)> {
     let mut cfg = WorldConfig::sllm_default(one_node(4));
     cfg.seed = 7;
     let r = Dedicated::run(&cfg, &ded_models, &ded_trace);
-    out.push(("dedicated seed=7".into(), r.fingerprint()));
+    out.push(("dedicated seed=7".into(), line(r)));
     let mut cfg = WorldConfig::sllm_default(one_node(8));
     cfg.tp = 2;
     cfg.seed = 7;
     let r = Dedicated::run(&cfg, &ded_models, &ded_trace);
-    out.push(("dedicated seed=7 tp=2".into(), r.fingerprint()));
+    out.push(("dedicated seed=7 tp=2".into(), line(r)));
 
     out
 }
 
-fn render(rows: &[(String, u64)]) -> String {
+fn render(rows: &[(String, String)]) -> String {
     let mut s = String::new();
-    for (name, fp) in rows {
-        s.push_str(&format!("{name}: {fp:016x}\n"));
+    for (name, line) in rows {
+        s.push_str(&format!("{name}: {line}\n"));
     }
     s
 }

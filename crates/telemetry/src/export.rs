@@ -126,9 +126,8 @@ pub fn chrome_trace(schedule: &SpanLog, spans: &SpanLog, metrics: &MetricsRegist
         push_meta(&mut out, PID_REQUESTS, tid as u32, "thread_name", track);
     }
 
-    // Schedule lanes (Gantt intervals) as X events.
-    for iv in schedule.spans() {
-        let tid = schedule.track_index(&iv.track).unwrap_or(0) as u32;
+    // Schedule lanes (Gantt intervals) as X events, by lane and start.
+    for (tid, iv) in schedule.by_track() {
         out.push_str("{\"name\":");
         push_json_str(&mut out, &iv.label);
         out.push_str(",\"cat\":\"");
@@ -425,15 +424,14 @@ pub fn render_timeline(log: &SpanLog, start: SimTime, end: SimTime, width: usize
     let span = (end - start).as_secs_f64();
     let lanes = log.tracks();
     let mut rows: Vec<Vec<char>> = vec![vec![' '; width]; lanes.len()];
-    for iv in log.spans() {
+    // By lane and start, so overlapping columns paint the same whatever
+    // order the intervals were recorded in.
+    for (lane, iv) in log.by_track() {
         // The column clamps below would paint an interval wholly outside
         // the window on its first or last column.
         if iv.start >= end || (iv.start < start && iv.end <= start) {
             continue;
         }
-        let Some(lane) = log.track_index(&iv.track) else {
-            continue;
-        };
         let s = iv.start.saturating_since(start).as_secs_f64() / span;
         let e = iv.end.saturating_since(start).as_secs_f64() / span;
         let c0 = ((s * width as f64) as usize).min(width.saturating_sub(1));
@@ -528,8 +526,8 @@ mod tests {
             events,
             vec![
                 r#"{"name":"P:m1","cat":"prefill","ph":"X","ts":0.000,"dur":1000000.000,"pid":1,"tid":0},"#,
-                r#"{"name":"D:m1","cat":"decode-round","ph":"X","ts":1000000.000,"dur":250000.000,"pid":1,"tid":1},"#,
-                r#"{"name":"S:m2","cat":"switch","ph":"X","ts":1000000.000,"dur":500000.000,"pid":1,"tid":0}"#,
+                r#"{"name":"S:m2","cat":"switch","ph":"X","ts":1000000.000,"dur":500000.000,"pid":1,"tid":0},"#,
+                r#"{"name":"D:m1","cat":"decode-round","ph":"X","ts":1000000.000,"dur":250000.000,"pid":1,"tid":1}"#,
             ]
         );
     }

@@ -180,6 +180,29 @@ impl SpanLog {
         id
     }
 
+    /// Interns `track` without recording on it, so a track named up front
+    /// keeps its place in [`SpanLog::tracks`] whatever order the tracks
+    /// record in. The closure only runs when the log is enabled.
+    pub fn add_track<T: AsRef<str>>(&mut self, track: impl FnOnce() -> T) {
+        if self.enabled {
+            self.intern(track().as_ref());
+        }
+    }
+
+    /// Every span with its track's position in [`SpanLog::tracks`],
+    /// ordered by track, then start, then end: the order does not depend
+    /// on when each span was recorded, which is what exporters of an
+    /// after-the-fact log (a GPU schedule) need.
+    pub fn by_track(&self) -> Vec<(usize, &Span)> {
+        let mut v: Vec<(usize, &Span)> = self
+            .spans
+            .iter()
+            .map(|s| (self.index[&s.track] as usize, s))
+            .collect();
+        v.sort_by_key(|&(t, s)| (t, s.start, s.end));
+        v
+    }
+
     /// Closes `id` at `at`. No-op on the null handle or when disabled.
     pub fn end(&mut self, id: SpanId, at: SimTime) {
         if !self.enabled || id.is_none() {

@@ -68,8 +68,9 @@ pub enum Tag {
         /// Prefetch-sequence generation.
         seq: u64,
     },
-    /// One decoding step finished.
-    DecodeStep {
+    /// The KV copies a blocked decode step waited behind drained (blocking
+    /// transfers only): the step starts.
+    StepStart {
         /// Decoding instance.
         inst: u32,
         /// Turn generation (guards staleness).
@@ -126,6 +127,15 @@ pub enum Ev {
     /// The proxy's status sync has detected failure `idx` (one heartbeat
     /// period later) and recovers the stranded requests.
     Failover(u32),
+    /// A stepping turn's plan ends: its last planned step completes (see
+    /// the system's `plan`). `seq` guards staleness: a later plan of the
+    /// instance supersedes this wake.
+    Wake {
+        /// Decoding instance.
+        inst: u32,
+        /// Wake sequence number of the instance.
+        seq: u64,
+    },
     /// A windowed fault (link degradation, staging-buffer OOM, proxy stall)
     /// activates (index into the materialized fault schedule).
     FaultStart(u32),

@@ -71,6 +71,14 @@ pub trait Host {
     /// Turns on the KV books' touch logs, which only the auditor reads:
     /// they record nothing until an auditor is installed.
     fn record_touches(&mut self) {}
+    /// Brings work the host times itself rather than with events (Aegaeon's
+    /// decode steps) up to `until`; returns whether anything changed. The
+    /// driver settles before a telemetry sample and at finish, a session
+    /// before it hands tokens to sinks. Hosts whose work is all events keep
+    /// the default.
+    fn settle(&mut self, _until: SimTime) -> bool {
+        false
+    }
     /// Builds the result from the drained run, storing the auditor's
     /// report on it when one was installed.
     fn finish(self, q: &EventQueue<Self::Ev>, audit: Option<AuditReport>) -> Self::Output;
@@ -144,16 +152,19 @@ impl<H: Host> Driver<H> {
             self.halted = true;
             return false;
         }
+        // After `step` returns, the logs hold exactly this event's changes,
+        // and what the sampling below settled.
+        self.host.clear_logs();
         // Sample boundaries derive from the popped timestamp, never from a
         // queue event, so enabling telemetry cannot change event counts.
         // They are drained before the event: the sample stamped `b` holds
         // the state after every event strictly before `b`.
         while let Some(at) = self.host.telemetry().sample_due(t) {
+            let before = SimTime::from_nanos(at.as_nanos().saturating_sub(1));
+            self.host.settle(before);
             self.host.set_gauges();
             self.host.telemetry().metrics.sample(at);
         }
-        // After `step` returns, the logs hold exactly this event's changes.
-        self.host.clear_logs();
         self.host.on_event(ev, &mut self.q);
         while let Some(tag) = self.host.port().pop() {
             self.host.on_tag(tag, &mut self.q);
@@ -170,9 +181,22 @@ impl<H: Host> Driver<H> {
         self.finish()
     }
 
-    /// Ends the run: the auditor's final sweep, then the host's result,
-    /// which holds the auditor's report.
+    /// Settles the host up to `until` between events, audited like an
+    /// event: what it settles is checked as if an event had produced it.
+    pub(crate) fn settle(&mut self, until: SimTime) {
+        self.host.clear_logs();
+        if self.host.settle(until) {
+            if let Some(a) = self.auditor.as_deref_mut() {
+                a.after_event(until.max(self.q.now()), self.host.view());
+            }
+        }
+    }
+
+    /// Ends the run: the host settled up to its last event (or the hard
+    /// stop), the auditor's final sweep, then the host's result, which
+    /// holds the auditor's report.
     pub fn finish(mut self) -> H::Output {
+        self.settle(self.q.now().min(self.hard_stop));
         let report = self.auditor.take().map(|mut a| {
             a.at_finish(self.q.now(), self.host.view());
             a.take_report()

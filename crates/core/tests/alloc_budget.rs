@@ -1,12 +1,14 @@
 //! An allocation budget for the dispatch loop.
 //!
-//! A decode step runs once per token of every batch, so its handler is the
-//! simulator's hottest path; it reuses its request buffer, and the fabric
-//! writes completions into its port's buffer instead of returning fresh
-//! vectors. Each request's token vector is allocated once, at its first
-//! token, with room for every token it will produce, so it never grows.
-//! This test guards that: it counts the heap allocations one fixed closed
-//! session makes while it dispatches, and bounds them per event.
+//! A decode step runs once per token of every batch, so applying one is
+//! the simulator's hottest path; it reuses its turn's member buffer, and
+//! the fabric writes completions into its port's buffer instead of
+//! returning fresh vectors. Each request's token vector is allocated once,
+//! at its first token, with room for every token it will produce, so it
+//! never grows. This test guards that: it counts the heap allocations one
+//! fixed closed session makes while it dispatches, and bounds them per
+//! produced token. Per event would not do: a turn's steps are not events,
+//! so the same allocations spread over fewer of them.
 //!
 //! The counting allocator counts only the allocations of the thread that
 //! runs the test, so the harness's other threads do not perturb it. The
@@ -21,10 +23,11 @@ use aegaeon_model::{ModelSpec, Zoo};
 use aegaeon_sim::{SimRng, SimTime};
 use aegaeon_workload::{LengthDist, TraceBuilder};
 
-/// Heap allocations (fresh blocks and reallocations) per dispatched event
-/// the session may make. It makes 0.39; the rest is headroom for a
-/// toolchain whose collections grow differently.
-const ALLOCS_PER_EVENT: f64 = 0.45;
+/// Heap allocations (fresh blocks and reallocations) per produced token
+/// the session may make. It makes 0.253; the rest is headroom for a
+/// toolchain whose collections grow differently, the same share of the
+/// count as when this bounded 0.387 allocations per event by 0.45.
+const ALLOCS_PER_TOKEN: f64 = 0.29;
 
 struct Counting;
 
@@ -84,11 +87,12 @@ fn dispatch_stays_within_its_allocation_budget() {
 
     let (result, _) = session.finish();
     assert_eq!(result.completed, trace.len(), "the session drains");
-    let per_event = made as f64 / events as f64;
-    println!("{made} allocations over {events} events: {per_event:.3} per event");
+    let tokens: usize = result.outcomes.iter().map(|o| o.token_times.len()).sum();
+    let per_token = made as f64 / tokens as f64;
+    println!("{made} allocations over {tokens} tokens ({events} events): {per_token:.3} per token");
     assert!(
-        per_event <= ALLOCS_PER_EVENT,
-        "{made} allocations over {events} dispatched events is {per_event:.3} per event, \
-         over the budget of {ALLOCS_PER_EVENT}"
+        per_token <= ALLOCS_PER_TOKEN,
+        "{made} allocations over {tokens} produced tokens is {per_token:.3} per token, \
+         over the budget of {ALLOCS_PER_TOKEN}"
     );
 }

@@ -335,6 +335,11 @@ impl KvCache {
         self.requests.keys().copied()
     }
 
+    /// Blocks `req` holds (0 when it holds none).
+    pub fn blocks_of(&self, req: RequestId) -> usize {
+        self.requests.get(&req).map_or(0, |r| r.blocks.len())
+    }
+
     /// Tokens' worth of KV still allocatable for `model` right now.
     pub fn token_capacity(&self, model: ModelId) -> u64 {
         let shape = *self.models.get(&model).expect("model registered");

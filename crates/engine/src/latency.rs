@@ -102,7 +102,18 @@ impl PerfModel {
 
     /// Samples an actual decode-step duration (noise applied).
     pub fn decode_secs(&self, batch: usize, ctx_total: u64, rng: &mut SimRng) -> SimDur {
-        SimDur::from_secs_f64(self.decode_mean_secs(batch, ctx_total) * rng.noise(self.noise_sigma))
+        self.decode_step(batch, ctx_total, self.step_noise(rng))
+    }
+
+    /// Draws one step's noise factor, the multiplier
+    /// [`PerfModel::decode_step`] applies to the mean.
+    pub fn step_noise(&self, rng: &mut SimRng) -> f64 {
+        rng.noise(self.noise_sigma)
+    }
+
+    /// A decode step's duration under a noise factor drawn ahead of it.
+    pub fn decode_step(&self, batch: usize, ctx_total: u64, noise: f64) -> SimDur {
+        SimDur::from_secs_f64(self.decode_mean_secs(batch, ctx_total) * noise)
     }
 
     /// Steady-state decode token rate at a given batch size and mean

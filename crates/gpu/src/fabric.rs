@@ -384,6 +384,13 @@ impl<T: Clone> Fabric<T> {
         s.queue.is_empty() && matches!(s.state, Running::Idle)
     }
 
+    /// Adds `dur` to the stream's compute-busy time without running an op:
+    /// work the host times itself charges the stream when it starts, as a
+    /// compute op does when it is pumped.
+    pub fn charge_compute(&mut self, stream: StreamId, dur: SimDur) {
+        self.streams[stream.0 as usize].compute_busy += dur;
+    }
+
     /// Accumulated compute-busy time of the stream.
     pub fn stream_compute_busy(&self, stream: StreamId) -> SimDur {
         self.streams[stream.0 as usize].compute_busy

@@ -201,6 +201,33 @@ fn fingerprints() -> Vec<(String, String)> {
     cfg.seed = 7;
     let r = Dedicated::run(&cfg, &ded_models, &ded_trace);
     out.push(("dedicated seed=7 tp=2".into(), line(r)));
+    // Two replicas per model on A10s, loaded past what they admit: each
+    // model's queue forms, and a replica's admission from it changes the
+    // head its sibling checks next.
+    let a10 = ClusterSpec::homogeneous(
+        1,
+        NodeSpec {
+            gpus: 4,
+            gpu: GpuSpec::a10(),
+            nic_bw: 25e9,
+        },
+    );
+    let queued = uniform_trace(2, 4.0, 60.0, 7, LengthDist::sharegpt_ix2());
+    let mut cfg = WorldConfig::sllm_default(a10);
+    cfg.seed = 7;
+    let r = Dedicated::run(&cfg, &market_models(2), &queued);
+    out.push(("dedicated seed=7 a10 shared queue".into(), line(r)));
+
+    // ServerlessLLM cut at the hard stop: a short drain window halts the
+    // run with steps in flight.
+    let mut halted = SllmConfig::new(one_node(2));
+    halted.world.seed = 7;
+    halted.world.drain_window = aegaeon_sim::SimDur::from_secs(2);
+    let trace = uniform_trace(5, 0.12, 60.0, 7, LengthDist::sharegpt());
+    let r = ServerlessLlm::run(&halted, &models, &trace);
+    let hard_stop = trace.horizon + halted.world.drain_window;
+    assert!(r.end_time > hard_stop, "the run must halt at the hard stop");
+    out.push(("serverlessllm seed=7 halted".into(), line(r)));
 
     out
 }

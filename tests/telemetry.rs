@@ -338,7 +338,8 @@ fn finish_scores_only_requests_left_unresolved() {
     reqs[1].migrated = true;
     reqs.migrated = 1;
     let (mut tel, ids) = CoreIds::telemetry(&TelemetrySpec::enabled(), 2);
-    ids.finish(&mut tel, &reqs, &trace, &EventQueue::<()>::new(), None);
+    let q = EventQueue::<()>::new();
+    ids.finish(&mut tel, &reqs, &trace, &q, SimTime::ZERO, None);
     let cum = tel.slo.cumulative();
     assert_eq!(cum[0], SloCum::default(), "retired and migrated requests are not rescored");
     // Tokens due at 10.0, 10.1 and 10.2 s were owed by the horizon.

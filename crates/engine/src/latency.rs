@@ -101,7 +101,7 @@ impl PerfModel {
     }
 
     /// Samples an actual decode-step duration (noise applied).
-    pub fn decode_secs(&self, batch: usize, ctx_total: u64, rng: &mut SimRng) -> SimDur {
+    pub(crate) fn decode_secs(&self, batch: usize, ctx_total: u64, rng: &mut SimRng) -> SimDur {
         self.decode_step(batch, ctx_total, self.step_noise(rng))
     }
 

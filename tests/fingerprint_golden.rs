@@ -126,6 +126,25 @@ fn fingerprints() -> Vec<(String, String)> {
     slots.seed = 7;
     let r = ServingSystem::run(&slots, &models, &slots_trace);
     out.push(("aegaeon seed=7 weight_slots=2".into(), line(r)));
+    // Blocking KV transfers (no fine-grained sync), with requests joining
+    // running turns: a step issued behind a queued copy waits for it to
+    // drain, and a copy submitted while a step runs queues behind it on
+    // the hold stream.
+    let joining = uniform_trace(2, 0.5, 60.0, 7, LengthDist::sharegpt());
+    let mut blocking = AegaeonConfig::small_testbed(2, 3);
+    blocking.opts.fine_sync = false;
+    blocking.seed = 7;
+    let r = ServingSystem::run(&blocking, &models, &joining);
+    out.push(("aegaeon seed=7 blocking kv".into(), line(r)));
+    // Cut at the hard stop: a short drain window halts the run with steps
+    // in flight.
+    let mut halted = AegaeonConfig::small_testbed(2, 3);
+    halted.seed = 7;
+    halted.drain_window = aegaeon_sim::SimDur::from_secs(1);
+    let r = ServingSystem::run(&halted, &models, &trace);
+    let hard_stop = trace.horizon + halted.drain_window;
+    assert!(r.end_time > hard_stop, "the run must halt at the hard stop");
+    out.push(("aegaeon seed=7 halted".into(), line(r)));
     // Agentic sessions under chaos: seed 9 is the run `audit_counts` pins;
     // at seeds 16 and 271 a crashed decoder holds outstanding prefix
     // claims, of requests in its work list (16) and of requests still

@@ -193,7 +193,7 @@ impl SpanLog {
     /// ordered by track, then start, then end: the order does not depend
     /// on when each span was recorded, which is what exporters of an
     /// after-the-fact log (a GPU schedule) need.
-    pub fn by_track(&self) -> Vec<(usize, &Span)> {
+    pub(crate) fn by_track(&self) -> Vec<(usize, &Span)> {
         let mut v: Vec<(usize, &Span)> = self
             .spans
             .iter()

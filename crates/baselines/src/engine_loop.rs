@@ -4,22 +4,24 @@
 //! vLLM-style loop on its compute lane — pending prefills first, then
 //! decoding steps for the whole batch — with continuous batching within the
 //! resident model. Prefills and model loads are fabric ops; decode steps
-//! are not. A run of steps is laid out ahead, applied before anything
-//! reads or changes its instance, and ends with one wake at the step in
-//! which a member finishes (DESIGN §3.1), so a run costs one event rather
-//! than one per step. System-specific behaviour (admission, what to do when an
-//! instance drains, compute contention) plugs in through the `Scheduler`
-//! trait. The event driver, fabric port, scale-stage builder, request table
-//! and request telemetry are Aegaeon's own ([`aegaeon::runtime`]), and a
-//! run reports Aegaeon's [`RunResult`], so both sides of every comparison
-//! are timed, accounted and observed by the same code.
+//! are not. An instance's run of steps is the [`DecodeRun`] record
+//! Aegaeon's decoding instances keep too (DESIGN §3.1): laid out ahead,
+//! handed over step by step before anything reads or changes the instance,
+//! and ended by one wake at the step in which a member finishes, so a run
+//! costs one event rather than one per step. System-specific behaviour
+//! (admission, what to do when an instance drains, compute contention)
+//! plugs in through the `Scheduler` trait. The event driver, fabric port,
+//! scale-stage builder, request table and request telemetry are Aegaeon's
+//! own ([`aegaeon::runtime`]), and a run reports Aegaeon's [`RunResult`],
+//! so both sides of every comparison are timed, accounted and observed by
+//! the same code.
 
 use std::collections::VecDeque;
 
 use aegaeon::audit::{AuditReport, AuditView};
 use aegaeon::deploy::{build_deploys, ModelDeploy};
 use aegaeon::runtime::{
-    checked, CoreIds, Driver, FabricPort, Host, Requests, SpanBook, StepNoise, SAMPLE_PERIOD,
+    checked, CoreIds, DecodeRun, Driver, FabricPort, Host, Requests, SpanBook, SAMPLE_PERIOD,
 };
 use aegaeon::RunResult;
 use aegaeon_engine::init::VRAM_USABLE;
@@ -93,18 +95,9 @@ pub struct InstState {
     pub(crate) busy: bool,
     /// Step/prefill duration multiplier (MuxServe compute sharing).
     pub(crate) contention: f64,
-    /// The instance's own decode-step noise stream (prefills draw from
-    /// [`World::rng`]).
-    noise: StepNoise,
-    /// The decode step in flight, if any.
-    step: Option<Step>,
-    /// Durations of the steps planned after it, in order; the run's wake
-    /// fires at the end of the last.
-    planned: VecDeque<SimDur>,
-    /// Sequence number of the live wake; older wakes are stale.
-    wake: u64,
-    /// End of the last step that started (a halted run's end may be it).
-    step_end: SimTime,
+    /// The instance's decode run, on its own noise stream (prefills draw
+    /// from [`World::rng`]).
+    run: DecodeRun,
     /// Reserved KV tokens (oracle-final contexts of admitted requests).
     pub kv_reserved_tokens: u64,
     /// KV token capacity for the resident model (set at scale time).
@@ -118,8 +111,8 @@ pub struct InstState {
 
 impl InstState {
     /// Creates an idle instance over the given GPUs and compute lanes,
-    /// drawing its step noise from `noise`.
-    pub(crate) fn new(gpus: Vec<GpuId>, lanes: Vec<StreamId>, noise: StepNoise) -> InstState {
+    /// decoding in `run`.
+    pub(crate) fn new(gpus: Vec<GpuId>, lanes: Vec<StreamId>, run: DecodeRun) -> InstState {
         InstState {
             gpus,
             lanes,
@@ -129,11 +122,7 @@ impl InstState {
             batch: Vec::new(),
             busy: false,
             contention: 1.0,
-            noise,
-            step: None,
-            planned: VecDeque::new(),
-            wake: 0,
-            step_end: SimTime::ZERO,
+            run,
             kv_reserved_tokens: 0,
             kv_cap_tokens: 0,
             switches: 0,
@@ -150,29 +139,13 @@ impl InstState {
     /// compute-busy time, as a compute op is charged when it starts, and
     /// records its batch size.
     fn charge_step(&mut self, port: &mut FabricPort<BTag>, tel: &mut Telemetry, ids: &CoreIds) {
-        let st = self.step.as_ref().expect("step in flight");
-        self.step_end = st.start + st.dur;
+        let (_, dur, _) = self.run.step().expect("step in flight");
         for &lane in &self.lanes {
-            port.fabric.charge_compute(lane, st.dur);
+            port.fabric.charge_compute(lane, dur);
         }
         let n = self.batch.len() as f64;
         tel.metrics.observe_sketch(ids.s_batch_size, n);
     }
-}
-
-/// The decode step in flight on an instance (DESIGN §3.1). Steps are no
-/// fabric ops and no events: [`World::plan`] lays out the ones after it,
-/// [`World::advance`] applies those that ended before anything reads or
-/// changes the instance, and one wake at the end of the plan's last step
-/// applies that one.
-#[derive(Debug)]
-struct Step {
-    /// When it started.
-    start: SimTime,
-    /// Its duration, contention applied.
-    dur: SimDur,
-    /// The batch's summed context as it was issued.
-    ctx: u64,
 }
 
 /// System-specific policy hooks.
@@ -290,8 +263,8 @@ impl World {
             .enumerate()
             .map(|(k, group)| {
                 let lanes = group.iter().map(|&g| topo.gpu(g).default_stream);
-                let noise = StepNoise::new(cfg.seed, k as u64);
-                InstState::new(group.to_vec(), lanes.collect(), noise)
+                let run = DecodeRun::new(cfg.seed, k as u64);
+                InstState::new(group.to_vec(), lanes.collect(), run)
             })
             .collect();
         let reqs = Requests::new(&trace);
@@ -388,7 +361,7 @@ impl World {
             cost: ScaleCost::Fixed(RESTART_COST),
         });
         let i = &mut self.insts[inst];
-        debug_assert!(i.step.is_none(), "scaling under a decode run");
+        debug_assert!(i.run.step().is_none(), "scaling under a decode run");
         i.scale_target = Some(model);
         i.switches += 1;
         i.busy = true;
@@ -444,14 +417,10 @@ impl World {
             self.port.compute_all(lanes, base * i.contention, tag, q);
         } else if !i.batch.is_empty() {
             let ctx = self.reqs.ctx_tokens(&i.batch);
-            let noise = i.noise.factor(0, perf);
+            let noise = i.run.factor(0, perf);
             let dur = perf.decode_step(i.batch.len(), ctx, noise) * i.contention;
             i.busy = true;
-            i.step = Some(Step {
-                start: now,
-                dur,
-                ctx,
-            });
+            i.run.start(now, dur, ctx);
             i.charge_step(&mut self.port, &mut self.tel, &self.ids);
             self.plan(inst, q);
         }
@@ -468,9 +437,9 @@ impl World {
     /// gets no wake.
     fn plan(&mut self, inst: usize, q: &mut Qq) {
         let i = &mut self.insts[inst];
-        let st = i.step.as_ref().expect("step in flight");
-        let (mut end, mut ctx) = (st.start + st.dur, st.ctx);
-        i.planned.clear();
+        let (start, dur, mut ctx) = i.run.step().expect("step in flight");
+        let mut end = start + dur;
+        i.run.cut();
         if i.prefill_q.is_empty() {
             let perf = &self.deploys[i.current.expect("resident model").0 as usize].perf;
             let left = |r: &RequestId| {
@@ -484,23 +453,14 @@ impl World {
                     break;
                 }
                 ctx += n as u64;
-                let noise = i.noise.factor(k, perf);
+                let noise = i.run.factor(k, perf);
                 let dur = perf.decode_step(n, ctx, noise) * i.contention;
-                i.planned.push_back(dur);
+                i.run.plan(dur);
                 end += dur;
             }
         }
-        self.schedule_wake(inst, end, q);
-    }
-
-    /// Schedules instance `inst`'s wake at `end`; any wake scheduled
-    /// before goes stale. A step ending past the hard stop never completes,
-    /// so it gets no wake.
-    fn schedule_wake(&mut self, inst: usize, end: SimTime, q: &mut Qq) {
-        let i = &mut self.insts[inst];
-        i.wake += 1;
-        if end <= self.hard_stop {
-            let (inst, seq) = (inst as u32, i.wake);
+        if let Some(seq) = i.run.wake(end, self.hard_stop) {
+            let inst = inst as u32;
             q.schedule_at(end, BEv::Wake { inst, seq });
         }
     }
@@ -514,21 +474,11 @@ impl World {
         let now = now.min(self.hard_stop);
         let i = &mut self.insts[inst];
         let mut applied = 0;
-        while let Some(st) = i.step.as_mut() {
-            let end = st.start + st.dur;
-            if end > now || i.planned.is_empty() {
-                break;
-            }
+        while let Some((start, dur)) = i.run.hand_over(now, i.batch.len() as u64) {
             for &r in &i.batch {
-                self.reqs.push_token(r, end);
+                self.reqs.push_token(r, start + dur);
                 debug_assert!(!self.reqs[r.0 as usize].is_done(), "retired mid-plan");
             }
-            i.noise.pop();
-            *st = Step {
-                start: end,
-                dur: i.planned.pop_front().expect("a planned step"),
-                ctx: st.ctx + i.batch.len() as u64,
-            };
             i.charge_step(&mut self.port, &mut self.tel, &self.ids);
             applied += 1;
         }
@@ -547,12 +497,13 @@ impl World {
     pub(crate) fn end_plan_here(&mut self, inst: usize, q: &mut Qq) {
         self.advance(inst, q.now());
         let i = &mut self.insts[inst];
-        let Some(st) = i.step.as_ref().filter(|_| !i.planned.is_empty()) else {
+        let Some(end) = i.run.cut() else {
             return;
         };
-        let end = st.start + st.dur;
-        i.planned.clear();
-        self.schedule_wake(inst, end, q);
+        if let Some(seq) = i.run.wake(end, self.hard_stop) {
+            let inst = inst as u32;
+            q.schedule_at(end, BEv::Wake { inst, seq });
+        }
     }
 
     /// Sets instance `inst`'s compute-sharing factor. Each step takes the
@@ -568,7 +519,7 @@ impl World {
         self.advance(inst, q.now());
         let i = &mut self.insts[inst];
         i.contention = factor;
-        if !i.planned.is_empty() {
+        if i.run.planned() > 0 {
             self.plan(inst, q);
         }
     }
@@ -578,9 +529,7 @@ impl World {
     /// Returns whether the instance emptied.
     fn end_run(&mut self, inst: usize, now: SimTime) -> bool {
         let i = &mut self.insts[inst];
-        let st = i.step.take().expect("step in flight");
-        debug_assert!(i.planned.is_empty() && st.start + st.dur == now);
-        i.noise.pop();
+        i.run.take_last(now);
         i.busy = false;
         let mut batch = std::mem::take(&mut i.batch);
         for &r in &batch {
@@ -664,7 +613,7 @@ impl<S: Scheduler> Host for Serve<'_, S> {
         let w = &mut self.w;
         let now = q.now();
         if let BEv::Wake { inst, seq } = ev {
-            if w.insts[inst as usize].wake != seq {
+            if w.insts[inst as usize].run.is_stale(seq) {
                 return; // superseded by a later plan
             }
         }
@@ -770,15 +719,8 @@ impl<S: Scheduler> Host for Serve<'_, S> {
         let (completed, rejected) = (w.reqs.completed, w.reqs.rejected);
         w.tel.metrics.set_counter(w.c_rejected, rejected as u64);
         // A stale wake may pop after the last real event; it ends nothing.
-        let mut end_time = w.last_event;
-        if q.now() > w.hard_stop {
-            // Halted: the run ends at the first completion past the hard
-            // stop, a step's among them.
-            let ends = w.insts.iter().map(|i| i.step_end);
-            end_time = ends
-                .filter(|&e| e > w.hard_stop)
-                .fold(q.now(), SimTime::min);
-        }
+        let runs = w.insts.iter().map(|i| &i.run);
+        let end_time = DecodeRun::end_time(runs, w.hard_stop, q.now(), w.last_event);
         let (trace, reqs) = (&w.trace, &w.reqs);
         w.ids
             .finish(&mut w.tel, reqs, trace, q, end_time, audit.as_ref());

@@ -10,7 +10,7 @@
 //! 16 GPUs.
 
 
-use aegaeon::runtime::StepNoise;
+use aegaeon::runtime::DecodeRun;
 use aegaeon::RunResult;
 use aegaeon_model::{ModelId, ModelSpec};
 use aegaeon_sim::{FxHashMap, Timeline};
@@ -118,8 +118,8 @@ impl MuxServe {
                     world.port.fabric.add_stream(format!("gpu{g}.mux{k}"))
                 };
                 let slot = insts.len();
-                let noise = StepNoise::new(world.cfg.seed, slot as u64);
-                insts.push(InstState::new(vec![gid], vec![lane], noise));
+                let run = DecodeRun::new(world.cfg.seed, slot as u64);
+                insts.push(InstState::new(vec![gid], vec![lane], run));
                 slot_of_model.insert(m, slot);
                 gpu_of_slot.push(g);
                 slots_of_gpu[g].push(slot);

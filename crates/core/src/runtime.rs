@@ -404,25 +404,46 @@ impl<T: Clone> FabricPort<T> {
     }
 }
 
-// ----- Decode-step noise -------------------------------------------------------
+// ----- Lazy decode run ----------------------------------------------------------
 
-/// One instance's decode-step noise (DESIGN §3.1): its own stream, so its
-/// steps draw in step order whatever the other instances do, and the
-/// factors drawn ahead of the steps that use them, the next step's first.
-/// Every model's steps share one noise law, so a factor drawn while
-/// planning one run of steps serves whichever step comes next.
+/// One instance's lazy decode run (DESIGN §3.1), the record both serving
+/// loops embed: decode steps are no fabric ops and no events. The loop
+/// starts a step, lays out the steps after it with [`DecodeRun::plan`] and
+/// schedules one wake at the end of the last; before anything reads or
+/// changes the instance, [`DecodeRun::hand_over`] moves past each step that
+/// ended, and the wake takes the plan's last with [`DecodeRun::take_last`].
+///
+/// Its noise stream is the instance's own, so its steps draw in step order
+/// whatever the other instances do, and the factors are drawn ahead of the
+/// steps that use them, the next step's first. Every model's steps share
+/// one noise law, so a factor drawn while planning one run serves
+/// whichever step comes next.
 #[derive(Debug)]
-pub struct StepNoise {
+pub struct DecodeRun {
     rng: SimRng,
     ahead: VecDeque<f64>,
+    /// The step in flight: its start, duration and the batch's summed
+    /// context as it was issued.
+    step: Option<(SimTime, SimDur, u64)>,
+    /// Durations of the steps planned after it, in order; the run's wake
+    /// fires at the end of the last.
+    planned: VecDeque<SimDur>,
+    /// Sequence number of the live wake; older wakes are stale.
+    wake: u64,
+    /// End of the last step that started (a halted run's end may be it).
+    step_end: SimTime,
 }
 
-impl StepNoise {
-    /// The stream of instance `inst` in a run seeded `seed`.
-    pub fn new(seed: u64, inst: u64) -> StepNoise {
-        StepNoise {
+impl DecodeRun {
+    /// The idle run of instance `inst` in a run seeded `seed`.
+    pub fn new(seed: u64, inst: u64) -> DecodeRun {
+        DecodeRun {
             rng: SimRng::seed_from_u64(derive_seed(seed, inst)),
             ahead: VecDeque::new(),
+            step: None,
+            planned: VecDeque::new(),
+            wake: 0,
+            step_end: SimTime::ZERO,
         }
     }
 
@@ -435,9 +456,111 @@ impl StepNoise {
         self.ahead[k]
     }
 
-    /// Drops the next step's factor: that step has run.
-    pub fn pop(&mut self) {
+    /// Starts a step of `dur` over `ctx` tokens of context at `now`, with
+    /// no plan after it yet. Its factor is [`DecodeRun::factor`]`(0)`.
+    pub fn start(&mut self, now: SimTime, dur: SimDur, ctx: u64) {
+        debug_assert!(self.step.is_none(), "a step already in flight");
+        self.step = Some((now, dur, ctx));
+        self.started(now + dur);
+    }
+
+    /// Notes that a step ending at `end` started on some of the
+    /// instance's GPUs.
+    pub(crate) fn started(&mut self, end: SimTime) {
+        self.step_end = end;
+    }
+
+    /// The step in flight: its start, duration and context.
+    pub fn step(&self) -> Option<(SimTime, SimDur, u64)> {
+        self.step
+    }
+
+    /// When the step in flight ends.
+    pub(crate) fn end(&self) -> Option<SimTime> {
+        self.step.map(|(start, dur, _)| start + dur)
+    }
+
+    /// How many steps are planned after the one in flight.
+    pub fn planned(&self) -> usize {
+        self.planned.len()
+    }
+
+    /// Plans one more step, of `dur`, after the plan's last.
+    pub fn plan(&mut self, dur: SimDur) {
+        debug_assert!(self.step.is_some(), "a plan without a step in flight");
+        self.planned.push_back(dur);
+    }
+
+    /// Cuts the plan at the step in flight. Returns that step's end if
+    /// steps were planned after it, for the wake that ends the run there.
+    pub fn cut(&mut self) -> Option<SimTime> {
+        if self.planned.is_empty() {
+            return None;
+        }
+        self.planned.clear();
+        self.end()
+    }
+
+    /// Schedules-or-skips the run's wake at `end`: any wake before goes
+    /// stale, and a step ending past `hard_stop` never completes, so it
+    /// gets none. Returns the new wake's sequence number, for the loop to
+    /// schedule its own wake event with.
+    pub fn wake(&mut self, end: SimTime, hard_stop: SimTime) -> Option<u64> {
+        self.wake += 1;
+        (end <= hard_stop).then_some(self.wake)
+    }
+
+    /// True if the wake numbered `seq` was superseded by a later one.
+    pub fn is_stale(&self, seq: u64) -> bool {
+        self.wake != seq
+    }
+
+    /// If the step in flight ended by `now` and is not the plan's last
+    /// (which its wake takes), hands over to the next planned step: it
+    /// starts as the ended one ends, over `grow` more tokens of context.
+    /// Returns the ended step's start and duration; the loop applies it
+    /// and charges the next.
+    pub fn hand_over(&mut self, now: SimTime, grow: u64) -> Option<(SimTime, SimDur)> {
+        let (start, dur, ctx) = self.step?;
+        let end = start + dur;
+        if end > now {
+            return None;
+        }
+        let next = self.planned.pop_front()?;
         self.ahead.pop_front();
+        self.step = Some((end, next, ctx + grow));
+        self.started(end + next);
+        Some((start, dur))
+    }
+
+    /// Takes the plan's last step, which its wake says ended at `now`, and
+    /// leaves the run idle. Returns the step's start and duration.
+    pub fn take_last(&mut self, now: SimTime) -> (SimTime, SimDur) {
+        let (start, dur, _) = self.step.take().expect("step in flight");
+        debug_assert!(
+            self.planned.is_empty(),
+            "the wake fired before the plan's last step"
+        );
+        debug_assert_eq!(start + dur, now, "the plan's last step ends at its wake");
+        self.ahead.pop_front();
+        (start, dur)
+    }
+
+    /// When a serving run ends whose queue stopped at `now` and whose last
+    /// real event was at `last`: `last`, unless it halted past
+    /// `hard_stop`. A halted run ends at the first completion past the
+    /// hard stop, the end of a step started on any of `runs` among them.
+    pub fn end_time<'a>(
+        runs: impl IntoIterator<Item = &'a DecodeRun>,
+        hard_stop: SimTime,
+        now: SimTime,
+        last: SimTime,
+    ) -> SimTime {
+        if now <= hard_stop {
+            return last;
+        }
+        let ends = runs.into_iter().map(|r| r.step_end);
+        ends.filter(|&e| e > hard_stop).fold(now, SimTime::min)
     }
 }
 
@@ -896,6 +1019,93 @@ mod tests {
     use super::*;
     use aegaeon_gpu::NodeSpec;
     use aegaeon_telemetry::expand;
+
+    fn ms(n: u64) -> SimDur {
+        SimDur::from_millis(n)
+    }
+
+    fn at(n: u64) -> SimTime {
+        SimTime::ZERO + ms(n)
+    }
+
+    /// A run whose step in flight runs 0-10 ms over 100 tokens of
+    /// context, with steps of 20 and 30 ms planned after it.
+    fn run_of_three() -> DecodeRun {
+        let mut run = DecodeRun::new(1, 0);
+        run.start(SimTime::ZERO, ms(10), 100);
+        run.plan(ms(20));
+        run.plan(ms(30));
+        run
+    }
+
+    #[test]
+    fn a_handover_applies_only_ended_steps_and_never_the_plans_last() {
+        let mut run = run_of_three();
+        assert_eq!(
+            run.hand_over(at(9), 4),
+            None,
+            "the step in flight runs to 10 ms"
+        );
+        assert_eq!(run.hand_over(at(10), 4), Some((at(0), ms(10))));
+        assert_eq!(run.step(), Some((at(10), ms(20), 104)));
+        assert_eq!(run.hand_over(at(100), 4), Some((at(10), ms(20))));
+        assert_eq!(
+            run.hand_over(at(100), 4),
+            None,
+            "the plan's last is its wake's"
+        );
+        assert_eq!(
+            (run.step(), run.planned()),
+            (Some((at(30), ms(30), 108)), 0)
+        );
+        assert_eq!(run.take_last(at(60)), (at(30), ms(30)));
+        assert_eq!(run.step(), None);
+    }
+
+    #[test]
+    fn a_cut_stales_the_old_wake_and_ends_with_the_step_in_flight() {
+        let (mut run, hard_stop) = (run_of_three(), at(1000));
+        let old = run
+            .wake(at(60), hard_stop)
+            .expect("a wake before the hard stop");
+        assert!(!run.is_stale(old));
+        let end = run
+            .cut()
+            .expect("steps were planned after the one in flight");
+        assert_eq!((end, run.planned()), (at(10), 0));
+        let new = run
+            .wake(end, hard_stop)
+            .expect("a wake before the hard stop");
+        assert!(run.is_stale(old) && !run.is_stale(new));
+        assert_eq!(run.cut(), None, "nothing is left to cut");
+    }
+
+    #[test]
+    fn no_wake_is_scheduled_past_the_hard_stop() {
+        let mut run = run_of_three();
+        let old = run.wake(at(60), at(60)).expect("a wake at the hard stop");
+        assert_eq!(run.wake(at(61), at(60)), None);
+        assert!(
+            run.is_stale(old),
+            "a skipped wake still supersedes the old one"
+        );
+    }
+
+    #[test]
+    fn a_halted_run_ends_at_the_first_step_end_past_the_hard_stop() {
+        let hard_stop = at(50);
+        let mut runs: Vec<DecodeRun> = (0..3).map(|i| DecodeRun::new(1, i)).collect();
+        runs[0].start(at(40), ms(5), 1);
+        runs[1].start(at(45), ms(20), 1);
+        // The step ending at 58 ms started at a handover.
+        runs[2].start(at(30), ms(10), 1);
+        runs[2].plan(ms(18));
+        runs[2].hand_over(at(50), 1);
+        let end = |now, last| DecodeRun::end_time(&runs, hard_stop, now, last);
+        assert_eq!(end(at(70), at(49)), at(58));
+        assert_eq!(end(at(55), at(49)), at(55), "the first event past the stop");
+        assert_eq!(end(at(50), at(49)), at(49), "a run that did not halt");
+    }
 
     /// A host whose whole state is one gauge level that each event sets.
     struct Level {

@@ -36,7 +36,7 @@ use crate::quota::{decode_quotas, QuotaInputs};
 use crate::reqstate::{KvPlace, Phase, ReqState};
 use crate::result::RunResult;
 use crate::runtime::{
-    checked, CoreIds, FabricPort, Host, Requests, SpanBook, StepNoise, SAMPLE_PERIOD,
+    checked, CoreIds, DecodeRun, FabricPort, Host, Requests, SpanBook, SAMPLE_PERIOD,
 };
 use crate::scaler::Scaler;
 use crate::sessionbook::{PrefixClaim, SessEntry, SessPlace, SessionBook};
@@ -174,55 +174,32 @@ struct TurnState {
     /// Members of `step_reqs` whose swap-in landed during the step in
     /// flight: they decode from the next step on.
     late: Vec<RequestId>,
-    /// The turn's steps while it steps.
-    steps: Option<Steps>,
-    kv_stall_since: Option<SimTime>,
-    /// Open telemetry span covering this turn ([`SpanId::NONE`] when off).
-    span: SpanId,
-}
-
-/// A stepping turn's steps from the next unapplied one on (DESIGN §3.1).
-/// Steps are no fabric ops and no events: [`ServingSystem::plan`] lays
-/// them out from the turn's members, [`ServingSystem::advance`] applies
-/// the ones that ended before anything reads or changes the instance, and
-/// one wake at the end of the plan's last step applies that one.
-#[derive(Debug)]
-struct Steps {
-    /// When the next unapplied step started; `None` while it waits for
-    /// the KV copies queued ahead of it on the default stream (blocking
-    /// transfers only).
-    start: Option<SimTime>,
-    /// Its duration, fixed when it was issued.
-    dur: SimDur,
-    /// The members' summed context as it was issued.
-    ctx: u64,
-    /// Steps left in the plan, this one included; the wake fires at the
-    /// end of the last.
-    left: u32,
-    /// This step's compute-busy time is charged to the GPUs.
-    charged: bool,
-    /// A KV copy queues behind this step (see
+    /// An issued step's duration and context while it waits for the KV
+    /// copies queued ahead of it on the default stream (blocking
+    /// transfers only); it starts in the instance's run at
+    /// [`Tag::StepStart`].
+    blocked: Option<(SimDur, u64)>,
+    /// A KV copy queues behind the step in flight or the blocked one (see
     /// [`ServingSystem::queue_behind_step`]).
     held: bool,
     /// Blocks the plan's steps before its last take from the batch's
     /// shape, less what its applied steps took since: the cache must keep
     /// this many free.
     need: u64,
+    kv_stall_since: Option<SimTime>,
+    /// Open telemetry span covering this turn ([`SpanId::NONE`] when off).
+    span: SpanId,
 }
 
 #[derive(Debug)]
 struct DecodeInst {
     inst: Inst,
-    /// The instance's own step-noise stream.
-    noise: StepNoise,
+    /// The stepping turn's decode run, on the instance's own noise stream.
+    run: DecodeRun,
     work: WorkList,
     round: VecDeque<BatchId>,
     turn: Option<TurnState>,
     turn_gen: u64,
-    /// Sequence number of the live wake; older wakes are stale.
-    wake: u64,
-    /// End of the last step that started (a halted run's end may be it).
-    step_end: SimTime,
     /// Stands in for a step in flight that a blocking KV copy must queue
     /// behind (see [`ServingSystem::queue_behind_step`]).
     hold: StreamId,
@@ -402,13 +379,11 @@ impl ServingSystem {
                 let di = (i - cfg.prefill_instances) as u64;
                 decodes.push(DecodeInst {
                     inst,
-                    noise: StepNoise::new(cfg.seed, di),
+                    run: DecodeRun::new(cfg.seed, di),
                     work: WorkList::new(),
                     round: VecDeque::new(),
                     turn: None,
                     turn_gen: 0,
-                    wake: 0,
-                    step_end: SimTime::ZERO,
                     hold: port.fabric.add_stream(format!("decode{di}.hold")),
                 });
             }
@@ -567,9 +542,8 @@ impl ServingSystem {
     /// When the earliest decode step in flight ends, if any: steps are not
     /// events, so a session whose sinks stream tokens asks for it.
     pub(crate) fn next_step_end(&self) -> Option<SimTime> {
-        let steps = self.decodes.iter().filter(|d| !d.inst.dead);
-        let steps = steps.filter_map(|d| d.turn.as_ref()?.steps.as_ref());
-        steps.filter_map(|st| Some(st.start? + st.dur)).min()
+        let live = self.decodes.iter().filter(|d| !d.inst.dead);
+        live.filter_map(|d| d.run.end()).min()
     }
 
     pub(crate) fn live(&self) -> bool {
@@ -1578,7 +1552,9 @@ impl ServingSystem {
                 decode_started: None,
                 step_reqs: Vec::new(),
                 late: Vec::new(),
-                steps: None,
+                blocked: None,
+                held: false,
+                need: 0,
                 kv_stall_since: None,
                 span: SpanId::NONE,
             });
@@ -1647,7 +1623,7 @@ impl ServingSystem {
         let d = &mut self.decodes[di];
         let scaler_ready = d.inst.scaler.serves(batch_model);
         let Some(turn) = d.turn.as_mut() else { return };
-        if turn.steps.is_some() {
+        if turn.blocked.is_some() || d.run.step().is_some() {
             return;
         }
         if !scaler_ready {
@@ -1724,7 +1700,6 @@ impl ServingSystem {
             let any_left = !d.work.get(batch_id).expect("batch").reqs.is_empty();
             let t = d.turn.as_mut().expect("turn");
             t.step_reqs = active;
-            t.steps = None;
             if any_left {
                 // Waiting on swap-ins; KvIn completions resume stepping.
                 t.kv_stall_since = Some(now);
@@ -1734,34 +1709,29 @@ impl ServingSystem {
             return;
         }
         let ctx = self.reqs.ctx_tokens(&active);
-        let noise = self.noise(di, 0);
+        let d = &mut self.decodes[di];
+        let noise = d.run.factor(0, &self.deploys[0].perf);
         let dur = self.deploys[model.0 as usize]
             .perf
             .decode_step(active.len(), ctx, noise);
-        let d = &mut self.decodes[di];
         // Only the first GPU carries KV copies.
         let lane = self.topo.gpu(d.inst.gpus[0]).default_stream;
-        let blocked = !self.port.fabric.stream_idle(lane);
+        let shards = d.inst.gpus.len();
         let t = d.turn.as_mut().expect("turn");
         t.step_reqs = active;
         t.late.clear();
-        t.steps = Some(Steps {
-            start: (!blocked).then_some(now),
-            dur,
-            ctx,
-            left: 1,
-            charged: false,
-            held: false,
-            need: 0,
-        });
-        if !blocked {
+        t.held = false;
+        t.need = 0;
+        if self.port.fabric.stream_idle(lane) {
+            d.run.start(now, dur, ctx);
+            self.charge(di, 0..shards, dur);
             self.plan(di, false, q);
             return;
         }
+        t.blocked = Some((dur, ctx));
         // The other GPUs' shards start now.
-        let shards = d.inst.gpus.len();
         if shards > 1 {
-            d.step_end = now + dur;
+            d.run.started(now + dur);
             self.charge(di, 1..shards, dur);
         }
         let tag = Tag::StepStart {
@@ -1781,14 +1751,10 @@ impl ServingSystem {
             return;
         }
         let turn = d.turn.as_mut().filter(|t| t.gen == gen);
-        let Some(st) = turn.and_then(|t| t.steps.as_mut()) else {
+        let Some((dur, ctx)) = turn.and_then(|t| t.blocked.take()) else {
             return;
         };
-        debug_assert!(st.start.is_none(), "a started step started again");
-        let dur = st.dur;
-        st.start = Some(now);
-        st.charged = true;
-        d.step_end = now + dur;
+        d.run.start(now, dur, ctx);
         self.charge(di, 0..1, dur);
         // Swap-ins may have landed while it waited.
         let changed = !self.same_members(di);
@@ -1812,11 +1778,10 @@ impl ServingSystem {
             let lane = self.topo.gpu(self.decodes[di].inst.gpus[0]).default_stream;
             !self.port.fabric.stream_idle(lane) || self.swapping_in(di)
         };
-        let d = &self.decodes[di];
-        let t = d.turn.as_ref().expect("turn");
-        let st = t.steps.as_ref().expect("stepping turn");
+        let d = &mut self.decodes[di];
+        let t = d.turn.as_mut().expect("turn");
+        let (start, dur, ctx) = d.run.step().expect("step in flight");
         let (started, quota) = (t.decode_started.expect("decoding started"), t.quota);
-        let start = st.start.expect("step started");
         let kv = &d.inst.gpu_kv;
         let supply = kv.token_capacity(model) / BLOCK_TOKENS as u64;
         let (members, late) = (&t.step_reqs, &t.late);
@@ -1860,37 +1825,22 @@ impl ServingSystem {
         // every member, late joiners included.
         let n = members.len();
         let late_ctx: u64 = plan_kv.iter().filter(|m| m.2).map(|m| m.0).sum();
-        let mut ctx = st.ctx + (n - late.len()) as u64 + late_ctx;
+        let mut ctx = ctx + (n - late.len()) as u64 + late_ctx;
         let spent = |end: SimTime| end.saturating_since(started).as_secs_f64() >= quota;
-        let (mut k, mut end) = (1, start + st.dur);
+        let perf = &self.deploys[model.0 as usize].perf;
+        d.run.cut();
+        let (mut k, mut end) = (1, start + dur);
         while k < last && !spent(end) && end <= self.hard_stop {
-            let noise = self.noise(di, k as usize);
-            end += self.deploys[model.0 as usize]
-                .perf
-                .decode_step(n, ctx, noise);
+            let noise = d.run.factor(k as usize, &self.deploys[0].perf);
+            let dur = perf.decode_step(n, ctx, noise);
+            d.run.plan(dur);
+            end += dur;
             ctx += n as u64;
             k += 1;
         }
-        let need = kv_need(&self.plan_kv, k - 1);
-        let d = &mut self.decodes[di];
-        let st = d
-            .turn
-            .as_mut()
-            .and_then(|t| t.steps.as_mut())
-            .expect("steps");
-        st.left = k;
-        st.need = need;
-        self.schedule_wake(di, end, q);
-    }
-
-    /// Schedules instance `di`'s wake at `end`; any wake scheduled before
-    /// goes stale. A step ending past the hard stop never completes, so it
-    /// gets no wake.
-    fn schedule_wake(&mut self, di: usize, end: SimTime, q: &mut Q) {
-        let d = &mut self.decodes[di];
-        d.wake += 1;
-        if end <= self.hard_stop {
-            let (inst, seq) = (di as u32, d.wake);
+        t.need = kv_need(plan_kv, k - 1);
+        if let Some(seq) = d.run.wake(end, self.hard_stop) {
+            let inst = di as u32;
             q.schedule_at(end, Ev::Wake { inst, seq });
         }
     }
@@ -1932,15 +1882,12 @@ impl ServingSystem {
             return;
         };
         let d = &self.decodes[di];
-        let Some(st) = d.turn.as_ref().and_then(|t| t.steps.as_ref()) else {
+        let Some(t) = d.turn.as_ref().filter(|_| d.run.planned() > 0) else {
             return;
         };
-        if st.start.is_none() || st.left <= 1 {
-            return;
-        }
         let room = d.inst.gpu_kv.token_capacity(model) / BLOCK_TOKENS as u64;
         let same = self.same_members(di);
-        if same && room >= st.need {
+        if same && room >= t.need {
             return;
         }
         if !same && self.swapping_in(di) {
@@ -1965,22 +1912,17 @@ impl ServingSystem {
         self.plan(di, false, q);
     }
 
-    /// Cuts the plan to its step in flight and wakes at that step's end.
+    /// Cuts the plan to its step in flight and wakes at that step's end,
+    /// the wake scheduled before going stale even if the plan ended there
+    /// already.
     fn end_plan_here(&mut self, di: usize, q: &mut Q) {
-        let st = self.decodes[di]
-            .turn
-            .as_mut()
-            .and_then(|t| t.steps.as_mut());
-        let st = st.expect("steps");
-        st.left = 1;
-        let end = st.start.expect("step started") + st.dur;
-        self.schedule_wake(di, end, q);
-    }
-
-    /// Instance `di`'s noise factor `k` steps ahead of its next step,
-    /// drawn from its stream when first needed.
-    fn noise(&mut self, di: usize, k: usize) -> f64 {
-        self.decodes[di].noise.factor(k, &self.deploys[0].perf)
+        let run = &mut self.decodes[di].run;
+        run.cut();
+        let end = run.end().expect("step in flight");
+        if let Some(seq) = run.wake(end, self.hard_stop) {
+            let inst = di as u32;
+            q.schedule_at(end, Ev::Wake { inst, seq });
+        }
     }
 
     /// Adds a step's `dur` to the compute-busy time of GPUs `gpus` (by
@@ -1994,75 +1936,53 @@ impl ServingSystem {
 
     /// Brings instance `di` up to `now` (advance before touch, DESIGN
     /// §3.1): applies each planned step that ended by then, except the
-    /// plan's last, which its wake applies, and charges the step in flight
-    /// to the GPUs at its start. Never goes past the hard stop. Returns the
-    /// number of steps applied.
+    /// plan's last, which its wake applies, and charges the step that
+    /// follows to the GPUs at its start. Never goes past the hard stop.
+    /// Returns the number of steps applied.
     fn advance(&mut self, di: usize, now: SimTime) -> u64 {
         let now = now.min(self.hard_stop);
         let mut applied = 0;
         loop {
             let d = &mut self.decodes[di];
-            if d.inst.dead {
-                return applied;
-            }
-            let Some(st) = d.turn.as_mut().and_then(|t| t.steps.as_mut()) else {
+            let Some(t) = d.turn.as_mut().filter(|_| !d.inst.dead) else {
                 return applied;
             };
-            let Some(start) = st.start.filter(|&s| s <= now) else {
+            // The next step decodes one more token of each member and the
+            // whole context of each late joiner.
+            let grow = (t.step_reqs.len() - t.late.len()) as u64 + self.reqs.ctx_tokens(&t.late);
+            let Some((start, dur)) = d.run.hand_over(now, grow) else {
                 return applied;
             };
-            let (dur, left) = (st.dur, st.left);
-            if !st.charged {
-                st.charged = true;
-                d.step_end = start + dur;
-                let shards = d.inst.gpus.len();
-                self.charge(di, 0..shards, dur);
-            }
-            if left <= 1 || start + dur > now {
-                return applied;
-            }
-            let overflow = self.apply_step(di, None);
+            let overflow = self.apply_step(di, start, dur, None);
             debug_assert!(!overflow, "an extend failed before the plan's last step");
             applied += 1;
-            // The next step starts as this one ends, one token further on,
-            // with any late joiners.
-            let model = self.decodes[di].turn_model().expect("stepping turn");
-            let noise = self.noise(di, 0);
-            let t = self.decodes[di].turn.as_mut().expect("turn");
-            let n = t.step_reqs.len();
-            let ctx = if t.late.is_empty() {
-                t.steps.as_ref().expect("steps").ctx + n as u64
-            } else {
-                t.late.clear();
-                self.reqs.ctx_tokens(&t.step_reqs)
-            };
-            let st = t.steps.as_mut().expect("steps");
-            st.start = Some(start + dur);
-            st.ctx = ctx;
-            st.dur = self.deploys[model.0 as usize]
-                .perf
-                .decode_step(n, ctx, noise);
-            st.left -= 1;
-            st.charged = false;
-            st.held = false;
+            let d = &mut self.decodes[di];
+            let t = d.turn.as_mut().expect("turn");
+            t.late.clear();
+            t.held = false;
+            let ((_, next, _), shards) = (d.run.step().expect("handed over"), d.inst.gpus.len());
+            self.charge(di, 0..shards, next);
         }
     }
 
-    /// Applies the turn's next step, which ended at its start plus its
-    /// duration: the schedule interval, the decode-exec and attribution
-    /// seconds, and for each member its token, then its retirement or its
-    /// KV extension.
+    /// Applies the turn's step that ran `step_dur` from `start`: the
+    /// schedule interval, the decode-exec and attribution seconds, and for
+    /// each member its token, then its retirement or its KV extension.
     /// Only the plan's last step can retire a member, and its wake (`q`)
     /// applies it. Returns whether an extend failed.
-    fn apply_step(&mut self, di: usize, mut q: Option<&mut Q>) -> bool {
-        let (start, step_dur, members, late) = {
-            let d = &mut self.decodes[di];
-            d.noise.pop();
-            let t = d.turn.as_mut().expect("turn");
-            let st = t.steps.as_ref().expect("steps");
-            let start = st.start.expect("step started");
-            let members = std::mem::take(&mut t.step_reqs);
-            (start, st.dur, members, std::mem::take(&mut t.late))
+    fn apply_step(
+        &mut self,
+        di: usize,
+        start: SimTime,
+        step_dur: SimDur,
+        mut q: Option<&mut Q>,
+    ) -> bool {
+        let (members, late) = {
+            let t = self.decodes[di].turn.as_mut().expect("turn");
+            (
+                std::mem::take(&mut t.step_reqs),
+                std::mem::take(&mut t.late),
+            )
         };
         let end = start + step_dur;
         let dur = step_dur.as_secs_f64();
@@ -2109,8 +2029,7 @@ impl ServingSystem {
         let t = self.decodes[di].turn.as_mut().expect("turn");
         t.step_reqs = members;
         t.late = late;
-        let st = t.steps.as_mut().expect("steps");
-        st.need = st.need.saturating_sub(taken);
+        t.need = t.need.saturating_sub(taken);
         overflow
     }
 
@@ -2120,11 +2039,12 @@ impl ServingSystem {
     /// daemon reclaim parked blocks).
     fn on_wake(&mut self, di: usize, seq: u64, q: &mut Q) {
         let d = &self.decodes[di];
-        if d.inst.dead || d.wake != seq {
+        if d.inst.dead || d.run.is_stale(seq) {
             return; // superseded by a later plan
         }
         self.advance(di, q.now());
-        if self.apply_step(di, Some(q)) {
+        let (start, dur) = self.decodes[di].run.take_last(q.now());
+        if self.apply_step(di, start, dur, Some(q)) {
             self.end_turn(di, q);
         } else {
             self.issue_step(di, q);
@@ -2142,27 +2062,23 @@ impl ServingSystem {
         let now = q.now();
         self.advance(di, now);
         let d = &mut self.decodes[di];
-        let Some(st) = d.turn.as_mut().and_then(|t| t.steps.as_mut()) else {
+        let Some(t) = d.turn.as_mut().filter(|t| !t.held) else {
             return;
         };
-        if st.held || st.start.is_some_and(|s| s + st.dur <= now) {
+        let (hold, lane) = (d.hold, self.topo.gpu(d.inst.gpus[0]).default_stream);
+        let rest = if let Some((dur, _)) = t.blocked {
+            t.held = true;
+            // A blocked step: it starts once what is queued ahead of it
+            // drains.
+            let started = self.port.record_event(lane, q);
+            self.port.wait_event(hold, started, q);
+            dur
+        } else if let Some(end) = d.run.end().filter(|&end| end > now) {
+            t.held = true;
+            self.end_plan_here(di, q);
+            end.saturating_since(now)
+        } else {
             return;
-        }
-        st.held = true;
-        let (start, dur, hold) = (st.start, st.dur, d.hold);
-        let lane = self.topo.gpu(d.inst.gpus[0]).default_stream;
-        let rest = match start {
-            Some(s) => {
-                self.end_plan_here(di, q);
-                (s + dur).saturating_since(now)
-            }
-            None => {
-                // A blocked step: it starts once what is queued ahead of
-                // it drains.
-                let started = self.port.record_event(lane, q);
-                self.port.wait_event(hold, started, q);
-                dur
-            }
         };
         let tag = Tag::Noop.into();
         self.port
@@ -2450,11 +2366,10 @@ impl ServingSystem {
     fn start_scale(&mut self, at: InstRef, target: ModelId, q: &mut Q) {
         let now = q.now();
         debug_assert!(
-            at.kind == InstKind::Prefill
-                || self.decodes[at.idx as usize]
-                    .turn
-                    .as_ref()
-                    .is_none_or(|t| t.steps.is_none()),
+            at.kind == InstKind::Prefill || {
+                let d = &self.decodes[at.idx as usize];
+                d.run.step().is_none() && d.turn.as_ref().is_none_or(|t| t.blocked.is_none())
+            },
             "a scale-up on the default stream of a stepping instance"
         );
         let node = self.inst(at).node as usize;
@@ -2863,15 +2778,8 @@ impl Host for ServingSystem {
         let meta_writes = self.meta.writes();
         self.tel.metrics.set_counter(self.tm.c_meta_writes, meta_writes);
         let completed = self.reqs.completed;
-        let mut end_time = q.now();
-        if end_time > self.hard_stop {
-            // Halted: the run ends at the first completion past the hard
-            // stop, a step's among them.
-            let ends = self.decodes.iter().map(|d| d.step_end);
-            end_time = ends
-                .filter(|&e| e > self.hard_stop)
-                .fold(end_time, SimTime::min);
-        }
+        let runs = self.decodes.iter().map(|d| &d.run);
+        let end_time = DecodeRun::end_time(runs, self.hard_stop, q.now(), q.now());
         self.ids.finish(
             &mut self.tel,
             &self.reqs,
@@ -3502,11 +3410,8 @@ mod tests {
             let now = d.q.now();
             let h = &mut d.host;
             h.advance(di, now);
-            let st = h.decodes[di].turn.as_ref().and_then(|t| t.steps.as_ref());
-            let Some((start, dur)) = st
-                .filter(|st| st.left > 1)
-                .and_then(|st| Some((st.start?, st.dur)))
-            else {
+            let run = &h.decodes[di].run;
+            let Some((start, dur, _)) = run.step().filter(|_| run.planned() > 0) else {
                 continue;
             };
             let mid = (start + dur / 2).as_nanos() / 1000 * 1000;

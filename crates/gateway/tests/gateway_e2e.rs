@@ -14,6 +14,7 @@ use aegaeon_gateway::swarm::{Swarm, SwarmOptions};
 use aegaeon_gateway::{sse, ClockMode};
 use aegaeon_model::{ModelSpec, Zoo};
 use aegaeon_sim::SimTime;
+use aegaeon_workload::SessionId;
 use serde_json::Value;
 
 const RTT: Duration = Duration::from_secs(30);
@@ -224,6 +225,61 @@ fn live_gateway_run_replays_fingerprint_identical() {
     assert_eq!(report.result.completed, 8);
 
     assert_replays(&report, 3, "live gateway run");
+}
+
+/// Agentic session fields posted over a socket reach the recorded trace as
+/// posted, the prefix clamped to leave one fresh prompt token, and the run
+/// replays. Each completion is read to `[DONE]` before the next is posted,
+/// so the trace lists them in posting order.
+#[test]
+fn session_fields_reach_the_recorded_trace_as_posted() {
+    // Each body with the (model, input, output, session, turn, prefix) the
+    // trace must record for it.
+    let posts = [
+        (
+            r#"{"model":"m0","input_tokens":12,"max_tokens":3}"#,
+            (0, 12, 3, SessionId::NONE, 0, 0),
+        ),
+        (
+            r#"{"model":"m1","input_tokens":20,"max_tokens":4,"session_id":7,"turn_index":0,"prefix_tokens":0}"#,
+            (1, 20, 4, SessionId(7), 0, 0),
+        ),
+        (
+            r#"{"model":"m1","input_tokens":40,"max_tokens":2,"session_id":7,"turn_index":1,"prefix_tokens":25}"#,
+            (1, 40, 2, SessionId(7), 1, 25),
+        ),
+        (
+            r#"{"model":"m0","input_tokens":10,"max_tokens":3,"session_id":"9","turn_index":2,"prefix_tokens":500}"#,
+            (0, 10, 3, SessionId(9), 2, 9),
+        ),
+        (
+            r#"{"model":"m1","input_tokens":60,"max_tokens":5,"session_id":7,"turn_index":2,"prefix_tokens":45}"#,
+            (1, 60, 5, SessionId(7), 2, 45),
+        ),
+    ];
+    let gw = start(ClockMode::Timewarp(200.0), 2);
+    for (body, _) in &posts {
+        let mut s = SseStream::post(gw.addr(), "/v1/completions", body, RTT).unwrap();
+        assert_eq!(s.status, 200, "{body}");
+        let (_, done) = consume_stream(&mut s);
+        assert!(done, "{body}: stream ended without [DONE]");
+    }
+    let report = gw.shutdown();
+    assert_eq!(report.trace.requests.len(), posts.len());
+    assert_eq!(report.result.completed, posts.len());
+    for (r, (body, want)) in report.trace.requests.iter().zip(&posts) {
+        let got = (
+            r.model.0,
+            r.input_tokens,
+            r.output_tokens,
+            r.session,
+            r.turn_index,
+            r.prefix_tokens,
+        );
+        assert_eq!(got, *want, "{body}");
+    }
+
+    assert_replays(&report, 2, "live session-field run");
 }
 
 /// Live-vs-replay identity in the benchmark's regime: warp 1000 with

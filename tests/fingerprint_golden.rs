@@ -16,7 +16,7 @@
 
 use aegaeon::chaos::FaultPlan;
 use aegaeon::events::InstKind;
-use aegaeon::shard::run_sharded;
+use aegaeon::shard::{run_sharded, ShardPlan};
 use aegaeon::{AegaeonConfig, ServingSystem};
 use aegaeon_baselines::engine_loop::WorldConfig;
 use aegaeon_baselines::{Dedicated, MuxServe, ServerlessLlm, SllmConfig};
@@ -164,6 +164,30 @@ fn fingerprints() -> Vec<(String, String)> {
     cfg.seed = 3;
     let r = run_sharded(&cfg, &sharded_models, &sharded_trace, 2, 2);
     out.push(("sharded shards=2 seed=3".into(), line(r)));
+    // Agentic turns migrate off a shard that loses its whole prefill tier:
+    // each handoff must carry the turn's session, turn index and prefix.
+    let mut rng = SimRng::seed_from_u64(4251);
+    let sessions = SessionBuilder::new(SimTime::from_secs_f64(300.0), 4, 0.01)
+        .depth(2, 5)
+        .think_gap(15.0, 0.5)
+        .generate(&mut rng)
+        .lower();
+    let mut cfg = AegaeonConfig::paper_testbed();
+    cfg.seed = 4242;
+    cfg.session_affinity = true;
+    cfg.audit = true;
+    let shard0_prefills = ShardPlan::partition(&cfg, &sessions, 2).cfgs[0].prefill_instances;
+    let crashes: Vec<_> = (0..shard0_prefills as u32)
+        .map(|i| (60.0, InstKind::Prefill, i))
+        .collect();
+    cfg.faults = FaultPlan::crashes(&crashes);
+    let r = run_sharded(&cfg, &market_models(4), &sessions, 2, 2);
+    assert!(r.shard_windows > 1, "the tier loss must window the run");
+    assert_eq!(r.completed, r.total_requests);
+    out.push((
+        "sharded shards=2 seed=4242 agentic prefill loss".into(),
+        line(r),
+    ));
 
     // Baselines.
     for seed in SEEDS {

@@ -403,9 +403,8 @@ impl World {
         };
         let perf = &self.deploys[model.0 as usize].perf;
         if let Some(req) = i.prefill_q.pop_front() {
-            let rs = &mut self.reqs[req.0 as usize];
-            rs.prefill_start = Some(now);
-            let base = perf.prefill_secs(&[rs.input_tokens], &mut self.rng);
+            let input = self.reqs[req.0 as usize].input_tokens;
+            let base = perf.prefill_secs(&[input], &mut self.rng);
             self.spans
                 .begin_phase(&mut self.tel, req, SpanKind::Prefill, "prefill", now);
             i.busy = true;
@@ -663,10 +662,8 @@ impl<S: Scheduler> Host for Serve<'_, S> {
             BTag::Prefill { inst, req } => {
                 let inst = inst as usize;
                 w.reqs.push_token(req, now);
-                let rs = &mut w.reqs[req.0 as usize];
-                rs.prefill_end = Some(now);
                 w.insts[inst].busy = false;
-                if rs.is_done() {
+                if w.reqs[req.0 as usize].is_done() {
                     // Single-token output: request complete.
                     w.retire(inst, req, now);
                 } else {

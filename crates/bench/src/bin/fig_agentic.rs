@@ -19,22 +19,11 @@
 //! and zero reuse with affinity off).
 
 use aegaeon::{AegaeonConfig, RunResult, ServingSystem};
-use aegaeon_bench::{analyze, banner, dump_json, market_models, sweep, SEED};
-use aegaeon_sim::{SimRng, SimTime};
-use aegaeon_workload::{SessionBuilder, SloSpec, Trace};
-
-const N_MODELS: usize = 4;
-const SESSION_RATE: f64 = 0.012;
-
-/// One sweep cell: a fixed-depth session trace at one think-gap setting.
-fn agentic_trace(depth: u32, gap_secs: f64, horizon_secs: f64, seed: u64) -> Trace {
-    let mut rng = SimRng::seed_from_u64(seed);
-    SessionBuilder::new(SimTime::from_secs_f64(horizon_secs), N_MODELS as u32, SESSION_RATE)
-        .depth(depth, depth)
-        .think_gap(gap_secs, 0.5)
-        .generate(&mut rng)
-        .lower()
-}
+use aegaeon_bench::{
+    agentic_trace, analyze, banner, dump_json, market_models, sweep, AGENTIC_MODELS,
+    AGENTIC_SESSION_RATE, SEED,
+};
+use aegaeon_workload::{SloSpec, Trace};
 
 fn config(affinity: bool) -> AegaeonConfig {
     let mut cfg = AegaeonConfig::small_testbed(2, 3);
@@ -87,7 +76,7 @@ fn main() {
     } else {
         (vec![2, 4, 6], vec![5.0, 20.0, 60.0], 300.0)
     };
-    let models = market_models(N_MODELS);
+    let models = market_models(AGENTIC_MODELS);
 
     let cells: Vec<(u32, f64, bool)> = depths
         .iter()
@@ -97,8 +86,7 @@ fn main() {
         })
         .collect();
     let points = sweep::map(&cells, |&(depth, gap, affinity)| {
-        let seed = SEED + depth as u64 * 101 + (gap * 10.0) as u64;
-        let trace = agentic_trace(depth, gap, horizon, seed);
+        let trace = agentic_trace(depth, gap, horizon);
         let r = ServingSystem::run(&config(affinity), &models, &trace);
         measure(depth, gap, affinity, horizon, &r, &trace)
     });
@@ -174,7 +162,7 @@ fn main() {
     // observatory document with its session turn series, plus the analyzer
     // report. CI re-verifies the JSON with `aegaeon-analyze --check`.
     let (depth, gap) = (depths[depths.len() / 2], gaps[gaps.len() / 2]);
-    let trace = agentic_trace(depth, gap, horizon, SEED + depth as u64 * 101 + (gap * 10.0) as u64);
+    let trace = agentic_trace(depth, gap, horizon);
     let mut tcfg = config(true);
     tcfg.telemetry = aegaeon_telemetry::TelemetrySpec::enabled();
     let r = ServingSystem::run(&tcfg, &models, &trace);
@@ -225,8 +213,8 @@ fn main() {
         "fig_agentic",
         &serde_json::json!({
             "smoke": smoke,
-            "n_models": N_MODELS,
-            "session_rate": SESSION_RATE,
+            "n_models": AGENTIC_MODELS,
+            "session_rate": AGENTIC_SESSION_RATE,
             "horizon_secs": horizon,
             "points": json_points,
         }),

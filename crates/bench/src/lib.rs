@@ -14,7 +14,7 @@ use aegaeon_baselines::{MuxServe, ServerlessLlm, SllmConfig};
 use aegaeon_metrics::AttainmentReport;
 use aegaeon_model::{ModelSpec, Zoo};
 use aegaeon_sim::{SimRng, SimTime};
-use aegaeon_workload::{LengthDist, SloSpec, Trace, TraceBuilder};
+use aegaeon_workload::{LengthDist, SessionBuilder, SloSpec, Trace, TraceBuilder};
 
 /// Standard measurement horizon for the end-to-end sweeps, seconds.
 pub const HORIZON_SECS: f64 = 400.0;
@@ -84,6 +84,27 @@ pub const SEED: u64 = 20250713;
 pub fn market_models(n: usize) -> Vec<ModelSpec> {
     let zoo = Zoo::standard();
     Zoo::replicate(&zoo.market_band(), n)
+}
+
+/// Models in an [`agentic_trace`].
+pub const AGENTIC_MODELS: usize = 4;
+/// Sessions started per second per model in an [`agentic_trace`].
+pub const AGENTIC_SESSION_RATE: f64 = 0.012;
+
+/// One cell of the agentic-session figure (`fig_agentic`): sessions of
+/// exactly `depth` turns over [`AGENTIC_MODELS`] models, starting at
+/// [`AGENTIC_SESSION_RATE`], with `gap_secs` think gaps (±50%) over
+/// `horizon_secs`. The seed derives from the cell, so a test builds the
+/// very trace the binary runs.
+pub fn agentic_trace(depth: u32, gap_secs: f64, horizon_secs: f64) -> Trace {
+    let seed = SEED + depth as u64 * 101 + (gap_secs * 10.0) as u64;
+    let mut rng = SimRng::seed_from_u64(seed);
+    let (models, rate) = (AGENTIC_MODELS as u32, AGENTIC_SESSION_RATE);
+    SessionBuilder::new(SimTime::from_secs_f64(horizon_secs), models, rate)
+        .depth(depth, depth)
+        .think_gap(gap_secs, 0.5)
+        .generate(&mut rng)
+        .lower()
 }
 
 /// A uniform-rate multi-model trace (the §7.2 synthesis).

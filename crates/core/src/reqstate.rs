@@ -27,8 +27,6 @@ pub(crate) enum Phase {
     Prefill,
     /// In a decoding work list.
     Decode,
-    /// All tokens produced.
-    Done,
 }
 
 /// Mutable runtime state of one request.
@@ -54,12 +52,8 @@ pub struct ReqState {
     /// Set while the request's KV is present on the decoding GPU and ready
     /// to decode.
     pub(crate) kv_ready: bool,
-    /// Decoding instance the request is assigned to.
-    pub(crate) decode_inst: Option<u32>,
     /// Instant prefill execution started (for breakdown accounting).
     pub prefill_start: Option<SimTime>,
-    /// Instant prefill finished.
-    pub prefill_end: Option<SimTime>,
     /// Accumulated decode execution seconds (steps it participated in).
     pub(crate) decode_exec_secs: f64,
     /// Accumulated explicit KV-transfer wait seconds (Figure 14 "data
@@ -67,12 +61,8 @@ pub struct ReqState {
     pub(crate) data_wait_secs: f64,
     /// Accumulated control-plane overhead seconds.
     pub(crate) control_secs: f64,
-    /// Number of KV swaps (in + out) this request underwent.
-    pub(crate) swaps: u32,
     /// Instant the request was dispatched to its decoding instance.
     pub(crate) decode_dispatch: Option<SimTime>,
-    /// Instant the last token was produced.
-    pub(crate) finished_at: Option<SimTime>,
     /// Set when the swap-in for the current turn has been issued.
     pub(crate) swapin_inflight: bool,
     /// Set when the request was handed off to another shard after a total
@@ -109,15 +99,11 @@ impl ReqState {
             kv: KvPlace::None,
             offload_event: None,
             kv_ready: false,
-            decode_inst: None,
             prefill_start: None,
-            prefill_end: None,
             decode_exec_secs: 0.0,
             data_wait_secs: 0.0,
             control_secs: 0.0,
-            swaps: 0,
             decode_dispatch: None,
-            finished_at: None,
             swapin_inflight: false,
             migrated: false,
             session: SessionId::NONE,
@@ -163,10 +149,6 @@ impl ReqState {
         }
         self.produced += 1;
         self.token_times.push(t);
-        if self.is_done() {
-            self.phase = Phase::Done;
-            self.finished_at = Some(t);
-        }
     }
 }
 
@@ -183,8 +165,7 @@ mod tests {
         r.push_token(SimTime::from_secs_f64(1.1));
         r.push_token(SimTime::from_secs_f64(1.2));
         assert!(r.is_done());
-        assert_eq!(r.phase, Phase::Done);
         assert_eq!(r.ctx_tokens(), 103);
-        assert_eq!(r.finished_at, Some(SimTime::from_secs_f64(1.2)));
+        assert_eq!(r.token_times.last(), Some(&SimTime::from_secs_f64(1.2)));
     }
 }

@@ -33,8 +33,9 @@
 //!
 //! # Determinism argument
 //!
-//! An open session records every admitted request (stamp, model, lengths)
-//! in arrival order. Replaying that recording through a fresh open session
+//! An open session's trace starts empty and grows by exactly the admitted
+//! requests, each with its stamp, in arrival order: the serving system's
+//! own trace is the recording. Replaying it through a fresh open session
 //! ([`ServingSession::replay`]) pumps the same stamps through the same
 //! admission rule against the same event-queue evolution, so every pop —
 //! and therefore the [`RunResult::fingerprint`] — is identical to the live
@@ -56,10 +57,10 @@
 
 use std::sync::mpsc;
 
-use aegaeon_model::{ModelId, ModelSpec};
+use aegaeon_model::ModelSpec;
 use aegaeon_sim::{injection_channel, FxHashMap, InjectionPort, Injector, SimTime, Timeline};
 use aegaeon_telemetry::{MetricsRegistry, Telemetry};
-use aegaeon_workload::{Request, RequestId, SessionId, Trace};
+use aegaeon_workload::{Request, RequestId, Trace};
 
 use crate::audit::{AuditReport, Auditor};
 use crate::config::AegaeonConfig;
@@ -88,20 +89,10 @@ impl TokenSink for mpsc::Sender<TokenEv> {
 
 /// A request injected into an open session from outside the simulation.
 pub struct LiveRequest {
-    /// Target model.
-    pub model: ModelId,
-    /// Prompt length in tokens.
-    pub input_tokens: u32,
-    /// Total output length in tokens (≥ 1).
-    pub output_tokens: u32,
-    /// Agentic session this request belongs to ([`SessionId::NONE`] for
-    /// standalone requests).
-    pub session: SessionId,
-    /// Zero-based turn index within the session.
-    pub turn_index: u32,
-    /// Leading tokens of the prompt shared verbatim with the session's
-    /// previous turn (0 for standalone requests and first turns).
-    pub prefix_tokens: u32,
+    /// The request. Its `id` and `arrival_ns` are ignored: the session
+    /// assigns the id (the request's index in the session's trace) and the
+    /// injection port stamps the arrival.
+    pub req: Request,
     /// Optional token sink: every produced token is forwarded here (SSE
     /// streaming); the sink is dropped after the final token so the
     /// receiving side observes a clean end of stream.
@@ -111,12 +102,7 @@ pub struct LiveRequest {
 impl std::fmt::Debug for LiveRequest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveRequest")
-            .field("model", &self.model)
-            .field("input_tokens", &self.input_tokens)
-            .field("output_tokens", &self.output_tokens)
-            .field("session", &self.session)
-            .field("turn_index", &self.turn_index)
-            .field("prefix_tokens", &self.prefix_tokens)
+            .field("req", &self.req)
             .field("sink", &self.sink.is_some())
             .finish()
     }
@@ -129,8 +115,6 @@ pub struct ServingSession {
     driver: Driver<ServingSystem>,
     port: InjectionPort<LiveRequest>,
     injector: Injector<LiveRequest>,
-    /// Admitted injected requests in arrival order (the replayable trace).
-    injected: Vec<Request>,
     /// Token sinks keyed by request id, each with the index of the next
     /// token it receives; removed after the final token.
     sinks: FxHashMap<u64, (Box<dyn TokenSink>, u32)>,
@@ -196,7 +180,6 @@ impl ServingSession {
             driver,
             port,
             injector,
-            injected: Vec::new(),
             sinks: FxHashMap::default(),
             live_horizon,
             open,
@@ -214,19 +197,10 @@ impl ServingSession {
     /// series the live session did not record.
     pub fn replay(cfg: &AegaeonConfig, models: &[ModelSpec], trace: &Trace) -> ServingSession {
         let session = Self::open_with(cfg, models, trace.horizon, false);
-        for r in &trace.requests {
-            session.injector.send(
-                r.arrival(),
-                LiveRequest {
-                    model: r.model,
-                    input_tokens: r.input_tokens,
-                    output_tokens: r.output_tokens,
-                    session: r.session,
-                    turn_index: r.turn_index,
-                    prefix_tokens: r.prefix_tokens,
-                    sink: None,
-                },
-            );
+        for &req in &trace.requests {
+            session
+                .injector
+                .send(req.arrival(), LiveRequest { req, sink: None });
         }
         session
     }
@@ -264,17 +238,7 @@ impl ServingSession {
     /// `at` (strictly in this shard's future — the conservative window
     /// guarantees it) and returns the local trace index it was assigned.
     pub(crate) fn migrate_in(&mut self, at: SimTime, h: &crate::shard::Handoff) -> u32 {
-        let r = Request {
-            id: RequestId(0),
-            model: h.model,
-            arrival_ns: at.as_nanos(),
-            input_tokens: h.input_tokens,
-            output_tokens: h.output_tokens,
-            session: h.session,
-            turn_index: h.turn_index,
-            prefix_tokens: h.prefix_tokens,
-        };
-        self.driver.host.admit_live(r, &mut self.driver.q).0 as u32
+        self.driver.host.admit_live(h.req, at, &mut self.driver.q).0 as u32
     }
 
     /// A cloneable, thread-safe handle for injecting requests.
@@ -393,18 +357,7 @@ impl ServingSession {
     /// the queue.
     fn admit_pending(&mut self) {
         while let Some((stamp, lr)) = self.port.admit(&self.driver.q) {
-            let r = Request {
-                id: RequestId(0),
-                model: lr.model,
-                arrival_ns: stamp.as_nanos(),
-                input_tokens: lr.input_tokens,
-                output_tokens: lr.output_tokens,
-                session: lr.session,
-                turn_index: lr.turn_index,
-                prefix_tokens: lr.prefix_tokens,
-            };
-            let id = self.driver.host.admit_live(r, &mut self.driver.q);
-            self.injected.push(Request { id, ..r });
+            let id = self.driver.host.admit_live(lr.req, stamp, &mut self.driver.q);
             if let Some(sink) = lr.sink {
                 self.sinks.insert(id.0, (sink, 0));
             }
@@ -451,12 +404,13 @@ impl ServingSession {
         self.sinks.clear();
     }
 
-    /// The injected requests recorded so far as a replayable trace. The
+    /// An open session's admitted requests so far as a replayable trace:
+    /// the serving system's trace, which an open session starts empty. The
     /// horizon is the construction-time horizon so a replay materializes
     /// the identical fault schedule (see module docs).
     pub fn injected_trace(&self) -> Trace {
         Trace {
-            requests: self.injected.clone(),
+            requests: self.driver.host.trace.requests.clone(),
             horizon: self.live_horizon,
         }
     }
@@ -516,7 +470,7 @@ impl ServingSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aegaeon_model::Zoo;
+    use aegaeon_model::{ModelId, Zoo};
     use aegaeon_sim::{SimDur, SimRng};
     use aegaeon_workload::{LengthDist, TraceBuilder};
 
@@ -539,15 +493,8 @@ mod tests {
         output_tokens: u32,
         sink: Option<Box<dyn TokenSink>>,
     ) -> LiveRequest {
-        LiveRequest {
-            model,
-            input_tokens,
-            output_tokens,
-            session: SessionId::NONE,
-            turn_index: 0,
-            prefix_tokens: 0,
-            sink,
-        }
+        let req = Request::single(RequestId(0), model, 0, input_tokens, output_tokens);
+        LiveRequest { req, sink }
     }
 
     /// The closed session IS the historical run loop: same fingerprint.

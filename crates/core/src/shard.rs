@@ -55,7 +55,7 @@ use std::ops::Range;
 use aegaeon_metrics::RequestOutcome;
 use aegaeon_model::{ModelId, ModelSpec};
 use aegaeon_sim::{derive_seed, FxHashMap, GrantClock, SimDur, SimTime};
-use aegaeon_workload::{Request, RequestId, SessionId, Trace};
+use aegaeon_workload::{Request, RequestId, Trace};
 
 use crate::audit::{AuditReport, InvariantAuditor, Violation};
 use crate::config::AegaeonConfig;
@@ -68,23 +68,13 @@ use crate::system::FAILOVER_LATENCY;
 pub(crate) struct Handoff {
     /// Simulated instant the owning shard gave the request up.
     pub(crate) emitted: SimTime,
-    /// Target model (global id: every shard deploys the full model list).
-    pub(crate) model: ModelId,
-    /// Prompt length.
-    pub(crate) input_tokens: u32,
-    /// Oracle output length.
-    pub(crate) output_tokens: u32,
-    /// Agentic session identity, preserved across the migration. The
-    /// destination shard holds no retained KV for the session, so the
+    /// The request as the emitting shard's trace holds it: `req.id` is its
+    /// trace index *in that shard*, and the model id is global (every shard
+    /// deploys the full model list). Its session identity travels with it.
+    /// The destination shard holds no retained KV for the session, so the
     /// migrated turn recomputes its prefix; later turns of the same session
     /// still route to the home shard and are unaffected.
-    pub(crate) session: SessionId,
-    /// Zero-based turn index within the session.
-    pub(crate) turn_index: u32,
-    /// Shared-prefix length of the migrated turn.
-    pub(crate) prefix_tokens: u32,
-    /// Trace index of the request *in the emitting shard*.
-    pub(crate) local_idx: u32,
+    pub(crate) req: Request,
 }
 
 /// The static partition of a configuration + trace into shards.
@@ -245,13 +235,7 @@ impl ShardPlan {
             let local = traces[s].requests.len();
             traces[s].requests.push(Request {
                 id: RequestId(local as u64),
-                model: r.model,
-                arrival_ns: r.arrival_ns,
-                input_tokens: r.input_tokens,
-                output_tokens: r.output_tokens,
-                session: r.session,
-                turn_index: r.turn_index,
-                prefix_tokens: r.prefix_tokens,
+                ..*r
             });
             global_ids[s].push(g as u64);
             home_slot.push((s, local as u32));
@@ -359,10 +343,11 @@ impl<'p> Coordinator<'p> {
         let shards = self.sessions.len();
         for src in 0..shards {
             for h in self.sessions[src].take_handoffs() {
-                let g = if (h.local_idx as usize) < self.base_len[src] {
-                    self.plan.global_ids[src][h.local_idx as usize]
+                let i = h.req.id.0 as usize;
+                let g = if i < self.base_len[src] {
+                    self.plan.global_ids[src][i]
                 } else {
-                    self.migrant_globals[src][h.local_idx as usize - self.base_len[src]]
+                    self.migrant_globals[src][i - self.base_len[src]]
                 };
                 let dst = (src + 1) % shards;
                 let at = h.emitted + self.clock.lookahead();

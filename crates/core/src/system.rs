@@ -508,19 +508,19 @@ impl ServingSystem {
         self.ensure_ticks(q);
     }
 
-    /// Admits one externally injected request at its arrival stamp
+    /// Admits one externally injected request arriving at `stamp`
     /// (strictly increasing and strictly in the future — the injection port
-    /// guarantees both) and returns the id it was assigned (`r.id` is
-    /// ignored). Open-mode sessions grow the trace in place, so a later
-    /// offline replay of the recorded trace walks an identical data
+    /// guarantees both) and returns the id it was assigned: `r`'s id and
+    /// arrival are replaced. Open-mode sessions grow the trace in place, so
+    /// a later offline replay of the recorded trace walks an identical data
     /// structure.
-    pub(crate) fn admit_live(&mut self, r: Request, q: &mut Q) -> RequestId {
+    pub(crate) fn admit_live(&mut self, r: Request, stamp: SimTime, q: &mut Q) -> RequestId {
         let id = RequestId(self.trace.requests.len() as u64);
-        let r = Request { id, ..r };
+        let arrival_ns = stamp.as_nanos();
+        let r = Request { id, arrival_ns, ..r };
         // The horizon only grows; the fault schedule and hard stop were
         // materialized from the construction-time horizon, so live and
         // replay sessions see identical fault plans.
-        let stamp = r.arrival();
         if stamp > self.trace.horizon {
             self.trace.horizon = stamp;
         }
@@ -763,7 +763,6 @@ impl ServingSystem {
             }
             rs.kv_ready = false;
             rs.swapin_inflight = false;
-            rs.decode_inst = None;
             if lost_claim {
                 self.abandon_claim_and_recompute(req, q);
                 continue;
@@ -833,18 +832,13 @@ impl ServingSystem {
             rs.migrated = true;
             rs.kv_ready = false;
             rs.swapin_inflight = false;
-            rs.decode_inst = None;
         }
-        let r = &self.trace.requests[i];
         self.outbox.push(crate::shard::Handoff {
             emitted: now,
-            model: r.model,
-            input_tokens: r.input_tokens,
-            output_tokens: r.output_tokens,
-            session: r.session,
-            turn_index: r.turn_index,
-            prefix_tokens: r.prefix_tokens,
-            local_idx: i as u32,
+            req: Request {
+                id: req,
+                ..self.trace.requests[i]
+            },
         });
         self.reqs.migrated += 1;
     }
@@ -1315,7 +1309,6 @@ impl ServingSystem {
                 self.reqs.push_token(req, now);
             }
             let rs = &mut self.reqs[req.0 as usize];
-            rs.prefill_end = Some(now);
             rs.kv = KvPlace::Gpu;
             rs.kv_ready = false;
         }
@@ -1451,7 +1444,6 @@ impl ServingSystem {
         };
         {
             let rs = &mut self.reqs[req.0 as usize];
-            rs.decode_inst = Some(di as u32);
             rs.decode_dispatch = Some(q.now());
             rs.phase = Phase::Decode;
         }
@@ -2237,13 +2229,11 @@ impl ServingSystem {
     }
 
     /// Books one KV swap of `req` issued by instance `at` (an offload when
-    /// `out`): the request's and the run's swap counts, the per-swap
-    /// control overhead (Figure 14), and the transfer's telemetry span.
+    /// `out`): the run's swap count, the request's per-swap control
+    /// overhead (Figure 14), and the transfer's telemetry span.
     fn count_swap(&mut self, at: InstRef, req: RequestId, out: bool, now: SimTime) {
         let overhead = CONTROL_OVERHEAD_PER_SWAP.as_secs_f64();
-        let rs = &mut self.reqs[req.0 as usize];
-        rs.swaps += 1;
-        rs.control_secs += overhead;
+        self.reqs[req.0 as usize].control_secs += overhead;
         self.breakdown.add_secs(Stage::ControlOverhead, overhead);
         self.swaps += 1;
         self.tel.metrics.inc(self.tm.c_swaps, 1);
@@ -2611,7 +2601,7 @@ impl ServingSystem {
                 acc.peak_allocated_bytes += u.peak_allocated_bytes;
             }
         }
-        self.frag.sample(SAMPLE_PERIOD.as_secs_f64(), &combined);
+        self.frag.sample(&combined);
         self.util_samples.push((now, self.port.gpu_busy(&self.topo)));
     }
 }
@@ -2767,7 +2757,8 @@ impl Host for ServingSystem {
         let mut kv_sync = Vec::new();
         for rs in self.reqs.iter() {
             kv_sync.push(rs.data_wait_secs + rs.control_secs);
-            if let (Some(d), Some(f)) = (rs.decode_dispatch, rs.finished_at) {
+            let finished = rs.token_times.last().filter(|_| rs.is_done());
+            if let (Some(d), Some(&f)) = (rs.decode_dispatch, finished) {
                 let total = f.saturating_since(d).as_secs_f64();
                 let wait = (total - rs.decode_exec_secs - rs.data_wait_secs).max(0.0);
                 self.breakdown.add_secs(Stage::DecodeWait, wait);

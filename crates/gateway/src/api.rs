@@ -7,27 +7,8 @@
 //! payloads are simulation artifacts.
 
 use aegaeon_model::ModelId;
-use aegaeon_workload::SessionId;
+use aegaeon_workload::{Request, RequestId, SessionId};
 use serde_json::Value;
-
-/// A parsed `POST /v1/completions` body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompletionParams {
-    /// Target model.
-    pub(crate) model: ModelId,
-    /// Prompt length in tokens.
-    pub(crate) input_tokens: u32,
-    /// Tokens to generate (the simulator's oracle output length).
-    pub(crate) output_tokens: u32,
-    /// Agentic session this turn belongs to ([`SessionId::NONE`] for
-    /// standalone completions).
-    pub(crate) session: SessionId,
-    /// Zero-based turn index within the session.
-    pub(crate) turn_index: u32,
-    /// Leading prompt tokens shared verbatim with the session's previous
-    /// turn (clamped to leave at least one fresh token).
-    pub(crate) prefix_tokens: u32,
-}
 
 /// Why a completions body was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,10 +36,13 @@ fn as_u64(v: &Value) -> Option<u64> {
 }
 
 /// Parses a completions body against a deployment serving models
-/// `m0..m{n_models-1}`. The model field accepts `"m3"`, `"3"`, or a bare
-/// integer; the prompt length is `input_tokens` when given, otherwise the
-/// whitespace token count of `prompt` (minimum 1).
-pub fn parse_completion(body: &[u8], n_models: u32) -> Result<CompletionParams, ApiError> {
+/// `m0..m{n_models-1}` into the request to inject, its `id` and
+/// `arrival_ns` left zero (see [`aegaeon::LiveRequest`]). The model field
+/// accepts `"m3"`, `"3"`, or a bare integer; the prompt length is
+/// `input_tokens` when given, otherwise the whitespace token count of
+/// `prompt` (minimum 1). A session turn's `prefix_tokens` is clamped to
+/// leave at least one fresh prompt token.
+pub fn parse_completion(body: &[u8], n_models: u32) -> Result<Request, ApiError> {
     let text = std::str::from_utf8(body).map_err(|_| ApiError::Bad("body is not UTF-8".into()))?;
     let value: Value =
         serde_json::from_str(text).map_err(|e| ApiError::Bad(format!("invalid JSON: {e:?}")))?;
@@ -144,8 +128,10 @@ pub fn parse_completion(body: &[u8], n_models: u32) -> Result<CompletionParams, 
         (0, 0)
     };
 
-    Ok(CompletionParams {
+    Ok(Request {
+        id: RequestId(0),
         model: ModelId(idx as u32),
+        arrival_ns: 0,
         input_tokens,
         output_tokens,
         session,

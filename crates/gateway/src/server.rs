@@ -1085,7 +1085,7 @@ impl Reactor {
     }
 
     fn route_completion(&mut self, idx: usize, body: &[u8]) {
-        let params = match api::parse_completion(body, self.n_models) {
+        let req = match api::parse_completion(body, self.n_models) {
             Ok(p) => p,
             Err(ApiError::Bad(msg)) => {
                 return self.respond(
@@ -1137,17 +1137,12 @@ impl Reactor {
         // can fast-forward an arbitrary backlog without ever blocking on
         // this reactor; the tag pins the delivery to this (gen, slot).
         let tag = RingTag::new(self.id as u32, self.gen[idx], idx as u32);
-        let (prod, cons) = ring::ring::<TokenEv>(params.output_tokens as usize, tag);
+        let (prod, cons) = ring::ring::<TokenEv>(req.output_tokens as usize, tag);
         let not_before = self.clock.sim_at(self.epoch.elapsed());
         self.injector.send(
             not_before,
             LiveRequest {
-                model: params.model,
-                input_tokens: params.input_tokens,
-                output_tokens: params.output_tokens,
-                session: params.session,
-                turn_index: params.turn_index,
-                prefix_tokens: params.prefix_tokens,
+                req,
                 sink: Some(Box::new(RingSink {
                     prod,
                     board: Arc::clone(&self.board),
@@ -1162,7 +1157,7 @@ impl Reactor {
         conn.out.push_unchecked(&http::sse_head());
         conn.state = ConnState::Streaming {
             ring: cons,
-            model: params.model,
+            model: req.model,
             done: false,
         };
         self.streaming.push(idx);

@@ -2,21 +2,21 @@
 //!
 //! The paper reports, per KV-cache block shape and overall, the ratio of
 //! unused memory to peak allocated memory in the unified CPU cache during
-//! serving. [`FragSampler`] takes periodic, time-weighted samples of a
-//! [`crate::SlabPool`]'s usage and aggregates exactly that statistic.
+//! serving. [`FragSampler`] takes periodic samples of a
+//! [`crate::SlabPool`]'s usage, one per sample period, and aggregates
+//! exactly that statistic.
 
 use crate::slab::ShapeUsage;
 
 #[derive(Debug, Clone, Default)]
 struct ShapeAgg {
     label: String,
-    weighted_alloc: f64,
-    weighted_used: f64,
-    weight: f64,
+    alloc_sum: f64,
+    used_sum: f64,
     peak_alloc: u64,
 }
 
-/// Time-weighted fragmentation aggregator.
+/// Time-averaged fragmentation aggregator over equally spaced samples.
 #[derive(Debug, Clone, Default)]
 pub struct FragSampler {
     shapes: Vec<ShapeAgg>,
@@ -41,12 +41,9 @@ impl FragSampler {
         FragSampler::default()
     }
 
-    /// Records a snapshot with the given time weight (seconds the snapshot
-    /// represents). Shapes are matched positionally across samples.
-    pub fn sample(&mut self, weight: f64, usage: &[ShapeUsage]) {
-        if weight <= 0.0 {
-            return;
-        }
+    /// Records a snapshot representing one sample period. Shapes are
+    /// matched positionally across samples.
+    pub fn sample(&mut self, usage: &[ShapeUsage]) {
         if self.shapes.len() < usage.len() {
             self.shapes.resize_with(usage.len(), ShapeAgg::default);
         }
@@ -57,9 +54,8 @@ impl FragSampler {
             // Idle shapes (nothing assigned) do not contribute to the
             // average: fragmentation is only meaningful while memory is held.
             if u.allocated_bytes > 0 {
-                agg.weighted_alloc += weight * u.allocated_bytes as f64;
-                agg.weighted_used += weight * u.used_bytes as f64;
-                agg.weight += weight;
+                agg.alloc_sum += u.allocated_bytes as f64;
+                agg.used_sum += u.used_bytes as f64;
             }
             agg.peak_alloc = agg.peak_alloc.max(u.peak_allocated_bytes);
         }
@@ -71,8 +67,8 @@ impl FragSampler {
             .shapes
             .iter()
             .map(|a| {
-                let util = if a.weighted_alloc > 0.0 {
-                    a.weighted_used / a.weighted_alloc
+                let util = if a.alloc_sum > 0.0 {
+                    a.used_sum / a.alloc_sum
                 } else {
                     1.0
                 };
@@ -84,8 +80,8 @@ impl FragSampler {
                 }
             })
             .collect();
-        let alloc: f64 = self.shapes.iter().map(|a| a.weighted_alloc).sum();
-        let used: f64 = self.shapes.iter().map(|a| a.weighted_used).sum();
+        let alloc: f64 = self.shapes.iter().map(|a| a.alloc_sum).sum();
+        let used: f64 = self.shapes.iter().map(|a| a.used_sum).sum();
         let util = if alloc > 0.0 { used / alloc } else { 1.0 };
         rows.push(FragRow {
             label: "All".to_string(),
@@ -119,8 +115,8 @@ mod tests {
                 peak_allocated_bytes: 300,
             },
         ];
-        s.sample(1.0, &usage);
-        s.sample(1.0, &usage);
+        s.sample(&usage);
+        s.sample(&usage);
         let rows = s.report();
         assert_eq!(rows.len(), 3);
         assert!((rows[0].fragmentation - 0.2).abs() < 1e-9);
@@ -145,8 +141,8 @@ mod tests {
             used_bytes: 0,
             peak_allocated_bytes: 100,
         }];
-        s.sample(1.0, &busy);
-        s.sample(100.0, &idle);
+        s.sample(&busy);
+        s.sample(&idle);
         let rows = s.report();
         assert!((rows[0].fragmentation - 0.5).abs() < 1e-9);
     }
@@ -160,9 +156,9 @@ mod tests {
         let k = pool.register_shape("S0", 4 << 20);
         let blocks = pool.alloc(k, 2).unwrap();
         let mut s = FragSampler::new();
-        s.sample(1.0, &pool.usage());
+        s.sample(&pool.usage());
         pool.free(k, &blocks);
-        s.sample(1.0, &pool.usage());
+        s.sample(&pool.usage());
         let rows = s.report();
         // Only the busy second counts: 8 MB used of 16 MB assigned.
         assert!((rows[0].fragmentation - 0.5).abs() < 1e-9);

@@ -11,7 +11,7 @@ use aegaeon::chaos::FaultPlan;
 use aegaeon::events::InstKind;
 use aegaeon::shard::run_sharded;
 use aegaeon::{AegaeonConfig, LiveRequest, ServingSession, ServingSystem};
-use aegaeon_bench::market_models;
+use aegaeon_bench::{agentic_trace, market_models, AGENTIC_MODELS};
 use aegaeon_sim::{SimDur, SimRng, SimTime};
 use aegaeon_workload::{SessionBuilder, Trace};
 
@@ -40,44 +40,56 @@ fn cfg(affinity: bool) -> AegaeonConfig {
 /// The headline differential: the same seeded agentic trace run with
 /// affinity on must show at least one prefix hit and strictly fewer
 /// recomputed prefill tokens than with affinity off, and affinity off must
-/// be fully inert (zero hits, zero reused tokens).
+/// be fully inert (zero hits, zero reused tokens). The second input is
+/// `fig_agentic --smoke`'s one cell (depth 3, 10 s think gaps, 120 s) under
+/// the binary's seed: the same trace and configuration, audited.
 #[test]
 fn affinity_reuses_prefixes_and_recomputes_strictly_less() {
-    let models = market_models(4);
-    let trace = session_trace(SEED, 4, 0.01, 400.0);
-    assert!(
-        trace.requests.iter().any(|r| r.session.is_some()),
-        "trace must contain session turns"
-    );
+    let cases = [
+        ("seeded trace", session_trace(SEED, 4, 0.01, 400.0), SEED),
+        ("fig_agentic smoke cell", agentic_trace(3, 10.0, 120.0), aegaeon_bench::SEED),
+    ];
+    for (name, trace, seed) in cases {
+        assert!(
+            trace.requests.iter().any(|r| r.session.is_some()),
+            "{name}: trace must contain session turns"
+        );
+        let models = market_models(AGENTIC_MODELS);
+        let run = |affinity| {
+            let cfg = AegaeonConfig { seed, ..cfg(affinity) };
+            ServingSystem::run(&cfg, &models, &trace)
+        };
+        let (off, on) = (run(false), run(true));
 
-    let off = ServingSystem::run(&cfg(false), &models, &trace);
-    let on = ServingSystem::run(&cfg(true), &models, &trace);
+        assert_eq!(off.completed, off.total_requests, "{name}");
+        assert_eq!(on.completed, on.total_requests, "{name}");
 
-    assert_eq!(off.completed, off.total_requests);
-    assert_eq!(on.completed, on.total_requests);
-
-    assert_eq!(off.prefix_hits, 0, "affinity off must never claim");
-    assert_eq!(off.prefill_tokens_reused, 0);
-    assert!(
-        on.prefix_hits >= 1,
-        "affinity on must land at least one prefix hit"
-    );
-    assert!(on.prefill_tokens_reused > 0);
-    assert!(
-        on.prefill_tokens_recomputed < off.prefill_tokens_recomputed,
-        "affinity must strictly reduce recomputed prefill tokens: on={} off={}",
-        on.prefill_tokens_recomputed,
-        off.prefill_tokens_recomputed
-    );
-    // Conservation: every shared-prefix token is either reused or
-    // recomputed, and affinity-off recomputes all of them.
-    let total_prefix: u64 = trace
-        .requests
-        .iter()
-        .map(|r| u64::from(r.prefix_tokens.min(r.input_tokens.saturating_sub(1))))
-        .sum();
-    assert_eq!(off.prefill_tokens_recomputed, total_prefix);
-    assert!(on.prefill_tokens_reused + on.prefill_tokens_recomputed >= total_prefix);
+        assert_eq!(off.prefix_hits, 0, "{name}: affinity off must never claim");
+        assert_eq!(off.prefill_tokens_reused, 0, "{name}");
+        assert!(
+            on.prefix_hits >= 1,
+            "{name}: affinity on must land at least one prefix hit"
+        );
+        assert!(on.prefill_tokens_reused > 0, "{name}");
+        assert!(
+            on.prefill_tokens_recomputed < off.prefill_tokens_recomputed,
+            "{name}: affinity must strictly reduce recomputed prefill tokens: on={} off={}",
+            on.prefill_tokens_recomputed,
+            off.prefill_tokens_recomputed
+        );
+        // Conservation: every shared-prefix token is either reused or
+        // recomputed, and affinity-off recomputes all of them.
+        let total_prefix: u64 = trace
+            .requests
+            .iter()
+            .map(|r| u64::from(r.prefix_tokens.min(r.input_tokens.saturating_sub(1))))
+            .sum();
+        assert_eq!(off.prefill_tokens_recomputed, total_prefix, "{name}");
+        assert!(
+            on.prefill_tokens_reused + on.prefill_tokens_recomputed >= total_prefix,
+            "{name}"
+        );
+    }
 }
 
 /// Affinity-on runs are deterministic: identical fingerprints across
@@ -157,19 +169,8 @@ fn session_injection_replays_fingerprint_identical() {
 
     let mut live = ServingSession::open(&c, &models, plan.horizon);
     let inj = live.injector();
-    for (i, r) in plan.requests.iter().enumerate() {
-        inj.send(
-            r.arrival(),
-            LiveRequest {
-                model: r.model,
-                input_tokens: r.input_tokens,
-                output_tokens: r.output_tokens,
-                session: r.session,
-                turn_index: r.turn_index,
-                prefix_tokens: r.prefix_tokens,
-                sink: None,
-            },
-        );
+    for (i, &req) in plan.requests.iter().enumerate() {
+        inj.send(req.arrival(), LiveRequest { req, sink: None });
         if i % 4 == 0 {
             live.step_until(live.now() + SimDur::from_secs(3));
         }

@@ -20,7 +20,7 @@ use aegaeon_telemetry::{
     chrome_trace, expand, labeled, looks_like_trace_event_json, render_timeline, QuantileSketch,
     SpanKind, SpanLog, TelemetrySpec,
 };
-use aegaeon_workload::{LengthDist, Request, RequestId, SessionBuilder, SessionId, SloSpec, Trace};
+use aegaeon_workload::{LengthDist, Request, RequestId, SessionBuilder, SloSpec, Trace};
 
 const SEEDS: [u64; 3] = [7, 42, 20250713];
 const N_MODELS: usize = 5;
@@ -873,19 +873,8 @@ fn live_session() -> (AegaeonConfig, Vec<ModelSpec>, ServingSession) {
     let mut live = ServingSession::open(&cfg, &models, plan.horizon);
     let inj = live.injector();
     let mut slice = SimTime::ZERO;
-    for (i, r) in plan.requests.iter().enumerate() {
-        assert!(inj.send(
-            r.arrival(),
-            LiveRequest {
-                model: r.model,
-                input_tokens: r.input_tokens,
-                output_tokens: r.output_tokens,
-                session: SessionId::NONE,
-                turn_index: 0,
-                prefix_tokens: 0,
-                sink: None,
-            },
-        ));
+    for (i, &req) in plan.requests.iter().enumerate() {
+        assert!(inj.send(req.arrival(), LiveRequest { req, sink: None }));
         if i % 3 == 0 {
             slice += SimDur::from_millis(900 * (i as u64 % 4 + 1));
             live.step_until(slice);

@@ -281,7 +281,7 @@ mod tests {
         // of the last token (or of a later, rejected arrival) instead of
         // running to the hard stop.
         let tokens = r.outcomes.iter().filter_map(|o| o.token_times.last());
-        let last_token = *tokens.max().expect("some request was served");
+        let last_token = tokens.max().expect("some request was served");
         let arrivals = trace.requests.iter().map(|q| q.arrival());
         let last = arrivals.fold(last_token, SimTime::max);
         assert!(

@@ -223,8 +223,8 @@ mod tests {
         let b = ServerlessLlm::run(&plus, &models(8), &t);
         // Different policies must actually behave differently: under SJF some
         // request is served earlier or later, shifting its first-token time.
-        let fa: Vec<_> = a.outcomes.iter().map(|o| o.token_times.first().copied()).collect();
-        let fb: Vec<_> = b.outcomes.iter().map(|o| o.token_times.first().copied()).collect();
+        let fa: Vec<_> = a.outcomes.iter().map(|o| o.token_times.first()).collect();
+        let fb: Vec<_> = b.outcomes.iter().map(|o| o.token_times.first()).collect();
         assert!(fa != fb || a.scale_count != b.scale_count);
     }
 

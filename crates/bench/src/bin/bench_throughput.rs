@@ -192,16 +192,12 @@ fn replay_sketches(
     let mut tbt = Vec::new();
     for o in retired {
         tbt.clear();
-        tbt.extend(
-            o.token_times
-                .windows(2)
-                .map(|w| w[1].saturating_since(w[0]).as_secs_f64()),
-        );
+        tbt.extend(o.token_times.gaps().map(|g| g.as_secs_f64()));
         let ttft = o.ttft().unwrap_or(f64::NAN);
         let (s_ttft, s_tbt) = ids[o.model.0 as usize];
         reg.observe_sketch(s_ttft, ttft);
         reg.observe_sketch_all(s_tbt, &tbt);
-        let at = o.token_times.last().copied().unwrap_or(SimTime::ZERO);
+        let at = o.token_times.last().unwrap_or(SimTime::ZERO);
         let s = score_tokens(o.arrival, &o.token_times, o.target_tokens, spec, at);
         slo.observe_request(at.as_nanos(), o.model.0, ttft, &tbt, s.tokens, s.met);
     }
@@ -410,7 +406,7 @@ fn main() {
 
     let mut retired: Vec<&RequestOutcome> =
         ton_r.outcomes.iter().filter(|o| o.finished()).collect();
-    retired.sort_by_key(|o| (o.token_times.last().copied(), o.id));
+    retired.sort_by_key(|o| (o.token_times.last(), o.id));
     let (sketch_secs, (reg_again, slo_again)) =
         median_secs(|| replay_sketches(&retired, tmodels.len()));
     assert_eq!(retired.len(), ton_r.completed, "every completion retires");

@@ -14,6 +14,7 @@
 
 use aegaeon_engine::KvCache;
 use aegaeon_mem::SlabShadow;
+use aegaeon_metrics::TokenTimes;
 use aegaeon_sim::SimTime;
 use std::fmt;
 
@@ -331,7 +332,7 @@ impl InvariantAuditor {
                 self.check_request(now, reqs, i);
             }
         } else {
-            for &i in reqs.progressed() {
+            for &(i, _) in reqs.progressed() {
                 self.check_request(now, reqs, i);
             }
         }
@@ -461,22 +462,27 @@ impl InvariantAuditor {
                 ),
             );
         }
-        // Only the newly appended timestamps need checking; the prefix
-        // was validated on earlier events.
-        let start = seen.tokens.saturating_sub(1).min(r.token_times.len());
-        for w in r.token_times[start..].windows(2) {
-            if w[1] < w[0] {
+        // Only the newly appended timestamps need checking, with the last
+        // checked one before them; the prefix was validated on earlier
+        // events. Walking them back from the last token costs one step per
+        // new token.
+        let len = r.token_times.len();
+        let new = len - seen.tokens.saturating_sub(1).min(len);
+        let mut later: Option<SimTime> = None;
+        for t in r.token_times.iter().rev().take(new) {
+            if let Some(l) = later.filter(|&l| l < t) {
                 self.flag(
                     now,
                     format!(
                         "token order: request {i} timestamps go backwards ({:.6}s after {:.6}s)",
-                        w[1].as_secs_f64(),
-                        w[0].as_secs_f64()
+                        l.as_secs_f64(),
+                        t.as_secs_f64()
                     ),
                 );
             }
+            later = Some(t);
         }
-        if let Some(&last) = r.token_times.last() {
+        if let Some(last) = r.token_times.last() {
             if r.token_times.len() > seen.tokens && last > now {
                 self.flag(
                     now,
@@ -533,15 +539,17 @@ impl Auditor for InvariantAuditor {
 /// Standalone helper shared with the unified schedulers: checks one
 /// request's token timestamps are nondecreasing. Returns `Some(description)`
 /// on the first violation.
-pub(crate) fn check_token_order(req_idx: usize, token_times: &[SimTime]) -> Option<String> {
-    for w in token_times.windows(2) {
-        if w[1] < w[0] {
+pub(crate) fn check_token_order(req_idx: usize, token_times: &TokenTimes) -> Option<String> {
+    let mut earlier: Option<SimTime> = None;
+    for t in token_times {
+        if let Some(e) = earlier.filter(|&e| t < e) {
             return Some(format!(
                 "request {req_idx}: token at {:.6}s precedes token at {:.6}s",
-                w[1].as_secs_f64(),
-                w[0].as_secs_f64()
+                t.as_secs_f64(),
+                e.as_secs_f64()
             ));
         }
+        earlier = Some(t);
     }
     None
 }
@@ -705,7 +713,7 @@ mod tests {
         a.after_event(t(2.0), &v);
         let mut worse = clean_view();
         worse.reqs[0].produced = 1; // produced went backwards
-        worse.reqs[0].token_times.pop();
+        worse.reqs[0].token_times = worse.reqs[0].token_times.iter().take(1).collect();
         a.after_event(t(2.5), &worse);
         let report = a.take_report();
         assert!(report
@@ -715,7 +723,8 @@ mod tests {
 
         let mut a = InvariantAuditor::new();
         let mut bad = clean_view();
-        bad.reqs[0].token_times = vec![t(2.0), t(1.0)];
+        // The backward step is kept in the wide list.
+        bad.reqs[0].token_times = [t(2.0), t(1.0)].into_iter().collect();
         a.after_event(t(3.0), &bad);
         let report = a.take_report();
         assert!(
@@ -761,7 +770,7 @@ mod tests {
         produce(&mut v, 3, 2.0);
         produce(&mut v, 3, 2.0);
         v.reqs[3].produced = 0;
-        v.reqs[3].token_times.clear();
+        v.reqs[3].token_times = TokenTimes::new();
         a.after_event(t(2.0), &v);
         let report = a.take_report();
         assert!(!report.ok());
@@ -780,7 +789,7 @@ mod tests {
         let mut v = clean_view();
         a.after_event(t(2.0), &v);
         v.reqs[0].produced = 1; // produced went backwards without a log entry
-        v.reqs[0].token_times.pop();
+        v.reqs[0].token_times = v.reqs[0].token_times.iter().take(1).collect();
         v.reqs.clear_progress();
         a.after_event(t(2.5), &v);
         assert!(a.report.ok(), "only logged requests are checked per event");
@@ -914,17 +923,11 @@ mod tests {
 
     #[test]
     fn check_token_order_helper() {
-        assert!(check_token_order(0, &[]).is_none());
-        assert!(check_token_order(
-            0,
-            &[SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(1.0)]
-        )
-        .is_none());
-        assert!(check_token_order(
-            7,
-            &[SimTime::from_secs_f64(2.0), SimTime::from_secs_f64(1.0)]
-        )
-        .unwrap()
-        .contains("request 7"));
+        let times = |s: &[f64]| -> TokenTimes { s.iter().map(|&s| t(s)).collect() };
+        assert!(check_token_order(0, &TokenTimes::new()).is_none());
+        assert!(check_token_order(0, &times(&[1.0, 1.0])).is_none());
+        assert!(check_token_order(7, &times(&[2.0, 1.0]))
+            .unwrap()
+            .contains("request 7"));
     }
 }

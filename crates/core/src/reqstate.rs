@@ -1,6 +1,7 @@
 //! Per-request runtime state.
 
 use aegaeon_gpu::EventId;
+use aegaeon_metrics::TokenTimes;
 use aegaeon_sim::SimTime;
 use aegaeon_workload::{Request, SessionId};
 
@@ -41,7 +42,7 @@ pub struct ReqState {
     /// Output tokens produced so far.
     pub produced: u32,
     /// Generation instants (first token included).
-    pub token_times: Vec<SimTime>,
+    pub token_times: TokenTimes,
     /// Current phase.
     pub(crate) phase: Phase,
     /// KV location.
@@ -94,7 +95,7 @@ impl ReqState {
             target_tokens,
             arrival,
             produced: 0,
-            token_times: Vec::new(),
+            token_times: TokenTimes::new(),
             phase: Phase::Prefill,
             kv: KvPlace::None,
             offload_event: None,
@@ -140,11 +141,11 @@ impl ReqState {
     /// auditor.
     ///
     /// The first token reserves room for exactly `target_tokens`, so the
-    /// vector is allocated once and holds no slack when the request
-    /// completes. (The gateway clamps `max_tokens` to 4096, so a live
-    /// request reserves at most 32 KiB.)
+    /// record's step list is allocated once and holds no slack when the
+    /// request completes. (The gateway clamps `max_tokens` to 4096, so a
+    /// live request reserves at most 16 KiB.)
     pub(crate) fn push_token(&mut self, t: SimTime) {
-        if self.token_times.capacity() == 0 {
+        if self.token_times.is_empty() {
             self.token_times.reserve_exact(self.target_tokens as usize);
         }
         self.produced += 1;
@@ -166,6 +167,6 @@ mod tests {
         r.push_token(SimTime::from_secs_f64(1.2));
         assert!(r.is_done());
         assert_eq!(r.ctx_tokens(), 103);
-        assert_eq!(r.token_times.last(), Some(&SimTime::from_secs_f64(1.2)));
+        assert_eq!(r.token_times.last(), Some(SimTime::from_secs_f64(1.2)));
     }
 }

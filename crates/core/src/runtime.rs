@@ -574,10 +574,10 @@ impl DecodeRun {
 #[derive(Debug, Default)]
 pub struct Requests {
     states: Vec<ReqState>,
-    /// Indices of the requests that produced a token during the current
-    /// event, once per token. [`Driver::step`] clears it before each
-    /// dispatch, so it never holds more than one event's progress.
-    progressed: Vec<usize>,
+    /// Each token produced during the current event: its request's index
+    /// and its instant. [`Driver::step`] clears it before each dispatch, so
+    /// it never holds more than one event's progress.
+    progressed: Vec<(usize, SimTime)>,
     /// Requests that produced every token.
     pub completed: usize,
     /// Requests turned away for good at admission (MuxServe's unplaced
@@ -636,13 +636,13 @@ impl Requests {
     pub fn push_token(&mut self, req: RequestId, t: SimTime) {
         let i = req.0 as usize;
         self.states[i].push_token(t);
-        self.progressed.push(i);
+        self.progressed.push((i, t));
     }
 
-    /// The requests that produced a token during the last dispatched
-    /// event, in production order, once per token. A request missing here
-    /// kept its audited state across the event.
-    pub fn progressed(&self) -> &[usize] {
+    /// The tokens produced during the last dispatched event, in production
+    /// order: each one's request and instant. A request missing here kept
+    /// its audited state across the event.
+    pub fn progressed(&self) -> &[(usize, SimTime)] {
         &self.progressed
     }
 
@@ -977,15 +977,12 @@ impl SpanBook {
         }
         self.close(tel, req, now);
         self.tbt.clear();
-        self.tbt.extend(
-            rs.token_times
-                .windows(2)
-                .map(|w| w[1].saturating_since(w[0]).as_secs_f64()),
-        );
+        self.tbt
+            .extend(rs.token_times.gaps().map(|g| g.as_secs_f64()));
         let ttft = rs
             .token_times
             .first()
-            .map_or(f64::NAN, |&t| t.saturating_since(rs.arrival).as_secs_f64());
+            .map_or(f64::NAN, |t| t.saturating_since(rs.arrival).as_secs_f64());
         let mi = model.0 as usize;
         tel.metrics.observe_sketch(ids.s_ttft[mi], ttft);
         tel.metrics.observe_sketch_all(ids.s_tbt[mi], &self.tbt);

@@ -59,7 +59,7 @@ use std::sync::mpsc;
 
 use aegaeon_model::ModelSpec;
 use aegaeon_sim::{injection_channel, FxHashMap, InjectionPort, Injector, SimTime, Timeline};
-use aegaeon_telemetry::{MetricsRegistry, Telemetry};
+use aegaeon_telemetry::{MetricsRegistry, SloDocument, Telemetry};
 use aegaeon_workload::{Request, RequestId, Trace};
 
 use crate::audit::{AuditReport, Auditor};
@@ -365,14 +365,15 @@ impl ServingSession {
     }
 
     /// Forwards the last event's tokens, read off the request table's
-    /// progress log, to their sinks; a request's sink is dropped after its
-    /// final token so consumers observe end of stream.
+    /// progress log (which carries each token's instant), to their sinks;
+    /// a request's sink is dropped after its final token so consumers
+    /// observe end of stream.
     fn flush_tokens(&mut self) {
         if self.sinks.is_empty() {
             return;
         }
         let reqs = &self.driver.host.reqs;
-        for &i in reqs.progressed() {
+        for &(i, at) in reqs.progressed() {
             let req = i as u64;
             let Some((sink, next)) = self.sinks.get_mut(&req) else {
                 continue;
@@ -383,7 +384,7 @@ impl ServingSession {
             let tok = TokenEv {
                 req: RequestId(req),
                 index,
-                at: rs.token_times[index as usize],
+                at,
                 done: index + 1 >= rs.target_tokens,
                 prefix_hit: rs.prefix_hit,
             };
@@ -415,11 +416,11 @@ impl ServingSession {
         }
     }
 
-    /// Renders the SLO observatory and switch-cost attribution ledger as a
-    /// JSON document (the `GET /v1/slo` body). Observer-only: reads
-    /// telemetry state that result fingerprints exclude.
-    pub fn slo_snapshot_json(&self) -> String {
-        aegaeon_telemetry::slo_json(&self.driver.host.tel.slo, &self.driver.host.tel.attrib)
+    /// Brings `doc`, the `GET /v1/slo` body, up to the SLO observatory and
+    /// switch-cost attribution ledger. Observer-only: reads telemetry state
+    /// that result fingerprints exclude.
+    pub fn update_slo(&self, doc: &mut SloDocument) {
+        doc.update(&self.driver.host.tel.slo, &self.driver.host.tel.attrib);
     }
 
     /// The metrics registry (Prometheus export), with every gauge computed
@@ -741,7 +742,8 @@ mod tests {
             assert_eq!(r.fingerprint(), whole.fingerprint(), "{name}");
             for (o, rx) in whole.outcomes.iter().zip(&rxs) {
                 let at: Vec<SimTime> = rx.try_iter().map(|t| t.at).collect();
-                assert_eq!(at, o.token_times, "{name}: request {}", o.id.0);
+                let times: Vec<SimTime> = o.token_times.iter().collect();
+                assert_eq!(at, times, "{name}: request {}", o.id.0);
             }
         }
     }
@@ -774,10 +776,10 @@ mod tests {
         for (o, rx) in result.outcomes.iter().zip(&rxs) {
             let toks: Vec<TokenEv> = rx.iter().collect();
             assert_eq!(toks.len(), o.token_times.len(), "request {}", o.id.0);
-            for (k, t) in toks.iter().enumerate() {
+            for ((k, t), at) in toks.iter().enumerate().zip(&o.token_times) {
                 assert_eq!(t.req, o.id);
                 assert_eq!(t.index, k as u32);
-                assert_eq!(t.at, o.token_times[k]);
+                assert_eq!(t.at, at);
                 assert_eq!(t.done, k + 1 == toks.len());
             }
         }
@@ -810,6 +812,40 @@ mod tests {
             assert_eq!(read(reg, "prefill_queue_depth"), 0.0, "session {i}");
             assert_eq!(read(reg, "vram_kv_used_bytes"), 0.0, "session {i}");
         }
+    }
+
+    /// The `/v1/slo` body kept by [`ServingSession::update_slo`] after
+    /// every second of a live run equals a fresh `slo_json` rendering each
+    /// time, across every window the run seals.
+    #[test]
+    fn updated_slo_document_equals_slo_json_through_a_live_run() {
+        let mut cfg = AegaeonConfig::small_testbed(1, 1);
+        cfg.telemetry = aegaeon_telemetry::TelemetrySpec::enabled();
+        let specs = models(2);
+        let plan = small_trace(2, 0.3, 60.0, 16);
+        let mut live = ServingSession::open(&cfg, &specs, plan.horizon);
+        let inj = live.injector();
+        for r in &plan.requests {
+            inj.send(
+                r.arrival(),
+                single(r.model, r.input_tokens, r.output_tokens, None),
+            );
+        }
+        let mut doc = SloDocument::default();
+        let (mut points, mut seals) = (0, 0);
+        for s in 1..=90 {
+            live.step_until(SimTime::from_secs_f64(s as f64));
+            live.update_slo(&mut doc);
+            let tel = live.telemetry();
+            assert_eq!(
+                doc.to_json(),
+                aegaeon_telemetry::slo_json(&tel.slo, &tel.attrib),
+                "{s} s"
+            );
+            seals += usize::from(tel.slo.points().len() > points);
+            points = tel.slo.points().len();
+        }
+        assert!(seals >= 4, "{seals} seals over {points} points");
     }
 
     /// A live session's `/metrics` counts dispatched events and the

@@ -2758,7 +2758,7 @@ impl Host for ServingSystem {
         for rs in self.reqs.iter() {
             kv_sync.push(rs.data_wait_secs + rs.control_secs);
             let finished = rs.token_times.last().filter(|_| rs.is_done());
-            if let (Some(d), Some(&f)) = (rs.decode_dispatch, finished) {
+            if let (Some(d), Some(f)) = (rs.decode_dispatch, finished) {
                 let total = f.saturating_since(d).as_secs_f64();
                 let wait = (total - rs.decode_exec_secs - rs.data_wait_secs).max(0.0);
                 self.breakdown.add_secs(Stage::DecodeWait, wait);
@@ -2980,16 +2980,8 @@ mod tests {
         let b = ServingSystem::run(&cfg, &models(3), &trace);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.events, b.events);
-        let ta: Vec<_> = a
-            .outcomes
-            .iter()
-            .flat_map(|o| o.token_times.clone())
-            .collect();
-        let tb: Vec<_> = b
-            .outcomes
-            .iter()
-            .flat_map(|o| o.token_times.clone())
-            .collect();
+        let ta: Vec<_> = a.outcomes.iter().flat_map(|o| &o.token_times).collect();
+        let tb: Vec<_> = b.outcomes.iter().flat_map(|o| &o.token_times).collect();
         assert_eq!(ta, tb);
     }
 
@@ -3246,7 +3238,7 @@ mod tests {
         (
             r.produced,
             r.token_times.len(),
-            r.token_times.last().copied(),
+            r.token_times.last(),
             r.is_done(),
         )
     }
@@ -3266,7 +3258,7 @@ mod tests {
             for (i, (was, is)) in last.iter().zip(&now).enumerate() {
                 if was != is {
                     assert!(
-                        d.host.reqs.progressed().contains(&i),
+                        d.host.reqs.progressed().iter().any(|&(j, _)| j == i),
                         "request {i} changed {was:?} -> {is:?} without a log entry"
                     );
                     changed += 1;
@@ -3433,11 +3425,8 @@ mod tests {
         let report = r.audit.as_ref().expect("auditor installed");
         assert!(report.ok(), "{report}");
         assert_eq!(r.completed, r.total_requests);
-        let by = |ts: &[SimTime]| {
-            ts.iter()
-                .copied()
-                .filter(|&t| t <= crash)
-                .collect::<Vec<_>>()
+        let by = |ts: &aegaeon_metrics::TokenTimes| {
+            ts.iter().filter(|&t| t <= crash).collect::<Vec<_>>()
         };
         for (o, b) in r.outcomes.iter().zip(&baseline.outcomes) {
             assert_eq!(by(&o.token_times), by(&b.token_times), "request {}", o.id.0);
@@ -3445,9 +3434,9 @@ mod tests {
         let recovered = crash + FAILOVER_LATENCY;
         for req in stranded {
             let ts = &r.outcomes[req.0 as usize].token_times;
-            let after = ts.iter().find(|&&t| t > crash);
+            let after = ts.iter().find(|&t| t > crash);
             assert!(
-                after.is_none_or(|&t| t > recovered),
+                after.is_none_or(|t| t > recovered),
                 "request {} stamped {after:?} after the crash",
                 req.0
             );

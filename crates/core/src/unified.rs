@@ -10,6 +10,7 @@
 //! disaggregated design.
 
 use aegaeon_metrics::slo::score_tokens;
+use aegaeon_metrics::TokenTimes;
 use aegaeon_sim::{SimDur, SimTime};
 use aegaeon_telemetry::{SpanKind, SpanLog};
 use aegaeon_workload::SloSpec;
@@ -345,7 +346,7 @@ pub fn run_unified(policy: UnifiedPolicy, cfg: &MicroCfg, reqs: &[MicroReq]) -> 
     let (mut tokens, mut met) = (0, 0);
     let mut ttft = Vec::new();
     for (i, r) in runs.iter().enumerate() {
-        let times: Vec<SimTime> = r.times.iter().map(|&t| SimTime::from_secs_f64(t)).collect();
+        let times: TokenTimes = r.times.iter().map(|&t| SimTime::from_secs_f64(t)).collect();
         // The microbenchmark bypasses the event-driven audit hook, so
         // enforce the auditor's token-order invariant inline before
         // reporting.

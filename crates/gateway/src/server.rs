@@ -112,7 +112,7 @@ use aegaeon::{AegaeonConfig, AuditReport, InvariantAuditor, RunResult, TokenEv};
 use aegaeon_model::{ModelId, ModelSpec};
 use aegaeon_sim::queue::Injector;
 use aegaeon_sim::SimTime;
-use aegaeon_telemetry::{labeled, prometheus_text, MetricsRegistry};
+use aegaeon_telemetry::{labeled, prometheus_text, MetricsRegistry, SloDocument};
 use aegaeon_workload::Trace;
 
 use crate::api::{self, ApiError};
@@ -356,8 +356,9 @@ impl Shared {
 struct Snapshot {
     /// Prometheus text of the session's metrics registry.
     metrics: String,
-    /// The `GET /v1/slo` document.
-    slo: String,
+    /// The `GET /v1/slo` document, updated in place: a render adds only
+    /// the windows sealed since the last one.
+    slo: SloDocument,
     /// When it was rendered.
     at: Instant,
 }
@@ -365,11 +366,20 @@ struct Snapshot {
 impl Snapshot {
     /// Renders the session's observers, computing its gauges first.
     fn render(session: &mut ServingSession) -> Snapshot {
-        Snapshot {
-            metrics: prometheus_text(session.metrics()),
-            slo: session.slo_snapshot_json(),
+        let mut snap = Snapshot {
+            metrics: String::new(),
+            slo: SloDocument::default(),
             at: Instant::now(),
-        }
+        };
+        snap.refresh(session);
+        snap
+    }
+
+    /// Re-renders the snapshot from the session's current state.
+    fn refresh(&mut self, session: &mut ServingSession) {
+        self.metrics = prometheus_text(session.metrics());
+        session.update_slo(&mut self.slo);
+        self.at = Instant::now();
     }
 }
 
@@ -708,8 +718,8 @@ impl SimThread {
 
     /// Re-renders the `/metrics` and `/v1/slo` snapshot.
     fn render_snapshot(&mut self) {
-        let fresh = Snapshot::render(&mut self.session);
-        *self.snapshot.lock().expect("snapshot lock") = fresh;
+        let mut snap = self.snapshot.lock().expect("snapshot lock");
+        snap.refresh(&mut self.session);
     }
 }
 
@@ -806,11 +816,11 @@ fn accept_pass<C, S>(
 fn read_snapshot(
     snapshot: &Mutex<Snapshot>,
     ctl: &Sender<Ctl>,
-    part: impl FnOnce(&Snapshot) -> &String,
+    part: impl FnOnce(&Snapshot) -> String,
 ) -> (String, Duration) {
     let (text, age) = {
         let snap = snapshot.lock().expect("snapshot lock");
-        (part(&snap).clone(), snap.at.elapsed())
+        (part(&snap), snap.at.elapsed())
     };
     if age >= METRICS_REFRESH {
         let _ = ctl.send(Ctl::Ping);
@@ -1051,13 +1061,14 @@ impl Reactor {
             }
             ("GET", "/metrics") => {
                 self.shared.metrics.fetch_add(1, Ordering::Relaxed);
-                let (mut text, age) = read_snapshot(&self.snapshot, &self.ctl, |s| &s.metrics);
+                let (mut text, age) =
+                    read_snapshot(&self.snapshot, &self.ctl, |s| s.metrics.clone());
                 text.push_str(&self.shared.prometheus(age));
                 self.respond(idx, 200, "OK", "text/plain; version=0.0.4", &text, &[]);
             }
             ("GET", "/v1/slo") => {
                 self.shared.slo.fetch_add(1, Ordering::Relaxed);
-                let (json, _) = read_snapshot(&self.snapshot, &self.ctl, |s| &s.slo);
+                let (json, _) = read_snapshot(&self.snapshot, &self.ctl, |s| s.slo.to_json());
                 self.respond(idx, 200, "OK", "application/json", &json, &[]);
             }
             ("POST", "/v1/completions") => self.route_completion(idx, &body),
@@ -1479,7 +1490,7 @@ mod tests {
     fn snapshot_aged(age: Duration) -> Mutex<Snapshot> {
         Mutex::new(Snapshot {
             metrics: "metrics".into(),
-            slo: "slo".into(),
+            slo: SloDocument::default(),
             at: Instant::now() - age,
         })
     }
@@ -1487,12 +1498,13 @@ mod tests {
     #[test]
     fn stale_snapshot_read_pings_the_sim_thread() {
         let (tx, rx) = std::sync::mpsc::channel();
-        let (text, age) = read_snapshot(&snapshot_aged(Duration::ZERO), &tx, |s| &s.metrics);
+        let (text, age) = read_snapshot(&snapshot_aged(Duration::ZERO), &tx, |s| s.metrics.clone());
         assert_eq!(text, "metrics");
         assert!(age < METRICS_REFRESH);
         assert!(rx.try_recv().is_err(), "a fresh snapshot needs no render");
-        let (text, age) = read_snapshot(&snapshot_aged(METRICS_REFRESH), &tx, |s| &s.slo);
-        assert_eq!(text, "slo");
+        let (text, age) =
+            read_snapshot(&snapshot_aged(METRICS_REFRESH), &tx, |s| s.metrics.clone());
+        assert_eq!(text, "metrics");
         assert!(age >= METRICS_REFRESH);
         assert!(
             matches!(rx.try_recv(), Ok(Ctl::Ping)),

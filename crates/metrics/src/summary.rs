@@ -37,8 +37,8 @@ pub fn summarize(outcomes: &[RequestOutcome], horizon: SimTime) -> Summary {
         if let Some(t) = o.ttft() {
             ttft.push(t);
         }
-        for w in o.token_times.windows(2) {
-            tbt.push((w[1] - w[0]).as_secs_f64());
+        for gap in o.token_times.gaps() {
+            tbt.push(gap.as_secs_f64());
         }
     }
     Summary {
@@ -77,6 +77,23 @@ mod tests {
         assert!((s.ttft.0 - 1.5).abs() < 1e-9);
         // Gaps: ten of 0.05 and twenty of 0.1.
         assert!(s.tbt.0 >= 0.05 && s.tbt.2 <= 0.1 + 1e-9);
+    }
+
+    #[test]
+    fn out_of_order_stamp_is_a_zero_gap() {
+        // 2.0 s after 2.5 s steps backwards: a zero gap, as in every TBT
+        // reader, where an unchecked subtraction panicked in debug builds
+        // and wrapped in release ones.
+        let mut o = outcome(0, 1.0, 0, 0.0);
+        o.token_times = [1.0, 2.5, 2.0, 2.1]
+            .into_iter()
+            .map(SimTime::from_secs_f64)
+            .collect();
+        let s = summarize(&[o], SimTime::from_secs_f64(10.0));
+        assert_eq!(s.tokens, 4);
+        // Gaps 1.5, 0 and 0.1: the median is 0.1, the p99 below 1.5.
+        assert!((s.tbt.0 - 0.1).abs() < 1e-9, "{:?}", s.tbt);
+        assert!(s.tbt.2 <= 1.5 + 1e-9, "{:?}", s.tbt);
     }
 
     #[test]

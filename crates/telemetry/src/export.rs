@@ -235,89 +235,141 @@ pub fn jsonl(spans: &SpanLog, metrics: &MetricsRegistry) -> String {
 
 /// Renders the SLO observatory and attribution ledger as one JSON object —
 /// the body of the gateway's `GET /v1/slo` and the one document the
-/// analyzer reads. Deterministic for a given observatory state.
+/// analyzer reads. Deterministic for a given observatory state. One
+/// [`SloDocument::update`] of a fresh document.
 pub fn slo_json(slo: &SloObservatory, attrib: &AttributionLedger) -> String {
-    let mut out = String::from("{\"models\":[");
-    for (m, c) in slo.cumulative().iter().enumerate() {
-        if m > 0 {
-            out.push(',');
+    let mut doc = SloDocument::default();
+    doc.update(slo, attrib);
+    doc.to_json()
+}
+
+/// The [`slo_json`] document, kept current by rendering only what changed.
+///
+/// Sealed windows never change (the observatory only appends them), so
+/// each is rendered once; an [`SloDocument::update`] renders the windows
+/// sealed since the last one and re-renders the per-model cumulative rows,
+/// the session rows and the attribution ledger, none of which grows with
+/// the run's length. The document is three strings that are never joined
+/// until it is read, so an update copies nothing already rendered. A
+/// document follows one observatory for its whole life.
+#[derive(Debug, Clone, Default)]
+pub struct SloDocument {
+    /// Up to and including the `"windows":[` opener.
+    head: String,
+    /// The rendered windows, comma-separated.
+    windows: String,
+    /// Windows rendered so far.
+    sealed: usize,
+    /// From the windows' closing bracket to the end.
+    tail: String,
+}
+
+impl SloDocument {
+    /// Brings the document up to the observers' current state.
+    pub fn update(&mut self, slo: &SloObservatory, attrib: &AttributionLedger) {
+        let out = &mut self.head;
+        out.clear();
+        out.push_str("{\"models\":[");
+        for (m, c) in slo.cumulative().iter().enumerate() {
+            if m > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"model\":\"m{m}\",\"requests\":{},\"tokens\":{},\"tokens_met\":{},\"attainment\":",
+                c.requests, c.tokens, c.tokens_met
+            );
+            push_json_f64(out, c.attainment());
+            out.push('}');
         }
-        let _ = write!(
-            out,
-            "{{\"model\":\"m{m}\",\"requests\":{},\"tokens\":{},\"tokens_met\":{},\"attainment\":",
-            c.requests, c.tokens, c.tokens_met
-        );
-        push_json_f64(&mut out, c.attainment());
-        out.push('}');
+        out.push_str("],\"windows\":[");
+
+        let out = &mut self.windows;
+        for p in &slo.points()[self.sealed..] {
+            if self.sealed > 0 {
+                out.push(',');
+            }
+            self.sealed += 1;
+            let _ = write!(
+                out,
+                "{{\"window_end_ns\":{},\"model\":\"m{}\",\"requests\":{},\"tokens\":{},\"tokens_met\":{}",
+                p.window_end_ns, p.model, p.requests, p.tokens, p.tokens_met
+            );
+            for (key, v) in [
+                ("ttft_p50", p.ttft_p50),
+                ("ttft_p90", p.ttft_p90),
+                ("ttft_p99", p.ttft_p99),
+                ("tbt_p50", p.tbt_p50),
+                ("tbt_p90", p.tbt_p90),
+                ("tbt_p99", p.tbt_p99),
+                ("attainment", p.attainment),
+                ("goodput_tps", p.goodput_tps),
+            ] {
+                let _ = write!(out, ",\"{key}\":");
+                push_json_f64(out, v);
+            }
+            out.push('}');
+        }
+
+        let out = &mut self.tail;
+        out.clear();
+        out.push_str("],\"sessions\":[");
+        let mut first = true;
+        for (m, t) in slo.turn_stats().iter().enumerate() {
+            if t.turns == 0 {
+                continue;
+            }
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            let _ = write!(
+                out,
+                "{{\"model\":\"m{m}\",\"turns\":{},\"prefix_hits\":{},\"max_depth\":{},\"prefix_hit_rate\":",
+                t.turns, t.prefix_hits, t.max_depth
+            );
+            push_json_f64(out, t.prefix_hit_rate());
+            for (key, q) in [
+                ("turn_latency_p50", 0.50),
+                ("turn_latency_p90", 0.90),
+                ("turn_latency_p99", 0.99),
+            ] {
+                let _ = write!(out, ",\"{key}\":");
+                push_json_f64(out, t.latency_quantile(q));
+            }
+            out.push('}');
+        }
+        out.push_str("],\"attribution\":[");
+        for (i, (inst, model, kind, secs)) in attrib.rows().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"instance\":");
+            push_json_str(out, inst);
+            let _ = write!(
+                out,
+                ",\"model\":\"m{model}\",\"kind\":\"{}\",\"secs\":",
+                kind.name()
+            );
+            push_json_f64(out, secs);
+            out.push('}');
+        }
+        out.push_str("],\"useful_secs\":");
+        push_json_f64(out, attrib.useful_secs());
+        out.push_str(",\"overhead_secs\":");
+        push_json_f64(out, attrib.overhead_secs());
+        out.push_str("}\n");
     }
-    out.push_str("],\"windows\":[");
-    for (i, p) in slo.points().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+
+    /// The document as of the last update (empty before the first).
+    pub fn to_json(&self) -> String {
+        let parts = [&self.head, &self.windows, &self.tail];
+        let mut out = String::with_capacity(parts.iter().map(|p| p.len()).sum());
+        for p in parts {
+            out.push_str(p);
         }
-        let _ = write!(
-            out,
-            "{{\"window_end_ns\":{},\"model\":\"m{}\",\"requests\":{},\"tokens\":{},\"tokens_met\":{}",
-            p.window_end_ns, p.model, p.requests, p.tokens, p.tokens_met
-        );
-        for (key, v) in [
-            ("ttft_p50", p.ttft_p50),
-            ("ttft_p90", p.ttft_p90),
-            ("ttft_p99", p.ttft_p99),
-            ("tbt_p50", p.tbt_p50),
-            ("tbt_p90", p.tbt_p90),
-            ("tbt_p99", p.tbt_p99),
-            ("attainment", p.attainment),
-            ("goodput_tps", p.goodput_tps),
-        ] {
-            let _ = write!(out, ",\"{key}\":");
-            push_json_f64(&mut out, v);
-        }
-        out.push('}');
+        out
     }
-    out.push_str("],\"sessions\":[");
-    let mut first = true;
-    for (m, t) in slo.turn_stats().iter().enumerate() {
-        if t.turns == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"model\":\"m{m}\",\"turns\":{},\"prefix_hits\":{},\"max_depth\":{},\"prefix_hit_rate\":",
-            t.turns, t.prefix_hits, t.max_depth
-        );
-        push_json_f64(&mut out, t.prefix_hit_rate());
-        for (key, q) in [
-            ("turn_latency_p50", 0.50),
-            ("turn_latency_p90", 0.90),
-            ("turn_latency_p99", 0.99),
-        ] {
-            let _ = write!(out, ",\"{key}\":");
-            push_json_f64(&mut out, t.latency_quantile(q));
-        }
-        out.push('}');
-    }
-    out.push_str("],\"attribution\":[");
-    for (i, (inst, model, kind, secs)) in attrib.rows().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"instance\":");
-        push_json_str(&mut out, inst);
-        let _ = write!(out, ",\"model\":\"m{model}\",\"kind\":\"{}\",\"secs\":", kind.name());
-        push_json_f64(&mut out, secs);
-        out.push('}');
-    }
-    out.push_str("],\"useful_secs\":");
-    push_json_f64(&mut out, attrib.useful_secs());
-    out.push_str(",\"overhead_secs\":");
-    push_json_f64(&mut out, attrib.overhead_secs());
-    out.push_str("}\n");
-    out
 }
 
 /// Renders the registry's current state in the Prometheus text exposition
@@ -630,6 +682,39 @@ mod tests {
         assert!(json.contains("\"kind\":\"model_switch\",\"secs\":1.5"));
         assert!(json.contains("\"useful_secs\":3"));
         assert!(json.contains("\"model\":\"m1\",\"requests\":0"));
+    }
+
+    #[test]
+    fn incremental_document_equals_slo_json_after_every_seal() {
+        // Three models retiring requests over 30 one-second windows; the
+        // document is updated after every request and at finish.
+        let mut slo = SloObservatory::new(3, 1_000_000_000);
+        let mut attrib = AttributionLedger::enabled();
+        let p0 = attrib.instance("p0");
+        let mut doc = SloDocument::default();
+        let mut seals = 0;
+        for k in 0..120u64 {
+            let before = slo.points().len();
+            let model = (k % 3) as u32;
+            let gaps = [0.02 + 0.001 * k as f64, 0.05];
+            slo.observe_request(
+                k * 250_000_000,
+                model,
+                0.1 * (k % 7) as f64,
+                &gaps,
+                3,
+                k % 4,
+            );
+            attrib.add(p0, model, crate::observatory::CostKind::DecodeExec, 0.25);
+            doc.update(&slo, &attrib);
+            seals += usize::from(slo.points().len() > before);
+            assert_eq!(doc.to_json(), slo_json(&slo, &attrib), "after request {k}");
+        }
+        slo.finish();
+        doc.update(&slo, &attrib);
+        assert_eq!(doc.to_json(), slo_json(&slo, &attrib), "after finish");
+        assert!(seals >= 25, "{seals} updates sealed windows");
+        assert!(slo.points().len() >= 80, "{} points", slo.points().len());
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub mod span;
 
 pub use export::{
     chrome_trace, jsonl, looks_like_trace_event_json, prometheus_text, render_timeline, slo_json,
+    SloDocument,
 };
 pub use metrics::{expand, labeled, CounterId, GaugeId, MetricsRegistry, Sample, SketchId};
 pub use observatory::{CostKind, SloCum, SloObservatory};

@@ -128,7 +128,7 @@ fn ablation_ladder_is_monotone() {
 }
 
 /// Asserts that every completed outcome holds exactly one instant per
-/// target token, in a vector with no spare capacity.
+/// target token, in a record with no spare capacity.
 fn assert_token_vectors_exact(system: &str, r: &RunResult) {
     let mut completed = 0;
     for o in r.outcomes.iter().filter(|o| o.finished()) {
@@ -158,6 +158,34 @@ fn completed_token_vectors_are_sized_once_to_their_target() {
         &trace,
     );
     assert_token_vectors_exact("ServerlessLLM", &sllm);
+}
+
+/// Token instants cost four bytes a token. On one fixed market run (40
+/// models at 1.0 rps for 400 s through Aegaeon on the paper testbed) the
+/// outcomes store at most 4.25 bytes per produced token, the first
+/// instants and wide gaps included; eight-byte storage reads about 8.0.
+/// Some gaps are wide (waits between quota rounds), so the run also
+/// exercises the side list.
+#[test]
+fn token_instants_cost_four_bytes_a_token() {
+    let n = 40;
+    let trace = uniform_trace(n, 1.0, 400.0, aegaeon_bench::SEED, LengthDist::sharegpt());
+    let r = ServingSystem::run(&AegaeonConfig::paper_testbed(), &market_models(n), &trace);
+    let tokens: usize = r.outcomes.iter().map(|o| o.token_times.len()).sum();
+    let bytes: usize = r
+        .outcomes
+        .iter()
+        .map(|o| o.token_times.stored_bytes())
+        .sum();
+    let wide: usize = r.outcomes.iter().map(|o| o.token_times.wide_gaps()).sum();
+    let per_token = bytes as f64 / tokens as f64;
+    println!("{bytes} bytes for {tokens} tokens ({per_token:.3} per token), {wide} wide gaps");
+    assert!(tokens > 1_000_000, "{tokens} tokens");
+    assert!(
+        per_token <= 4.25,
+        "{per_token:.3} stored bytes per token, over 4.25"
+    );
+    assert!(wide > 0, "the run has no wide gap");
 }
 
 fn one_gpu_cluster() -> ClusterSpec {

@@ -49,11 +49,12 @@ fn token_counts_are_conserved() {
             o.token_times.len() as u32 <= req.output_tokens,
             "no request may over-produce"
         );
+        let times: Vec<_> = o.token_times.iter().collect();
         assert!(
-            o.token_times.windows(2).all(|w| w[0] <= w[1]),
+            times.windows(2).all(|w| w[0] <= w[1]),
             "token times must be nondecreasing"
         );
-        if let Some(&first) = o.token_times.first() {
+        if let Some(first) = o.token_times.first() {
             assert!(first >= req.arrival(), "tokens cannot precede arrival");
         }
     }

@@ -36,7 +36,8 @@ fn decode_instance_failure_recovers_all_requests() {
     // Tokens stay well-formed: at most the oracle count, nondecreasing.
     for (o, req) in r.outcomes.iter().zip(&trace.requests) {
         assert!(o.token_times.len() as u32 <= req.output_tokens);
-        assert!(o.token_times.windows(2).all(|w| w[0] <= w[1]));
+        let times: Vec<_> = o.token_times.iter().collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 }
 

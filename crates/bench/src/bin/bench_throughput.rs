@@ -33,7 +33,8 @@ use aegaeon_model::{ModelId, ModelSpec};
 use aegaeon_sim::{SimRng, SimTime};
 use aegaeon_telemetry::observatory::SLO_WINDOW_NS;
 use aegaeon_telemetry::{
-    expand, labeled, MetricsRegistry, Sample, SloObservatory, SpanLog, Telemetry, TelemetrySpec,
+    expand, labeled, KeyedValues, MetricsRegistry, Sample, SloObservatory, SpanLog, Telemetry,
+    TelemetrySpec,
 };
 use aegaeon_workload::{LengthDist, SloSpec, Trace, TraceBuilder};
 
@@ -162,7 +163,7 @@ fn replay_spans(log: &SpanLog) -> SpanLog {
             s.start,
             s.parent,
             s.cause,
-            || s.label.as_str(),
+            || s.label.clone(),
         );
         fresh.end(id, s.end);
     }
@@ -189,14 +190,14 @@ fn replay_sketches(
         .collect();
     let mut slo = SloObservatory::new(n_models, SLO_WINDOW_NS);
     let spec = SloSpec::paper_default();
-    let mut tbt = Vec::new();
+    let mut tbt = KeyedValues::new(alpha);
     for o in retired {
         tbt.clear();
         tbt.extend(o.token_times.gaps().map(|g| g.as_secs_f64()));
         let ttft = o.ttft().unwrap_or(f64::NAN);
         let (s_ttft, s_tbt) = ids[o.model.0 as usize];
         reg.observe_sketch(s_ttft, ttft);
-        reg.observe_sketch_all(s_tbt, &tbt);
+        reg.observe_sketch_keyed(s_tbt, &tbt);
         let at = o.token_times.last().unwrap_or(SimTime::ZERO);
         let s = score_tokens(o.arrival, &o.token_times, o.target_tokens, spec, at);
         slo.observe_request(at.as_nanos(), o.model.0, ttft, &tbt, s.tokens, s.met);

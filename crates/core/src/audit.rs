@@ -200,8 +200,10 @@ pub trait Auditor {
 /// request produces a token, and every token goes through
 /// [`Requests::push_token`], which logs the request in the table's progress
 /// log ([`Requests::progressed`]). After each event the auditor checks
-/// exactly the logged requests against their high-water marks (a request
-/// logged twice is simply checked twice) and keeps the number of done
+/// exactly the logged requests against their high-water marks, walking a
+/// request once per event over all the tokens it logged (each logged token
+/// still counts as one request check, so a violation is flagged once per
+/// event rather than once per token), and keeps the number of done
 /// requests incrementally, so the exact `completed == done-requests`
 /// cross-count runs after every event. The final sweep at finish re-checks
 /// every request, so a change that bypassed the log is still caught, only
@@ -235,6 +237,8 @@ pub struct InvariantAuditor {
     seen: Vec<Seen>,
     /// Requests whose last check found them done.
     done: u64,
+    /// Audit passes run so far; unlike the report's count, never reset.
+    passes: u64,
     report: AuditReport,
     /// Cap on recorded violations so a broken run cannot OOM the auditor.
     max_violations: usize,
@@ -253,6 +257,8 @@ struct Seen {
     produced: u32,
     tokens: usize,
     done: bool,
+    /// The audit pass that last walked the request.
+    pass: u64,
 }
 
 impl InvariantAuditor {
@@ -281,6 +287,7 @@ impl InvariantAuditor {
     /// One audit pass: after an event, or the exhaustive sweep at `finish`.
     fn check(&mut self, now: SimTime, view: &dyn AuditView, finish: bool) {
         self.report.events_checked += 1;
+        self.passes += 1;
         if now < self.last_now {
             self.flag(
                 now,
@@ -328,12 +335,18 @@ impl InvariantAuditor {
             });
         }
         if finish {
+            self.report.requests_checked += n as u64;
             for i in 0..n {
                 self.check_request(now, reqs, i);
             }
         } else {
+            // One walk per logged request, over every token it logged.
             for &(i, _) in reqs.progressed() {
-                self.check_request(now, reqs, i);
+                self.report.requests_checked += 1;
+                if self.seen[i].pass != self.passes {
+                    self.seen[i].pass = self.passes;
+                    self.check_request(now, reqs, i);
+                }
             }
         }
         if completed != self.done {
@@ -431,7 +444,6 @@ impl InvariantAuditor {
     /// Validates request `i` against its high-water marks and moves the
     /// done count to its current state.
     fn check_request(&mut self, now: SimTime, reqs: &Requests, i: usize) {
-        self.report.requests_checked += 1;
         let r = &reqs[i];
         let seen = self.seen[i];
         if r.produced < seen.produced {
@@ -500,6 +512,7 @@ impl InvariantAuditor {
             produced: seen.produced.max(r.produced),
             tokens: seen.tokens.max(r.token_times.len()),
             done,
+            ..seen
         };
     }
 }
@@ -779,6 +792,34 @@ mod tests {
                 .violations
                 .iter()
                 .all(|v| v.what.contains("regressed")),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn a_progress_violation_is_flagged_once_per_event() {
+        let mut a = InvariantAuditor::new();
+        let mut v = view(&[2, 2]);
+        // Three tokens of a two-token target in one event.
+        for k in 0..3 {
+            produce(&mut v, 0, 1.0 + 0.1 * k as f64);
+        }
+        produce(&mut v, 1, 1.0);
+        a.after_event(t(1.5), &v);
+        let report = a.take_report();
+        let beyond = (report.violations.iter())
+            .filter(|x| x.what.contains("produced 3 beyond target 2"))
+            .count();
+        assert_eq!(beyond, 1, "{report}");
+        assert_eq!(report.requests_checked, 4, "one check per logged token");
+        // Taking the report restarts its event count, not the walk marks:
+        // the next event still walks the request.
+        v.reqs.clear_progress();
+        produce(&mut v, 0, 1.6);
+        a.after_event(t(1.7), &v);
+        let report = a.take_report();
+        assert!(
+            report.violations[0].what.contains("produced 4 beyond target 2"),
             "{report}"
         );
     }

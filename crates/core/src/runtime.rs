@@ -29,8 +29,8 @@ use aegaeon_model::ModelId;
 use aegaeon_sim::{derive_seed, EventQueue, FxHashMap, Lift, SimDur, SimRng, SimTime, Timeline};
 use aegaeon_telemetry::observatory::{SLO_SKETCH_ALPHA as SKETCH_ALPHA, SLO_WINDOW_NS};
 use aegaeon_telemetry::{
-    labeled, CounterId, GaugeId, SketchId, SloObservatory, SpanId, SpanKind, Telemetry,
-    TelemetrySpec,
+    labeled, CounterId, GaugeId, KeyedValues, SketchId, SloObservatory, SpanId, SpanKind,
+    Telemetry, TelemetrySpec, TrackId,
 };
 use aegaeon_workload::{RequestId, SloSpec, Trace};
 
@@ -710,6 +710,8 @@ pub struct CoreIds {
     g_slo_attain: Vec<GaugeId>,
     /// Latency of individual session turns (arrival → last token).
     s_session_turn: SketchId,
+    /// One bit per model: scratch for counting distinct resident models.
+    resident: Vec<u64>,
 }
 
 impl CoreIds {
@@ -744,6 +746,7 @@ impl CoreIds {
             s_tbt,
             g_slo_attain,
             s_session_turn: reg.sketch("session_turn_latency_seconds", SKETCH_ALPHA),
+            resident: vec![0; n_models.div_ceil(64)],
         };
         (tel, ids)
     }
@@ -751,22 +754,26 @@ impl CoreIds {
     /// Sets the gauges every loop reports — completions, queued prefills,
     /// decoding requests, distinct resident models, per-model attainment.
     pub fn set_gauges(
-        &self,
+        &mut self,
         tel: &mut Telemetry,
         completed: usize,
         queued: usize,
         decoding: usize,
         resident: impl Iterator<Item = ModelId>,
     ) {
-        let mut models: Vec<u32> = resident.map(|m| m.0).collect();
-        models.sort_unstable();
-        models.dedup();
+        self.resident.fill(0);
+        let mut models = 0u32;
+        for m in resident {
+            let (word, bit) = (m.0 as usize / 64, 1u64 << (m.0 % 64));
+            models += u32::from(self.resident[word] & bit == 0);
+            self.resident[word] |= bit;
+        }
         self.set_attainment(tel);
         let m = &mut tel.metrics;
         m.set_counter(self.c_completed, completed as u64);
         m.set(self.g_prefill_queue_depth, queued as f64);
         m.set(self.g_decode_work, decoding as f64);
-        m.set(self.g_active_models, models.len() as f64);
+        m.set(self.g_active_models, f64::from(models));
     }
 
     /// Sets each model's `slo_attainment` gauge from the observatory.
@@ -840,6 +847,8 @@ impl CoreIds {
 /// One request's open spans.
 #[derive(Debug, Clone, Copy)]
 struct Open {
+    /// The request's track, which its root and every phase record on.
+    track: TrackId,
     /// Whole-lifetime root span.
     root: SpanId,
     /// The open phase (queue wait, prefill, decode round).
@@ -849,6 +858,7 @@ struct Open {
 }
 
 const CLOSED: Open = Open {
+    track: TrackId::NONE,
     root: SpanId::NONE,
     phase: SpanId::NONE,
     cause: SpanId::NONE,
@@ -858,11 +868,12 @@ const CLOSED: Open = Open {
 /// branch when telemetry is off; none touches state the simulation reads.
 /// The handles exist only while the span log is on; retirement feeds the
 /// instruments whenever they are on.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SpanBook {
     open: Vec<Open>,
-    /// Inter-token gaps scratch, reused across retirements.
-    tbt: Vec<f64>,
+    /// Inter-token gaps scratch, reused across retirements: keyed once for
+    /// the model's `tbt_seconds` sketch and the observatory's window.
+    tbt: KeyedValues,
 }
 
 impl SpanBook {
@@ -871,7 +882,7 @@ impl SpanBook {
         let n = if tel.spans.is_enabled() { requests } else { 0 };
         SpanBook {
             open: vec![CLOSED; n],
-            tbt: Vec::new(),
+            tbt: KeyedValues::new(SKETCH_ALPHA),
         }
     }
 
@@ -903,8 +914,11 @@ impl SpanBook {
             return;
         }
         let i = req.0 as usize;
-        self.open[i].root = tel.spans.start(
-            || format!("req{i}"),
+        let track = tel
+            .spans
+            .track(&mut self.open[i].track, || format!("req{i}"));
+        self.open[i].root = tel.spans.start_on(
+            track,
             SpanKind::Request,
             now,
             SpanId::NONE,
@@ -929,12 +943,15 @@ impl SpanBook {
             return;
         }
         let i = req.0 as usize;
+        let track = tel
+            .spans
+            .track(&mut self.open[i].track, || format!("req{i}"));
         let o = self.open[i];
         tel.spans.end(o.phase, now);
         self.open[i] = Open {
             phase: tel
                 .spans
-                .start(|| format!("req{i}"), kind, now, o.root, o.cause, || label),
+                .start_on(track, kind, now, o.root, o.cause, || label),
             cause: SpanId::NONE,
             ..o
         };
@@ -985,7 +1002,7 @@ impl SpanBook {
             .map_or(f64::NAN, |t| t.saturating_since(rs.arrival).as_secs_f64());
         let mi = model.0 as usize;
         tel.metrics.observe_sketch(ids.s_ttft[mi], ttft);
-        tel.metrics.observe_sketch_all(ids.s_tbt[mi], &self.tbt);
+        tel.metrics.observe_sketch_keyed(ids.s_tbt[mi], &self.tbt);
         let s = score_tokens(
             rs.arrival,
             &rs.token_times,

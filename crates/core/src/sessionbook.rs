@@ -16,7 +16,7 @@
 //! is what keeps the reserved handle unique across every cache and lets the
 //! KV double-entry audit treat retained prefixes as ordinary holdings.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use aegaeon_model::ModelId;
 use aegaeon_sim::SimTime;
@@ -66,6 +66,9 @@ pub(crate) struct PrefixClaim {
 #[derive(Debug, Default)]
 pub(crate) struct SessionBook {
     entries: BTreeMap<u64, SessEntry>,
+    /// Every entry as `(retained_at, session)`, oldest first: the expiry
+    /// index, so a TTL pass visits only the entries it evicts.
+    by_age: BTreeSet<(SimTime, u64)>,
     /// Sessions whose retained prefix an in-flight turn has claimed (entry
     /// removed; handle still live in some cache until the claimant absorbs
     /// or abandons it).
@@ -102,13 +105,23 @@ impl SessionBook {
             !self.claims.contains_key(&s.0),
             "retaining {s} while a claim is outstanding"
         );
-        self.entries.insert(s.0, e);
+        if let Some(old) = self.entries.insert(s.0, e) {
+            self.by_age.remove(&(old.retained_at, s.0));
+        }
+        self.by_age.insert((e.retained_at, s.0));
         self.epoch += 1;
+    }
+
+    /// Removes session `k`'s entry and its index entry.
+    fn take(&mut self, k: u64) -> Option<SessEntry> {
+        let e = self.entries.remove(&k)?;
+        self.by_age.remove(&(e.retained_at, k));
+        Some(e)
     }
 
     /// Removes and returns a session's entry.
     pub(crate) fn remove(&mut self, s: SessionId) -> Option<SessEntry> {
-        let e = self.entries.remove(&s.0);
+        let e = self.take(s.0);
         self.epoch += e.is_some() as u64;
         e
     }
@@ -119,7 +132,7 @@ impl SessionBook {
     ///
     /// Panics if the session retains nothing.
     pub(crate) fn claim(&mut self, s: SessionId, req: RequestId) {
-        let e = self.entries.remove(&s.0).expect("claiming a retained prefix");
+        let e = self.take(s.0).expect("claiming a retained prefix");
         let claim = PrefixClaim {
             claimant: req,
             tokens: e.tokens,
@@ -185,17 +198,20 @@ impl SessionBook {
             .collect();
         self.epoch += !gone.is_empty() as u64;
         gone.into_iter()
-            .map(|k| (SessionId(k), self.entries.remove(&k).expect("just listed")))
+            .map(|k| (SessionId(k), self.take(k).expect("just listed")))
             .collect()
     }
 
-    /// Sessions idle past `ttl` at `now`, in deterministic order.
+    /// Sessions idle past `ttl` at `now`, in session order. The walk
+    /// visits the expired entries only: idleness falls as `retained_at`
+    /// rises, so they are a prefix of the age index.
     pub(crate) fn expired(&self, now: SimTime, ttl: aegaeon_sim::SimDur) -> Vec<SessionId> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| now.saturating_since(e.retained_at) > ttl)
-            .map(|(&k, _)| SessionId(k))
-            .collect()
+        let mut out: Vec<SessionId> = (self.by_age.iter())
+            .take_while(|&&(at, _)| now.saturating_since(at) > ttl)
+            .map(|&(_, k)| SessionId(k))
+            .collect();
+        out.sort_unstable_by_key(|s| s.0);
+        out
     }
 }
 
@@ -296,5 +312,67 @@ mod tests {
         assert!(b
             .expired(SimTime::from_secs_f64(10.0), SimDur::from_secs(10))
             .is_empty());
+    }
+
+    /// The expiry pass before the age index: a scan of every entry.
+    fn expired_by_scan(b: &SessionBook, now: SimTime, ttl: SimDur) -> Vec<SessionId> {
+        b.iter()
+            .filter(|(_, e)| now.saturating_since(e.retained_at) > ttl)
+            .map(|(s, _)| s)
+            .collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random retain, claim, unclaim, remove, drain and expire
+        /// sequences over a few sessions, the indexed expiry pass lists
+        /// what the full scan lists, in session order, at every step and
+        /// for instants and TTLs on both sides of every retention.
+        #[test]
+        fn expiry_index_matches_the_full_scan(
+            ops in prop::collection::vec((0u32..7, 0u64..10, 0u64..60, 0u32..3), 0..160),
+        ) {
+            let mut b = SessionBook::default();
+            let ms = |n: u64| SimTime::ZERO + SimDur::from_millis(n * 100);
+            for (op, s, at, place) in ops {
+                let (sess, req) = (SessionId(s), RequestId(s + 100));
+                let place = if place == 0 { SessPlace::Cpu(0) } else { SessPlace::DecodeGpu(place) };
+                match op {
+                    // Retain (again, replacing the old entry) unless claimed.
+                    0 | 1 if !b.is_claimed(sess) => {
+                        let mut e = entry(place, 0.0);
+                        e.retained_at = ms(at);
+                        b.insert(sess, e);
+                    }
+                    2 if b.get(sess).is_some() => b.claim(sess, req),
+                    3 => {
+                        b.unclaim(sess, req);
+                    }
+                    4 => {
+                        b.remove(sess);
+                    }
+                    5 => {
+                        b.drain_place(place);
+                    }
+                    // The daemon's TTL pass: evict what expired.
+                    6 => {
+                        for gone in b.expired(ms(at), SimDur::from_millis(at * 20)) {
+                            b.remove(gone).expect("an expired entry exists");
+                        }
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(b.by_age.len(), b.entries.len());
+                for now in [0, at, at + 5, 40, 80] {
+                    for ttl in [0, 1, at * 10, 1_000] {
+                        let (now, ttl) = (ms(now), SimDur::from_millis(ttl * 100));
+                        prop_assert_eq!(b.expired(now, ttl), expired_by_scan(&b, now, ttl));
+                    }
+                }
+            }
+        }
     }
 }

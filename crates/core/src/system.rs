@@ -20,7 +20,7 @@ use aegaeon_metrics::Stage;
 use aegaeon_model::ModelId;
 use aegaeon_sim::{EventQueue, Lift, SimDur, SimRng, SimTime, Timeline};
 use aegaeon_telemetry::{
-    CostKind, CounterId, GaugeId, SketchId, SpanId, SpanKind, SpanLog, Telemetry,
+    CostKind, CounterId, GaugeId, SketchId, SpanId, SpanKind, SpanLog, Telemetry, TrackId,
 };
 use aegaeon_workload::{Request, RequestId, SessionId, Trace};
 
@@ -66,6 +66,8 @@ pub(crate) const FAILOVER_LATENCY: SimDur = SimDur::from_secs(2);
 /// subtracks because they can overlap under §5.3 rule ❷.
 #[derive(Debug, Clone, Copy)]
 struct KvSpan {
+    /// The request's subtrack in this direction, kept across transfers.
+    track: TrackId,
     span: SpanId,
     /// Ledger instance that issued the transfer (`u32::MAX` = none) and
     /// when it started, for switch-cost attribution at transfer close.
@@ -75,6 +77,7 @@ struct KvSpan {
 
 impl KvSpan {
     const NONE: KvSpan = KvSpan {
+        track: TrackId::NONE,
         span: SpanId::NONE,
         inst: u32::MAX,
         start: SimTime::ZERO,
@@ -203,6 +206,8 @@ struct DecodeInst {
     /// Stands in for a step in flight that a blocking KV copy must queue
     /// behind (see [`ServingSystem::queue_behind_step`]).
     hold: StreamId,
+    /// The instance's span track, which every turn records on.
+    turn_track: TrackId,
 }
 
 impl DecodeInst {
@@ -385,6 +390,7 @@ impl ServingSystem {
                     turn: None,
                     turn_gen: 0,
                     hold: port.fabric.add_stream(format!("decode{di}.hold")),
+                    turn_track: TrackId::NONE,
                 });
             }
         }
@@ -611,7 +617,7 @@ impl ServingSystem {
 
     /// Records a scheduler-decision instant and remembers it as the cause
     /// for the request's next phase span.
-    fn tel_decision<S: Into<String>>(
+    fn tel_decision<S: Into<std::borrow::Cow<'static, str>>>(
         &mut self,
         req: RequestId,
         now: SimTime,
@@ -642,15 +648,18 @@ impl ServingSystem {
         let dir = if out { "kv-out" } else { "kv-in" };
         // Cause, not parent: a transfer stranded on a slow link can outlive
         // the root span when the request re-prefills and completes first.
-        let span = self.tel.spans.start(
-            || format!("req{i}/{dir}"),
-            SpanKind::KvTransfer,
-            now,
-            SpanId::NONE,
-            self.spans.root(req),
-            || dir,
-        );
-        self.kv_tel[i][out as usize] = KvSpan {
+        let k = &mut self.kv_tel[i][out as usize];
+        let track = self
+            .tel
+            .spans
+            .track(&mut k.track, || format!("req{i}/{dir}"));
+        let root = self.spans.root(req);
+        let span =
+            self.tel
+                .spans
+                .start_on(track, SpanKind::KvTransfer, now, SpanId::NONE, root, || dir);
+        *k = KvSpan {
+            track,
             span,
             inst,
             start: now,
@@ -663,7 +672,15 @@ impl ServingSystem {
         if !self.tel.is_enabled() {
             return;
         }
-        let k = std::mem::replace(&mut self.kv_tel[req.0 as usize][out as usize], KvSpan::NONE);
+        let slot = &mut self.kv_tel[req.0 as usize][out as usize];
+        let track = slot.track;
+        let k = std::mem::replace(
+            slot,
+            KvSpan {
+                track,
+                ..KvSpan::NONE
+            },
+        );
         self.tel.spans.end(k.span, now);
         if k.inst != u32::MAX {
             let model = self.trace.requests[req.0 as usize].model;
@@ -1558,8 +1575,10 @@ impl ServingSystem {
             .metrics
             .observe_sketch(self.ids.s_batch_size, reqs.len() as f64);
         if self.tel.spans.is_enabled() {
-            let span = self.tel.spans.start(
-                || format!("decode{di}"),
+            let track =
+                (self.tel.spans).track(&mut self.decodes[di].turn_track, || format!("decode{di}"));
+            let span = self.tel.spans.start_on(
+                track,
                 SpanKind::DecodeRound,
                 now,
                 SpanId::NONE,

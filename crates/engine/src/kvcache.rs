@@ -395,10 +395,27 @@ impl KvCache {
     /// [`Self::clear_touches`] onto `shadow`, checks every touched block,
     /// slab and shape (see [`SlabShadow`]), and returns the number of block
     /// allocations and frees replayed.
+    ///
+    /// A move between holders (a rekey, absorb or park) logs a loss and a
+    /// gain that name one block range under one shape. Its halves cancel
+    /// on every slot and slab of the shadow and touch nothing on the pool's
+    /// side, so the pair is skipped. Halves that name different blocks are
+    /// no such pair and are replayed; a move that logged both halves but
+    /// lost its blocks is caught by the dense pass at finish.
     pub fn check_touches(&self, shadow: &mut SlabShadow) -> Result<usize, String> {
-        let held = self
-            .touches()
-            .map(|(_, gained, shape, blocks)| (shape, blocks, gained));
+        let mut log = self.touches.iter().peekable();
+        let held = std::iter::from_fn(|| loop {
+            let &(_, gained, shape, start, end) = log.next()?;
+            let gain = (true, shape, start, end);
+            if gained
+                || log
+                    .next_if(|&&(_, g, k, s, e)| (g, k, s, e) == gain)
+                    .is_none()
+            {
+                let blocks = &self.touched_blocks[start as usize..end as usize];
+                return Some((shape, blocks, gained));
+            }
+        });
         shadow.apply(&self.pool, held)
     }
 }
@@ -706,6 +723,45 @@ mod tests {
         assert!(c.audit().is_none());
         c.free(RequestId(1));
         assert_eq!(c.used_bytes(), 0);
+    }
+
+    #[test]
+    fn a_move_whose_halves_name_different_blocks_is_flagged_on_its_event() {
+        let (mut c, ids) = cache_with(&[("Qwen-7B", 1)]);
+        c.alloc(RequestId(1), ids[0], 32).unwrap(); // 2 blocks each
+        c.alloc(RequestId(2), ids[0], 32).unwrap();
+        let mut shadow = c.shadow();
+        c.clear_touches();
+        // A sound move: its halves cancel, nothing is replayed.
+        c.rekey(RequestId(1), RequestId(3));
+        assert_eq!(c.check_touches(&mut shadow), Ok(0));
+        c.clear_touches();
+        // A rekey of 3 onto 4 whose gain names request 2's blocks.
+        let r = c.requests.remove(&RequestId(3)).unwrap();
+        let other = c.requests[&RequestId(2)].blocks.clone();
+        c.log(&[(Some(RequestId(3)), false)], r.shape, &r.blocks);
+        c.log(&[(Some(RequestId(4)), true)], r.shape, &other);
+        c.requests.insert(RequestId(4), r);
+        let err = c.check_touches(&mut shadow).expect_err("flagged");
+        assert!(
+            err.contains("no holder holds it") || err.contains("held 2 times"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_leaked_park_passes_its_event_and_fails_the_dense_pass() {
+        let (mut c, ids) = cache_with(&[("Qwen-7B", 1)]);
+        let [ev] = events();
+        c.alloc(RequestId(1), ids[0], 32).unwrap();
+        let mut shadow = c.shadow();
+        c.clear_touches();
+        c.park(RequestId(1), ev);
+        // The parked batch vanishes: its blocks stay used and unheld.
+        c.parked.pop();
+        assert_eq!(c.check_touches(&mut shadow), Ok(0), "the halves cancel");
+        let err = c.audit().expect("the dense pass at finish");
+        assert!(err.contains("holders hold 0"), "{err}");
     }
 
     #[test]

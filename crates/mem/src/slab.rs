@@ -495,7 +495,11 @@ enum Side {
 /// One block slot of a [`SlabShadow`]: the pool's side and the owner side.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
+    /// The pool's side, while `gen` is its row's generation; a slot of an
+    /// older generation is at its row's default ([`Row::side`]).
     side: Side,
+    /// The row generation `side` was written in.
+    gen: u32,
     /// Holders holding the block (1 when used, 0 when not).
     held: i8,
     /// The last [`SlabShadow::apply`] that touched the slot.
@@ -509,6 +513,7 @@ impl Default for Slot {
     fn default() -> Slot {
         Slot {
             side: Side::Absent,
+            gen: 0,
             held: 0,
             seen: 0,
             filed: NOT_FILED,
@@ -556,15 +561,49 @@ pub struct SlabShadow {
 }
 
 /// One slab of a [`SlabShadow`].
+///
+/// Assigning or releasing the slab moves it to a new generation instead of
+/// rewriting its slots: a slot written in an older generation reads as the
+/// new assignment's default, free below its shape's blocks per slab and
+/// absent otherwise (or everywhere, once released). The pool only hands
+/// out blocks of an assigned slab and only releases an empty one, so the
+/// default is what rewriting every slot would have left.
 #[derive(Debug, Clone, Default)]
 struct Row {
     /// The shape the pool's log last assigned the slab to.
     shape: Option<ShapeKey>,
+    /// Bumped by each assignment and release.
+    gen: u32,
+    /// Slots whose side is [`Side::Used`].
+    used: u32,
     /// The blocks its holders hold.
     held: i64,
     /// Its block slots: as many as the widest shape it was ever assigned
     /// to has blocks per slab (none for a slab never assigned).
     slots: Vec<Slot>,
+}
+
+impl Row {
+    /// The pool's side of slot `j`, given its shape's blocks per slab.
+    #[inline]
+    fn side(&self, j: u32, bps: &[u32]) -> Side {
+        let slot = &self.slots[j as usize];
+        match self.shape {
+            _ if slot.gen == self.gen => slot.side,
+            Some(k) if j < bps[k.0 as usize] => Side::Free,
+            _ => Side::Absent,
+        }
+    }
+
+    /// Moves the row to a fresh generation. Once every 2^32 moves the
+    /// counter wraps, and every slot is restamped so none aliases it.
+    fn next_gen(&mut self) {
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.slots.iter_mut().for_each(|s| s.gen = 0);
+            self.gen = 1;
+        }
+    }
 }
 
 impl SlabShadow {
@@ -582,21 +621,28 @@ impl SlabShadow {
         sh.sync_shapes(pool);
         let used = Slot {
             side: Side::Used,
+            gen: 1,
             ..Slot::default()
         };
         sh.rows = (pool.slabs.iter())
-            .map(|slab| Row {
-                shape: slab.shape,
-                held: 0,
-                slots: slab
-                    .shape
-                    .map_or(Vec::new(), |k| vec![used; sh.bps[k.0 as usize] as usize]),
+            .map(|slab| {
+                let bps = slab.shape.map_or(0, |k| sh.bps[k.0 as usize]);
+                Row {
+                    shape: slab.shape,
+                    gen: 1,
+                    used: bps,
+                    held: 0,
+                    slots: vec![used; bps as usize],
+                }
             })
             .collect();
         for s in &pool.shapes {
             for &b in &s.free_blocks {
-                if let Some(slot) = sh.slot(b) {
-                    slot.side = Side::Free;
+                if let Some(row) = sh.rows.get_mut(b.slab as usize) {
+                    if let Some(slot) = row.slots.get_mut(b.index as usize) {
+                        slot.side = Side::Free;
+                        row.used = row.used.saturating_sub(1);
+                    }
                 }
             }
         }
@@ -685,14 +731,15 @@ impl SlabShadow {
         let mut last_slab = u32::MAX;
         for &b in &self.touched {
             let row = &mut self.rows[b.slab as usize];
+            let side = row.side(b.index, &self.bps);
             let slot = &mut row.slots[b.index as usize];
             let s = *slot;
             slot.filed = NOT_FILED;
             if !matches!(
-                (s.side, s.held),
+                (side, s.held),
                 (Side::Used, 1) | (Side::Free | Side::Absent, 0)
             ) {
-                return Err(unbalanced(b, s));
+                return Err(unbalanced(b, side, s.held));
             }
             let real = &pool.slabs[b.slab as usize];
             if s.held == 1 && s.filed != NOT_FILED && real.shape != Some(ShapeKey(s.filed)) {
@@ -739,7 +786,7 @@ impl SlabShadow {
         let bps = self.bps[k.0 as usize];
         let row = self.rows.get_mut(b.slab as usize);
         let row = row.filter(|r| r.shape == Some(k) && b.index < bps);
-        let Some(slot) = row.and_then(|r| r.slots.get_mut(b.index as usize)) else {
+        let Some(row) = row.filter(|r| (b.index as usize) < r.slots.len()) else {
             return Err(misplaced(
                 b,
                 from,
@@ -747,10 +794,18 @@ impl SlabShadow {
                 format!("outside the slabs of {k:?}"),
             ));
         };
-        if slot.side != from {
-            return Err(misplaced(b, from, to, format!("while {:?}", slot.side)));
+        let side = row.side(b.index, &self.bps);
+        if side != from {
+            return Err(misplaced(b, from, to, format!("while {side:?}")));
         }
-        slot.side = to;
+        if to == Side::Used {
+            row.used += 1;
+        } else {
+            row.used -= 1;
+        }
+        let gen = row.gen;
+        let slot = &mut row.slots[b.index as usize];
+        (slot.side, slot.gen) = (to, gen);
         if slot.seen != self.applies {
             slot.seen = self.applies;
             self.touched.push(b);
@@ -758,7 +813,11 @@ impl SlabShadow {
         Ok(())
     }
 
-    /// Replays the pool assigning `slab` to shape `k`, or releasing it.
+    /// Replays the pool assigning `slab` to shape `k`, or releasing it: a
+    /// new generation of its row (see [`Row`]), not a pass over its slots.
+    /// An unassigned row has every slot absent, and a row whose used count
+    /// is zero every slot below its shape's blocks per slab free, so the
+    /// generation's defaults are exactly what the move leaves.
     fn reassign(&mut self, k: ShapeKey, slab: u32, assign: bool) -> Result<(), String> {
         let (from, to, what) = if assign {
             (None, Some(k), "assigned to")
@@ -770,19 +829,16 @@ impl SlabShadow {
         let Some(row) = row.filter(|r| r.shape == from) else {
             return Err(format!("slab {slab} {what} {k:?} against its log"));
         };
+        if row.used > 0 {
+            let j = (0..row.slots.len() as u32)
+                .find(|&j| row.side(j, &self.bps) == Side::Used)
+                .expect("a used slot");
+            return Err(format!("slab {slab} {what} {k:?} with block {j} Used"));
+        }
         row.shape = to;
+        row.next_gen();
         if row.slots.len() < bps {
             row.slots.resize(bps, Slot::default());
-        }
-        for (j, s) in row.slots.iter_mut().enumerate() {
-            s.side = match (s.side, assign) {
-                (Side::Absent, _) if j >= bps => continue,
-                (Side::Absent, true) => Side::Free,
-                (Side::Free, false) => Side::Absent,
-                (side, _) => {
-                    return Err(format!("slab {slab} {what} {k:?} with block {j} {side:?}"))
-                }
-            };
         }
         self.slabs.push(slab);
         self.shapes.push(k);
@@ -815,10 +871,11 @@ fn misplaced(b: BlockRef, from: Side, to: Side, why: String) -> String {
     format!("block {b:?} moved {from:?} to {to:?} {why}")
 }
 
-/// Describes a block whose two sides disagree.
+/// Describes a block whose two sides (the pool's `side`, `held` holders)
+/// disagree.
 #[cold]
-fn unbalanced(b: BlockRef, s: Slot) -> String {
-    match (s.side, s.held) {
+fn unbalanced(b: BlockRef, side: Side, held: i8) -> String {
+    match (side, held) {
         (_, n) if n > 1 => format!("block {b:?} held {n} times"),
         (_, n) if n < 0 => format!("block {b:?} released more often than held"),
         (Side::Used, _) => format!("block {b:?} is in use but no holder holds it"),
@@ -1051,6 +1108,42 @@ mod tests {
         p.shapes[a.0 as usize].free_blocks.pop();
         let ya = p.alloc(a, 1).unwrap();
         err(sh.apply(&p, [(a, &ya[..], true)]), "assigned capacity");
+    }
+
+    #[test]
+    fn shadow_reassigns_by_generation() {
+        let err = |r: Result<usize, String>, what: &str| {
+            let e = r.expect_err("violation detected");
+            assert!(e.contains(what), "{e}");
+        };
+        // A release logged while a block of the slab is still used.
+        let (mut p, [a, _], xa, _, mut sh) = shadowed();
+        p.touches.push(PoolTouch::Unassign(a, xa[9].slab));
+        err(
+            sh.apply(&p, []),
+            "released by ShapeKey(0) with block 6 Used",
+        );
+        // A slab released and reassigned across the generation counter's
+        // wrap, to a narrower shape and back: every slot reads as the new
+        // assignment's default.
+        let (mut p, [a, b], xa, xb, mut sh) = shadowed();
+        let slab = xa[0].slab;
+        let row = &mut sh.rows[slab as usize];
+        row.gen = u32::MAX - 1;
+        row.slots.iter_mut().for_each(|s| s.gen = u32::MAX - 1);
+        p.free(a, &xa[..8]);
+        let yb = p.alloc(b, 3).unwrap();
+        assert!(yb.iter().any(|x| x.slab == slab), "{yb:?}");
+        let held = [(a, &xa[..8], false), (b, &yb[..], true)];
+        assert_eq!(sh.apply(&p, held), Ok(11));
+        assert_eq!(sh.rows[slab as usize].gen, 1, "wrapped past 0");
+        p.clear_touches();
+        p.free(b, &yb);
+        p.free(b, &xb);
+        let ya = p.alloc(a, 16).unwrap();
+        let held = [(b, &yb[..], false), (b, &xb[..], false), (a, &ya[..], true)];
+        assert_eq!(sh.apply(&p, held), Ok(21));
+        assert_eq!(p.audit([(a, &xa[8..]), (a, &ya[..])]), None);
     }
 
     #[test]

@@ -76,7 +76,11 @@ fn push_meta(out: &mut String, pid: u32, tid: u32, what: &str, name: &str) {
 }
 
 fn push_span_event(out: &mut String, pid: u32, tid: u32, id: usize, s: &Span) {
-    let name = if s.label.is_empty() { s.kind.name() } else { s.label.as_str() };
+    let name = if s.label.is_empty() {
+        s.kind.name()
+    } else {
+        &s.label
+    };
     out.push_str("{\"name\":");
     push_json_str(out, name);
     out.push_str(",\"cat\":\"");
@@ -517,7 +521,8 @@ pub fn looks_like_trace_event_json(s: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanId;
+    use crate::observatory::tests::keyed;
+    use crate::span::{SpanId, TrackId};
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
@@ -556,6 +561,116 @@ mod tests {
         assert!(a.contains("\"cat\":\"prefill\""));
         assert!(a.contains("\"cat\":\"switch\""));
         assert!(!a.contains(",\n]"), "no trailing comma before close");
+    }
+
+    /// Records spans by track name, or, with `reuse`, on tracks named once
+    /// and reused.
+    struct Recorder {
+        log: SpanLog,
+        reuse: bool,
+        slots: Vec<(String, TrackId)>,
+    }
+
+    impl Recorder {
+        fn open(
+            &mut self,
+            name: &str,
+            kind: SpanKind,
+            at: f64,
+            parent: SpanId,
+            cause: SpanId,
+        ) -> SpanId {
+            let label = format!("{}@{name}", kind.name());
+            if !self.reuse {
+                return self
+                    .log
+                    .start(|| name, kind, t(at), parent, cause, || label);
+            }
+            let i = match self.slots.iter().position(|(n, _)| n == name) {
+                Some(i) => i,
+                None => {
+                    self.slots.push((name.to_string(), TrackId::NONE));
+                    self.slots.len() - 1
+                }
+            };
+            let track = self.log.track(&mut self.slots[i].1, || name);
+            self.log
+                .start_on(track, kind, t(at), parent, cause, || label)
+        }
+    }
+
+    /// Two requests' lifecycles, a KV subtrack and one instance's turns,
+    /// in the order the runtime records them.
+    fn lifecycle(reuse: bool) -> SpanLog {
+        use SpanKind::*;
+        const NONE: SpanId = SpanId::NONE;
+        let mut r = Recorder {
+            log: SpanLog::enabled(),
+            reuse,
+            slots: Vec::new(),
+        };
+        let mut roots = [NONE; 2];
+        for (i, root) in roots.iter_mut().enumerate() {
+            let (name, at) = (format!("req{i}"), 0.5 * i as f64);
+            *root = r.open(&name, Request, at, NONE, NONE);
+            let wait = r.open(&name, QueueWait, at, *root, NONE);
+            r.log.end(wait, t(1.0));
+        }
+        let d = r
+            .log
+            .instant(|| "scheduler", Decision, t(1.0), NONE, || "place");
+        for at in [1.0, 1.5] {
+            let kv = r.open("req0/kv-in", KvTransfer, at, NONE, roots[0]);
+            r.log.end(kv, t(at + 0.25));
+        }
+        for at in [2.0, 3.0] {
+            let turn = r.open("decode0", DecodeRound, at, NONE, NONE);
+            let cause = if at < 3.0 { d } else { turn };
+            for (i, &root) in roots.iter().enumerate() {
+                let p = r.open(&format!("req{i}"), DecodeRound, at, root, cause);
+                r.log.end(p, t(at + 0.5));
+            }
+            r.log.end(turn, t(at + 0.5));
+        }
+        r.log.close_open(t(5.0));
+        r.log
+    }
+
+    #[test]
+    fn spans_on_reused_tracks_export_like_spans_started_by_name() {
+        let (by_name, reused) = (lifecycle(false), lifecycle(true));
+        let sched = SpanLog::disabled();
+        let reg = MetricsRegistry::disabled();
+        assert_eq!(
+            chrome_trace(&sched, &reused, &reg),
+            chrome_trace(&sched, &by_name, &reg)
+        );
+        assert_eq!(jsonl(&reused, &reg), jsonl(&by_name, &reg));
+        let names = |log: &SpanLog| {
+            log.tracks()
+                .iter()
+                .map(|t| t.to_string())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&reused), names(&by_name));
+        assert_eq!(
+            names(&reused),
+            ["req0", "req1", "scheduler", "req0/kv-in", "decode0"]
+        );
+        assert!(reused.validate().is_none(), "{:?}", reused.validate());
+        for s in reused.spans().iter().filter(|s| s.label != "place") {
+            assert!(s.label.ends_with(&format!("@{}", s.track)), "{s:?}");
+        }
+        // A static label is borrowed, a formatted one owned.
+        let d = &reused.spans()[4];
+        assert!(
+            matches!(d.label, std::borrow::Cow::Borrowed("place")),
+            "{d:?}"
+        );
+        assert!(matches!(
+            reused.spans()[0].label,
+            std::borrow::Cow::Owned(_)
+        ));
     }
 
     #[test]
@@ -671,7 +786,7 @@ mod tests {
     #[test]
     fn slo_exports_render_points_and_ledger() {
         let mut slo = SloObservatory::new(2, 1_000_000_000);
-        slo.observe_request(10, 0, 0.25, &[0.05], 2, 1);
+        slo.observe_request(10, 0, 0.25, &keyed(&[0.05]), 2, 1);
         slo.finish();
         let mut attrib = AttributionLedger::enabled();
         let p0 = attrib.instance("p0");
@@ -701,7 +816,7 @@ mod tests {
                 k * 250_000_000,
                 model,
                 0.1 * (k % 7) as f64,
-                &gaps,
+                &keyed(&gaps),
                 3,
                 k % 4,
             );

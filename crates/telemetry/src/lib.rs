@@ -42,8 +42,8 @@ pub use export::{
 };
 pub use metrics::{expand, labeled, CounterId, GaugeId, MetricsRegistry, Sample, SketchId};
 pub use observatory::{CostKind, SloCum, SloObservatory};
-pub use sketch::QuantileSketch;
-pub use span::{Span, SpanId, SpanKind, SpanLog};
+pub use sketch::{KeyedValues, QuantileSketch};
+pub use span::{Span, SpanId, SpanKind, SpanLog, TrackId};
 
 use aegaeon_sim::{SimDur, SimTime};
 use observatory::AttributionLedger;

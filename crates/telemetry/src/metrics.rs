@@ -25,7 +25,7 @@
 
 use aegaeon_sim::{SimDur, SimTime};
 
-use crate::sketch::QuantileSketch;
+use crate::sketch::{KeyedValues, QuantileSketch};
 
 /// Builds a labeled instrument name (`name{label="value"}`) with the label
 /// value escaped per the Prometheus text exposition rules (`\\`, `\"`,
@@ -204,14 +204,19 @@ impl MetricsRegistry {
         self.sketches[id.0 as usize].1.insert(value);
     }
 
-    /// Records a batch of sketch observations in order
-    /// (`QuantileSketch::insert_all`). One branch when disabled.
+    /// Records a keyed batch of sketch observations in order
+    /// (`QuantileSketch::insert_keyed`), reusing the keys another sketch of
+    /// the same accuracy already read. One branch when disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch was keyed at another accuracy than the sketch's.
     #[inline]
-    pub fn observe_sketch_all(&mut self, id: SketchId, values: &[f64]) {
+    pub fn observe_sketch_keyed(&mut self, id: SketchId, values: &KeyedValues) {
         if !self.enabled || id == SketchId::NONE {
             return;
         }
-        self.sketches[id.0 as usize].1.insert_all(values);
+        self.sketches[id.0 as usize].1.insert_keyed(values);
     }
 
     /// All sketches as `(name, sketch)` in registration order.
@@ -399,8 +404,11 @@ mod tests {
         for &v in &vals {
             reg.observe_sketch(one, v);
         }
-        reg.observe_sketch_all(all, &vals);
+        let mut keyed = KeyedValues::new(0.01);
+        keyed.extend(vals);
+        reg.observe_sketch_keyed(all, &keyed);
         let s: Vec<&QuantileSketch> = reg.sketches().map(|(_, s)| s).collect();
+        assert_eq!(s[0], s[1]);
         assert_eq!(s[0].count(), s[1].count());
         assert_eq!(s[0].sum().to_bits(), s[1].sum().to_bits());
         for q in [0.0, 0.5, 0.9, 1.0] {
@@ -409,7 +417,7 @@ mod tests {
         // A disabled registry ignores the batch.
         let mut off = MetricsRegistry::disabled();
         let id = off.sketch("x", 0.01);
-        off.observe_sketch_all(id, &vals);
+        off.observe_sketch_keyed(id, &keyed);
         assert_eq!(off.sketches().count(), 0);
     }
 

@@ -39,7 +39,7 @@
 //! is an index bump into a dense per-instance row — and walking the rows
 //! in index order is key order, so exports stay deterministic.
 
-use crate::sketch::QuantileSketch;
+use crate::sketch::{KeyedValues, QuantileSketch};
 
 /// Relative accuracy used by every observatory sketch (1%).
 pub const SLO_SKETCH_ALPHA: f64 = 0.01;
@@ -266,13 +266,19 @@ impl SloObservatory {
 
     /// Records one retired request: its TTFT, each inter-token gap, and how
     /// many of its `tokens` met their deadline. `retired_ns` drives window
-    /// sealing and must be nondecreasing across calls (event time is).
+    /// sealing and must be nondecreasing across calls (event time is). The
+    /// gaps come keyed at [`SLO_SKETCH_ALPHA`], so the caller's own
+    /// per-model sketch of them reads the same keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gaps were keyed at another accuracy.
     pub fn observe_request(
         &mut self,
         retired_ns: u64,
         model: u32,
         ttft_secs: f64,
-        tbts_secs: &[f64],
+        tbts_secs: &KeyedValues,
         tokens: u64,
         tokens_met: u64,
     ) {
@@ -282,7 +288,7 @@ impl SloObservatory {
         self.advance(retired_ns);
         let w = &mut self.cur[model as usize];
         w.ttft.insert(ttft_secs);
-        w.tbt.insert_all(tbts_secs);
+        w.tbt.insert_keyed(tbts_secs);
         w.totals.add(1, tokens, tokens_met);
         self.cum[model as usize].add(1, tokens, tokens_met);
     }
@@ -486,13 +492,20 @@ impl AttributionLedger {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `gaps` keyed at the observatory's accuracy.
+    pub(crate) fn keyed(gaps: &[f64]) -> KeyedValues {
+        let mut k = KeyedValues::new(SLO_SKETCH_ALPHA);
+        k.extend(gaps.iter().copied());
+        k
+    }
 
     #[test]
     fn disabled_observatory_is_inert() {
         let mut o = SloObservatory::disabled();
-        o.observe_request(5_000_000_000, 0, 0.1, &[0.05], 3, 3);
+        o.observe_request(5_000_000_000, 0, 0.1, &keyed(&[0.05]), 3, 3);
         o.observe_unfinished(0, 3, 0);
         o.finish();
         assert!(o.points().is_empty());
@@ -503,10 +516,10 @@ mod tests {
     fn windows_seal_in_order_and_skip_empty() {
         let w = 10_000_000_000u64; // 10 s
         let mut o = SloObservatory::new(2, w);
-        o.observe_request(1_000_000_000, 0, 0.2, &[0.05, 0.06], 3, 2);
-        o.observe_request(2_000_000_000, 0, 0.4, &[], 1, 1);
+        o.observe_request(1_000_000_000, 0, 0.2, &keyed(&[0.05, 0.06]), 3, 2);
+        o.observe_request(2_000_000_000, 0, 0.4, &keyed(&[]), 1, 1);
         // Long idle gap, then traffic for model 1 in window [40s, 50s).
-        o.observe_request(41 * 1_000_000_000, 1, 1.0, &[0.2], 2, 0);
+        o.observe_request(41 * 1_000_000_000, 1, 1.0, &keyed(&[0.2]), 2, 0);
         o.finish();
         let pts = o.points();
         assert_eq!(pts.len(), 2, "{pts:?}");
@@ -528,7 +541,7 @@ mod tests {
     #[test]
     fn unfinished_requests_move_cumulative_totals_only() {
         let mut o = SloObservatory::new(2, 10_000_000_000);
-        o.observe_request(1_000_000_000, 0, 0.2, &[0.05], 2, 2);
+        o.observe_request(1_000_000_000, 0, 0.2, &keyed(&[0.05]), 2, 2);
         o.finish();
         let points = o.points().to_vec();
         o.observe_unfinished(0, 6, 1);
@@ -550,7 +563,7 @@ mod tests {
     fn quantiles_come_from_window_sketches() {
         let mut o = SloObservatory::new(1, 1_000_000_000);
         for i in 1..=100 {
-            o.observe_request(10, 0, i as f64 * 0.01, &[], 1, 1);
+            o.observe_request(10, 0, i as f64 * 0.01, &keyed(&[]), 1, 1);
         }
         o.finish();
         let p = &o.points()[0];
@@ -570,9 +583,9 @@ mod tests {
         // Turn 0 retires at t=2s; the client "thinks" for 30 s; turn 1
         // arrives at t=32s and retires at t=33s. Intra-request gaps are
         // all 50 ms.
-        o.observe_request(2_000_000_000, 0, 0.3, &[0.05, 0.05], 3, 3);
+        o.observe_request(2_000_000_000, 0, 0.3, &keyed(&[0.05, 0.05]), 3, 3);
         o.observe_turn(2_000_000_000, 0, 0, 2.0, false);
-        o.observe_request(33_000_000_000, 0, 0.2, &[0.05], 2, 2);
+        o.observe_request(33_000_000_000, 0, 0.2, &keyed(&[0.05]), 2, 2);
         o.observe_turn(33_000_000_000, 0, 1, 1.0, true);
         o.finish();
         let p = &o.points()[0];

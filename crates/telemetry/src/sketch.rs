@@ -56,12 +56,11 @@ impl QuantileSketch {
     ///
     /// Panics unless `0 < alpha < 1`.
     pub fn new(alpha: f64) -> QuantileSketch {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
+        let (gamma, inv_ln_gamma) = accuracy(alpha);
         QuantileSketch {
             alpha,
             gamma,
-            inv_ln_gamma: 1.0 / gamma.ln(),
+            inv_ln_gamma,
             buckets: Vec::new(),
             lo: 0,
             zero: 0,
@@ -97,15 +96,38 @@ impl QuantileSketch {
     /// [`QuantileSketch::insert`] calls would (the running sum adds them in
     /// the same order), with the totals kept in registers across the batch.
     pub(crate) fn insert_all(&mut self, vals: &[f64]) {
+        let inv_ln_gamma = self.inv_ln_gamma;
+        self.insert_pairs(vals.iter().map(|&v| (v, key(inv_ln_gamma, v))));
+    }
+
+    /// Records the values of `batch` in order, exactly as
+    /// [`QuantileSketch::insert_all`] would, but with the bucket keys the
+    /// batch computed once for every sketch of its accuracy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch was keyed at another accuracy.
+    pub(crate) fn insert_keyed(&mut self, batch: &KeyedValues) {
+        assert_eq!(
+            self.alpha.to_bits(),
+            batch.alpha.to_bits(),
+            "keyed values of another accuracy"
+        );
+        self.insert_pairs(batch.vals.iter().copied().zip(batch.keys.iter().copied()));
+    }
+
+    /// Records each `(value, key)` in order; `key` is the value's bucket key
+    /// when the value is above [`MIN_VALUE`] and is ignored otherwise.
+    #[inline]
+    fn insert_pairs(&mut self, pairs: impl Iterator<Item = (f64, i32)>) {
         let (mut count, mut sum, mut min, mut max) = (self.count, self.sum, self.min, self.max);
-        for &v in vals {
+        for (v, k) in pairs {
             if v.is_nan() {
                 continue;
             }
             if v <= MIN_VALUE {
                 self.zero += 1;
             } else {
-                let k = self.key(v);
                 // Fast path: `k` is already inside the dense range (a wrapped
                 // negative offset lands past the end, like an empty sketch).
                 match self
@@ -193,22 +215,6 @@ impl QuantileSketch {
 }
 
 impl QuantileSketch {
-    /// Bucket key of a value above [`MIN_VALUE`]. `+∞` takes the key just
-    /// past `f64::MAX`'s, whose estimate still overflows to `+∞`, so one
-    /// infinite observation cannot stretch the dense range to `i32::MAX`.
-    fn key(&self, v: f64) -> i32 {
-        if v.is_finite() {
-            // `x.ceil() as i32` without a libm call: the saturating cast
-            // truncates toward zero, so it is one short exactly when `x` is
-            // above it, i.e. positive and not an integer.
-            let x = v.ln() * self.inv_ln_gamma;
-            let t = x as i32;
-            t.saturating_add(i32::from((t as f64) < x))
-        } else {
-            (f64::MAX.ln() * self.inv_ln_gamma).ceil() as i32 + 1
-        }
-    }
-
     /// Grows `buckets` so keys `lo..=hi` are addressable.
     fn cover(&mut self, lo: i32, hi: i32) {
         if self.buckets.is_empty() {
@@ -232,6 +238,96 @@ impl QuantileSketch {
             (0, &[])
         } else {
             (self.lo, &self.buckets)
+        }
+    }
+}
+
+/// `γ` and `1 / ln γ` of relative accuracy `alpha`.
+///
+/// # Panics
+///
+/// Panics unless `0 < alpha < 1`.
+fn accuracy(alpha: f64) -> (f64, f64) {
+    assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
+    let gamma = (1.0 + alpha) / (1.0 - alpha);
+    (gamma, 1.0 / gamma.ln())
+}
+
+/// Bucket key of `v` at the accuracy whose `1 / ln γ` is `inv_ln_gamma`;
+/// 0 for a value the zero bucket takes (at or below [`MIN_VALUE`], or NaN).
+/// `+∞` takes the key just past `f64::MAX`'s, whose estimate still
+/// overflows to `+∞`, so one infinite observation cannot stretch the dense
+/// range to `i32::MAX`.
+#[inline]
+fn key(inv_ln_gamma: f64, v: f64) -> i32 {
+    if v.is_nan() || v <= MIN_VALUE {
+        0
+    } else if v.is_finite() {
+        // `x.ceil() as i32` without a libm call: the saturating cast
+        // truncates toward zero, so it is one short exactly when `x` is
+        // above it, i.e. positive and not an integer.
+        let x = v.ln() * inv_ln_gamma;
+        let t = x as i32;
+        t.saturating_add(i32::from((t as f64) < x))
+    } else {
+        (f64::MAX.ln() * inv_ln_gamma).ceil() as i32 + 1
+    }
+}
+
+/// A batch of values keyed once for every sketch of one accuracy.
+///
+/// A value's bucket key costs an `ln`. Sketches that share an accuracy
+/// (the per-model `tbt_seconds` summary and the SLO observatory's window
+/// both use `SLO_SKETCH_ALPHA`) would each pay it for the same value;
+/// fed a batch ([`MetricsRegistry::observe_sketch_keyed`],
+/// [`SloObservatory::observe_request`]), each reads the keys the batch
+/// computed as the values were pushed instead. Each sketch still keeps its
+/// own count, sum and extremes, in push order. The batch is scratch:
+/// clearing keeps its capacity.
+///
+/// [`MetricsRegistry::observe_sketch_keyed`]: crate::MetricsRegistry::observe_sketch_keyed
+/// [`SloObservatory::observe_request`]: crate::SloObservatory::observe_request
+#[derive(Debug, Clone)]
+pub struct KeyedValues {
+    alpha: f64,
+    inv_ln_gamma: f64,
+    vals: Vec<f64>,
+    keys: Vec<i32>,
+}
+
+impl KeyedValues {
+    /// An empty batch keyed at relative accuracy `alpha`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < alpha < 1`.
+    pub fn new(alpha: f64) -> KeyedValues {
+        KeyedValues {
+            alpha,
+            inv_ln_gamma: accuracy(alpha).1,
+            vals: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+
+    /// Empties the batch, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.vals.clear();
+        self.keys.clear();
+    }
+
+    /// Appends `v` with its bucket key.
+    #[inline]
+    pub fn push(&mut self, v: f64) {
+        self.vals.push(v);
+        self.keys.push(key(self.inv_ln_gamma, v));
+    }
+}
+
+impl Extend<f64> for KeyedValues {
+    fn extend<I: IntoIterator<Item = f64>>(&mut self, vals: I) {
+        for v in vals {
+            self.push(v);
         }
     }
 }
@@ -564,6 +660,72 @@ mod tests {
             r.insert(v);
         }
         assert_matches(&s, &r, "reused after clear");
+    }
+
+    /// Asserts bit-equal storage and totals (not only equal answers).
+    fn assert_same_bits(a: &QuantileSketch, b: &QuantileSketch, what: &str) {
+        assert_eq!(a.occupied(), b.occupied(), "{what}: buckets");
+        assert_eq!(a.zero, b.zero, "{what}: zero bucket");
+        assert_eq!(a.count, b.count, "{what}: count");
+        assert_eq!(a.sum.to_bits(), b.sum.to_bits(), "{what}: sum");
+        assert_eq!(a.min.to_bits(), b.min.to_bits(), "{what}: min");
+        assert_eq!(a.max.to_bits(), b.max.to_bits(), "{what}: max");
+    }
+
+    #[test]
+    fn shared_keys_feed_each_sketch_like_its_own_insert_all() {
+        // Two sketches fed the same keyed batches, beside two fed the raw
+        // values: one starts with a mid-range stream, so later batches grow
+        // it at both ends, and one starts empty.
+        let mut keyed = [QuantileSketch::new(ALPHA), QuantileSketch::new(ALPHA)];
+        keyed[0].insert_all(&stream(7, 300, -3.0, -1.0));
+        let (lo, hi) = (keyed[0].lo, keyed[0].lo + keyed[0].buckets.len() as i32);
+        let mut plain = keyed.clone();
+        let odd = [
+            f64::NAN,
+            f64::INFINITY,
+            0.0,
+            -1.0,
+            f64::NEG_INFINITY,
+            1e-13,
+            MIN_VALUE,
+            2e-12,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            0.25,
+            f64::NAN,
+        ];
+        let batches = [
+            stream(8, 400, -9.0, 4.0),
+            odd.to_vec(),
+            Vec::new(),
+            (0..200).map(|i| 1e3 * 0.9f64.powi(i)).collect(),
+            stream(9, 50, 5.0, 8.0),
+        ];
+        let mut batch = KeyedValues::new(ALPHA);
+        for (n, vals) in batches.iter().enumerate() {
+            batch.clear();
+            batch.extend(vals.iter().copied());
+            for (i, (k, p)) in keyed.iter_mut().zip(&mut plain).enumerate() {
+                k.insert_keyed(&batch);
+                p.insert_all(vals);
+                assert_same_bits(k, p, &format!("sketch {i} after batch {n}"));
+            }
+        }
+        assert!(keyed[0].zero > 0 && keyed[0].max == f64::INFINITY);
+        let grown = keyed[0].lo + keyed[0].buckets.len() as i32;
+        assert!(
+            keyed[0].lo < lo && grown > hi,
+            "the range grew at both ends"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "another accuracy")]
+    fn keyed_values_of_another_accuracy_are_refused() {
+        let mut batch = KeyedValues::new(0.02);
+        batch.push(1.0);
+        QuantileSketch::new(ALPHA).insert_keyed(&batch);
     }
 
     #[test]

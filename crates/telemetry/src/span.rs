@@ -16,6 +16,7 @@
 //! observed; the differential telemetry tests assert bit-identical results
 //! with the log on and off.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use aegaeon_sim::{FxHashMap, SimTime};
@@ -79,6 +80,16 @@ impl SpanId {
     }
 }
 
+/// Handle to an interned track: its position in [`SpanLog::tracks`].
+/// [`TrackId::NONE`] names no track yet; [`SpanLog::track`] fills it in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TrackId(u32);
+
+impl TrackId {
+    /// The null handle (no track interned yet).
+    pub const NONE: TrackId = TrackId(u32::MAX);
+}
+
 /// One recorded span.
 #[derive(Debug, Clone)]
 pub struct Span {
@@ -86,8 +97,8 @@ pub struct Span {
     pub track: Arc<str>,
     /// Category.
     pub kind: SpanKind,
-    /// Short label, e.g. `"P:m3"`.
-    pub label: String,
+    /// Short label, e.g. `"P:m3"`; a static label is borrowed, not copied.
+    pub label: Cow<'static, str>,
     /// Start instant.
     pub start: SimTime,
     /// End instant; `SimTime::MAX` while the span is open.
@@ -137,14 +148,33 @@ impl SpanLog {
         self.enabled
     }
 
-    fn intern(&mut self, track: &str) -> Arc<str> {
+    fn intern(&mut self, track: &str) -> TrackId {
         if let Some(&i) = self.index.get(track) {
-            return Arc::clone(&self.tracks[i as usize]);
+            return TrackId(i);
         }
+        let i = self.tracks.len() as u32;
         let t: Arc<str> = Arc::from(track);
-        self.index.insert(Arc::clone(&t), self.tracks.len() as u32);
-        self.tracks.push(Arc::clone(&t));
-        t
+        self.index.insert(Arc::clone(&t), i);
+        self.tracks.push(t);
+        TrackId(i)
+    }
+
+    /// The track `slot` caches, interning `name` into it first if it holds
+    /// [`TrackId::NONE`]. A caller that records many spans on one track
+    /// (a request's phases, a KV subtrack, an instance's turns) names it
+    /// once and reuses the handle with [`SpanLog::start_on`]; interning
+    /// happens at the first call, so [`SpanLog::tracks`] keeps the order a
+    /// start by name would give. The closure only runs when the log is
+    /// enabled and the slot is empty.
+    pub fn track<T: AsRef<str>>(
+        &mut self,
+        slot: &mut TrackId,
+        name: impl FnOnce() -> T,
+    ) -> TrackId {
+        if self.enabled && *slot == TrackId::NONE {
+            *slot = self.intern(name().as_ref());
+        }
+        *slot
     }
 
     /// Opens a span. Both the track closure and the label closure only run
@@ -161,15 +191,34 @@ impl SpanLog {
     ) -> SpanId
     where
         T: AsRef<str>,
-        S: Into<String>,
+        S: Into<Cow<'static, str>>,
     {
         if !self.enabled {
             return SpanId::NONE;
         }
         let track = self.intern(track().as_ref());
+        self.start_on(track, kind, at, parent, cause, label)
+    }
+
+    /// Opens a span on an interned `track` (see [`SpanLog::track`]): the
+    /// same record [`SpanLog::start`] makes by name, without formatting or
+    /// looking the name up. The label closure only runs when the log is
+    /// enabled; when disabled this returns [`SpanId::NONE`].
+    pub fn start_on<S: Into<Cow<'static, str>>>(
+        &mut self,
+        track: TrackId,
+        kind: SpanKind,
+        at: SimTime,
+        parent: SpanId,
+        cause: SpanId,
+        label: impl FnOnce() -> S,
+    ) -> SpanId {
+        if !self.enabled {
+            return SpanId::NONE;
+        }
         let id = SpanId(self.spans.len() as u32);
         self.spans.push(Span {
-            track,
+            track: Arc::clone(&self.tracks[track.0 as usize]),
             kind,
             label: label().into(),
             start: at,
@@ -225,7 +274,7 @@ impl SpanLog {
     ) -> SpanId
     where
         T: AsRef<str>,
-        S: Into<String>,
+        S: Into<Cow<'static, str>>,
     {
         let id = self.start(track, kind, at, SpanId::NONE, cause, label);
         self.end(id, at);
@@ -247,7 +296,7 @@ impl SpanLog {
         label: impl FnOnce() -> S,
     ) where
         T: AsRef<str>,
-        S: Into<String>,
+        S: Into<Cow<'static, str>>,
     {
         let id = self.start(track, kind, start, SpanId::NONE, SpanId::NONE, label);
         self.end(id, end);
@@ -429,7 +478,7 @@ mod tests {
         let got: Vec<(&str, SpanKind, SimTime, SimTime, &str)> = log
             .spans()
             .iter()
-            .map(|s| (&*s.track, s.kind, s.start, s.end, s.label.as_str()))
+            .map(|s| (&*s.track, s.kind, s.start, s.end, &*s.label))
             .collect();
         assert_eq!(
             got,
